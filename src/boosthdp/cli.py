@@ -7,8 +7,9 @@ effective configuration is always visible.  Unknown sections or keys are
 rejected rather than ignored -- a typo should fail loudly, not silently run
 the nominal setup.
 
-Exit codes: 0 on success, 1 for usage, configuration, or missing-snapshot
-errors, 2 when a simulation diverges or pretraining fails to converge.
+Exit codes: 0 on success, 1 for usage, configuration, or missing or corrupt
+snapshot errors, 2 when a simulation diverges, an online network update
+would turn a parameter non-finite, or pretraining fails to converge.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from pathlib import Path
 
 from .baseline import DEFAULT_PI_GAINS, PiGains, PiController
 from .hdp import HdpConfig, HdpController, make_action
-from .mlp import Mlp
+from .mlp import Mlp, MlpFormatError, NonFiniteUpdateError
 from .plant import PlantParams
 from . import sim
 
@@ -345,7 +346,10 @@ def _load_networks(cfg: RunConfig) -> tuple[Mlp, Mlp]:
             f"no network snapshots in {cfg.out_dir}/ "
             "(critic.mlp, action.mlp): pretrain first"
         )
-    return Mlp.load(critic_path), Mlp.load(action_path)
+    try:
+        return Mlp.load(critic_path), Mlp.load(action_path)
+    except MlpFormatError as exc:
+        raise ConfigError(f"corrupt network snapshot {exc}") from None
 
 
 def _build_controller(cfg: RunConfig, spec: sim.ScenarioSpec):
@@ -356,7 +360,10 @@ def _build_controller(cfg: RunConfig, spec: sim.ScenarioSpec):
         )
         return sim.baseline_for_scenario(spec, cfg.plant, pi)
     critic, action = _load_networks(cfg)
-    return HdpController(critic=critic, action=action, config=cfg.hdp)
+    try:
+        return HdpController(critic=critic, action=action, config=cfg.hdp)
+    except ValueError as exc:  # well-formed snapshots of the wrong topology
+        raise ConfigError(f"network snapshots in {cfg.out_dir}/: {exc}") from None
 
 
 def _upsert_metrics(path: Path, scenario: str, tag: str, m: sim.Metrics) -> None:
@@ -414,7 +421,7 @@ def cmd_run(cfg: RunConfig, scenario: str, tag: str) -> int:
     except ConfigError as exc:
         log.error("%s", exc)
         return 1
-    except sim.SimulationDiverged as exc:
+    except (sim.SimulationDiverged, NonFiniteUpdateError) as exc:
         log.error("%s %s diverged: %s", scenario, tag, exc)
         return 2
     log.info(
@@ -447,7 +454,7 @@ def cmd_compare(cfg: RunConfig) -> int:
                 lines.append(f"{scenario:<14} {tag:<10} {'-':>12} {'-':>12} {'-':>10}")
                 worst = max(worst, 1)
                 continue
-            except sim.SimulationDiverged as exc:
+            except (sim.SimulationDiverged, NonFiniteUpdateError) as exc:
                 log.error("%s %s diverged: %s", scenario, tag, exc)
                 lines.append(f"{scenario:<14} {tag:<10} {'-':>12} {'-':>12} {'-':>10}")
                 worst = 2

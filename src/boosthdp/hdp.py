@@ -184,7 +184,7 @@ class HdpController:
         # critic input is taken from the next measurement's duty_prev, which
         # is the duty actually applied (the harness may have modified the
         # command, e.g. probing noise during practice)
-        self._prev: tuple[np.ndarray, float] | None = None
+        self._prev: tuple[list[float], float] | None = None
 
     def reset_transition_buffer(self) -> None:
         """Forget the stored transition, e.g. across a simulation restart."""
@@ -211,7 +211,7 @@ class HdpController:
         for _ in range(cfg.epochs_action):
             y, cache = self.action.forward(a)
             duty = d_min + float(y[0]) * span
-            x = np.append(a, duty / d_scale)
+            x = np.concatenate((a, (duty / d_scale,)))
             _, critic_cache = self.critic.forward(x)
             dj_dx = self.critic.grad_input(critic_cache, np.ones(1))
             # chain rule through the affine duty map and the normalization
@@ -231,21 +231,23 @@ class HdpController:
         cfg = self.config
         s = cfg.norm_scales
         m = measurement
-        a = np.array([m.v_o / s[0], m.i_l / s[1], m.e_v / s[2], m.e_i / s[3]])
+        # the normalized state as floats; critic inputs append the duty slot
+        state = [m.v_o / s[0], m.i_l / s[1], m.e_v / s[2], m.e_i / s[3]]
+        a = np.array(state)
         if learn:
             if self._prev is not None:
                 # the stored transition lands in the present state; evaluate
                 # it with the duty the current policy would command here
                 d_hat = self.duty_from_action(a)
-                x_hat = np.append(a, d_hat / s[4])
-                a_prev, u_prev = self._prev
-                x_prev = np.append(a_prev, m.duty_prev / s[4])
+                x_hat = np.array(state + [d_hat / s[4]])
+                state_prev, u_prev = self._prev
+                x_prev = np.array(state_prev + [m.duty_prev / s[4]])
                 self.critic_update(x_prev, x_hat, u_prev)
             self.action_update(a)
         duty = self.duty_from_action(a)
-        x = np.append(a, duty / s[4])
+        x = np.array(state + [duty / s[4]])
         j_now, _ = self.critic.forward(x)
         j_est = float(j_now[0])
         u_now = utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i)
-        self._prev = (a, u_now)
+        self._prev = (state, u_now)
         return duty, j_est

@@ -5,11 +5,27 @@ or sigmoid output, exact reverse-mode gradients with respect to both the
 parameters and the input, plain SGD updates, and a text snapshot format.
 Everything is double precision numpy; nets are small (a handful of units per
 layer), so no batching.
+
+Parameter layout: every parameter of a net lives in one contiguous vector,
+`Mlp.params`.  Layer by layer it holds the weight matrix row-major (shape
+fan_out x fan_in), then the bias vector - the same order as the snapshot's
+parameter rows.  `Mlp.weights` and `Mlp.biases` are per-layer views of that
+vector, and `MlpGradients.flat` uses the same layout, so an SGD step is one
+vector operation followed by one finiteness check.
+
+At these sizes numpy's per-call overhead costs more than the arithmetic, so
+the hot paths make as few numpy calls as they can: all weight and bias
+gradients are gathered by one elementwise product, and `grad_input` runs its
+own backward pass without them.  Every product and sum is still the one a
+per-layer implementation computes, so results are bit-identical to it
+(tests/test_mlp.py keeps such an implementation as the reference).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -32,27 +48,74 @@ class NonFiniteUpdateError(ArithmeticError):
     """Raised when an SGD step would write a NaN/inf parameter; net is untouched."""
 
 
+def _layer_views(flat: np.ndarray, layer_sizes: list[int]):
+    """Per-layer (weights, biases) views of a vector in the flat layout."""
+    weights, biases = [], []
+    start = 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        stop = start + fan_out * fan_in
+        weights.append(flat[start:stop].reshape(fan_out, fan_in))
+        biases.append(flat[stop:stop + fan_out])
+        start = stop + fan_out
+    return weights, biases
+
+
+def _gradient_gather(layer_sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Index vectors (rows, cols) such that src[rows] * src[cols] is the
+    parameter gradient in the flat layout, for
+    src = [delta_0, ..., delta_{L-1}, a_0, ..., a_{L-1}, 1.0]
+    (delta_l: d_loss/d_pre-activation of layer l, a_l: its input).  A weight's
+    gradient is delta_i * a_j, a bias's is delta_i * 1.0 - exactly the
+    products an outer-product backward pass computes."""
+    fan_ins, fan_outs = layer_sizes[:-1], layer_sizes[1:]
+    one_at = sum(fan_outs) + sum(fan_ins)
+    rows: list[int] = []
+    cols: list[int] = []
+    delta_at, act_at = 0, sum(fan_outs)
+    for fan_in, fan_out in zip(fan_ins, fan_outs):
+        for i in range(fan_out):  # weights, row-major
+            rows += [delta_at + i] * fan_in
+            cols += range(act_at, act_at + fan_in)
+        rows += range(delta_at, delta_at + fan_out)  # biases
+        cols += [one_at] * fan_out
+        delta_at += fan_out
+        act_at += fan_in
+    return np.array(rows), np.array(cols)
+
+
 @dataclass
 class ForwardCache:
     """Intermediate values of one forward pass, consumed by the backward pass."""
 
     activations: list[np.ndarray]   # a_0 = input, ..., a_L = output
-    pre_activations: list[np.ndarray]
 
 
-@dataclass
 class MlpGradients:
-    """Per-layer parameter gradients, shaped like the network's weights/biases."""
+    """Parameter gradients in one flat vector laid out like `Mlp.params`.
 
-    d_weights: list[np.ndarray]
-    d_biases: list[np.ndarray]
+    `d_weights` and `d_biases` are per-layer views of `flat`, shaped like the
+    network's weights and biases; writing to them writes to `flat`.
+    """
+
+    def __init__(self, flat: np.ndarray, layer_sizes: list[int]):
+        self.flat = flat
+        self.layer_sizes = layer_sizes
+
+    @cached_property
+    def d_weights(self) -> list[np.ndarray]:
+        return _layer_views(self.flat, self.layer_sizes)[0]
+
+    @cached_property
+    def d_biases(self) -> list[np.ndarray]:
+        return _layer_views(self.flat, self.layer_sizes)[1]
 
 
 class Mlp:
     """Feedforward net with tanh hidden layers and a configurable output layer.
 
     `output_activation` is "linear" (unbounded, for value estimates) or
-    "sigmoid" (outputs in (0,1), for duty-cycle policies).
+    "sigmoid" (outputs in (0,1), for duty-cycle policies).  The given weights
+    and biases are copied into the net's own parameter vector.
     """
 
     def __init__(
@@ -66,19 +129,21 @@ class Mlp:
             raise ValueError(f"need >= 2 layers of size >= 1, got {layer_sizes}")
         if output_activation not in _ACTIVATIONS:
             raise ValueError(f"output_activation must be one of {_ACTIVATIONS}")
-        if len(weights) != len(layer_sizes) - 1 or len(biases) != len(weights):
-            raise ValueError("parameter count does not match layer_sizes")
-        for layer, (w, b) in enumerate(zip(weights, biases)):
-            want = (layer_sizes[layer + 1], layer_sizes[layer])
-            if w.shape != want or b.shape != (want[0],):
-                raise ValueError(
-                    f"layer {layer}: weight shape {w.shape} / bias shape {b.shape} "
-                    f"inconsistent with sizes {layer_sizes}"
-                )
         self.layer_sizes = list(layer_sizes)
+        self.output_activation = output_activation
+        self._gather_rows, self._gather_cols = _gradient_gather(self.layer_sizes)
+        self._one = np.ones(1)
+        # never rebound: the views below stay valid for the net's lifetime
+        self._params = np.zeros(len(self._gather_rows))
+        self._w, self._b = _layer_views(self._params, self.layer_sizes)
+        self._wT = [w.T for w in self._w]
+        self._hidden = list(zip(self._w[:-1], self._b[:-1]))
+        self._sigmoid = output_activation == "sigmoid"
+        self._input_shape = (layer_sizes[0],)
+        self._output_shape = (layer_sizes[-1],)
+        self._activation_shapes = [(n,) for n in layer_sizes]
         self.weights = weights
         self.biases = biases
-        self.output_activation = output_activation
 
     @classmethod
     def init(
@@ -96,6 +161,47 @@ class Mlp:
         return cls(layer_sizes, weights, biases, output_activation)
 
     @property
+    def params(self) -> np.ndarray:
+        """Every parameter in one vector (see the module docstring for the
+        layout).  Writes to it change the net."""
+        return self._params
+
+    @property
+    def weights(self) -> list[np.ndarray]:
+        """Per-layer weight matrices, as views of `params`."""
+        return list(self._w)
+
+    @weights.setter
+    def weights(self, values: list[np.ndarray]) -> None:
+        self._assign(self._w, values, "weight")
+
+    @property
+    def biases(self) -> list[np.ndarray]:
+        """Per-layer bias vectors, as views of `params`."""
+        return list(self._b)
+
+    @biases.setter
+    def biases(self, values: list[np.ndarray]) -> None:
+        self._assign(self._b, values, "bias")
+
+    def _assign(self, views: list[np.ndarray], values, kind: str) -> None:
+        """Copy per-layer values into the views; all shapes are checked
+        before anything is written."""
+        values = [np.asarray(v, dtype=float) for v in values]
+        if len(values) != len(views):
+            raise ValueError(
+                f"got {len(values)} {kind} arrays for {len(views)} layers"
+            )
+        for layer, (view, value) in enumerate(zip(views, values)):
+            if value.shape != view.shape:
+                raise ValueError(
+                    f"layer {layer}: {kind} shape {value.shape} inconsistent "
+                    f"with sizes {self.layer_sizes}"
+                )
+        for view, value in zip(views, values):
+            view[...] = value
+
+    @property
     def n_inputs(self) -> int:
         return self.layer_sizes[0]
 
@@ -104,83 +210,73 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def copy(self) -> "Mlp":
-        return Mlp(
-            self.layer_sizes,
-            [w.copy() for w in self.weights],
-            [b.copy() for b in self.biases],
-            self.output_activation,
-        )
+        return Mlp(self.layer_sizes, self._w, self._b, self.output_activation)
 
     def forward(self, x) -> tuple[np.ndarray, ForwardCache]:
         """Evaluate the network; the cache feeds grad_weights / grad_input."""
         a = np.asarray(x, dtype=float)
-        if a.shape != (self.n_inputs,):
+        if a.shape != self._input_shape:
             raise ValueError(f"input shape {a.shape} != ({self.n_inputs},)")
         activations = [a]
-        pre_activations = []
-        last = len(self.weights) - 1
-        for layer, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = w @ a + b
-            pre_activations.append(z)
-            if layer < last:
-                a = np.tanh(z)
-            elif self.output_activation == "sigmoid":
-                a = 1.0 / (1.0 + np.exp(-z))
-            else:
-                a = z
+        for w, b in self._hidden:
+            a = np.tanh(w.dot(a) + b)
             activations.append(a)
-        return a, ForwardCache(activations, pre_activations)
+        a = self._w[-1].dot(a) + self._b[-1]
+        if self._sigmoid:
+            a = 1.0 / (1.0 + np.exp(-a))
+        activations.append(a)
+        return a, ForwardCache(activations)
 
     def _check_cache(self, cache: ForwardCache) -> None:
-        if len(cache.activations) != len(self.layer_sizes) or any(
-            a.shape != (n,) for a, n in zip(cache.activations, self.layer_sizes)
-        ):
+        if [a.shape for a in cache.activations] != self._activation_shapes:
             raise ValueError("cache does not match this network (stale or foreign)")
 
-    def _backward(
-        self, cache: ForwardCache, d_output
-    ) -> tuple[MlpGradients, np.ndarray]:
+    def _output_delta(self, cache: ForwardCache, d_output) -> np.ndarray:
+        """d_loss/d_(output pre-activation), after checking both inputs."""
         self._check_cache(cache)
         delta = np.asarray(d_output, dtype=float)
-        if delta.shape != (self.n_outputs,):
+        if delta.shape != self._output_shape:
             raise ValueError(f"d_output shape {delta.shape} != ({self.n_outputs},)")
-        if self.output_activation == "sigmoid":
+        if self._sigmoid:
             y = cache.activations[-1]
             delta = delta * y * (1.0 - y)
-        d_weights = [None] * len(self.weights)
-        d_biases = [None] * len(self.weights)
-        for layer in range(len(self.weights) - 1, -1, -1):
-            d_weights[layer] = np.outer(delta, cache.activations[layer])
-            d_biases[layer] = delta
-            delta = self.weights[layer].T @ delta
-            if layer > 0:
-                # derivative of tanh via the stored hidden activation
-                h = cache.activations[layer]
-                delta = delta * (1.0 - h * h)
-        return MlpGradients(d_weights, d_biases), delta
+        return delta
 
     def grad_weights(self, cache: ForwardCache, d_output) -> MlpGradients:
         """Gradients of the scalar loss w.r.t. every weight and bias, given
         d_loss/d_output."""
-        grads, _ = self._backward(cache, d_output)
-        return grads
+        delta = self._output_delta(cache, d_output)
+        acts = cache.activations
+        deltas = [delta]
+        for layer in range(len(self._w) - 1, 0, -1):
+            # derivative of tanh via the stored hidden activation
+            h = acts[layer]
+            delta = self._wT[layer].dot(delta) * (1.0 - h * h)
+            deltas.append(delta)
+        deltas.reverse()
+        src = np.concatenate(deltas + acts[:-1] + [self._one])
+        flat = src[self._gather_rows] * src[self._gather_cols]
+        return MlpGradients(flat, self.layer_sizes)
 
     def grad_input(self, cache: ForwardCache, d_output) -> np.ndarray:
         """Gradient of the scalar loss w.r.t. the network input."""
-        _, d_input = self._backward(cache, d_output)
-        return d_input
+        delta = self._output_delta(cache, d_output)
+        acts = cache.activations
+        for layer in range(len(self._w) - 1, 0, -1):
+            h = acts[layer]
+            delta = self._wT[layer].dot(delta) * (1.0 - h * h)
+        return self._wT[0].dot(delta)
 
     def apply_update(self, grads: MlpGradients, learning_rate: float) -> None:
         """Plain gradient descent: W <- W - lr * dW.  If any resulting
         parameter would be non-finite the update is refused and the network
         left unchanged."""
-        new_w = [w - learning_rate * dw for w, dw in zip(self.weights, grads.d_weights)]
-        new_b = [b - learning_rate * db for b, db in zip(self.biases, grads.d_biases)]
-        for arr in new_w + new_b:
-            if not np.all(np.isfinite(arr)):
-                raise NonFiniteUpdateError("update would produce non-finite parameters")
-        self.weights = new_w
-        self.biases = new_b
+        if grads.flat.shape != self._params.shape:
+            raise ValueError("gradients do not match this network")
+        new = self._params - learning_rate * grads.flat
+        if not np.isfinite(new).all():
+            raise NonFiniteUpdateError("update would produce non-finite parameters")
+        self._params[...] = new
 
     # --- snapshot format -------------------------------------------------
     # line 1: "mlp v1"
@@ -198,15 +294,21 @@ class Mlp:
             " ".join(str(n) for n in self.layer_sizes),
             f"tanh {self.output_activation}",
         ]
-        for w, b in zip(self.weights, self.biases):
+        for w, b in zip(self._w, self._b):
             row = [repr(float(v)) for v in w.ravel()] + [repr(float(v)) for v in b]
             lines.append(" ".join(row))
         return "\n".join(lines) + "\n"
 
     @classmethod
     def load(cls, path) -> "Mlp":
-        with open(path) as fh:
-            return cls.loads(fh.read())
+        """Read a snapshot; format errors name the file."""
+        try:
+            with open(path) as fh:
+                return cls.loads(fh.read())
+        except UnicodeDecodeError:
+            raise MlpFormatError(f"{path}: not a text snapshot") from None
+        except MlpFormatError as exc:
+            raise MlpFormatError(f"{path}: {exc}") from None
 
     @classmethod
     def loads(cls, text: str) -> "Mlp":
@@ -232,19 +334,20 @@ class Mlp:
         param_lines = [ln for ln in lines[3:] if ln.strip()]
         if len(param_lines) != n_layers:
             fail(len(lines), f"expected {n_layers} parameter rows, got {len(param_lines)}")
-        weights, biases = [], []
+        params: list[float] = []
         for layer, ln in enumerate(param_lines):
             fan_in, fan_out = sizes[layer], sizes[layer + 1]
             try:
                 vals = [float(tok) for tok in ln.split()]
             except ValueError:
                 fail(4 + layer, "non-numeric parameter")
+            if not all(map(math.isfinite, vals)):
+                fail(4 + layer, "non-finite parameter")
             if len(vals) != fan_out * fan_in + fan_out:
                 fail(
                     4 + layer,
                     f"expected {fan_out * fan_in + fan_out} values, got {len(vals)}",
                 )
-            flat = np.array(vals)
-            weights.append(flat[: fan_out * fan_in].reshape(fan_out, fan_in))
-            biases.append(flat[fan_out * fan_in:])
+            params.extend(vals)
+        weights, biases = _layer_views(np.array(params), sizes)
         return cls(sizes, weights, biases, tags[1])

@@ -636,7 +636,7 @@ def clone_action(
             x_now, _, _ = log[idx]
             a = x_now[:4]
             duty = x_now[4] * d_scale
-            target = np.clip((duty - d_min) / span, 0.02, 0.98)
+            target = min(max((duty - d_min) / span, 0.02), 0.98)
             y, cache = action.forward(a)
             err = float(y[0]) - target
             grads = action.grad_weights(cache, np.array([err]))

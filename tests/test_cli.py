@@ -16,7 +16,8 @@ from boosthdp.cli import (
     load_config,
     parse_config,
 )
-from boosthdp.hdp import HdpConfig
+from boosthdp.hdp import HdpConfig, make_action, make_critic
+from boosthdp.mlp import Mlp
 from boosthdp.plant import PlantParams
 from boosthdp.sim import read_trace_csv
 
@@ -278,6 +279,38 @@ class TestRunCommand:
         assert rc == 0
         assert (fast_snapshots / "load_change_HDP-frozen.csv").is_file()
 
+    def test_corrupt_snapshot_exits_1(self, tmp_path, caplog):
+        make_action().save(tmp_path / "action.mlp")
+        (tmp_path / "critic.mlp").write_text(make_critic().dumps()[:60])
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["run", "startup", "HDP-frozen", "--out", str(tmp_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1 and "\n" not in errors[0]
+        assert "corrupt network snapshot" in errors[0] and "critic.mlp" in errors[0]
+        assert not (tmp_path / "metrics.csv").exists()
+
+    def test_wrong_topology_snapshot_exits_1(self, tmp_path, caplog):
+        Mlp.init([4, 5, 1], "linear", seed=0).save(tmp_path / "critic.mlp")
+        make_action().save(tmp_path / "action.mlp")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["run", "startup", "HDP-frozen", "--out", str(tmp_path)])
+        assert rc == 1
+        assert "critic must map 5 -> 1" in caplog.text
+
+    def test_non_finite_update_exits_2(self, fast_snapshots, tmp_path, caplog):
+        for name in ("critic.mlp", "action.mlp"):
+            (tmp_path / name).write_bytes((fast_snapshots / name).read_bytes())
+        config = tmp_path / "huge_rate.ini"
+        config.write_text("[hdp]\nlr_critic = 1e300\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(
+                ["run", "startup", "HDP", "--config", str(config), "--out", str(tmp_path)]
+            )
+        assert rc == 2
+        assert "non-finite" in caplog.text
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_divergence_exits_2(self, tmp_path, caplog):
         config = tmp_path / "div.ini"
         # duty pinned high open-loop charges the inductor until the output
@@ -339,6 +372,30 @@ class TestCompareCommand:
         assert len(lines) == 3
         assert "-" in lines[1].split()      # PI cell failed
         assert "-" not in lines[2].split()  # HDP cell still ran
+
+    def test_corrupt_snapshot_cell_reported(self, tmp_path, capsys):
+        make_action().save(tmp_path / "action.mlp")
+        (tmp_path / "critic.mlp").write_text("mlp v1\n5 5 5 1\ntanh linear\n0.1 0.2\n")
+        config = tmp_path / "one.ini"
+        config.write_text("[run]\nscenarios = startup\n")
+        rc = cli.main(["compare", "--config", str(config), "--out", str(tmp_path)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 3
+        assert "-" not in lines[1].split()  # PI cell ran
+        assert "-" in lines[2].split()      # HDP cell could not load its critic
+
+    def test_non_finite_update_cell_reported(self, fast_snapshots, capsys):
+        config = fast_snapshots / "huge_rate.ini"
+        config.write_text("[hdp]\nlr_critic = 1e300\n\n[run]\nscenarios = startup\n")
+        rc = cli.main(
+            ["compare", "--config", str(config), "--out", str(fast_snapshots)]
+        )
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert rc == 2
+        assert len(lines) == 3
+        assert "-" not in lines[1].split()
+        assert "-" in lines[2].split()
 
     def test_compare_is_deterministic(self, fast_snapshots, capsys):
         config = fast_snapshots / "fast3.ini"

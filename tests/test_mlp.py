@@ -1,5 +1,6 @@
 """Network tests: forward algebra, finite-difference gradient oracle, SGD
-updates, and snapshot round-trips."""
+updates, the flat parameter layout and its views, a bit-level per-layer
+reference, and snapshot round-trips."""
 
 import numpy as np
 import pytest
@@ -226,6 +227,152 @@ class TestApplyUpdate:
         assert net.dumps() == before
 
 
+# --- per-layer reference ---------------------------------------------------
+# A direct per-layer transcription of forward, backward and the SGD step: one
+# weight matrix and bias vector per layer, np.outer for the weight gradients,
+# one backward loop for both gradients.  The flat-parameter Mlp must agree
+# with it bit for bit, because it performs the same products and sums.
+
+
+def ref_forward(weights, biases, output_activation, x):
+    a = np.asarray(x, dtype=float)
+    activations = [a]
+    last = len(weights) - 1
+    for layer, (w, b) in enumerate(zip(weights, biases)):
+        z = w @ a + b
+        if layer < last:
+            a = np.tanh(z)
+        elif output_activation == "sigmoid":
+            a = 1.0 / (1.0 + np.exp(-z))
+        else:
+            a = z
+        activations.append(a)
+    return a, activations
+
+
+def ref_backward(weights, output_activation, activations, d_output):
+    delta = np.asarray(d_output, dtype=float)
+    if output_activation == "sigmoid":
+        y = activations[-1]
+        delta = delta * y * (1.0 - y)
+    d_weights = [None] * len(weights)
+    d_biases = [None] * len(weights)
+    for layer in range(len(weights) - 1, -1, -1):
+        d_weights[layer] = np.outer(delta, activations[layer])
+        d_biases[layer] = delta
+        delta = weights[layer].T @ delta
+        if layer > 0:
+            h = activations[layer]
+            delta = delta * (1.0 - h * h)
+    return d_weights, d_biases, delta
+
+
+class TestPerLayerReference:
+    @pytest.mark.parametrize("output_activation", ["linear", "sigmoid"])
+    @pytest.mark.parametrize("sizes", [[5, 5, 5, 1], [4, 5, 5, 1]])
+    def test_bit_identical_over_sgd_steps(self, sizes, output_activation):
+        rng = np.random.default_rng(sum(sizes) + len(output_activation))
+        for seed in range(5):
+            net = Mlp.init(sizes, output_activation, seed=seed)
+            net.biases = [rng.normal(0.0, 0.3, size=b.shape) for b in net.biases]
+            ref_w = [w.copy() for w in net.weights]
+            ref_b = [b.copy() for b in net.biases]
+            for _ in range(20):
+                x = rng.normal(0.0, 1.0, size=sizes[0])
+                dldy = rng.normal(0.0, 1.0, size=sizes[-1])
+                lr = float(rng.uniform(0.0, 0.5))
+                y, cache = net.forward(x)
+                ref_y, ref_acts = ref_forward(ref_w, ref_b, output_activation, x)
+                assert np.array_equal(y, ref_y)
+                grads = net.grad_weights(cache, dldy)
+                ref_dw, ref_db, ref_dx = ref_backward(ref_w, output_activation, ref_acts, dldy)
+                for got, want in zip(grads.d_weights + grads.d_biases, ref_dw + ref_db):
+                    assert np.array_equal(got, want)
+                assert np.array_equal(net.grad_input(cache, dldy), ref_dx)
+                net.apply_update(grads, lr)
+                ref_w = [w - lr * dw for w, dw in zip(ref_w, ref_dw)]
+                ref_b = [b - lr * db for b, db in zip(ref_b, ref_db)]
+                for got, want in zip(net.weights + net.biases, ref_w + ref_b):
+                    assert np.array_equal(got, want)
+
+
+class TestFlatParameters:
+    def test_layout_is_snapshot_row_order(self):
+        net = Mlp.init([4, 5, 5, 1], "sigmoid", seed=3)
+        net.biases = [b + 0.25 for b in net.biases]
+        rows = [[float(v) for v in ln.split()] for ln in net.dumps().splitlines()[3:]]
+        assert net.params.tolist() == [v for row in rows for v in row]
+
+    def test_views_write_through(self):
+        net = Mlp.init([5, 5, 5, 1], "linear", seed=1)
+        for view in net.weights + net.biases:
+            assert np.shares_memory(view, net.params)
+        net.weights[1][2, 3] = 7.0
+        net.biases[2][0] = -3.0
+        assert net.params[5 * 5 + 5 + 2 * 5 + 3] == 7.0
+        assert net.params[-1] == -3.0
+
+    def test_gradient_views_share_flat_vector(self):
+        net = Mlp.init([4, 5, 5, 1], "sigmoid", seed=2)
+        _, cache = net.forward(np.ones(4))
+        grads = net.grad_weights(cache, [1.0])
+        assert grads.flat.shape == net.params.shape
+        for view, param in zip(grads.d_weights + grads.d_biases, net.weights + net.biases):
+            assert view.shape == param.shape
+            assert np.shares_memory(view, grads.flat)
+
+    def test_copy_shares_no_memory(self):
+        net = Mlp.init([5, 5, 5, 1], "linear", seed=4)
+        dup = net.copy()
+        assert np.array_equal(dup.params, net.params)
+        for a in [net.params] + net.weights + net.biases:
+            for b in [dup.params] + dup.weights + dup.biases:
+                assert not np.shares_memory(a, b)
+        dup.weights[0][0, 0] += 1.0
+        assert dup.dumps() != net.dumps()
+
+    def test_constructor_copies_its_arrays(self):
+        w = [np.array([[2.0, -1.0]])]
+        b = [np.array([0.5])]
+        net = Mlp([2, 1], w, b, "linear")
+        w[0][0, 0] = 99.0
+        b[0][0] = 99.0
+        assert net.params.tolist() == [2.0, -1.0, 0.5]
+
+    def test_refused_update_leaves_params_and_views_unchanged(self):
+        net = Mlp.init([4, 5, 5, 1], "sigmoid", seed=6)
+        _, cache = net.forward(np.full(4, 0.5))
+        grads = net.grad_weights(cache, [1.0])
+        grads.d_biases[1][2] = np.nan
+        params, views = net.params, net.weights + net.biases
+        before = [a.copy() for a in [params] + views]
+        with pytest.raises(NonFiniteUpdateError):
+            net.apply_update(grads, 0.1)
+        assert net.params is params
+        for arr, keep in zip([net.params] + net.weights + net.biases, before):
+            assert np.array_equal(arr, keep)
+        for view in views:
+            assert np.shares_memory(view, net.params)
+
+    def test_setters_reject_wrong_shape(self):
+        net = Mlp.init([5, 5, 5, 1], "linear", seed=8)
+        before = net.params.copy()
+        with pytest.raises(ValueError, match="layer 2"):
+            net.weights = [np.zeros((5, 5)), np.zeros((5, 5)), np.zeros((5, 1))]
+        with pytest.raises(ValueError, match="layer 0"):
+            net.biases = [np.zeros(4), np.zeros(5), np.zeros(1)]
+        with pytest.raises(ValueError):
+            net.weights = [np.zeros((5, 5)), np.zeros((5, 5))]
+        assert np.array_equal(net.params, before)
+
+    def test_update_rejects_foreign_gradients(self):
+        net = Mlp.init([3, 4, 1], "linear", seed=0)
+        other = Mlp.init([3, 5, 1], "linear", seed=0)
+        _, cache = other.forward([1.0, 2.0, 3.0])
+        with pytest.raises(ValueError):
+            net.apply_update(other.grad_weights(cache, [1.0]), 0.1)
+
+
 class TestSnapshot:
     def test_round_trip_identity(self, tmp_path):
         net = Mlp.init([4, 5, 5, 1], "sigmoid", seed=7)
@@ -262,6 +409,21 @@ class TestSnapshot:
         text = net.dumps().replace(repr(float(net.weights[0][0, 0])), "bogus", 1)
         with pytest.raises(MlpFormatError, match="line 4"):
             Mlp.loads(text)
+
+    def test_non_finite_value_rejected(self):
+        net = Mlp.init([2, 1], "linear", seed=0)
+        text = net.dumps().replace(repr(float(net.weights[0][0, 1])), "nan", 1)
+        with pytest.raises(MlpFormatError, match="line 4: non-finite"):
+            Mlp.loads(text)
+
+    def test_load_error_names_file(self, tmp_path):
+        path = tmp_path / "critic.mlp"
+        path.write_text(Mlp.init([3, 4, 1], "linear", seed=1).dumps()[:40])
+        with pytest.raises(MlpFormatError, match="critic.mlp: line"):
+            Mlp.load(path)
+        path.write_bytes(b"mlp v1\n\xff\xfe\n")
+        with pytest.raises(MlpFormatError, match="not a text snapshot"):
+            Mlp.load(path)
 
     def test_wrong_row_length_rejected(self):
         net = Mlp.init([2, 1], "linear", seed=0)
