@@ -23,6 +23,8 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
+import numpy as np
+
 from .baseline import DEFAULT_PI_GAINS, PiGains, PiController
 from .hdp import HdpConfig, HdpController, make_action
 from .mlp import Mlp, MlpFormatError, NonFiniteUpdateError
@@ -329,9 +331,12 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         writer.writerow(["epoch", "mean_squared_residual"])
         for epoch, value in enumerate(history):
             writer.writerow([epoch, repr(value)])
+    epochs = len(history) - 1
     log.info(
-        "critic: %d epochs, residual %.4g -> %.4g (ratio %.1f); clone mse %.3g",
-        len(history) - 1, history[0], history[-1],
+        "critic: %d epochs (stopped by %s), residual %.4g -> %.4g (ratio %.1f); "
+        "clone mse %.3g",
+        epochs, "plateau" if epochs < pt.max_epochs else "epoch cap",
+        history[0], history[-1],
         history[0] / history[-1] if history[-1] > 0.0 else float("inf"),
         clone_mse,
     )
@@ -511,11 +516,14 @@ def main(argv: list[str] | None = None) -> int:
         cfg = replace(cfg, seed=args.seed)
         defaulted = [d for d in defaulted if d[:2] != ("run", "seed")]
     _echo_defaults(defaulted)
-    if args.command == "pretrain":
-        return cmd_pretrain(cfg)
-    if args.command == "run":
-        return cmd_run(cfg, args.scenario, args.controller)
-    return cmd_compare(cfg)
+    # An update that overflows is refused by Mlp's finiteness check and ends
+    # in exit 2 with one line; numpy's own warnings would only precede it.
+    with np.errstate(over="ignore", invalid="ignore"):
+        if args.command == "pretrain":
+            return cmd_pretrain(cfg)
+        if args.command == "run":
+            return cmd_run(cfg, args.scenario, args.controller)
+        return cmd_compare(cfg)
 
 
 if __name__ == "__main__":

@@ -3,8 +3,10 @@ artifacts, and exit codes."""
 
 import csv
 import logging
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -20,6 +22,14 @@ from boosthdp.hdp import HdpConfig, make_action, make_critic
 from boosthdp.mlp import Mlp
 from boosthdp.plant import PlantParams
 from boosthdp.sim import read_trace_csv
+
+# `python -m boosthdp.cli` in a child process imports this checkout's package
+MODULE_ENV = {
+    **os.environ,
+    "PYTHONPATH": os.pathsep.join(
+        p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
+    ),
+}
 
 # deliberately tiny pipeline so CLI tests stay cheap; the resulting
 # controller is poor but stable, which is all these tests need
@@ -99,6 +109,10 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="gamma"):
             parse_config("[hdp]\ngamma = 1.5\n")
 
+    def test_non_finite_plant_value_rejected(self):
+        with pytest.raises(ConfigError, match="l_ind must be finite"):
+            parse_config("[plant]\nl_ind = nan\n")
+
     def test_unknown_scenario_in_list_rejected(self):
         with pytest.raises(ConfigError, match="unknown scenario 'warp'"):
             parse_config("[run]\nscenarios = startup warp\n")
@@ -130,6 +144,19 @@ class TestUsageErrors:
     def test_missing_config_file_exits_1(self, tmp_path):
         rc = cli.main(["run", "startup", "PI", "--config", str(tmp_path / "x.ini")])
         assert rc == 1
+
+    @pytest.mark.parametrize("line", ["l_ind = nan", "c_out = inf", "v_s = -inf"])
+    def test_non_finite_plant_value_exits_1(self, tmp_path, caplog, line):
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[plant]\n{line}\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(
+                ["run", "startup", "PI", "--config", str(config), "--out", str(tmp_path)]
+            )
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"{line.split()[0]} must be finite"]
+        assert not (tmp_path / "metrics.csv").exists()
 
     def test_unknown_scenario_exits_1_and_lists_names(self, tmp_path, caplog):
         with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
@@ -183,6 +210,21 @@ class TestPretrainCommand:
         assert 2 <= len(body) <= 9
         values = [float(r[1]) for r in body]
         assert values[-1] < values[0]
+
+    @pytest.mark.parametrize("epochs, reason", [(3, "plateau"), (8, "epoch cap")])
+    def test_log_names_why_training_stopped(
+        self, tmp_path, caplog, monkeypatch, epochs, reason
+    ):
+        def fake_pretrain_critic(*args, **kwargs):
+            return make_critic(), [1.0 / (1 + e) for e in range(epochs + 1)]
+
+        monkeypatch.setattr(cli.sim, "pretrain_critic", fake_pretrain_critic)
+        config = tmp_path / "fast.ini"
+        config.write_text(FAST_PRETRAIN)  # max_epochs = 8
+        with caplog.at_level(logging.INFO, logger="boosthdp.cli"):
+            rc = cli.main(["pretrain", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 0
+        assert f"critic: {epochs} epochs (stopped by {reason})" in caplog.text
 
     def test_same_seed_same_bytes(self, tmp_path):
         config = tmp_path / "fast.ini"
@@ -311,6 +353,20 @@ class TestRunCommand:
         assert "non-finite" in caplog.text
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_refused_update_prints_no_numpy_warning(self, fast_snapshots, tmp_path):
+        for name in ("critic.mlp", "action.mlp"):
+            (tmp_path / name).write_bytes((fast_snapshots / name).read_bytes())
+        config = tmp_path / "huge_rate.ini"
+        config.write_text("[hdp]\nlr_critic = 1e300\n")
+        proc = subprocess.run(
+            [sys.executable, "-m", "boosthdp.cli", "run", "startup", "HDP",
+             "--config", str(config), "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120, env=MODULE_ENV,
+        )
+        assert proc.returncode == 2
+        assert "non-finite" in proc.stderr
+        assert "RuntimeWarning" not in proc.stderr
+
     def test_divergence_exits_2(self, tmp_path, caplog):
         config = tmp_path / "div.ini"
         # duty pinned high open-loop charges the inductor until the output
@@ -414,7 +470,7 @@ class TestConsoleEntry:
     def test_module_invocation_help(self):
         proc = subprocess.run(
             [sys.executable, "-m", "boosthdp.cli", "--help"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=MODULE_ENV,
         )
         assert proc.returncode == 0
         assert "pretrain" in proc.stdout
@@ -422,6 +478,6 @@ class TestConsoleEntry:
     def test_module_invocation_usage_error(self):
         proc = subprocess.run(
             [sys.executable, "-m", "boosthdp.cli", "run"],
-            capture_output=True, text=True, timeout=60,
+            capture_output=True, text=True, timeout=60, env=MODULE_ENV,
         )
         assert proc.returncode == 1

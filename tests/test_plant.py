@@ -1,15 +1,20 @@
-"""Plant model tests: affine branches, RK4 stepping, DCM handling, and the
-closed-form oracles (RC discharge, volt-second balance, power balance)."""
+"""Plant model tests: affine branches, RK4 stepping, DCM handling, the
+closed-form oracles (RC discharge, volt-second balance, power balance), and
+the cached propagators against a per-sub-step RK4 reference."""
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from boosthdp.plant import (
     ConductionMode,
     PlantParams,
     PlantState,
+    _branch_system,
     derivatives,
     step,
     step_averaged,
@@ -54,6 +59,12 @@ class TestParamsAndState:
                    {"f_sw": 0.0}, {"dt": 0.0}, {"r_l": -0.1}):
             with pytest.raises(ValueError):
                 PlantParams(**kw)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", [f.name for f in fields(PlantParams)])
+    def test_rejects_non_finite_params(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be finite"):
+            PlantParams(**{name: value})
 
     def test_rejects_dt_not_dividing_period(self):
         with pytest.raises(ValueError):
@@ -163,6 +174,124 @@ class TestStep:
         s = step(s, 0.7, NOMINAL)
         assert s.mode is ConductionMode.SWITCH_OFF_CONDUCTING
         assert s.i_l > 0.0
+
+
+def rk4_reference(state, duty, p):
+    """One PWM period integrated sub-step by sub-step with classical RK4 and
+    the DCM clamp, the reference the plant's cached k-step maps must
+    reproduce.  Every stage evaluates the active branch through the same
+    `_branch_system` rows that `derivatives` evaluates; the branch stays fixed
+    for all four stages, so a stage may see a negative current.
+
+    Returns the end state and the trapezoid means (i_l, v_o, v_o^2).
+    """
+    n_sub = p.substeps
+    n_on = round(duty * n_sub)
+    h = p.dt
+
+    def rk4(mode, i, v):
+        rows = _branch_system(mode, p)
+
+        def f(i, v):
+            return [a * i + b * v + c for a, b, c in rows]
+
+        k1 = f(i, v)
+        k2 = f(i + 0.5 * h * k1[0], v + 0.5 * h * k1[1])
+        k3 = f(i + 0.5 * h * k2[0], v + 0.5 * h * k2[1])
+        k4 = f(i + h * k3[0], v + h * k3[1])
+        return (
+            i + h * (k1[0] + 2.0 * (k2[0] + k3[0]) + k4[0]) / 6.0,
+            v + h * (k1[1] + 2.0 * (k2[1] + k3[1]) + k4[1]) / 6.0,
+        )
+
+    i, v = state.i_l, state.v_o
+    s_i, s_v, s_v2 = 0.5 * i, 0.5 * v, 0.5 * v * v
+    mode = ConductionMode.SWITCH_OFF_BLOCKED
+    for _ in range(n_on):
+        i, v = rk4(ConductionMode.SWITCH_ON, i, v)
+        mode = ConductionMode.SWITCH_ON
+        s_i, s_v, s_v2 = s_i + i, s_v + v, s_v2 + v * v
+    blocked = i <= 0.0
+    if blocked:
+        i = 0.0
+    for _ in range(n_sub - n_on):
+        if blocked:
+            i, v = rk4(ConductionMode.SWITCH_OFF_BLOCKED, i, v)
+            mode = ConductionMode.SWITCH_OFF_BLOCKED
+        else:
+            i, v = rk4(ConductionMode.SWITCH_OFF_CONDUCTING, i, v)
+            if i <= 0.0:
+                i, blocked = 0.0, True
+                mode = ConductionMode.SWITCH_OFF_BLOCKED
+            else:
+                mode = ConductionMode.SWITCH_OFF_CONDUCTING
+        s_i, s_v, s_v2 = s_i + i, s_v + v, s_v2 + v * v
+    s_i, s_v, s_v2 = s_i - 0.5 * i, s_v - 0.5 * v, s_v2 - 0.5 * v * v
+    return PlantState(i_l=i, v_o=v, mode=mode), (s_i / n_sub, s_v / n_sub, s_v2 / n_sub)
+
+
+def _deviation(values, reference, scale):
+    """Largest absolute difference over scale; exact agreement at scale 0."""
+    worst = max(abs(x - y) for x, y in zip(values, reference))
+    return worst / scale if scale > 0.0 else (0.0 if worst == 0.0 else math.inf)
+
+
+T_SW = NOMINAL.t_sw
+DUTIES = st.lists(
+    st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)), min_size=1, max_size=8
+)
+
+
+class TestPropagatorAgainstRk4:
+    """The k-step maps are sub-step RK4 with the DCM clamp, reassociated: the
+    same modes, and states and averages equal to rounding."""
+
+    # A start current in (0, 1e-3) A is left out: a sign decision within
+    # rounding distance of zero is not reproducible under reassociation.
+    @settings(max_examples=150, deadline=None)
+    @given(
+        i_l=st.one_of(st.just(0.0), st.floats(1e-3, 40.0)),
+        v_o=st.floats(0.0, 400.0),
+        duties=DUTIES,
+        dt=st.sampled_from([T_SW / 10, T_SW / 100]),
+    )
+    @example(i_l=0.5, v_o=300.0, duties=[0.05, 0.05], dt=T_SW / 100)  # DCM mid-period
+    @example(i_l=8.0, v_o=200.0, duties=[0.0, 1.0, 0.7, 0.0], dt=T_SW / 10)
+    @example(i_l=0.0, v_o=0.0, duties=[0.0, 1.0], dt=T_SW / 100)
+    def test_matches_reference(self, i_l, v_o, duties, dt):
+        p = PlantParams(dt=dt)
+        state = reference = PlantState(i_l=i_l, v_o=v_o)
+        for duty in duties:
+            averaged_state, averages = step_averaged(state, duty, p)
+            state = step(state, duty, p)
+            assert averaged_state == state
+            reference, ref_averages = rk4_reference(reference, duty, p)
+            assert state.mode is reference.mode
+            assert state.i_l >= 0.0 and state.v_o >= 0.0
+            scale = max(reference.i_l, reference.v_o)
+            end = (state.i_l, state.v_o)
+            assert _deviation(end, (reference.i_l, reference.v_o), scale) <= 1e-12
+            avg_scale = max(abs(ref_averages[0]), ref_averages[1])
+            assert _deviation(averages[:2], ref_averages[:2], avg_scale) <= 1e-12
+            assert _deviation(averages[2:], ref_averages[2:], avg_scale**2) <= 1e-12
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        i_l=st.floats(0.0, 40.0),
+        v_o=st.floats(0.0, 400.0),
+        duties=DUTIES,
+        dt=st.sampled_from([T_SW / 10, T_SW / 100]),
+    )
+    def test_invariants(self, i_l, v_o, duties, dt):
+        p = PlantParams(dt=dt)
+        s = PlantState(i_l=i_l, v_o=v_o)
+        for duty in duties:
+            s = step(s, duty, p)
+            assert s.i_l >= 0.0 and s.v_o >= 0.0
+            if s.mode is ConductionMode.SWITCH_OFF_BLOCKED:
+                assert s.i_l == 0.0
+            if s.mode is ConductionMode.SWITCH_OFF_CONDUCTING:
+                assert s.i_l > 0.0
 
 
 class TestSteadyStateHint:
