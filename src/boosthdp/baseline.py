@@ -1,7 +1,6 @@
 """Conventional single-loop voltage-mode PI controller.
 
-Serves as the comparison baseline and as the data-generating controller for
-critic pretraining.  The law is
+Serves as the comparison baseline.  The law is
 
     duty = clamp(duty_ff + kp*e_v + ki*integ, [d_min, d_max])
 

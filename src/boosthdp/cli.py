@@ -1,11 +1,15 @@
 """Command-line front end: pretrain the networks, run scenarios, compare.
 
 Configuration is a flat key-value file with INI-style sections mirroring the
-module boundaries ([plant], [hdp], [pi], [pretrain], [run]).  Every key has a
-default; keys absent from the file are echoed to the log once so a run's
-effective configuration is always visible.  Unknown sections or keys are
-rejected rather than ignored -- a typo should fail loudly, not silently run
-the nominal setup.
+module boundaries ([plant], [hdp], [pi], [pretrain], [run]).  The keys and
+defaults of [plant], [hdp], [pi] and [pretrain] are the fields of
+PlantParams, HdpConfig, PiGains and sim.PretrainSettings and their default
+instances; a tuple field spreads over the key names in its field metadata.
+Every key has a default; keys absent from the file are echoed to the log
+once so a run's effective configuration is always visible.  Unknown
+sections or keys, and non-finite floats, are rejected rather than ignored --
+a typo should fail loudly, not silently run the nominal setup.  [plant] v_s
+and r_load are the nominal point the scenarios start from.
 
 Exit codes: 0 on success, 1 for usage, configuration, or missing or corrupt
 snapshot errors, 2 when a simulation diverges, an online network update
@@ -19,8 +23,9 @@ import configparser
 import csv
 import io
 import logging
+import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -33,7 +38,6 @@ from . import sim
 
 __all__ = [
     "ConfigError",
-    "PretrainSettings",
     "RunConfig",
     "parse_config",
     "load_config",
@@ -46,40 +50,14 @@ __all__ = [
 
 log = logging.getLogger("boosthdp.cli")
 
-METRICS_FIELDS = (
-    "scenario",
-    "controller",
-    "settling_time",
-    "overshoot",
-    "steady_state_error",
-    "iae",
-    "peak_deviation",
-    "oscillation",
-    "unsettled",
+# columns of metrics.csv: the run's key, then one per Metrics field
+METRICS_FIELDS = ("scenario", "controller") + tuple(
+    f.name for f in fields(sim.Metrics)
 )
 
 
 class ConfigError(Exception):
     """Bad configuration file, bad value, or bad command-line argument."""
-
-
-@dataclass(frozen=True)
-class PretrainSettings:
-    """Knobs for the offline pipeline (excitation log, TD sweeps, clone)."""
-
-    n_episodes: int = 4
-    n_holds: int = 10
-    max_epochs: int = 120
-    learning_rate: float = 8e-4
-    clone_epochs: int = 40
-    clone_learning_rate: float = 0.3
-
-    def __post_init__(self) -> None:
-        for name in ("n_episodes", "n_holds", "max_epochs", "clone_epochs"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0.0 or self.clone_learning_rate <= 0.0:
-            raise ValueError("pretraining rates must be positive")
 
 
 @dataclass(frozen=True)
@@ -89,59 +67,52 @@ class RunConfig:
     plant: PlantParams
     hdp: HdpConfig
     pi: PiGains
-    pretrain: PretrainSettings
+    pretrain: sim.PretrainSettings
     scenarios: tuple[str, ...]
     out_dir: str
     seed: int
 
 
-# section -> key -> (python type, default).  The hdp tuples are flattened to
-# scalar keys so the file stays a flat key-value format.
-_HDP_DEFAULT = HdpConfig()
+# the dataclass sections: RunConfig attribute and section name -> default
+_SECTION_DEFAULTS = {
+    "plant": PlantParams(),
+    "hdp": HdpConfig(),
+    "pi": DEFAULT_PI_GAINS,
+    "pretrain": sim.PretrainSettings(),
+}
+
+
+def _flatten(obj) -> dict[str, object]:
+    """A section dataclass as key -> value; a tuple field spreads over the
+    key names in its metadata, so the file stays flat."""
+    flat: dict[str, object] = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        if "keys" in f.metadata:
+            flat.update(zip(f.metadata["keys"], value))
+        else:
+            flat[f.name] = value
+    return flat
+
+
+def _unflatten(cls, flat: dict[str, object]):
+    """Inverse of _flatten: build the section dataclass from its keys."""
+    return cls(**{
+        f.name: tuple(flat[k] for k in f.metadata["keys"])
+        if "keys" in f.metadata else flat[f.name]
+        for f in fields(cls)
+    })
+
+
+# section -> key -> (python type, default)
 _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
-    "plant": {
-        "r_load": (float, 80.0),
-        "l_ind": (float, 860e-6),
-        "c_out": (float, 860e-6),
-        "r_l": (float, 0.1),
-        "v_s": (float, 60.0),
-        "f_sw": (float, 20e3),
-        "dt": (float, 0.5e-6),
-    },
-    "hdp": {
-        "gamma": (float, _HDP_DEFAULT.gamma),
-        "lr_critic": (float, _HDP_DEFAULT.lr_critic),
-        "lr_action": (float, _HDP_DEFAULT.lr_action),
-        "k_v": (float, _HDP_DEFAULT.k_v),
-        "k_i": (float, _HDP_DEFAULT.k_i),
-        "epochs_critic": (int, _HDP_DEFAULT.epochs_critic),
-        "epochs_action": (int, _HDP_DEFAULT.epochs_action),
-        "norm_v_o": (float, _HDP_DEFAULT.norm_scales[0]),
-        "norm_i_l": (float, _HDP_DEFAULT.norm_scales[1]),
-        "norm_e_v": (float, _HDP_DEFAULT.norm_scales[2]),
-        "norm_e_i": (float, _HDP_DEFAULT.norm_scales[3]),
-        "norm_duty": (float, _HDP_DEFAULT.norm_scales[4]),
-        "duty_min": (float, _HDP_DEFAULT.duty_limits[0]),
-        "duty_max": (float, _HDP_DEFAULT.duty_limits[1]),
-    },
-    "pi": {
-        "kp": (float, DEFAULT_PI_GAINS.kp),
-        "ki": (float, DEFAULT_PI_GAINS.ki),
-        "duty_ff": (float, DEFAULT_PI_GAINS.duty_ff),
-    },
-    "pretrain": {
-        "n_episodes": (int, 4),
-        "n_holds": (int, 10),
-        "max_epochs": (int, 120),
-        "learning_rate": (float, 8e-4),
-        "clone_epochs": (int, 40),
-        "clone_learning_rate": (float, 0.3),
-    },
-    "run": {
-        "scenarios": (str, " ".join(sim.SCENARIO_NAMES)),
-        "out": (str, "out"),
-        "seed": (int, 0),
-    },
+    section: {key: (type(value), value) for key, value in _flatten(default).items()}
+    for section, default in _SECTION_DEFAULTS.items()
+}
+_SCHEMA["run"] = {
+    "scenarios": (str, " ".join(sim.SCENARIO_NAMES)),
+    "out": (str, "out"),
+    "seed": (int, 0),
 }
 
 
@@ -150,7 +121,10 @@ def _convert(section: str, key: str, raw: str, typ: type):
         if typ is int:
             return int(raw, 10)
         if typ is float:
-            return float(raw)
+            value = float(raw)
+            if not math.isfinite(value):
+                raise ConfigError(f"{key} must be finite")
+            return value
         return raw.strip()
     except ValueError:
         raise ConfigError(
@@ -197,7 +171,7 @@ def parse_config(text: str) -> tuple[RunConfig, list[tuple[str, str, object]]]:
                 values[section][key] = default
                 defaulted.append((section, key, default))
 
-    p, h, g, t, r = (values[s] for s in ("plant", "hdp", "pi", "pretrain", "run"))
+    r = values["run"]
     scenarios = tuple(r["scenarios"].replace(",", " ").split())
     for name in scenarios:
         if name not in sim.SCENARIO_NAMES:
@@ -209,23 +183,10 @@ def parse_config(text: str) -> tuple[RunConfig, list[tuple[str, str, object]]]:
         raise ConfigError("[run] scenarios must list at least one scenario")
     try:
         cfg = RunConfig(
-            plant=PlantParams(**p),
-            hdp=HdpConfig(
-                gamma=h["gamma"],
-                lr_critic=h["lr_critic"],
-                lr_action=h["lr_action"],
-                k_v=h["k_v"],
-                k_i=h["k_i"],
-                epochs_critic=h["epochs_critic"],
-                epochs_action=h["epochs_action"],
-                norm_scales=(
-                    h["norm_v_o"], h["norm_i_l"], h["norm_e_v"],
-                    h["norm_e_i"], h["norm_duty"],
-                ),
-                duty_limits=(h["duty_min"], h["duty_max"]),
-            ),
-            pi=PiGains(kp=g["kp"], ki=g["ki"], duty_ff=g["duty_ff"]),
-            pretrain=PretrainSettings(**t),
+            **{
+                section: _unflatten(type(default), values[section])
+                for section, default in _SECTION_DEFAULTS.items()
+            },
             scenarios=scenarios,
             out_dir=r["out"],
             seed=r["seed"],
@@ -251,25 +212,9 @@ def _fmt(value: object) -> str:
 
 def dump_config(cfg: RunConfig) -> str:
     """Render the effective configuration; parsing it back reproduces cfg."""
-    h = cfg.hdp
-    flat = {
-        "plant": {k: getattr(cfg.plant, k) for k in _SCHEMA["plant"]},
-        "hdp": {
-            "gamma": h.gamma, "lr_critic": h.lr_critic, "lr_action": h.lr_action,
-            "k_v": h.k_v, "k_i": h.k_i,
-            "epochs_critic": h.epochs_critic, "epochs_action": h.epochs_action,
-            "norm_v_o": h.norm_scales[0], "norm_i_l": h.norm_scales[1],
-            "norm_e_v": h.norm_scales[2], "norm_e_i": h.norm_scales[3],
-            "norm_duty": h.norm_scales[4],
-            "duty_min": h.duty_limits[0], "duty_max": h.duty_limits[1],
-        },
-        "pi": {k: getattr(cfg.pi, k) for k in _SCHEMA["pi"]},
-        "pretrain": {k: getattr(cfg.pretrain, k) for k in _SCHEMA["pretrain"]},
-        "run": {
-            "scenarios": " ".join(cfg.scenarios),
-            "out": cfg.out_dir,
-            "seed": cfg.seed,
-        },
+    flat = {section: _flatten(getattr(cfg, section)) for section in _SECTION_DEFAULTS}
+    flat["run"] = {
+        "scenarios": " ".join(cfg.scenarios), "out": cfg.out_dir, "seed": cfg.seed
     }
     out = io.StringIO()
     for section, keys in flat.items():
@@ -310,9 +255,8 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     )
     try:
         critic, history = sim.pretrain_critic(
-            cfg.plant, teacher, cfg.hdp, seed=cfg.seed,
+            transitions, cfg.hdp, seed=cfg.seed,
             max_epochs=pt.max_epochs, learning_rate=pt.learning_rate,
-            log=transitions,
         )
     except sim.PretrainingError as exc:
         log.error("pretraining failed: %s", exc)
@@ -383,13 +327,7 @@ def _upsert_metrics(path: Path, scenario: str, tag: str, m: sim.Metrics) -> None
     rows.append({
         "scenario": scenario,
         "controller": tag,
-        "settling_time": repr(m.settling_time),
-        "overshoot": repr(m.overshoot),
-        "steady_state_error": repr(m.steady_state_error),
-        "iae": repr(m.iae),
-        "peak_deviation": repr(m.peak_deviation),
-        "oscillation": str(m.oscillation),
-        "unsettled": str(m.unsettled),
+        **{key: _fmt(value) for key, value in asdict(m).items()},
     })
     with open(path, "w", newline="") as fh:
         writer = csv.DictWriter(fh, fieldnames=METRICS_FIELDS)
@@ -399,7 +337,10 @@ def _upsert_metrics(path: Path, scenario: str, tag: str, m: sim.Metrics) -> None
 
 def _run_cell(cfg: RunConfig, scenario: str, tag: str) -> sim.Metrics:
     """Simulate one (scenario, controller) pair and write its artifacts."""
-    spec = sim.builtin_scenario(scenario, tag, cfg.plant, seed=cfg.seed)
+    try:
+        spec = sim.builtin_scenario(scenario, tag, cfg.plant)
+    except ValueError as exc:  # [plant] v_s or r_load off the nameplate
+        raise ConfigError(f"[plant] {exc}") from None
     controller = _build_controller(cfg, spec)
     trace, metrics = sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
     out = Path(cfg.out_dir)

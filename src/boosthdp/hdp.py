@@ -23,7 +23,7 @@ keeps the cost-to-go itself O(1) at the default discount.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -130,15 +130,15 @@ class HdpConfig:
     k_i: float = 0.1
     epochs_critic: int = 1
     epochs_action: int = 1
-    # scales for [v_o, i_l, e_v, e_i, duty]
-    norm_scales: tuple[float, float, float, float, float] = (
-        200.0,
-        10.0,
-        200.0,
-        10.0,
-        1.0,
+    # scales for [v_o, i_l, e_v, e_i, duty]; "keys" names each element in
+    # the flat config file
+    norm_scales: tuple[float, float, float, float, float] = field(
+        default=(200.0, 10.0, 200.0, 10.0, 1.0),
+        metadata={"keys": ("norm_v_o", "norm_i_l", "norm_e_v", "norm_e_i", "norm_duty")},
     )
-    duty_limits: tuple[float, float] = (0.05, 0.95)
+    duty_limits: tuple[float, float] = field(
+        default=(0.05, 0.95), metadata={"keys": ("duty_min", "duty_max")}
+    )
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:

@@ -12,12 +12,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
+from operator import attrgetter
 
 import numpy as np
 
 from .baseline import PiController
-from .hdp import ControllerInput, HdpConfig, HdpController, td_update, utility
+from .hdp import ControllerInput, HdpConfig, make_critic, td_update, utility
 from .mlp import Mlp
 from .plant import PlantParams, PlantState, step, steady_state_hint
 
@@ -26,12 +27,16 @@ __all__ = [
     "SCENARIO_NAMES",
     "Metrics",
     "PiecewiseConstant",
+    "PretrainSettings",
     "PretrainingError",
     "ReferenceLaw",
     "ScenarioSpec",
     "SimulationDiverged",
+    "R_LOAD_RANGE",
     "TraceRecord",
     "TRACE_FIELDS",
+    "V_SET",
+    "V_S_RANGE",
     "baseline_for_scenario",
     "builtin_scenario",
     "clone_action",
@@ -50,8 +55,15 @@ __all__ = [
 CONTROLLER_TAGS = ("PI", "HDP", "HDP-frozen")
 SCENARIO_NAMES = ("startup", "load_change", "input_change")
 
-# column order of the trace CSV
-TRACE_FIELDS = ("t", "v_o", "i_l", "duty", "u", "j_est", "mode", "v_set", "v_s", "r_load")
+# the regulated output voltage, and the nameplate ranges of source and load
+V_SET = 200.0
+V_S_RANGE = (54.0, 66.0)
+R_LOAD_RANGE = (50.0, 200.0)
+
+# each excitation hold lasts this long; both offline stages decay their
+# per-sample rate as lr / (1 + epoch / _LR_DECAY_EPOCHS)
+_HOLD_DURATION = 0.01
+_LR_DECAY_EPOCHS = 8.0
 
 
 class SimulationDiverged(RuntimeError):
@@ -106,7 +118,6 @@ class ScenarioSpec:
     r_load: PiecewiseConstant
     initial_state: PlantState = field(default_factory=PlantState)
     controller_tag: str = "PI"
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.duration <= 0.0:
@@ -115,21 +126,14 @@ class ScenarioSpec:
             raise ValueError(
                 f"controller_tag {self.controller_tag!r} not in {CONTROLLER_TAGS}"
             )
-        # nameplate operating ranges for source and load
         for t in (0.0,) + self.v_s.change_times():
-            if not 54.0 <= self.v_s.value_at(t) <= 66.0:
-                raise ValueError("v_s schedule leaves the 54-66 V range")
+            if not V_S_RANGE[0] <= self.v_s.value_at(t) <= V_S_RANGE[1]:
+                raise ValueError("v_s schedule leaves the %g-%g V range" % V_S_RANGE)
         for t in (0.0,) + self.r_load.change_times():
-            if not 50.0 <= self.r_load.value_at(t) <= 200.0:
-                raise ValueError("r_load schedule leaves the 50-200 ohm range")
-
-    def last_change_time(self) -> float:
-        times = (
-            self.v_set.change_times()
-            + self.v_s.change_times()
-            + self.r_load.change_times()
-        )
-        return max(times) if times else 0.0
+            if not R_LOAD_RANGE[0] <= self.r_load.value_at(t) <= R_LOAD_RANGE[1]:
+                raise ValueError(
+                    "r_load schedule leaves the %g-%g ohm range" % R_LOAD_RANGE
+                )
 
 
 @dataclass(frozen=True)
@@ -144,6 +148,10 @@ class TraceRecord:
     v_set: float
     v_s: float
     r_load: float
+
+
+# column order of the trace CSV
+TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
 
 
 @dataclass(frozen=True)
@@ -243,16 +251,14 @@ class ReferenceLaw:
 
 
 def make_reference_law(
-    params: PlantParams | None = None,
-    v_set: float = 200.0,
-    hdp_config: HdpConfig | None = None,
+    params: PlantParams | None = None, hdp_config: HdpConfig | None = None
 ) -> ReferenceLaw:
     """Reference law with the feed-forward pinned to the nominal operating
     duty and scales/limits matching the controller config."""
     params = params or PlantParams()
     cfg = hdp_config or HdpConfig()
     return ReferenceLaw(
-        duty_ff=equilibrium_duty(v_set, params.v_s, params.r_load, params.r_l),
+        duty_ff=equilibrium_duty(V_SET, params.v_s, params.r_load, params.r_l),
         v_scale=cfg.norm_scales[2],
         i_scale=cfg.norm_scales[3],
         duty_limits=cfg.duty_limits,
@@ -266,35 +272,41 @@ def _equilibrium_state(v_set: float, v_s: float, r_load: float, r_l: float) -> P
 
 
 def builtin_scenario(
-    name: str, controller_tag: str = "PI", params: PlantParams | None = None, seed: int = 0
+    name: str, controller_tag: str = "PI", params: PlantParams | None = None
 ) -> ScenarioSpec:
-    """The three evaluation scenarios.
+    """The three evaluation scenarios around the nominal point params.v_s,
+    params.r_load, each regulating V_SET.
 
-    startup: 200 V reference from rest at nominal source and load.
-    load_change: load resistance 80 -> 200 ohm at mid-run, from steady state.
-    input_change: source 60 -> 54 V at mid-run, from steady state.
+    startup: from rest at the nominal source and load.
+    load_change: load resistance steps from nominal to the top of
+    R_LOAD_RANGE at mid-run, from steady state.
+    input_change: source steps from nominal to the bottom of V_S_RANGE at
+    mid-run, from steady state.
+
+    Raises ValueError if the nominal point lies outside the nameplate ranges.
     """
     params = params or PlantParams()
+    v_s, r_load = params.v_s, params.r_load
     hold = lambda v: PiecewiseConstant([(0.0, v)])
     if name == "startup":
         return ScenarioSpec(
-            name, 0.05, hold(200.0), hold(60.0), hold(80.0),
-            initial_state=PlantState(), controller_tag=controller_tag, seed=seed,
+            name, 0.05, hold(V_SET), hold(v_s), hold(r_load),
+            initial_state=PlantState(), controller_tag=controller_tag,
         )
     if name == "load_change":
         return ScenarioSpec(
-            name, 0.05, hold(200.0), hold(60.0),
-            PiecewiseConstant([(0.0, 80.0), (0.025, 200.0)]),
-            initial_state=_equilibrium_state(200.0, 60.0, 80.0, params.r_l),
-            controller_tag=controller_tag, seed=seed,
+            name, 0.05, hold(V_SET), hold(v_s),
+            PiecewiseConstant([(0.0, r_load), (0.025, R_LOAD_RANGE[1])]),
+            initial_state=_equilibrium_state(V_SET, v_s, r_load, params.r_l),
+            controller_tag=controller_tag,
         )
     if name == "input_change":
         return ScenarioSpec(
-            name, 0.05, hold(200.0),
-            PiecewiseConstant([(0.0, 60.0), (0.025, 54.0)]),
-            hold(80.0),
-            initial_state=_equilibrium_state(200.0, 60.0, 80.0, params.r_l),
-            controller_tag=controller_tag, seed=seed,
+            name, 0.05, hold(V_SET),
+            PiecewiseConstant([(0.0, v_s), (0.025, V_S_RANGE[0])]),
+            hold(r_load),
+            initial_state=_equilibrium_state(V_SET, v_s, r_load, params.r_l),
+            controller_tag=controller_tag,
         )
     raise ValueError(f"unknown scenario {name!r}; valid: {SCENARIO_NAMES}")
 
@@ -363,7 +375,7 @@ def run_scenario(
     return records, compute_metrics(records)
 
 
-def compute_metrics(trace: list[TraceRecord], v_set_final: float | None = None) -> Metrics:
+def compute_metrics(trace: list[TraceRecord]) -> Metrics:
     """Step-response metrics over the final reference segment.
 
     The window starts at the last change of any schedule quantity found in
@@ -373,8 +385,7 @@ def compute_metrics(trace: list[TraceRecord], v_set_final: float | None = None) 
     """
     if not trace:
         raise ValueError("empty trace")
-    if v_set_final is None:
-        v_set_final = trace[-1].v_set
+    v_set_final = trace[-1].v_set
     t = np.array([r.t for r in trace])
     v = np.array([r.v_o for r in trace])
     sched = np.array([[r.v_set, r.v_s, r.r_load] for r in trace])
@@ -409,11 +420,8 @@ def write_trace_csv(path, trace: list[TraceRecord]) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
-        for r in trace:
-            writer.writerow(
-                [repr(r.t), repr(r.v_o), repr(r.i_l), repr(r.duty), repr(r.u),
-                 repr(r.j_est), r.mode, repr(r.v_set), repr(r.v_s), repr(r.r_load)]
-            )
+        # csv writes a float as its repr, so every value round-trips exactly
+        writer.writerows(map(attrgetter(*TRACE_FIELDS), trace))
 
 
 def read_trace_csv(path) -> list[TraceRecord]:
@@ -431,24 +439,41 @@ def read_trace_csv(path) -> list[TraceRecord]:
 
 # --- pretraining pipeline ------------------------------------------------
 
+@dataclass(frozen=True)
+class PretrainSettings:
+    """Knobs for the offline pipeline (excitation log, TD sweeps, clone);
+    the pipeline functions below take their defaults from these fields."""
+
+    n_episodes: int = 4
+    n_holds: int = 10
+    max_epochs: int = 120
+    learning_rate: float = 8e-4
+    clone_epochs: int = 40
+    clone_learning_rate: float = 0.3
+
+    def __post_init__(self) -> None:
+        for name in ("n_episodes", "n_holds", "max_epochs", "clone_epochs"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if self.learning_rate <= 0.0 or self.clone_learning_rate <= 0.0:
+            raise ValueError("pretraining rates must be positive")
+
+
 def generate_excitation_log(
-    teacher: ReferenceLaw | PiController,
+    teacher: ReferenceLaw,
     params: PlantParams,
     hdp_config: HdpConfig,
     seed: int = 0,
-    n_episodes: int = 4,
-    n_holds: int = 10,
-    hold_duration: float = 0.01,
+    n_episodes: int = PretrainSettings.n_episodes,
+    n_holds: int = PretrainSettings.n_holds,
 ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Drive the plant under randomized holds and log one-period
     transitions (x_k, x_{k+1}, U_k) in critic coordinates.
 
     Each episode starts from rest; within an episode the reference, load,
     and source are redrawn every hold: v_set uniform in [150, 220] V,
-    r_load uniform in [50, 200] ohm, v_s uniform in [54, 66] V.  The
-    teacher closes the loop - either the reference law (default pipeline)
-    or a PiController (its integrator then runs across holds and is only
-    reset at episode boundaries).
+    r_load uniform over R_LOAD_RANGE, v_s uniform over V_S_RANGE.  The
+    teacher law closes the loop.
 
     A hold switch is exogenous: the inputs cannot predict it, so a
     transition straddling the boundary would only inject target noise;
@@ -458,18 +483,14 @@ def generate_excitation_log(
     cfg = hdp_config
     s = cfg.norm_scales
     t_sw = params.t_sw
-    periods_per_hold = round(hold_duration / t_sw)
-    is_pi = isinstance(teacher, PiController)
+    periods_per_hold = round(_HOLD_DURATION / t_sw)
     log: list[tuple[np.ndarray, np.ndarray, float]] = []
     for _ in range(n_episodes):
         state = PlantState()
-        if is_pi:
-            teacher = teacher.copy()
-            teacher.reset()
         for _ in range(n_holds):
             v_set = float(rng.uniform(150.0, 220.0))
-            r_load = float(rng.uniform(50.0, 200.0))
-            v_s = float(rng.uniform(54.0, 66.0))
+            r_load = float(rng.uniform(*R_LOAD_RANGE))
+            v_s = float(rng.uniform(*V_S_RANGE))
             p = replace(params, r_load=r_load, v_s=v_s)
             _, i_set = steady_state_hint(v_set, v_s, r_load)
             x_prev: np.ndarray | None = None
@@ -477,10 +498,7 @@ def generate_excitation_log(
             for _ in range(periods_per_hold):
                 e_v = v_set - state.v_o
                 e_i = i_set - state.i_l
-                if is_pi:
-                    duty = teacher.pi_step(e_v)
-                else:
-                    duty = teacher.duty_for(e_v, e_i)
+                duty = teacher.duty_for(e_v, e_i)
                 x_now = np.array(
                     [state.v_o / s[0], state.i_l / s[1], e_v / s[2], e_i / s[3],
                      duty / s[4]]
@@ -508,10 +526,10 @@ def train_critic_on_log(
     log,
     hdp_config: HdpConfig,
     seed: int = 0,
-    max_epochs: int = 120,
+    max_epochs: int = PretrainSettings.max_epochs,
     plateau_rtol: float = 1e-4,
     require_initial_decrease: bool = True,
-    lr_decay_epochs: float = 8.0,
+    lr_decay_epochs: float = _LR_DECAY_EPOCHS,
 ) -> list[float]:
     """Sweep the transition log with per-sample TD updates until the epoch
     mean squared residual plateaus or the epoch cap is hit.
@@ -561,32 +579,19 @@ def train_critic_on_log(
 
 
 def pretrain_critic(
-    params: PlantParams,
-    teacher: ReferenceLaw | PiController,
+    log,
     hdp_config: HdpConfig,
     seed: int = 0,
-    n_episodes: int = 4,
-    n_holds: int = 10,
-    max_epochs: int = 120,
-    learning_rate: float = 8e-4,
-    log=None,
+    max_epochs: int = PretrainSettings.max_epochs,
+    learning_rate: float = PretrainSettings.learning_rate,
 ) -> tuple[Mlp, list[float]]:
-    """Full critic pipeline: excitation log under the teacher, then TD
-    sweeps until plateau.  Returns the trained critic and the residual
-    history.  Pass a pre-built log to skip regeneration (the warm-start
-    clone reuses the same log).
+    """Fresh critic trained by TD sweeps over an excitation log until
+    plateau.  Returns the trained critic and the residual history.
 
     The offline rate is two orders below a usable single-transition rate:
     repeated full-log sweeps at higher rates saturate the hidden layers
     and the critic collapses to predicting the log's mean cost.
     """
-    from .hdp import make_critic
-
-    if log is None:
-        log = generate_excitation_log(
-            teacher, params, hdp_config, seed=seed,
-            n_episodes=n_episodes, n_holds=n_holds,
-        )
     critic = make_critic(seed=seed)
     offline_cfg = replace(hdp_config, lr_critic=learning_rate)
     history = train_critic_on_log(
@@ -600,9 +605,8 @@ def clone_action(
     log,
     hdp_config: HdpConfig,
     seed: int = 0,
-    epochs: int = 40,
-    learning_rate: float = 0.3,
-    lr_decay_epochs: float = 8.0,
+    epochs: int = PretrainSettings.clone_epochs,
+    learning_rate: float = PretrainSettings.clone_learning_rate,
 ) -> float:
     """Behavior-clone the action net onto the logged duty commands.
 
@@ -627,9 +631,7 @@ def clone_action(
     order = np.arange(len(log))
     mse = 0.0
     for epoch in range(epochs):
-        lr = learning_rate
-        if lr_decay_epochs > 0.0:
-            lr /= 1.0 + epoch / lr_decay_epochs
+        lr = learning_rate / (1.0 + epoch / _LR_DECAY_EPOCHS)
         rng.shuffle(order)
         sq_sum = 0.0
         for idx in order:

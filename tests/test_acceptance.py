@@ -50,7 +50,7 @@ def shipped():
     teacher = make_reference_law(params, hdp_config=cfg)
     t0 = time.perf_counter()
     log = generate_excitation_log(teacher, params, cfg, seed=0)
-    critic, history = pretrain_critic(params, teacher, cfg, seed=0, log=log)
+    critic, history = pretrain_critic(log, cfg, seed=0)
     action = make_action(seed=0)
     clone_mse = clone_action(action, log, cfg, seed=2)
     train_wall = time.perf_counter() - t0
@@ -61,7 +61,7 @@ def shipped():
     metrics = {}
     for scenario in SCENARIOS:
         for tag in ("PI", "HDP"):
-            spec = builtin_scenario(scenario, tag, params, seed=0)
+            spec = builtin_scenario(scenario, tag, params)
             if tag == "PI":
                 controller = baseline_for_scenario(spec, params)
             else:

@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boosthdp import cli
 from boosthdp.cli import (
@@ -21,7 +22,7 @@ from boosthdp.cli import (
 from boosthdp.hdp import HdpConfig, make_action, make_critic
 from boosthdp.mlp import Mlp
 from boosthdp.plant import PlantParams
-from boosthdp.sim import read_trace_csv
+from boosthdp.sim import SCENARIO_NAMES, read_trace_csv
 
 # `python -m boosthdp.cli` in a child process imports this checkout's package
 MODULE_ENV = {
@@ -30,6 +31,13 @@ MODULE_ENV = {
         p for p in (str(Path(cli.__file__).parents[1]), os.environ.get("PYTHONPATH")) if p
     ),
 }
+
+FLOAT_KEYS = [
+    (section, key)
+    for section, keys in cli._SCHEMA.items()
+    for key, (typ, _) in keys.items()
+    if typ is float
+]
 
 # deliberately tiny pipeline so CLI tests stay cheap; the resulting
 # controller is poor but stable, which is all these tests need
@@ -113,6 +121,78 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match="l_ind must be finite"):
             parse_config("[plant]\nl_ind = nan\n")
 
+    @pytest.mark.parametrize("section, key", FLOAT_KEYS)
+    def test_non_finite_float_rejected(self, section, key):
+        for raw in ("nan", "inf", "-inf"):
+            with pytest.raises(ConfigError, match=f"^{key} must be finite$"):
+                parse_config(f"[{section}]\n{key} = {raw}\n")
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_round_trip_property(self, data):
+        positive = st.floats(min_value=1e-9, max_value=1e9)
+        non_negative = st.floats(min_value=0.0, max_value=1e9)
+        finite = st.floats(allow_nan=False, allow_infinity=False)
+        count = st.integers(min_value=1, max_value=10**6)
+        f_sw = data.draw(positive)
+        duty_min = data.draw(st.floats(min_value=0.0, max_value=0.5))
+        values = {
+            "plant": {
+                "r_load": data.draw(positive),
+                "l_ind": data.draw(positive),
+                "c_out": data.draw(positive),
+                "r_l": data.draw(non_negative),
+                "v_s": data.draw(finite),
+                "f_sw": f_sw,
+                "dt": 1.0 / f_sw / data.draw(st.integers(min_value=1, max_value=1000)),
+            },
+            "hdp": {
+                "gamma": data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
+                "lr_critic": data.draw(non_negative),
+                "lr_action": data.draw(non_negative),
+                "k_v": data.draw(positive),
+                "k_i": data.draw(non_negative),
+                "epochs_critic": data.draw(st.integers(min_value=0, max_value=100)),
+                "epochs_action": data.draw(st.integers(min_value=0, max_value=100)),
+                **{
+                    key: data.draw(positive)
+                    for key in ("norm_v_o", "norm_i_l", "norm_e_v", "norm_e_i", "norm_duty")
+                },
+                "duty_min": duty_min,
+                "duty_max": data.draw(st.floats(duty_min, 1.0, exclude_min=True)),
+            },
+            "pi": {key: data.draw(finite) for key in ("kp", "ki", "duty_ff")},
+            "pretrain": {
+                "n_episodes": data.draw(count),
+                "n_holds": data.draw(count),
+                "max_epochs": data.draw(count),
+                "learning_rate": data.draw(positive),
+                "clone_epochs": data.draw(count),
+                "clone_learning_rate": data.draw(positive),
+            },
+            "run": {
+                "scenarios": " ".join(
+                    data.draw(st.lists(st.sampled_from(SCENARIO_NAMES), min_size=1))
+                ),
+                "out": data.draw(st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)),
+                "seed": data.draw(st.integers(min_value=-(2**63), max_value=2**63)),
+            },
+        }
+        # every schema key gets a drawn value
+        assert {s: set(k) for s, k in values.items()} == {
+            s: set(k) for s, k in cli._SCHEMA.items()
+        }
+        text = "".join(
+            f"[{section}]\n"
+            + "".join(f"{key} = {values[section][key]!s}\n" for key in keys)
+            + "\n"
+            for section, keys in cli._SCHEMA.items()
+        )
+        cfg, defaulted = parse_config(text)
+        assert defaulted == []
+        assert dump_config(cfg) == text
+        assert parse_config(dump_config(cfg)) == (cfg, [])
+
     def test_unknown_scenario_in_list_rejected(self):
         with pytest.raises(ConfigError, match="unknown scenario 'warp'"):
             parse_config("[run]\nscenarios = startup warp\n")
@@ -156,6 +236,22 @@ class TestUsageErrors:
         assert rc == 1
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == [f"{line.split()[0]} must be finite"]
+        assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("section, line, message", [
+        ("pi", "kp = nan", "kp must be finite"),
+        ("plant", "v_s = 70.0", "[plant] v_s schedule leaves the 54-66 V range"),
+    ], ids=["kp-nan", "v_s-off-nameplate"])
+    def test_bad_value_exits_1_with_one_line(self, tmp_path, caplog, section, line, message):
+        config = tmp_path / "bad.ini"
+        config.write_text(f"[{section}]\n{line}\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(
+                ["run", "startup", "PI", "--config", str(config), "--out", str(tmp_path)]
+            )
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [message]
         assert not (tmp_path / "metrics.csv").exists()
 
     def test_unknown_scenario_exits_1_and_lists_names(self, tmp_path, caplog):
@@ -303,6 +399,29 @@ class TestRunCommand:
         before = [r.r_load for r in trace if r.t < 0.025]
         after = [r.r_load for r in trace if r.t >= 0.025]
         assert set(before) == {80.0} and set(after) == {200.0}
+
+    def test_plant_values_set_the_nominal_point(self, tmp_path):
+        # the README's example [plant] values: every scenario starts at
+        # 57 V / 100 ohm, and the steps go to the nameplate edges
+        config = tmp_path / "readme.ini"
+        config.write_text("[plant]\nv_s = 57.0\nr_load = 100.0\n")
+        assert cli.main(["run", "startup", "PI", "--out", str(tmp_path / "nominal")]) == 0
+        traces = {}
+        for scenario in ("startup", "load_change", "input_change"):
+            rc = cli.main(["run", scenario, "PI", "--config", str(config),
+                           "--out", str(tmp_path)])
+            assert rc == 0
+            traces[scenario] = read_trace_csv(tmp_path / f"{scenario}_PI.csv")
+        assert (tmp_path / "startup_PI.csv").read_bytes() != (
+            tmp_path / "nominal" / "startup_PI.csv"
+        ).read_bytes()
+        startup = traces["startup"]
+        assert {r.v_s for r in startup} == {57.0} and {r.r_load for r in startup} == {100.0}
+        for scenario, column, after in (("load_change", "r_load", 200.0),
+                                        ("input_change", "v_s", 54.0)):
+            values = [(r.t < 0.025, getattr(r, column)) for r in traces[scenario]]
+            assert {v for pre, v in values if pre} == {getattr(startup[0], column)}
+            assert {v for pre, v in values if not pre} == {after}
 
     def test_hdp_without_snapshots_says_pretrain_first(self, tmp_path, caplog):
         with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):

@@ -88,10 +88,6 @@ class TestScenarioSpec:
             ScenarioSpec("x", 0.05, hold(200.0), hold(60.0),
                          PiecewiseConstant([(0.0, 80.0), (0.02, 300.0)]))
 
-    def test_last_change_time(self):
-        assert builtin_scenario("startup").last_change_time() == 0.0
-        assert builtin_scenario("load_change").last_change_time() == pytest.approx(0.025)
-
 
 class TestEquilibriumDuty:
     def test_lossless_reduces_to_voltsecond_balance(self):
@@ -377,12 +373,6 @@ class TestExcitationLog:
             assert d_min <= x_now[4] <= d_max
             assert u >= 0.0
 
-    def test_pi_teacher_accepted(self):
-        log = generate_excitation_log(
-            PiController(), self.params, self.cfg, n_episodes=1, n_holds=2
-        )
-        assert len(log) > 0
-
 
 def two_state_chain(u: float, gamma: float):
     """Self-loop pair with constant utility; the fixed point is
@@ -452,10 +442,9 @@ class TestPretrainAndClone:
 
     def test_pretrain_smoke_decreases_residual(self):
         law = make_reference_law(self.params, hdp_config=self.cfg)
-        critic, hist = pretrain_critic(
-            self.params, law, self.cfg, seed=0, n_episodes=1, n_holds=3,
-            max_epochs=8,
-        )
+        log = generate_excitation_log(law, self.params, self.cfg, seed=0,
+                                      n_episodes=1, n_holds=3)
+        critic, hist = pretrain_critic(log, self.cfg, seed=0, max_epochs=8)
         print("residual history:", [f"{h:.4f}" for h in hist])
         assert hist[-1] < hist[0]
         assert list(critic.layer_sizes) == [5, 5, 5, 1]
