@@ -21,7 +21,7 @@ operating duty at zero state rings the output past 2x the setpoint, while
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 __all__ = ["PiGains", "PiController", "DEFAULT_PI_GAINS"]
 
@@ -31,6 +31,14 @@ class PiGains:
     kp: float       # duty per volt
     ki: float       # duty per volt-second
     duty_ff: float = 0.0
+
+    def __post_init__(self) -> None:
+        # a negative gain turns the loop into positive feedback
+        for name in ("kp", "ki"):
+            if not getattr(self, name) >= 0.0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0.0 <= self.duty_ff <= 1.0:
+            raise ValueError("duty_ff must lie in [0, 1]")
 
 
 # Shipped defaults; derived offline, validated in the comparison tests.
@@ -69,11 +77,4 @@ class PiController:
         self.integ = 0.0
 
     def copy(self) -> "PiController":
-        return PiController(
-            kp=self.kp,
-            ki=self.ki,
-            duty_ff=self.duty_ff,
-            dt_ctrl=self.dt_ctrl,
-            duty_limits=self.duty_limits,
-            integ=self.integ,
-        )
+        return replace(self)

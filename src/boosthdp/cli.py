@@ -30,6 +30,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .atomic import atomic_write
 from .baseline import DEFAULT_PI_GAINS, PiGains, PiController
 from .hdp import HdpConfig, HdpController, make_action
 from .mlp import Mlp, MlpFormatError, NonFiniteUpdateError
@@ -270,7 +271,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     critic.save(critic_path)
     action.save(action_path)
     residuals_path = out / "pretrain_residuals.csv"
-    with open(residuals_path, "w", newline="") as fh:
+    with atomic_write(residuals_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_squared_residual"])
         for epoch, value in enumerate(history):
@@ -329,7 +330,7 @@ def _upsert_metrics(path: Path, scenario: str, tag: str, m: sim.Metrics) -> None
         "controller": tag,
         **{key: _fmt(value) for key, value in asdict(m).items()},
     })
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.DictWriter(fh, fieldnames=METRICS_FIELDS)
         writer.writeheader()
         writer.writerows(rows)
@@ -339,7 +340,7 @@ def _run_cell(cfg: RunConfig, scenario: str, tag: str) -> sim.Metrics:
     """Simulate one (scenario, controller) pair and write its artifacts."""
     try:
         spec = sim.builtin_scenario(scenario, tag, cfg.plant)
-    except ValueError as exc:  # [plant] v_s or r_load off the nameplate
+    except ValueError as exc:  # nominal point off the nameplate or on the step edge
         raise ConfigError(f"[plant] {exc}") from None
     controller = _build_controller(cfg, spec)
     trace, metrics = sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)

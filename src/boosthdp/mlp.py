@@ -29,6 +29,8 @@ from functools import cached_property
 
 import numpy as np
 
+from .atomic import atomic_write
+
 __all__ = [
     "Mlp",
     "MlpGradients",
@@ -285,7 +287,7 @@ class Mlp:
     # line 4..: one row per layer, weights row-major then biases
 
     def save(self, path) -> None:
-        with open(path, "w") as fh:
+        with atomic_write(path) as fh:
             fh.write(self.dumps())
 
     def dumps(self) -> str:

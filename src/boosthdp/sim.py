@@ -3,6 +3,8 @@
 Wires a controller to the switched plant at one control action per PWM
 period, runs the three evaluation scenarios (startup, load step, input
 step), records per-period traces, and computes step-response metrics.
+Each scenario regulates V_SET around a nominal source and load, with at
+most one step of either.
 Also hosts the offline pipeline that prepares the neuro-controller:
 excitation-log generation under a teacher law, temporal-difference
 pretraining of the critic, and behavior cloning of the action net.
@@ -17,8 +19,9 @@ from operator import attrgetter
 
 import numpy as np
 
+from .atomic import atomic_write
 from .baseline import PiController
-from .hdp import ControllerInput, HdpConfig, make_critic, td_update, utility
+from .hdp import ControllerInput, HdpConfig, make_critic, td_error, td_update, utility
 from .mlp import Mlp
 from .plant import PlantParams, PlantState, step, steady_state_hint
 
@@ -26,7 +29,6 @@ __all__ = [
     "CONTROLLER_TAGS",
     "SCENARIO_NAMES",
     "Metrics",
-    "PiecewiseConstant",
     "PretrainSettings",
     "PretrainingError",
     "ReferenceLaw",
@@ -74,48 +76,22 @@ class PretrainingError(RuntimeError):
     """Raised when critic pretraining fails to make progress."""
 
 
-class PiecewiseConstant:
-    """Piecewise-constant schedule: value_at(t) holds the value of the most
-    recent breakpoint at or before t.  Breakpoints are (time, value) pairs;
-    the first must sit at t=0."""
-
-    def __init__(self, points):
-        pts = [(float(t), float(v)) for t, v in points]
-        if not pts:
-            raise ValueError("schedule needs at least one point")
-        if pts[0][0] != 0.0:
-            raise ValueError(f"schedule must start at t=0, got t={pts[0][0]}")
-        for (t0, _), (t1, _) in zip(pts, pts[1:]):
-            if t1 <= t0:
-                raise ValueError("schedule times must be strictly increasing")
-        self.points = tuple(pts)
-
-    def value_at(self, t: float) -> float:
-        out = self.points[0][1]
-        for t_k, v_k in self.points:
-            if t_k <= t:
-                out = v_k
-            else:
-                break
-        return out
-
-    def change_times(self) -> tuple[float, ...]:
-        return tuple(t for t, _ in self.points[1:])
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, PiecewiseConstant) and self.points == other.points
-
-    def __repr__(self) -> str:
-        return f"PiecewiseConstant({list(self.points)!r})"
-
-
 @dataclass(frozen=True)
 class ScenarioSpec:
+    """One evaluation run regulating V_SET: the source v_s and the load
+    r_load hold their nominal values from t=0, and an optional
+    step = (time, v_s, r_load) switches both to new values from that time
+    to the end of the run.
+
+    Raises ValueError if either pair leaves the nameplate ranges, or if the
+    step changes neither value.
+    """
+
     name: str
     duration: float
-    v_set: PiecewiseConstant
-    v_s: PiecewiseConstant
-    r_load: PiecewiseConstant
+    v_s: float
+    r_load: float
+    step: tuple[float, float, float] | None = None
     initial_state: PlantState = field(default_factory=PlantState)
     controller_tag: str = "PI"
 
@@ -126,14 +102,21 @@ class ScenarioSpec:
             raise ValueError(
                 f"controller_tag {self.controller_tag!r} not in {CONTROLLER_TAGS}"
             )
-        for t in (0.0,) + self.v_s.change_times():
-            if not V_S_RANGE[0] <= self.v_s.value_at(t) <= V_S_RANGE[1]:
+        points = [(self.v_s, self.r_load)]
+        if self.step is not None:
+            points.append(self.step[1:])
+        for v_s, r_load in points:
+            if not V_S_RANGE[0] <= v_s <= V_S_RANGE[1]:
                 raise ValueError("v_s schedule leaves the %g-%g V range" % V_S_RANGE)
-        for t in (0.0,) + self.r_load.change_times():
-            if not R_LOAD_RANGE[0] <= self.r_load.value_at(t) <= R_LOAD_RANGE[1]:
+            if not R_LOAD_RANGE[0] <= r_load <= R_LOAD_RANGE[1]:
                 raise ValueError(
                     "r_load schedule leaves the %g-%g ohm range" % R_LOAD_RANGE
                 )
+        if self.step is not None and points[0] == points[1]:
+            raise ValueError(
+                f"{self.name} step at {self.step[0]:g} s changes neither "
+                f"v_s ({self.v_s:g} V) nor r_load ({self.r_load:g} ohm)"
+            )
 
 
 @dataclass(frozen=True)
@@ -156,7 +139,7 @@ TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
 
 @dataclass(frozen=True)
 class Metrics:
-    settling_time: float        # s, from the last schedule change; 2% band
+    settling_time: float        # s, from the step (or t=0); 2% band
     overshoot: float            # % of the final setpoint, >= 0
     steady_state_error: float   # mean v_o - v_set over the final 10% of the window
     iae: float                  # integral of |e_v| over the window, V*s
@@ -200,13 +183,7 @@ def baseline_for_scenario(
     pi = (pi or PiController()).copy()
     pi.reset()
     if spec.initial_state.v_o > 0.0 and pi.ki > 0.0:
-        warm_start_pi(
-            pi,
-            spec.v_set.value_at(0.0),
-            spec.v_s.value_at(0.0),
-            spec.r_load.value_at(0.0),
-            params.r_l,
-        )
+        warm_start_pi(pi, V_SET, spec.v_s, spec.r_load, params.r_l)
     return pi
 
 
@@ -283,28 +260,21 @@ def builtin_scenario(
     input_change: source steps from nominal to the bottom of V_S_RANGE at
     mid-run, from steady state.
 
-    Raises ValueError if the nominal point lies outside the nameplate ranges.
+    Raises ValueError if the nominal point lies outside the nameplate ranges,
+    or if it sits on the edge its scenario steps to, so the step would not
+    step.
     """
     params = params or PlantParams()
     v_s, r_load = params.v_s, params.r_load
-    hold = lambda v: PiecewiseConstant([(0.0, v)])
     if name == "startup":
+        return ScenarioSpec(name, 0.05, v_s, r_load, controller_tag=controller_tag)
+    steps = {
+        "load_change": (0.025, v_s, R_LOAD_RANGE[1]),
+        "input_change": (0.025, V_S_RANGE[0], r_load),
+    }
+    if name in steps:
         return ScenarioSpec(
-            name, 0.05, hold(V_SET), hold(v_s), hold(r_load),
-            initial_state=PlantState(), controller_tag=controller_tag,
-        )
-    if name == "load_change":
-        return ScenarioSpec(
-            name, 0.05, hold(V_SET), hold(v_s),
-            PiecewiseConstant([(0.0, r_load), (0.025, R_LOAD_RANGE[1])]),
-            initial_state=_equilibrium_state(V_SET, v_s, r_load, params.r_l),
-            controller_tag=controller_tag,
-        )
-    if name == "input_change":
-        return ScenarioSpec(
-            name, 0.05, hold(V_SET),
-            PiecewiseConstant([(0.0, v_s), (0.025, V_S_RANGE[0])]),
-            hold(r_load),
+            name, 0.05, v_s, r_load, steps[name],
             initial_state=_equilibrium_state(V_SET, v_s, r_load, params.r_l),
             controller_tag=controller_tag,
         )
@@ -325,7 +295,7 @@ def run_scenario(
     HDP traces are directly comparable.  Returns the trace plus its metrics
     over the final reference segment.
 
-    Raises SimulationDiverged if v_o exceeds twice the current setpoint.
+    Raises SimulationDiverged if v_o exceeds twice the setpoint.
     """
     cfg = hdp_config or HdpConfig()
     is_pi = spec.controller_tag == "PI"
@@ -344,15 +314,15 @@ def run_scenario(
     n_periods = round(spec.duration / t_sw)
     records: list[TraceRecord] = []
     duty = 0.0
+    v_s, r_load = spec.v_s, spec.r_load
     for k in range(n_periods):
         t = k * t_sw
-        v_set = spec.v_set.value_at(t)
-        v_s = spec.v_s.value_at(t)
-        r_load = spec.r_load.value_at(t)
+        if spec.step is not None and spec.step[0] <= t:
+            _, v_s, r_load = spec.step
         if v_s != params.v_s or r_load != params.r_load:
             params = replace(params, v_s=v_s, r_load=r_load)
-        _, i_set = steady_state_hint(v_set, v_s, r_load)
-        e_v = v_set - state.v_o
+        _, i_set = steady_state_hint(V_SET, v_s, r_load)
+        e_v = V_SET - state.v_o
         e_i = i_set - state.i_l
         if is_pi:
             duty = controller.pi_step(e_v)
@@ -364,13 +334,13 @@ def run_scenario(
         u_k = utility(e_v / s_v, e_i / s_i, cfg.k_v, cfg.k_i)
         records.append(
             TraceRecord(t, state.v_o, state.i_l, duty, u_k, j_est,
-                        state.mode.name, v_set, v_s, r_load)
+                        state.mode.name, V_SET, v_s, r_load)
         )
         state = step(state, duty, params)
-        if state.v_o > 2.0 * v_set:
+        if state.v_o > 2.0 * V_SET:
             raise SimulationDiverged(
                 f"{spec.name}/{spec.controller_tag}: v_o={state.v_o:.1f} V "
-                f"exceeded 2x setpoint {v_set:.1f} V at t={t + t_sw:.6f} s"
+                f"exceeded 2x setpoint {V_SET:.1f} V at t={t + t_sw:.6f} s"
             )
     return records, compute_metrics(records)
 
@@ -417,7 +387,7 @@ def compute_metrics(trace: list[TraceRecord]) -> Metrics:
 # --- trace files ---------------------------------------------------------
 
 def write_trace_csv(path, trace: list[TraceRecord]) -> None:
-    with open(path, "w", newline="") as fh:
+    with atomic_write(path) as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
         # csv writes a float as its repr, so every value round-trips exactly
@@ -516,7 +486,7 @@ def _mean_squared_residual(critic: Mlp, log, gamma: float) -> float:
     for x_now, x_next, u_now in log:
         j_now = float(critic.forward(x_now)[0][0])
         j_next = float(critic.forward(x_next)[0][0])
-        resid = j_now - gamma * j_next - u_now
+        resid = td_error(j_now, j_next, u_now, gamma)
         sq_sum += resid * resid
     return sq_sum / len(log)
 

@@ -21,6 +21,16 @@ class TestConstruction:
         with pytest.raises(AttributeError):
             g.kp = 2e-3
 
+    @pytest.mark.parametrize("gains, message", [
+        ({"kp": -1.0, "ki": 0.2}, "kp must be >= 0"),
+        ({"kp": 4e-4, "ki": -0.2}, "ki must be >= 0"),
+        ({"kp": 4e-4, "ki": 0.2, "duty_ff": -0.1}, r"duty_ff must lie in \[0, 1\]"),
+        ({"kp": 4e-4, "ki": 0.2, "duty_ff": 1.5}, r"duty_ff must lie in \[0, 1\]"),
+    ], ids=["kp-negative", "ki-negative", "duty_ff-low", "duty_ff-high"])
+    def test_bad_gains_rejected(self, gains, message):
+        with pytest.raises(ValueError, match=message):
+            PiGains(**gains)
+
     def test_bad_dt_rejected(self):
         with pytest.raises(ValueError, match="dt_ctrl"):
             PiController(dt_ctrl=0.0)

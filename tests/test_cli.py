@@ -161,7 +161,11 @@ class TestConfigParsing:
                 "duty_min": duty_min,
                 "duty_max": data.draw(st.floats(duty_min, 1.0, exclude_min=True)),
             },
-            "pi": {key: data.draw(finite) for key in ("kp", "ki", "duty_ff")},
+            "pi": {
+                "kp": data.draw(non_negative),
+                "ki": data.draw(non_negative),
+                "duty_ff": data.draw(st.floats(0.0, 1.0)),
+            },
             "pretrain": {
                 "n_episodes": data.draw(count),
                 "n_holds": data.draw(count),
@@ -240,8 +244,9 @@ class TestUsageErrors:
 
     @pytest.mark.parametrize("section, line, message", [
         ("pi", "kp = nan", "kp must be finite"),
+        ("pi", "kp = -1.0", "kp must be >= 0"),
         ("plant", "v_s = 70.0", "[plant] v_s schedule leaves the 54-66 V range"),
-    ], ids=["kp-nan", "v_s-off-nameplate"])
+    ], ids=["kp-nan", "kp-negative", "v_s-off-nameplate"])
     def test_bad_value_exits_1_with_one_line(self, tmp_path, caplog, section, line, message):
         config = tmp_path / "bad.ini"
         config.write_text(f"[{section}]\n{line}\n")
@@ -253,6 +258,38 @@ class TestUsageErrors:
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == [message]
         assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("line, scenario, message", [
+        ("r_load = 200.0", "load_change",
+         "[plant] load_change step at 0.025 s changes neither "
+         "v_s (60 V) nor r_load (200 ohm)"),
+        ("v_s = 54.0", "input_change",
+         "[plant] input_change step at 0.025 s changes neither "
+         "v_s (54 V) nor r_load (80 ohm)"),
+    ], ids=["load_change", "input_change"])
+    def test_nominal_point_on_the_step_edge_exits_1(
+        self, tmp_path, caplog, line, scenario, message
+    ):
+        config = tmp_path / "edge.ini"
+        config.write_text(f"[plant]\n{line}\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(
+                ["run", scenario, "PI", "--config", str(config), "--out", str(tmp_path)]
+            )
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [message]
+        assert not (tmp_path / f"{scenario}_PI.csv").exists()
+        assert not (tmp_path / "metrics.csv").exists()
+
+    @pytest.mark.parametrize("line", ["r_load = 200.0", "v_s = 54.0"])
+    def test_startup_at_the_nameplate_edge_runs(self, tmp_path, line):
+        config = tmp_path / "edge.ini"
+        config.write_text(f"[plant]\n{line}\n")
+        rc = cli.main(
+            ["run", "startup", "PI", "--config", str(config), "--out", str(tmp_path)]
+        )
+        assert rc == 0
 
     def test_unknown_scenario_exits_1_and_lists_names(self, tmp_path, caplog):
         with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
@@ -559,6 +596,20 @@ class TestCompareCommand:
         assert len(lines) == 3
         assert "-" not in lines[1].split()  # PI cell ran
         assert "-" in lines[2].split()      # HDP cell could not load its critic
+
+    def test_step_that_does_not_step_cells_reported(self, tmp_path, capsys):
+        config = tmp_path / "edge.ini"
+        config.write_text(
+            "[plant]\nr_load = 200.0\n\n[run]\nscenarios = startup load_change\n"
+        )
+        rc = cli.main(["compare", "--config", str(config), "--out", str(tmp_path)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 5
+        assert "-" not in lines[1].split()  # startup PI ran at the edge
+        assert lines[3].split()[2:] == ["-"] * 3
+        assert lines[4].split()[2:] == ["-"] * 3
+        assert not (tmp_path / "load_change_PI.csv").exists()
 
     def test_non_finite_update_cell_reported(self, fast_snapshots, capsys):
         config = fast_snapshots / "huge_rate.ini"

@@ -388,6 +388,20 @@ class TestSnapshot:
             assert np.array_equal(b1, b2)
         assert back.dumps() == net.dumps()
 
+    def test_failed_save_keeps_previous_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "net.mlp"
+        Mlp.init([3, 4, 1], "linear", seed=1).save(path)
+        before = path.read_bytes()
+
+        def broken_dumps(self):
+            raise RuntimeError("serializer failed")
+
+        monkeypatch.setattr(Mlp, "dumps", broken_dumps)
+        with pytest.raises(RuntimeError, match="serializer failed"):
+            Mlp.init([3, 4, 1], "linear", seed=2).save(path)
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["net.mlp"]
+
     def test_load_save_matches_fresh_init(self, tmp_path):
         path = tmp_path / "net.mlp"
         Mlp.init([5, 5, 5, 1], "linear", seed=7).save(path)

@@ -1,6 +1,7 @@
 """Tests for the simulation harness, metrics, and the offline pipeline."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from boosthdp.hdp import HdpConfig, HdpController, make_action, make_critic
 from boosthdp.plant import PlantParams, PlantState
 from boosthdp.sim import (
     Metrics,
-    PiecewiseConstant,
     PretrainingError,
     ReferenceLaw,
     ScenarioSpec,
@@ -32,36 +32,6 @@ from boosthdp.sim import (
 )
 
 
-def hold(v):
-    return PiecewiseConstant([(0.0, v)])
-
-
-class TestPiecewiseConstant:
-    def test_holds_last_breakpoint(self):
-        s = PiecewiseConstant([(0.0, 80.0), (0.025, 200.0)])
-        assert s.value_at(0.0) == 80.0
-        assert s.value_at(0.0249) == 80.0
-        assert s.value_at(0.025) == 200.0
-        assert s.value_at(1.0) == 200.0
-
-    def test_change_times(self):
-        s = PiecewiseConstant([(0.0, 1.0), (0.01, 2.0), (0.02, 3.0)])
-        assert s.change_times() == (0.01, 0.02)
-        assert hold(5.0).change_times() == ()
-
-    def test_must_start_at_zero(self):
-        with pytest.raises(ValueError):
-            PiecewiseConstant([(0.01, 1.0)])
-
-    def test_times_strictly_increasing(self):
-        with pytest.raises(ValueError):
-            PiecewiseConstant([(0.0, 1.0), (0.01, 2.0), (0.01, 3.0)])
-
-    def test_needs_a_point(self):
-        with pytest.raises(ValueError):
-            PiecewiseConstant([])
-
-
 class TestScenarioSpec:
     def test_builtin_names_and_tags(self):
         for name in ("startup", "load_change", "input_change"):
@@ -76,17 +46,24 @@ class TestScenarioSpec:
 
     def test_unknown_tag_rejected(self):
         with pytest.raises(ValueError, match="controller_tag"):
-            ScenarioSpec("x", 0.05, hold(200.0), hold(60.0), hold(80.0),
-                         controller_tag="PID")
+            ScenarioSpec("x", 0.05, 60.0, 80.0, controller_tag="PID")
 
     def test_source_range_enforced(self):
         with pytest.raises(ValueError, match="54-66"):
-            ScenarioSpec("x", 0.05, hold(200.0), hold(48.0), hold(80.0))
+            ScenarioSpec("x", 0.05, 48.0, 80.0)
 
     def test_load_range_enforced(self):
         with pytest.raises(ValueError, match="50-200"):
-            ScenarioSpec("x", 0.05, hold(200.0), hold(60.0),
-                         PiecewiseConstant([(0.0, 80.0), (0.02, 300.0)]))
+            ScenarioSpec("x", 0.05, 60.0, 80.0, step=(0.02, 60.0, 300.0))
+
+    def test_builtin_steps(self):
+        assert builtin_scenario("startup").step is None
+        assert builtin_scenario("load_change").step == (0.025, 60.0, 200.0)
+        assert builtin_scenario("input_change").step == (0.025, 54.0, 80.0)
+
+    def test_step_that_changes_nothing_rejected(self):
+        with pytest.raises(ValueError, match="changes neither"):
+            ScenarioSpec("x", 0.05, 60.0, 80.0, step=(0.025, 60.0, 80.0))
 
 
 class TestEquilibriumDuty:
@@ -244,6 +221,18 @@ class TestTraceCsv:
         assert math.isnan(back.j_est)
         assert back.v_o == rec.v_o
 
+    def test_failed_write_keeps_previous_file(self, tmp_path):
+        rec = TraceRecord(0.0, 1.0, 2.0, 0.5, 0.1, math.nan, "SWITCH_ON",
+                          200.0, 60.0, 80.0)
+        p = tmp_path / "t.csv"
+        write_trace_csv(p, [rec])
+        before = p.read_bytes()
+        # enough rows to flush part of the file before the bad record
+        with pytest.raises(AttributeError):
+            write_trace_csv(p, [rec] * 5000 + [None])
+        assert p.read_bytes() == before
+        assert [q.name for q in tmp_path.iterdir()] == ["t.csv"]
+
     def test_header_checked(self, tmp_path):
         p = tmp_path / "bad.csv"
         p.write_text("a,b,c\n1,2,3\n")
@@ -273,11 +262,7 @@ class TestRunScenario:
         # prefixes under the same controller
         params = PlantParams()
         base = builtin_scenario("load_change", "PI", params)
-        alt = ScenarioSpec(
-            "load_change", base.duration, base.v_set, base.v_s,
-            PiecewiseConstant([(0.0, 80.0), (0.025, 120.0)]),
-            initial_state=base.initial_state, controller_tag="PI",
-        )
+        alt = replace(base, step=(0.025, 60.0, 120.0))
         t1, _ = run_scenario(base, baseline_for_scenario(base, params), params)
         t2, _ = run_scenario(alt, baseline_for_scenario(alt, params), params)
         n_pre = round(0.025 / params.t_sw)
