@@ -21,6 +21,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import fcntl
 import io
 import logging
 import math
@@ -302,53 +303,69 @@ def _load_networks(cfg: RunConfig) -> tuple[Mlp, Mlp]:
         raise ConfigError(f"corrupt network snapshot {exc}") from None
 
 
-def _build_controller(cfg: RunConfig, spec: sim.ScenarioSpec):
-    if spec.controller_tag == "PI":
+def _build_cell(cfg: RunConfig, scenario: str, tag: str):
+    """The scenario spec and its controller, or ConfigError."""
+    try:
+        spec = sim.builtin_scenario(scenario, tag, cfg.plant)
+    except ValueError as exc:  # nominal point off the nameplate or on the step edge
+        raise ConfigError(f"[plant] {exc}") from None
+    if tag == "PI":
         pi = PiController(
             kp=cfg.pi.kp, ki=cfg.pi.ki, duty_ff=cfg.pi.duty_ff,
             dt_ctrl=cfg.plant.t_sw,
         )
-        return sim.baseline_for_scenario(spec, cfg.plant, pi)
+        return spec, sim.baseline_for_scenario(spec, cfg.plant, pi)
     critic, action = _load_networks(cfg)
     try:
-        return HdpController(critic=critic, action=action, config=cfg.hdp)
+        return spec, HdpController(critic=critic, action=action, config=cfg.hdp)
     except ValueError as exc:  # well-formed snapshots of the wrong topology
         raise ConfigError(f"network snapshots in {cfg.out_dir}/: {exc}") from None
 
 
 def _upsert_metrics(path: Path, scenario: str, tag: str, m: sim.Metrics) -> None:
-    """One row per (scenario, controller); a rerun replaces its old row."""
-    rows: list[dict[str, str]] = []
-    if path.is_file():
-        with open(path, newline="") as fh:
-            rows = [
-                r for r in csv.DictReader(fh)
-                if (r["scenario"], r["controller"]) != (scenario, tag)
-            ]
-    rows.append({
-        "scenario": scenario,
-        "controller": tag,
-        **{key: _fmt(value) for key, value in asdict(m).items()},
-    })
-    with atomic_write(path) as fh:
-        writer = csv.DictWriter(fh, fieldnames=METRICS_FIELDS)
-        writer.writeheader()
-        writer.writerows(rows)
+    """One row per (scenario, controller); a rerun replaces its old row.
+    A lock on a sidecar file keeps concurrent runs from losing rows."""
+    with open(path.with_name(f".{path.name}.lock"), "a") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        rows: list[dict[str, str]] = []
+        if path.is_file():
+            with open(path, newline="") as fh:
+                rows = [
+                    r for r in csv.DictReader(fh)
+                    if (r["scenario"], r["controller"]) != (scenario, tag)
+                ]
+        rows.append({
+            "scenario": scenario,
+            "controller": tag,
+            **{key: _fmt(value) for key, value in asdict(m).items()},
+        })
+        with atomic_write(path) as fh:
+            writer = csv.DictWriter(fh, fieldnames=METRICS_FIELDS)
+            writer.writeheader()
+            writer.writerows(rows)
 
 
-def _run_cell(cfg: RunConfig, scenario: str, tag: str) -> sim.Metrics:
-    """Simulate one (scenario, controller) pair and write its artifacts."""
+def _run_cell(cfg: RunConfig, scenario: str, tag: str) -> tuple[int, sim.Metrics | None]:
+    """Simulate one (scenario, controller) pair and write its artifacts.
+
+    Returns (exit code, metrics): (0, metrics) on success; a failure is
+    logged as one line and gives (1, None) for a configuration or snapshot
+    error, (2, None) for a divergence or a non-finite network update.
+    """
     try:
-        spec = sim.builtin_scenario(scenario, tag, cfg.plant)
-    except ValueError as exc:  # nominal point off the nameplate or on the step edge
-        raise ConfigError(f"[plant] {exc}") from None
-    controller = _build_controller(cfg, spec)
-    trace, metrics = sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
+        spec, controller = _build_cell(cfg, scenario, tag)
+        trace, metrics = sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
+    except ConfigError as exc:
+        log.error("%s", exc)
+        return 1, None
+    except (sim.SimulationDiverged, NonFiniteUpdateError) as exc:
+        log.error("%s %s diverged: %s", scenario, tag, exc)
+        return 2, None
     out = Path(cfg.out_dir)
     out.mkdir(parents=True, exist_ok=True)
     sim.write_trace_csv(out / f"{scenario}_{tag}.csv", trace)
     _upsert_metrics(out / "metrics.csv", scenario, tag, metrics)
-    return metrics
+    return 0, metrics
 
 
 def cmd_run(cfg: RunConfig, scenario: str, tag: str) -> int:
@@ -363,14 +380,9 @@ def cmd_run(cfg: RunConfig, scenario: str, tag: str) -> int:
             "unknown controller %r; valid: %s", tag, " ".join(sim.CONTROLLER_TAGS)
         )
         return 1
-    try:
-        m = _run_cell(cfg, scenario, tag)
-    except ConfigError as exc:
-        log.error("%s", exc)
-        return 1
-    except (sim.SimulationDiverged, NonFiniteUpdateError) as exc:
-        log.error("%s %s diverged: %s", scenario, tag, exc)
-        return 2
+    rc, m = _run_cell(cfg, scenario, tag)
+    if m is None:
+        return rc
     log.info(
         "%s %s: settling %.2f ms, overshoot %.2f%%, iae %.4f, "
         "peak %.2f V, oscillation %s, unsettled %s",
@@ -394,17 +406,10 @@ def cmd_compare(cfg: RunConfig) -> int:
     ]
     for scenario in cfg.scenarios:
         for tag in ("PI", "HDP"):
-            try:
-                m = _run_cell(cfg, scenario, tag)
-            except ConfigError as exc:
-                log.error("%s %s: %s", scenario, tag, exc)
+            rc, m = _run_cell(cfg, scenario, tag)
+            worst = max(worst, rc)
+            if m is None:
                 lines.append(f"{scenario:<14} {tag:<10} {'-':>12} {'-':>12} {'-':>10}")
-                worst = max(worst, 1)
-                continue
-            except (sim.SimulationDiverged, NonFiniteUpdateError) as exc:
-                log.error("%s %s diverged: %s", scenario, tag, exc)
-                lines.append(f"{scenario:<14} {tag:<10} {'-':>12} {'-':>12} {'-':>10}")
-                worst = 2
                 continue
             lines.append(
                 f"{scenario:<14} {tag:<10} {m.settling_time * 1e3:>12.2f} "

@@ -9,11 +9,12 @@ J(k) and per-step utility U(k), the residual
 
     e(k) = J(k) - gamma * J(k+1) - U(k)
 
-is driven toward zero by semi-gradient descent: the k+1 term is treated as a
-constant target, so only the J(k) evaluation is differentiated.  The action
-net descends the critic's estimate directly: the duty cycle enters the
-critic as an input, so d(cost-to-go)/d(duty) comes from the critic's input
-gradient and backpropagates through the action net.
+is driven toward zero by one semi-gradient step per transition: the k+1
+term is treated as a constant target, so only the J(k) evaluation is
+differentiated.  The action net takes one descent step per period on the
+critic's estimate: the duty cycle enters the critic as an input, so
+d(cost-to-go)/d(duty) comes from the critic's input gradient and
+backpropagates through the action net.
 
 All network inputs are normalized by fixed scales so every feature is O(1);
 the utility is computed on the normalized errors for the same reason, which
@@ -58,7 +59,7 @@ def make_action(seed: int = 0) -> Mlp:
     return Mlp.init(ACTION_SIZES, output_activation="sigmoid", seed=seed)
 
 
-def utility(e_v: float, e_i: float, k_v: float = 1.0, k_i: float = 0.2) -> float:
+def utility(e_v: float, e_i: float, k_v: float, k_i: float) -> float:
     """Per-step cost: weighted Euclidean norm of the two tracking errors."""
     return math.sqrt(k_v * e_v * e_v + k_i * e_i * e_i)
 
@@ -75,22 +76,19 @@ def td_update(
     u_now: float,
     gamma: float,
     learning_rate: float,
-    epochs: int = 1,
 ) -> float:
-    """Fit the critic toward u_now + gamma * J(x_next) at x_now.
-
-    The bootstrap target is evaluated once and held fixed across the inner
-    epochs (semi-gradient).  Returns the residual remaining after the last
-    update (with zero epochs or zero rate, simply the current residual).
+    """One semi-gradient step of the critic toward u_now + gamma * J(x_next)
+    at x_now; the bootstrap target is evaluated before the step and held
+    fixed.  Returns the residual remaining after the step (with zero rate,
+    simply the current residual).
     """
     j_next, _ = critic.forward(x_next)
     target = float(j_next[0])
-    for _ in range(epochs):
-        j_now, cache = critic.forward(x_now)
-        resid = td_error(float(j_now[0]), target, u_now, gamma)
-        # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself
-        grads = critic.grad_weights(cache, np.array([resid]))
-        critic.apply_update(grads, learning_rate)
+    j_now, cache = critic.forward(x_now)
+    resid = td_error(float(j_now[0]), target, u_now, gamma)
+    # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself
+    grads = critic.grad_weights(cache, np.array([resid]))
+    critic.apply_update(grads, learning_rate)
     j_now, _ = critic.forward(x_now)
     return td_error(float(j_now[0]), target, u_now, gamma)
 
@@ -128,8 +126,6 @@ class HdpConfig:
     lr_action: float = 1e-6
     k_v: float = 1.0
     k_i: float = 0.1
-    epochs_critic: int = 1
-    epochs_action: int = 1
     # scales for [v_o, i_l, e_v, e_i, duty]; "keys" names each element in
     # the flat config file
     norm_scales: tuple[float, float, float, float, float] = field(
@@ -147,8 +143,6 @@ class HdpConfig:
             raise ValueError("learning rates must be >= 0")
         if self.k_v < 0.0 or self.k_i < 0.0 or self.k_v + self.k_i == 0.0:
             raise ValueError("utility weights must be >= 0 and not both zero")
-        if self.epochs_critic < 0 or self.epochs_action < 0:
-            raise ValueError("inner epoch counts must be >= 0")
         if len(self.norm_scales) != 5 or any(s <= 0.0 for s in self.norm_scales):
             raise ValueError(f"need 5 positive norm_scales, got {self.norm_scales}")
         d_min, d_max = self.duty_limits
@@ -196,28 +190,22 @@ class HdpController:
         y, _ = self.action.forward(a)
         return d_min + float(y[0]) * (d_max - d_min)
 
-    def critic_update(self, x_prev: np.ndarray, x_now: np.ndarray, u_prev: float) -> float:
-        cfg = self.config
-        return td_update(
-            self.critic, x_prev, x_now, u_prev, cfg.gamma, cfg.lr_critic, cfg.epochs_critic
-        )
-
     def action_update(self, a: np.ndarray) -> None:
-        """Descend the critic's cost-to-go with respect to the policy weights."""
+        """One descent step of the critic's cost-to-go with respect to the
+        policy weights."""
         cfg = self.config
         d_min, d_max = cfg.duty_limits
         span = d_max - d_min
         d_scale = cfg.norm_scales[4]
-        for _ in range(cfg.epochs_action):
-            y, cache = self.action.forward(a)
-            duty = d_min + float(y[0]) * span
-            x = np.concatenate((a, (duty / d_scale,)))
-            _, critic_cache = self.critic.forward(x)
-            dj_dx = self.critic.grad_input(critic_cache, np.ones(1))
-            # chain rule through the affine duty map and the normalization
-            upstream = dj_dx[-1] * span / d_scale
-            grads = self.action.grad_weights(cache, np.array([upstream]))
-            self.action.apply_update(grads, cfg.lr_action)
+        y, cache = self.action.forward(a)
+        duty = d_min + float(y[0]) * span
+        x = np.concatenate((a, (duty / d_scale,)))
+        _, critic_cache = self.critic.forward(x)
+        dj_dx = self.critic.grad_input(critic_cache, np.ones(1))
+        # chain rule through the affine duty map and the normalization
+        upstream = dj_dx[-1] * span / d_scale
+        grads = self.action.grad_weights(cache, np.array([upstream]))
+        self.action.apply_update(grads, cfg.lr_action)
 
     def control_step(
         self, measurement: ControllerInput, learn: bool = True
@@ -242,7 +230,7 @@ class HdpController:
                 x_hat = np.array(state + [d_hat / s[4]])
                 state_prev, u_prev = self._prev
                 x_prev = np.array(state_prev + [m.duty_prev / s[4]])
-                self.critic_update(x_prev, x_hat, u_prev)
+                td_update(self.critic, x_prev, x_hat, u_prev, cfg.gamma, cfg.lr_critic)
             self.action_update(a)
         duty = self.duty_from_action(a)
         x = np.array(state + [duty / s[4]])

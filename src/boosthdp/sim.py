@@ -47,7 +47,6 @@ __all__ = [
     "generate_excitation_log",
     "make_reference_law",
     "pretrain_critic",
-    "read_trace_csv",
     "run_scenario",
     "train_critic_on_log",
     "warm_start_pi",
@@ -66,6 +65,9 @@ R_LOAD_RANGE = (50.0, 200.0)
 # per-sample rate as lr / (1 + epoch / _LR_DECAY_EPOCHS)
 _HOLD_DURATION = 0.01
 _LR_DECAY_EPOCHS = 8.0
+# critic pretraining stops once an epoch lowers the mean squared residual
+# by less than this fraction of the previous epoch's
+_PLATEAU_RTOL = 1e-4
 
 
 class SimulationDiverged(RuntimeError):
@@ -295,7 +297,7 @@ def run_scenario(
     HDP traces are directly comparable.  Returns the trace plus its metrics
     over the final reference segment.
 
-    Raises SimulationDiverged if v_o exceeds twice the setpoint.
+    Raises SimulationDiverged if v_o exceeds twice the setpoint or is NaN.
     """
     cfg = hdp_config or HdpConfig()
     is_pi = spec.controller_tag == "PI"
@@ -337,7 +339,7 @@ def run_scenario(
                         state.mode.name, V_SET, v_s, r_load)
         )
         state = step(state, duty, params)
-        if state.v_o > 2.0 * V_SET:
+        if not state.v_o <= 2.0 * V_SET:  # NaN fails this comparison too
             raise SimulationDiverged(
                 f"{spec.name}/{spec.controller_tag}: v_o={state.v_o:.1f} V "
                 f"exceeded 2x setpoint {V_SET:.1f} V at t={t + t_sw:.6f} s"
@@ -392,19 +394,6 @@ def write_trace_csv(path, trace: list[TraceRecord]) -> None:
         writer.writerow(TRACE_FIELDS)
         # csv writes a float as its repr, so every value round-trips exactly
         writer.writerows(map(attrgetter(*TRACE_FIELDS), trace))
-
-
-def read_trace_csv(path) -> list[TraceRecord]:
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader)
-        if tuple(header) != TRACE_FIELDS:
-            raise ValueError(f"unexpected trace header {header}")
-        out = []
-        for row in reader:
-            vals = [float(x) for x in row[:6]] + [row[6]] + [float(x) for x in row[7:]]
-            out.append(TraceRecord(*vals))
-    return out
 
 
 # --- pretraining pipeline ------------------------------------------------
@@ -497,20 +486,20 @@ def train_critic_on_log(
     hdp_config: HdpConfig,
     seed: int = 0,
     max_epochs: int = PretrainSettings.max_epochs,
-    plateau_rtol: float = 1e-4,
-    require_initial_decrease: bool = True,
     lr_decay_epochs: float = _LR_DECAY_EPOCHS,
 ) -> list[float]:
-    """Sweep the transition log with per-sample TD updates until the epoch
-    mean squared residual plateaus or the epoch cap is hit.
+    """Sweep the transition log with one TD update per sample until the
+    epoch mean squared residual plateaus (an epoch improves it by less than
+    _PLATEAU_RTOL) or the epoch cap is hit.
 
-    The per-sample rate decays as lr / (1 + epoch / lr_decay_epochs); the
-    late sweeps would otherwise bounce around the noise floor instead of
-    sinking into it.  Returns the mean-squared-residual history: entry 0
-    is the residual of the untrained critic (a pure evaluation pass), each
-    later entry is an epoch's mean with every sample's residual measured
-    right after its update.  Raises PretrainingError if the residual fails
-    to decrease across the first 5 epochs (when enough epochs run to tell).
+    The per-sample rate decays as lr / (1 + epoch / lr_decay_epochs), or
+    stays flat when lr_decay_epochs is 0; the late sweeps would otherwise
+    bounce around the noise floor instead of sinking into it.  Returns the
+    mean-squared-residual history: entry 0 is the residual of the untrained
+    critic (a pure evaluation pass), each later entry is an epoch's mean
+    with every sample's residual measured right after its update.  Raises
+    PretrainingError if the residual fails to decrease across the first 5
+    epochs (when enough epochs run to tell).
     """
     log = list(log)
     if not log:
@@ -527,12 +516,10 @@ def train_critic_on_log(
         sq_sum = 0.0
         for idx in order:
             x_now, x_next, u_now = log[idx]
-            resid = td_update(
-                critic, x_now, x_next, u_now, cfg.gamma, lr, cfg.epochs_critic
-            )
+            resid = td_update(critic, x_now, x_next, u_now, cfg.gamma, lr)
             sq_sum += resid * resid
         history.append(sq_sum / len(log))
-        if require_initial_decrease and epoch == 4 and history[5] >= history[0]:
+        if epoch == 4 and history[5] >= history[0]:
             raise PretrainingError(
                 f"TD residual failed to decrease over the first 5 epochs: "
                 f"{history[0]:.3e} -> {history[5]:.3e}"
@@ -543,7 +530,7 @@ def train_critic_on_log(
             improvement = (history[-2] - history[-1]) / history[-2]
             # a residual increase is not a plateau; keep sweeping (the cap
             # and the first-5-epochs check bound runaway cases)
-            if 0.0 <= improvement < plateau_rtol:
+            if 0.0 <= improvement < _PLATEAU_RTOL:
                 break
     return history
 

@@ -182,10 +182,7 @@ def test_criterion_04_critic_reaches_tabular_fixed_point():
     x_b = np.array([0.8, 0.4, -0.1, 0.1, 0.7])
     log = [(x_a, x_b, u), (x_b, x_a, u)]
     critic = make_critic(seed=0)
-    hist = train_critic_on_log(
-        critic, log, cfg, max_epochs=400,
-        require_initial_decrease=False, plateau_rtol=0.0, lr_decay_epochs=0.0,
-    )
+    hist = train_critic_on_log(critic, log, cfg, max_epochs=400, lr_decay_epochs=0.0)
     target = u / (1.0 - cfg.gamma)
     j_a = float(critic.forward(x_a)[0][0])
     j_b = float(critic.forward(x_b)[0][0])

@@ -22,7 +22,8 @@ from boosthdp.cli import (
 from boosthdp.hdp import HdpConfig, make_action, make_critic
 from boosthdp.mlp import Mlp
 from boosthdp.plant import PlantParams
-from boosthdp.sim import SCENARIO_NAMES, read_trace_csv
+from boosthdp.sim import SCENARIO_NAMES
+from trace_io import read_trace_csv
 
 # `python -m boosthdp.cli` in a child process imports this checkout's package
 MODULE_ENV = {
@@ -47,6 +48,20 @@ n_episodes = 1
 n_holds = 3
 max_epochs = 8
 clone_epochs = 3
+"""
+
+
+# upserts 40 distinct rows into metrics.csv (argv[1]) named <argv[2]><k>,
+# starting when a line arrives on stdin, so two children start together
+UPSERT_CHILD = """\
+import sys
+from pathlib import Path
+from boosthdp import cli, sim
+metrics = sim.Metrics(0.001, 1.0, 0.0, 0.01, 2.0, False, False)
+print("ready", flush=True)
+sys.stdin.readline()
+for k in range(40):
+    cli._upsert_metrics(Path(sys.argv[1]), f"{sys.argv[2]}{k}", "PI", metrics)
 """
 
 
@@ -152,8 +167,6 @@ class TestConfigParsing:
                 "lr_action": data.draw(non_negative),
                 "k_v": data.draw(positive),
                 "k_i": data.draw(non_negative),
-                "epochs_critic": data.draw(st.integers(min_value=0, max_value=100)),
-                "epochs_action": data.draw(st.integers(min_value=0, max_value=100)),
                 **{
                     key: data.draw(positive)
                     for key in ("norm_v_o", "norm_i_l", "norm_e_v", "norm_e_i", "norm_duty")
@@ -303,6 +316,16 @@ class TestUsageErrors:
         assert rc == 1
         assert "PI" in caplog.text and "HDP-frozen" in caplog.text
 
+    def test_removed_inner_epoch_key_exits_1(self, tmp_path, caplog):
+        config = tmp_path / "old.ini"
+        config.write_text("[hdp]\nepochs_critic = 1\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["run", "startup", "PI", "--config", str(config)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].startswith("unknown key 'epochs_critic' in [hdp]; valid: ")
+
     def test_bad_config_key_exits_1(self, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text("[plant]\nvolts = 60\n")
@@ -417,6 +440,32 @@ class TestRunCommand:
         with open(tmp_path / "metrics.csv", newline="") as fh:
             pairs = [(r["scenario"], r["controller"]) for r in csv.DictReader(fh)]
         assert pairs == [("startup", "PI"), ("load_change", "PI")]
+
+    def test_concurrent_upserts_keep_every_row(self, tmp_path):
+        path = tmp_path / "metrics.csv"
+        children = [
+            subprocess.Popen(
+                [sys.executable, "-c", UPSERT_CHILD, str(path), prefix],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE, text=True, env=MODULE_ENV,
+            )
+            for prefix in ("a", "b")
+        ]
+        try:
+            for child in children:
+                assert child.stdout.readline() == "ready\n"
+            for child in children:
+                child.stdin.write("go\n")
+                child.stdin.flush()
+            for child in children:
+                child.communicate(timeout=120)
+                assert child.returncode == 0
+        finally:
+            for child in children:
+                child.kill()
+                child.communicate()
+        with open(path, newline="") as fh:
+            names = sorted(r["scenario"] for r in csv.DictReader(fh))
+        assert names == sorted(f"{p}{k}" for p in "ab" for k in range(40))
 
     def test_trace_bytes_reproducible(self, tmp_path):
         names = []
@@ -634,6 +683,62 @@ class TestCompareCommand:
             assert rc == 0
             outs.append(capsys.readouterr().out)
         assert outs[0] == outs[1]
+
+
+# the failures below each write their files into out and return the config
+# text that completes them
+
+
+def _copy_snapshots(out, fast_snapshots):
+    for name in ("critic.mlp", "action.mlp"):
+        (out / name).write_bytes((fast_snapshots / name).read_bytes())
+
+
+def _corrupt_critic(out, fast_snapshots):
+    make_action().save(out / "action.mlp")
+    (out / "critic.mlp").write_text(make_critic().dumps()[:60])
+    return ""
+
+
+def _runaway_pi(out, fast_snapshots):
+    _copy_snapshots(out, fast_snapshots)
+    return "[pi]\nkp = 0.0\nki = 0.0\nduty_ff = 0.93\n"
+
+
+def _huge_critic_rate(out, fast_snapshots):
+    _copy_snapshots(out, fast_snapshots)
+    return "[hdp]\nlr_critic = 1e300\n"
+
+
+class TestFailureMap:
+    """run and compare map one cell's failure to the same line and code."""
+
+    @pytest.mark.parametrize("setup, tag, code, reason", [
+        (_corrupt_critic, "HDP", 1, "corrupt network snapshot"),
+        (_runaway_pi, "PI", 2, "diverged"),
+        (_huge_critic_rate, "HDP", 2, "non-finite"),
+    ], ids=["corrupt-snapshot", "divergence", "non-finite-update"])
+    def test_run_and_compare_agree(
+        self, fast_snapshots, tmp_path, caplog, capsys, setup, tag, code, reason
+    ):
+        config = tmp_path / "cell.ini"
+        config.write_text(setup(tmp_path, fast_snapshots) + "\n[run]\nscenarios = startup\n")
+        errors = {}
+        for command in (["run", "startup", tag], ["compare"]):
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+                rc = cli.main(command + ["--config", str(config), "--out", str(tmp_path)])
+            assert rc == code, command
+            errors[command[0]] = [
+                r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR
+            ]
+        assert errors["run"] == errors["compare"]
+        assert len(errors["run"]) == 1 and "\n" not in errors["run"][0]
+        assert reason in errors["run"][0]
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        cells = {tuple(row.split()[:2]): row.split()[2:] for row in rows}
+        assert cells.pop(("startup", tag)) == ["-"] * 3
+        assert all("-" not in values for values in cells.values())
 
 
 class TestConsoleEntry:

@@ -43,6 +43,10 @@ class QuadCritic:
         return float(d_out[0]) * g
 
 
+# the utility weights a run uses unless the config says otherwise
+K_V, K_I = HdpConfig().k_v, HdpConfig().k_i
+
+
 class TestUtility:
     def test_pythagorean_example(self):
         assert utility(3.0, 4.0, k_v=1.0, k_i=1.0) == pytest.approx(5.0)
@@ -52,14 +56,14 @@ class TestUtility:
         assert utility(3.0, 4.0, k_v=1.0, k_i=0.25) == pytest.approx(math.sqrt(13.0))
 
     def test_zero_at_zero_error(self):
-        assert utility(0.0, 0.0) == 0.0
+        assert utility(0.0, 0.0, K_V, K_I) == 0.0
 
     def test_sign_symmetric_and_nonnegative(self):
         rng = np.random.default_rng(3)
         for e_v, e_i in rng.normal(size=(50, 2)):
-            u = utility(e_v, e_i)
+            u = utility(e_v, e_i, K_V, K_I)
             assert u >= 0.0
-            assert u == pytest.approx(utility(-e_v, -e_i))
+            assert u == pytest.approx(utility(-e_v, -e_i, K_V, K_I))
 
 
 class TestTdError:
@@ -78,7 +82,7 @@ class TestTdUpdate:
         critic = make_critic(seed=5)
         before = net_bytes(critic)
         x0, x1 = np.full(5, 0.2), np.full(5, -0.1)
-        resid = td_update(critic, x0, x1, 0.3, 0.95, learning_rate=0.0, epochs=3)
+        resid = td_update(critic, x0, x1, 0.3, 0.95, learning_rate=0.0)
         assert net_bytes(critic) == before
         j0 = float(critic.forward(x0)[0][0])
         j1 = float(critic.forward(x1)[0][0])
@@ -92,16 +96,6 @@ class TestTdUpdate:
         before = td_update(critic, x0, x1, 0.5, 0.95, learning_rate=0.0)
         after = td_update(critic, x0, x1, 0.5, 0.95, learning_rate=0.01)
         assert abs(after) < abs(before)
-
-    def test_more_epochs_fit_tighter(self):
-        x0, x1, u = np.full(5, 0.4), np.full(5, -0.3), 0.5
-        resid = {}
-        for epochs in (1, 5):
-            critic = make_critic(seed=8)
-            resid[epochs] = abs(
-                td_update(critic, x0, x1, u, 0.95, learning_rate=0.01, epochs=epochs)
-            )
-        assert resid[5] < resid[1]
 
     def test_two_state_chain_recovers_flat_value(self):
         # alternating A -> B -> A with constant utility: J = u/(1-gamma)
@@ -138,7 +132,7 @@ class TestConfig:
             dict(lr_action=-1e-3),
             dict(k_v=0.0, k_i=0.0),
             dict(k_v=-1.0),
-            dict(epochs_critic=-1),
+            dict(k_i=-1.0),
             dict(norm_scales=(200.0, 10.0, 200.0, 10.0)),
             dict(norm_scales=(200.0, 0.0, 200.0, 10.0, 1.0)),
             dict(duty_limits=(0.9, 0.1)),
@@ -182,14 +176,6 @@ class TestActionUpdate:
             duty = ctl.duty_from_action(a)
             print(f"seed {seed}: duty={duty:.5f}")
             assert duty == pytest.approx(0.7, abs=0.01)
-
-    def test_zero_epochs_is_a_no_op(self):
-        ctl = HdpController(
-            QuadCritic(), make_action(seed=3), HdpConfig(epochs_action=0)
-        )
-        before = net_bytes(ctl.action)
-        ctl.action_update(np.array([0.5, 0.3, 0.5, 0.2]))
-        assert net_bytes(ctl.action) == before
 
 
 def meas(v_o, i_l, v_set=200.0, i_set=8.0, duty_prev=0.0):
