@@ -12,8 +12,9 @@ a typo should fail loudly, not silently run the nominal setup.  [plant] v_s
 and r_load are the nominal point the scenarios start from.
 
 Exit codes: 0 on success, 1 for usage, configuration, or missing or corrupt
-snapshot errors, 2 when a simulation diverges, an online network update
-would turn a parameter non-finite, or pretraining fails to converge.
+snapshot errors and for an output directory that cannot be created, 2 when
+a simulation diverges, an online network update would turn a parameter
+non-finite, or pretraining fails to converge.
 """
 
 from __future__ import annotations
@@ -241,10 +242,19 @@ def _snapshot_paths(cfg: RunConfig) -> tuple[Path, Path]:
     return out / "critic.mlp", out / "action.mlp"
 
 
+def _make_out_dir(cfg: RunConfig) -> Path:
+    """The output directory, created if missing, or ConfigError."""
+    out = Path(cfg.out_dir)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # a path component is a file, or no permission
+        raise ConfigError(f"cannot create output directory {out}: {exc.strerror}") from None
+    return out
+
+
 def cmd_pretrain(cfg: RunConfig) -> int:
     """Run the offline pipeline and write network snapshots plus residuals."""
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
+    out = _make_out_dir(cfg)
     pt = cfg.pretrain
     teacher = sim.make_reference_law(cfg.plant, hdp_config=cfg.hdp)
     log.info(
@@ -355,14 +365,13 @@ def _run_cell(cfg: RunConfig, scenario: str, tag: str) -> tuple[int, sim.Metrics
     try:
         spec, controller = _build_cell(cfg, scenario, tag)
         trace, metrics = sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
+        out = _make_out_dir(cfg)
     except ConfigError as exc:
         log.error("%s", exc)
         return 1, None
     except (sim.SimulationDiverged, NonFiniteUpdateError) as exc:
         log.error("%s %s diverged: %s", scenario, tag, exc)
         return 2, None
-    out = Path(cfg.out_dir)
-    out.mkdir(parents=True, exist_ok=True)
     sim.write_trace_csv(out / f"{scenario}_{tag}.csv", trace)
     _upsert_metrics(out / "metrics.csv", scenario, tag, metrics)
     return 0, metrics
@@ -397,8 +406,10 @@ def cmd_compare(cfg: RunConfig) -> int:
 
     A failed cell is reported and skipped; the remaining cells still run and
     the exit code reflects the worst failure (divergence wins over missing
-    snapshots).
+    snapshots).  An output directory that cannot be created ends the
+    command before any cell runs.
     """
+    _make_out_dir(cfg)
     worst = 0
     lines = [
         f"{'scenario':<14} {'controller':<10} {'settling_ms':>12} "
@@ -466,11 +477,15 @@ def main(argv: list[str] | None = None) -> int:
     # An update that overflows is refused by Mlp's finiteness check and ends
     # in exit 2 with one line; numpy's own warnings would only precede it.
     with np.errstate(over="ignore", invalid="ignore"):
-        if args.command == "pretrain":
-            return cmd_pretrain(cfg)
-        if args.command == "run":
-            return cmd_run(cfg, args.scenario, args.controller)
-        return cmd_compare(cfg)
+        try:
+            if args.command == "pretrain":
+                return cmd_pretrain(cfg)
+            if args.command == "run":
+                return cmd_run(cfg, args.scenario, args.controller)
+            return cmd_compare(cfg)
+        except ConfigError as exc:  # raised before a command writes anything
+            log.error("%s", exc)
+            return 1
 
 
 if __name__ == "__main__":

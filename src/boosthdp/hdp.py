@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mlp import Mlp
+from .mlp import ForwardCache, Mlp
 
 __all__ = [
     "CRITIC_SIZES",
@@ -71,26 +71,23 @@ def td_error(j_now: float, j_next: float, u_now: float, gamma: float) -> float:
 
 def td_update(
     critic: Mlp,
-    x_now: np.ndarray,
-    x_next: np.ndarray,
+    cache: ForwardCache,
+    target: float,
     u_now: float,
     gamma: float,
     learning_rate: float,
 ) -> float:
-    """One semi-gradient step of the critic toward u_now + gamma * J(x_next)
-    at x_now; the bootstrap target is evaluated before the step and held
-    fixed.  Returns the residual remaining after the step (with zero rate,
-    simply the current residual).
+    """One semi-gradient step of the critic toward u_now + gamma * target.
+
+    `cache` is the critic's forward pass at x_now and `target` is J(x_next),
+    both at the present weights; the caller runs those passes (batched, if
+    it likes), so the step itself runs none.  The target is held fixed.
+    Returns the residual before the step.
     """
-    j_next, _ = critic.forward(x_next)
-    target = float(j_next[0])
-    j_now, cache = critic.forward(x_now)
-    resid = td_error(float(j_now[0]), target, u_now, gamma)
+    resid = td_error(float(cache.activations[-1][0]), target, u_now, gamma)
     # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself
-    grads = critic.grad_weights(cache, np.array([resid]))
-    critic.apply_update(grads, learning_rate)
-    j_now, _ = critic.forward(x_now)
-    return td_error(float(j_now[0]), target, u_now, gamma)
+    critic.apply_update(critic.grad_weights(cache, np.array([resid])), learning_rate)
+    return resid
 
 
 @dataclass(frozen=True)
@@ -186,18 +183,25 @@ class HdpController:
 
     def duty_from_action(self, a: np.ndarray) -> float:
         """Map the policy output in (0,1) onto the duty limits."""
-        d_min, d_max = self.config.duty_limits
         y, _ = self.action.forward(a)
+        return self._duty(y)
+
+    def _duty(self, y: np.ndarray) -> float:
+        d_min, d_max = self.config.duty_limits
         return d_min + float(y[0]) * (d_max - d_min)
 
     def action_update(self, a: np.ndarray) -> None:
         """One descent step of the critic's cost-to-go with respect to the
         policy weights."""
+        self._action_step(a, *self.action.forward(a))
+
+    def _action_step(self, a: np.ndarray, y: np.ndarray, cache: ForwardCache) -> None:
+        """action_update on the action net's forward pass (y, cache) at a,
+        taken at the present weights."""
         cfg = self.config
         d_min, d_max = cfg.duty_limits
         span = d_max - d_min
         d_scale = cfg.norm_scales[4]
-        y, cache = self.action.forward(a)
         duty = d_min + float(y[0]) * span
         x = np.concatenate((a, (duty / d_scale,)))
         _, critic_cache = self.critic.forward(x)
@@ -223,15 +227,22 @@ class HdpController:
         state = [m.v_o / s[0], m.i_l / s[1], m.e_v / s[2], m.e_i / s[3]]
         a = np.array(state)
         if learn:
+            # the critic step leaves the action net as it is, so this one
+            # action pass serves both the critic's target and the action step
+            y, action_cache = self.action.forward(a)
             if self._prev is not None:
                 # the stored transition lands in the present state; evaluate
                 # it with the duty the current policy would command here
-                d_hat = self.duty_from_action(a)
-                x_hat = np.array(state + [d_hat / s[4]])
+                x_hat = np.array(state + [self._duty(y) / s[4]])
                 state_prev, u_prev = self._prev
                 x_prev = np.array(state_prev + [m.duty_prev / s[4]])
-                td_update(self.critic, x_prev, x_hat, u_prev, cfg.gamma, cfg.lr_critic)
-            self.action_update(a)
+                # two single-input passes: a batch of the two would round
+                # differently in the last bits and move the run's trace
+                j_hat, _ = self.critic.forward(x_hat)
+                _, cache = self.critic.forward(x_prev)
+                td_update(self.critic, cache, float(j_hat[0]), u_prev, cfg.gamma,
+                          cfg.lr_critic)
+            self._action_step(a, y, action_cache)
         duty = self.duty_from_action(a)
         x = np.array(state + [duty / s[4]])
         j_now, _ = self.critic.forward(x)

@@ -3,8 +3,11 @@
 Just enough machinery for the neuro-controller: tanh hidden layers, a linear
 or sigmoid output, exact reverse-mode gradients with respect to both the
 parameters and the input, plain SGD updates, and a text snapshot format.
-Everything is double precision numpy; nets are small (a handful of units per
-layer), so no batching.
+Everything is double precision numpy.  Nets are small (a handful of units per
+layer); `forward` also takes a batch of inputs as rows, so that callers
+evaluating several points at the same weights pay numpy's per-call overhead
+once, and `ForwardCache.row` hands one row of such a pass to the backward
+pass.  Gradients are per sample.
 
 Parameter layout: every parameter of a net lives in one contiguous vector,
 `Mlp.params`.  Layer by layer it holds the weight matrix row-major (shape
@@ -91,6 +94,11 @@ class ForwardCache:
 
     activations: list[np.ndarray]   # a_0 = input, ..., a_L = output
 
+    def row(self, i: int) -> "ForwardCache":
+        """The cache of row i of a batched pass, as views of this one; it
+        feeds grad_weights / grad_input like the cache of a 1-D pass."""
+        return ForwardCache([a[i] for a in self.activations])
+
 
 class MlpGradients:
     """Parameter gradients in one flat vector laid out like `Mlp.params`.
@@ -139,9 +147,8 @@ class Mlp:
         self._params = np.zeros(len(self._gather_rows))
         self._w, self._b = _layer_views(self._params, self.layer_sizes)
         self._wT = [w.T for w in self._w]
-        self._hidden = list(zip(self._w[:-1], self._b[:-1]))
+        self._hidden = list(zip(self._wT[:-1], self._b[:-1]))
         self._sigmoid = output_activation == "sigmoid"
-        self._input_shape = (layer_sizes[0],)
         self._output_shape = (layer_sizes[-1],)
         self._activation_shapes = [(n,) for n in layer_sizes]
         self.weights = weights
@@ -215,15 +222,24 @@ class Mlp:
         return Mlp(self.layer_sizes, self._w, self._b, self.output_activation)
 
     def forward(self, x) -> tuple[np.ndarray, ForwardCache]:
-        """Evaluate the network; the cache feeds grad_weights / grad_input."""
+        """Evaluate the network on one input of shape (n_inputs,), or on a
+        batch of inputs as the rows of a (k, n_inputs) array; the output has
+        the matching shape (n_outputs,) or (k, n_outputs).  The cache feeds
+        grad_weights / grad_input, through `ForwardCache.row` for a batch.
+
+        A 1-D input runs the same products as W.dot(a), bit for bit; a row
+        of a batch (one matrix-matrix product) may differ from the 1-D pass
+        of that row in the last bits.
+        """
         a = np.asarray(x, dtype=float)
-        if a.shape != self._input_shape:
-            raise ValueError(f"input shape {a.shape} != ({self.n_inputs},)")
+        if a.ndim not in (1, 2) or a.shape[-1] != self.layer_sizes[0]:
+            n = self.layer_sizes[0]
+            raise ValueError(f"input shape {a.shape} is neither ({n},) nor (k, {n})")
         activations = [a]
-        for w, b in self._hidden:
-            a = np.tanh(w.dot(a) + b)
+        for wT, b in self._hidden:
+            a = np.tanh(a.dot(wT) + b)
             activations.append(a)
-        a = self._w[-1].dot(a) + self._b[-1]
+        a = a.dot(self._wT[-1]) + self._b[-1]
         if self._sigmoid:
             a = 1.0 / (1.0 + np.exp(-a))
         activations.append(a)

@@ -470,14 +470,12 @@ def generate_excitation_log(
     return log
 
 
-def _mean_squared_residual(critic: Mlp, log, gamma: float) -> float:
-    sq_sum = 0.0
-    for x_now, x_next, u_now in log:
-        j_now = float(critic.forward(x_now)[0][0])
-        j_next = float(critic.forward(x_next)[0][0])
-        resid = td_error(j_now, j_next, u_now, gamma)
-        sq_sum += resid * resid
-    return sq_sum / len(log)
+def _mean_squared_residual(
+    critic: Mlp, x_now: np.ndarray, x_next: np.ndarray, u: np.ndarray, gamma: float
+) -> float:
+    j, _ = critic.forward(np.concatenate((x_now, x_next)))
+    resid = td_error(j[:len(u), 0], j[len(u):, 0], u, gamma)
+    return float(np.mean(resid * resid))
 
 
 def train_critic_on_log(
@@ -500,25 +498,47 @@ def train_critic_on_log(
     with every sample's residual measured right after its update.  Raises
     PretrainingError if the residual fails to decrease across the first 5
     epochs (when enough epochs run to tell).
+
+    The sweep is pipelined: the step of sample k evaluates, in one batched
+    forward pass at the present weights, the previous sample's x_now (its
+    residual right after its update), this sample's x_next (the target) and
+    this sample's x_now (the value the step differentiates).  One pass per
+    sample instead of three; batched rows may differ from single-input
+    passes in the last bits.
     """
     log = list(log)
     if not log:
         raise ValueError("empty transition log")
     cfg = hdp_config
+    gamma = cfg.gamma
     rng = np.random.default_rng(seed)
-    history: list[float] = [_mean_squared_residual(critic, log, cfg.gamma)]
-    order = np.arange(len(log))
+    # the log as arrays: x_now (N, 5), x_next (N, 5), u (N,)
+    x_now, x_next, u = map(np.array, zip(*log))
+    n = len(u)
+    history: list[float] = [_mean_squared_residual(critic, x_now, x_next, u, gamma)]
+    order = np.arange(n)
     for epoch in range(max_epochs):
         lr = cfg.lr_critic
         if lr_decay_epochs > 0.0:
             lr /= 1.0 + epoch / lr_decay_epochs
         rng.shuffle(order)
+        now = x_now[order]
+        # rows of step k: [x_now of sample k-1, x_next of k, x_now of k]; the
+        # first step's row 0 (the last sample's x_now) is not used
+        rows = np.stack((np.roll(now, 1, axis=0), x_next[order], now), axis=1)
         sq_sum = 0.0
-        for idx in order:
-            x_now, x_next, u_now = log[idx]
-            resid = td_update(critic, x_now, x_next, u_now, cfg.gamma, lr)
-            sq_sum += resid * resid
-        history.append(sq_sum / len(log))
+        target = u_prev = 0.0  # the previous sample's; read from step 1 on
+        for k, (batch, u_now) in enumerate(zip(rows, u[order].tolist())):
+            out, cache = critic.forward(batch)
+            j_prev, j_next, _ = out[:, 0].tolist()
+            if k:
+                resid = td_error(j_prev, target, u_prev, gamma)
+                sq_sum += resid * resid
+            target, u_prev = j_next, u_now
+            td_update(critic, cache.row(2), target, u_now, gamma, lr)
+        j_last, _ = critic.forward(now[-1])
+        resid = td_error(float(j_last[0]), target, u_prev, gamma)
+        history.append((sq_sum + resid * resid) / n)
         if epoch == 4 and history[5] >= history[0]:
             raise PretrainingError(
                 f"TD residual failed to decrease over the first 5 epochs: "

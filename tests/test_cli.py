@@ -242,6 +242,24 @@ class TestUsageErrors:
         rc = cli.main(["run", "startup", "PI", "--config", str(tmp_path / "x.ini")])
         assert rc == 1
 
+    @pytest.mark.parametrize("command, out, reason", [
+        (["pretrain"], "afile", "File exists"),
+        (["run", "startup", "PI"], "afile/x", "Not a directory"),
+        (["compare"], "afile/x", "Not a directory"),
+    ], ids=["pretrain", "run", "compare"])
+    def test_uncreatable_output_dir_exits_1(
+        self, tmp_path, caplog, capsys, command, out, reason
+    ):
+        (tmp_path / "afile").write_text("a regular file\n")
+        out = tmp_path / out
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(command + ["--out", str(out)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"cannot create output directory {out}: {reason}"]
+        assert capsys.readouterr().out == ""  # compare prints no table
+        assert (tmp_path / "afile").read_text() == "a regular file\n"
+
     @pytest.mark.parametrize("line", ["l_ind = nan", "c_out = inf", "v_s = -inf"])
     def test_non_finite_plant_value_exits_1(self, tmp_path, caplog, line):
         config = tmp_path / "bad.ini"

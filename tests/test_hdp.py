@@ -77,12 +77,19 @@ class TestTdError:
             assert td_error(j, j, u, gamma) == pytest.approx(0.0, abs=1e-12)
 
 
+def td_step(critic, x_now, x_next, u, gamma, lr):
+    """td_update on the two forward passes it needs, taken unbatched."""
+    j_next, _ = critic.forward(x_next)
+    _, cache = critic.forward(x_now)
+    return td_update(critic, cache, float(j_next[0]), u, gamma, lr)
+
+
 class TestTdUpdate:
     def test_zero_learning_rate_is_a_no_op(self):
         critic = make_critic(seed=5)
         before = net_bytes(critic)
         x0, x1 = np.full(5, 0.2), np.full(5, -0.1)
-        resid = td_update(critic, x0, x1, 0.3, 0.95, learning_rate=0.0)
+        resid = td_step(critic, x0, x1, 0.3, 0.95, lr=0.0)
         assert net_bytes(critic) == before
         j0 = float(critic.forward(x0)[0][0])
         j1 = float(critic.forward(x1)[0][0])
@@ -91,10 +98,11 @@ class TestTdUpdate:
     def test_update_shrinks_residual_on_frozen_pair(self):
         critic = make_critic(seed=8)
         x0, x1 = np.full(5, 0.4), np.full(5, -0.3)
-        # read the residual without touching weights, then update once; the
-        # post-update residual against the same frozen target must shrink
-        before = td_update(critic, x0, x1, 0.5, 0.95, learning_rate=0.0)
-        after = td_update(critic, x0, x1, 0.5, 0.95, learning_rate=0.01)
+        # the step returns the residual before it; re-evaluated against the
+        # same frozen target after one update, the residual must shrink
+        target = float(critic.forward(x1)[0][0])
+        before = td_step(critic, x0, x1, 0.5, 0.95, lr=0.01)
+        after = td_error(float(critic.forward(x0)[0][0]), target, 0.5, 0.95)
         assert abs(after) < abs(before)
 
     def test_two_state_chain_recovers_flat_value(self):
@@ -106,8 +114,8 @@ class TestTdUpdate:
         x_b = rng.uniform(-1.0, 1.0, 5)
         critic = make_critic(seed=0)
         for _ in range(2000):
-            td_update(critic, x_a, x_b, u, gamma, 0.05)
-            td_update(critic, x_b, x_a, u, gamma, 0.05)
+            td_step(critic, x_a, x_b, u, gamma, 0.05)
+            td_step(critic, x_b, x_a, u, gamma, 0.05)
         j_a = float(critic.forward(x_a)[0][0])
         j_b = float(critic.forward(x_b)[0][0])
         print(f"chain: J(a)={j_a:.6f} J(b)={j_b:.6f} true={true_j:.6f}")
@@ -115,6 +123,19 @@ class TestTdUpdate:
         assert j_b == pytest.approx(true_j, abs=1e-2)
         assert abs(td_error(j_a, j_b, u, gamma)) < 1e-3
         assert abs(td_error(j_b, j_a, u, gamma)) < 1e-3
+
+    def test_runs_no_forward_pass(self, monkeypatch):
+        critic = make_critic(seed=1)
+        x0, x1 = np.full(5, 0.4), np.full(5, -0.3)
+        target = float(critic.forward(x1)[0][0])
+        _, cache = critic.forward(x0)
+
+        def no_forward(*args):
+            raise AssertionError("td_update ran a forward pass")
+
+        monkeypatch.setattr(Mlp, "forward", no_forward)
+        resid = td_update(critic, cache, target, 0.5, 0.95, 0.01)
+        assert resid == td_error(float(cache.activations[-1][0]), target, 0.5, 0.95)
 
 
 class TestConfig:

@@ -5,7 +5,13 @@ reference, and snapshot round-trips."""
 import numpy as np
 import pytest
 
-from boosthdp.mlp import Mlp, MlpFormatError, MlpGradients, NonFiniteUpdateError
+from boosthdp.mlp import (
+    ForwardCache,
+    Mlp,
+    MlpFormatError,
+    MlpGradients,
+    NonFiniteUpdateError,
+)
 
 
 def loss_given_upstream(net, x, dldy):
@@ -104,6 +110,54 @@ class TestForward:
         net = Mlp.init([3, 2], "linear", seed=0)
         with pytest.raises(ValueError):
             net.forward([1.0, 2.0])
+
+    def test_rejects_bad_batches(self):
+        net = Mlp.init([3, 4, 1], "linear", seed=0)
+        for x in (np.ones((2, 2, 3)), np.ones((4, 2)), np.ones((3, 1)), 1.0):
+            with pytest.raises(ValueError, match="input shape"):
+                net.forward(x)
+
+    @pytest.mark.parametrize("sizes, activation", [
+        ([5, 5, 5, 1], "linear"), ([4, 5, 5, 1], "sigmoid"), ([3, 4, 2], "linear"),
+    ])
+    def test_batched_rows_match_single_passes(self, sizes, activation):
+        # a batch is one matrix-matrix product per layer, a single input a
+        # matrix-vector one; they may round differently in the last bits.
+        # Each activation is compared relative to max(1, |value|), since an
+        # output near zero comes from cancelling terms of order one.
+        worst = 0.0
+        for seed in range(20):
+            net = Mlp.init(sizes, activation, seed=seed)
+            xs = np.random.default_rng(seed).uniform(-3.0, 3.0, (6, sizes[0]))
+            ys, cache = net.forward(xs)
+            assert ys.shape == (6, sizes[-1])
+            for k, x in enumerate(xs):
+                _, single = net.forward(x)
+                for batched, one in zip(cache.activations, single.activations):
+                    dev = np.abs(batched[k] - one) / np.maximum(1.0, np.abs(one))
+                    worst = max(worst, float(dev.max()))
+        print(f"largest batched-vs-single deviation {worst:.2e}")
+        assert worst <= 1e-15
+
+    def test_row_cache_feeds_backward_like_a_1d_cache(self):
+        net = Mlp.init([4, 5, 5, 1], "sigmoid", seed=3)
+        xs = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 4))
+        _, cache = net.forward(xs)
+        for k in range(3):
+            row = cache.row(k)
+            for view, full in zip(row.activations, cache.activations):
+                assert view.ndim == 1 and np.shares_memory(view, full)
+            copied = ForwardCache([a.copy() for a in row.activations])
+            for d_out in ([1.0], [-0.3]):
+                assert np.array_equal(
+                    net.grad_weights(row, d_out).flat, net.grad_weights(copied, d_out).flat
+                )
+                assert np.array_equal(
+                    net.grad_input(row, d_out), net.grad_input(copied, d_out)
+                )
+        # the batch itself is not a 1-D cache
+        with pytest.raises(ValueError, match="cache"):
+            net.grad_weights(cache, [1.0])
 
     def test_sigmoid_output_bounded(self):
         net = Mlp.init([2, 5, 1], "sigmoid", seed=9)

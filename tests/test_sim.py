@@ -9,9 +9,11 @@ import pytest
 from boosthdp import sim
 from boosthdp.baseline import PiController
 from boosthdp.hdp import HdpConfig, HdpController, make_action, make_critic
+from boosthdp.mlp import NonFiniteUpdateError
 from boosthdp.plant import PlantParams, PlantState
 from boosthdp.sim import (
     Metrics,
+    PretrainSettings,
     PretrainingError,
     ReferenceLaw,
     ScenarioSpec,
@@ -377,7 +379,85 @@ def two_state_chain(u: float, gamma: float):
     return [(x_a, x_b, u), (x_b, x_a, u)]
 
 
+def three_forward_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs):
+    """train_critic_on_log's sweep with three single-input forward passes
+    per transition: the target, the value and its cache, and the value again
+    right after the update for the epoch mean.  The reference for the
+    pipelined sweep; it leaves out the stopping rules, which depend only on
+    the history."""
+    gamma = cfg.gamma
+
+    def value(x):
+        return float(critic.forward(x)[0][0])
+
+    sq = [(value(x) - gamma * value(x_next) - u) ** 2 for x, x_next, u in log]
+    history = [sum(sq) / len(log)]
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(log))
+    for epoch in range(max_epochs):
+        lr = cfg.lr_critic
+        if lr_decay_epochs > 0.0:
+            lr /= 1.0 + epoch / lr_decay_epochs
+        rng.shuffle(order)
+        sq_sum = 0.0
+        for idx in order:
+            x_now, x_next, u = log[idx]
+            target = value(x_next)
+            j_now, cache = critic.forward(x_now)
+            resid = float(j_now[0]) - gamma * target - u
+            critic.apply_update(critic.grad_weights(cache, [resid]), lr)
+            after = value(x_now) - gamma * target - u
+            sq_sum += after * after
+        history.append(sq_sum / len(log))
+    return history
+
+
+def excitation_log_200():
+    cfg, params = HdpConfig(), PlantParams()
+    law = make_reference_law(params, hdp_config=cfg)
+    return generate_excitation_log(law, params, cfg, seed=0, n_episodes=1, n_holds=2)[:200]
+
+
+def max_relative_gap(a, b):
+    a, b = np.asarray(a), np.asarray(b)
+    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
+
+
 class TestTrainCriticOnLog:
+    def test_matches_the_three_forward_sweep(self):
+        # batched rows round differently in the last bits, so the pipelined
+        # sweep tracks the reference closely rather than bit for bit
+        log = excitation_log_200()
+        cfg = HdpConfig(lr_critic=PretrainSettings.learning_rate)
+        critic, reference = make_critic(seed=0), make_critic(seed=0)
+        hist = train_critic_on_log(critic, log, cfg, seed=1, max_epochs=3)
+        ref_hist = three_forward_sweep(reference, log, cfg, seed=1, max_epochs=3,
+                                       lr_decay_epochs=8.0)
+        assert len(hist) == len(ref_hist) == 4
+        for h, r in zip(hist, ref_hist):
+            assert abs(h - r) <= 1e-12 * abs(r)
+        assert hist[-1] < hist[0]
+        assert max_relative_gap(critic.params, reference.params) <= 1e-12
+
+    def test_non_finite_step_mid_epoch_keeps_last_accepted_net(self):
+        log = excitation_log_200()
+        bad = 100
+        x_now, x_next, _ = log[bad]
+        log[bad] = (x_now, x_next, float("nan"))
+        order = np.arange(len(log))
+        np.random.default_rng(1).shuffle(order)
+        assert 0 < list(order).index(bad) < len(log) - 1  # inside the first epoch
+        cfg = HdpConfig(lr_critic=PretrainSettings.learning_rate)
+        critic, reference = make_critic(seed=0), make_critic(seed=0)
+        with pytest.raises(NonFiniteUpdateError):
+            train_critic_on_log(critic, log, cfg, seed=1, max_epochs=3)
+        with pytest.raises(NonFiniteUpdateError):
+            three_forward_sweep(reference, log, cfg, seed=1, max_epochs=3,
+                                lr_decay_epochs=8.0)
+        assert np.isfinite(critic.params).all()
+        assert not np.array_equal(critic.params, make_critic(seed=0).params)
+        assert max_relative_gap(critic.params, reference.params) <= 1e-12
+
     def test_zero_utility_log_converges_to_zero(self):
         cfg = HdpConfig()
         log = two_state_chain(0.0, cfg.gamma)
