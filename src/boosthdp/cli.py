@@ -270,14 +270,14 @@ def cmd_pretrain(cfg: RunConfig) -> int:
             transitions, cfg.hdp, seed=cfg.seed,
             max_epochs=pt.max_epochs, learning_rate=pt.learning_rate,
         )
-    except sim.PretrainingError as exc:
+        action = make_action(seed=cfg.seed)
+        clone_mse = sim.clone_action(
+            action, transitions, cfg.hdp, seed=cfg.seed + 2,
+            epochs=pt.clone_epochs, learning_rate=pt.clone_learning_rate,
+        )
+    except (sim.PretrainingError, NonFiniteUpdateError) as exc:
         log.error("pretraining failed: %s", exc)
         return 2
-    action = make_action(seed=cfg.seed)
-    clone_mse = sim.clone_action(
-        action, transitions, cfg.hdp, seed=cfg.seed + 2,
-        epochs=pt.clone_epochs, learning_rate=pt.clone_learning_rate,
-    )
     critic_path, action_path = _snapshot_paths(cfg)
     critic.save(critic_path)
     action.save(action_path)

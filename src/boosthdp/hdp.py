@@ -76,17 +76,20 @@ def td_update(
     u_now: float,
     gamma: float,
     learning_rate: float,
+    row: int | None = None,
 ) -> float:
     """One semi-gradient step of the critic toward u_now + gamma * target.
 
-    `cache` is the critic's forward pass at x_now and `target` is J(x_next),
-    both at the present weights; the caller runs those passes (batched, if
-    it likes), so the step itself runs none.  The target is held fixed.
-    Returns the residual before the step.
+    `cache` is the critic's forward pass at x_now (row `row` of it, for a
+    batched pass) and `target` is J(x_next), both at the present weights;
+    the caller runs those passes, so the step itself runs none.  The target
+    is held fixed.  Returns the residual before the step.
     """
-    resid = td_error(float(cache.activations[-1][0]), target, u_now, gamma)
+    out = cache.activations[-1]
+    j_now = out[0] if row is None else out[row, 0]
+    resid = td_error(float(j_now), target, u_now, gamma)
     # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself
-    critic.apply_update(critic.grad_weights(cache, np.array([resid])), learning_rate)
+    critic.descend(cache, np.array([resid]), learning_rate, row)
     return resid
 
 
@@ -159,8 +162,8 @@ class HdpController:
 
     def __init__(self, critic: Mlp, action: Mlp, config: HdpConfig | None = None):
         config = config or HdpConfig()
-        # duck-typed critics (anything with forward/grad_input/grad_weights)
-        # are allowed; shape-check only the real thing
+        # duck-typed critics (anything with forward/grad_input, plus descend
+        # to learn) are allowed; shape-check only the real thing
         if isinstance(critic, Mlp) and (critic.n_inputs != 5 or critic.n_outputs != 1):
             raise ValueError(f"critic must map 5 -> 1, got {critic.layer_sizes}")
         if action.layer_sizes[0] != 4 or action.layer_sizes[-1] != 1:
@@ -170,12 +173,14 @@ class HdpController:
         self.critic = critic
         self.action = action
         self.config = config
-        # (normalized state inputs, utility) of the previous period, None
-        # until one period has been observed; the duty slot of the previous
-        # critic input is taken from the next measurement's duty_prev, which
-        # is the duty actually applied (the harness may have modified the
-        # command, e.g. probing noise during practice)
-        self._prev: tuple[list[float], float] | None = None
+        # (normalized state inputs, utility, held pass) of the previous
+        # period, None until one period has been observed; the duty slot of
+        # the previous critic input is taken from the next measurement's
+        # duty_prev, which is the duty actually applied (the harness may have
+        # modified the command, e.g. probing noise during practice).  The
+        # held pass is the learning step's critic pass at the committed duty,
+        # (duty, critic, its params as bytes, cache), or None.
+        self._prev: tuple[list[float], float, tuple | None] | None = None
 
     def reset_transition_buffer(self) -> None:
         """Forget the stored transition, e.g. across a simulation restart."""
@@ -195,6 +200,17 @@ class HdpController:
         policy weights."""
         self._action_step(a, *self.action.forward(a))
 
+    def _held_cache(self, held: tuple | None, duty_prev: float) -> ForwardCache | None:
+        """The held critic pass, if it is still the x_prev pass: the applied
+        duty is the committed one, and the critic is the same net with the
+        same weights.  None otherwise."""
+        if held is None:
+            return None
+        duty, critic, params, cache = held
+        if duty == duty_prev and critic is self.critic and critic.params.tobytes() == params:
+            return cache
+        return None
+
     def _action_step(self, a: np.ndarray, y: np.ndarray, cache: ForwardCache) -> None:
         """action_update on the action net's forward pass (y, cache) at a,
         taken at the present weights."""
@@ -208,8 +224,7 @@ class HdpController:
         dj_dx = self.critic.grad_input(critic_cache, np.ones(1))
         # chain rule through the affine duty map and the normalization
         upstream = dj_dx[-1] * span / d_scale
-        grads = self.action.grad_weights(cache, np.array([upstream]))
-        self.action.apply_update(grads, cfg.lr_action)
+        self.action.descend(cache, np.array([upstream]), cfg.lr_action)
 
     def control_step(
         self, measurement: ControllerInput, learn: bool = True
@@ -218,7 +233,11 @@ class HdpController:
 
         With learn set, first fits the critic on the buffered transition
         that lands in this measurement, then improves the action net through
-        the critic, and only then forms the period's command.
+        the critic, and only then forms the period's command.  The critic
+        pass at the command is held for the next learning step: when that
+        step is told this duty was applied and the critic's weights have not
+        changed, the pass is its x_prev pass, bit for bit, and is not run
+        again.
         """
         cfg = self.config
         s = cfg.norm_scales
@@ -234,19 +253,26 @@ class HdpController:
                 # the stored transition lands in the present state; evaluate
                 # it with the duty the current policy would command here
                 x_hat = np.array(state + [self._duty(y) / s[4]])
-                state_prev, u_prev = self._prev
-                x_prev = np.array(state_prev + [m.duty_prev / s[4]])
-                # two single-input passes: a batch of the two would round
-                # differently in the last bits and move the run's trace
+                state_prev, u_prev, held = self._prev
+                # single-input passes: a batch would round differently in the
+                # last bits and move the run's trace
                 j_hat, _ = self.critic.forward(x_hat)
-                _, cache = self.critic.forward(x_prev)
+                cache = self._held_cache(held, m.duty_prev)
+                if cache is None:
+                    x_prev = np.array(state_prev + [m.duty_prev / s[4]])
+                    _, cache = self.critic.forward(x_prev)
                 td_update(self.critic, cache, float(j_hat[0]), u_prev, cfg.gamma,
                           cfg.lr_critic)
             self._action_step(a, y, action_cache)
         duty = self.duty_from_action(a)
         x = np.array(state + [duty / s[4]])
-        j_now, _ = self.critic.forward(x)
+        j_now, cache = self.critic.forward(x)
         j_est = float(j_now[0])
         u_now = utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i)
-        self._prev = (state, u_now)
+        # the next learning step's x_prev pass, if that step sees this duty
+        # applied and these weights
+        held = None
+        if learn and isinstance(self.critic, Mlp):
+            held = (duty, self.critic, self.critic.params.tobytes(), cache)
+        self._prev = (state, u_now, held)
         return duty, j_est

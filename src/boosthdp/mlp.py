@@ -6,8 +6,8 @@ parameters and the input, plain SGD updates, and a text snapshot format.
 Everything is double precision numpy.  Nets are small (a handful of units per
 layer); `forward` also takes a batch of inputs as rows, so that callers
 evaluating several points at the same weights pay numpy's per-call overhead
-once, and `ForwardCache.row` hands one row of such a pass to the backward
-pass.  Gradients are per sample.
+once, and `ForwardCache.row` (or `descend`'s `row`) hands one row of such a
+pass to the backward pass.  Gradients are per sample.
 
 Parameter layout: every parameter of a net lives in one contiguous vector,
 `Mlp.params`.  Layer by layer it holds the weight matrix row-major (shape
@@ -19,9 +19,12 @@ vector operation followed by one finiteness check.
 At these sizes numpy's per-call overhead costs more than the arithmetic, so
 the hot paths make as few numpy calls as they can: all weight and bias
 gradients are gathered by one elementwise product, and `grad_input` runs its
-own backward pass without them.  Every product and sum is still the one a
-per-layer implementation computes, so results are bit-identical to it
-(tests/test_mlp.py keeps such an implementation as the reference).
+own backward pass without them.  `descend` is one SGD step in a per-net
+workspace: it builds no gradient object, row cache or concatenated array,
+and `grad_weights` / `apply_update` share its backward pass and commit.
+Every product and sum is still the one a per-layer implementation computes,
+so results are bit-identical to it (tests/test_mlp.py keeps such an
+implementation as the reference).
 """
 
 from __future__ import annotations
@@ -142,10 +145,20 @@ class Mlp:
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
         self._gather_rows, self._gather_cols = _gradient_gather(self.layer_sizes)
-        self._one = np.ones(1)
         # never rebound: the views below stay valid for the net's lifetime
         self._params = np.zeros(len(self._gather_rows))
         self._w, self._b = _layer_views(self._params, self.layer_sizes)
+        # backward workspace: the gather source [deltas, activations, 1.0]
+        # with per-layer views of its delta and activation slots, and the
+        # candidate parameters of a step
+        fan_ins, fan_outs = layer_sizes[:-1], layer_sizes[1:]
+        self._src = np.empty(sum(fan_outs) + sum(fan_ins) + 1)
+        self._src[-1] = 1.0
+        bounds = np.cumsum([0, *fan_outs, *fan_ins])
+        slots = [self._src[i:j] for i, j in zip(bounds, bounds[1:])]
+        self._src_deltas, self._src_acts = slots[:len(fan_outs)], slots[len(fan_outs):]
+        self._candidate = np.empty_like(self._params)
+        self._all_finite = np.ones(self._params.shape, bool).tobytes()
         self._wT = [w.T for w in self._w]
         self._hidden = list(zip(self._wT[:-1], self._b[:-1]))
         self._sigmoid = output_activation == "sigmoid"
@@ -225,7 +238,8 @@ class Mlp:
         """Evaluate the network on one input of shape (n_inputs,), or on a
         batch of inputs as the rows of a (k, n_inputs) array; the output has
         the matching shape (n_outputs,) or (k, n_outputs).  The cache feeds
-        grad_weights / grad_input, through `ForwardCache.row` for a batch.
+        descend / grad_weights / grad_input; a batch's feeds them one row at
+        a time, through descend's `row` or `ForwardCache.row`.
 
         A 1-D input runs the same products as W.dot(a), bit for bit; a row
         of a batch (one matrix-matrix product) may differ from the 1-D pass
@@ -245,41 +259,78 @@ class Mlp:
         activations.append(a)
         return a, ForwardCache(activations)
 
-    def _check_cache(self, cache: ForwardCache) -> None:
-        if [a.shape for a in cache.activations] != self._activation_shapes:
-            raise ValueError("cache does not match this network (stale or foreign)")
-
-    def _output_delta(self, cache: ForwardCache, d_output) -> np.ndarray:
-        """d_loss/d_(output pre-activation), after checking both inputs."""
-        self._check_cache(cache)
+    def _output_delta(self, acts: list[np.ndarray], d_output) -> np.ndarray:
+        """d_loss/d_(output pre-activation) for the activations `acts` of one
+        pass."""
         delta = np.asarray(d_output, dtype=float)
         if delta.shape != self._output_shape:
             raise ValueError(f"d_output shape {delta.shape} != ({self.n_outputs},)")
         if self._sigmoid:
-            y = cache.activations[-1]
+            y = acts[-1]
             delta = delta * y * (1.0 - y)
         return delta
+
+    def _activations(self, cache: ForwardCache, row: int | None) -> list[np.ndarray]:
+        """The activations of one pass: the cache of a 1-D pass, or row `row`
+        of a batched one; raises if the cache does not fit this net."""
+        acts = cache.activations
+        if row is None:
+            shapes = [a.shape for a in acts]
+        else:
+            shapes = [a.shape[1:] for a in acts]
+        if shapes != self._activation_shapes:
+            raise ValueError("cache does not match this network (stale or foreign)")
+        return acts if row is None else [a[row] for a in acts]
+
+    def _backward(self, cache: ForwardCache, d_output, row: int | None) -> np.ndarray:
+        """Fill the workspace's gather source with every layer's delta and
+        input, and return it: src[rows] * src[cols] is the parameter
+        gradient."""
+        acts = self._activations(cache, row)
+        delta = self._output_delta(acts, d_output)
+        for slot, a in zip(self._src_acts, acts):
+            slot[...] = a
+        deltas = self._src_deltas
+        deltas[-1][...] = delta
+        for layer in range(len(self._w) - 1, 0, -1):
+            # derivative of tanh via the stored hidden activation
+            h = self._src_acts[layer]
+            delta = np.multiply(
+                self._wT[layer].dot(delta), 1.0 - h * h, out=deltas[layer - 1]
+            )
+        return self._src
+
+    def _commit(self, flat: np.ndarray, learning_rate: float) -> None:
+        """params <- params - learning_rate * flat, unless a parameter would
+        turn non-finite; then nothing is written."""
+        new = np.subtract(self._params, learning_rate * flat, out=self._candidate)
+        # compared as bytes: isfinite().all() pays for a reduction
+        if np.isfinite(new).tobytes() != self._all_finite:
+            raise NonFiniteUpdateError("update would produce non-finite parameters")
+        self._params[...] = new
+
+    def descend(
+        self, cache: ForwardCache, d_output, learning_rate: float, row: int | None = None
+    ) -> None:
+        """One gradient-descent step on the pass in `cache` (row `row` of it
+        for a batched pass): the same bits as
+        apply_update(grad_weights(cache or cache.row(row), d_output),
+        learning_rate), with no gradient object in between.  A step that
+        would write a non-finite parameter is refused and the net left
+        unchanged."""
+        src = self._backward(cache, d_output, row)
+        self._commit(src[self._gather_rows] * src[self._gather_cols], learning_rate)
 
     def grad_weights(self, cache: ForwardCache, d_output) -> MlpGradients:
         """Gradients of the scalar loss w.r.t. every weight and bias, given
         d_loss/d_output."""
-        delta = self._output_delta(cache, d_output)
-        acts = cache.activations
-        deltas = [delta]
-        for layer in range(len(self._w) - 1, 0, -1):
-            # derivative of tanh via the stored hidden activation
-            h = acts[layer]
-            delta = self._wT[layer].dot(delta) * (1.0 - h * h)
-            deltas.append(delta)
-        deltas.reverse()
-        src = np.concatenate(deltas + acts[:-1] + [self._one])
-        flat = src[self._gather_rows] * src[self._gather_cols]
-        return MlpGradients(flat, self.layer_sizes)
+        src = self._backward(cache, d_output, None)
+        return MlpGradients(src[self._gather_rows] * src[self._gather_cols], self.layer_sizes)
 
     def grad_input(self, cache: ForwardCache, d_output) -> np.ndarray:
         """Gradient of the scalar loss w.r.t. the network input."""
-        delta = self._output_delta(cache, d_output)
-        acts = cache.activations
+        acts = self._activations(cache, None)
+        delta = self._output_delta(acts, d_output)
         for layer in range(len(self._w) - 1, 0, -1):
             h = acts[layer]
             delta = self._wT[layer].dot(delta) * (1.0 - h * h)
@@ -291,10 +342,7 @@ class Mlp:
         left unchanged."""
         if grads.flat.shape != self._params.shape:
             raise ValueError("gradients do not match this network")
-        new = self._params - learning_rate * grads.flat
-        if not np.isfinite(new).all():
-            raise NonFiniteUpdateError("update would produce non-finite parameters")
-        self._params[...] = new
+        self._commit(grads.flat, learning_rate)
 
     # --- snapshot format -------------------------------------------------
     # line 1: "mlp v1"

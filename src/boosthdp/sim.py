@@ -535,7 +535,7 @@ def train_critic_on_log(
                 resid = td_error(j_prev, target, u_prev, gamma)
                 sq_sum += resid * resid
             target, u_prev = j_next, u_now
-            td_update(critic, cache.row(2), target, u_now, gamma, lr)
+            td_update(critic, cache, target, u_now, gamma, lr, row=2)
         j_last, _ = critic.forward(now[-1])
         resid = td_error(float(j_last[0]), target, u_prev, gamma)
         history.append((sq_sum + resid * resid) / n)
@@ -604,6 +604,10 @@ def clone_action(
     d_min, d_max = hdp_config.duty_limits
     span = d_max - d_min
     d_scale = hdp_config.norm_scales[4]
+    # the action inputs (N, 4) and the clipped duty targets (N,), built once
+    x_now = np.array([x for x, _, _ in log])
+    inputs = np.ascontiguousarray(x_now[:, :4])
+    targets = np.clip((x_now[:, 4] * d_scale - d_min) / span, 0.02, 0.98)
     rng = np.random.default_rng(seed)
     order = np.arange(len(log))
     mse = 0.0
@@ -611,15 +615,10 @@ def clone_action(
         lr = learning_rate / (1.0 + epoch / _LR_DECAY_EPOCHS)
         rng.shuffle(order)
         sq_sum = 0.0
-        for idx in order:
-            x_now, _, _ = log[idx]
-            a = x_now[:4]
-            duty = x_now[4] * d_scale
-            target = min(max((duty - d_min) / span, 0.02), 0.98)
+        for a, target in zip(inputs[order], targets[order].tolist()):
             y, cache = action.forward(a)
             err = float(y[0]) - target
-            grads = action.grad_weights(cache, np.array([err]))
-            action.apply_update(grads, lr)
+            action.descend(cache, np.array([err]), lr)
             sq_sum += err * err
         mse = sq_sum / len(log)
     return mse

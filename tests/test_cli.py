@@ -429,6 +429,25 @@ class TestPretrainCommand:
         ).read_bytes()
 
 
+    def test_non_finite_update_exits_2_with_one_line(self, tmp_path):
+        config = tmp_path / "huge_rate.ini"
+        config.write_text("[pretrain]\nlearning_rate = 1e200\nn_episodes = 1\nn_holds = 2\n")
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [sys.executable, "-m", "boosthdp.cli", "pretrain",
+             "--config", str(config), "--out", str(out)],
+            capture_output=True, text=True, timeout=120, env=MODULE_ENV,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        lines = proc.stderr.splitlines()
+        assert [ln for ln in lines if "failed" in ln] == [lines[-1]]
+        assert lines[-1] == (
+            "pretraining failed: update would produce non-finite parameters"
+        )
+        assert list(out.iterdir()) == []
+
+
 class TestRunCommand:
     def test_pi_run_writes_trace_and_metrics(self, tmp_path):
         rc = cli.main(["run", "startup", "PI", "--out", str(tmp_path)])

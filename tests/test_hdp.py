@@ -137,6 +137,18 @@ class TestTdUpdate:
         resid = td_update(critic, cache, target, 0.5, 0.95, 0.01)
         assert resid == td_error(float(cache.activations[-1][0]), target, 0.5, 0.95)
 
+    def test_row_of_a_batch_steps_like_its_row_cache(self):
+        critic = make_critic(seed=2)
+        twin = critic.copy()
+        xs = np.random.default_rng(2).uniform(-1.0, 1.0, (3, 5))
+        for row in range(3):
+            _, cache = critic.forward(xs)
+            _, twin_cache = twin.forward(xs)
+            resid = td_update(critic, cache, 0.3, 0.5, 0.95, 0.01, row=row)
+            twin_resid = td_update(twin, twin_cache.row(row), 0.3, 0.5, 0.95, 0.01)
+            assert resid == twin_resid
+            assert critic.params.tobytes() == twin.params.tobytes()
+
 
 class TestConfig:
     def test_defaults_valid(self):
@@ -267,3 +279,104 @@ class TestControlStep:
         assert ACTION_SIZES == [4, 5, 5, 1]
         assert make_critic().layer_sizes == CRITIC_SIZES
         assert make_action().layer_sizes == ACTION_SIZES
+
+
+class DelegatingCritic:
+    """A duck-typed critic: it passes every call to a real net but is no
+    Mlp, so the controller recomputes its x_prev pass on every step."""
+
+    def __init__(self, net):
+        self.net = net
+
+    def forward(self, x):
+        return self.net.forward(x)
+
+    def grad_input(self, cache, d_out):
+        return self.net.grad_input(cache, d_out)
+
+    def descend(self, *args, **kwargs):
+        self.net.descend(*args, **kwargs)
+
+
+def critic_net(ctl):
+    return getattr(ctl.critic, "net", ctl.critic)
+
+
+def write_params(ctl, duty):
+    critic_net(ctl).params[0] += 1e-3
+    return duty
+
+
+def perturb_duty(ctl, duty):
+    return duty + 1e-3
+
+
+def reset(ctl, duty):
+    ctl.reset_transition_buffer()
+    return duty
+
+
+def swap_critic(ctl, duty):
+    if isinstance(ctl.critic, Mlp):
+        ctl.critic = ctl.critic.copy()
+    else:
+        ctl.critic = DelegatingCritic(ctl.critic.net.copy())
+    return duty
+
+
+class TestHeldCriticPass:
+    """A learning step reuses the previous step's critic pass at the
+    committed duty as its x_prev pass, and must give the same bits as
+    recomputing it."""
+
+    STEPS = 40
+    HOOK_AT = 20
+
+    def drive(self, ctl, monkeypatch, hook=None):
+        """A closed-loop-like run feeding back each returned duty; returns
+        the (duty, j_est) pairs and the forward passes each step made."""
+        calls = []
+        forward = Mlp.forward
+
+        def counted(net, x):
+            calls.append(None)
+            return forward(net, x)
+
+        monkeypatch.setattr(Mlp, "forward", counted)
+        rng = np.random.default_rng(4)
+        duty, outputs, passes = 0.0, [], []
+        for k, (v, i) in enumerate(rng.uniform([150.0, 4.0], [250.0, 12.0], (self.STEPS, 2))):
+            if k == self.HOOK_AT and hook is not None:
+                duty = hook(ctl, duty)
+            before = len(calls)
+            duty, j_est = ctl.control_step(meas(v, i, duty_prev=duty))
+            passes.append(len(calls) - before)
+            outputs.append((duty, j_est))
+        monkeypatch.undo()
+        return np.array(outputs).tobytes(), passes
+
+    def make(self, critic_wrapper=lambda net: net):
+        cfg = HdpConfig(lr_critic=1e-2, lr_action=1e-3)
+        return HdpController(critic_wrapper(make_critic(seed=3)), make_action(seed=53), cfg)
+
+    @pytest.mark.parametrize("hook", [None, write_params, perturb_duty, reset, swap_critic])
+    def test_same_bits_as_recomputing_the_pass(self, monkeypatch, hook):
+        held = self.make()
+        recomputed = self.make(DelegatingCritic)
+        held_out, held_passes = self.drive(held, monkeypatch, hook)
+        ref_out, ref_passes = self.drive(recomputed, monkeypatch, hook)
+        assert held_out == ref_out
+        assert critic_net(held).params.tobytes() == critic_net(recomputed).params.tobytes()
+        assert held.action.params.tobytes() == recomputed.action.params.tobytes()
+        # 4 passes without a stored transition, 6 with the x_prev pass run
+        # and 5 with it reused; the duck-typed critic never reuses
+        recomputing = [4] + [6] * (self.STEPS - 1)
+        if hook is reset:
+            recomputing[self.HOOK_AT] = 4
+        assert ref_passes == recomputing
+        expected = [4] + [5] * (self.STEPS - 1)
+        if hook is reset:
+            expected[self.HOOK_AT] = 4
+        elif hook is not None:
+            expected[self.HOOK_AT] = 6
+        assert held_passes == expected

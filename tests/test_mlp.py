@@ -1,9 +1,10 @@
 """Network tests: forward algebra, finite-difference gradient oracle, SGD
-updates, the flat parameter layout and its views, a bit-level per-layer
-reference, and snapshot round-trips."""
+updates and the fused descent step, the flat parameter layout and its views,
+a bit-level per-layer reference, and snapshot round-trips."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from boosthdp.mlp import (
     ForwardCache,
@@ -279,6 +280,92 @@ class TestApplyUpdate:
         with pytest.raises(NonFiniteUpdateError):
             net.apply_update(grads, 0.01)
         assert net.dumps() == before
+
+
+def two_step_update(net, cache, d_output, learning_rate):
+    """What `descend` must equal: the gradient object, then the update."""
+    net.apply_update(net.grad_weights(cache, d_output), learning_rate)
+
+
+def same_nets(sizes, activation, seed):
+    """Two identical nets: one to descend, one to update in two steps."""
+    net = Mlp.init(sizes, activation, seed=seed)
+    net.biases = [
+        np.random.default_rng(seed).normal(0.0, 0.3, size=b.shape) for b in net.biases
+    ]
+    return net, net.copy()
+
+
+NET_SHAPES = st.tuples(
+    st.lists(st.integers(1, 6), min_size=2, max_size=4),
+    st.sampled_from(["linear", "sigmoid"]),
+    st.integers(0, 2**16),
+)
+
+
+class TestDescend:
+    @settings(max_examples=80, deadline=None)
+    @given(shape=NET_SHAPES, batch=st.integers(1, 4),
+           rates=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
+    def test_bit_identical_to_grad_weights_then_apply_update(self, shape, batch, rates):
+        sizes, activation, seed = shape
+        net, ref = same_nets(sizes, activation, seed)
+        rng = np.random.default_rng(seed + 1)
+        for lr in rates:
+            d_out = rng.normal(0.0, 1.0, size=sizes[-1])
+            x = rng.uniform(-2.0, 2.0, size=sizes[0])
+            _, cache = net.forward(x)
+            _, ref_cache = ref.forward(x)
+            net.descend(cache, d_out, lr)
+            two_step_update(ref, ref_cache, d_out, lr)
+            assert net.params.tobytes() == ref.params.tobytes()
+            xs = rng.uniform(-2.0, 2.0, size=(batch, sizes[0]))
+            for row in range(batch):
+                _, cache = net.forward(xs)
+                _, ref_cache = ref.forward(xs)
+                net.descend(cache, d_out, lr, row=row)
+                two_step_update(ref, ref_cache.row(row), d_out, lr)
+                assert net.params.tobytes() == ref.params.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=NET_SHAPES, bad=st.sampled_from(["inf output", "nan output", "inf rate"]),
+           row=st.sampled_from([None, 0, 1]))
+    def test_refused_step_leaves_net_and_workspace_clean(self, shape, bad, row):
+        sizes, activation, seed = shape
+        net, ref = same_nets(sizes, activation, seed)
+        rng = np.random.default_rng(seed + 2)
+        xs = rng.uniform(-2.0, 2.0, size=(2, sizes[0]))
+        x = xs if row is not None else xs[0]
+        d_out = np.full(sizes[-1], {"inf output": np.inf, "nan output": np.nan}.get(bad, 1.0))
+        lr = np.inf if bad == "inf rate" else 0.1
+        before = net.params.tobytes()
+        _, cache = net.forward(x)
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
+            net.descend(cache, d_out, lr, row=row)
+        assert net.params.tobytes() == before
+        # the next valid step is the reference step, not one mixed with the
+        # refused step's leftovers
+        d_out = rng.normal(0.0, 1.0, size=sizes[-1])
+        _, cache = net.forward(x)
+        _, ref_cache = ref.forward(x)
+        net.descend(cache, d_out, 0.1, row=row)
+        two_step_update(ref, ref_cache if row is None else ref_cache.row(row), d_out, 0.1)
+        assert net.params.tobytes() == ref.params.tobytes()
+
+    def test_rejects_foreign_caches_and_shapes(self):
+        net = Mlp.init([4, 5, 5, 1], "sigmoid", seed=3)
+        _, single = net.forward(np.zeros(4))
+        _, batch = net.forward(np.zeros((3, 4)))
+        _, foreign = Mlp.init([4, 3, 1], "sigmoid").forward(np.zeros(4))
+        before = net.params.tobytes()
+        for cache, row in ((single, 0), (batch, None), (foreign, None)):
+            with pytest.raises(ValueError, match="cache"):
+                net.descend(cache, [1.0], 0.1, row=row)
+        with pytest.raises(ValueError, match="d_output"):
+            net.descend(single, [1.0, 2.0], 0.1)
+        with pytest.raises(IndexError):
+            net.descend(batch, [1.0], 0.1, row=3)
+        assert net.params.tobytes() == before
 
 
 # --- per-layer reference ---------------------------------------------------
