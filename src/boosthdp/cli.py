@@ -14,7 +14,8 @@ and r_load are the nominal point the scenarios start from.
 Exit codes: 0 on success, 1 for usage, configuration, or missing or corrupt
 snapshot errors and for an output directory that cannot be created, 2 when
 a simulation diverges, an online network update would turn a parameter
-non-finite, or pretraining fails to converge.
+non-finite, or pretraining fails to converge or clones an action net no
+better than a constant.
 """
 
 from __future__ import annotations
@@ -74,6 +75,11 @@ class RunConfig:
     scenarios: tuple[str, ...]
     out_dir: str
     seed: int
+
+    def __post_init__(self) -> None:
+        # numpy's generators take no negative seed
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
 
 
 # the dataclass sections: RunConfig attribute and section name -> default
@@ -464,15 +470,15 @@ def main(argv: list[str] | None = None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         cfg, defaulted = load_config(args.config)
+        if args.out is not None:
+            cfg = replace(cfg, out_dir=args.out)
+            defaulted = [d for d in defaulted if d[:2] != ("run", "out")]
+        if args.seed is not None:
+            cfg = replace(cfg, seed=args.seed)
+            defaulted = [d for d in defaulted if d[:2] != ("run", "seed")]
     except ConfigError as exc:
         log.error("%s", exc)
         return 1
-    if args.out is not None:
-        cfg = replace(cfg, out_dir=args.out)
-        defaulted = [d for d in defaulted if d[:2] != ("run", "out")]
-    if args.seed is not None:
-        cfg = replace(cfg, seed=args.seed)
-        defaulted = [d for d in defaulted if d[:2] != ("run", "seed")]
     _echo_defaults(defaulted)
     # An update that overflows is refused by Mlp's finiteness check and ends
     # in exit 2 with one line; numpy's own warnings would only precede it.

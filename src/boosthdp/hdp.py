@@ -76,20 +76,17 @@ def td_update(
     u_now: float,
     gamma: float,
     learning_rate: float,
-    row: int | None = None,
 ) -> float:
     """One semi-gradient step of the critic toward u_now + gamma * target.
 
-    `cache` is the critic's forward pass at x_now (row `row` of it, for a
-    batched pass) and `target` is J(x_next), both at the present weights;
-    the caller runs those passes, so the step itself runs none.  The target
-    is held fixed.  Returns the residual before the step.
+    `cache` is the critic's 1-D forward pass at x_now and `target` is
+    J(x_next), both at the present weights; the caller runs those passes, so
+    the step itself runs none.  The target is held fixed.  Returns the
+    residual before the step.
     """
-    out = cache.activations[-1]
-    j_now = out[0] if row is None else out[row, 0]
-    resid = td_error(float(j_now), target, u_now, gamma)
+    resid = td_error(float(cache.activations[-1][0]), target, u_now, gamma)
     # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself
-    critic.descend(cache, np.array([resid]), learning_rate, row)
+    critic.descend(cache, np.array([resid]), learning_rate)
     return resid
 
 

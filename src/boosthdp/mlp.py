@@ -6,8 +6,7 @@ parameters and the input, plain SGD updates, and a text snapshot format.
 Everything is double precision numpy.  Nets are small (a handful of units per
 layer); `forward` also takes a batch of inputs as rows, so that callers
 evaluating several points at the same weights pay numpy's per-call overhead
-once, and `ForwardCache.row` (or `descend`'s `row`) hands one row of such a
-pass to the backward pass.  Gradients are per sample.
+once.  Gradients are per sample.
 
 Parameter layout: every parameter of a net lives in one contiguous vector,
 `Mlp.params`.  Layer by layer it holds the weight matrix row-major (shape
@@ -17,14 +16,21 @@ vector, and `MlpGradients.flat` uses the same layout, so an SGD step is one
 vector operation followed by one finiteness check.
 
 At these sizes numpy's per-call overhead costs more than the arithmetic, so
-the hot paths make as few numpy calls as they can: all weight and bias
-gradients are gathered by one elementwise product, and `grad_input` runs its
-own backward pass without them.  `descend` is one SGD step in a per-net
-workspace: it builds no gradient object, row cache or concatenated array,
-and `grad_weights` / `apply_update` share its backward pass and commit.
-Every product and sum is still the one a per-layer implementation computes,
-so results are bit-identical to it (tests/test_mlp.py keeps such an
-implementation as the reference).
+the hot paths make as few numpy calls as they can.  Each net owns one
+preallocated `PassWorkspace` per row count k: a k-row forward pass writes
+every activation into it, and the backward pass of any row reads them in
+place and gathers all weight and bias gradients with one elementwise
+product.  This is the only backward pass and commit: `descend` and
+`grad_weights` copy a 1-D cache into the one-row workspace and run it, and
+`apply_update` shares the commit.  `grad_input` runs its own backward pass
+without the weight gradients.  Every product and sum is still the one a
+per-layer implementation computes, so results are bit-identical to it
+(tests/test_mlp.py keeps such an implementation as the reference).
+
+No program path calls `grad_weights`, `apply_update` or `MlpGradients` any
+more (the offline sweeps and the online steps descend directly); they stay
+because the tests use them as the reference for `descend` and because
+perfbench/tracing.py wraps `Mlp.grad_weights` and `Mlp.apply_update` by name.
 """
 
 from __future__ import annotations
@@ -41,6 +47,7 @@ __all__ = [
     "Mlp",
     "MlpGradients",
     "ForwardCache",
+    "PassWorkspace",
     "MlpFormatError",
     "NonFiniteUpdateError",
 ]
@@ -68,26 +75,29 @@ def _layer_views(flat: np.ndarray, layer_sizes: list[int]):
     return weights, biases
 
 
-def _gradient_gather(layer_sizes: list[int]) -> tuple[np.ndarray, np.ndarray]:
+def _gradient_gather(layer_sizes: list[int], k: int = 1, row: int = 0):
     """Index vectors (rows, cols) such that src[rows] * src[cols] is the
-    parameter gradient in the flat layout, for
-    src = [delta_0, ..., delta_{L-1}, a_0, ..., a_{L-1}, 1.0]
-    (delta_l: d_loss/d_pre-activation of layer l, a_l: its input).  A weight's
-    gradient is delta_i * a_j, a bias's is delta_i * 1.0 - exactly the
-    products an outer-product backward pass computes."""
+    parameter gradient in the flat layout, for the workspace layout
+    src = [delta_0, ..., delta_{L-1}, a_0, ..., a_L, 1.0]
+    with each a_l (the input of layer l; a_L the output) held for k rows,
+    and the activations read from row `row` (delta_l: d_loss/d_pre-activation
+    of layer l).  A weight's gradient is delta_i * a_j, a bias's is
+    delta_i * 1.0 - exactly the products an outer-product backward pass
+    computes.  `rows` does not depend on k or row."""
     fan_ins, fan_outs = layer_sizes[:-1], layer_sizes[1:]
-    one_at = sum(fan_outs) + sum(fan_ins)
+    one_at = sum(fan_outs) + k * sum(layer_sizes)
     rows: list[int] = []
     cols: list[int] = []
     delta_at, act_at = 0, sum(fan_outs)
     for fan_in, fan_out in zip(fan_ins, fan_outs):
+        row_at = act_at + row * fan_in
         for i in range(fan_out):  # weights, row-major
             rows += [delta_at + i] * fan_in
-            cols += range(act_at, act_at + fan_in)
+            cols += range(row_at, row_at + fan_in)
         rows += range(delta_at, delta_at + fan_out)  # biases
         cols += [one_at] * fan_out
         delta_at += fan_out
-        act_at += fan_in
+        act_at += k * fan_in
     return np.array(rows), np.array(cols)
 
 
@@ -96,11 +106,6 @@ class ForwardCache:
     """Intermediate values of one forward pass, consumed by the backward pass."""
 
     activations: list[np.ndarray]   # a_0 = input, ..., a_L = output
-
-    def row(self, i: int) -> "ForwardCache":
-        """The cache of row i of a batched pass, as views of this one; it
-        feeds grad_weights / grad_input like the cache of a 1-D pass."""
-        return ForwardCache([a[i] for a in self.activations])
 
 
 class MlpGradients:
@@ -144,26 +149,20 @@ class Mlp:
             raise ValueError(f"output_activation must be one of {_ACTIVATIONS}")
         self.layer_sizes = list(layer_sizes)
         self.output_activation = output_activation
-        self._gather_rows, self._gather_cols = _gradient_gather(self.layer_sizes)
+        n_params = sum(n_out * (n_in + 1) for n_in, n_out in zip(layer_sizes, layer_sizes[1:]))
         # never rebound: the views below stay valid for the net's lifetime
-        self._params = np.zeros(len(self._gather_rows))
+        self._params = np.zeros(n_params)
         self._w, self._b = _layer_views(self._params, self.layer_sizes)
-        # backward workspace: the gather source [deltas, activations, 1.0]
-        # with per-layer views of its delta and activation slots, and the
-        # candidate parameters of a step
-        fan_ins, fan_outs = layer_sizes[:-1], layer_sizes[1:]
-        self._src = np.empty(sum(fan_outs) + sum(fan_ins) + 1)
-        self._src[-1] = 1.0
-        bounds = np.cumsum([0, *fan_outs, *fan_ins])
-        slots = [self._src[i:j] for i, j in zip(bounds, bounds[1:])]
-        self._src_deltas, self._src_acts = slots[:len(fan_outs)], slots[len(fan_outs):]
+        # the candidate parameters of a step and its finiteness mask
         self._candidate = np.empty_like(self._params)
+        self._finite = np.empty(self._params.shape, bool)
         self._all_finite = np.ones(self._params.shape, bool).tobytes()
         self._wT = [w.T for w in self._w]
         self._hidden = list(zip(self._wT[:-1], self._b[:-1]))
         self._sigmoid = output_activation == "sigmoid"
         self._output_shape = (layer_sizes[-1],)
         self._activation_shapes = [(n,) for n in layer_sizes]
+        self._workspaces: dict[int, PassWorkspace] = {}
         self.weights = weights
         self.biases = biases
 
@@ -237,9 +236,8 @@ class Mlp:
     def forward(self, x) -> tuple[np.ndarray, ForwardCache]:
         """Evaluate the network on one input of shape (n_inputs,), or on a
         batch of inputs as the rows of a (k, n_inputs) array; the output has
-        the matching shape (n_outputs,) or (k, n_outputs).  The cache feeds
-        descend / grad_weights / grad_input; a batch's feeds them one row at
-        a time, through descend's `row` or `ForwardCache.row`.
+        the matching shape (n_outputs,) or (k, n_outputs).  The cache of a
+        1-D pass feeds descend / grad_weights / grad_input.
 
         A 1-D input runs the same products as W.dot(a), bit for bit; a row
         of a batch (one matrix-matrix product) may differ from the 1-D pass
@@ -259,78 +257,67 @@ class Mlp:
         activations.append(a)
         return a, ForwardCache(activations)
 
-    def _output_delta(self, acts: list[np.ndarray], d_output) -> np.ndarray:
-        """d_loss/d_(output pre-activation) for the activations `acts` of one
-        pass."""
+    def workspace(self, k: int = 1) -> "PassWorkspace":
+        """The net's preallocated workspace for k-row passes, made on first
+        use and kept for the net's lifetime."""
+        ws = self._workspaces.get(k)
+        if ws is None:
+            ws = self._workspaces[k] = PassWorkspace(self, k)
+        return ws
+
+    def _checked_d_output(self, d_output) -> np.ndarray:
         delta = np.asarray(d_output, dtype=float)
         if delta.shape != self._output_shape:
             raise ValueError(f"d_output shape {delta.shape} != ({self.n_outputs},)")
-        if self._sigmoid:
-            y = acts[-1]
-            delta = delta * y * (1.0 - y)
         return delta
 
-    def _activations(self, cache: ForwardCache, row: int | None) -> list[np.ndarray]:
-        """The activations of one pass: the cache of a 1-D pass, or row `row`
-        of a batched one; raises if the cache does not fit this net."""
+    def _activations(self, cache: ForwardCache) -> list[np.ndarray]:
+        """The activations of a 1-D pass; raises if the cache does not fit
+        this net."""
         acts = cache.activations
-        if row is None:
-            shapes = [a.shape for a in acts]
-        else:
-            shapes = [a.shape[1:] for a in acts]
-        if shapes != self._activation_shapes:
+        if [a.shape for a in acts] != self._activation_shapes:
             raise ValueError("cache does not match this network (stale or foreign)")
-        return acts if row is None else [a[row] for a in acts]
+        return acts
 
-    def _backward(self, cache: ForwardCache, d_output, row: int | None) -> np.ndarray:
-        """Fill the workspace's gather source with every layer's delta and
-        input, and return it: src[rows] * src[cols] is the parameter
-        gradient."""
-        acts = self._activations(cache, row)
-        delta = self._output_delta(acts, d_output)
-        for slot, a in zip(self._src_acts, acts):
-            slot[...] = a
-        deltas = self._src_deltas
-        deltas[-1][...] = delta
-        for layer in range(len(self._w) - 1, 0, -1):
-            # derivative of tanh via the stored hidden activation
-            h = self._src_acts[layer]
-            delta = np.multiply(
-                self._wT[layer].dot(delta), 1.0 - h * h, out=deltas[layer - 1]
-            )
-        return self._src
+    def _loaded(self, cache: ForwardCache, d_output) -> tuple["PassWorkspace", np.ndarray]:
+        """The one-row workspace holding the pass in `cache`, and the checked
+        d_output."""
+        acts = self._activations(cache)
+        delta = self._checked_d_output(d_output)
+        ws = self.workspace(1)
+        ws._load(acts)
+        return ws, delta
 
-    def _commit(self, flat: np.ndarray, learning_rate: float) -> None:
-        """params <- params - learning_rate * flat, unless a parameter would
-        turn non-finite; then nothing is written."""
-        new = np.subtract(self._params, learning_rate * flat, out=self._candidate)
+    def _commit(self, step: np.ndarray) -> None:
+        """params <- params - step, unless a parameter would turn
+        non-finite; then nothing is written."""
+        new = np.subtract(self._params, step, self._candidate)
         # compared as bytes: isfinite().all() pays for a reduction
-        if np.isfinite(new).tobytes() != self._all_finite:
+        if np.isfinite(new, self._finite).tobytes() != self._all_finite:
             raise NonFiniteUpdateError("update would produce non-finite parameters")
         self._params[...] = new
 
-    def descend(
-        self, cache: ForwardCache, d_output, learning_rate: float, row: int | None = None
-    ) -> None:
-        """One gradient-descent step on the pass in `cache` (row `row` of it
-        for a batched pass): the same bits as
-        apply_update(grad_weights(cache or cache.row(row), d_output),
-        learning_rate), with no gradient object in between.  A step that
-        would write a non-finite parameter is refused and the net left
-        unchanged."""
-        src = self._backward(cache, d_output, row)
-        self._commit(src[self._gather_rows] * src[self._gather_cols], learning_rate)
+    def descend(self, cache: ForwardCache, d_output, learning_rate: float) -> None:
+        """One gradient-descent step on the 1-D pass in `cache`: the same
+        bits as apply_update(grad_weights(cache, d_output), learning_rate),
+        with no gradient object in between.  A step that would write a
+        non-finite parameter is refused and the net left unchanged."""
+        ws, delta = self._loaded(cache, d_output)
+        ws.descend(0, delta, learning_rate)
 
     def grad_weights(self, cache: ForwardCache, d_output) -> MlpGradients:
         """Gradients of the scalar loss w.r.t. every weight and bias, given
         d_loss/d_output."""
-        src = self._backward(cache, d_output, None)
-        return MlpGradients(src[self._gather_rows] * src[self._gather_cols], self.layer_sizes)
+        ws, delta = self._loaded(cache, d_output)
+        return MlpGradients(ws.gradient(0, delta), self.layer_sizes)
 
     def grad_input(self, cache: ForwardCache, d_output) -> np.ndarray:
         """Gradient of the scalar loss w.r.t. the network input."""
-        acts = self._activations(cache, None)
-        delta = self._output_delta(acts, d_output)
+        acts = self._activations(cache)
+        delta = self._checked_d_output(d_output)
+        if self._sigmoid:
+            y = acts[-1]
+            delta = delta * y * (1.0 - y)
         for layer in range(len(self._w) - 1, 0, -1):
             h = acts[layer]
             delta = self._wT[layer].dot(delta) * (1.0 - h * h)
@@ -342,7 +329,7 @@ class Mlp:
         left unchanged."""
         if grads.flat.shape != self._params.shape:
             raise ValueError("gradients do not match this network")
-        self._commit(grads.flat, learning_rate)
+        self._commit(learning_rate * grads.flat)
 
     # --- snapshot format -------------------------------------------------
     # line 1: "mlp v1"
@@ -417,3 +404,151 @@ class Mlp:
             params.extend(vals)
         weights, biases = _layer_views(np.array(params), sizes)
         return cls(sizes, weights, biases, tags[1])
+
+
+class PassWorkspace:
+    """Preallocated buffers for k-row forward passes of one net and for SGD
+    steps on one row of them; get it from `Mlp.workspace(k)`.
+
+    Write the inputs into `inputs` (a (k, n_inputs) view), call `forward`,
+    read `outputs` (a (k, n_outputs) view), then `descend` on any row.  The
+    buffer is laid out as the gradient gather source, [deltas, a_0 for k
+    rows, ..., a_L for k rows, 1.0], so the backward pass and the commit read
+    a row's activations in place, through gather indices fixed per row.
+    Nothing is allocated or shape-checked per pass but the gradient.  The
+    forward pass makes the products and sums of `Mlp.forward` on a
+    (k, n_inputs) batch, writing into the buffer, so its outputs are the
+    same bits.
+    """
+
+    def __init__(self, net: Mlp, k: int):
+        if k < 1:
+            raise ValueError(f"need k >= 1 rows, got {k}")
+        sizes = net.layer_sizes
+        fan_outs = sizes[1:]
+        src = np.empty(sum(fan_outs) + k * sum(sizes) + 1)
+        src[-1] = 1.0
+        bounds = np.cumsum([0, *fan_outs, *(k * n for n in sizes)])
+        slots = [src[i:j] for i, j in zip(bounds, bounds[1:])]
+        deltas = slots[:len(fan_outs)]
+        acts = [slot.reshape(k, n) for slot, n in zip(slots[len(fan_outs):], sizes)]
+        self._net = net
+        self._src = src
+        # row 0 of every activation the backward pass reads: the layer
+        # inputs, and the output of a sigmoid net
+        self._row0 = [a[0] for a in (acts if net._sigmoid else acts[:-1])]
+        self._inputs, self._outputs = acts[0], acts[-1]
+        self._sigmoid = net._sigmoid
+        self._one_output = fan_outs[-1] == 1
+        # Each layer's bias for k rows.  An add that broadcasts a bias over
+        # the rows costs three times a plain one, so a k-row pass first
+        # gathers every bias k times from the parameters.
+        if k == 1:
+            self._bias_rows = None
+            biases = [b.reshape(1, -1) for b in net._b]
+        else:
+            index: list[int] = []
+            at = 0
+            for fan_in, fan_out in zip(sizes, fan_outs):
+                at += fan_out * fan_in
+                index += [*range(at, at + fan_out)] * k
+                at += fan_out
+            tiled = np.empty(len(index))
+            self._bias_rows = (np.array(index), tiled)
+            parts = np.split(tiled, np.cumsum([k * n for n in fan_outs])[:-1])
+            biases = [part.reshape(k, -1) for part in parts]
+        layers = list(zip(net._wT, biases, acts[1:]))
+        self._hidden, self._output = layers[:-1], layers[-1]
+        # the output layer runs through two scratch buffers, not in place:
+        # numpy's in-place ufuncs are slow on one-element arrays
+        self._z = np.empty((2, k, fan_outs[-1]))
+        self._ones_out = np.ones((k, fan_outs[-1]))
+        self._d_out = deltas[-1]
+        # per row, from the last hidden layer down: W^T, the row's hidden
+        # activation, the delta slot it feeds, and scratch and ones vectors
+        back = [
+            (net._wT[layer], layer, deltas[layer - 1], np.empty(sizes[layer]),
+             np.ones(sizes[layer]))
+            for layer in range(len(fan_outs) - 1, 0, -1)
+        ]
+        self._hidden_back = [
+            [(wT, acts[layer][r], delta, scratch, ones)
+             for wT, layer, delta, scratch, ones in back]
+            for r in range(k)
+        ]
+        self._gather_rows = _gradient_gather(sizes)[0]
+        self._gather_cols = [_gradient_gather(sizes, k, r)[1] for r in range(k)]
+        self._rate = np.zeros(())
+
+    @property
+    def inputs(self) -> np.ndarray:
+        """The (k, n_inputs) rows the next `forward` reads; write into it."""
+        return self._inputs
+
+    @property
+    def outputs(self) -> np.ndarray:
+        """The (k, n_outputs) result of the last `forward`."""
+        return self._outputs
+
+    def forward(self) -> np.ndarray:
+        """Evaluate the net on the k rows of `inputs`; returns `outputs`."""
+        if self._bias_rows is not None:
+            index, tiled = self._bias_rows
+            self._net._params.take(index, None, tiled, "wrap")
+        a = self._inputs
+        for wT, b, h in self._hidden:
+            a.dot(wT, out=h)
+            np.add(h, b, h)
+            np.tanh(h, h)
+            a = h
+        wT, b, out = self._output
+        z, z2 = self._z
+        if self._sigmoid:
+            ones = self._ones_out
+            a.dot(wT, out=z)
+            np.add(z, b, z2)
+            np.negative(z2, z)
+            np.exp(z, z2)
+            np.add(ones, z2, z)
+            np.divide(ones, z, out)
+        else:
+            a.dot(wT, out=z)
+            np.add(z, b, out)
+        return out
+
+    def _load(self, acts: list[np.ndarray]) -> None:
+        """Copy the activations of one 1-D pass that the backward pass reads
+        into row 0."""
+        for slot, a in zip(self._row0, acts):
+            slot[...] = a
+
+    def gradient(self, row: int, d_output) -> np.ndarray:
+        """The parameter gradient of row `row` of the last pass, given
+        d_loss/d_output (a float, or shaped (n_outputs,)), as a new array."""
+        delta = self._d_out
+        if self._sigmoid:
+            # one output is read as a float: three float operations, the
+            # same IEEE ones as three ufunc calls on arrays
+            y = self._outputs.item(row) if self._one_output else self._outputs[row]
+            delta[...] = d_output * y * (1.0 - y)
+        else:
+            delta[...] = d_output
+        for wT, h, out, back, ones in self._hidden_back[row]:
+            # W^T delta times the derivative of tanh, 1 - h*h, from the
+            # stored hidden activation
+            wT.dot(delta, out=back)
+            np.subtract(ones, np.multiply(h, h, out), out)
+            delta = np.multiply(back, out, out)
+        src = self._src
+        grad = src[self._gather_rows]
+        return np.multiply(grad, src[self._gather_cols[row]], grad)
+
+    def descend(self, row: int, d_output, learning_rate: float) -> None:
+        """One gradient-descent step on row `row` of the last pass.  A step
+        that would write a non-finite parameter is refused and the net left
+        unchanged; the workspace's pass stays as it was."""
+        grad = self.gradient(row, d_output)
+        # a float operand costs a conversion per call; a 0-d array does not
+        rate = self._rate
+        rate[()] = learning_rate
+        self._net._commit(np.multiply(grad, rate, grad))

@@ -7,7 +7,11 @@ Each scenario regulates V_SET around a nominal source and load, with at
 most one step of either.
 Also hosts the offline pipeline that prepares the neuro-controller:
 excitation-log generation under a teacher law, temporal-difference
-pretraining of the critic, and behavior cloning of the action net.
+pretraining of the critic, and behavior cloning of the action net.  Both
+offline sweeps run each sample's forward pass and descent step in the net's
+preallocated `mlp.PassWorkspace`, so their per-sample loops make only the
+numpy calls of the arithmetic; the results are the bits of the same loops
+written with `Mlp.forward`, `hdp.td_update` and `Mlp.descend`.
 """
 
 from __future__ import annotations
@@ -21,7 +25,8 @@ import numpy as np
 
 from .atomic import atomic_write
 from .baseline import PiController
-from .hdp import ControllerInput, HdpConfig, make_critic, td_error, td_update, utility
+from .hdp import ControllerInput, HdpConfig, make_critic, td_error, utility
+from .hdp import td_update  # noqa: F401  (perfbench/tracing.py wraps sim.td_update)
 from .mlp import Mlp
 from .plant import PlantParams, PlantState, step, steady_state_hint
 
@@ -75,7 +80,8 @@ class SimulationDiverged(RuntimeError):
 
 
 class PretrainingError(RuntimeError):
-    """Raised when critic pretraining fails to make progress."""
+    """Raised when critic pretraining fails to make progress or the cloned
+    action net fits no better than a constant."""
 
 
 @dataclass(frozen=True)
@@ -504,7 +510,8 @@ def train_critic_on_log(
     residual right after its update), this sample's x_next (the target) and
     this sample's x_now (the value the step differentiates).  One pass per
     sample instead of three; batched rows may differ from single-input
-    passes in the last bits.
+    passes in the last bits.  The pass and td_update's step on its third row
+    run in the critic's 3-row workspace.
     """
     log = list(log)
     if not log:
@@ -517,6 +524,9 @@ def train_critic_on_log(
     n = len(u)
     history: list[float] = [_mean_squared_residual(critic, x_now, x_next, u, gamma)]
     order = np.arange(n)
+    # the step's 3-row pass runs in the critic's preallocated workspace
+    ws = critic.workspace(3)
+    inputs, values = ws.inputs, ws.outputs.reshape(-1)
     for epoch in range(max_epochs):
         lr = cfg.lr_critic
         if lr_decay_epochs > 0.0:
@@ -529,13 +539,15 @@ def train_critic_on_log(
         sq_sum = 0.0
         target = u_prev = 0.0  # the previous sample's; read from step 1 on
         for k, (batch, u_now) in enumerate(zip(rows, u[order].tolist())):
-            out, cache = critic.forward(batch)
-            j_prev, j_next, _ = out[:, 0].tolist()
+            inputs[...] = batch
+            ws.forward()
+            j_prev, j_next, j_now = values.tolist()
             if k:
                 resid = td_error(j_prev, target, u_prev, gamma)
                 sq_sum += resid * resid
             target, u_prev = j_next, u_now
-            td_update(critic, cache, target, u_now, gamma, lr, row=2)
+            # td_update's step on row 2: d(0.5*resid^2)/d(output) is resid
+            ws.descend(2, td_error(j_now, target, u_now, gamma), lr)
         j_last, _ = critic.forward(now[-1])
         resid = td_error(float(j_last[0]), target, u_prev, gamma)
         history.append((sq_sum + resid * resid) / n)
@@ -589,7 +601,10 @@ def clone_action(
 
     Regression of the sigmoid output against the logged duty mapped into the
     duty window, clipped away from the rails so the target stays reachable.
-    Returns the final epoch's mean squared output error.
+    Returns the final epoch's mean squared output error.  Raises
+    PretrainingError if that error is not below the variance of the
+    targets, the error of the best constant output: such a fit (a
+    saturated sigmoid, say) has learned nothing of the teacher.
 
     The epoch budget is fidelity-driven: the cloned net's duty error maps
     through the closed loop into a standing voltage offset of roughly
@@ -610,15 +625,24 @@ def clone_action(
     targets = np.clip((x_now[:, 4] * d_scale - d_min) / span, 0.02, 0.98)
     rng = np.random.default_rng(seed)
     order = np.arange(len(log))
+    ws = action.workspace(1)
+    x, y = ws.inputs, ws.outputs
     mse = 0.0
     for epoch in range(epochs):
         lr = learning_rate / (1.0 + epoch / _LR_DECAY_EPOCHS)
         rng.shuffle(order)
         sq_sum = 0.0
         for a, target in zip(inputs[order], targets[order].tolist()):
-            y, cache = action.forward(a)
-            err = float(y[0]) - target
-            action.descend(cache, np.array([err]), lr)
+            x[...] = a
+            ws.forward()
+            err = y.item() - target
+            ws.descend(0, err, lr)
             sq_sum += err * err
         mse = sq_sum / len(log)
+    variance = float(np.var(targets))
+    if not mse < variance:
+        raise PretrainingError(
+            f"behavior cloning failed: final mse {mse:.3g} is not below the "
+            f"variance of its targets {variance:.3g}"
+        )
     return mse

@@ -192,7 +192,7 @@ class TestConfigParsing:
                     data.draw(st.lists(st.sampled_from(SCENARIO_NAMES), min_size=1))
                 ),
                 "out": data.draw(st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)),
-                "seed": data.draw(st.integers(min_value=-(2**63), max_value=2**63)),
+                "seed": data.draw(st.integers(min_value=0, max_value=2**63)),
             },
         }
         # every schema key gets a drawn value
@@ -446,6 +446,40 @@ class TestPretrainCommand:
             "pretraining failed: update would produce non-finite parameters"
         )
         assert list(out.iterdir()) == []
+
+
+    def test_clone_no_better_than_a_constant_exits_2_with_one_line(
+        self, tmp_path, caplog
+    ):
+        config = tmp_path / "huge_clone_rate.ini"
+        config.write_text(
+            "[pretrain]\nclone_learning_rate = 1e200\nn_episodes = 1\n"
+            "n_holds = 2\nmax_epochs = 2\n"
+        )
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["pretrain", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert len(errors) == 1
+        assert errors[0].startswith("pretraining failed: behavior cloning failed")
+        assert list(out.iterdir()) == []
+
+    @pytest.mark.parametrize("where", ["flag", "config"])
+    def test_negative_seed_exits_1_with_one_line(self, tmp_path, caplog, where):
+        argv = ["pretrain", "--out", str(tmp_path / "out")]
+        if where == "flag":
+            argv += ["--seed", "-1"]
+        else:
+            config = tmp_path / "seed.ini"
+            config.write_text("[run]\nseed = -1\n")
+            argv += ["--config", str(config)]
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(argv)
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["seed must be >= 0"]
+        assert not (tmp_path / "out").exists()
 
 
 class TestRunCommand:

@@ -137,18 +137,6 @@ class TestTdUpdate:
         resid = td_update(critic, cache, target, 0.5, 0.95, 0.01)
         assert resid == td_error(float(cache.activations[-1][0]), target, 0.5, 0.95)
 
-    def test_row_of_a_batch_steps_like_its_row_cache(self):
-        critic = make_critic(seed=2)
-        twin = critic.copy()
-        xs = np.random.default_rng(2).uniform(-1.0, 1.0, (3, 5))
-        for row in range(3):
-            _, cache = critic.forward(xs)
-            _, twin_cache = twin.forward(xs)
-            resid = td_update(critic, cache, 0.3, 0.5, 0.95, 0.01, row=row)
-            twin_resid = td_update(twin, twin_cache.row(row), 0.3, 0.5, 0.95, 0.01)
-            assert resid == twin_resid
-            assert critic.params.tobytes() == twin.params.tobytes()
-
 
 class TestConfig:
     def test_defaults_valid(self):

@@ -140,26 +140,6 @@ class TestForward:
         print(f"largest batched-vs-single deviation {worst:.2e}")
         assert worst <= 1e-15
 
-    def test_row_cache_feeds_backward_like_a_1d_cache(self):
-        net = Mlp.init([4, 5, 5, 1], "sigmoid", seed=3)
-        xs = np.random.default_rng(3).uniform(-1.0, 1.0, (3, 4))
-        _, cache = net.forward(xs)
-        for k in range(3):
-            row = cache.row(k)
-            for view, full in zip(row.activations, cache.activations):
-                assert view.ndim == 1 and np.shares_memory(view, full)
-            copied = ForwardCache([a.copy() for a in row.activations])
-            for d_out in ([1.0], [-0.3]):
-                assert np.array_equal(
-                    net.grad_weights(row, d_out).flat, net.grad_weights(copied, d_out).flat
-                )
-                assert np.array_equal(
-                    net.grad_input(row, d_out), net.grad_input(copied, d_out)
-                )
-        # the batch itself is not a 1-D cache
-        with pytest.raises(ValueError, match="cache"):
-            net.grad_weights(cache, [1.0])
-
     def test_sigmoid_output_bounded(self):
         net = Mlp.init([2, 5, 1], "sigmoid", seed=9)
         rng = np.random.default_rng(1)
@@ -287,6 +267,11 @@ def two_step_update(net, cache, d_output, learning_rate):
     net.apply_update(net.grad_weights(cache, d_output), learning_rate)
 
 
+def row_cache(cache, row):
+    """The 1-D cache of row `row` of a batched pass."""
+    return ForwardCache([a[row] for a in cache.activations])
+
+
 def same_nets(sizes, activation, seed):
     """Two identical nets: one to descend, one to update in two steps."""
     net = Mlp.init(sizes, activation, seed=seed)
@@ -319,37 +304,36 @@ class TestDescend:
             net.descend(cache, d_out, lr)
             two_step_update(ref, ref_cache, d_out, lr)
             assert net.params.tobytes() == ref.params.tobytes()
+            # the 1-D cache of a batched pass's row
             xs = rng.uniform(-2.0, 2.0, size=(batch, sizes[0]))
             for row in range(batch):
                 _, cache = net.forward(xs)
                 _, ref_cache = ref.forward(xs)
-                net.descend(cache, d_out, lr, row=row)
-                two_step_update(ref, ref_cache.row(row), d_out, lr)
+                net.descend(row_cache(cache, row), d_out, lr)
+                two_step_update(ref, row_cache(ref_cache, row), d_out, lr)
                 assert net.params.tobytes() == ref.params.tobytes()
 
     @settings(max_examples=60, deadline=None)
-    @given(shape=NET_SHAPES, bad=st.sampled_from(["inf output", "nan output", "inf rate"]),
-           row=st.sampled_from([None, 0, 1]))
-    def test_refused_step_leaves_net_and_workspace_clean(self, shape, bad, row):
+    @given(shape=NET_SHAPES, bad=st.sampled_from(["inf output", "nan output", "inf rate"]))
+    def test_refused_step_leaves_net_and_workspace_clean(self, shape, bad):
         sizes, activation, seed = shape
         net, ref = same_nets(sizes, activation, seed)
         rng = np.random.default_rng(seed + 2)
-        xs = rng.uniform(-2.0, 2.0, size=(2, sizes[0]))
-        x = xs if row is not None else xs[0]
+        x = rng.uniform(-2.0, 2.0, size=sizes[0])
         d_out = np.full(sizes[-1], {"inf output": np.inf, "nan output": np.nan}.get(bad, 1.0))
         lr = np.inf if bad == "inf rate" else 0.1
         before = net.params.tobytes()
         _, cache = net.forward(x)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
-            net.descend(cache, d_out, lr, row=row)
+            net.descend(cache, d_out, lr)
         assert net.params.tobytes() == before
         # the next valid step is the reference step, not one mixed with the
         # refused step's leftovers
         d_out = rng.normal(0.0, 1.0, size=sizes[-1])
         _, cache = net.forward(x)
         _, ref_cache = ref.forward(x)
-        net.descend(cache, d_out, 0.1, row=row)
-        two_step_update(ref, ref_cache if row is None else ref_cache.row(row), d_out, 0.1)
+        net.descend(cache, d_out, 0.1)
+        two_step_update(ref, ref_cache, d_out, 0.1)
         assert net.params.tobytes() == ref.params.tobytes()
 
     def test_rejects_foreign_caches_and_shapes(self):
@@ -358,14 +342,96 @@ class TestDescend:
         _, batch = net.forward(np.zeros((3, 4)))
         _, foreign = Mlp.init([4, 3, 1], "sigmoid").forward(np.zeros(4))
         before = net.params.tobytes()
-        for cache, row in ((single, 0), (batch, None), (foreign, None)):
+        for cache in (batch, foreign):
             with pytest.raises(ValueError, match="cache"):
-                net.descend(cache, [1.0], 0.1, row=row)
+                net.descend(cache, [1.0], 0.1)
+            with pytest.raises(ValueError, match="cache"):
+                net.grad_weights(cache, [1.0])
         with pytest.raises(ValueError, match="d_output"):
             net.descend(single, [1.0, 2.0], 0.1)
-        with pytest.raises(IndexError):
-            net.descend(batch, [1.0], 0.1, row=3)
         assert net.params.tobytes() == before
+
+
+WORKSPACE_NETS = st.tuples(
+    st.sampled_from([[5, 5, 5, 1], [4, 5, 5, 1]]),
+    st.sampled_from(["linear", "sigmoid"]),
+    st.integers(0, 2**16),
+)
+
+
+class TestPassWorkspace:
+    """A workspace step is the forward pass of a batch and a descent step on
+    one row's 1-D cache, bit for bit."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=WORKSPACE_NETS, k=st.sampled_from([1, 3]),
+           rates=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
+    def test_step_matches_forward_then_descend_on_the_row(self, shape, k, rates):
+        sizes, activation, seed = shape
+        net, ref = same_nets(sizes, activation, seed)
+        ws = net.workspace(k)
+        rng = np.random.default_rng(seed + 3)
+        for lr in rates:
+            for row in range(k):
+                xs = rng.uniform(-2.0, 2.0, size=(k, sizes[0]))
+                d_out = float(rng.normal(0.0, 1.0))
+                ws.inputs[...] = xs
+                out = ws.forward()
+                ref_out, ref_cache = ref.forward(xs)
+                assert out.tobytes() == ref_out.tobytes()
+                assert ws.gradient(row, d_out).tobytes() == ref.grad_weights(
+                    row_cache(ref_cache, row), [d_out]).flat.tobytes()
+                ws.descend(row, d_out, lr)
+                ref.descend(row_cache(ref_cache, row), [d_out], lr)
+                assert net.params.tobytes() == ref.params.tobytes()
+
+    @settings(max_examples=60, deadline=None)
+    @given(shape=WORKSPACE_NETS, k=st.sampled_from([1, 3]),
+           bad=st.sampled_from(["inf output", "nan output", "inf rate"]))
+    def test_refused_step_leaves_net_and_workspace_clean(self, shape, k, bad):
+        sizes, activation, seed = shape
+        net, ref = same_nets(sizes, activation, seed)
+        ws = net.workspace(k)
+        rng = np.random.default_rng(seed + 4)
+        xs = rng.uniform(-2.0, 2.0, size=(k, sizes[0]))
+        d_out = {"inf output": np.inf, "nan output": np.nan}.get(bad, 1.0)
+        lr = np.inf if bad == "inf rate" else 0.1
+        before = net.params.tobytes()
+        ws.inputs[...] = xs
+        ws.forward()
+        pass_before = (ws.inputs.tobytes(), ws.outputs.tobytes())
+        for row in range(k):
+            with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
+                ws.descend(row, d_out, lr)
+            assert net.params.tobytes() == before
+            assert (ws.inputs.tobytes(), ws.outputs.tobytes()) == pass_before
+        # a valid step on the same pass is the reference step
+        _, ref_cache = ref.forward(xs)
+        ws.descend(k - 1, 0.5, 0.1)
+        ref.descend(row_cache(ref_cache, k - 1), [0.5], 0.1)
+        assert net.params.tobytes() == ref.params.tobytes()
+
+    def test_sees_every_parameter_write(self):
+        # the pass reads the weights and biases afresh; a k-row pass gathers
+        # its biases from the parameters each time
+        for k in (1, 3):
+            net = Mlp.init([5, 5, 5, 1], "linear", seed=7)
+            ws = net.workspace(k)
+            xs = np.random.default_rng(7).uniform(-1.0, 1.0, (k, 5))
+            ws.inputs[...] = xs
+            ws.forward()
+            net.params[...] += 0.125
+            assert ws.forward().tobytes() == net.forward(xs)[0].tobytes()
+
+    def test_one_workspace_per_net_and_row_count(self):
+        net = Mlp.init([4, 5, 5, 1], "sigmoid", seed=1)
+        ws = net.workspace(3)
+        assert net.workspace(3) is ws
+        assert net.workspace(1) is not ws
+        assert ws.inputs.shape == (3, 4) and ws.outputs.shape == (3, 1)
+        assert net.copy().workspace(3) is not ws
+        with pytest.raises(ValueError, match="k >= 1"):
+            net.workspace(0)
 
 
 # --- per-layer reference ---------------------------------------------------

@@ -8,8 +8,15 @@ import pytest
 
 from boosthdp import sim
 from boosthdp.baseline import PiController
-from boosthdp.hdp import HdpConfig, HdpController, make_action, make_critic
-from boosthdp.mlp import NonFiniteUpdateError
+from boosthdp.hdp import (
+    HdpConfig,
+    HdpController,
+    make_action,
+    make_critic,
+    td_error,
+    td_update,
+)
+from boosthdp.mlp import ForwardCache, NonFiniteUpdateError
 from boosthdp.plant import PlantParams, PlantState
 from boosthdp.sim import (
     Metrics,
@@ -554,6 +561,105 @@ class TestPretrainAndClone:
     def test_clone_empty_log_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             clone_action(make_action(seed=0), [], self.cfg)
+
+    def test_clone_no_better_than_a_constant_raises(self):
+        # a huge rate saturates the sigmoid; the fit is then worse than
+        # predicting the mean target
+        law = make_reference_law(self.params, hdp_config=self.cfg)
+        log = generate_excitation_log(law, self.params, self.cfg,
+                                      n_episodes=1, n_holds=2)
+        with np.errstate(over="ignore"), pytest.raises(
+            PretrainingError, match="not below the variance of its targets"
+        ):
+            clone_action(make_action(seed=0), log, self.cfg, epochs=2,
+                         learning_rate=1e200)
+
+
+def public_critic_sweep(critic, log, cfg, seed, max_epochs):
+    """train_critic_on_log's sweep written with the public forward and
+    td_update: one 3-row pass per transition, [x_now of the previous sample,
+    x_next, x_now], stepping on the 1-D cache of row 2.  No stopping rule
+    fires within 5 epochs."""
+    gamma = cfg.gamma
+    x_now, x_next, u = map(np.array, zip(*log))
+    n = len(u)
+    j, _ = critic.forward(np.concatenate((x_now, x_next)))
+    resid = td_error(j[:n, 0], j[n:, 0], u, gamma)
+    history = [float(np.mean(resid * resid))]
+    rng = np.random.default_rng(seed)
+    order = np.arange(n)
+    for epoch in range(max_epochs):
+        lr = cfg.lr_critic / (1.0 + epoch / 8.0)
+        rng.shuffle(order)
+        sq_sum = 0.0
+        target = u_prev = 0.0
+        for step, idx in enumerate(order):
+            batch = np.stack((x_now[order[step - 1]], x_next[idx], x_now[idx]))
+            out, cache = critic.forward(batch)
+            j_prev, j_next, _ = out[:, 0].tolist()
+            if step:
+                r = td_error(j_prev, target, u_prev, gamma)
+                sq_sum += r * r
+            target, u_prev = j_next, float(u[idx])
+            row = ForwardCache([a[2] for a in cache.activations])
+            td_update(critic, row, target, u_prev, gamma, lr)
+        j_last, _ = critic.forward(x_now[order[-1]])
+        r = td_error(float(j_last[0]), target, u_prev, gamma)
+        history.append((sq_sum + r * r) / n)
+    return history
+
+
+def public_clone(action, log, cfg, seed, epochs, learning_rate):
+    """clone_action's loop written with the public 1-D forward and descend."""
+    d_min, d_max = cfg.duty_limits
+    x_now = np.array([x for x, _, _ in log])
+    targets = np.clip((x_now[:, 4] * cfg.norm_scales[4] - d_min) / (d_max - d_min),
+                      0.02, 0.98)
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(log))
+    mse = 0.0
+    for epoch in range(epochs):
+        lr = learning_rate / (1.0 + epoch / 8.0)
+        rng.shuffle(order)
+        sq_sum = 0.0
+        for idx in order:
+            y, cache = action.forward(x_now[idx, :4])
+            err = float(y[0]) - float(targets[idx])
+            action.descend(cache, [err], lr)
+            sq_sum += err * err
+        mse = sq_sum / len(log)
+    return mse
+
+
+class TestOfflineStagesGolden:
+    """The offline stages run on the nets' pass workspaces; their results
+    must be the bits of the same loops written with the public API."""
+
+    cfg = HdpConfig(lr_critic=PretrainSettings.learning_rate)
+
+    @pytest.fixture(scope="class")
+    def log(self):
+        params = PlantParams()
+        law = make_reference_law(params, hdp_config=self.cfg)
+        return generate_excitation_log(law, params, self.cfg, seed=0,
+                                       n_episodes=1, n_holds=2)
+
+    def test_train_critic_on_log_matches_public_reference_loop(self, log):
+        critic, reference = make_critic(seed=0), make_critic(seed=0)
+        hist = train_critic_on_log(critic, log, self.cfg, seed=1, max_epochs=3)
+        ref_hist = public_critic_sweep(reference, log, self.cfg, seed=1, max_epochs=3)
+        assert len(hist) == 4
+        assert hist == ref_hist
+        assert critic.params.tobytes() == reference.params.tobytes()
+
+    def test_clone_action_matches_public_reference_loop(self, log):
+        action, reference = make_action(seed=0), make_action(seed=0)
+        rate = PretrainSettings.clone_learning_rate
+        mse = clone_action(action, log, self.cfg, seed=2, epochs=3, learning_rate=rate)
+        ref_mse = public_clone(reference, log, self.cfg, seed=2, epochs=3,
+                               learning_rate=rate)
+        assert mse == ref_mse
+        assert action.params.tobytes() == reference.params.tobytes()
 
 
 class TestClosedLoopHdp:
