@@ -16,6 +16,12 @@ critic's estimate: the duty cycle enters the critic as an input, so
 d(cost-to-go)/d(duty) comes from the critic's input gradient and
 backpropagates through the action net.
 
+The online step builds no forward cache: every pass runs in a one-row
+`PassWorkspace` (the same bits as a 1-D `Mlp.forward`) and each step
+descends on its pass in place, as the offline sweeps in `sim` do.
+`td_update` is the same critic step on a 1-D cache; the tests use it as the
+reference.
+
 All network inputs are normalized by fixed scales so every feature is O(1);
 the utility is computed on the normalized errors for the same reason, which
 keeps the cost-to-go itself O(1) at the default discount.
@@ -28,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mlp import ForwardCache, Mlp
+from .mlp import ForwardCache, Mlp, PassWorkspace
 
 __all__ = [
     "CRITIC_SIZES",
@@ -159,8 +165,8 @@ class HdpController:
 
     def __init__(self, critic: Mlp, action: Mlp, config: HdpConfig | None = None):
         config = config or HdpConfig()
-        # duck-typed critics (anything with forward/grad_input, plus descend
-        # to learn) are allowed; shape-check only the real thing
+        # duck-typed critics (anything with forward and grad_input) serve
+        # action_update; control_step needs an Mlp.  Shape-check only that.
         if isinstance(critic, Mlp) and (critic.n_inputs != 5 or critic.n_outputs != 1):
             raise ValueError(f"critic must map 5 -> 1, got {critic.layer_sizes}")
         if action.layer_sizes[0] != 4 or action.layer_sizes[-1] != 1:
@@ -176,8 +182,12 @@ class HdpController:
         # duty_prev, which is the duty actually applied (the harness may have
         # modified the command, e.g. probing noise during practice).  The
         # held pass is the learning step's critic pass at the committed duty,
-        # (duty, critic, its params as bytes, cache), or None.
+        # left in the held workspace: (duty, that workspace, the critic's
+        # params as bytes), or None.
         self._prev: tuple[list[float], float, tuple | None] | None = None
+        # (critic, the controller's own one-row workspace on it), made anew
+        # when the critic object changes
+        self._held_ws: tuple[Mlp, PassWorkspace] | None = None
 
     def reset_transition_buffer(self) -> None:
         """Forget the stored transition, e.g. across a simulation restart."""
@@ -186,42 +196,41 @@ class HdpController:
     def duty_from_action(self, a: np.ndarray) -> float:
         """Map the policy output in (0,1) onto the duty limits."""
         y, _ = self.action.forward(a)
-        return self._duty(y)
+        return self._duty(float(y[0]))
 
-    def _duty(self, y: np.ndarray) -> float:
+    def _duty(self, y: float) -> float:
         d_min, d_max = self.config.duty_limits
-        return d_min + float(y[0]) * (d_max - d_min)
+        return d_min + y * (d_max - d_min)
 
     def action_update(self, a: np.ndarray) -> None:
         """One descent step of the critic's cost-to-go with respect to the
         policy weights."""
-        self._action_step(a, *self.action.forward(a))
+        ws = self.action.workspace(1)
+        ws.inputs[0] = a
+        duty = self._duty(ws.forward().item(0))
+        x = np.concatenate((a, (duty / self.config.norm_scales[4],)))
+        _, cache = self.critic.forward(x)
+        self._descend_action(ws, self.critic.grad_input(cache, np.ones(1))[-1])
 
-    def _held_cache(self, held: tuple | None, duty_prev: float) -> ForwardCache | None:
-        """The held critic pass, if it is still the x_prev pass: the applied
-        duty is the committed one, and the critic is the same net with the
-        same weights.  None otherwise."""
-        if held is None:
-            return None
-        duty, critic, params, cache = held
-        if duty == duty_prev and critic is self.critic and critic.params.tobytes() == params:
-            return cache
-        return None
-
-    def _action_step(self, a: np.ndarray, y: np.ndarray, cache: ForwardCache) -> None:
-        """action_update on the action net's forward pass (y, cache) at a,
+    def _descend_action(self, ws: PassWorkspace, dj_dduty: float) -> None:
+        """One descent step of the action net on row 0 of its one-row
+        workspace `ws`, given dJ/d(the critic's normalized duty input), both
         taken at the present weights."""
         cfg = self.config
         d_min, d_max = cfg.duty_limits
-        span = d_max - d_min
-        d_scale = cfg.norm_scales[4]
-        duty = d_min + float(y[0]) * span
-        x = np.concatenate((a, (duty / d_scale,)))
-        _, critic_cache = self.critic.forward(x)
-        dj_dx = self.critic.grad_input(critic_cache, np.ones(1))
         # chain rule through the affine duty map and the normalization
-        upstream = dj_dx[-1] * span / d_scale
-        self.action.descend(cache, np.array([upstream]), cfg.lr_action)
+        ws.descend(0, dj_dduty * (d_max - d_min) / cfg.norm_scales[4], cfg.lr_action)
+
+    def _held_workspace(self) -> PassWorkspace:
+        """The controller's one-row workspace on the present critic."""
+        critic = self.critic
+        if self._held_ws is None or self._held_ws[0] is not critic:
+            if not isinstance(critic, Mlp):
+                raise TypeError(
+                    f"control_step needs an Mlp critic, got {type(critic).__name__}"
+                )
+            self._held_ws = (critic, PassWorkspace(critic, 1))
+        return self._held_ws[1]
 
     def control_step(
         self, measurement: ControllerInput, learn: bool = True
@@ -230,46 +239,52 @@ class HdpController:
 
         With learn set, first fits the critic on the buffered transition
         that lands in this measurement, then improves the action net through
-        the critic, and only then forms the period's command.  The critic
-        pass at the command is held for the next learning step: when that
-        step is told this duty was applied and the critic's weights have not
-        changed, the pass is its x_prev pass, bit for bit, and is not run
-        again.
+        the critic, and only then forms the period's command.  Every pass
+        runs in a one-row workspace (the same bits as a 1-D `Mlp.forward`),
+        and every step descends on its pass in place.  The critic pass at
+        the command is held in the controller's own workspace for the next
+        learning step: when that step is told this duty was applied and the
+        critic is the same net with the same weights, the pass is its x_prev
+        pass, bit for bit, and is not run again.  The critic must be an
+        `Mlp`.
         """
+        held_ws = self._held_workspace()
         cfg = self.config
         s = cfg.norm_scales
         m = measurement
         # the normalized state as floats; critic inputs append the duty slot
         state = [m.v_o / s[0], m.i_l / s[1], m.e_v / s[2], m.e_i / s[3]]
-        a = np.array(state)
+        action_ws = self.action.workspace(1)
+        action_ws.inputs[0] = state
+        critic = self.critic
         if learn:
             # the critic step leaves the action net as it is, so this one
             # action pass serves both the critic's target and the action step
-            y, action_cache = self.action.forward(a)
+            critic_ws = critic.workspace(1)
+            critic_ws.inputs[0] = state + [self._duty(action_ws.forward().item(0)) / s[4]]
             if self._prev is not None:
                 # the stored transition lands in the present state; evaluate
                 # it with the duty the current policy would command here
-                x_hat = np.array(state + [self._duty(y) / s[4]])
                 state_prev, u_prev, held = self._prev
-                # single-input passes: a batch would round differently in the
+                # one-row passes: a batch would round differently in the
                 # last bits and move the run's trace
-                j_hat, _ = self.critic.forward(x_hat)
-                cache = self._held_cache(held, m.duty_prev)
-                if cache is None:
-                    x_prev = np.array(state_prev + [m.duty_prev / s[4]])
-                    _, cache = self.critic.forward(x_prev)
-                td_update(self.critic, cache, float(j_hat[0]), u_prev, cfg.gamma,
-                          cfg.lr_critic)
-            self._action_step(a, y, action_cache)
-        duty = self.duty_from_action(a)
-        x = np.array(state + [duty / s[4]])
-        j_now, cache = self.critic.forward(x)
-        j_est = float(j_now[0])
+                j_hat = critic_ws.forward().item(0)
+                # the held pass is the x_prev pass only at the applied duty,
+                # in this critic's workspace, at unchanged weights
+                if held != (m.duty_prev, held_ws, critic.params.tobytes()):
+                    held_ws.inputs[0] = state_prev + [m.duty_prev / s[4]]
+                    held_ws.forward()
+                # td_update's step: d(0.5*resid^2)/d(output) is resid
+                resid = td_error(held_ws.outputs.item(0), j_hat, u_prev, cfg.gamma)
+                held_ws.descend(0, resid, cfg.lr_critic)
+            critic_ws.forward()
+            self._descend_action(action_ws, critic_ws.grad_input(0, 1.0)[-1])
+        duty = self._duty(action_ws.forward().item(0))
+        held_ws.inputs[0] = state + [duty / s[4]]
+        j_est = held_ws.forward().item(0)
         u_now = utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i)
         # the next learning step's x_prev pass, if that step sees this duty
         # applied and these weights
-        held = None
-        if learn and isinstance(self.critic, Mlp):
-            held = (duty, self.critic, self.critic.params.tobytes(), cache)
+        held = (duty, held_ws, critic.params.tobytes()) if learn else None
         self._prev = (state, u_now, held)
         return duty, j_est

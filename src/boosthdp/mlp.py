@@ -20,17 +20,20 @@ the hot paths make as few numpy calls as they can.  Each net owns one
 preallocated `PassWorkspace` per row count k: a k-row forward pass writes
 every activation into it, and the backward pass of any row reads them in
 place and gathers all weight and bias gradients with one elementwise
-product.  This is the only backward pass and commit: `descend` and
-`grad_weights` copy a 1-D cache into the one-row workspace and run it, and
-`apply_update` shares the commit.  `grad_input` runs its own backward pass
-without the weight gradients.  Every product and sum is still the one a
-per-layer implementation computes, so results are bit-identical to it
-(tests/test_mlp.py keeps such an implementation as the reference).
+product, or ends in the input gradient.  This is the only backward pass
+and commit: `descend`, `grad_weights` and `grad_input` copy a 1-D cache
+into the one-row workspace and run it, and `apply_update` shares the
+commit.  Every product and sum is still the one a per-layer implementation
+computes, so results are bit-identical to it (tests/test_mlp.py keeps such
+an implementation as the reference).
 
-No program path calls `grad_weights`, `apply_update` or `MlpGradients` any
-more (the offline sweeps and the online steps descend directly); they stay
-because the tests use them as the reference for `descend` and because
-perfbench/tracing.py wraps `Mlp.grad_weights` and `Mlp.apply_update` by name.
+The offline sweeps and the online control step run on workspaces.  The
+1-D entry points `descend`, `grad_weights`, `grad_input` and `apply_update`
+(and `MlpGradients`) serve `hdp.td_update` and
+`HdpController.action_update`, which no program path calls either; they
+stay because the tests use them as the reference for the workspace, and
+because perfbench/tracing.py wraps `Mlp.grad_weights`, `Mlp.grad_input` and
+`Mlp.apply_update` by name.
 """
 
 from __future__ import annotations
@@ -259,31 +262,23 @@ class Mlp:
 
     def workspace(self, k: int = 1) -> "PassWorkspace":
         """The net's preallocated workspace for k-row passes, made on first
-        use and kept for the net's lifetime."""
+        use and kept for the net's lifetime.  `descend`, `grad_weights` and
+        `grad_input` load their cache into the one-row workspace,
+        overwriting its pass."""
         ws = self._workspaces.get(k)
         if ws is None:
             ws = self._workspaces[k] = PassWorkspace(self, k)
         return ws
 
-    def _checked_d_output(self, d_output) -> np.ndarray:
-        delta = np.asarray(d_output, dtype=float)
-        if delta.shape != self._output_shape:
-            raise ValueError(f"d_output shape {delta.shape} != ({self.n_outputs},)")
-        return delta
-
-    def _activations(self, cache: ForwardCache) -> list[np.ndarray]:
-        """The activations of a 1-D pass; raises if the cache does not fit
-        this net."""
+    def _loaded(self, cache: ForwardCache, d_output) -> tuple["PassWorkspace", np.ndarray]:
+        """The one-row workspace holding the pass in `cache`, and the checked
+        d_output; raises if either does not fit this net."""
         acts = cache.activations
         if [a.shape for a in acts] != self._activation_shapes:
             raise ValueError("cache does not match this network (stale or foreign)")
-        return acts
-
-    def _loaded(self, cache: ForwardCache, d_output) -> tuple["PassWorkspace", np.ndarray]:
-        """The one-row workspace holding the pass in `cache`, and the checked
-        d_output."""
-        acts = self._activations(cache)
-        delta = self._checked_d_output(d_output)
+        delta = np.asarray(d_output, dtype=float)
+        if delta.shape != self._output_shape:
+            raise ValueError(f"d_output shape {delta.shape} != ({self.n_outputs},)")
         ws = self.workspace(1)
         ws._load(acts)
         return ws, delta
@@ -313,15 +308,8 @@ class Mlp:
 
     def grad_input(self, cache: ForwardCache, d_output) -> np.ndarray:
         """Gradient of the scalar loss w.r.t. the network input."""
-        acts = self._activations(cache)
-        delta = self._checked_d_output(d_output)
-        if self._sigmoid:
-            y = acts[-1]
-            delta = delta * y * (1.0 - y)
-        for layer in range(len(self._w) - 1, 0, -1):
-            h = acts[layer]
-            delta = self._wT[layer].dot(delta) * (1.0 - h * h)
-        return self._wT[0].dot(delta)
+        ws, delta = self._loaded(cache, d_output)
+        return ws.grad_input(0, delta)
 
     def apply_update(self, grads: MlpGradients, learning_rate: float) -> None:
         """Plain gradient descent: W <- W - lr * dW.  If any resulting
@@ -408,17 +396,18 @@ class Mlp:
 
 class PassWorkspace:
     """Preallocated buffers for k-row forward passes of one net and for SGD
-    steps on one row of them; get it from `Mlp.workspace(k)`.
+    steps on one row of them; get the net's own from `Mlp.workspace(k)`, or
+    make a private one with `PassWorkspace(net, k)`.
 
     Write the inputs into `inputs` (a (k, n_inputs) view), call `forward`,
-    read `outputs` (a (k, n_outputs) view), then `descend` on any row.  The
-    buffer is laid out as the gradient gather source, [deltas, a_0 for k
-    rows, ..., a_L for k rows, 1.0], so the backward pass and the commit read
-    a row's activations in place, through gather indices fixed per row.
-    Nothing is allocated or shape-checked per pass but the gradient.  The
-    forward pass makes the products and sums of `Mlp.forward` on a
-    (k, n_inputs) batch, writing into the buffer, so its outputs are the
-    same bits.
+    read `outputs` (a (k, n_outputs) view), then `descend` on any row or take
+    its `grad_input`.  The buffer is laid out as the gradient gather source,
+    [deltas, a_0 for k rows, ..., a_L for k rows, 1.0], so the backward pass
+    and the commit read a row's activations in place, through gather
+    indices fixed per row.  Nothing is allocated or shape-checked per pass
+    but the returned gradient.  The forward pass makes the products and sums
+    of `Mlp.forward` on a (k, n_inputs) batch, writing into the buffer, so
+    its outputs are the same bits.
     """
 
     def __init__(self, net: Mlp, k: int):
@@ -476,6 +465,7 @@ class PassWorkspace:
              for wT, layer, delta, scratch, ones in back]
             for r in range(k)
         ]
+        self._wT0 = net._wT[0]
         self._gather_rows = _gradient_gather(sizes)[0]
         self._gather_cols = [_gradient_gather(sizes, k, r)[1] for r in range(k)]
         self._rate = np.zeros(())
@@ -522,9 +512,9 @@ class PassWorkspace:
         for slot, a in zip(self._row0, acts):
             slot[...] = a
 
-    def gradient(self, row: int, d_output) -> np.ndarray:
-        """The parameter gradient of row `row` of the last pass, given
-        d_loss/d_output (a float, or shaped (n_outputs,)), as a new array."""
+    def _backward(self, row: int, d_output) -> np.ndarray:
+        """Fill the delta slots for row `row` of the last pass, given
+        d_loss/d_output; returns the first layer's delta slot."""
         delta = self._d_out
         if self._sigmoid:
             # one output is read as a float: three float operations, the
@@ -539,9 +529,20 @@ class PassWorkspace:
             wT.dot(delta, out=back)
             np.subtract(ones, np.multiply(h, h, out), out)
             delta = np.multiply(back, out, out)
+        return delta
+
+    def gradient(self, row: int, d_output) -> np.ndarray:
+        """The parameter gradient of row `row` of the last pass, given
+        d_loss/d_output (a float, or shaped (n_outputs,)), as a new array."""
+        self._backward(row, d_output)
         src = self._src
         grad = src[self._gather_rows]
         return np.multiply(grad, src[self._gather_cols[row]], grad)
+
+    def grad_input(self, row: int, d_output) -> np.ndarray:
+        """d_loss/d_input of row `row` of the last pass, given d_loss/d_output
+        (a float, or shaped (n_outputs,)), as a new array."""
+        return self._wT0.dot(self._backward(row, d_output))
 
     def descend(self, row: int, d_output, learning_rate: float) -> None:
         """One gradient-descent step on row `row` of the last pass.  A step

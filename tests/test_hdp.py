@@ -17,7 +17,7 @@ from boosthdp.hdp import (
     td_update,
     utility,
 )
-from boosthdp.mlp import Mlp
+from boosthdp.mlp import Mlp, PassWorkspace
 
 
 def net_bytes(net):
@@ -27,8 +27,9 @@ def net_bytes(net):
 
 
 class QuadCritic:
-    """Synthetic cost surface (duty - d_star)^2; exposes the same forward /
-    grad_input interface the controller expects of a critic."""
+    """Synthetic cost surface (duty - d_star)^2; exposes the forward /
+    grad_input interface action_update expects of a critic (control_step
+    needs an Mlp)."""
 
     def __init__(self, d_star=0.7):
         self.d_star = d_star
@@ -198,6 +199,24 @@ class TestActionUpdate:
             print(f"seed {seed}: duty={duty:.5f}")
             assert duty == pytest.approx(0.7, abs=0.01)
 
+    @pytest.mark.parametrize("make_critic_", [QuadCritic, make_critic])
+    def test_same_bits_as_the_step_on_a_1d_pass(self, make_critic_):
+        # a duck-typed critic still drives action_update
+        cfg = HdpConfig(lr_action=1e-2)
+        a = np.array([0.5, 0.3, 0.5, 0.2])
+        ctl = HdpController(make_critic_(), make_action(seed=2), cfg)
+        ref = make_action(seed=2)
+        d_min, d_max = cfg.duty_limits
+        d_scale = cfg.norm_scales[4]
+        for _ in range(5):
+            ctl.action_update(a)
+            y, cache = ref.forward(a)
+            x = np.append(a, (d_min + float(y[0]) * (d_max - d_min)) / d_scale)
+            _, critic_cache = ctl.critic.forward(x)
+            dj_dx = ctl.critic.grad_input(critic_cache, np.ones(1))
+            ref.descend(cache, [dj_dx[-1] * (d_max - d_min) / d_scale], cfg.lr_action)
+            assert ctl.action.params.tobytes() == ref.params.tobytes()
+
 
 def meas(v_o, i_l, v_set=200.0, i_set=8.0, duty_prev=0.0):
     return ControllerInput(v_o, i_l, v_set - v_o, i_set - i_l, duty_prev)
@@ -262,6 +281,12 @@ class TestControlStep:
         with pytest.raises(ValueError, match="finite"):
             ControllerInput(50.0, 2.0, float("inf"), 6.0)
 
+    @pytest.mark.parametrize("learn", [True, False])
+    def test_needs_an_mlp_critic(self, learn):
+        ctl = HdpController(QuadCritic(), make_action())
+        with pytest.raises(TypeError, match="control_step needs an Mlp critic"):
+            ctl.control_step(meas(50.0, 2.0), learn=learn)
+
     def test_topology_constants(self):
         assert CRITIC_SIZES == [5, 5, 5, 1]
         assert ACTION_SIZES == [4, 5, 5, 1]
@@ -269,29 +294,47 @@ class TestControlStep:
         assert make_action().layer_sizes == ACTION_SIZES
 
 
-class DelegatingCritic:
-    """A duck-typed critic: it passes every call to a real net but is no
-    Mlp, so the controller recomputes its x_prev pass on every step."""
+class RecomputingController:
+    """The learning control step written from the public forward,
+    grad_input, td_update and descend, recomputing every pass: the
+    reference for HdpController.control_step, which holds its passes in
+    workspaces and reuses one."""
 
-    def __init__(self, net):
-        self.net = net
+    def __init__(self, critic, action, config):
+        self.critic, self.action, self.config = critic, action, config
+        self.prev = None
 
-    def forward(self, x):
-        return self.net.forward(x)
+    def reset_transition_buffer(self):
+        self.prev = None
 
-    def grad_input(self, cache, d_out):
-        return self.net.grad_input(cache, d_out)
+    def duty(self, y):
+        d_min, d_max = self.config.duty_limits
+        return d_min + float(y[0]) * (d_max - d_min)
 
-    def descend(self, *args, **kwargs):
-        self.net.descend(*args, **kwargs)
-
-
-def critic_net(ctl):
-    return getattr(ctl.critic, "net", ctl.critic)
+    def control_step(self, m):
+        cfg = self.config
+        s = cfg.norm_scales
+        state = [m.v_o / s[0], m.i_l / s[1], m.e_v / s[2], m.e_i / s[3]]
+        a = np.array(state)
+        y, action_cache = self.action.forward(a)
+        x_hat = np.array(state + [self.duty(y) / s[4]])
+        if self.prev is not None:
+            state_prev, u_prev = self.prev
+            j_hat, _ = self.critic.forward(x_hat)
+            _, cache = self.critic.forward(np.array(state_prev + [m.duty_prev / s[4]]))
+            td_update(self.critic, cache, float(j_hat[0]), u_prev, cfg.gamma, cfg.lr_critic)
+        _, cache = self.critic.forward(x_hat)
+        dj_dx = self.critic.grad_input(cache, np.ones(1))
+        d_min, d_max = cfg.duty_limits
+        self.action.descend(action_cache, [dj_dx[-1] * (d_max - d_min) / s[4]], cfg.lr_action)
+        duty = self.duty(self.action.forward(a)[0])
+        j_now, _ = self.critic.forward(np.array(state + [duty / s[4]]))
+        self.prev = (state, utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i))
+        return duty, float(j_now[0])
 
 
 def write_params(ctl, duty):
-    critic_net(ctl).params[0] += 1e-3
+    ctl.critic.params[0] += 1e-3
     return duty
 
 
@@ -305,66 +348,65 @@ def reset(ctl, duty):
 
 
 def swap_critic(ctl, duty):
-    if isinstance(ctl.critic, Mlp):
-        ctl.critic = ctl.critic.copy()
-    else:
-        ctl.critic = DelegatingCritic(ctl.critic.net.copy())
+    ctl.critic = ctl.critic.copy()
     return duty
 
 
 class TestHeldCriticPass:
-    """A learning step reuses the previous step's critic pass at the
-    committed duty as its x_prev pass, and must give the same bits as
-    recomputing it."""
+    """A learning step runs on workspace passes and reuses the previous
+    step's critic pass at the committed duty as its x_prev pass; it must
+    give the same bits as recomputing every pass with Mlp.forward."""
 
     STEPS = 40
     HOOK_AT = 20
 
     def drive(self, ctl, monkeypatch, hook=None):
         """A closed-loop-like run feeding back each returned duty; returns
-        the (duty, j_est) pairs and the forward passes each step made."""
-        calls = []
-        forward = Mlp.forward
+        the (duty, j_est) pairs, the workspace passes each step made and the
+        number of Mlp.forward calls."""
+        ws_calls, mlp_calls = [], []
+        ws_forward, mlp_forward = PassWorkspace.forward, Mlp.forward
 
-        def counted(net, x):
-            calls.append(None)
-            return forward(net, x)
+        def ws_counted(ws):
+            ws_calls.append(None)
+            return ws_forward(ws)
 
-        monkeypatch.setattr(Mlp, "forward", counted)
+        def mlp_counted(net, x):
+            mlp_calls.append(None)
+            return mlp_forward(net, x)
+
+        monkeypatch.setattr(PassWorkspace, "forward", ws_counted)
+        monkeypatch.setattr(Mlp, "forward", mlp_counted)
         rng = np.random.default_rng(4)
         duty, outputs, passes = 0.0, [], []
         for k, (v, i) in enumerate(rng.uniform([150.0, 4.0], [250.0, 12.0], (self.STEPS, 2))):
             if k == self.HOOK_AT and hook is not None:
                 duty = hook(ctl, duty)
-            before = len(calls)
+            before = len(ws_calls)
             duty, j_est = ctl.control_step(meas(v, i, duty_prev=duty))
-            passes.append(len(calls) - before)
+            passes.append(len(ws_calls) - before)
             outputs.append((duty, j_est))
         monkeypatch.undo()
-        return np.array(outputs).tobytes(), passes
+        return np.array(outputs).tobytes(), passes, len(mlp_calls)
 
-    def make(self, critic_wrapper=lambda net: net):
-        cfg = HdpConfig(lr_critic=1e-2, lr_action=1e-3)
-        return HdpController(critic_wrapper(make_critic(seed=3)), make_action(seed=53), cfg)
+    def nets(self):
+        return make_critic(seed=3), make_action(seed=53), HdpConfig(lr_critic=1e-2, lr_action=1e-3)
 
     @pytest.mark.parametrize("hook", [None, write_params, perturb_duty, reset, swap_critic])
     def test_same_bits_as_recomputing_the_pass(self, monkeypatch, hook):
-        held = self.make()
-        recomputed = self.make(DelegatingCritic)
-        held_out, held_passes = self.drive(held, monkeypatch, hook)
-        ref_out, ref_passes = self.drive(recomputed, monkeypatch, hook)
+        held = HdpController(*self.nets())
+        recomputed = RecomputingController(*self.nets())
+        held_out, held_passes, held_mlp_forwards = self.drive(held, monkeypatch, hook)
+        ref_out = self.drive(recomputed, monkeypatch, hook)[0]
         assert held_out == ref_out
-        assert critic_net(held).params.tobytes() == critic_net(recomputed).params.tobytes()
+        assert held.critic.params.tobytes() == recomputed.critic.params.tobytes()
         assert held.action.params.tobytes() == recomputed.action.params.tobytes()
         # 4 passes without a stored transition, 6 with the x_prev pass run
-        # and 5 with it reused; the duck-typed critic never reuses
-        recomputing = [4] + [6] * (self.STEPS - 1)
-        if hook is reset:
-            recomputing[self.HOOK_AT] = 4
-        assert ref_passes == recomputing
+        # and 5 with it reused; no ForwardCache is built
         expected = [4] + [5] * (self.STEPS - 1)
         if hook is reset:
             expected[self.HOOK_AT] = 4
         elif hook is not None:
             expected[self.HOOK_AT] = 6
         assert held_passes == expected
+        assert held_mlp_forwards == 0

@@ -502,6 +502,25 @@ class TestPerLayerReference:
                 for got, want in zip(net.weights + net.biases, ref_w + ref_b):
                     assert np.array_equal(got, want)
 
+    @settings(max_examples=60, deadline=None)
+    @given(shape=WORKSPACE_NETS, k=st.sampled_from([1, 3]))
+    def test_input_gradient_bit_identical_on_every_row(self, shape, k):
+        sizes, activation, seed = shape
+        net, _ = same_nets(sizes, activation, seed)
+        rng = np.random.default_rng(seed + 5)
+        xs = rng.uniform(-2.0, 2.0, size=(k, sizes[0]))
+        ws = net.workspace(k)
+        ws.inputs[...] = xs
+        ws.forward()
+        # the rows of a batched pass are the workspace's activations
+        _, cache = net.forward(xs)
+        for row in range(k):
+            d_out = float(rng.normal(0.0, 1.0))
+            acts = [a[row] for a in cache.activations]
+            ref_dx = ref_backward(net.weights, activation, acts, [d_out])[2]
+            assert ws.grad_input(row, d_out).tobytes() == ref_dx.tobytes()
+            assert net.grad_input(row_cache(cache, row), [d_out]).tobytes() == ref_dx.tobytes()
+
 
 class TestFlatParameters:
     def test_layout_is_snapshot_row_order(self):

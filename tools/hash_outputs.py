@@ -1,11 +1,12 @@
 """Print the sha256 of every artifact boosthdp writes, for bit-identity checks.
 
-Runs `pretrain`, `compare`, and `run <scenario> PI` / `run <scenario>
-HDP-frozen` for every scenario through `boosthdp.cli.main`, at one config
-and seed, into a fresh output directory, then prints one line per command
-(its exit code and, for `compare`, the sha256 of the printed table, which
-also goes to stderr) and one line per file written (`sha256  name`).  Two
-checkouts produce the same bits when the outputs of
+Runs `pretrain`, `compare`, and `run <scenario> <controller>` for every
+scenario and controller tag (PI, HDP, HDP-frozen) through
+`boosthdp.cli.main`, at one config and seed, into a fresh output
+directory, then prints one line per command (its exit code and, for
+`compare`, the sha256 of the printed table, which also goes to stderr) and
+one line per file written (`sha256  name`).  Two checkouts produce the
+same bits when the outputs of
 
     PYTHONPATH=src python tools/hash_outputs.py --seed 0 > a.txt
 
@@ -24,7 +25,7 @@ import tempfile
 from pathlib import Path
 
 from boosthdp import cli
-from boosthdp.sim import SCENARIO_NAMES
+from boosthdp.sim import CONTROLLER_TAGS, SCENARIO_NAMES
 
 
 def _sha256(data: bytes) -> str:
@@ -44,7 +45,7 @@ def main(argv: list[str] | None = None) -> int:
         commands = [["pretrain"], ["compare"]] + [
             ["run", scenario, tag]
             for scenario in SCENARIO_NAMES
-            for tag in ("PI", "HDP-frozen")
+            for tag in CONTROLLER_TAGS
         ]
         worst = 0
         for command in commands:
