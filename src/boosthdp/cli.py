@@ -212,7 +212,13 @@ def load_config(path: str | None) -> tuple[RunConfig, list[tuple[str, str, objec
     file = Path(path)
     if not file.is_file():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config(file.read_text())
+    try:
+        text = file.read_text(encoding="utf-8")
+    except UnicodeDecodeError:
+        raise ConfigError(f"config file {path} is not UTF-8 text") from None
+    except OSError as exc:
+        raise ConfigError(f"cannot read config file {path}: {exc.strerror}") from None
+    return parse_config(text)
 
 
 def _fmt(value: object) -> str:
@@ -338,26 +344,32 @@ def _build_cell(cfg: RunConfig, scenario: str, tag: str):
         raise ConfigError(f"network snapshots in {cfg.out_dir}/: {exc}") from None
 
 
+def _read_metrics(path: Path) -> list[list[str]]:
+    """The data rows of an existing metrics file; an empty file has none.
+    ConfigError if the file is not one `_upsert_metrics` writes."""
+    fields = list(METRICS_FIELDS)
+    try:
+        with open(path, newline="", encoding="utf-8") as fh:
+            header, *rows = [row for row in csv.reader(fh) if row] or [fields]
+    except (UnicodeDecodeError, csv.Error):
+        header = None
+    if header != fields or any(len(row) != len(fields) for row in rows):
+        raise ConfigError(f"cannot update {path}: not a boosthdp metrics file")
+    return rows
+
+
 def _upsert_metrics(path: Path, scenario: str, tag: str, m: sim.Metrics) -> None:
     """One row per (scenario, controller); a rerun replaces its old row.
-    A lock on a sidecar file keeps concurrent runs from losing rows."""
+    A lock on a sidecar file keeps concurrent runs from losing rows.
+    ConfigError, with nothing written, if the file holds something else."""
     with open(path.with_name(f".{path.name}.lock"), "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
-        rows: list[dict[str, str]] = []
-        if path.is_file():
-            with open(path, newline="") as fh:
-                rows = [
-                    r for r in csv.DictReader(fh)
-                    if (r["scenario"], r["controller"]) != (scenario, tag)
-                ]
-        rows.append({
-            "scenario": scenario,
-            "controller": tag,
-            **{key: _fmt(value) for key, value in asdict(m).items()},
-        })
+        rows = _read_metrics(path) if path.is_file() else []
+        rows = [row for row in rows if row[:2] != [scenario, tag]]
+        rows.append([scenario, tag, *(_fmt(value) for value in asdict(m).values())])
         with atomic_write(path) as fh:
-            writer = csv.DictWriter(fh, fieldnames=METRICS_FIELDS)
-            writer.writeheader()
+            writer = csv.writer(fh)
+            writer.writerow(METRICS_FIELDS)
             writer.writerows(rows)
 
 
@@ -372,14 +384,14 @@ def _run_cell(cfg: RunConfig, scenario: str, tag: str) -> tuple[int, sim.Metrics
         spec, controller = _build_cell(cfg, scenario, tag)
         trace, metrics = sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
         out = _make_out_dir(cfg)
+        sim.write_trace_csv(out / f"{scenario}_{tag}.csv", trace)
+        _upsert_metrics(out / "metrics.csv", scenario, tag, metrics)
     except ConfigError as exc:
         log.error("%s", exc)
         return 1, None
     except (sim.SimulationDiverged, NonFiniteUpdateError) as exc:
         log.error("%s %s diverged: %s", scenario, tag, exc)
         return 2, None
-    sim.write_trace_csv(out / f"{scenario}_{tag}.csv", trace)
-    _upsert_metrics(out / "metrics.csv", scenario, tag, metrics)
     return 0, metrics
 
 

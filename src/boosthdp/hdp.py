@@ -19,8 +19,8 @@ backpropagates through the action net.
 The online step builds no forward cache: every pass runs in a one-row
 `PassWorkspace` (the same bits as a 1-D `Mlp.forward`) and each step
 descends on its pass in place, as the offline sweeps in `sim` do.
-`td_update` is the same critic step on a 1-D cache; the tests use it as the
-reference.
+`td_update` is the one critic step, on row 0 of a critic workspace; the
+online step and the offline sweep both call it.
 
 All network inputs are normalized by fixed scales so every feature is O(1);
 the utility is computed on the normalized errors for the same reason, which
@@ -34,7 +34,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mlp import ForwardCache, Mlp, PassWorkspace
+from .mlp import Mlp, PassWorkspace
 
 __all__ = [
     "CRITIC_SIZES",
@@ -76,8 +76,7 @@ def td_error(j_now: float, j_next: float, u_now: float, gamma: float) -> float:
 
 
 def td_update(
-    critic: Mlp,
-    cache: ForwardCache,
+    ws: PassWorkspace,
     target: float,
     u_now: float,
     gamma: float,
@@ -85,14 +84,15 @@ def td_update(
 ) -> float:
     """One semi-gradient step of the critic toward u_now + gamma * target.
 
-    `cache` is the critic's 1-D forward pass at x_now and `target` is
-    J(x_next), both at the present weights; the caller runs those passes, so
-    the step itself runs none.  The target is held fixed.  Returns the
-    residual before the step.
+    `ws` is a critic workspace whose last pass holds x_now in row 0, and
+    `target` is J(x_next), both at the present weights; the caller runs
+    those passes, so the step itself runs none.  The target is held fixed.
+    Returns the residual before the step.  This is the only critic step:
+    the offline sweep and the online control step both take it.
     """
-    resid = td_error(float(cache.activations[-1][0]), target, u_now, gamma)
+    resid = td_error(ws.outputs.item(0), target, u_now, gamma)
     # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself
-    critic.descend(cache, np.array([resid]), learning_rate)
+    ws.descend(resid, learning_rate)
     return resid
 
 
@@ -219,7 +219,7 @@ class HdpController:
         cfg = self.config
         d_min, d_max = cfg.duty_limits
         # chain rule through the affine duty map and the normalization
-        ws.descend(0, dj_dduty * (d_max - d_min) / cfg.norm_scales[4], cfg.lr_action)
+        ws.descend(dj_dduty * (d_max - d_min) / cfg.norm_scales[4], cfg.lr_action)
 
     def _held_workspace(self) -> PassWorkspace:
         """The controller's one-row workspace on the present critic."""
@@ -274,11 +274,9 @@ class HdpController:
                 if held != (m.duty_prev, held_ws, critic.params.tobytes()):
                     held_ws.inputs[0] = state_prev + [m.duty_prev / s[4]]
                     held_ws.forward()
-                # td_update's step: d(0.5*resid^2)/d(output) is resid
-                resid = td_error(held_ws.outputs.item(0), j_hat, u_prev, cfg.gamma)
-                held_ws.descend(0, resid, cfg.lr_critic)
+                td_update(held_ws, j_hat, u_prev, cfg.gamma, cfg.lr_critic)
             critic_ws.forward()
-            self._descend_action(action_ws, critic_ws.grad_input(0, 1.0)[-1])
+            self._descend_action(action_ws, critic_ws.grad_input(1.0)[-1])
         duty = self._duty(action_ws.forward().item(0))
         held_ws.inputs[0] = state + [duty / s[4]]
         j_est = held_ws.forward().item(0)

@@ -18,22 +18,21 @@ vector operation followed by one finiteness check.
 At these sizes numpy's per-call overhead costs more than the arithmetic, so
 the hot paths make as few numpy calls as they can.  Each net owns one
 preallocated `PassWorkspace` per row count k: a k-row forward pass writes
-every activation into it, and the backward pass of any row reads them in
+every activation into it, and the backward pass of row 0 reads them in
 place and gathers all weight and bias gradients with one elementwise
-product, or ends in the input gradient.  This is the only backward pass
-and commit: `descend`, `grad_weights` and `grad_input` copy a 1-D cache
-into the one-row workspace and run it, and `apply_update` shares the
-commit.  Every product and sum is still the one a per-layer implementation
-computes, so results are bit-identical to it (tests/test_mlp.py keeps such
-an implementation as the reference).
+product, or ends in the input gradient.  A caller that steps on one point
+of a batched pass puts that point in row 0.  This is the only backward
+pass and commit: `grad_weights` and `grad_input` copy a 1-D cache into the
+one-row workspace and run it, and `apply_update` shares the commit.  Every
+product and sum is still the one a per-layer implementation computes, so
+results are bit-identical to it (tests/test_mlp.py keeps such an
+implementation as the reference).
 
 The offline sweeps and the online control step run on workspaces.  The
-1-D entry points `descend`, `grad_weights`, `grad_input` and `apply_update`
-(and `MlpGradients`) serve `hdp.td_update` and
-`HdpController.action_update`, which no program path calls either; they
-stay because the tests use them as the reference for the workspace, and
-because perfbench/tracing.py wraps `Mlp.grad_weights`, `Mlp.grad_input` and
-`Mlp.apply_update` by name.
+1-D entry points `grad_weights`, `grad_input` and `apply_update` (and
+`MlpGradients`) serve `HdpController.action_update`, and the tests, which
+use them as the reference for the workspace; perfbench/tracing.py wraps
+them by name.
 """
 
 from __future__ import annotations
@@ -78,25 +77,24 @@ def _layer_views(flat: np.ndarray, layer_sizes: list[int]):
     return weights, biases
 
 
-def _gradient_gather(layer_sizes: list[int], k: int = 1, row: int = 0):
+def _gradient_gather(layer_sizes: list[int], k: int = 1):
     """Index vectors (rows, cols) such that src[rows] * src[cols] is the
     parameter gradient in the flat layout, for the workspace layout
     src = [delta_0, ..., delta_{L-1}, a_0, ..., a_L, 1.0]
     with each a_l (the input of layer l; a_L the output) held for k rows,
-    and the activations read from row `row` (delta_l: d_loss/d_pre-activation
+    and the activations read from row 0 (delta_l: d_loss/d_pre-activation
     of layer l).  A weight's gradient is delta_i * a_j, a bias's is
     delta_i * 1.0 - exactly the products an outer-product backward pass
-    computes.  `rows` does not depend on k or row."""
+    computes.  `rows` does not depend on k."""
     fan_ins, fan_outs = layer_sizes[:-1], layer_sizes[1:]
     one_at = sum(fan_outs) + k * sum(layer_sizes)
     rows: list[int] = []
     cols: list[int] = []
     delta_at, act_at = 0, sum(fan_outs)
     for fan_in, fan_out in zip(fan_ins, fan_outs):
-        row_at = act_at + row * fan_in
         for i in range(fan_out):  # weights, row-major
             rows += [delta_at + i] * fan_in
-            cols += range(row_at, row_at + fan_in)
+            cols += range(act_at, act_at + fan_in)
         rows += range(delta_at, delta_at + fan_out)  # biases
         cols += [one_at] * fan_out
         delta_at += fan_out
@@ -240,7 +238,7 @@ class Mlp:
         """Evaluate the network on one input of shape (n_inputs,), or on a
         batch of inputs as the rows of a (k, n_inputs) array; the output has
         the matching shape (n_outputs,) or (k, n_outputs).  The cache of a
-        1-D pass feeds descend / grad_weights / grad_input.
+        1-D pass feeds grad_weights / grad_input.
 
         A 1-D input runs the same products as W.dot(a), bit for bit; a row
         of a batch (one matrix-matrix product) may differ from the 1-D pass
@@ -262,7 +260,7 @@ class Mlp:
 
     def workspace(self, k: int = 1) -> "PassWorkspace":
         """The net's preallocated workspace for k-row passes, made on first
-        use and kept for the net's lifetime.  `descend`, `grad_weights` and
+        use and kept for the net's lifetime.  `grad_weights` and
         `grad_input` load their cache into the one-row workspace,
         overwriting its pass."""
         ws = self._workspaces.get(k)
@@ -292,24 +290,16 @@ class Mlp:
             raise NonFiniteUpdateError("update would produce non-finite parameters")
         self._params[...] = new
 
-    def descend(self, cache: ForwardCache, d_output, learning_rate: float) -> None:
-        """One gradient-descent step on the 1-D pass in `cache`: the same
-        bits as apply_update(grad_weights(cache, d_output), learning_rate),
-        with no gradient object in between.  A step that would write a
-        non-finite parameter is refused and the net left unchanged."""
-        ws, delta = self._loaded(cache, d_output)
-        ws.descend(0, delta, learning_rate)
-
     def grad_weights(self, cache: ForwardCache, d_output) -> MlpGradients:
         """Gradients of the scalar loss w.r.t. every weight and bias, given
         d_loss/d_output."""
         ws, delta = self._loaded(cache, d_output)
-        return MlpGradients(ws.gradient(0, delta), self.layer_sizes)
+        return MlpGradients(ws.gradient(delta), self.layer_sizes)
 
     def grad_input(self, cache: ForwardCache, d_output) -> np.ndarray:
         """Gradient of the scalar loss w.r.t. the network input."""
         ws, delta = self._loaded(cache, d_output)
-        return ws.grad_input(0, delta)
+        return ws.grad_input(delta)
 
     def apply_update(self, grads: MlpGradients, learning_rate: float) -> None:
         """Plain gradient descent: W <- W - lr * dW.  If any resulting
@@ -396,15 +386,15 @@ class Mlp:
 
 class PassWorkspace:
     """Preallocated buffers for k-row forward passes of one net and for SGD
-    steps on one row of them; get the net's own from `Mlp.workspace(k)`, or
+    steps on row 0 of them; get the net's own from `Mlp.workspace(k)`, or
     make a private one with `PassWorkspace(net, k)`.
 
     Write the inputs into `inputs` (a (k, n_inputs) view), call `forward`,
-    read `outputs` (a (k, n_outputs) view), then `descend` on any row or take
+    read `outputs` (a (k, n_outputs) view), then `descend` on row 0 or take
     its `grad_input`.  The buffer is laid out as the gradient gather source,
     [deltas, a_0 for k rows, ..., a_L for k rows, 1.0], so the backward pass
-    and the commit read a row's activations in place, through gather
-    indices fixed per row.  Nothing is allocated or shape-checked per pass
+    and the commit read row 0's activations in place, through fixed gather
+    indices.  Nothing is allocated or shape-checked per pass
     but the returned gradient.  The forward pass makes the products and sums
     of `Mlp.forward` on a (k, n_inputs) batch, writing into the buffer, so
     its outputs are the same bits.
@@ -453,21 +443,15 @@ class PassWorkspace:
         self._z = np.empty((2, k, fan_outs[-1]))
         self._ones_out = np.ones((k, fan_outs[-1]))
         self._d_out = deltas[-1]
-        # per row, from the last hidden layer down: W^T, the row's hidden
+        # from the last hidden layer down: W^T, row 0 of the hidden
         # activation, the delta slot it feeds, and scratch and ones vectors
-        back = [
-            (net._wT[layer], layer, deltas[layer - 1], np.empty(sizes[layer]),
-             np.ones(sizes[layer]))
+        self._hidden_back = [
+            (net._wT[layer], acts[layer][0], deltas[layer - 1],
+             np.empty(sizes[layer]), np.ones(sizes[layer]))
             for layer in range(len(fan_outs) - 1, 0, -1)
         ]
-        self._hidden_back = [
-            [(wT, acts[layer][r], delta, scratch, ones)
-             for wT, layer, delta, scratch, ones in back]
-            for r in range(k)
-        ]
         self._wT0 = net._wT[0]
-        self._gather_rows = _gradient_gather(sizes)[0]
-        self._gather_cols = [_gradient_gather(sizes, k, r)[1] for r in range(k)]
+        self._gather_rows, self._gather_cols = _gradient_gather(sizes, k)
         self._rate = np.zeros(())
 
     @property
@@ -512,18 +496,18 @@ class PassWorkspace:
         for slot, a in zip(self._row0, acts):
             slot[...] = a
 
-    def _backward(self, row: int, d_output) -> np.ndarray:
-        """Fill the delta slots for row `row` of the last pass, given
+    def _backward(self, d_output) -> np.ndarray:
+        """Fill the delta slots for row 0 of the last pass, given
         d_loss/d_output; returns the first layer's delta slot."""
         delta = self._d_out
         if self._sigmoid:
             # one output is read as a float: three float operations, the
             # same IEEE ones as three ufunc calls on arrays
-            y = self._outputs.item(row) if self._one_output else self._outputs[row]
+            y = self._outputs.item(0) if self._one_output else self._outputs[0]
             delta[...] = d_output * y * (1.0 - y)
         else:
             delta[...] = d_output
-        for wT, h, out, back, ones in self._hidden_back[row]:
+        for wT, h, out, back, ones in self._hidden_back:
             # W^T delta times the derivative of tanh, 1 - h*h, from the
             # stored hidden activation
             wT.dot(delta, out=back)
@@ -531,24 +515,24 @@ class PassWorkspace:
             delta = np.multiply(back, out, out)
         return delta
 
-    def gradient(self, row: int, d_output) -> np.ndarray:
-        """The parameter gradient of row `row` of the last pass, given
+    def gradient(self, d_output) -> np.ndarray:
+        """The parameter gradient of row 0 of the last pass, given
         d_loss/d_output (a float, or shaped (n_outputs,)), as a new array."""
-        self._backward(row, d_output)
+        self._backward(d_output)
         src = self._src
         grad = src[self._gather_rows]
-        return np.multiply(grad, src[self._gather_cols[row]], grad)
+        return np.multiply(grad, src[self._gather_cols], grad)
 
-    def grad_input(self, row: int, d_output) -> np.ndarray:
-        """d_loss/d_input of row `row` of the last pass, given d_loss/d_output
+    def grad_input(self, d_output) -> np.ndarray:
+        """d_loss/d_input of row 0 of the last pass, given d_loss/d_output
         (a float, or shaped (n_outputs,)), as a new array."""
-        return self._wT0.dot(self._backward(row, d_output))
+        return self._wT0.dot(self._backward(d_output))
 
-    def descend(self, row: int, d_output, learning_rate: float) -> None:
-        """One gradient-descent step on row `row` of the last pass.  A step
-        that would write a non-finite parameter is refused and the net left
+    def descend(self, d_output, learning_rate: float) -> None:
+        """One gradient-descent step on row 0 of the last pass.  A step that
+        would write a non-finite parameter is refused and the net left
         unchanged; the workspace's pass stays as it was."""
-        grad = self.gradient(row, d_output)
+        grad = self.gradient(d_output)
         # a float operand costs a conversion per call; a 0-d array does not
         rate = self._rate
         rate[()] = learning_rate

@@ -10,8 +10,9 @@ excitation-log generation under a teacher law, temporal-difference
 pretraining of the critic, and behavior cloning of the action net.  Both
 offline sweeps run each sample's forward pass and descent step in the net's
 preallocated `mlp.PassWorkspace`, so their per-sample loops make only the
-numpy calls of the arithmetic; the results are the bits of the same loops
-written with `Mlp.forward`, `hdp.td_update` and `Mlp.descend`.
+numpy calls of the arithmetic; the critic's step is `hdp.td_update`.  The
+results are the bits of the same loops written with `Mlp.forward`,
+`Mlp.grad_weights` and `Mlp.apply_update`.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ import numpy as np
 
 from .atomic import atomic_write
 from .baseline import PiController
-from .hdp import ControllerInput, HdpConfig, make_critic, td_error, utility
-from .hdp import td_update  # noqa: F401  (perfbench/tracing.py wraps sim.td_update)
+from .hdp import ControllerInput, HdpConfig, make_critic, td_error, td_update, utility
 from .mlp import Mlp
 from .plant import PlantParams, PlantState, step, steady_state_hint
 
@@ -506,12 +506,12 @@ def train_critic_on_log(
     epochs (when enough epochs run to tell).
 
     The sweep is pipelined: the step of sample k evaluates, in one batched
-    forward pass at the present weights, the previous sample's x_now (its
-    residual right after its update), this sample's x_next (the target) and
-    this sample's x_now (the value the step differentiates).  One pass per
-    sample instead of three; batched rows may differ from single-input
-    passes in the last bits.  The pass and td_update's step on its third row
-    run in the critic's 3-row workspace.
+    forward pass at the present weights, this sample's x_now (the value the
+    step differentiates), its x_next (the target) and the previous sample's
+    x_now (its residual right after its update).  One pass per sample
+    instead of three; batched rows may differ from single-input passes in
+    the last bits.  The pass runs in the critic's 3-row workspace, and
+    td_update steps on its row 0.
     """
     log = list(log)
     if not log:
@@ -533,21 +533,20 @@ def train_critic_on_log(
             lr /= 1.0 + epoch / lr_decay_epochs
         rng.shuffle(order)
         now = x_now[order]
-        # rows of step k: [x_now of sample k-1, x_next of k, x_now of k]; the
-        # first step's row 0 (the last sample's x_now) is not used
-        rows = np.stack((np.roll(now, 1, axis=0), x_next[order], now), axis=1)
+        # rows of step k: [x_now of sample k, x_next of k, x_now of k-1]; the
+        # first step's row 2 (the last sample's x_now) is not used
+        rows = np.stack((now, x_next[order], np.roll(now, 1, axis=0)), axis=1)
         sq_sum = 0.0
         target = u_prev = 0.0  # the previous sample's; read from step 1 on
         for k, (batch, u_now) in enumerate(zip(rows, u[order].tolist())):
             inputs[...] = batch
             ws.forward()
-            j_prev, j_next, j_now = values.tolist()
+            _, j_next, j_prev = values.tolist()
             if k:
                 resid = td_error(j_prev, target, u_prev, gamma)
                 sq_sum += resid * resid
             target, u_prev = j_next, u_now
-            # td_update's step on row 2: d(0.5*resid^2)/d(output) is resid
-            ws.descend(2, td_error(j_now, target, u_now, gamma), lr)
+            td_update(ws, target, u_now, gamma, lr)
         j_last, _ = critic.forward(now[-1])
         resid = td_error(float(j_last[0]), target, u_prev, gamma)
         history.append((sq_sum + resid * resid) / n)
@@ -636,7 +635,7 @@ def clone_action(
             x[...] = a
             ws.forward()
             err = y.item() - target
-            ws.descend(0, err, lr)
+            ws.descend(err, lr)
             sq_sum += err * err
         mse = sq_sum / len(log)
     variance = float(np.var(targets))

@@ -65,6 +65,15 @@ for k in range(40):
 """
 
 
+# metrics.csv contents that are not a boosthdp metrics file
+FOREIGN_METRICS = {
+    "other-header": b"a,b\n1,2\n",
+    "stale-column": (",".join((*cli.METRICS_FIELDS, "extra")) + "\n").encode(),
+    "short-row": (",".join(cli.METRICS_FIELDS) + "\nstartup,PI,0.1\n").encode(),
+    "not-utf8": b"\xff\xfescenario,controller\n",
+}
+
+
 @pytest.fixture(scope="module")
 def fast_snapshots(tmp_path_factory):
     """One low-budget pretrain shared by the run/compare tests."""
@@ -223,6 +232,12 @@ class TestConfigParsing:
         with pytest.raises(ConfigError, match=str(missing)):
             load_config(str(missing))
 
+    def test_non_utf8_file_rejected(self, tmp_path):
+        config = tmp_path / "utf16.ini"
+        config.write_bytes(b"\xff\xfe[plant]\n")
+        with pytest.raises(ConfigError, match=f"config file {config} is not UTF-8 text"):
+            load_config(str(config))
+
     def test_load_none_equals_empty(self):
         cfg, _ = load_config(None)
         assert cfg == parse_config("")[0]
@@ -237,6 +252,17 @@ class TestUsageErrors:
         assert cli.main(["--help"]) == 0
         out = capsys.readouterr().out
         assert "pretrain" in out and "compare" in out
+
+    def test_non_utf8_config_exits_1_with_one_line(self, tmp_path, caplog):
+        config = tmp_path / "utf16.ini"
+        config.write_bytes(b"\xff\xfe[plant]\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["run", "startup", "PI", "--config", str(config),
+                           "--out", str(tmp_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"config file {config} is not UTF-8 text"]
+        assert not (tmp_path / "startup_PI.csv").exists()
 
     def test_missing_config_file_exits_1(self, tmp_path):
         rc = cli.main(["run", "startup", "PI", "--config", str(tmp_path / "x.ini")])
@@ -512,6 +538,24 @@ class TestRunCommand:
             pairs = [(r["scenario"], r["controller"]) for r in csv.DictReader(fh)]
         assert pairs == [("startup", "PI"), ("load_change", "PI")]
 
+    @pytest.mark.parametrize("content", FOREIGN_METRICS.values(), ids=FOREIGN_METRICS)
+    def test_foreign_metrics_file_exits_1_with_one_line(self, tmp_path, caplog, content):
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(content)
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["run", "startup", "PI", "--out", str(tmp_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"cannot update {path}: not a boosthdp metrics file"]
+        assert path.read_bytes() == content
+
+    def test_empty_metrics_file_has_no_rows(self, tmp_path):
+        (tmp_path / "metrics.csv").write_text("")
+        assert cli.main(["run", "startup", "PI", "--out", str(tmp_path)]) == 0
+        with open(tmp_path / "metrics.csv", newline="") as fh:
+            pairs = [(r["scenario"], r["controller"]) for r in csv.DictReader(fh)]
+        assert pairs == [("startup", "PI")]
+
     def test_concurrent_upserts_keep_every_row(self, tmp_path):
         path = tmp_path / "metrics.csv"
         children = [
@@ -742,6 +786,24 @@ class TestCompareCommand:
         assert len(lines) == 3
         assert "-" not in lines[1].split()
         assert "-" in lines[2].split()
+
+    @pytest.mark.parametrize("content", FOREIGN_METRICS.values(), ids=FOREIGN_METRICS)
+    def test_foreign_metrics_file_cells_reported(
+        self, fast_snapshots, tmp_path, caplog, capsys, content
+    ):
+        _copy_snapshots(tmp_path, fast_snapshots)
+        path = tmp_path / "metrics.csv"
+        path.write_bytes(content)
+        config = tmp_path / "one.ini"
+        config.write_text("[run]\nscenarios = startup\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["compare", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"cannot update {path}: not a boosthdp metrics file"] * 2
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert [line.split()[2:] for line in lines[1:]] == [["-"] * 3] * 2
+        assert path.read_bytes() == content
 
     def test_compare_is_deterministic(self, fast_snapshots, capsys):
         config = fast_snapshots / "fast3.ini"

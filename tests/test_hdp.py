@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from boosthdp import hdp
 from boosthdp.hdp import (
     ACTION_SIZES,
     CRITIC_SIZES,
@@ -17,7 +18,8 @@ from boosthdp.hdp import (
     td_update,
     utility,
 )
-from boosthdp.mlp import Mlp, PassWorkspace
+from boosthdp.mlp import ForwardCache, Mlp, PassWorkspace
+from td_reference import td_step_1d
 
 
 def net_bytes(net):
@@ -79,10 +81,14 @@ class TestTdError:
 
 
 def td_step(critic, x_now, x_next, u, gamma, lr):
-    """td_update on the two forward passes it needs, taken unbatched."""
-    j_next, _ = critic.forward(x_next)
-    _, cache = critic.forward(x_now)
-    return td_update(critic, cache, float(j_next[0]), u, gamma, lr)
+    """td_update on the critic's one-row workspace: the target pass, then
+    the x_now pass it steps on."""
+    ws = critic.workspace(1)
+    ws.inputs[0] = x_next
+    target = ws.forward().item(0)
+    ws.inputs[0] = x_now
+    ws.forward()
+    return td_update(ws, target, u, gamma, lr)
 
 
 class TestTdUpdate:
@@ -127,16 +133,36 @@ class TestTdUpdate:
 
     def test_runs_no_forward_pass(self, monkeypatch):
         critic = make_critic(seed=1)
-        x0, x1 = np.full(5, 0.4), np.full(5, -0.3)
-        target = float(critic.forward(x1)[0][0])
-        _, cache = critic.forward(x0)
+        ws = critic.workspace(1)
+        ws.inputs[0] = np.full(5, 0.4)
+        j_now = ws.forward().item(0)
+        target = float(critic.forward(np.full(5, -0.3))[0][0])
 
         def no_forward(*args):
             raise AssertionError("td_update ran a forward pass")
 
         monkeypatch.setattr(Mlp, "forward", no_forward)
-        resid = td_update(critic, cache, target, 0.5, 0.95, 0.01)
-        assert resid == td_error(float(cache.activations[-1][0]), target, 0.5, 0.95)
+        monkeypatch.setattr(PassWorkspace, "forward", no_forward)
+        resid = td_update(ws, target, 0.5, 0.95, 0.01)
+        assert resid == td_error(j_now, target, 0.5, 0.95)
+
+    @pytest.mark.parametrize("k", [1, 3])
+    def test_same_bits_as_the_1d_step_on_row_0(self, k):
+        critic, ref = make_critic(seed=4), make_critic(seed=4)
+        ws = critic.workspace(k)
+        rng = np.random.default_rng(k)
+        for _ in range(10):
+            xs = rng.uniform(-1.0, 1.0, (k, 5))
+            target, u = float(rng.normal()), float(rng.uniform(0.0, 1.0))
+            ws.inputs[...] = xs
+            ws.forward()
+            resid = td_update(ws, target, u, 0.85, 0.05)
+            # row 0 of the same batched pass (a batch rounds differently
+            # from a 1-D pass in the last bits)
+            _, cache = ref.forward(xs)
+            row0 = ForwardCache([a[0] for a in cache.activations])
+            assert resid == td_step_1d(ref, row0, target, u, 0.85, 0.05)
+            assert critic.params.tobytes() == ref.params.tobytes()
 
 
 class TestConfig:
@@ -214,7 +240,8 @@ class TestActionUpdate:
             x = np.append(a, (d_min + float(y[0]) * (d_max - d_min)) / d_scale)
             _, critic_cache = ctl.critic.forward(x)
             dj_dx = ctl.critic.grad_input(critic_cache, np.ones(1))
-            ref.descend(cache, [dj_dx[-1] * (d_max - d_min) / d_scale], cfg.lr_action)
+            grads = ref.grad_weights(cache, [dj_dx[-1] * (d_max - d_min) / d_scale])
+            ref.apply_update(grads, cfg.lr_action)
             assert ctl.action.params.tobytes() == ref.params.tobytes()
 
 
@@ -257,6 +284,26 @@ class TestControlStep:
         ctl.control_step(meas(60.0, 2.5))
         assert net_bytes(ctl.critic) != c1
 
+    def test_critic_steps_through_td_update(self, monkeypatch):
+        # one td_update per stored transition; none on the first step, after
+        # a reset or while frozen
+        calls = []
+        td_step_ = hdp.td_update
+
+        def counted(*args):
+            calls.append(None)
+            return td_step_(*args)
+
+        monkeypatch.setattr(hdp, "td_update", counted)
+        ctl = self.make()
+        for k in range(5):
+            ctl.control_step(meas(50.0 + k, 2.0))
+        assert len(calls) == 4
+        ctl.reset_transition_buffer()
+        ctl.control_step(meas(60.0, 2.5))
+        ctl.control_step(meas(61.0, 2.5), learn=False)
+        assert len(calls) == 4
+
     def test_reset_transition_buffer_skips_one_critic_update(self):
         ctl = self.make()
         ctl.control_step(meas(50.0, 2.0))
@@ -296,7 +343,7 @@ class TestControlStep:
 
 class RecomputingController:
     """The learning control step written from the public forward,
-    grad_input, td_update and descend, recomputing every pass: the
+    grad_input, grad_weights and apply_update, recomputing every pass: the
     reference for HdpController.control_step, which holds its passes in
     workspaces and reuses one."""
 
@@ -322,11 +369,12 @@ class RecomputingController:
             state_prev, u_prev = self.prev
             j_hat, _ = self.critic.forward(x_hat)
             _, cache = self.critic.forward(np.array(state_prev + [m.duty_prev / s[4]]))
-            td_update(self.critic, cache, float(j_hat[0]), u_prev, cfg.gamma, cfg.lr_critic)
+            td_step_1d(self.critic, cache, float(j_hat[0]), u_prev, cfg.gamma, cfg.lr_critic)
         _, cache = self.critic.forward(x_hat)
         dj_dx = self.critic.grad_input(cache, np.ones(1))
         d_min, d_max = cfg.duty_limits
-        self.action.descend(action_cache, [dj_dx[-1] * (d_max - d_min) / s[4]], cfg.lr_action)
+        grads = self.action.grad_weights(action_cache, [dj_dx[-1] * (d_max - d_min) / s[4]])
+        self.action.apply_update(grads, cfg.lr_action)
         duty = self.duty(self.action.forward(a)[0])
         j_now, _ = self.critic.forward(np.array(state + [duty / s[4]]))
         self.prev = (state, utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i))

@@ -1,5 +1,5 @@
 """Network tests: forward algebra, finite-difference gradient oracle, SGD
-updates and the fused descent step, the flat parameter layout and its views,
+updates and the workspace's descent step, the flat parameter layout and its views,
 a bit-level per-layer reference, and snapshot round-trips."""
 
 import numpy as np
@@ -263,7 +263,7 @@ class TestApplyUpdate:
 
 
 def two_step_update(net, cache, d_output, learning_rate):
-    """What `descend` must equal: the gradient object, then the update."""
+    """The reference descent step: the gradient object, then the update."""
     net.apply_update(net.grad_weights(cache, d_output), learning_rate)
 
 
@@ -273,7 +273,8 @@ def row_cache(cache, row):
 
 
 def same_nets(sizes, activation, seed):
-    """Two identical nets: one to descend, one to update in two steps."""
+    """Two identical nets: one to step on a workspace, one to update in two
+    steps."""
     net = Mlp.init(sizes, activation, seed=seed)
     net.biases = [
         np.random.default_rng(seed).normal(0.0, 0.3, size=b.shape) for b in net.biases
@@ -289,6 +290,9 @@ NET_SHAPES = st.tuples(
 
 
 class TestDescend:
+    """A workspace's descent step on row 0 is the gradient object of the
+    row's 1-D cache, then the update, bit for bit, for any net shape."""
+
     @settings(max_examples=80, deadline=None)
     @given(shape=NET_SHAPES, batch=st.integers(1, 4),
            rates=st.lists(st.floats(0.0, 1.0), min_size=3, max_size=3))
@@ -298,20 +302,24 @@ class TestDescend:
         rng = np.random.default_rng(seed + 1)
         for lr in rates:
             d_out = rng.normal(0.0, 1.0, size=sizes[-1])
+            # a one-row pass against a 1-D pass
             x = rng.uniform(-2.0, 2.0, size=sizes[0])
-            _, cache = net.forward(x)
+            ws = net.workspace(1)
+            ws.inputs[0] = x
+            ws.forward()
+            ws.descend(d_out, lr)
             _, ref_cache = ref.forward(x)
-            net.descend(cache, d_out, lr)
             two_step_update(ref, ref_cache, d_out, lr)
             assert net.params.tobytes() == ref.params.tobytes()
-            # the 1-D cache of a batched pass's row
+            # row 0 of a batched pass against that row's 1-D cache
             xs = rng.uniform(-2.0, 2.0, size=(batch, sizes[0]))
-            for row in range(batch):
-                _, cache = net.forward(xs)
-                _, ref_cache = ref.forward(xs)
-                net.descend(row_cache(cache, row), d_out, lr)
-                two_step_update(ref, row_cache(ref_cache, row), d_out, lr)
-                assert net.params.tobytes() == ref.params.tobytes()
+            ws = net.workspace(batch)
+            ws.inputs[...] = xs
+            ws.forward()
+            ws.descend(d_out, lr)
+            _, ref_cache = ref.forward(xs)
+            two_step_update(ref, row_cache(ref_cache, 0), d_out, lr)
+            assert net.params.tobytes() == ref.params.tobytes()
 
     @settings(max_examples=60, deadline=None)
     @given(shape=NET_SHAPES, bad=st.sampled_from(["inf output", "nan output", "inf rate"]))
@@ -323,16 +331,19 @@ class TestDescend:
         d_out = np.full(sizes[-1], {"inf output": np.inf, "nan output": np.nan}.get(bad, 1.0))
         lr = np.inf if bad == "inf rate" else 0.1
         before = net.params.tobytes()
+        # the 1-D step loads its cache into the one-row workspace
         _, cache = net.forward(x)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
-            net.descend(cache, d_out, lr)
+            two_step_update(net, cache, d_out, lr)
         assert net.params.tobytes() == before
-        # the next valid step is the reference step, not one mixed with the
-        # refused step's leftovers
+        # the next valid step on that workspace is the reference step, not
+        # one mixed with the refused step's leftovers
         d_out = rng.normal(0.0, 1.0, size=sizes[-1])
-        _, cache = net.forward(x)
+        ws = net.workspace(1)
+        ws.inputs[0] = x
+        ws.forward()
+        ws.descend(d_out, 0.1)
         _, ref_cache = ref.forward(x)
-        net.descend(cache, d_out, 0.1)
         two_step_update(ref, ref_cache, d_out, 0.1)
         assert net.params.tobytes() == ref.params.tobytes()
 
@@ -342,13 +353,12 @@ class TestDescend:
         _, batch = net.forward(np.zeros((3, 4)))
         _, foreign = Mlp.init([4, 3, 1], "sigmoid").forward(np.zeros(4))
         before = net.params.tobytes()
-        for cache in (batch, foreign):
-            with pytest.raises(ValueError, match="cache"):
-                net.descend(cache, [1.0], 0.1)
-            with pytest.raises(ValueError, match="cache"):
-                net.grad_weights(cache, [1.0])
-        with pytest.raises(ValueError, match="d_output"):
-            net.descend(single, [1.0, 2.0], 0.1)
+        for backward in (net.grad_weights, net.grad_input):
+            for cache in (batch, foreign):
+                with pytest.raises(ValueError, match="cache"):
+                    backward(cache, [1.0])
+            with pytest.raises(ValueError, match="d_output"):
+                backward(single, [1.0, 2.0])
         assert net.params.tobytes() == before
 
 
@@ -361,7 +371,7 @@ WORKSPACE_NETS = st.tuples(
 
 class TestPassWorkspace:
     """A workspace step is the forward pass of a batch and a descent step on
-    one row's 1-D cache, bit for bit."""
+    row 0's 1-D cache, bit for bit."""
 
     @settings(max_examples=60, deadline=None)
     @given(shape=WORKSPACE_NETS, k=st.sampled_from([1, 3]),
@@ -372,17 +382,19 @@ class TestPassWorkspace:
         ws = net.workspace(k)
         rng = np.random.default_rng(seed + 3)
         for lr in rates:
-            for row in range(k):
+            for _ in range(2):
                 xs = rng.uniform(-2.0, 2.0, size=(k, sizes[0]))
                 d_out = float(rng.normal(0.0, 1.0))
                 ws.inputs[...] = xs
                 out = ws.forward()
                 ref_out, ref_cache = ref.forward(xs)
+                # every row's output, then the step on row 0
                 assert out.tobytes() == ref_out.tobytes()
-                assert ws.gradient(row, d_out).tobytes() == ref.grad_weights(
-                    row_cache(ref_cache, row), [d_out]).flat.tobytes()
-                ws.descend(row, d_out, lr)
-                ref.descend(row_cache(ref_cache, row), [d_out], lr)
+                row0 = row_cache(ref_cache, 0)
+                assert ws.gradient(d_out).tobytes() == ref.grad_weights(
+                    row0, [d_out]).flat.tobytes()
+                ws.descend(d_out, lr)
+                two_step_update(ref, row0, [d_out], lr)
                 assert net.params.tobytes() == ref.params.tobytes()
 
     @settings(max_examples=60, deadline=None)
@@ -400,15 +412,14 @@ class TestPassWorkspace:
         ws.inputs[...] = xs
         ws.forward()
         pass_before = (ws.inputs.tobytes(), ws.outputs.tobytes())
-        for row in range(k):
-            with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
-                ws.descend(row, d_out, lr)
-            assert net.params.tobytes() == before
-            assert (ws.inputs.tobytes(), ws.outputs.tobytes()) == pass_before
+        with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
+            ws.descend(d_out, lr)
+        assert net.params.tobytes() == before
+        assert (ws.inputs.tobytes(), ws.outputs.tobytes()) == pass_before
         # a valid step on the same pass is the reference step
         _, ref_cache = ref.forward(xs)
-        ws.descend(k - 1, 0.5, 0.1)
-        ref.descend(row_cache(ref_cache, k - 1), [0.5], 0.1)
+        ws.descend(0.5, 0.1)
+        two_step_update(ref, row_cache(ref_cache, 0), [0.5], 0.1)
         assert net.params.tobytes() == ref.params.tobytes()
 
     def test_sees_every_parameter_write(self):
@@ -518,7 +529,8 @@ class TestPerLayerReference:
             d_out = float(rng.normal(0.0, 1.0))
             acts = [a[row] for a in cache.activations]
             ref_dx = ref_backward(net.weights, activation, acts, [d_out])[2]
-            assert ws.grad_input(row, d_out).tobytes() == ref_dx.tobytes()
+            if row == 0:  # the workspace's backward pass runs on row 0
+                assert ws.grad_input(d_out).tobytes() == ref_dx.tobytes()
             assert net.grad_input(row_cache(cache, row), [d_out]).tobytes() == ref_dx.tobytes()
 
 

@@ -14,7 +14,6 @@ from boosthdp.hdp import (
     make_action,
     make_critic,
     td_error,
-    td_update,
 )
 from boosthdp.mlp import ForwardCache, NonFiniteUpdateError
 from boosthdp.plant import PlantParams, PlantState
@@ -39,6 +38,7 @@ from boosthdp.sim import (
     warm_start_pi,
     write_trace_csv,
 )
+from td_reference import td_step_1d
 from trace_io import read_trace_csv
 
 
@@ -410,9 +410,8 @@ def three_forward_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs):
         for idx in order:
             x_now, x_next, u = log[idx]
             target = value(x_next)
-            j_now, cache = critic.forward(x_now)
-            resid = float(j_now[0]) - gamma * target - u
-            critic.apply_update(critic.grad_weights(cache, [resid]), lr)
+            _, cache = critic.forward(x_now)
+            td_step_1d(critic, cache, target, u, gamma, lr)
             after = value(x_now) - gamma * target - u
             sq_sum += after * after
         history.append(sq_sum / len(log))
@@ -445,6 +444,22 @@ class TestTrainCriticOnLog:
             assert abs(h - r) <= 1e-12 * abs(r)
         assert hist[-1] < hist[0]
         assert max_relative_gap(critic.params, reference.params) <= 1e-12
+
+    def test_steps_through_td_update(self, monkeypatch):
+        # one td_update per transition and epoch
+        calls = []
+        td_step = sim.td_update
+
+        def counted(*args):
+            calls.append(None)
+            return td_step(*args)
+
+        monkeypatch.setattr(sim, "td_update", counted)
+        log = excitation_log_200()
+        cfg = HdpConfig(lr_critic=PretrainSettings.learning_rate)
+        hist = train_critic_on_log(make_critic(seed=0), log, cfg, seed=1, max_epochs=2)
+        assert len(hist) == 3
+        assert len(calls) == 2 * len(log)
 
     def test_non_finite_step_mid_epoch_keeps_last_accepted_net(self):
         log = excitation_log_200()
@@ -576,10 +591,10 @@ class TestPretrainAndClone:
 
 
 def public_critic_sweep(critic, log, cfg, seed, max_epochs):
-    """train_critic_on_log's sweep written with the public forward and
-    td_update: one 3-row pass per transition, [x_now of the previous sample,
-    x_next, x_now], stepping on the 1-D cache of row 2.  No stopping rule
-    fires within 5 epochs."""
+    """train_critic_on_log's sweep written with the public forward and the
+    1-D TD step: one 3-row pass per transition, [x_now, x_next, x_now of
+    the previous sample], stepping on the 1-D cache of row 0.  No stopping
+    rule fires within 5 epochs."""
     gamma = cfg.gamma
     x_now, x_next, u = map(np.array, zip(*log))
     n = len(u)
@@ -594,15 +609,15 @@ def public_critic_sweep(critic, log, cfg, seed, max_epochs):
         sq_sum = 0.0
         target = u_prev = 0.0
         for step, idx in enumerate(order):
-            batch = np.stack((x_now[order[step - 1]], x_next[idx], x_now[idx]))
+            batch = np.stack((x_now[idx], x_next[idx], x_now[order[step - 1]]))
             out, cache = critic.forward(batch)
-            j_prev, j_next, _ = out[:, 0].tolist()
+            _, j_next, j_prev = out[:, 0].tolist()
             if step:
                 r = td_error(j_prev, target, u_prev, gamma)
                 sq_sum += r * r
             target, u_prev = j_next, float(u[idx])
-            row = ForwardCache([a[2] for a in cache.activations])
-            td_update(critic, row, target, u_prev, gamma, lr)
+            row = ForwardCache([a[0] for a in cache.activations])
+            td_step_1d(critic, row, target, u_prev, gamma, lr)
         j_last, _ = critic.forward(x_now[order[-1]])
         r = td_error(float(j_last[0]), target, u_prev, gamma)
         history.append((sq_sum + r * r) / n)
@@ -610,7 +625,8 @@ def public_critic_sweep(critic, log, cfg, seed, max_epochs):
 
 
 def public_clone(action, log, cfg, seed, epochs, learning_rate):
-    """clone_action's loop written with the public 1-D forward and descend."""
+    """clone_action's loop written with the public 1-D forward, grad_weights
+    and apply_update."""
     d_min, d_max = cfg.duty_limits
     x_now = np.array([x for x, _, _ in log])
     targets = np.clip((x_now[:, 4] * cfg.norm_scales[4] - d_min) / (d_max - d_min),
@@ -625,7 +641,7 @@ def public_clone(action, log, cfg, seed, epochs, learning_rate):
         for idx in order:
             y, cache = action.forward(x_now[idx, :4])
             err = float(y[0]) - float(targets[idx])
-            action.descend(cache, [err], lr)
+            action.apply_update(action.grad_weights(cache, [err]), lr)
             sq_sum += err * err
         mse = sq_sum / len(log)
     return mse
