@@ -12,10 +12,10 @@ a typo should fail loudly, not silently run the nominal setup.  [plant] v_s
 and r_load are the nominal point the scenarios start from.
 
 Exit codes: 0 on success, 1 for usage, configuration, or missing or corrupt
-snapshot errors and for an output directory that cannot be created, 2 when
-a simulation diverges, an online network update would turn a parameter
-non-finite, or pretraining fails to converge or clones an action net no
-better than a constant.
+snapshot errors and for an output directory or an artifact that cannot be
+written, 2 when a simulation diverges, an online network update would turn
+a parameter non-finite, or pretraining fails to converge or clones an
+action net no better than a constant.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ import io
 import logging
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
 
@@ -254,6 +255,16 @@ def _snapshot_paths(cfg: RunConfig) -> tuple[Path, Path]:
     return out / "critic.mlp", out / "action.mlp"
 
 
+@contextmanager
+def _writing(path: Path):
+    """Turn an OSError raised while writing the artifact at path (a
+    directory in its place, no permission) into ConfigError."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
 def _make_out_dir(cfg: RunConfig) -> Path:
     """The output directory, created if missing, or ConfigError."""
     out = Path(cfg.out_dir)
@@ -291,10 +302,12 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         log.error("pretraining failed: %s", exc)
         return 2
     critic_path, action_path = _snapshot_paths(cfg)
-    critic.save(critic_path)
-    action.save(action_path)
+    with _writing(critic_path):
+        critic.save(critic_path)
+    with _writing(action_path):
+        action.save(action_path)
     residuals_path = out / "pretrain_residuals.csv"
-    with atomic_write(residuals_path) as fh:
+    with _writing(residuals_path), atomic_write(residuals_path) as fh:
         writer = csv.writer(fh)
         writer.writerow(["epoch", "mean_squared_residual"])
         for epoch, value in enumerate(history):
@@ -378,14 +391,18 @@ def _run_cell(cfg: RunConfig, scenario: str, tag: str) -> tuple[int, sim.Metrics
 
     Returns (exit code, metrics): (0, metrics) on success; a failure is
     logged as one line and gives (1, None) for a configuration or snapshot
-    error, (2, None) for a divergence or a non-finite network update.
+    error or an artifact that cannot be written, (2, None) for a divergence
+    or a non-finite network update.
     """
     try:
         spec, controller = _build_cell(cfg, scenario, tag)
         trace, metrics = sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
         out = _make_out_dir(cfg)
-        sim.write_trace_csv(out / f"{scenario}_{tag}.csv", trace)
-        _upsert_metrics(out / "metrics.csv", scenario, tag, metrics)
+        trace_path, metrics_path = out / f"{scenario}_{tag}.csv", out / "metrics.csv"
+        with _writing(trace_path):
+            sim.write_trace_csv(trace_path, trace)
+        with _writing(metrics_path):
+            _upsert_metrics(metrics_path, scenario, tag, metrics)
     except ConfigError as exc:
         log.error("%s", exc)
         return 1, None
@@ -410,13 +427,28 @@ def cmd_run(cfg: RunConfig, scenario: str, tag: str) -> int:
     rc, m = _run_cell(cfg, scenario, tag)
     if m is None:
         return rc
-    log.info(
-        "%s %s: settling %.2f ms, overshoot %.2f%%, iae %.4f, "
-        "peak %.2f V, oscillation %s, unsettled %s",
-        scenario, tag, m.settling_time * 1e3, m.overshoot, m.iae,
-        m.peak_deviation, m.oscillation, m.unsettled,
-    )
+    log.info("%s", _run_line(scenario, tag, m))
     return 0
+
+
+def _run_line(scenario: str, tag: str, m: sim.Metrics) -> str:
+    """The metrics line `run` logs for one cell."""
+    return (
+        f"{scenario} {tag}: settling {m.settling_time * 1e3:.2f} ms, "
+        f"overshoot {m.overshoot:.2f}%, iae {m.iae:.4f}, "
+        f"peak {m.peak_deviation:.2f} V, oscillation {m.oscillation}, "
+        f"unsettled {m.unsettled}"
+    )
+
+
+def _table_row(scenario: str, tag: str, m: sim.Metrics | None) -> str:
+    """The row of `compare`'s table for one cell; a failed cell shows -."""
+    if m is None:
+        return f"{scenario:<14} {tag:<10} {'-':>12} {'-':>12} {'-':>10}"
+    return (
+        f"{scenario:<14} {tag:<10} {m.settling_time * 1e3:>12.2f} "
+        f"{m.overshoot:>12.2f} {m.iae:>10.4f}"
+    )
 
 
 def cmd_compare(cfg: RunConfig) -> int:
@@ -437,13 +469,7 @@ def cmd_compare(cfg: RunConfig) -> int:
         for tag in ("PI", "HDP"):
             rc, m = _run_cell(cfg, scenario, tag)
             worst = max(worst, rc)
-            if m is None:
-                lines.append(f"{scenario:<14} {tag:<10} {'-':>12} {'-':>12} {'-':>10}")
-                continue
-            lines.append(
-                f"{scenario:<14} {tag:<10} {m.settling_time * 1e3:>12.2f} "
-                f"{m.overshoot:>12.2f} {m.iae:>10.4f}"
-            )
+            lines.append(_table_row(scenario, tag, m))
     print("\n".join(lines))
     return worst
 

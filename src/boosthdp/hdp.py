@@ -16,11 +16,10 @@ critic's estimate: the duty cycle enters the critic as an input, so
 d(cost-to-go)/d(duty) comes from the critic's input gradient and
 backpropagates through the action net.
 
-The online step builds no forward cache: every pass runs in a one-row
-`PassWorkspace` (the same bits as a 1-D `Mlp.forward`) and each step
-descends on its pass in place, as the offline sweeps in `sim` do.
-`td_update` is the one critic step, on row 0 of a critic workspace; the
-online step and the offline sweep both call it.
+The online step runs every pass and step on the nets' generated kernels
+(`Mlp.kernels`, `Mlp.step`), on parameter lists taken from `Mlp.params` at
+the top of the step.  `td_update` is the one critic step; the online step
+and the offline sweep in `sim` both take it.
 
 All network inputs are normalized by fixed scales so every feature is O(1);
 the utility is computed on the normalized errors for the same reason, which
@@ -34,7 +33,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .mlp import Mlp, PassWorkspace
+from .mlp import Mlp
 
 __all__ = [
     "CRITIC_SIZES",
@@ -76,24 +75,25 @@ def td_error(j_now: float, j_next: float, u_now: float, gamma: float) -> float:
 
 
 def td_update(
-    ws: PassWorkspace,
+    critic: Mlp,
+    p: list[float],
+    acts: list[float],
     target: float,
     u_now: float,
     gamma: float,
     learning_rate: float,
-) -> float:
+) -> list[float]:
     """One semi-gradient step of the critic toward u_now + gamma * target.
 
-    `ws` is a critic workspace whose last pass holds x_now in row 0, and
-    `target` is J(x_next), both at the present weights; the caller runs
-    those passes, so the step itself runs none.  The target is held fixed.
-    Returns the residual before the step.  This is the only critic step:
-    the offline sweep and the online control step both take it.
+    `p` is the critic's parameter list, `acts` its kernel pass at x_now and
+    `target` J(x_next), both at `p`; the caller runs those passes, so the
+    step itself runs none.  The target is held fixed.  Returns the new
+    parameter list, which `critic.params` now holds.  This is the only
+    critic step: the offline sweep and the online control step both take it.
     """
-    resid = td_error(ws.outputs.item(0), target, u_now, gamma)
+    resid = td_error(acts[-1], target, u_now, gamma)
     # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself
-    ws.descend(resid, learning_rate)
-    return resid
+    return critic.step(p, acts, (resid,), learning_rate)
 
 
 @dataclass(frozen=True)
@@ -176,18 +176,12 @@ class HdpController:
         self.critic = critic
         self.action = action
         self.config = config
-        # (normalized state inputs, utility, held pass) of the previous
-        # period, None until one period has been observed; the duty slot of
-        # the previous critic input is taken from the next measurement's
-        # duty_prev, which is the duty actually applied (the harness may have
-        # modified the command, e.g. probing noise during practice).  The
-        # held pass is the learning step's critic pass at the committed duty,
-        # left in the held workspace: (duty, that workspace, the critic's
-        # params as bytes), or None.
-        self._prev: tuple[list[float], float, tuple | None] | None = None
-        # (critic, the controller's own one-row workspace on it), made anew
-        # when the critic object changes
-        self._held_ws: tuple[Mlp, PassWorkspace] | None = None
+        # (normalized state inputs, utility) of the previous period, None
+        # until one period has been observed; the duty slot of the previous
+        # critic input is taken from the next measurement's duty_prev, which
+        # is the duty actually applied (the harness may have modified the
+        # command, e.g. probing noise during practice)
+        self._prev: tuple[list[float], float] | None = None
 
     def reset_transition_buffer(self) -> None:
         """Forget the stored transition, e.g. across a simulation restart."""
@@ -205,32 +199,21 @@ class HdpController:
     def action_update(self, a: np.ndarray) -> None:
         """One descent step of the critic's cost-to-go with respect to the
         policy weights."""
-        ws = self.action.workspace(1)
-        ws.inputs[0] = a
-        duty = self._duty(ws.forward().item(0))
-        x = np.concatenate((a, (duty / self.config.norm_scales[4],)))
+        p = self.action.params.tolist()
+        acts = self.action.kernels.forward(p, np.asarray(a, dtype=float).tolist())
+        x = np.concatenate((a, (self._duty(acts[-1]) / self.config.norm_scales[4],)))
         _, cache = self.critic.forward(x)
-        self._descend_action(ws, self.critic.grad_input(cache, np.ones(1))[-1])
+        self._descend_action(p, acts, self.critic.grad_input(cache, np.ones(1))[-1])
 
-    def _descend_action(self, ws: PassWorkspace, dj_dduty: float) -> None:
-        """One descent step of the action net on row 0 of its one-row
-        workspace `ws`, given dJ/d(the critic's normalized duty input), both
-        taken at the present weights."""
+    def _descend_action(self, p: list[float], acts: list[float], dj_dduty: float) -> list[float]:
+        """One descent step of the action net on its kernel pass `acts` at
+        the parameters `p`, given dJ/d(the critic's normalized duty input) at
+        the present weights; returns the new parameter list."""
         cfg = self.config
         d_min, d_max = cfg.duty_limits
         # chain rule through the affine duty map and the normalization
-        ws.descend(dj_dduty * (d_max - d_min) / cfg.norm_scales[4], cfg.lr_action)
-
-    def _held_workspace(self) -> PassWorkspace:
-        """The controller's one-row workspace on the present critic."""
-        critic = self.critic
-        if self._held_ws is None or self._held_ws[0] is not critic:
-            if not isinstance(critic, Mlp):
-                raise TypeError(
-                    f"control_step needs an Mlp critic, got {type(critic).__name__}"
-                )
-            self._held_ws = (critic, PassWorkspace(critic, 1))
-        return self._held_ws[1]
+        d_output = (dj_dduty * (d_max - d_min) / cfg.norm_scales[4],)
+        return self.action.step(p, acts, d_output, cfg.lr_action)
 
     def control_step(
         self, measurement: ControllerInput, learn: bool = True
@@ -240,49 +223,39 @@ class HdpController:
         With learn set, first fits the critic on the buffered transition
         that lands in this measurement, then improves the action net through
         the critic, and only then forms the period's command.  Every pass
-        runs in a one-row workspace (the same bits as a 1-D `Mlp.forward`),
-        and every step descends on its pass in place.  The critic pass at
-        the command is held in the controller's own workspace for the next
-        learning step: when that step is told this duty was applied and the
-        critic is the same net with the same weights, the pass is its x_prev
-        pass, bit for bit, and is not run again.  The critic must be an
-        `Mlp`.
+        and step runs on the nets' kernels (the same bits as the 1-D
+        `Mlp.forward`, `grad_input`, `grad_weights` and `apply_update`), on
+        parameter lists read from the nets once per call.  The critic must
+        be an `Mlp`.
         """
-        held_ws = self._held_workspace()
+        critic, action = self.critic, self.action
+        if not isinstance(critic, Mlp):
+            raise TypeError(
+                f"control_step needs an Mlp critic, got {type(critic).__name__}"
+            )
+        critic_pass, action_pass = critic.kernels.forward, action.kernels.forward
         cfg = self.config
         s = cfg.norm_scales
         m = measurement
         # the normalized state as floats; critic inputs append the duty slot
         state = [m.v_o / s[0], m.i_l / s[1], m.e_v / s[2], m.e_i / s[3]]
-        action_ws = self.action.workspace(1)
-        action_ws.inputs[0] = state
-        critic = self.critic
+        pc, pa = critic.params.tolist(), action.params.tolist()
+        acts = action_pass(pa, state)
         if learn:
             # the critic step leaves the action net as it is, so this one
             # action pass serves both the critic's target and the action step
-            critic_ws = critic.workspace(1)
-            critic_ws.inputs[0] = state + [self._duty(action_ws.forward().item(0)) / s[4]]
+            x_hat = state + [self._duty(acts[-1]) / s[4]]
             if self._prev is not None:
                 # the stored transition lands in the present state; evaluate
                 # it with the duty the current policy would command here
-                state_prev, u_prev, held = self._prev
-                # one-row passes: a batch would round differently in the
-                # last bits and move the run's trace
-                j_hat = critic_ws.forward().item(0)
-                # the held pass is the x_prev pass only at the applied duty,
-                # in this critic's workspace, at unchanged weights
-                if held != (m.duty_prev, held_ws, critic.params.tobytes()):
-                    held_ws.inputs[0] = state_prev + [m.duty_prev / s[4]]
-                    held_ws.forward()
-                td_update(held_ws, j_hat, u_prev, cfg.gamma, cfg.lr_critic)
-            critic_ws.forward()
-            self._descend_action(action_ws, critic_ws.grad_input(1.0)[-1])
-        duty = self._duty(action_ws.forward().item(0))
-        held_ws.inputs[0] = state + [duty / s[4]]
-        j_est = held_ws.forward().item(0)
-        u_now = utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i)
-        # the next learning step's x_prev pass, if that step sees this duty
-        # applied and these weights
-        held = (duty, held_ws, critic.params.tobytes()) if learn else None
-        self._prev = (state, u_now, held)
+                state_prev, u_prev = self._prev
+                j_hat = critic_pass(pc, x_hat)[-1]
+                x_prev = critic_pass(pc, state_prev + [m.duty_prev / s[4]])
+                pc = td_update(critic, pc, x_prev, j_hat, u_prev, cfg.gamma, cfg.lr_critic)
+            dj_dx = critic.kernels.input_gradient(pc, critic_pass(pc, x_hat), (1.0,))
+            pa = self._descend_action(pa, acts, dj_dx[-1])
+            acts = action_pass(pa, state)
+        duty = self._duty(acts[-1])
+        j_est = critic_pass(pc, state + [duty / s[4]])[-1]
+        self._prev = (state, utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i))
         return duty, j_est

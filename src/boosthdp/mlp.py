@@ -3,43 +3,37 @@
 Just enough machinery for the neuro-controller: tanh hidden layers, a linear
 or sigmoid output, exact reverse-mode gradients with respect to both the
 parameters and the input, plain SGD updates, and a text snapshot format.
-Everything is double precision numpy.  Nets are small (a handful of units per
-layer); `forward` also takes a batch of inputs as rows, so that callers
-evaluating several points at the same weights pay numpy's per-call overhead
-once.  Gradients are per sample.
+Nets are small (a handful of units per layer); gradients are per sample.
 
-Parameter layout: every parameter of a net lives in one contiguous vector,
-`Mlp.params`.  Layer by layer it holds the weight matrix row-major (shape
-fan_out x fan_in), then the bias vector - the same order as the snapshot's
-parameter rows.  `Mlp.weights` and `Mlp.biases` are per-layer views of that
-vector, and `MlpGradients.flat` uses the same layout, so an SGD step is one
-vector operation followed by one finiteness check.
+Parameter layout: every parameter of a net lives in one contiguous numpy
+vector, `Mlp.params`, the one source of truth for the net's weights.  Layer
+by layer it holds the weight matrix row-major (shape fan_out x fan_in), then
+the bias vector - the same order as the snapshot's parameter rows.
+`Mlp.weights` and `Mlp.biases` are per-layer views of that vector, and
+`MlpGradients.flat` uses the same layout.
 
-At these sizes numpy's per-call overhead costs more than the arithmetic, so
-the hot paths make as few numpy calls as they can.  Each net owns one
-preallocated `PassWorkspace` per row count k: a k-row forward pass writes
-every activation into it, and the backward pass of row 0 reads them in
-place and gathers all weight and bias gradients with one elementwise
-product, or ends in the input gradient.  A caller that steps on one point
-of a batched pass puts that point in row 0.  This is the only backward
-pass and commit: `grad_weights` and `grad_input` copy a 1-D cache into the
-one-row workspace and run it, and `apply_update` shares the commit.  Every
-product and sum is still the one a per-layer implementation computes, so
-results are bit-identical to it (tests/test_mlp.py keeps such an
-implementation as the reference).
-
-The offline sweeps and the online control step run on workspaces.  The
-1-D entry points `grad_weights`, `grad_input` and `apply_update` (and
-`MlpGradients`) serve `HdpController.action_update`, and the tests, which
-use them as the reference for the workspace; perfbench/tracing.py wraps
-them by name.
+Per-sample arithmetic: at these sizes numpy's per-call overhead costs more
+than the arithmetic, so every single-input pass and step runs in plain
+Python floats, in code generated once per topology (`Mlp.kernels`, built
+with `exec` as `dataclasses` builds its methods).  The kernels take the
+parameters as a list in the flat layout and a pass's activations as one
+flat list; every sum runs left to right with the bias last.  A hot loop
+takes `params.tolist()` once, carries the list that `Mlp.step` returns
+(which has also written it into `params`), and runs `kernels.forward` on
+it.  The 1-D `forward`, `grad_weights` and `grad_input` run the same
+kernels behind numpy arrays and a `ForwardCache`, and `apply_update`
+subtracts lr * g as `descend` does, so forward, `grad_weights` and
+`apply_update` give the bits of one `step`.  A batched
+`forward` ((k, n_inputs) rows) stays numpy, one matrix product per layer,
+and may differ from the single-input passes in the last bits.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -49,7 +43,7 @@ __all__ = [
     "Mlp",
     "MlpGradients",
     "ForwardCache",
-    "PassWorkspace",
+    "Kernels",
     "MlpFormatError",
     "NonFiniteUpdateError",
 ]
@@ -77,29 +71,90 @@ def _layer_views(flat: np.ndarray, layer_sizes: list[int]):
     return weights, biases
 
 
-def _gradient_gather(layer_sizes: list[int], k: int = 1):
-    """Index vectors (rows, cols) such that src[rows] * src[cols] is the
-    parameter gradient in the flat layout, for the workspace layout
-    src = [delta_0, ..., delta_{L-1}, a_0, ..., a_L, 1.0]
-    with each a_l (the input of layer l; a_L the output) held for k rows,
-    and the activations read from row 0 (delta_l: d_loss/d_pre-activation
-    of layer l).  A weight's gradient is delta_i * a_j, a bias's is
-    delta_i * 1.0 - exactly the products an outer-product backward pass
-    computes.  `rows` does not depend on k."""
-    fan_ins, fan_outs = layer_sizes[:-1], layer_sizes[1:]
-    one_at = sum(fan_outs) + k * sum(layer_sizes)
-    rows: list[int] = []
-    cols: list[int] = []
-    delta_at, act_at = 0, sum(fan_outs)
-    for fan_in, fan_out in zip(fan_ins, fan_outs):
-        for i in range(fan_out):  # weights, row-major
-            rows += [delta_at + i] * fan_in
-            cols += range(act_at, act_at + fan_in)
-        rows += range(delta_at, delta_at + fan_out)  # biases
-        cols += [one_at] * fan_out
-        delta_at += fan_out
-        act_at += k * fan_in
-    return np.array(rows), np.array(cols)
+class Kernels(NamedTuple):
+    """Straight-line float code for one topology.  `p` is the parameter
+    list in the flat layout, `acts` every activation of one pass as one flat
+    list (the input first, the output last), `d` d_loss/d_output as a
+    sequence of floats."""
+
+    forward: Callable        # (p, x) -> acts
+    gradient: Callable       # (p, acts, d) -> the parameter gradient, flat layout
+    descend: Callable        # (p, acts, d, lr) -> [p[k] - g_k*lr for every k]
+    input_gradient: Callable  # (p, acts, d) -> d_loss/d_input
+
+
+@lru_cache(maxsize=None)
+def _kernels(layer_sizes: tuple[int, ...], sigmoid: bool) -> Kernels:
+    """Generate and compile the kernels of one topology.  Every backward
+    kernel starts from the same text, so their deltas are the same bits."""
+    n_layers = len(layer_sizes) - 1
+    # a{l}_{j}: unit j of activation l (a0 the input); e{l}_{i}: the delta
+    # (d_loss/d_pre-activation) of unit i of layer l; w[l][i][j], b[l][i]:
+    # flat indices of layer l's weights and biases
+    acts = [[f"a{l}_{j}" for j in range(n)] for l, n in enumerate(layer_sizes)]
+    deltas = [[f"e{l}_{i}" for i in range(n)] for l, n in enumerate(layer_sizes[1:])]
+    w, b, at = [], [], 0
+    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+        w.append([[at + i * fan_in + j for j in range(fan_in)] for i in range(fan_out)])
+        at += fan_out * fan_in
+        b.append(list(range(at, at + fan_out)))
+        at += fan_out
+    every_act = ", ".join(sum(acts, []))
+
+    forward = ["def forward(p, x):", f"    {', '.join(acts[0])}, = x"]
+    for l in range(n_layers):
+        for i, out in enumerate(acts[l + 1]):
+            z = " + ".join(
+                [f"p[{k}]*{a}" for k, a in zip(w[l][i], acts[l])] + [f"p[{b[l][i]}]"]
+            )
+            if l < n_layers - 1:
+                forward.append(f"    {out} = tanh({z})")
+            elif sigmoid:
+                # math.exp raises where numpy's gives inf, and 1/(1+inf) = 0
+                forward += [
+                    "    try:",
+                    f"        {out} = 1.0 / (1.0 + exp(-({z})))",
+                    "    except OverflowError:",
+                    f"        {out} = 0.0",
+                ]
+            else:
+                forward.append(f"    {out} = {z}")
+    forward.append(f"    return [{every_act}]")
+
+    backward = [
+        f"    {every_act}, = acts",
+        f"    {', '.join(f'd{i}' for i in range(layer_sizes[-1]))}, = d",
+    ]
+    for i, (e, y) in enumerate(zip(deltas[-1], acts[-1])):
+        backward.append(f"    {e} = d{i} * {y} * (1.0 - {y})" if sigmoid else f"    {e} = d{i}")
+    for l in range(n_layers - 1, 0, -1):
+        # W^T delta, times the derivative of tanh from the stored activation
+        for j, (e, h) in enumerate(zip(deltas[l - 1], acts[l])):
+            back = " + ".join(f"p[{w[l][i][j]}]*{d}" for i, d in enumerate(deltas[l]))
+            backward.append(f"    {e} = ({back}) * (1.0 - {h}*{h})")
+    grads: list[tuple[int, str]] = []  # (flat index, gradient) in the flat layout
+    for l in range(n_layers):
+        grads += [
+            (k, f"{e}*{a}") for e, row in zip(deltas[l], w[l]) for k, a in zip(row, acts[l])
+        ]
+        grads += list(zip(b[l], deltas[l]))
+    dx = [
+        " + ".join(f"p[{w[0][i][j]}]*{e}" for i, e in enumerate(deltas[0]))
+        for j in range(layer_sizes[0])
+    ]
+    body = "\n".join(backward)
+    source = "\n".join([
+        *forward,
+        "def gradient(p, acts, d):", body,
+        f"    return [{', '.join(g for _, g in grads)}]",
+        "def descend(p, acts, d, lr):", body,
+        f"    return [{', '.join(f'p[{k}] - {g}*lr' for k, g in grads)}]",
+        "def input_gradient(p, acts, d):", body,
+        f"    return [{', '.join(dx)}]",
+    ])
+    namespace = {"tanh": math.tanh, "exp": math.exp}
+    exec(source, namespace)
+    return Kernels(*(namespace[name] for name in Kernels._fields))
 
 
 @dataclass
@@ -154,16 +209,10 @@ class Mlp:
         # never rebound: the views below stay valid for the net's lifetime
         self._params = np.zeros(n_params)
         self._w, self._b = _layer_views(self._params, self.layer_sizes)
-        # the candidate parameters of a step and its finiteness mask
-        self._candidate = np.empty_like(self._params)
-        self._finite = np.empty(self._params.shape, bool)
-        self._all_finite = np.ones(self._params.shape, bool).tobytes()
-        self._wT = [w.T for w in self._w]
-        self._hidden = list(zip(self._wT[:-1], self._b[:-1]))
         self._sigmoid = output_activation == "sigmoid"
-        self._output_shape = (layer_sizes[-1],)
-        self._activation_shapes = [(n,) for n in layer_sizes]
-        self._workspaces: dict[int, PassWorkspace] = {}
+        self.kernels = _kernels(tuple(layer_sizes), self._sigmoid)
+        # where each layer's activations start in a flattened pass
+        self._act_splits = np.cumsum(layer_sizes)[:-1]
         self.weights = weights
         self.biases = biases
 
@@ -240,66 +289,48 @@ class Mlp:
         the matching shape (n_outputs,) or (k, n_outputs).  The cache of a
         1-D pass feeds grad_weights / grad_input.
 
-        A 1-D input runs the same products as W.dot(a), bit for bit; a row
-        of a batch (one matrix-matrix product) may differ from the 1-D pass
-        of that row in the last bits.
+        A 1-D input runs `kernels.forward`; a batch runs one matrix-matrix
+        product per layer, whose rows may differ from the 1-D passes in the
+        last bits.
         """
         a = np.asarray(x, dtype=float)
         if a.ndim not in (1, 2) or a.shape[-1] != self.layer_sizes[0]:
             n = self.layer_sizes[0]
             raise ValueError(f"input shape {a.shape} is neither ({n},) nor (k, {n})")
+        if a.ndim == 1:
+            flat = np.array(self.kernels.forward(self._params.tolist(), a.tolist()))
+            activations = np.split(flat, self._act_splits)
+            return activations[-1], ForwardCache(activations)
         activations = [a]
-        for wT, b in self._hidden:
-            a = np.tanh(a.dot(wT) + b)
+        for w, b in zip(self._w[:-1], self._b[:-1]):
+            a = np.tanh(a.dot(w.T) + b)
             activations.append(a)
-        a = a.dot(self._wT[-1]) + self._b[-1]
+        a = a.dot(self._w[-1].T) + self._b[-1]
         if self._sigmoid:
             a = 1.0 / (1.0 + np.exp(-a))
         activations.append(a)
         return a, ForwardCache(activations)
 
-    def workspace(self, k: int = 1) -> "PassWorkspace":
-        """The net's preallocated workspace for k-row passes, made on first
-        use and kept for the net's lifetime.  `grad_weights` and
-        `grad_input` load their cache into the one-row workspace,
-        overwriting its pass."""
-        ws = self._workspaces.get(k)
-        if ws is None:
-            ws = self._workspaces[k] = PassWorkspace(self, k)
-        return ws
-
-    def _loaded(self, cache: ForwardCache, d_output) -> tuple["PassWorkspace", np.ndarray]:
-        """The one-row workspace holding the pass in `cache`, and the checked
-        d_output; raises if either does not fit this net."""
+    def _kernel_args(self, cache: ForwardCache, d_output) -> tuple[list, list, list]:
+        """(params, flat activations, d_output) as lists for a backward
+        kernel; raises if the cache or d_output does not fit this net."""
         acts = cache.activations
-        if [a.shape for a in acts] != self._activation_shapes:
+        if [a.shape for a in acts] != [(n,) for n in self.layer_sizes]:
             raise ValueError("cache does not match this network (stale or foreign)")
         delta = np.asarray(d_output, dtype=float)
-        if delta.shape != self._output_shape:
+        if delta.shape != (self.n_outputs,):
             raise ValueError(f"d_output shape {delta.shape} != ({self.n_outputs},)")
-        ws = self.workspace(1)
-        ws._load(acts)
-        return ws, delta
-
-    def _commit(self, step: np.ndarray) -> None:
-        """params <- params - step, unless a parameter would turn
-        non-finite; then nothing is written."""
-        new = np.subtract(self._params, step, self._candidate)
-        # compared as bytes: isfinite().all() pays for a reduction
-        if np.isfinite(new, self._finite).tobytes() != self._all_finite:
-            raise NonFiniteUpdateError("update would produce non-finite parameters")
-        self._params[...] = new
+        return self._params.tolist(), np.concatenate(acts).tolist(), delta.tolist()
 
     def grad_weights(self, cache: ForwardCache, d_output) -> MlpGradients:
         """Gradients of the scalar loss w.r.t. every weight and bias, given
         d_loss/d_output."""
-        ws, delta = self._loaded(cache, d_output)
-        return MlpGradients(ws.gradient(delta), self.layer_sizes)
+        flat = np.array(self.kernels.gradient(*self._kernel_args(cache, d_output)))
+        return MlpGradients(flat, self.layer_sizes)
 
     def grad_input(self, cache: ForwardCache, d_output) -> np.ndarray:
         """Gradient of the scalar loss w.r.t. the network input."""
-        ws, delta = self._loaded(cache, d_output)
-        return ws.grad_input(delta)
+        return np.array(self.kernels.input_gradient(*self._kernel_args(cache, d_output)))
 
     def apply_update(self, grads: MlpGradients, learning_rate: float) -> None:
         """Plain gradient descent: W <- W - lr * dW.  If any resulting
@@ -307,7 +338,24 @@ class Mlp:
         left unchanged."""
         if grads.flat.shape != self._params.shape:
             raise ValueError("gradients do not match this network")
-        self._commit(learning_rate * grads.flat)
+        new = self._params - learning_rate * grads.flat
+        if not np.isfinite(new).all():
+            raise NonFiniteUpdateError("update would produce non-finite parameters")
+        self._params[...] = new
+
+    def step(
+        self, p: list[float], acts: list[float], d_output, learning_rate: float
+    ) -> list[float]:
+        """One gradient-descent step on the pass `acts` that `kernels.forward`
+        made at the parameters `p` (this net's, as a list), given
+        d_loss/d_output as a sequence.  Writes the new parameters into
+        `params` and returns them as a list; a step that would write a
+        non-finite parameter is refused and the net left unchanged."""
+        new = self.kernels.descend(p, acts, d_output, learning_rate)
+        if not all(map(math.isfinite, new)):
+            raise NonFiniteUpdateError("update would produce non-finite parameters")
+        self._params[:] = new
+        return new
 
     # --- snapshot format -------------------------------------------------
     # line 1: "mlp v1"
@@ -382,158 +430,3 @@ class Mlp:
             params.extend(vals)
         weights, biases = _layer_views(np.array(params), sizes)
         return cls(sizes, weights, biases, tags[1])
-
-
-class PassWorkspace:
-    """Preallocated buffers for k-row forward passes of one net and for SGD
-    steps on row 0 of them; get the net's own from `Mlp.workspace(k)`, or
-    make a private one with `PassWorkspace(net, k)`.
-
-    Write the inputs into `inputs` (a (k, n_inputs) view), call `forward`,
-    read `outputs` (a (k, n_outputs) view), then `descend` on row 0 or take
-    its `grad_input`.  The buffer is laid out as the gradient gather source,
-    [deltas, a_0 for k rows, ..., a_L for k rows, 1.0], so the backward pass
-    and the commit read row 0's activations in place, through fixed gather
-    indices.  Nothing is allocated or shape-checked per pass
-    but the returned gradient.  The forward pass makes the products and sums
-    of `Mlp.forward` on a (k, n_inputs) batch, writing into the buffer, so
-    its outputs are the same bits.
-    """
-
-    def __init__(self, net: Mlp, k: int):
-        if k < 1:
-            raise ValueError(f"need k >= 1 rows, got {k}")
-        sizes = net.layer_sizes
-        fan_outs = sizes[1:]
-        src = np.empty(sum(fan_outs) + k * sum(sizes) + 1)
-        src[-1] = 1.0
-        bounds = np.cumsum([0, *fan_outs, *(k * n for n in sizes)])
-        slots = [src[i:j] for i, j in zip(bounds, bounds[1:])]
-        deltas = slots[:len(fan_outs)]
-        acts = [slot.reshape(k, n) for slot, n in zip(slots[len(fan_outs):], sizes)]
-        self._net = net
-        self._src = src
-        # row 0 of every activation the backward pass reads: the layer
-        # inputs, and the output of a sigmoid net
-        self._row0 = [a[0] for a in (acts if net._sigmoid else acts[:-1])]
-        self._inputs, self._outputs = acts[0], acts[-1]
-        self._sigmoid = net._sigmoid
-        self._one_output = fan_outs[-1] == 1
-        # Each layer's bias for k rows.  An add that broadcasts a bias over
-        # the rows costs three times a plain one, so a k-row pass first
-        # gathers every bias k times from the parameters.
-        if k == 1:
-            self._bias_rows = None
-            biases = [b.reshape(1, -1) for b in net._b]
-        else:
-            index: list[int] = []
-            at = 0
-            for fan_in, fan_out in zip(sizes, fan_outs):
-                at += fan_out * fan_in
-                index += [*range(at, at + fan_out)] * k
-                at += fan_out
-            tiled = np.empty(len(index))
-            self._bias_rows = (np.array(index), tiled)
-            parts = np.split(tiled, np.cumsum([k * n for n in fan_outs])[:-1])
-            biases = [part.reshape(k, -1) for part in parts]
-        layers = list(zip(net._wT, biases, acts[1:]))
-        self._hidden, self._output = layers[:-1], layers[-1]
-        # the output layer runs through two scratch buffers, not in place:
-        # numpy's in-place ufuncs are slow on one-element arrays
-        self._z = np.empty((2, k, fan_outs[-1]))
-        self._ones_out = np.ones((k, fan_outs[-1]))
-        self._d_out = deltas[-1]
-        # from the last hidden layer down: W^T, row 0 of the hidden
-        # activation, the delta slot it feeds, and scratch and ones vectors
-        self._hidden_back = [
-            (net._wT[layer], acts[layer][0], deltas[layer - 1],
-             np.empty(sizes[layer]), np.ones(sizes[layer]))
-            for layer in range(len(fan_outs) - 1, 0, -1)
-        ]
-        self._wT0 = net._wT[0]
-        self._gather_rows, self._gather_cols = _gradient_gather(sizes, k)
-        self._rate = np.zeros(())
-
-    @property
-    def inputs(self) -> np.ndarray:
-        """The (k, n_inputs) rows the next `forward` reads; write into it."""
-        return self._inputs
-
-    @property
-    def outputs(self) -> np.ndarray:
-        """The (k, n_outputs) result of the last `forward`."""
-        return self._outputs
-
-    def forward(self) -> np.ndarray:
-        """Evaluate the net on the k rows of `inputs`; returns `outputs`."""
-        if self._bias_rows is not None:
-            index, tiled = self._bias_rows
-            self._net._params.take(index, None, tiled, "wrap")
-        a = self._inputs
-        for wT, b, h in self._hidden:
-            a.dot(wT, out=h)
-            np.add(h, b, h)
-            np.tanh(h, h)
-            a = h
-        wT, b, out = self._output
-        z, z2 = self._z
-        if self._sigmoid:
-            ones = self._ones_out
-            a.dot(wT, out=z)
-            np.add(z, b, z2)
-            np.negative(z2, z)
-            np.exp(z, z2)
-            np.add(ones, z2, z)
-            np.divide(ones, z, out)
-        else:
-            a.dot(wT, out=z)
-            np.add(z, b, out)
-        return out
-
-    def _load(self, acts: list[np.ndarray]) -> None:
-        """Copy the activations of one 1-D pass that the backward pass reads
-        into row 0."""
-        for slot, a in zip(self._row0, acts):
-            slot[...] = a
-
-    def _backward(self, d_output) -> np.ndarray:
-        """Fill the delta slots for row 0 of the last pass, given
-        d_loss/d_output; returns the first layer's delta slot."""
-        delta = self._d_out
-        if self._sigmoid:
-            # one output is read as a float: three float operations, the
-            # same IEEE ones as three ufunc calls on arrays
-            y = self._outputs.item(0) if self._one_output else self._outputs[0]
-            delta[...] = d_output * y * (1.0 - y)
-        else:
-            delta[...] = d_output
-        for wT, h, out, back, ones in self._hidden_back:
-            # W^T delta times the derivative of tanh, 1 - h*h, from the
-            # stored hidden activation
-            wT.dot(delta, out=back)
-            np.subtract(ones, np.multiply(h, h, out), out)
-            delta = np.multiply(back, out, out)
-        return delta
-
-    def gradient(self, d_output) -> np.ndarray:
-        """The parameter gradient of row 0 of the last pass, given
-        d_loss/d_output (a float, or shaped (n_outputs,)), as a new array."""
-        self._backward(d_output)
-        src = self._src
-        grad = src[self._gather_rows]
-        return np.multiply(grad, src[self._gather_cols], grad)
-
-    def grad_input(self, d_output) -> np.ndarray:
-        """d_loss/d_input of row 0 of the last pass, given d_loss/d_output
-        (a float, or shaped (n_outputs,)), as a new array."""
-        return self._wT0.dot(self._backward(d_output))
-
-    def descend(self, d_output, learning_rate: float) -> None:
-        """One gradient-descent step on row 0 of the last pass.  A step that
-        would write a non-finite parameter is refused and the net left
-        unchanged; the workspace's pass stays as it was."""
-        grad = self.gradient(d_output)
-        # a float operand costs a conversion per call; a 0-d array does not
-        rate = self._rate
-        rate[()] = learning_rate
-        self._net._commit(np.multiply(grad, rate, grad))

@@ -8,10 +8,10 @@ most one step of either.
 Also hosts the offline pipeline that prepares the neuro-controller:
 excitation-log generation under a teacher law, temporal-difference
 pretraining of the critic, and behavior cloning of the action net.  Both
-offline sweeps run each sample's forward pass and descent step in the net's
-preallocated `mlp.PassWorkspace`, so their per-sample loops make only the
-numpy calls of the arithmetic; the critic's step is `hdp.td_update`.  The
-results are the bits of the same loops written with `Mlp.forward`,
+offline sweeps run each sample's passes and descent step on the net's
+generated kernels (`Mlp.kernels`, `Mlp.step`), carrying the parameter list
+that each step returns; the critic's step is `hdp.td_update`.  The results
+are the bits of the same loops written with the 1-D `Mlp.forward`,
 `Mlp.grad_weights` and `Mlp.apply_update`.
 """
 
@@ -505,13 +505,9 @@ def train_critic_on_log(
     PretrainingError if the residual fails to decrease across the first 5
     epochs (when enough epochs run to tell).
 
-    The sweep is pipelined: the step of sample k evaluates, in one batched
-    forward pass at the present weights, this sample's x_now (the value the
-    step differentiates), its x_next (the target) and the previous sample's
-    x_now (its residual right after its update).  One pass per sample
-    instead of three; batched rows may differ from single-input passes in
-    the last bits.  The pass runs in the critic's 3-row workspace, and
-    td_update steps on its row 0.
+    Each step makes three kernel passes: the target J(x_next) and the value
+    J(x_now) it steps on, both at the present weights, and J(x_now) again
+    right after the step for the epoch mean.
     """
     log = list(log)
     if not log:
@@ -524,32 +520,22 @@ def train_critic_on_log(
     n = len(u)
     history: list[float] = [_mean_squared_residual(critic, x_now, x_next, u, gamma)]
     order = np.arange(n)
-    # the step's 3-row pass runs in the critic's preallocated workspace
-    ws = critic.workspace(3)
-    inputs, values = ws.inputs, ws.outputs.reshape(-1)
+    x_now, x_next, u = x_now.tolist(), x_next.tolist(), u.tolist()
+    forward = critic.kernels.forward
+    p = critic.params.tolist()
     for epoch in range(max_epochs):
         lr = cfg.lr_critic
         if lr_decay_epochs > 0.0:
             lr /= 1.0 + epoch / lr_decay_epochs
         rng.shuffle(order)
-        now = x_now[order]
-        # rows of step k: [x_now of sample k, x_next of k, x_now of k-1]; the
-        # first step's row 2 (the last sample's x_now) is not used
-        rows = np.stack((now, x_next[order], np.roll(now, 1, axis=0)), axis=1)
         sq_sum = 0.0
-        target = u_prev = 0.0  # the previous sample's; read from step 1 on
-        for k, (batch, u_now) in enumerate(zip(rows, u[order].tolist())):
-            inputs[...] = batch
-            ws.forward()
-            _, j_next, j_prev = values.tolist()
-            if k:
-                resid = td_error(j_prev, target, u_prev, gamma)
-                sq_sum += resid * resid
-            target, u_prev = j_next, u_now
-            td_update(ws, target, u_now, gamma, lr)
-        j_last, _ = critic.forward(now[-1])
-        resid = td_error(float(j_last[0]), target, u_prev, gamma)
-        history.append((sq_sum + resid * resid) / n)
+        for k in order.tolist():
+            x, u_now = x_now[k], u[k]
+            target = forward(p, x_next[k])[-1]
+            p = td_update(critic, p, forward(p, x), target, u_now, gamma, lr)
+            resid = td_error(forward(p, x)[-1], target, u_now, gamma)
+            sq_sum += resid * resid
+        history.append(sq_sum / n)
         if epoch == 4 and history[5] >= history[0]:
             raise PretrainingError(
                 f"TD residual failed to decrease over the first 5 epochs: "
@@ -618,24 +604,24 @@ def clone_action(
     d_min, d_max = hdp_config.duty_limits
     span = d_max - d_min
     d_scale = hdp_config.norm_scales[4]
-    # the action inputs (N, 4) and the clipped duty targets (N,), built once
+    # the action inputs and the clipped duty targets, built once
     x_now = np.array([x for x, _, _ in log])
-    inputs = np.ascontiguousarray(x_now[:, :4])
+    inputs = x_now[:, :4].tolist()
     targets = np.clip((x_now[:, 4] * d_scale - d_min) / span, 0.02, 0.98)
+    goals = targets.tolist()
     rng = np.random.default_rng(seed)
     order = np.arange(len(log))
-    ws = action.workspace(1)
-    x, y = ws.inputs, ws.outputs
+    forward = action.kernels.forward
+    p = action.params.tolist()
     mse = 0.0
     for epoch in range(epochs):
         lr = learning_rate / (1.0 + epoch / _LR_DECAY_EPOCHS)
         rng.shuffle(order)
         sq_sum = 0.0
-        for a, target in zip(inputs[order], targets[order].tolist()):
-            x[...] = a
-            ws.forward()
-            err = y.item() - target
-            ws.descend(err, lr)
+        for k in order.tolist():
+            acts = forward(p, inputs[k])
+            err = acts[-1] - goals[k]
+            p = action.step(p, acts, (err,), lr)
             sq_sum += err * err
         mse = sq_sum / len(log)
     variance = float(np.var(targets))

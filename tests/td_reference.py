@@ -1,6 +1,6 @@
 """The TD step on a 1-D forward cache, written with the public gradient API:
-the reference that `hdp.td_update`, which steps on row 0 of a critic
-workspace, must match bit for bit."""
+the reference that `hdp.td_update`, which steps on a critic kernel pass,
+must match bit for bit."""
 
 from boosthdp.hdp import td_error
 

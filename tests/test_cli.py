@@ -286,6 +286,33 @@ class TestUsageErrors:
         assert capsys.readouterr().out == ""  # compare prints no table
         assert (tmp_path / "afile").read_text() == "a regular file\n"
 
+    @pytest.mark.parametrize("command, artifact", [
+        (["pretrain"], "critic.mlp"),
+        (["run", "startup", "PI"], "metrics.csv"),
+        (["run", "startup", "PI"], "startup_PI.csv"),
+        (["compare"], "startup_HDP.csv"),
+    ], ids=["pretrain", "run-metrics", "run-trace", "compare"])
+    def test_directory_in_an_artifacts_place_exits_1(
+        self, fast_snapshots, tmp_path, caplog, capsys, command, artifact
+    ):
+        if command != ["pretrain"]:
+            _copy_snapshots(tmp_path, fast_snapshots)
+        (tmp_path / artifact).mkdir()
+        config = tmp_path / "cell.ini"
+        config.write_text(FAST_PRETRAIN + "\n[run]\nscenarios = startup\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(command + ["--config", str(config), "--out", str(tmp_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"cannot write {tmp_path / artifact}: Is a directory"]
+        assert (tmp_path / artifact).is_dir()
+        if command == ["compare"]:
+            rows = capsys.readouterr().out.strip().splitlines()[1:]
+            assert [row.split()[2:] for row in rows] == [
+                rows[0].split()[2:], ["-"] * 3
+            ]
+            assert "-" not in rows[0].split()
+
     @pytest.mark.parametrize("line", ["l_ind = nan", "c_out = inf", "v_s = -inf"])
     def test_non_finite_plant_value_exits_1(self, tmp_path, caplog, line):
         config = tmp_path / "bad.ini"

@@ -18,7 +18,7 @@ from boosthdp.hdp import (
     td_update,
     utility,
 )
-from boosthdp.mlp import ForwardCache, Mlp, PassWorkspace
+from boosthdp.mlp import ForwardCache, Mlp
 from td_reference import td_step_1d
 
 
@@ -81,14 +81,11 @@ class TestTdError:
 
 
 def td_step(critic, x_now, x_next, u, gamma, lr):
-    """td_update on the critic's one-row workspace: the target pass, then
-    the x_now pass it steps on."""
-    ws = critic.workspace(1)
-    ws.inputs[0] = x_next
-    target = ws.forward().item(0)
-    ws.inputs[0] = x_now
-    ws.forward()
-    return td_update(ws, target, u, gamma, lr)
+    """td_update on kernel passes at the critic's parameters: the target
+    pass, then the x_now pass it steps on."""
+    p = critic.params.tolist()
+    target = critic.kernels.forward(p, list(x_next))[-1]
+    return td_update(critic, p, critic.kernels.forward(p, list(x_now)), target, u, gamma, lr)
 
 
 class TestTdUpdate:
@@ -96,19 +93,18 @@ class TestTdUpdate:
         critic = make_critic(seed=5)
         before = net_bytes(critic)
         x0, x1 = np.full(5, 0.2), np.full(5, -0.1)
-        resid = td_step(critic, x0, x1, 0.3, 0.95, lr=0.0)
+        new = td_step(critic, x0, x1, 0.3, 0.95, lr=0.0)
         assert net_bytes(critic) == before
-        j0 = float(critic.forward(x0)[0][0])
-        j1 = float(critic.forward(x1)[0][0])
-        assert resid == pytest.approx(td_error(j0, j1, 0.3, 0.95))
+        assert new == critic.params.tolist()
 
     def test_update_shrinks_residual_on_frozen_pair(self):
         critic = make_critic(seed=8)
         x0, x1 = np.full(5, 0.4), np.full(5, -0.3)
-        # the step returns the residual before it; re-evaluated against the
-        # same frozen target after one update, the residual must shrink
+        # re-evaluated against the same frozen target after one update, the
+        # residual must shrink
         target = float(critic.forward(x1)[0][0])
-        before = td_step(critic, x0, x1, 0.5, 0.95, lr=0.01)
+        before = td_error(float(critic.forward(x0)[0][0]), target, 0.5, 0.95)
+        td_step(critic, x0, x1, 0.5, 0.95, lr=0.01)
         after = td_error(float(critic.forward(x0)[0][0]), target, 0.5, 0.95)
         assert abs(after) < abs(before)
 
@@ -132,36 +128,39 @@ class TestTdUpdate:
         assert abs(td_error(j_b, j_a, u, gamma)) < 1e-3
 
     def test_runs_no_forward_pass(self, monkeypatch):
-        critic = make_critic(seed=1)
-        ws = critic.workspace(1)
-        ws.inputs[0] = np.full(5, 0.4)
-        j_now = ws.forward().item(0)
+        critic, ref = make_critic(seed=1), make_critic(seed=1)
+        x = np.full(5, 0.4)
+        p = critic.params.tolist()
+        acts = critic.kernels.forward(p, x.tolist())
         target = float(critic.forward(np.full(5, -0.3))[0][0])
 
         def no_forward(*args):
             raise AssertionError("td_update ran a forward pass")
 
         monkeypatch.setattr(Mlp, "forward", no_forward)
-        monkeypatch.setattr(PassWorkspace, "forward", no_forward)
-        resid = td_update(ws, target, 0.5, 0.95, 0.01)
-        assert resid == td_error(j_now, target, 0.5, 0.95)
+        critic.kernels = critic.kernels._replace(forward=no_forward)
+        td_update(critic, p, acts, target, 0.5, 0.95, 0.01)
+        monkeypatch.undo()
+        _, cache = ref.forward(x)
+        td_step_1d(ref, cache, target, 0.5, 0.95, 0.01)
+        assert critic.params.tobytes() == ref.params.tobytes()
 
     @pytest.mark.parametrize("k", [1, 3])
     def test_same_bits_as_the_1d_step_on_row_0(self, k):
         critic, ref = make_critic(seed=4), make_critic(seed=4)
-        ws = critic.workspace(k)
         rng = np.random.default_rng(k)
+        p = critic.params.tolist()
         for _ in range(10):
             xs = rng.uniform(-1.0, 1.0, (k, 5))
             target, u = float(rng.normal()), float(rng.uniform(0.0, 1.0))
-            ws.inputs[...] = xs
-            ws.forward()
-            resid = td_update(ws, target, u, 0.85, 0.05)
-            # row 0 of the same batched pass (a batch rounds differently
-            # from a 1-D pass in the last bits)
+            # row 0 of a batched pass (a batch rounds differently from a
+            # kernel pass in the last bits)
+            _, cache = critic.forward(xs)
+            acts = np.concatenate([a[0] for a in cache.activations]).tolist()
+            p = td_update(critic, p, acts, target, u, 0.85, 0.05)
             _, cache = ref.forward(xs)
             row0 = ForwardCache([a[0] for a in cache.activations])
-            assert resid == td_step_1d(ref, row0, target, u, 0.85, 0.05)
+            td_step_1d(ref, row0, target, u, 0.85, 0.05)
             assert critic.params.tobytes() == ref.params.tobytes()
 
 
@@ -343,9 +342,9 @@ class TestControlStep:
 
 class RecomputingController:
     """The learning control step written from the public forward,
-    grad_input, grad_weights and apply_update, recomputing every pass: the
-    reference for HdpController.control_step, which holds its passes in
-    workspaces and reuses one."""
+    grad_input, grad_weights and apply_update: the reference for
+    HdpController.control_step, which runs its passes and steps on the
+    nets' kernels."""
 
     def __init__(self, critic, action, config):
         self.critic, self.action, self.config = critic, action, config
@@ -401,60 +400,33 @@ def swap_critic(ctl, duty):
 
 
 class TestHeldCriticPass:
-    """A learning step runs on workspace passes and reuses the previous
-    step's critic pass at the committed duty as its x_prev pass; it must
-    give the same bits as recomputing every pass with Mlp.forward."""
+    """A learning step on kernel passes, with the parameter lists it takes
+    from the nets and carries between its steps, must give the same bits as
+    the step written with the public 1-D API, including across a parameter
+    write, a perturbed applied duty, a reset and a swapped critic."""
 
     STEPS = 40
     HOOK_AT = 20
 
-    def drive(self, ctl, monkeypatch, hook=None):
+    def drive(self, ctl, hook=None):
         """A closed-loop-like run feeding back each returned duty; returns
-        the (duty, j_est) pairs, the workspace passes each step made and the
-        number of Mlp.forward calls."""
-        ws_calls, mlp_calls = [], []
-        ws_forward, mlp_forward = PassWorkspace.forward, Mlp.forward
-
-        def ws_counted(ws):
-            ws_calls.append(None)
-            return ws_forward(ws)
-
-        def mlp_counted(net, x):
-            mlp_calls.append(None)
-            return mlp_forward(net, x)
-
-        monkeypatch.setattr(PassWorkspace, "forward", ws_counted)
-        monkeypatch.setattr(Mlp, "forward", mlp_counted)
+        the (duty, j_est) pairs as bytes."""
         rng = np.random.default_rng(4)
-        duty, outputs, passes = 0.0, [], []
+        duty, outputs = 0.0, []
         for k, (v, i) in enumerate(rng.uniform([150.0, 4.0], [250.0, 12.0], (self.STEPS, 2))):
             if k == self.HOOK_AT and hook is not None:
                 duty = hook(ctl, duty)
-            before = len(ws_calls)
             duty, j_est = ctl.control_step(meas(v, i, duty_prev=duty))
-            passes.append(len(ws_calls) - before)
             outputs.append((duty, j_est))
-        monkeypatch.undo()
-        return np.array(outputs).tobytes(), passes, len(mlp_calls)
+        return np.array(outputs).tobytes()
 
     def nets(self):
         return make_critic(seed=3), make_action(seed=53), HdpConfig(lr_critic=1e-2, lr_action=1e-3)
 
     @pytest.mark.parametrize("hook", [None, write_params, perturb_duty, reset, swap_critic])
-    def test_same_bits_as_recomputing_the_pass(self, monkeypatch, hook):
+    def test_same_bits_as_recomputing_the_pass(self, hook):
         held = HdpController(*self.nets())
         recomputed = RecomputingController(*self.nets())
-        held_out, held_passes, held_mlp_forwards = self.drive(held, monkeypatch, hook)
-        ref_out = self.drive(recomputed, monkeypatch, hook)[0]
-        assert held_out == ref_out
+        assert self.drive(held, hook) == self.drive(recomputed, hook)
         assert held.critic.params.tobytes() == recomputed.critic.params.tobytes()
         assert held.action.params.tobytes() == recomputed.action.params.tobytes()
-        # 4 passes without a stored transition, 6 with the x_prev pass run
-        # and 5 with it reused; no ForwardCache is built
-        expected = [4] + [5] * (self.STEPS - 1)
-        if hook is reset:
-            expected[self.HOOK_AT] = 4
-        elif hook is not None:
-            expected[self.HOOK_AT] = 6
-        assert held_passes == expected
-        assert held_mlp_forwards == 0

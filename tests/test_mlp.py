@@ -1,6 +1,10 @@
 """Network tests: forward algebra, finite-difference gradient oracle, SGD
-updates and the workspace's descent step, the flat parameter layout and its views,
-a bit-level per-layer reference, and snapshot round-trips."""
+updates and the kernels' descent step, the flat parameter layout and its
+views, a bit-level plain-Python reference, and snapshot round-trips."""
+
+import math
+import operator
+from functools import reduce
 
 import numpy as np
 import pytest
@@ -140,6 +144,17 @@ class TestForward:
         print(f"largest batched-vs-single deviation {worst:.2e}")
         assert worst <= 1e-15
 
+    def test_sigmoid_overflow_gives_zero(self):
+        # exp(-z) overflows for z below about -709.8: numpy's 1/(1+inf) is
+        # 0.0, and the kernel maps math.exp's OverflowError to the same
+        net = Mlp.init([2, 3, 1], "sigmoid", seed=0)
+        net.biases = [np.zeros(3), np.array([-1000.0])]
+        y, _ = net.forward([0.5, -0.5])
+        assert y.tolist() == [0.0]
+        with np.errstate(over="ignore"):
+            ys, _ = net.forward(np.array([[0.5, -0.5], [1.0, 2.0]]))
+        assert ys.tolist() == [[0.0], [0.0]]
+
     def test_sigmoid_output_bounded(self):
         net = Mlp.init([2, 5, 1], "sigmoid", seed=9)
         rng = np.random.default_rng(1)
@@ -272,8 +287,13 @@ def row_cache(cache, row):
     return ForwardCache([a[row] for a in cache.activations])
 
 
+def flat(cache):
+    """The activations of a 1-D cache as the one list a kernel takes."""
+    return np.concatenate(cache.activations).tolist()
+
+
 def same_nets(sizes, activation, seed):
-    """Two identical nets: one to step on a workspace, one to update in two
+    """Two identical nets: one to step with Mlp.step, one to update in two
     steps."""
     net = Mlp.init(sizes, activation, seed=seed)
     net.biases = [
@@ -290,8 +310,8 @@ NET_SHAPES = st.tuples(
 
 
 class TestDescend:
-    """A workspace's descent step on row 0 is the gradient object of the
-    row's 1-D cache, then the update, bit for bit, for any net shape."""
+    """Mlp.step on a kernel pass is the gradient object of the pass's 1-D
+    cache, then the update, bit for bit, for any net shape."""
 
     @settings(max_examples=80, deadline=None)
     @given(shape=NET_SHAPES, batch=st.integers(1, 4),
@@ -302,21 +322,18 @@ class TestDescend:
         rng = np.random.default_rng(seed + 1)
         for lr in rates:
             d_out = rng.normal(0.0, 1.0, size=sizes[-1])
-            # a one-row pass against a 1-D pass
+            # a kernel pass against a 1-D pass
             x = rng.uniform(-2.0, 2.0, size=sizes[0])
-            ws = net.workspace(1)
-            ws.inputs[0] = x
-            ws.forward()
-            ws.descend(d_out, lr)
+            p = net.params.tolist()
+            new = net.step(p, net.kernels.forward(p, x.tolist()), d_out.tolist(), lr)
             _, ref_cache = ref.forward(x)
             two_step_update(ref, ref_cache, d_out, lr)
             assert net.params.tobytes() == ref.params.tobytes()
+            assert new == net.params.tolist()
             # row 0 of a batched pass against that row's 1-D cache
             xs = rng.uniform(-2.0, 2.0, size=(batch, sizes[0]))
-            ws = net.workspace(batch)
-            ws.inputs[...] = xs
-            ws.forward()
-            ws.descend(d_out, lr)
+            _, cache = net.forward(xs)
+            net.step(new, flat(row_cache(cache, 0)), d_out.tolist(), lr)
             _, ref_cache = ref.forward(xs)
             two_step_update(ref, row_cache(ref_cache, 0), d_out, lr)
             assert net.params.tobytes() == ref.params.tobytes()
@@ -328,21 +345,22 @@ class TestDescend:
         net, ref = same_nets(sizes, activation, seed)
         rng = np.random.default_rng(seed + 2)
         x = rng.uniform(-2.0, 2.0, size=sizes[0])
-        d_out = np.full(sizes[-1], {"inf output": np.inf, "nan output": np.nan}.get(bad, 1.0))
+        d_bad = [{"inf output": np.inf, "nan output": np.nan}.get(bad, 1.0)] * sizes[-1]
         lr = np.inf if bad == "inf rate" else 0.1
         before = net.params.tobytes()
-        # the 1-D step loads its cache into the one-row workspace
         _, cache = net.forward(x)
         with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
-            two_step_update(net, cache, d_out, lr)
+            two_step_update(net, cache, d_bad, lr)
         assert net.params.tobytes() == before
-        # the next valid step on that workspace is the reference step, not
+        p = net.params.tolist()
+        acts = net.kernels.forward(p, x.tolist())
+        with pytest.raises(NonFiniteUpdateError):
+            net.step(p, acts, d_bad, lr)
+        assert net.params.tobytes() == before
+        # the next valid step on the same pass is the reference step, not
         # one mixed with the refused step's leftovers
         d_out = rng.normal(0.0, 1.0, size=sizes[-1])
-        ws = net.workspace(1)
-        ws.inputs[0] = x
-        ws.forward()
-        ws.descend(d_out, 0.1)
+        net.step(p, acts, d_out.tolist(), 0.1)
         _, ref_cache = ref.forward(x)
         two_step_update(ref, ref_cache, d_out, 0.1)
         assert net.params.tobytes() == ref.params.tobytes()
@@ -362,106 +380,55 @@ class TestDescend:
         assert net.params.tobytes() == before
 
 
-WORKSPACE_NETS = st.tuples(
-    st.sampled_from([[5, 5, 5, 1], [4, 5, 5, 1]]),
-    st.sampled_from(["linear", "sigmoid"]),
-    st.integers(0, 2**16),
-)
-
-
-class TestPassWorkspace:
-    """A workspace step is the forward pass of a batch and a descent step on
-    row 0's 1-D cache, bit for bit."""
-
-    @settings(max_examples=60, deadline=None)
-    @given(shape=WORKSPACE_NETS, k=st.sampled_from([1, 3]),
-           rates=st.lists(st.floats(0.0, 1.0), min_size=2, max_size=2))
-    def test_step_matches_forward_then_descend_on_the_row(self, shape, k, rates):
-        sizes, activation, seed = shape
-        net, ref = same_nets(sizes, activation, seed)
-        ws = net.workspace(k)
-        rng = np.random.default_rng(seed + 3)
-        for lr in rates:
-            for _ in range(2):
-                xs = rng.uniform(-2.0, 2.0, size=(k, sizes[0]))
-                d_out = float(rng.normal(0.0, 1.0))
-                ws.inputs[...] = xs
-                out = ws.forward()
-                ref_out, ref_cache = ref.forward(xs)
-                # every row's output, then the step on row 0
-                assert out.tobytes() == ref_out.tobytes()
-                row0 = row_cache(ref_cache, 0)
-                assert ws.gradient(d_out).tobytes() == ref.grad_weights(
-                    row0, [d_out]).flat.tobytes()
-                ws.descend(d_out, lr)
-                two_step_update(ref, row0, [d_out], lr)
-                assert net.params.tobytes() == ref.params.tobytes()
-
-    @settings(max_examples=60, deadline=None)
-    @given(shape=WORKSPACE_NETS, k=st.sampled_from([1, 3]),
-           bad=st.sampled_from(["inf output", "nan output", "inf rate"]))
-    def test_refused_step_leaves_net_and_workspace_clean(self, shape, k, bad):
-        sizes, activation, seed = shape
-        net, ref = same_nets(sizes, activation, seed)
-        ws = net.workspace(k)
-        rng = np.random.default_rng(seed + 4)
-        xs = rng.uniform(-2.0, 2.0, size=(k, sizes[0]))
-        d_out = {"inf output": np.inf, "nan output": np.nan}.get(bad, 1.0)
-        lr = np.inf if bad == "inf rate" else 0.1
-        before = net.params.tobytes()
-        ws.inputs[...] = xs
-        ws.forward()
-        pass_before = (ws.inputs.tobytes(), ws.outputs.tobytes())
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
-            ws.descend(d_out, lr)
-        assert net.params.tobytes() == before
-        assert (ws.inputs.tobytes(), ws.outputs.tobytes()) == pass_before
-        # a valid step on the same pass is the reference step
-        _, ref_cache = ref.forward(xs)
-        ws.descend(0.5, 0.1)
-        two_step_update(ref, row_cache(ref_cache, 0), [0.5], 0.1)
-        assert net.params.tobytes() == ref.params.tobytes()
+class TestStep:
+    """`Mlp.params` is the one source of truth: the kernels read it as a
+    list, and Mlp.step writes every step back into it."""
 
     def test_sees_every_parameter_write(self):
-        # the pass reads the weights and biases afresh; a k-row pass gathers
-        # its biases from the parameters each time
-        for k in (1, 3):
-            net = Mlp.init([5, 5, 5, 1], "linear", seed=7)
-            ws = net.workspace(k)
-            xs = np.random.default_rng(7).uniform(-1.0, 1.0, (k, 5))
-            ws.inputs[...] = xs
-            ws.forward()
-            net.params[...] += 0.125
-            assert ws.forward().tobytes() == net.forward(xs)[0].tobytes()
+        net = Mlp.init([5, 5, 5, 1], "linear", seed=7)
+        x = np.random.default_rng(7).uniform(-1.0, 1.0, 5)
+        p = net.params.tolist()
+        acts = net.kernels.forward(p, x.tolist())
+        new = net.step(p, acts, [0.5], 0.1)
+        assert net.params.tolist() == new
+        assert net.forward(x)[0].tolist() == net.kernels.forward(new, x.tolist())[-1:]
+        net.params[...] += 0.125
+        y, _ = net.forward(x)
+        assert y.tolist() == net.kernels.forward(net.params.tolist(), x.tolist())[-1:]
+        assert y.tolist() != acts[-1:]
 
-    def test_one_workspace_per_net_and_row_count(self):
+    def test_one_kernel_set_per_topology(self):
         net = Mlp.init([4, 5, 5, 1], "sigmoid", seed=1)
-        ws = net.workspace(3)
-        assert net.workspace(3) is ws
-        assert net.workspace(1) is not ws
-        assert ws.inputs.shape == (3, 4) and ws.outputs.shape == (3, 1)
-        assert net.copy().workspace(3) is not ws
-        with pytest.raises(ValueError, match="k >= 1"):
-            net.workspace(0)
+        assert Mlp.init([4, 5, 5, 1], "sigmoid", seed=2).kernels is net.kernels
+        assert net.copy().kernels is net.kernels
+        assert Mlp.init([4, 5, 5, 1], "linear").kernels is not net.kernels
+        assert Mlp.init([4, 5, 1], "sigmoid").kernels is not net.kernels
 
 
 # --- per-layer reference ---------------------------------------------------
-# A direct per-layer transcription of forward, backward and the SGD step: one
-# weight matrix and bias vector per layer, np.outer for the weight gradients,
-# one backward loop for both gradients.  The flat-parameter Mlp must agree
-# with it bit for bit, because it performs the same products and sums.
+# A direct per-layer transcription of forward, backward and the SGD step in
+# plain Python floats: every unit's sum runs left to right over its inputs
+# and adds the bias last, the summation order of the generated kernels.
+# The Mlp must agree with it bit for bit.
+
+
+def ordered_sum(terms):
+    """terms[0] + terms[1] + ..., left to right (builtin sum starts from 0
+    and may compensate)."""
+    return reduce(operator.add, terms)
 
 
 def ref_forward(weights, biases, output_activation, x):
-    a = np.asarray(x, dtype=float)
+    a = [float(v) for v in x]
     activations = [a]
     last = len(weights) - 1
     for layer, (w, b) in enumerate(zip(weights, biases)):
-        z = w @ a + b
+        z = [ordered_sum([wij * aj for wij, aj in zip(row, a)] + [bias])
+             for row, bias in zip(w, b)]
         if layer < last:
-            a = np.tanh(z)
+            a = [math.tanh(v) for v in z]
         elif output_activation == "sigmoid":
-            a = 1.0 / (1.0 + np.exp(-z))
+            a = [1.0 / (1.0 + math.exp(-v)) for v in z]
         else:
             a = z
         activations.append(a)
@@ -469,20 +436,28 @@ def ref_forward(weights, biases, output_activation, x):
 
 
 def ref_backward(weights, output_activation, activations, d_output):
-    delta = np.asarray(d_output, dtype=float)
+    delta = [float(d) for d in d_output]
     if output_activation == "sigmoid":
-        y = activations[-1]
-        delta = delta * y * (1.0 - y)
+        delta = [d * y * (1.0 - y) for d, y in zip(delta, activations[-1])]
     d_weights = [None] * len(weights)
     d_biases = [None] * len(weights)
     for layer in range(len(weights) - 1, -1, -1):
-        d_weights[layer] = np.outer(delta, activations[layer])
+        d_weights[layer] = [[d * a for a in activations[layer]] for d in delta]
         d_biases[layer] = delta
-        delta = weights[layer].T @ delta
+        w = weights[layer]
+        back = [ordered_sum([w[i][j] * d for i, d in enumerate(delta)])
+                for j in range(len(w[0]))]
         if layer > 0:
-            h = activations[layer]
-            delta = delta * (1.0 - h * h)
+            back = [g * (1.0 - h * h) for g, h in zip(back, activations[layer])]
+        delta = back
     return d_weights, d_biases, delta
+
+
+def ref_update(values, grads, lr):
+    """v - g*lr over nested lists."""
+    if isinstance(values, list):
+        return [ref_update(v, g, lr) for v, g in zip(values, grads)]
+    return values - grads * lr
 
 
 class TestPerLayerReference:
@@ -493,45 +468,46 @@ class TestPerLayerReference:
         for seed in range(5):
             net = Mlp.init(sizes, output_activation, seed=seed)
             net.biases = [rng.normal(0.0, 0.3, size=b.shape) for b in net.biases]
-            ref_w = [w.copy() for w in net.weights]
-            ref_b = [b.copy() for b in net.biases]
+            ref_w = [w.tolist() for w in net.weights]
+            ref_b = [b.tolist() for b in net.biases]
             for _ in range(20):
                 x = rng.normal(0.0, 1.0, size=sizes[0])
                 dldy = rng.normal(0.0, 1.0, size=sizes[-1])
                 lr = float(rng.uniform(0.0, 0.5))
                 y, cache = net.forward(x)
                 ref_y, ref_acts = ref_forward(ref_w, ref_b, output_activation, x)
-                assert np.array_equal(y, ref_y)
+                assert y.tolist() == ref_y
+                assert [a.tolist() for a in cache.activations] == ref_acts
                 grads = net.grad_weights(cache, dldy)
                 ref_dw, ref_db, ref_dx = ref_backward(ref_w, output_activation, ref_acts, dldy)
                 for got, want in zip(grads.d_weights + grads.d_biases, ref_dw + ref_db):
-                    assert np.array_equal(got, want)
-                assert np.array_equal(net.grad_input(cache, dldy), ref_dx)
+                    assert got.tolist() == want
+                assert net.grad_input(cache, dldy).tolist() == ref_dx
                 net.apply_update(grads, lr)
-                ref_w = [w - lr * dw for w, dw in zip(ref_w, ref_dw)]
-                ref_b = [b - lr * db for b, db in zip(ref_b, ref_db)]
+                ref_w, ref_b = ref_update(ref_w, ref_dw, lr), ref_update(ref_b, ref_db, lr)
                 for got, want in zip(net.weights + net.biases, ref_w + ref_b):
-                    assert np.array_equal(got, want)
+                    assert got.tolist() == want
 
     @settings(max_examples=60, deadline=None)
-    @given(shape=WORKSPACE_NETS, k=st.sampled_from([1, 3]))
+    @given(shape=st.tuples(st.sampled_from([[5, 5, 5, 1], [4, 5, 5, 1]]),
+                           st.sampled_from(["linear", "sigmoid"]),
+                           st.integers(0, 2**16)),
+           k=st.sampled_from([1, 3]))
     def test_input_gradient_bit_identical_on_every_row(self, shape, k):
         sizes, activation, seed = shape
         net, _ = same_nets(sizes, activation, seed)
         rng = np.random.default_rng(seed + 5)
         xs = rng.uniform(-2.0, 2.0, size=(k, sizes[0]))
-        ws = net.workspace(k)
-        ws.inputs[...] = xs
-        ws.forward()
-        # the rows of a batched pass are the workspace's activations
+        # the rows of a batched pass, each run backward as a 1-D cache
         _, cache = net.forward(xs)
+        weights = [w.tolist() for w in net.weights]
         for row in range(k):
             d_out = float(rng.normal(0.0, 1.0))
-            acts = [a[row] for a in cache.activations]
-            ref_dx = ref_backward(net.weights, activation, acts, [d_out])[2]
-            if row == 0:  # the workspace's backward pass runs on row 0
-                assert ws.grad_input(d_out).tobytes() == ref_dx.tobytes()
-            assert net.grad_input(row_cache(cache, row), [d_out]).tobytes() == ref_dx.tobytes()
+            acts = [a[row].tolist() for a in cache.activations]
+            ref_dx = ref_backward(weights, activation, acts, [d_out])[2]
+            assert net.grad_input(row_cache(cache, row), [d_out]).tolist() == ref_dx
+            p = net.params.tolist()
+            assert net.kernels.input_gradient(p, sum(acts, []), [d_out]) == ref_dx
 
 
 class TestFlatParameters:

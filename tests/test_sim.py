@@ -15,7 +15,7 @@ from boosthdp.hdp import (
     make_critic,
     td_error,
 )
-from boosthdp.mlp import ForwardCache, NonFiniteUpdateError
+from boosthdp.mlp import NonFiniteUpdateError
 from boosthdp.plant import PlantParams, PlantState
 from boosthdp.sim import (
     Metrics,
@@ -386,19 +386,22 @@ def two_state_chain(u: float, gamma: float):
     return [(x_a, x_b, u), (x_b, x_a, u)]
 
 
-def three_forward_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs):
-    """train_critic_on_log's sweep with three single-input forward passes
-    per transition: the target, the value and its cache, and the value again
-    right after the update for the epoch mean.  The reference for the
-    pipelined sweep; it leaves out the stopping rules, which depend only on
-    the history."""
+def three_forward_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0):
+    """train_critic_on_log's sweep written with the public 1-D forward and
+    the 1-D TD step: per transition the target, the value and its cache,
+    and the value again right after the update for the epoch mean.  Entry 0
+    is the whole-log residual of one batched pass, as in
+    train_critic_on_log.  It leaves out the stopping rules, which depend
+    only on the history."""
     gamma = cfg.gamma
+    x_now, x_next, u = map(np.array, zip(*log))
+    j, _ = critic.forward(np.concatenate((x_now, x_next)))
+    resid = td_error(j[:len(u), 0], j[len(u):, 0], u, gamma)
+    history = [float(np.mean(resid * resid))]
 
     def value(x):
         return float(critic.forward(x)[0][0])
 
-    sq = [(value(x) - gamma * value(x_next) - u) ** 2 for x, x_next, u in log]
-    history = [sum(sq) / len(log)]
     rng = np.random.default_rng(seed)
     order = np.arange(len(log))
     for epoch in range(max_epochs):
@@ -412,7 +415,7 @@ def three_forward_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs):
             target = value(x_next)
             _, cache = critic.forward(x_now)
             td_step_1d(critic, cache, target, u, gamma, lr)
-            after = value(x_now) - gamma * target - u
+            after = td_error(value(x_now), target, u, gamma)
             sq_sum += after * after
         history.append(sq_sum / len(log))
     return history
@@ -424,26 +427,17 @@ def excitation_log_200():
     return generate_excitation_log(law, params, cfg, seed=0, n_episodes=1, n_holds=2)[:200]
 
 
-def max_relative_gap(a, b):
-    a, b = np.asarray(a), np.asarray(b)
-    return float(np.max(np.abs(a - b)) / np.max(np.abs(b)))
-
-
 class TestTrainCriticOnLog:
     def test_matches_the_three_forward_sweep(self):
-        # batched rows round differently in the last bits, so the pipelined
-        # sweep tracks the reference closely rather than bit for bit
         log = excitation_log_200()
         cfg = HdpConfig(lr_critic=PretrainSettings.learning_rate)
         critic, reference = make_critic(seed=0), make_critic(seed=0)
         hist = train_critic_on_log(critic, log, cfg, seed=1, max_epochs=3)
-        ref_hist = three_forward_sweep(reference, log, cfg, seed=1, max_epochs=3,
-                                       lr_decay_epochs=8.0)
-        assert len(hist) == len(ref_hist) == 4
-        for h, r in zip(hist, ref_hist):
-            assert abs(h - r) <= 1e-12 * abs(r)
+        ref_hist = three_forward_sweep(reference, log, cfg, seed=1, max_epochs=3)
+        assert len(hist) == 4
+        assert hist == ref_hist
         assert hist[-1] < hist[0]
-        assert max_relative_gap(critic.params, reference.params) <= 1e-12
+        assert critic.params.tobytes() == reference.params.tobytes()
 
     def test_steps_through_td_update(self, monkeypatch):
         # one td_update per transition and epoch
@@ -474,11 +468,10 @@ class TestTrainCriticOnLog:
         with pytest.raises(NonFiniteUpdateError):
             train_critic_on_log(critic, log, cfg, seed=1, max_epochs=3)
         with pytest.raises(NonFiniteUpdateError):
-            three_forward_sweep(reference, log, cfg, seed=1, max_epochs=3,
-                                lr_decay_epochs=8.0)
+            three_forward_sweep(reference, log, cfg, seed=1, max_epochs=3)
         assert np.isfinite(critic.params).all()
         assert not np.array_equal(critic.params, make_critic(seed=0).params)
-        assert max_relative_gap(critic.params, reference.params) <= 1e-12
+        assert critic.params.tobytes() == reference.params.tobytes()
 
     def test_zero_utility_log_converges_to_zero(self):
         cfg = HdpConfig()
@@ -590,40 +583,6 @@ class TestPretrainAndClone:
                          learning_rate=1e200)
 
 
-def public_critic_sweep(critic, log, cfg, seed, max_epochs):
-    """train_critic_on_log's sweep written with the public forward and the
-    1-D TD step: one 3-row pass per transition, [x_now, x_next, x_now of
-    the previous sample], stepping on the 1-D cache of row 0.  No stopping
-    rule fires within 5 epochs."""
-    gamma = cfg.gamma
-    x_now, x_next, u = map(np.array, zip(*log))
-    n = len(u)
-    j, _ = critic.forward(np.concatenate((x_now, x_next)))
-    resid = td_error(j[:n, 0], j[n:, 0], u, gamma)
-    history = [float(np.mean(resid * resid))]
-    rng = np.random.default_rng(seed)
-    order = np.arange(n)
-    for epoch in range(max_epochs):
-        lr = cfg.lr_critic / (1.0 + epoch / 8.0)
-        rng.shuffle(order)
-        sq_sum = 0.0
-        target = u_prev = 0.0
-        for step, idx in enumerate(order):
-            batch = np.stack((x_now[idx], x_next[idx], x_now[order[step - 1]]))
-            out, cache = critic.forward(batch)
-            _, j_next, j_prev = out[:, 0].tolist()
-            if step:
-                r = td_error(j_prev, target, u_prev, gamma)
-                sq_sum += r * r
-            target, u_prev = j_next, float(u[idx])
-            row = ForwardCache([a[0] for a in cache.activations])
-            td_step_1d(critic, row, target, u_prev, gamma, lr)
-        j_last, _ = critic.forward(x_now[order[-1]])
-        r = td_error(float(j_last[0]), target, u_prev, gamma)
-        history.append((sq_sum + r * r) / n)
-    return history
-
-
 def public_clone(action, log, cfg, seed, epochs, learning_rate):
     """clone_action's loop written with the public 1-D forward, grad_weights
     and apply_update."""
@@ -648,8 +607,8 @@ def public_clone(action, log, cfg, seed, epochs, learning_rate):
 
 
 class TestOfflineStagesGolden:
-    """The offline stages run on the nets' pass workspaces; their results
-    must be the bits of the same loops written with the public API."""
+    """The offline stages run on the nets' kernels; their results must be
+    the bits of the same loops written with the public 1-D API."""
 
     cfg = HdpConfig(lr_critic=PretrainSettings.learning_rate)
 
@@ -663,7 +622,7 @@ class TestOfflineStagesGolden:
     def test_train_critic_on_log_matches_public_reference_loop(self, log):
         critic, reference = make_critic(seed=0), make_critic(seed=0)
         hist = train_critic_on_log(critic, log, self.cfg, seed=1, max_epochs=3)
-        ref_hist = public_critic_sweep(reference, log, self.cfg, seed=1, max_epochs=3)
+        ref_hist = three_forward_sweep(reference, log, self.cfg, seed=1, max_epochs=3)
         assert len(hist) == 4
         assert hist == ref_hist
         assert critic.params.tobytes() == reference.params.tobytes()

@@ -11,7 +11,8 @@ same bits when the outputs of
     PYTHONPATH=src python tools/hash_outputs.py --seed 0 > a.txt
 
 run in each are identical under `diff`.  Nothing in the output depends on
-timing or on the output directory's path.
+timing or on the output directory's path.  With `--out DIR` the artifacts
+are kept in DIR (which must not exist yet), for `tools/diff_outputs.py`.
 """
 
 from __future__ import annotations
@@ -36,9 +37,14 @@ def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", metavar="PATH", help="boosthdp configuration file")
     parser.add_argument("--seed", type=int, default=0, help="boosthdp seed (default 0)")
+    parser.add_argument("--out", metavar="DIR", help="keep the artifacts in DIR")
     args = parser.parse_args(argv)
-    with tempfile.TemporaryDirectory() as tmp:
-        out = Path(tmp)
+    with contextlib.ExitStack() as stack:
+        if args.out is None:
+            out = Path(stack.enter_context(tempfile.TemporaryDirectory()))
+        else:
+            out = Path(args.out)
+            out.mkdir(parents=True)
         common = ["--out", str(out), "--seed", str(args.seed)]
         if args.config is not None:
             common += ["--config", args.config]
