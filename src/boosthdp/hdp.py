@@ -173,6 +173,11 @@ class HdpController:
             raise ValueError(f"action net must map 4 -> 1, got {action.layer_sizes}")
         if action.output_activation != "sigmoid":
             raise ValueError("action net needs a sigmoid output")
+        # generate the kernels the step runs on now, so that a net too large
+        # for them is refused here (ValueError) rather than mid-run
+        for net in (critic, action):
+            if isinstance(net, Mlp):
+                net.kernels
         self.critic = critic
         self.action = action
         self.config = config

@@ -15,7 +15,11 @@ the bias vector - the same order as the snapshot's parameter rows.
 Per-sample arithmetic: at these sizes numpy's per-call overhead costs more
 than the arithmetic, so every single-input pass and step runs in plain
 Python floats, in code generated once per topology (`Mlp.kernels`, built
-with `exec` as `dataclasses` builds its methods).  The kernels take the
+with `exec` as `dataclasses` builds its methods, on first use).  Kernels
+are generated only for nets of at most `MAX_KERNEL_PARAMS` parameters: a
+unit's sum is one chained expression, which CPython's compiler nests a
+level per term, and the source grows with the parameter count; a larger
+net still loads, saves and runs batched passes.  The kernels take the
 parameters as a list in the flat layout and a pass's activations as one
 flat list; every sum runs left to right with the bias last.  A hot loop
 takes `params.tolist()` once, carries the list that `Mlp.step` returns
@@ -44,11 +48,17 @@ __all__ = [
     "MlpGradients",
     "ForwardCache",
     "Kernels",
+    "MAX_KERNEL_PARAMS",
     "MlpFormatError",
     "NonFiniteUpdateError",
 ]
 
 _ACTIVATIONS = ("linear", "sigmoid")
+
+# about 30 times the controller's nets; a sum of this many terms compiles
+# well inside CPython's nesting limit (some 3000 at the default recursion
+# limit)
+MAX_KERNEL_PARAMS = 1000
 
 
 class MlpFormatError(ValueError):
@@ -86,7 +96,14 @@ class Kernels(NamedTuple):
 @lru_cache(maxsize=None)
 def _kernels(layer_sizes: tuple[int, ...], sigmoid: bool) -> Kernels:
     """Generate and compile the kernels of one topology.  Every backward
-    kernel starts from the same text, so their deltas are the same bits."""
+    kernel starts from the same text, so their deltas are the same bits.
+    Raises ValueError for a net of more than MAX_KERNEL_PARAMS parameters."""
+    n_params = sum(n_out * (n_in + 1) for n_in, n_out in zip(layer_sizes, layer_sizes[1:]))
+    if n_params > MAX_KERNEL_PARAMS:
+        raise ValueError(
+            f"{'-'.join(map(str, layer_sizes))} net has {n_params} parameters; "
+            f"per-sample kernels take at most {MAX_KERNEL_PARAMS}"
+        )
     n_layers = len(layer_sizes) - 1
     # a{l}_{j}: unit j of activation l (a0 the input); e{l}_{i}: the delta
     # (d_loss/d_pre-activation) of unit i of layer l; w[l][i][j], b[l][i]:
@@ -210,7 +227,6 @@ class Mlp:
         self._params = np.zeros(n_params)
         self._w, self._b = _layer_views(self._params, self.layer_sizes)
         self._sigmoid = output_activation == "sigmoid"
-        self.kernels = _kernels(tuple(layer_sizes), self._sigmoid)
         # where each layer's activations start in a flattened pass
         self._act_splits = np.cumsum(layer_sizes)[:-1]
         self.weights = weights
@@ -230,6 +246,12 @@ class Mlp:
             weights.append(rng.uniform(-bound, bound, size=(fan_out, fan_in)))
             biases.append(np.zeros(fan_out))
         return cls(layer_sizes, weights, biases, output_activation)
+
+    @cached_property
+    def kernels(self) -> Kernels:
+        """The per-sample kernels of this net's topology, generated on first
+        use; ValueError if the net is too large for them."""
+        return _kernels(tuple(self.layer_sizes), self._sigmoid)
 
     @property
     def params(self) -> np.ndarray:
@@ -289,9 +311,9 @@ class Mlp:
         the matching shape (n_outputs,) or (k, n_outputs).  The cache of a
         1-D pass feeds grad_weights / grad_input.
 
-        A 1-D input runs `kernels.forward`; a batch runs one matrix-matrix
-        product per layer, whose rows may differ from the 1-D passes in the
-        last bits.
+        A 1-D input runs `kernels.forward` (ValueError for a net too large
+        for kernels); a batch runs one matrix-matrix product per layer,
+        whose rows may differ from the 1-D passes in the last bits.
         """
         a = np.asarray(x, dtype=float)
         if a.ndim not in (1, 2) or a.shape[-1] != self.layer_sizes[0]:

@@ -860,6 +860,14 @@ def _corrupt_critic(out, fast_snapshots):
     return ""
 
 
+def _wide_critic(out, fast_snapshots):
+    # a well-formed 5 -> 1 snapshot with a layer a few thousand units wide:
+    # too large for the per-sample kernels
+    make_action().save(out / "action.mlp")
+    Mlp.init([5, 4000, 1], "linear", seed=0).save(out / "critic.mlp")
+    return ""
+
+
 def _runaway_pi(out, fast_snapshots):
     _copy_snapshots(out, fast_snapshots)
     return "[pi]\nkp = 0.0\nki = 0.0\nduty_ff = 0.93\n"
@@ -875,9 +883,10 @@ class TestFailureMap:
 
     @pytest.mark.parametrize("setup, tag, code, reason", [
         (_corrupt_critic, "HDP", 1, "corrupt network snapshot"),
+        (_wide_critic, "HDP", 1, "5-4000-1 net has 28001 parameters"),
         (_runaway_pi, "PI", 2, "diverged"),
         (_huge_critic_rate, "HDP", 2, "non-finite"),
-    ], ids=["corrupt-snapshot", "divergence", "non-finite-update"])
+    ], ids=["corrupt-snapshot", "wide-snapshot", "divergence", "non-finite-update"])
     def test_run_and_compare_agree(
         self, fast_snapshots, tmp_path, caplog, capsys, setup, tag, code, reason
     ):

@@ -196,6 +196,9 @@ class TestConfig:
             HdpController(make_critic(), Mlp.init([5, 3, 1], "sigmoid"))
         with pytest.raises(ValueError, match="sigmoid"):
             HdpController(make_critic(), Mlp.init([4, 3, 1], "linear"))
+        # 5 -> 1, but too large for the kernels the step runs on
+        with pytest.raises(ValueError, match="per-sample kernels"):
+            HdpController(Mlp.init([5, 200, 1]), make_action())
 
 
 class TestActionUpdate:
@@ -408,9 +411,20 @@ class TestHeldCriticPass:
     STEPS = 40
     HOOK_AT = 20
 
-    def drive(self, ctl, hook=None):
+    def drive(self, ctl, monkeypatch, hook=None):
         """A closed-loop-like run feeding back each returned duty; returns
-        the (duty, j_est) pairs as bytes."""
+        the (duty, j_est) pairs as bytes and the number of calls to the 1-D
+        Mlp.forward, grad_input and grad_weights."""
+        calls = []
+
+        def counted(method):
+            def wrapper(*args):
+                calls.append(method.__name__)
+                return method(*args)
+            return wrapper
+
+        for name in ("forward", "grad_input", "grad_weights"):
+            monkeypatch.setattr(Mlp, name, counted(getattr(Mlp, name)))
         rng = np.random.default_rng(4)
         duty, outputs = 0.0, []
         for k, (v, i) in enumerate(rng.uniform([150.0, 4.0], [250.0, 12.0], (self.STEPS, 2))):
@@ -418,15 +432,20 @@ class TestHeldCriticPass:
                 duty = hook(ctl, duty)
             duty, j_est = ctl.control_step(meas(v, i, duty_prev=duty))
             outputs.append((duty, j_est))
-        return np.array(outputs).tobytes()
+        monkeypatch.undo()
+        return np.array(outputs).tobytes(), len(calls)
 
     def nets(self):
         return make_critic(seed=3), make_action(seed=53), HdpConfig(lr_critic=1e-2, lr_action=1e-3)
 
     @pytest.mark.parametrize("hook", [None, write_params, perturb_duty, reset, swap_critic])
-    def test_same_bits_as_recomputing_the_pass(self, hook):
+    def test_same_bits_as_recomputing_the_pass(self, monkeypatch, hook):
         held = HdpController(*self.nets())
         recomputed = RecomputingController(*self.nets())
-        assert self.drive(held, hook) == self.drive(recomputed, hook)
+        held_out, held_calls = self.drive(held, monkeypatch, hook)
+        ref_out, ref_calls = self.drive(recomputed, monkeypatch, hook)
+        assert held_out == ref_out
+        # the learning step runs no 1-D Mlp pass and builds no ForwardCache
+        assert held_calls == 0 and ref_calls > 0
         assert held.critic.params.tobytes() == recomputed.critic.params.tobytes()
         assert held.action.params.tobytes() == recomputed.action.params.tobytes()

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from boosthdp.mlp import (
+    MAX_KERNEL_PARAMS,
     ForwardCache,
     Mlp,
     MlpFormatError,
@@ -403,6 +404,16 @@ class TestStep:
         assert net.copy().kernels is net.kernels
         assert Mlp.init([4, 5, 5, 1], "linear").kernels is not net.kernels
         assert Mlp.init([4, 5, 1], "sigmoid").kernels is not net.kernels
+
+    def test_net_too_large_for_kernels_still_loads_and_runs_batched(self):
+        # a layer a few thousand units wide: its sums would nest too deep
+        # for CPython's compiler, and the kernels are generated on first use
+        net = Mlp.loads(Mlp.init([5, 4000, 1], "linear", seed=0).dumps())
+        assert net.params.size == 28001 > MAX_KERNEL_PARAMS
+        xs = np.random.default_rng(0).uniform(-1.0, 1.0, (3, 5))
+        assert net.forward(xs)[0].shape == (3, 1)
+        with pytest.raises(ValueError, match="5-4000-1 net has 28001 parameters"):
+            net.forward(xs[0])
 
 
 # --- per-layer reference ---------------------------------------------------
