@@ -1,8 +1,14 @@
-"""Artifact writes through a temporary file and one rename."""
+"""Artifact writes through temporary files and renames."""
 
+import errno
 import os
 from contextlib import contextmanager
 from pathlib import Path
+from typing import Callable
+
+
+def _temporary(path: Path) -> Path:
+    return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
 @contextmanager
@@ -19,11 +25,40 @@ def atomic_write(path):
     The artifacts are reproducible from the seed, so a rerun restores
     them."""
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    tmp = _temporary(path)
     try:
         with open(tmp, "w", newline="") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
+        raise
+
+
+def atomic_write_set(writers: dict[Path, Callable[[Path], None]]) -> None:
+    """Write several artifacts as one set.  `writers` maps each target path
+    to a function that writes its artifact to the path it is given, a
+    temporary file beside the target.  Every artifact is written, and every
+    target checked, before any is renamed over its target: if a writer
+    raises, or a target is a directory (whose place a rename cannot take),
+    the temporary files are removed and every target is left as it was.
+    An OSError names the target it arose for.  Nothing is fsync'ed, as in
+    atomic_write."""
+    staged: list[tuple[Path, Path]] = []
+    try:
+        for path, write in writers.items():
+            tmp = _temporary(path)
+            staged.append((tmp, path))
+            try:
+                write(tmp)
+            except OSError as exc:
+                raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+        for _, path in staged:
+            if path.is_dir():
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
+        for tmp, path in staged:
+            os.replace(tmp, path)
+    except BaseException:
+        for tmp, _ in staged:
+            tmp.unlink(missing_ok=True)
         raise

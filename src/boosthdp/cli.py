@@ -28,13 +28,13 @@ import io
 import logging
 import math
 import sys
-from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 from pathlib import Path
+from typing import Callable
 
 import numpy as np
 
-from .atomic import atomic_write
+from .atomic import atomic_write, atomic_write_set
 from .baseline import DEFAULT_PI_GAINS, PiGains, PiController
 from .hdp import HdpConfig, HdpController, make_action
 from .mlp import Mlp, MlpFormatError, NonFiniteUpdateError
@@ -255,14 +255,14 @@ def _snapshot_paths(cfg: RunConfig) -> tuple[Path, Path]:
     return out / "critic.mlp", out / "action.mlp"
 
 
-@contextmanager
-def _writing(path: Path):
-    """Turn an OSError raised while writing the artifact at path (a
-    directory in its place, no permission) into ConfigError."""
+def _write_artifacts(writers: dict[Path, Callable[[Path], None]]) -> None:
+    """Write a command's artifacts as one set (atomic_write_set), turning an
+    OSError (a directory in an artifact's place, no permission) into
+    ConfigError naming the artifact."""
     try:
-        yield
+        atomic_write_set(writers)
     except OSError as exc:
-        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from None
+        raise ConfigError(f"cannot write {exc.filename}: {exc.strerror or exc}") from None
 
 
 def _make_out_dir(cfg: RunConfig) -> Path:
@@ -302,16 +302,19 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         log.error("pretraining failed: %s", exc)
         return 2
     critic_path, action_path = _snapshot_paths(cfg)
-    with _writing(critic_path):
-        critic.save(critic_path)
-    with _writing(action_path):
-        action.save(action_path)
     residuals_path = out / "pretrain_residuals.csv"
-    with _writing(residuals_path), atomic_write(residuals_path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["epoch", "mean_squared_residual"])
-        for epoch, value in enumerate(history):
-            writer.writerow([epoch, repr(value)])
+
+    def write_residuals(path: Path) -> None:
+        with atomic_write(path) as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["epoch", "mean_squared_residual"])
+            for epoch, value in enumerate(history):
+                writer.writerow([epoch, repr(value)])
+
+    # a pair of nets and their residuals, or none of them
+    _write_artifacts({
+        critic_path: critic.save, action_path: action.save, residuals_path: write_residuals,
+    })
     epochs = len(history) - 1
     log.info(
         "critic: %d epochs (stopped by %s), residual %.4g -> %.4g (ratio %.1f); "
@@ -371,19 +374,28 @@ def _read_metrics(path: Path) -> list[list[str]]:
     return rows
 
 
-def _upsert_metrics(path: Path, scenario: str, tag: str, m: sim.Metrics) -> None:
+def _upsert_metrics(
+    path: Path, scenario: str, tag: str, m: sim.Metrics,
+    artifacts: dict[Path, Callable[[Path], None]],
+) -> None:
     """One row per (scenario, controller); a rerun replaces its old row.
-    A lock on a sidecar file keeps concurrent runs from losing rows.
-    ConfigError, with nothing written, if the file holds something else."""
+    A lock on a sidecar file keeps concurrent runs from losing rows.  The
+    file is written in one set with `artifacts` (target -> writer, as
+    atomic_write_set takes them): ConfigError, with none of them written,
+    if the file holds something else or one cannot be written."""
     with open(path.with_name(f".{path.name}.lock"), "a") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         rows = _read_metrics(path) if path.is_file() else []
         rows = [row for row in rows if row[:2] != [scenario, tag]]
         rows.append([scenario, tag, *(_fmt(value) for value in asdict(m).values())])
-        with atomic_write(path) as fh:
-            writer = csv.writer(fh)
-            writer.writerow(METRICS_FIELDS)
-            writer.writerows(rows)
+
+        def write_metrics(tmp: Path) -> None:
+            with atomic_write(tmp) as fh:
+                writer = csv.writer(fh)
+                writer.writerow(METRICS_FIELDS)
+                writer.writerows(rows)
+
+        _write_artifacts({**artifacts, path: write_metrics})
 
 
 def _run_cell(cfg: RunConfig, scenario: str, tag: str) -> tuple[int, sim.Metrics | None]:
@@ -398,11 +410,10 @@ def _run_cell(cfg: RunConfig, scenario: str, tag: str) -> tuple[int, sim.Metrics
         spec, controller = _build_cell(cfg, scenario, tag)
         trace, metrics = sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
         out = _make_out_dir(cfg)
-        trace_path, metrics_path = out / f"{scenario}_{tag}.csv", out / "metrics.csv"
-        with _writing(trace_path):
-            sim.write_trace_csv(trace_path, trace)
-        with _writing(metrics_path):
-            _upsert_metrics(metrics_path, scenario, tag, metrics)
+        trace_path = out / f"{scenario}_{tag}.csv"
+        _upsert_metrics(out / "metrics.csv", scenario, tag, metrics, {
+            trace_path: lambda tmp: sim.write_trace_csv(tmp, trace),
+        })
     except ConfigError as exc:
         log.error("%s", exc)
         return 1, None

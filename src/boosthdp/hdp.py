@@ -18,8 +18,9 @@ backpropagates through the action net.
 
 The online step runs every pass and step on the nets' generated kernels
 (`Mlp.kernels`, `Mlp.step`), on parameter lists taken from `Mlp.params` at
-the top of the step.  `td_update` is the one critic step; the online step
-and the offline sweep in `sim` both take it.
+the top of the step.  `td_update` is the online critic step.  The offline
+sweep in `sim` runs the same step inside a generated epoch function
+(`Mlp.td_epoch`), which tests hold to `td_update` bit for bit.
 
 All network inputs are normalized by fixed scales so every feature is O(1);
 the utility is computed on the normalized errors for the same reason, which
@@ -88,8 +89,9 @@ def td_update(
     `p` is the critic's parameter list, `acts` its kernel pass at x_now and
     `target` J(x_next), both at `p`; the caller runs those passes, so the
     step itself runs none.  The target is held fixed.  Returns the new
-    parameter list, which `critic.params` now holds.  This is the only
-    critic step: the offline sweep and the online control step both take it.
+    parameter list, which `critic.params` now holds.  The online control
+    step takes it; `Mlp.td_epoch` runs the same arithmetic per transition
+    of an offline sweep.
     """
     resid = td_error(acts[-1], target, u_now, gamma)
     # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself

@@ -14,22 +14,31 @@ the bias vector - the same order as the snapshot's parameter rows.
 
 Per-sample arithmetic: at these sizes numpy's per-call overhead costs more
 than the arithmetic, so every single-input pass and step runs in plain
-Python floats, in code generated once per topology (`Mlp.kernels`, built
-with `exec` as `dataclasses` builds its methods, on first use).  Kernels
-are generated only for nets of at most `MAX_KERNEL_PARAMS` parameters: a
-unit's sum is one chained expression, which CPython's compiler nests a
-level per term, and the source grows with the parameter count; a larger
-net still loads, saves and runs batched passes.  The kernels take the
-parameters as a list in the flat layout and a pass's activations as one
-flat list; every sum runs left to right with the bias last.  A hot loop
-takes `params.tolist()` once, carries the list that `Mlp.step` returns
-(which has also written it into `params`), and runs `kernels.forward` on
-it.  The 1-D `forward`, `grad_weights` and `grad_input` run the same
-kernels behind numpy arrays and a `ForwardCache`, and `apply_update`
-subtracts lr * g as `descend` does, so forward, `grad_weights` and
-`apply_update` give the bits of one `step`.  A batched
-`forward` ((k, n_inputs) rows) stays numpy, one matrix product per layer,
-and may differ from the single-input passes in the last bits.
+Python floats, in code generated once per topology with `exec`, as
+`dataclasses` builds its methods, on first use.  Kernels are generated
+only for nets of at most `MAX_KERNEL_PARAMS` parameters: a unit's sum is
+one chained expression, which CPython's compiler nests a level per term,
+and the source grows with the parameter count; a larger net still loads,
+saves and runs batched passes.  Every sum runs left to right with the
+bias last, and one set of emitters (`_Text`) writes the passes and the
+step for both kinds of kernel:
+- per sample, `Mlp.kernels`, which take the parameters as a list in the
+  flat layout and a pass's activations as one flat list.  A loop takes
+  `params.tolist()` once, carries the list that `Mlp.step` returns (which
+  has also written it into `params`), and runs `kernels.forward` on it.
+  The 1-D `forward`, `grad_weights` and `grad_input` run the same kernels
+  behind numpy arrays and a `ForwardCache`, and `apply_update` subtracts
+  lr * g as `descend` does, so forward, `grad_weights` and `apply_update`
+  give the bits of one `step`;
+- per epoch, `Mlp.fit_epoch` and `Mlp.td_epoch`, one function each that
+  sweeps a whole sample order with the parameters in local variables and
+  writes them into `params` once, at the end.  They give the bits of the
+  same loop over `kernels.forward` and `step`.
+A step is refused, leaving the net at the last accepted step, when a new
+parameter is not finite: a finite sum of the new parameters proves them
+all finite, and only a sum that is not gets the per-element check.  A
+batched `forward` ((k, n_inputs) rows) stays numpy, one matrix product
+per layer, and may differ from the single-input passes in the last bits.
 """
 
 from __future__ import annotations
@@ -93,85 +102,191 @@ class Kernels(NamedTuple):
     input_gradient: Callable  # (p, acts, d) -> d_loss/d_input
 
 
+def _all_finite(values) -> bool:
+    """Whether every value is finite.  A finite sum implies it, so only a
+    sum that is not (a non-finite term, or finite terms that overflow) needs
+    the per-element check."""
+    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
+
+
+class _Text:
+    """The source text of one topology's passes, shared by the per-sample
+    and the epoch kernels.  `param` spells flat parameter k: "p[{}]" for a
+    list argument, "p{}" for a local.  Names: a{l}_{j} is unit j of
+    activation l (a0 the input); e{l}_{i} the delta (d_loss/d_pre-activation)
+    of unit i of layer l; d{i} d_loss/d_output i.  Raises ValueError for a
+    net of more than MAX_KERNEL_PARAMS parameters."""
+
+    def __init__(self, layer_sizes: tuple[int, ...], sigmoid: bool, param: str):
+        self.sigmoid, self.param = sigmoid, param
+        self.acts = [[f"a{l}_{j}" for j in range(n)] for l, n in enumerate(layer_sizes)]
+        self.deltas = [[f"e{l}_{i}" for i in range(n)] for l, n in enumerate(layer_sizes[1:])]
+        # flat indices of layer l's weights, w[l][i][j], and biases, b[l][i]
+        self.w, self.b, at = [], [], 0
+        for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
+            self.w.append([[at + i * fan_in + j for j in range(fan_in)] for i in range(fan_out)])
+            at += fan_out * fan_in
+            self.b.append(list(range(at, at + fan_out)))
+            at += fan_out
+        if at > MAX_KERNEL_PARAMS:
+            raise ValueError(
+                f"{'-'.join(map(str, layer_sizes))} net has {at} parameters; "
+                f"per-sample kernels take at most {MAX_KERNEL_PARAMS}"
+            )
+        self.n_params = at
+        self.outputs = [f"d{i}" for i in range(layer_sizes[-1])]
+        # (flat index, gradient) in the flat layout
+        self.grads: list[tuple[int, str]] = []
+        for l, (deltas, rows) in enumerate(zip(self.deltas, self.w)):
+            self.grads += [
+                (k, f"{e}*{a}") for e, row in zip(deltas, rows) for k, a in zip(row, self.acts[l])
+            ]
+            self.grads += list(zip(self.b[l], deltas))
+
+    def p(self, k: int) -> str:
+        return self.param.format(k)
+
+    def forward(self) -> list[str]:
+        """A pass from the input names to the output names; every sum runs
+        left to right with the bias last."""
+        lines, last = [], len(self.w) - 1
+        for l, (rows, biases) in enumerate(zip(self.w, self.b)):
+            for row, bias, out in zip(rows, biases, self.acts[l + 1]):
+                z = " + ".join(
+                    [f"{self.p(k)}*{a}" for k, a in zip(row, self.acts[l])] + [self.p(bias)]
+                )
+                if l < last:
+                    lines.append(f"{out} = tanh({z})")
+                elif self.sigmoid:
+                    # math.exp raises where numpy's gives inf, and 1/(1+inf) = 0
+                    lines += [
+                        "try:",
+                        f"    {out} = 1.0 / (1.0 + exp(-({z})))",
+                        "except OverflowError:",
+                        f"    {out} = 0.0",
+                    ]
+                else:
+                    lines.append(f"{out} = {z}")
+        return lines
+
+    def backward(self) -> list[str]:
+        """Every delta, from the output names and d0, d1, ..."""
+        lines = [
+            f"{e} = {d} * {y} * (1.0 - {y})" if self.sigmoid else f"{e} = {d}"
+            for e, d, y in zip(self.deltas[-1], self.outputs, self.acts[-1])
+        ]
+        for l in range(len(self.w) - 1, 0, -1):
+            # W^T delta, times the derivative of tanh from the stored activation
+            for j, (e, h) in enumerate(zip(self.deltas[l - 1], self.acts[l])):
+                back = " + ".join(
+                    f"{self.p(self.w[l][i][j])}*{d}" for i, d in enumerate(self.deltas[l])
+                )
+                lines.append(f"{e} = ({back}) * (1.0 - {h}*{h})")
+        return lines
+
+    def descended(self) -> list[str]:
+        """Every parameter after one descent step at rate lr, in the flat
+        layout."""
+        return [f"{self.p(k)} - {g}*lr" for k, g in self.grads]
+
+    def input_gradient(self) -> list[str]:
+        return [
+            " + ".join(f"{self.p(self.w[0][i][j])}*{e}" for i, e in enumerate(self.deltas[0]))
+            for j in range(len(self.acts[0]))
+        ]
+
+
+def _compile(source: str, name: str) -> Callable:
+    namespace = {"tanh": math.tanh, "exp": math.exp, "isfinite": math.isfinite}
+    exec(source, namespace)
+    return namespace[name]
+
+
+def _indent(lines: list[str], depth: int) -> list[str]:
+    return [" " * (4 * depth) + line for line in lines]
+
+
 @lru_cache(maxsize=None)
 def _kernels(layer_sizes: tuple[int, ...], sigmoid: bool) -> Kernels:
-    """Generate and compile the kernels of one topology.  Every backward
-    kernel starts from the same text, so their deltas are the same bits.
-    Raises ValueError for a net of more than MAX_KERNEL_PARAMS parameters."""
-    n_params = sum(n_out * (n_in + 1) for n_in, n_out in zip(layer_sizes, layer_sizes[1:]))
-    if n_params > MAX_KERNEL_PARAMS:
-        raise ValueError(
-            f"{'-'.join(map(str, layer_sizes))} net has {n_params} parameters; "
-            f"per-sample kernels take at most {MAX_KERNEL_PARAMS}"
-        )
-    n_layers = len(layer_sizes) - 1
-    # a{l}_{j}: unit j of activation l (a0 the input); e{l}_{i}: the delta
-    # (d_loss/d_pre-activation) of unit i of layer l; w[l][i][j], b[l][i]:
-    # flat indices of layer l's weights and biases
-    acts = [[f"a{l}_{j}" for j in range(n)] for l, n in enumerate(layer_sizes)]
-    deltas = [[f"e{l}_{i}" for i in range(n)] for l, n in enumerate(layer_sizes[1:])]
-    w, b, at = [], [], 0
-    for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
-        w.append([[at + i * fan_in + j for j in range(fan_in)] for i in range(fan_out)])
-        at += fan_out * fan_in
-        b.append(list(range(at, at + fan_out)))
-        at += fan_out
-    every_act = ", ".join(sum(acts, []))
+    """Generate and compile the per-sample kernels of one topology.  Every
+    backward kernel starts from the same text, so their deltas are the same
+    bits.  Raises ValueError for a net of more than MAX_KERNEL_PARAMS
+    parameters."""
+    text = _Text(layer_sizes, sigmoid, "p[{}]")
+    every_act = ", ".join(sum(text.acts, []))
+    backward = _indent([
+        f"{every_act}, = acts", f"{', '.join(text.outputs)}, = d", *text.backward()
+    ], 1)
+    bodies = {
+        "forward": ("x", [f"{', '.join(text.acts[0])}, = x", *text.forward(),
+                          f"return [{every_act}]"]),
+        "gradient": ("acts, d", [f"return [{', '.join(g for _, g in text.grads)}]"]),
+        "descend": ("acts, d, lr", [f"return [{', '.join(text.descended())}]"]),
+        "input_gradient": ("acts, d", [f"return [{', '.join(text.input_gradient())}]"]),
+    }
+    kernels = []
+    for name, (args, body) in bodies.items():
+        head = [] if name == "forward" else backward
+        source = "\n".join([f"def {name}(p, {args}):", *head, *_indent(body, 1)])
+        kernels.append(_compile(source, name))
+    return Kernels(*kernels)
 
-    forward = ["def forward(p, x):", f"    {', '.join(acts[0])}, = x"]
-    for l in range(n_layers):
-        for i, out in enumerate(acts[l + 1]):
-            z = " + ".join(
-                [f"p[{k}]*{a}" for k, a in zip(w[l][i], acts[l])] + [f"p[{b[l][i]}]"]
-            )
-            if l < n_layers - 1:
-                forward.append(f"    {out} = tanh({z})")
-            elif sigmoid:
-                # math.exp raises where numpy's gives inf, and 1/(1+inf) = 0
-                forward += [
-                    "    try:",
-                    f"        {out} = 1.0 / (1.0 + exp(-({z})))",
-                    "    except OverflowError:",
-                    f"        {out} = 0.0",
-                ]
-            else:
-                forward.append(f"    {out} = {z}")
-    forward.append(f"    return [{every_act}]")
 
-    backward = [
-        f"    {every_act}, = acts",
-        f"    {', '.join(f'd{i}' for i in range(layer_sizes[-1]))}, = d",
+@lru_cache(maxsize=None)
+def _epoch_kernel(layer_sizes: tuple[int, ...], sigmoid: bool, name: str) -> Callable:
+    """Generate and compile one sweep over a sample order for a
+    single-output net, with the parameters in locals from the first sample
+    to the last.  Each sample's passes and step are the per-sample kernels'
+    text, so a sweep gives the bits of the same loop over `Kernels.forward`
+    and `Mlp.step`.  The sweep returns (parameter list, sq_sum, ok); a step
+    whose new parameters are not all finite is refused and ends the sweep
+    with ok False and the parameters of the last accepted step.
+
+    "fit_epoch"(p, order, xs, goals, lr): per sample k the pass at xs[k],
+    err = y - goals[k], one step on d_loss/d_output = err; sq_sum adds
+    err*err.
+    "td_epoch"(p, order, xs, xs_next, us, gamma, lr): per sample k the
+    target J(xs_next[k]) and the value J(xs[k]), the residual
+    resid = J - gamma*target - us[k] as `hdp.td_error` forms it, one step on
+    it as `hdp.td_update` takes it, then the value pass again; sq_sum adds
+    the square of the residual after the step."""
+    if layer_sizes[-1] != 1:
+        raise ValueError(f"epoch kernels need a single-output net, got {layer_sizes}")
+    text = _Text(layer_sizes, sigmoid, "p{}")
+    params = ", ".join(text.p(k) for k in range(text.n_params))
+    new = [f"n{k}" for k in range(text.n_params)]
+    x, y = ", ".join(text.acts[0]), text.acts[-1][0]
+    # the step is accepted as `_all_finite` accepts it; a chained sum and
+    # one copy per parameter are faster here than a call, a tuple and
+    # `sum`, and the chain compiles at MAX_KERNEL_PARAMS terms
+    step = [
+        *text.backward(),
+        *(f"{n} = {value}" for n, value in zip(new, text.descended())),
+        f"if not isfinite({' + '.join(new)}) and not all(map(isfinite, ({', '.join(new)},))):",
+        f"    return [{params}], sq_sum, False",
+        *(f"{text.p(k)} = {n}" for k, n in enumerate(new)),
     ]
-    for i, (e, y) in enumerate(zip(deltas[-1], acts[-1])):
-        backward.append(f"    {e} = d{i} * {y} * (1.0 - {y})" if sigmoid else f"    {e} = d{i}")
-    for l in range(n_layers - 1, 0, -1):
-        # W^T delta, times the derivative of tanh from the stored activation
-        for j, (e, h) in enumerate(zip(deltas[l - 1], acts[l])):
-            back = " + ".join(f"p[{w[l][i][j]}]*{d}" for i, d in enumerate(deltas[l]))
-            backward.append(f"    {e} = ({back}) * (1.0 - {h}*{h})")
-    grads: list[tuple[int, str]] = []  # (flat index, gradient) in the flat layout
-    for l in range(n_layers):
-        grads += [
-            (k, f"{e}*{a}") for e, row in zip(deltas[l], w[l]) for k, a in zip(row, acts[l])
+    if name == "fit_epoch":
+        args = "xs, goals, lr"
+        sample = [f"{x}, = xs[k]", *text.forward(), f"d0 = {y} - goals[k]", *step,
+                  "sq_sum += d0*d0"]
+    else:
+        args = "xs, xs_next, us, gamma, lr"
+        sample = [
+            f"{x}, = xs_next[k]", *text.forward(), f"target = {y}",
+            f"{x}, = xs[k]", *text.forward(), "u = us[k]",
+            f"d0 = {y} - gamma*target - u", *step,
+            *text.forward(), f"resid = {y} - gamma*target - u", "sq_sum += resid*resid",
         ]
-        grads += list(zip(b[l], deltas[l]))
-    dx = [
-        " + ".join(f"p[{w[0][i][j]}]*{e}" for i, e in enumerate(deltas[0]))
-        for j in range(layer_sizes[0])
-    ]
-    body = "\n".join(backward)
     source = "\n".join([
-        *forward,
-        "def gradient(p, acts, d):", body,
-        f"    return [{', '.join(g for _, g in grads)}]",
-        "def descend(p, acts, d, lr):", body,
-        f"    return [{', '.join(f'p[{k}] - {g}*lr' for k, g in grads)}]",
-        "def input_gradient(p, acts, d):", body,
-        f"    return [{', '.join(dx)}]",
+        f"def {name}(p, order, {args}):",
+        f"    {params}, = p",
+        "    sq_sum = 0.0",
+        "    for k in order:",
+        *_indent(sample, 2),
+        f"    return [{params}], sq_sum, True",
     ])
-    namespace = {"tanh": math.tanh, "exp": math.exp}
-    exec(source, namespace)
-    return Kernels(*(namespace[name] for name in Kernels._fields))
+    return _compile(source, name)
 
 
 @dataclass
@@ -374,10 +489,43 @@ class Mlp:
         `params` and returns them as a list; a step that would write a
         non-finite parameter is refused and the net left unchanged."""
         new = self.kernels.descend(p, acts, d_output, learning_rate)
-        if not all(map(math.isfinite, new)):
+        if not _all_finite(new):
             raise NonFiniteUpdateError("update would produce non-finite parameters")
         self._params[:] = new
         return new
+
+    def fit_epoch(self, order: list[int], xs, goals, learning_rate: float) -> float:
+        """One sweep of squared-error descent over the samples in `order`:
+        per sample k the pass at xs[k], err = y - goals[k], and one `step`
+        on d_loss/d_output = err.  Returns the sum of err*err, each taken
+        before its step.  `xs` is a list of input lists, `goals` of floats;
+        the net must have one output."""
+        kernel = _epoch_kernel(tuple(self.layer_sizes), self._sigmoid, "fit_epoch")
+        return self._commit(*kernel(self._params.tolist(), order, xs, goals, learning_rate))
+
+    def td_epoch(
+        self, order: list[int], xs, xs_next, us, gamma: float, learning_rate: float
+    ) -> float:
+        """One temporal-difference sweep over the transitions in `order`:
+        per transition k the target J(xs_next[k]) and the value J(xs[k]) at
+        the present parameters, one `hdp.td_update` step toward
+        us[k] + gamma * target, and J(xs[k]) again after the step.  Returns
+        the sum of the squared residuals after the steps.  `xs` and
+        `xs_next` are lists of input lists, `us` of floats; the net must
+        have one output."""
+        kernel = _epoch_kernel(tuple(self.layer_sizes), self._sigmoid, "td_epoch")
+        return self._commit(
+            *kernel(self._params.tolist(), order, xs, xs_next, us, gamma, learning_rate)
+        )
+
+    def _commit(self, new: list[float], sq_sum: float, ok: bool) -> float:
+        """Write an epoch kernel's parameters into `params` and return its
+        sum; if a step was refused, raise once the parameters of the last
+        accepted step are written."""
+        self._params[:] = new
+        if not ok:
+            raise NonFiniteUpdateError("update would produce non-finite parameters")
+        return sq_sum
 
     # --- snapshot format -------------------------------------------------
     # line 1: "mlp v1"

@@ -7,12 +7,13 @@ Each scenario regulates V_SET around a nominal source and load, with at
 most one step of either.
 Also hosts the offline pipeline that prepares the neuro-controller:
 excitation-log generation under a teacher law, temporal-difference
-pretraining of the critic, and behavior cloning of the action net.  Both
-offline sweeps run each sample's passes and descent step on the net's
-generated kernels (`Mlp.kernels`, `Mlp.step`), carrying the parameter list
-that each step returns; the critic's step is `hdp.td_update`.  The results
-are the bits of the same loops written with the 1-D `Mlp.forward`,
-`Mlp.grad_weights` and `Mlp.apply_update`.
+pretraining of the critic, and behavior cloning of the action net.  Each
+epoch of either offline sweep is one call of a function generated for the
+net's topology (`Mlp.td_epoch`, `Mlp.fit_epoch`) that runs every sample's
+passes and descent step with the parameters held in local variables.  The
+critic's step there is the text of `hdp.td_update`, and the results are
+the bits of the same loops written with `hdp.td_update` per transition, or
+with the 1-D `Mlp.forward`, `Mlp.grad_weights` and `Mlp.apply_update`.
 """
 
 from __future__ import annotations
@@ -26,6 +27,8 @@ import numpy as np
 
 from .atomic import atomic_write
 from .baseline import PiController
+# sim no longer calls td_update (Mlp.td_epoch runs its step), but
+# perfbench/tracing.py patches this module's binding of it by name
 from .hdp import ControllerInput, HdpConfig, make_critic, td_error, td_update, utility
 from .mlp import Mlp
 from .plant import PlantParams, PlantState, step, steady_state_hint
@@ -505,9 +508,12 @@ def train_critic_on_log(
     PretrainingError if the residual fails to decrease across the first 5
     epochs (when enough epochs run to tell).
 
-    Each step makes three kernel passes: the target J(x_next) and the value
-    J(x_now) it steps on, both at the present weights, and J(x_now) again
-    right after the step for the epoch mean.
+    Each epoch is one call of the critic's generated sweep,
+    `Mlp.td_epoch`: per transition the target J(x_next) and the value
+    J(x_now) it steps on, both at the present weights, the `td_update`
+    step, and J(x_now) again right after the step for the epoch mean.  A
+    refused step raises NonFiniteUpdateError and leaves the critic at the
+    last accepted step.
     """
     log = list(log)
     if not log:
@@ -521,21 +527,12 @@ def train_critic_on_log(
     history: list[float] = [_mean_squared_residual(critic, x_now, x_next, u, gamma)]
     order = np.arange(n)
     x_now, x_next, u = x_now.tolist(), x_next.tolist(), u.tolist()
-    forward = critic.kernels.forward
-    p = critic.params.tolist()
     for epoch in range(max_epochs):
         lr = cfg.lr_critic
         if lr_decay_epochs > 0.0:
             lr /= 1.0 + epoch / lr_decay_epochs
         rng.shuffle(order)
-        sq_sum = 0.0
-        for k in order.tolist():
-            x, u_now = x_now[k], u[k]
-            target = forward(p, x_next[k])[-1]
-            p = td_update(critic, p, forward(p, x), target, u_now, gamma, lr)
-            resid = td_error(forward(p, x)[-1], target, u_now, gamma)
-            sq_sum += resid * resid
-        history.append(sq_sum / n)
+        history.append(critic.td_epoch(order.tolist(), x_now, x_next, u, gamma, lr) / n)
         if epoch == 4 and history[5] >= history[0]:
             raise PretrainingError(
                 f"TD residual failed to decrease over the first 5 epochs: "
@@ -611,19 +608,11 @@ def clone_action(
     goals = targets.tolist()
     rng = np.random.default_rng(seed)
     order = np.arange(len(log))
-    forward = action.kernels.forward
-    p = action.params.tolist()
     mse = 0.0
     for epoch in range(epochs):
         lr = learning_rate / (1.0 + epoch / _LR_DECAY_EPOCHS)
         rng.shuffle(order)
-        sq_sum = 0.0
-        for k in order.tolist():
-            acts = forward(p, inputs[k])
-            err = acts[-1] - goals[k]
-            p = action.step(p, acts, (err,), lr)
-            sq_sum += err * err
-        mse = sq_sum / len(log)
+        mse = action.fit_epoch(order.tolist(), inputs, goals, lr) / len(log)
     variance = float(np.var(targets))
     if not mse < variance:
         raise PretrainingError(

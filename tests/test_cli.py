@@ -61,7 +61,7 @@ metrics = sim.Metrics(0.001, 1.0, 0.0, 0.01, 2.0, False, False)
 print("ready", flush=True)
 sys.stdin.readline()
 for k in range(40):
-    cli._upsert_metrics(Path(sys.argv[1]), f"{sys.argv[2]}{k}", "PI", metrics)
+    cli._upsert_metrics(Path(sys.argv[1]), f"{sys.argv[2]}{k}", "PI", metrics, {})
 """
 
 
@@ -312,6 +312,37 @@ class TestUsageErrors:
                 rows[0].split()[2:], ["-"] * 3
             ]
             assert "-" not in rows[0].split()
+
+    @pytest.mark.parametrize("command, artifact", [
+        (["pretrain"], "critic.mlp"),
+        (["pretrain"], "action.mlp"),
+        (["pretrain"], "pretrain_residuals.csv"),
+        (["run", "startup", "PI"], "startup_PI.csv"),
+        (["run", "startup", "PI"], "metrics.csv"),
+    ], ids=["pretrain-critic", "pretrain-action", "pretrain-residuals",
+            "run-trace", "run-metrics"])
+    def test_failed_write_leaves_every_artifact_as_it_was(
+        self, fast_snapshots, tmp_path, command, artifact
+    ):
+        # the artifacts of an earlier pretrain (seed 0) and run, one of them
+        # replaced by a directory; a failed command writes none of the rest
+        earlier = {
+            name: (fast_snapshots / name).read_bytes()
+            for name in ("critic.mlp", "action.mlp", "pretrain_residuals.csv")
+        }
+        earlier["startup_PI.csv"] = b"an earlier trace\n"
+        earlier["metrics.csv"] = (",".join(cli.METRICS_FIELDS) + "\n").encode()
+        for name, data in earlier.items():
+            if name != artifact:
+                (tmp_path / name).write_bytes(data)
+        (tmp_path / artifact).mkdir()
+        config = tmp_path / "cell.ini"
+        config.write_text(FAST_PRETRAIN)
+        before = _files(tmp_path)
+        rc = cli.main(command + ["--config", str(config), "--out", str(tmp_path),
+                                 "--seed", "1"])
+        assert rc == 1
+        assert _files(tmp_path) == before
 
     @pytest.mark.parametrize("line", ["l_ind = nan", "c_out = inf", "v_s = -inf"])
     def test_non_finite_plant_value_exits_1(self, tmp_path, caplog, line):
@@ -575,6 +606,7 @@ class TestRunCommand:
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == [f"cannot update {path}: not a boosthdp metrics file"]
         assert path.read_bytes() == content
+        assert not (tmp_path / "startup_PI.csv").exists()  # nor the trace
 
     def test_empty_metrics_file_has_no_rows(self, tmp_path):
         (tmp_path / "metrics.csv").write_text("")
@@ -847,6 +879,15 @@ class TestCompareCommand:
 
 # the failures below each write their files into out and return the config
 # text that completes them
+
+
+def _files(out):
+    """Name -> bytes of every file in out but the metrics lock's sidecar."""
+    return {
+        path.name: path.read_bytes()
+        for path in out.iterdir()
+        if path.is_file() and path.name != ".metrics.csv.lock"
+    }
 
 
 def _copy_snapshots(out, fast_snapshots):

@@ -416,6 +416,121 @@ class TestStep:
             net.forward(xs[0])
 
 
+def per_sample_fit(net, order, xs, goals, lr):
+    """Mlp.fit_epoch as a loop over the per-sample kernels and Mlp.step."""
+    p, sq_sum = net.params.tolist(), 0.0
+    for k in order:
+        acts = net.kernels.forward(p, xs[k])
+        err = acts[-1] - goals[k]
+        p = net.step(p, acts, (err,), lr)
+        sq_sum += err * err
+    return sq_sum
+
+
+def per_sample_td(net, order, xs, xs_next, us, gamma, lr):
+    """Mlp.td_epoch as a loop over the per-sample kernels and Mlp.step."""
+    p, sq_sum = net.params.tolist(), 0.0
+    for k in order:
+        target = net.kernels.forward(p, xs_next[k])[-1]
+        acts = net.kernels.forward(p, xs[k])
+        p = net.step(p, acts, (acts[-1] - gamma * target - us[k],), lr)
+        resid = net.kernels.forward(p, xs[k])[-1] - gamma * target - us[k]
+        sq_sum += resid * resid
+    return sq_sum
+
+
+class TestEpochKernels:
+    """Mlp.fit_epoch and Mlp.td_epoch run a whole sweep in one generated
+    function; each must give the bits of the per-sample loop."""
+
+    @pytest.mark.parametrize("sizes", [[1, 1], [4, 5, 5, 1], [5, 5, 5, 1], [3, 4, 2, 1]])
+    @pytest.mark.parametrize("activation", ["linear", "sigmoid"])
+    def test_bit_identical_to_the_per_sample_loop(self, sizes, activation):
+        self.check_both_sweeps(sizes, activation, n=40)
+
+    def test_largest_kernel_net_compiles_and_runs(self):
+        # 5-140-1 has 981 parameters: its finiteness sum is 981 terms long
+        assert 981 <= MAX_KERNEL_PARAMS
+        self.check_both_sweeps([5, 140, 1], "sigmoid", n=3)
+        self.check_both_sweeps([5, 140, 1], "linear", n=3)
+
+    def check_both_sweeps(self, sizes, activation, n):
+        rng = np.random.default_rng(len(sizes))
+        xs = rng.uniform(-1.0, 1.0, (n, sizes[0])).tolist()
+        xs_next = rng.uniform(-1.0, 1.0, (n, sizes[0])).tolist()
+        goals = rng.uniform(0.1, 0.9, n).tolist()
+        order = rng.permutation(n).tolist()
+        net, ref = Mlp.init(sizes, activation, seed=1), Mlp.init(sizes, activation, seed=1)
+        assert net.fit_epoch(order, xs, goals, 0.3) == per_sample_fit(ref, order, xs, goals, 0.3)
+        assert net.params.tobytes() == ref.params.tobytes()
+        assert (net.td_epoch(order, xs, xs_next, goals, 0.85, 0.05)
+                == per_sample_td(ref, order, xs, xs_next, goals, 0.85, 0.05))
+        assert net.params.tobytes() == ref.params.tobytes()
+
+    def test_multi_output_net_rejected(self):
+        with pytest.raises(ValueError, match="single-output"):
+            Mlp.init([2, 3, 2], "linear").fit_epoch([0], [[0.0, 0.0]], [0.0], 0.1)
+
+
+def overflowing_net():
+    """A 1-1 linear net of two finite parameters whose sum overflows."""
+    net = Mlp.init([1, 1], "linear")
+    net.params[:] = [1e308, 1e308]
+    return net
+
+
+def opposite_infinities_net():
+    """A 2-1 linear net and an input on which a step at rate 1e10 makes one
+    weight +inf and the other -inf, whose sum is NaN."""
+    net = Mlp.init([2, 1], "linear")
+    net.params[:] = [0.5, 0.25, 0.0]
+    return net, [1e308, -1e308]
+
+
+class TestFiniteness:
+    """A step is refused exactly when a new parameter is not finite, on the
+    per-sample step and on both epoch kernels."""
+
+    def test_step_accepts_parameters_whose_sum_overflows(self):
+        net = overflowing_net()
+        p = net.params.tolist()
+        assert net.step(p, net.kernels.forward(p, [0.0]), [0.0], 0.1) == [1e308, 1e308]
+
+    def test_epoch_kernels_accept_parameters_whose_sum_overflows(self):
+        net = overflowing_net()
+        # zero error, so each step writes the same two parameters
+        assert net.fit_epoch([0], [[0.0]], [1e308], 0.1) == 0.0
+        assert net.td_epoch([0], [[0.0]], [[0.0]], [0.5 * 1e308], 0.5, 0.1) == 0.0
+        assert net.params.tolist() == [1e308, 1e308]
+
+    def test_step_refuses_opposite_infinities(self):
+        net, x = opposite_infinities_net()
+        before = net.params.tobytes()
+        p = net.params.tolist()
+        assert math.isnan(sum(net.kernels.descend(p, net.kernels.forward(p, x), [1.0], 1e10)))
+        with pytest.raises(NonFiniteUpdateError):
+            net.step(p, net.kernels.forward(p, x), [1.0], 1e10)
+        assert net.params.tobytes() == before
+
+    def test_epoch_kernels_refuse_opposite_infinities(self):
+        net, x = opposite_infinities_net()
+        before = net.params.tobytes()
+        with pytest.raises(NonFiniteUpdateError):
+            net.fit_epoch([0], [x], [0.0], 1e10)
+        assert net.params.tobytes() == before
+        with pytest.raises(NonFiniteUpdateError):
+            net.td_epoch([0], [x], [[0.0, 0.0]], [0.0], 0.5, 1e10)
+        assert net.params.tobytes() == before
+
+    def test_refused_step_mid_sweep_keeps_the_last_accepted_step(self):
+        net, x = opposite_infinities_net()
+        ref = net.copy()
+        with pytest.raises(NonFiniteUpdateError):
+            net.fit_epoch([0, 1, 0], [[0.5, 0.5], x], [0.2, 0.0], 0.1)
+        per_sample_fit(ref, [0], [[0.5, 0.5]], [0.2], 0.1)
+        assert net.params.tobytes() == ref.params.tobytes()
+
+
 # --- per-layer reference ---------------------------------------------------
 # A direct per-layer transcription of forward, backward and the SGD step in
 # plain Python floats: every unit's sum runs left to right over its inputs

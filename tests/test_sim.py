@@ -14,6 +14,7 @@ from boosthdp.hdp import (
     make_action,
     make_critic,
     td_error,
+    td_update,
 )
 from boosthdp.mlp import NonFiniteUpdateError
 from boosthdp.plant import PlantParams, PlantState
@@ -421,6 +422,36 @@ def three_forward_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0)
     return history
 
 
+def td_update_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0):
+    """train_critic_on_log's sweep as one `hdp.td_update` per transition on
+    the critic's kernel passes: the target and the value at the present
+    parameters, the step, and the value again after it.  Entry 0 and the
+    stopping rules are left out, as in three_forward_sweep."""
+    gamma = cfg.gamma
+    x_now, x_next, u = map(np.array, zip(*log))
+    j, _ = critic.forward(np.concatenate((x_now, x_next)))
+    resid = td_error(j[:len(u), 0], j[len(u):, 0], u, gamma)
+    history = [float(np.mean(resid * resid))]
+    forward = critic.kernels.forward
+    rng = np.random.default_rng(seed)
+    order = np.arange(len(log))
+    for epoch in range(max_epochs):
+        lr = cfg.lr_critic
+        if lr_decay_epochs > 0.0:
+            lr /= 1.0 + epoch / lr_decay_epochs
+        rng.shuffle(order)
+        sq_sum = 0.0
+        for idx in order:
+            x, x_next, u = log[idx]
+            x, p = x.tolist(), critic.params.tolist()
+            target = forward(p, x_next.tolist())[-1]
+            p = td_update(critic, p, forward(p, x), target, u, gamma, lr)
+            after = td_error(forward(p, x)[-1], target, u, gamma)
+            sq_sum += after * after
+        history.append(sq_sum / len(log))
+    return history
+
+
 def excitation_log_200():
     cfg, params = HdpConfig(), PlantParams()
     law = make_reference_law(params, hdp_config=cfg)
@@ -439,21 +470,14 @@ class TestTrainCriticOnLog:
         assert hist[-1] < hist[0]
         assert critic.params.tobytes() == reference.params.tobytes()
 
-    def test_steps_through_td_update(self, monkeypatch):
-        # one td_update per transition and epoch
-        calls = []
-        td_step = sim.td_update
-
-        def counted(*args):
-            calls.append(None)
-            return td_step(*args)
-
-        monkeypatch.setattr(sim, "td_update", counted)
+    def test_same_bits_as_td_update_per_transition(self):
         log = excitation_log_200()
         cfg = HdpConfig(lr_critic=PretrainSettings.learning_rate)
-        hist = train_critic_on_log(make_critic(seed=0), log, cfg, seed=1, max_epochs=2)
-        assert len(hist) == 3
-        assert len(calls) == 2 * len(log)
+        critic, reference = make_critic(seed=0), make_critic(seed=0)
+        hist = train_critic_on_log(critic, log, cfg, seed=1, max_epochs=3)
+        ref_hist = td_update_sweep(reference, log, cfg, seed=1, max_epochs=3)
+        assert hist == ref_hist
+        assert critic.params.tobytes() == reference.params.tobytes()
 
     def test_non_finite_step_mid_epoch_keeps_last_accepted_net(self):
         log = excitation_log_200()
@@ -626,6 +650,24 @@ class TestOfflineStagesGolden:
         assert len(hist) == 4
         assert hist == ref_hist
         assert critic.params.tobytes() == reference.params.tobytes()
+
+    def test_non_finite_clone_step_keeps_last_accepted_net(self, log):
+        log = list(log)
+        bad = 100
+        x_now, x_next, u = log[bad]
+        log[bad] = (np.concatenate(([np.nan], x_now[1:])), x_next, u)
+        order = np.arange(len(log))
+        np.random.default_rng(2).shuffle(order)
+        assert 0 < list(order).index(bad) < len(log) - 1  # inside the first epoch
+        action, reference = make_action(seed=0), make_action(seed=0)
+        rate = PretrainSettings.clone_learning_rate
+        with pytest.raises(NonFiniteUpdateError):
+            clone_action(action, log, self.cfg, seed=2, epochs=3, learning_rate=rate)
+        with pytest.raises(NonFiniteUpdateError):
+            public_clone(reference, log, self.cfg, seed=2, epochs=3, learning_rate=rate)
+        assert np.isfinite(action.params).all()
+        assert not np.array_equal(action.params, make_action(seed=0).params)
+        assert action.params.tobytes() == reference.params.tobytes()
 
     def test_clone_action_matches_public_reference_loop(self, log):
         action, reference = make_action(seed=0), make_action(seed=0)
