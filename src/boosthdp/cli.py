@@ -284,10 +284,13 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         "excitation log: %d episodes x %d holds under duty_ff=%.4f teacher",
         pt.n_episodes, pt.n_holds, teacher.duty_ff,
     )
-    transitions = sim.generate_excitation_log(
-        teacher, cfg.plant, cfg.hdp, seed=cfg.seed,
-        n_episodes=pt.n_episodes, n_holds=pt.n_holds,
-    )
+    try:
+        transitions = sim.generate_excitation_log(
+            teacher, cfg.plant, cfg.hdp, seed=cfg.seed,
+            n_episodes=pt.n_episodes, n_holds=pt.n_holds,
+        )
+    except ValueError as exc:  # a switching period longer than a hold
+        raise ConfigError(f"[plant] {exc}") from None
     try:
         critic, history = sim.pretrain_critic(
             transitions, cfg.hdp, seed=cfg.seed,
@@ -408,7 +411,10 @@ def _run_cell(cfg: RunConfig, scenario: str, tag: str) -> tuple[int, sim.Metrics
     """
     try:
         spec, controller = _build_cell(cfg, scenario, tag)
-        trace, metrics = sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
+        try:
+            trace, metrics = sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
+        except ValueError as exc:  # a switching period longer than the scenario
+            raise ConfigError(f"[plant] {exc}") from None
         out = _make_out_dir(cfg)
         trace_path = out / f"{scenario}_{tag}.csv"
         _upsert_metrics(out / "metrics.csv", scenario, tag, metrics, {

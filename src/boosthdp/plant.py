@@ -22,9 +22,13 @@ affine map y -> M y + c, with M the degree-4 Taylor polynomial of e^{dt A}
 (Moler & Van Loan, "Nineteen dubious ways to compute the exponential of a
 matrix", SIAM Review 2003), and k sub-steps are one affine map as well.  The
 k-step maps of every branch, k = 0..n_sub, are built once per `PlantParams`
-and cached.  A period is then one map for the on-interval, one vectorized
-pass over the off-interval's sub-steps to find where the diode stops
-conducting, and one map for the blocked remainder.
+and cached as rows of Python floats.  A period is then one map for the
+on-interval, one for the conducting part of the off-interval and one for
+the blocked remainder.  The sub-step where the diode stops conducting is
+the first whose current, evaluated as the maps evaluate it, is <= 0: a
+precomputed floor of that current clears most off-intervals, or their
+first sub-steps, without evaluating any, and the rest are evaluated one by
+one.
 """
 
 from __future__ import annotations
@@ -32,7 +36,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, fields
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -100,6 +104,13 @@ class PlantParams:
     def substeps(self) -> int:
         """Integration sub-steps per PWM period."""
         return round(self.t_sw / self.dt)
+
+    @cached_property
+    def _propagators(self) -> tuple[_Propagator, _Propagator, _Propagator]:
+        # `_propagators(self)`, looked up once per instance: a run passes
+        # one instance period after period, and the lru cache's hash and
+        # compare of it took 0.8 us per period
+        return _propagators(self)
 
 
 @dataclass(frozen=True)
@@ -173,13 +184,15 @@ def _rk4_step(system: _Rows, h: float, i_l: float, v_o: float) -> tuple[float, f
 
 
 class _Propagator:
-    """The k-step RK4 maps of one branch, k = 0..n_sub.
+    """The k-step RK4 maps of one branch, k = 0..n_sub, as float rows.
 
-    After k sub-steps from (i_l, v_o), state variable r is
-    maps[r, 0, k]*i_l + maps[r, 1, k]*v_o + maps[r, 2, k].
+    After k sub-steps from (i_l, v_o), with (a, b, c, d, e, f) = rows[k],
+    the state is (a*i_l + b*v_o + c, d*i_l + e*v_o + f).  floors[n] is
+    (min a_k, min b_k, min c_k) over k = 1..n, the certified floor that
+    `first_nonpositive` tests before it scans.
     """
 
-    __slots__ = ("maps",)
+    __slots__ = ("rows", "floors")
 
     def __init__(self, system: _Rows, dt: float, n_sub: int) -> None:
         # One RK4 sub-step of y' = A y + b is the affine map y -> M y + c,
@@ -191,31 +204,72 @@ class _Propagator:
         )
         c0, c1 = _rk4_step(system, dt, 0.0, 0.0)
         # k-step maps: M_k = M M_{k-1}, c_k = M c_{k-1} + c
-        maps = np.zeros((2, 3, n_sub + 1))
-        maps[0, 0, 0] = maps[1, 1, 0] = 1.0
-        for k in range(n_sub):
-            prev_i, prev_v = maps[0, :, k], maps[1, :, k]
-            maps[0, :, k + 1] = m00 * prev_i + m01 * prev_v
-            maps[1, :, k + 1] = m10 * prev_i + m11 * prev_v
-            maps[0, 2, k + 1] += c0
-            maps[1, 2, k + 1] += c1
-        maps.setflags(write=False)
-        self.maps = maps
+        a, b, c, d, e, f = row = (1.0, 0.0, 0.0, 0.0, 1.0, 0.0)
+        # floors[0], the floor over no sub-steps, is never read
+        floor = (math.inf, math.inf, math.inf)
+        rows, floors = [row], [floor]
+        for _ in range(n_sub):
+            a, b, c, d, e, f = row = (
+                m00 * a + m01 * d, m00 * b + m01 * e, m00 * c + m01 * f + c0,
+                m10 * a + m11 * d, m10 * b + m11 * e, m10 * c + m11 * f + c1,
+            )
+            floor = (min(floor[0], a), min(floor[1], b), min(floor[2], c))
+            rows.append(row)
+            floors.append(floor)
+        self.rows = tuple(rows)
+        self.floors = tuple(floors)
 
     def advance(self, k: int, i_l: float, v_o: float) -> tuple[float, float]:
         """The state after k sub-steps from (i_l, v_o)."""
-        (a, b, c), (d, e, f) = self.maps[:, :, k].tolist()
+        a, b, c, d, e, f = self.rows[k]
         return a * i_l + b * v_o + c, d * i_l + e * v_o + f
 
-    def values(self, r: int, k: int, i_l: float, v_o: float) -> np.ndarray:
+    def values(self, r: int, k: int, i_l: float, v_o: float) -> list[float]:
         """State variable r (0: i_l, 1: v_o) after each of the sub-steps
         1..k from (i_l, v_o); entry j equals advance(j + 1)[r] bit for bit."""
-        m = self.maps[r, :, 1 : k + 1]
-        return m[0] * i_l + m[1] * v_o + m[2]
+        j = 3 * r
+        return [m[j] * i_l + m[j + 1] * v_o + m[j + 2] for m in self.rows[1 : k + 1]]
+
+    def first_nonpositive(self, n: int, i_l: float, v_o: float) -> int:
+        """The first k in 1..n with advance(k, i_l, v_o)[0] <= 0, or 0 if
+        there is none; i_l > 0.
+
+        Rounding to nearest is monotone, so for v_o >= 0 the rounded
+        floors[m] . (i_l, v_o, 1), evaluated in the order `advance` uses,
+        lies at or below every rounded i_l of the sub-steps 1..m, and no
+        NaN enters those without making that floor NaN or -inf as well.  A
+        floor above zero thus clears sub-steps 1..m unevaluated; only those
+        past the last floor that clears are scanned (all of them when v_o
+        is negative or NaN).
+        """
+        start = 1
+        if v_o >= 0.0:
+            floors = self.floors
+            a, b, c = floors[n]
+            if a * i_l + b * v_o + c > 0.0:
+                return 0
+            # the floors only fall as m grows: bisect for the first one that
+            # does not clear, keeping floors[lo] clear and floors[hi] not
+            lo, hi = 0, n
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                a, b, c = floors[mid]
+                if a * i_l + b * v_o + c > 0.0:
+                    lo = mid
+                else:
+                    hi = mid
+            start = hi
+        rows = self.rows
+        for k in range(start, n + 1):
+            a, b, c, _, _, _ = rows[k]
+            if a * i_l + b * v_o + c <= 0.0:
+                return k
+        return 0
 
 
 # A run meets a handful of parameter sets (3 across the scenarios, about 40
-# in a full pretrain); at ~15 kB per set, 64 entries stay under 1 MB.
+# in a full pretrain); at ~93 kB of float rows per set, 64 entries stay
+# under 6 MB.
 @lru_cache(maxsize=64)
 def _propagators(params: PlantParams) -> tuple[_Propagator, _Propagator, _Propagator]:
     """Propagators of the on, conducting and blocked branches."""
@@ -225,58 +279,55 @@ def _propagators(params: PlantParams) -> tuple[_Propagator, _Propagator, _Propag
     )
 
 
-# (propagator, k, start, end): k sub-steps of one branch from `start`; `end`
-# is the state after the last of them, with the DCM clamp applied
-_Segment = tuple[_Propagator, int, tuple[float, float], tuple[float, float]]
+# (propagator, k, start): k sub-steps of one branch from the state `start`
+_Segment = tuple[_Propagator, int, tuple[float, float]]
 
 
 def _advance(
-    state: PlantState, duty: float, params: PlantParams
-) -> tuple[PlantState, list[_Segment]]:
-    """One PWM period: the end state and the branch segments it went through."""
+    state: PlantState, duty: float, params: PlantParams,
+    segments: list[_Segment] | None = None,
+) -> PlantState:
+    """One PWM period.  Returns the end state and appends to `segments`, if
+    given, the branch segments the period went through; each segment ends,
+    with the DCM clamp applied, where the next one starts."""
     if not 0.0 <= duty <= 1.0:
         raise ValueError(f"duty must lie in [0, 1], got {duty}")
-    on, conducting, blocked = _propagators(params)
-    n_sub = params.substeps
+    on, conducting, blocked = params._propagators
+    n_sub = len(on.rows) - 1
     n_on = round(duty * n_sub)
     n_off = n_sub - n_on
     i_l, v_o = state.i_l, state.v_o
-    segments: list[_Segment] = []
     mode = _BLOCKED
     if n_on:
-        start = (i_l, v_o)
+        if segments is not None:
+            segments.append((on, n_on, (i_l, v_o)))
         i_l, v_o = on.advance(n_on, i_l, v_o)
         if i_l <= 0.0:  # no current left: the off interval starts blocked
             i_l = 0.0
-        segments.append((on, n_on, start, (i_l, v_o)))
         mode = _ON
     if n_off and i_l > 0.0:
-        dcm = conducting.values(0, n_off, i_l, v_o) <= 0.0
-        k = int(dcm.argmax())
-        if dcm[k]:
-            # DCM entry: clamp at zero for the rest of the off interval
-            k += 1
-            mode = _BLOCKED
-        else:
-            k = n_off
-            mode = _CONDUCTING
-        start = (i_l, v_o)
+        # DCM entry after k sub-steps: clamp at zero for the rest of the off
+        # interval
+        k = conducting.first_nonpositive(n_off, i_l, v_o) or n_off
+        if segments is not None:
+            segments.append((conducting, k, (i_l, v_o)))
         i_l, v_o = conducting.advance(k, i_l, v_o)
-        if mode is _BLOCKED:
+        mode = _CONDUCTING
+        if i_l <= 0.0:
             i_l = 0.0
-        segments.append((conducting, k, start, (i_l, v_o)))
+            mode = _BLOCKED
         n_off -= k
     if n_off:
-        start = (i_l, v_o)
+        if segments is not None:
+            segments.append((blocked, n_off, (i_l, v_o)))
         i_l, v_o = blocked.advance(n_off, i_l, v_o)
-        segments.append((blocked, n_off, start, (i_l, v_o)))
         mode = _BLOCKED
-    return PlantState(i_l=i_l, v_o=v_o, mode=mode), segments
+    return PlantState(i_l, v_o, mode)
 
 
 def step(state: PlantState, duty: float, params: PlantParams) -> PlantState:
     """Advance one full PWM period T_s = 1/f_sw under the given duty cycle."""
-    return _advance(state, duty, params)[0]
+    return _advance(state, duty, params)
 
 
 def step_averaged(
@@ -288,16 +339,18 @@ def step_averaged(
 
     The means are trapezoid sums over the sub-step boundary values.
     """
-    new_state, segments = _advance(state, duty, params)
+    segments: list[_Segment] = []
+    new_state = _advance(state, duty, params, segments)
     # the sub-step boundary values of the period, segment by segment; each
     # segment's last value is its end, where the DCM clamp applies
-    rows: tuple[list, list] = ([[state.i_l]], [[state.v_o]])
-    for propagator, k, start, end in segments:
+    ends = [start for _, _, start in segments[1:]] + [(new_state.i_l, new_state.v_o)]
+    rows: tuple[list, list] = ([state.i_l], [state.v_o])
+    for (propagator, k, start), end in zip(segments, ends):
         for r in (0, 1):
             values = propagator.values(r, k, *start)
             values[-1] = end[r]
-            rows[r].append(values)
-    i_l, v_o = (np.concatenate(row) for row in rows)
+            rows[r].extend(values)
+    i_l, v_o = (np.array(row) for row in rows)
     n_sub = params.substeps
 
     def mean(y: np.ndarray) -> float:

@@ -18,10 +18,10 @@ with the 1-D `Mlp.forward`, `Mlp.grad_weights` and `Mlp.apply_update`.
 
 from __future__ import annotations
 
-import csv
 import math
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, replace
 from operator import attrgetter
+from typing import NamedTuple
 
 import numpy as np
 
@@ -130,8 +130,7 @@ class ScenarioSpec:
             )
 
 
-@dataclass(frozen=True)
-class TraceRecord:
+class TraceRecord(NamedTuple):
     t: float
     v_o: float
     i_l: float
@@ -145,7 +144,7 @@ class TraceRecord:
 
 
 # column order of the trace CSV
-TRACE_FIELDS = tuple(f.name for f in fields(TraceRecord))
+TRACE_FIELDS = TraceRecord._fields
 
 
 @dataclass(frozen=True)
@@ -306,7 +305,8 @@ def run_scenario(
     HDP traces are directly comparable.  Returns the trace plus its metrics
     over the final reference segment.
 
-    Raises SimulationDiverged if v_o exceeds twice the setpoint or is NaN.
+    Raises SimulationDiverged if v_o exceeds twice the setpoint or is NaN,
+    and ValueError if the scenario rounds to no whole switching period.
     """
     cfg = hdp_config or HdpConfig()
     is_pi = spec.controller_tag == "PI"
@@ -315,44 +315,56 @@ def run_scenario(
             f"controller {type(controller).__name__} does not match tag "
             f"{spec.controller_tag!r}"
         )
+    t_sw = params.t_sw
+    n_periods = round(spec.duration / t_sw)
+    if n_periods < 1:
+        raise ValueError(
+            f"switching period {t_sw:g} s leaves no whole period in the "
+            f"{spec.duration:g} s {spec.name} scenario"
+        )
     # the tag, not the caller, decides whether the run adapts
     learn = spec.controller_tag == "HDP"
     if not is_pi:
         controller.reset_transition_buffer()
     s_v, s_i = cfg.norm_scales[2], cfg.norm_scales[3]
+    # the schedule's segments: the periods each spans, and its v_s and
+    # r_load; a step holds from the first period starting at or after it
+    segments = [(range(n_periods), spec.v_s, spec.r_load)]
+    if spec.step is not None:
+        t_step, v_s, r_load = spec.step
+        k_step = next((k for k in range(n_periods) if t_step <= k * t_sw), n_periods)
+        segments = [(range(k_step), spec.v_s, spec.r_load),
+                    (range(k_step, n_periods), v_s, r_load)]
     state = spec.initial_state
-    t_sw = params.t_sw
-    n_periods = round(spec.duration / t_sw)
     records: list[TraceRecord] = []
     duty = 0.0
-    v_s, r_load = spec.v_s, spec.r_load
-    for k in range(n_periods):
-        t = k * t_sw
-        if spec.step is not None and spec.step[0] <= t:
-            _, v_s, r_load = spec.step
+    for periods, v_s, r_load in segments:
+        segment_params = params
         if v_s != params.v_s or r_load != params.r_load:
-            params = replace(params, v_s=v_s, r_load=r_load)
+            segment_params = replace(params, v_s=v_s, r_load=r_load)
         _, i_set = steady_state_hint(V_SET, v_s, r_load)
-        e_v = V_SET - state.v_o
-        e_i = i_set - state.i_l
-        if is_pi:
-            duty = controller.pi_step(e_v)
-            j_est = math.nan
-        else:
-            duty, j_est = controller.control_step(
-                ControllerInput(state.v_o, state.i_l, e_v, e_i, duty), learn
+        for k in periods:
+            t = k * t_sw
+            e_v = V_SET - state.v_o
+            e_i = i_set - state.i_l
+            if is_pi:
+                duty = controller.pi_step(e_v)
+                j_est = math.nan
+            else:
+                duty, j_est = controller.control_step(
+                    ControllerInput(state.v_o, state.i_l, e_v, e_i, duty), learn
+                )
+            u_k = utility(e_v / s_v, e_i / s_i, cfg.k_v, cfg.k_i)
+            records.append(
+                TraceRecord(t, state.v_o, state.i_l, duty, u_k, j_est,
+                            state.mode.name, V_SET, v_s, r_load)
             )
-        u_k = utility(e_v / s_v, e_i / s_i, cfg.k_v, cfg.k_i)
-        records.append(
-            TraceRecord(t, state.v_o, state.i_l, duty, u_k, j_est,
-                        state.mode.name, V_SET, v_s, r_load)
-        )
-        state = step(state, duty, params)
-        if not state.v_o <= 2.0 * V_SET:  # NaN fails this comparison too
-            raise SimulationDiverged(
-                f"{spec.name}/{spec.controller_tag}: v_o={state.v_o:.1f} V "
-                f"exceeded 2x setpoint {V_SET:.1f} V at t={t + t_sw:.6f} s"
-            )
+            state = step(state, duty, segment_params)
+            if not state.v_o <= 2.0 * V_SET:  # NaN fails this comparison too
+                raise SimulationDiverged(
+                    f"{spec.name}/{spec.controller_tag}: v_o={state.v_o:.1f} V "
+                    f"exceeded 2x setpoint {V_SET:.1f} V at t={t + t_sw:.6f} s"
+                )
     return records, compute_metrics(records)
 
 
@@ -397,12 +409,42 @@ def compute_metrics(trace: list[TraceRecord]) -> Metrics:
 
 # --- trace files ---------------------------------------------------------
 
+def _csv_text(value) -> str:
+    """value as a field of a several-field row of `csv.writer` in its
+    default dialect: str() of it (None gives ""), quoted when it holds a
+    comma, a quote or a line break, with its quotes doubled."""
+    if value is None:
+        return ""
+    text = str(value)
+    if any(c in text for c in ',"\r\n'):
+        return '"' + text.replace('"', '""') + '"'
+    return text
+
+
 def write_trace_csv(path, trace: list[TraceRecord]) -> None:
+    """Write the trace as CSV, row by row, in the bytes `csv.writer` writes.
+
+    A float is written as its repr, so every value round-trips exactly.
+    Formatting dominates the write, and the schedule columns, `mode` and a
+    PI run's NaN `j_est` hold the same object row after row, so a value is
+    formatted only when it is not the object above it.  Identity, not
+    equality, decides: 0.0 == -0.0 print differently, and NaN equals
+    nothing.
+    """
     with atomic_write(path) as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRACE_FIELDS)
-        # csv writes a float as its repr, so every value round-trips exactly
-        writer.writerows(map(attrgetter(*TRACE_FIELDS), trace))
+        write = fh.write
+        write(",".join(TRACE_FIELDS) + "\r\n")
+        columns = range(len(TRACE_FIELDS))
+        above = (object(),) * len(TRACE_FIELDS)
+        cells = [""] * len(TRACE_FIELDS)
+        for row in map(attrgetter(*TRACE_FIELDS), trace):
+            for j in columns:
+                value = row[j]
+                if value is not above[j]:
+                    # a float's repr holds no character that needs quoting
+                    cells[j] = repr(value) if type(value) is float else _csv_text(value)
+            above = row
+            write(",".join(cells) + "\r\n")
 
 
 # --- pretraining pipeline ------------------------------------------------
@@ -445,13 +487,19 @@ def generate_excitation_log(
 
     A hold switch is exogenous: the inputs cannot predict it, so a
     transition straddling the boundary would only inject target noise;
-    each hold's transition chain starts fresh.
+    each hold's transition chain starts fresh.  Raises ValueError if a hold
+    rounds to fewer than two switching periods, which log no transition.
     """
     rng = np.random.default_rng(seed)
     cfg = hdp_config
     s = cfg.norm_scales
     t_sw = params.t_sw
     periods_per_hold = round(_HOLD_DURATION / t_sw)
+    if periods_per_hold < 2:
+        raise ValueError(
+            f"switching period {t_sw:g} s leaves fewer than 2 periods in the "
+            f"{_HOLD_DURATION:g} s excitation hold"
+        )
     log: list[tuple[np.ndarray, np.ndarray, float]] = []
     for _ in range(n_episodes):
         state = PlantState()

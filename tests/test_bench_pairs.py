@@ -47,6 +47,7 @@ def test_summary_of_paired_runs(bench_pairs):
     assert wall["change_vs_parent_median"] == pytest.approx(-0.25)
     assert wall["change_better_pairs"] == "9/10"
     assert wall["median_gap_exceeds_parent_iqr"] is False  # 0.3625 < 0.45
+    assert wall["claim_met"] is False  # 9/10 pairs, but inside the parent's IQR
     assert wall["within_bound"] is True
     assert wall["parent_runs"] == parent_wall and wall["change_runs"] == change_wall
     assert s["rate"]["change_better_pairs"] == "0/10"
@@ -62,9 +63,13 @@ def test_direction_bound_and_failures(bench_pairs):
     assert s["wall_s"]["within_bound"] is False
     assert s["rate"]["change_better_pairs"] == "4/4"
     assert s["rate"]["median_gap_exceeds_parent_iqr"] is True
+    assert s["rate"]["claim_met"] is True and s["wall_s"]["claim_met"] is False
     assert s["change"] == {"failed": 2, "attempted": 20}
     text = bench_pairs.report(s, METRICS)
     assert "wall_s" in text and "+30.0%" in text
+    assert "claim_met" in text.splitlines()[0] and "within_bound" in text.splitlines()[0]
+    assert text.splitlines()[1].split()[-2:] == ["False", "False"]
+    assert text.splitlines()[2].split()[-2:] == ["True", "True"]
     assert "change: 2 of 20 invocations failed" in text
 
 
@@ -85,3 +90,41 @@ def test_main_alternates_sides_and_fails_on_a_failed_invocation(
     assert rc == 1
     summary = json.loads(capsys.readouterr().out.splitlines()[-1])
     assert summary["workload"] == "pretrain" and summary["parent"]["failed"] == 1
+
+
+def test_claim_needs_nine_of_ten_pairs(bench_pairs):
+    parent = [result(1.0 + 0.01 * i, 1.0) for i in range(10)]
+    # far below the parent in 8 pairs, above it in 2
+    change = [result(0.5 if i < 8 else 2.0, 1.0) for i in range(10)]
+    s = bench_pairs.summarize(parent, change, METRICS)["wall_s"]
+    assert s["change_better_pairs"] == "8/10" and s["median_gap_exceeds_parent_iqr"] is True
+    assert s["claim_met"] is False
+    change[8] = result(0.5, 1.0)
+    assert bench_pairs.summarize(parent, change, METRICS)["wall_s"]["claim_met"] is True
+
+
+def test_main_alternates_the_pairs_of_every_workload(
+    bench_pairs, tmp_path, monkeypatch, capsys
+):
+    (tmp_path / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    calls = []
+
+    def fake_run(checkout, workload, seed, seconds):
+        calls.append((workload, "parent" if checkout.name == "p" else "change"))
+        return result(1.0 if checkout.name == "p" else 0.5, 1.0)
+
+    monkeypatch.setattr(bench_pairs, "run_once", fake_run)
+    rc = bench_pairs.main([str(tmp_path / "p"), str(tmp_path), "--workload", "pretrain",
+                           "--workload", "compare", "--pairs", "2", "--seconds", "1"])
+    assert rc == 0
+    assert calls == [
+        ("pretrain", "parent"), ("pretrain", "change"),
+        ("compare", "parent"), ("compare", "change"),
+        ("pretrain", "change"), ("pretrain", "parent"),
+        ("compare", "change"), ("compare", "parent"),
+    ]
+    lines = capsys.readouterr().out.splitlines()
+    summaries = [json.loads(line) for line in lines[-2:]]
+    assert [s["workload"] for s in summaries] == ["pretrain", "compare"]
+    assert all(s["wall_s"]["change_better_pairs"] == "2/2" for s in summaries)
+    assert "pretrain, seed 0:" in lines and "compare, seed 0:" in lines

@@ -344,6 +344,54 @@ class TestUsageErrors:
         assert rc == 1
         assert _files(tmp_path) == before
 
+    # a 0.1 s switching period: no whole period in a 50 ms scenario, and one
+    # (no transition) in a 10 ms excitation hold
+    LONG_PERIOD = "[plant]\nf_sw = 10.0\ndt = 0.001\n\n[run]\nscenarios = startup\n"
+    NO_HOLD = ("[plant] switching period 0.1 s leaves fewer than 2 periods in "
+               "the 0.01 s excitation hold")
+    NO_SCENARIO = ("[plant] switching period 0.1 s leaves no whole period in "
+                   "the 0.05 s startup scenario")
+
+    def test_long_switching_period_pretrain_exits_1(self, tmp_path, caplog):
+        config = tmp_path / "long.ini"
+        config.write_text(self.LONG_PERIOD)
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["pretrain", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [self.NO_HOLD]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.ini"]
+
+    def test_long_switching_period_run_exits_1(self, tmp_path, caplog):
+        config = tmp_path / "long.ini"
+        config.write_text(self.LONG_PERIOD)
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["run", "startup", "PI", "--config", str(config),
+                           "--out", str(tmp_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [self.NO_SCENARIO]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["long.ini"]
+
+    def test_long_switching_period_compare_shows_failed_cells(
+        self, fast_snapshots, tmp_path, caplog, capsys
+    ):
+        _copy_snapshots(tmp_path, fast_snapshots)
+        config = tmp_path / "long.ini"
+        config.write_text(self.LONG_PERIOD)
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["compare", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [self.NO_SCENARIO] * 2
+        rows = capsys.readouterr().out.strip().splitlines()[1:]
+        assert [row.split() for row in rows] == [
+            ["startup", tag, "-", "-", "-"] for tag in ("PI", "HDP")
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "action.mlp", "critic.mlp", "long.ini"
+        ]
+
     @pytest.mark.parametrize("line", ["l_ind = nan", "c_out = inf", "v_s = -inf"])
     def test_non_finite_plant_value_exits_1(self, tmp_path, caplog, line):
         config = tmp_path / "bad.ini"

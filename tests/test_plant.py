@@ -8,7 +8,7 @@ from dataclasses import fields
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from boosthdp.plant import (
@@ -16,6 +16,7 @@ from boosthdp.plant import (
     PlantParams,
     PlantState,
     _branch_system,
+    _propagators,
     derivatives,
     step,
     step_averaged,
@@ -323,6 +324,135 @@ class TestPropagatorAgainstRk4:
                 assert s.i_l == 0.0
             if s.mode is ConductionMode.SWITCH_OFF_CONDUCTING:
                 assert s.i_l > 0.0
+
+
+def numpy_first_nonpositive(propagator, n, i_l, v_o):
+    """The first k in 1..n after which i_l <= 0, found by one numpy pass
+    over the sub-steps 1..n (each i_l evaluated as `advance` evaluates it),
+    or 0 if there is none."""
+    m = np.array(propagator.rows[1 : n + 1])
+    with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, as in Python
+        dcm = m[:, 0] * i_l + m[:, 1] * v_o + m[:, 2] <= 0.0
+    k = int(dcm.argmax())
+    return k + 1 if dcm[k] else 0
+
+
+def scanned_step(state, duty, p):
+    """One period on the plant's own k-step maps, its DCM entry found by
+    the numpy pass above rather than by the certified floors."""
+    on, conducting, blocked = _propagators(p)
+    n_on = round(duty * p.substeps)
+    n_off = p.substeps - n_on
+    i, v = state.i_l, state.v_o
+    mode = ConductionMode.SWITCH_OFF_BLOCKED
+    if n_on:
+        i, v = on.advance(n_on, i, v)
+        if i <= 0.0:
+            i = 0.0
+        mode = ConductionMode.SWITCH_ON
+    if n_off and i > 0.0:
+        k = numpy_first_nonpositive(conducting, n_off, i, v)
+        i, v = conducting.advance(k or n_off, i, v)
+        mode = ConductionMode.SWITCH_OFF_CONDUCTING
+        if k:
+            i, mode = 0.0, ConductionMode.SWITCH_OFF_BLOCKED
+        n_off -= k or n_off
+    if n_off:
+        i, v = blocked.advance(n_off, i, v)
+        mode = ConductionMode.SWITCH_OFF_BLOCKED
+    return PlantState(i_l=i, v_o=v, mode=mode)
+
+
+def bits(state):
+    """A state's values to the bit (float.hex tells -0.0 from 0.0) and mode."""
+    return state.i_l.hex(), state.v_o.hex(), state.mode
+
+
+# the three scenario parameter sets (nominal; the load step's 200 ohm; the
+# input step's 54 V), each at both sub-step grids, and a lossless inductor
+SCENARIO_PARAMS = [
+    PlantParams(v_s=v_s, r_load=r_load, dt=dt, r_l=r_l)
+    for v_s, r_load in ((60.0, 80.0), (60.0, 200.0), (54.0, 80.0))
+    for dt in (T_SW / 10, T_SW / 100)
+    for r_l in (0.1, 0.0)
+]
+CURRENTS = st.one_of(
+    st.just(0.0), st.floats(0.0, 50.0), st.floats(0.0, 1e-307),  # subnormals too
+)
+VOLTAGES = st.one_of(st.sampled_from([0.0, 1e6]), st.floats(0.0, 1e6))
+
+
+@st.composite
+def near_crossings(draw):
+    """(params, n, i_l, v_o): i_l within a few ulps of the current at which
+    i_l after sub-step k of the conducting branch is exactly zero, k <= n."""
+    p = draw(st.sampled_from(SCENARIO_PARAMS))
+    conducting = _propagators(p)[1]
+    k = draw(st.integers(1, p.substeps))
+    v_o = draw(st.floats(50.0, 1e6))
+    a, b, c, _, _, _ = conducting.rows[k]
+    i_l = -(b * v_o + c) / a
+    assume(i_l > 0.0)
+    ulps = draw(st.integers(-4, 4))
+    for _ in range(abs(ulps)):
+        i_l = math.nextafter(i_l, math.copysign(math.inf, ulps))
+    return p, draw(st.integers(k, p.substeps)), i_l, v_o
+
+
+class TestConductionSearch:
+    """The certified floors find the first blocking sub-step that a scan of
+    every sub-step finds, so every period keeps its bits."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(i_l=CURRENTS, v_o=VOLTAGES,
+           duty=st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)),
+           p=st.sampled_from(SCENARIO_PARAMS))
+    @example(i_l=5e-324, v_o=200.0, duty=0.0, p=SCENARIO_PARAMS[0])
+    @example(i_l=2.2e-310, v_o=0.0, duty=0.0, p=SCENARIO_PARAMS[2])
+    @example(i_l=8.0, v_o=0.0, duty=1.0, p=SCENARIO_PARAMS[1])
+    @example(i_l=0.5, v_o=1e6, duty=0.0, p=SCENARIO_PARAMS[3])
+    @example(i_l=0.01, v_o=200.0, duty=0.0, p=SCENARIO_PARAMS[0])  # blocks at once
+    @example(i_l=8.0, v_o=200.0, duty=0.7, p=SCENARIO_PARAMS[1])  # CCM
+    def test_period_matches_the_scan(self, i_l, v_o, duty, p):
+        state = PlantState(i_l=i_l, v_o=v_o)
+        assert bits(step(state, duty, p)) == bits(scanned_step(state, duty, p))
+
+    @settings(max_examples=300, deadline=None)
+    @given(near_crossings())
+    def test_near_a_crossing(self, case):
+        p, n, i_l, v_o = case
+        conducting = _propagators(p)[1]
+        assert conducting.first_nonpositive(n, i_l, v_o) == numpy_first_nonpositive(
+            conducting, n, i_l, v_o
+        )
+        state = PlantState(i_l=i_l, v_o=v_o)
+        assert bits(step(state, 0.0, p)) == bits(scanned_step(state, 0.0, p))
+
+    @pytest.mark.parametrize("i_l, v_o", [
+        (1.0, math.nan), (math.inf, 200.0), (1.0, math.inf), (1.0, -50.0),
+        (0.01, -1.0), (math.inf, math.inf), (5e-324, 0.0),
+    ])
+    # a negative source drives the current below zero at a negative v_o
+    @pytest.mark.parametrize("p", [
+        SCENARIO_PARAMS[0], PlantParams(v_s=0.0), PlantParams(v_s=-60.0)
+    ])
+    def test_non_finite_and_negative_inputs_are_scanned(self, i_l, v_o, p):
+        conducting = _propagators(p)[1]
+        for n in (1, 7, p.substeps):
+            assert conducting.first_nonpositive(n, i_l, v_o) == numpy_first_nonpositive(
+                conducting, n, i_l, v_o
+            )
+
+    @settings(max_examples=200, deadline=None)
+    @given(i_l=st.floats(1e-3, 20.0), v_o=st.floats(0.0, 400.0),
+           duty=st.floats(0.0, 1.0), dt=st.sampled_from([T_SW / 10, T_SW / 100]))
+    def test_a_sourceless_plant_blocks_where_its_floor_first_fails(self, i_l, v_o, duty, dt):
+        # with v_s = 0 every coefficient of the conducting current falls with
+        # k, so a floor is the current itself and a crossing sits exactly at
+        # the first sub-step the floors do not clear
+        p = PlantParams(v_s=0.0, dt=dt)
+        state = PlantState(i_l=i_l, v_o=v_o)
+        assert bits(step(state, duty, p)) == bits(scanned_step(state, duty, p))
 
 
 class TestSteadyStateHint:

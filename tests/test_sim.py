@@ -1,10 +1,15 @@
 """Tests for the simulation harness, metrics, and the offline pipeline."""
 
+import csv
 import math
+import struct
 from dataclasses import replace
+from operator import attrgetter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from boosthdp import sim
 from boosthdp.baseline import PiController
@@ -25,6 +30,7 @@ from boosthdp.sim import (
     ReferenceLaw,
     ScenarioSpec,
     SimulationDiverged,
+    TRACE_FIELDS,
     TraceRecord,
     baseline_for_scenario,
     builtin_scenario,
@@ -213,7 +219,97 @@ class TestComputeMetrics:
             compute_metrics([])
 
 
+def csv_module_bytes(path, trace):
+    """The trace as `csv.writer` writes it, every value formatted afresh."""
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(TRACE_FIELDS)
+        writer.writerows(map(attrgetter(*TRACE_FIELDS), trace))
+    return path.read_bytes()
+
+
+def copied(x):
+    """A new float object with the bits of x."""
+    return struct.unpack("d", struct.pack("d", x))[0]
+
+
+# cells for the generated traces: special floats, and ASCII text that
+# needs quoting (comma, quote, CR, LF) as well as text that does not, and
+# None, which csv writes as an empty field
+FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, 5e-05, 1e16])
+TEXTS = st.sampled_from(["SWITCH_ON", "a,b", 'q"x', "l\r\nm", "", None]) | st.text(
+    st.characters(max_codepoint=127), max_size=6
+)
+
+
+@st.composite
+def traces(draw):
+    """Rows whose cells come from a small pool per column, so a column holds
+    the same object on consecutive rows, equal values as distinct objects,
+    and changes."""
+    pools = [
+        draw(st.lists(TEXTS if name == "mode" else FLOATS, min_size=1, max_size=3))
+        for name in TRACE_FIELDS
+    ]
+    rows = []
+    for _ in range(draw(st.integers(1, 8))):
+        row = []
+        for pool in pools:
+            value = draw(st.sampled_from(pool))
+            if isinstance(value, float) and draw(st.booleans()):
+                value = copied(value)
+            row.append(value)
+        rows.append(TraceRecord(*row))
+    return rows
+
+
 class TestTraceCsv:
+    def test_record_is_immutable(self):
+        rec = TraceRecord(0.0, 1.0, 2.0, 0.5, 0.1, math.nan, "SWITCH_ON",
+                          200.0, 60.0, 80.0)
+        with pytest.raises(AttributeError):
+            rec.v_o = 3.0
+
+    def test_bytes_equal_the_csv_module(self, tmp_path):
+        zero, minus_zero = 0.0, -0.0
+        a, b = copied(1.25), copied(1.25)
+        assert a == b and a is not b
+        nan = math.nan
+        # 0.0 then -0.0 in u, equal values as distinct objects in i_l, NaN
+        # and inf, 5e-05 and 1e16, a source and load step, all three modes
+        rows = [
+            (0.0, 200.0, a, 0.7, zero, nan, "SWITCH_ON", 200.0, 60.0, 80.0),
+            (5e-05, 200.0, b, 0.7, minus_zero, nan, "SWITCH_ON", 200.0, 60.0, 80.0),
+            (1e-04, 1e16, b, 0.7, minus_zero, math.inf, "SWITCH_OFF_CONDUCTING",
+             200.0, 60.0, 80.0),
+            (1.5e-04, 1e16, copied(1.25), 5e-05, zero, -math.inf, "SWITCH_OFF_BLOCKED",
+             200.0, 54.0, 200.0),
+            (2e-04, copied(nan), 0.0, 5e-05, zero, copied(nan), "SWITCH_OFF_BLOCKED",
+             200.0, 54.0, 200.0),
+        ]
+        trace = [TraceRecord(*row) for row in rows]
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        expected = csv_module_bytes(tmp_path / "reference.csv", trace)
+        assert (tmp_path / "trace.csv").read_bytes() == expected
+        assert b",0.0,nan,SWITCH_ON," in expected and b",-0.0,nan,SWITCH_ON," in expected
+        assert b",1e+16," in expected and b",5e-05," in expected
+
+    def test_run_traces_equal_the_csv_module(self, tmp_path):
+        params = PlantParams()
+        for name in sim.SCENARIO_NAMES:
+            spec = builtin_scenario(name, "PI")
+            trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
+            write_trace_csv(tmp_path / "trace.csv", trace)
+            expected = csv_module_bytes(tmp_path / "reference.csv", trace)
+            assert (tmp_path / "trace.csv").read_bytes() == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(trace=traces())
+    def test_generated_bytes_equal_the_csv_module(self, tmp_path_factory, trace):
+        out = tmp_path_factory.mktemp("traces")
+        write_trace_csv(out / "trace.csv", trace)
+        assert (out / "trace.csv").read_bytes() == csv_module_bytes(out / "reference.csv", trace)
+
     def test_round_trip_preserves_bytes(self, tmp_path):
         spec = builtin_scenario("startup", "PI")
         pi = baseline_for_scenario(spec, PlantParams())
