@@ -11,11 +11,20 @@ sections or keys, and non-finite floats, are rejected rather than ignored --
 a typo should fail loudly, not silently run the nominal setup.  [plant] v_s
 and r_load are the nominal point the scenarios start from.
 
+`compare` and `pretrain` use up to one worker process per available CPU
+(boosthdp.workers): `compare` simulates each cell in one, and `pretrain`
+clones the action net in one while it trains the critic.  The workers
+only compute; every log line, artifact and printed row comes from the
+command's own process, in the order a serial run gives, so the output is
+the same bytes whatever the CPU count.  `run` starts no worker.
+
 Exit codes: 0 on success, 1 for usage, configuration, or missing or corrupt
 snapshot errors and for an output directory or an artifact that cannot be
 written, 2 when a simulation diverges, an online network update would turn
-a parameter non-finite, or pretraining fails to converge or clones an
-action net no better than a constant.
+a parameter non-finite, pretraining fails to converge or clones an action
+net no better than a constant, or a worker process ends (killed, say)
+before it returns its result: a `compare` cell then shows `-`, and
+`pretrain` writes no snapshot.
 """
 
 from __future__ import annotations
@@ -29,6 +38,7 @@ import logging
 import math
 import sys
 from dataclasses import asdict, dataclass, fields, replace
+from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -39,6 +49,7 @@ from .baseline import DEFAULT_PI_GAINS, PiGains, PiController
 from .hdp import HdpConfig, HdpController, make_action
 from .mlp import Mlp, MlpFormatError, NonFiniteUpdateError
 from .plant import PlantParams
+from .workers import WorkerLost, Workers
 from . import sim
 
 __all__ = [
@@ -276,34 +287,47 @@ def _make_out_dir(cfg: RunConfig) -> Path:
 
 
 def cmd_pretrain(cfg: RunConfig) -> int:
-    """Run the offline pipeline and write network snapshots plus residuals."""
+    """Run the offline pipeline and write network snapshots plus residuals.
+
+    The behaviour clone runs in a worker process beside the critic's TD
+    sweep; both only read the excitation log."""
     out = _make_out_dir(cfg)
     pt = cfg.pretrain
-    teacher = sim.make_reference_law(cfg.plant, hdp_config=cfg.hdp)
-    log.info(
-        "excitation log: %d episodes x %d holds under duty_ff=%.4f teacher",
-        pt.n_episodes, pt.n_holds, teacher.duty_ff,
-    )
     try:
+        teacher = sim.make_reference_law(cfg.plant, hdp_config=cfg.hdp)
+        log.info(
+            "excitation log: %d episodes x %d holds under duty_ff=%.4f teacher",
+            pt.n_episodes, pt.n_holds, teacher.duty_ff,
+        )
         transitions = sim.generate_excitation_log(
             teacher, cfg.plant, cfg.hdp, seed=cfg.seed,
             n_episodes=pt.n_episodes, n_holds=pt.n_holds,
         )
-    except ValueError as exc:  # a switching period longer than a hold
+    except ValueError as exc:  # no boost operating point, or a period longer than a hold
         raise ConfigError(f"[plant] {exc}") from None
-    try:
-        critic, history = sim.pretrain_critic(
-            transitions, cfg.hdp, seed=cfg.seed,
-            max_epochs=pt.max_epochs, learning_rate=pt.learning_rate,
-        )
-        action = make_action(seed=cfg.seed)
-        clone_mse = sim.clone_action(
+    action = make_action(seed=cfg.seed)
+
+    def clone() -> tuple[list[float], float]:
+        mse = sim.clone_action(
             action, transitions, cfg.hdp, seed=cfg.seed + 2,
             epochs=pt.clone_epochs, learning_rate=pt.clone_learning_rate,
         )
-    except (sim.PretrainingError, NonFiniteUpdateError) as exc:
+        # the parameters as plain data: an Mlp's views do not survive a pickle
+        return action.params.tolist(), mse
+
+    try:
+        # a critic failure leaves the block, so it is the one reported
+        with Workers([clone]) as workers:
+            critic, history = sim.pretrain_critic(
+                transitions, cfg.hdp, seed=cfg.seed,
+                max_epochs=pt.max_epochs, learning_rate=pt.learning_rate,
+            )
+            (cloned,) = workers.outcomes()
+            params, clone_mse = cloned()
+    except (sim.PretrainingError, NonFiniteUpdateError, WorkerLost) as exc:
         log.error("pretraining failed: %s", exc)
         return 2
+    action.params[:] = params
     critic_path, action_path = _snapshot_paths(cfg)
     residuals_path = out / "pretrain_residuals.csv"
 
@@ -401,30 +425,54 @@ def _upsert_metrics(
         _write_artifacts({**artifacts, path: write_metrics})
 
 
-def _run_cell(cfg: RunConfig, scenario: str, tag: str) -> tuple[int, sim.Metrics | None]:
-    """Simulate one (scenario, controller) pair and write its artifacts.
+def _simulate(cfg: RunConfig, spec: sim.ScenarioSpec, controller):
+    """A built cell's trace and metrics; ConfigError for a switching period
+    longer than the scenario."""
+    try:
+        return sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
+    except ValueError as exc:
+        raise ConfigError(f"[plant] {exc}") from None
 
-    Returns (exit code, metrics): (0, metrics) on success; a failure is
-    logged as one line and gives (1, None) for a configuration or snapshot
-    error or an artifact that cannot be written, (2, None) for a divergence
-    or a non-finite network update.
+
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
+def _simulate_in_worker(cfg: RunConfig, spec: sim.ScenarioSpec, controller):
+    """_simulate as a `compare` worker runs it: the trace comes back as CSV
+    text, ready to write, which pickles smaller than its records."""
+    trace, metrics = _simulate(cfg, spec, controller)
+    return partial(_write_text, text=sim.trace_csv_text(trace)), metrics
+
+
+def _run_cell(
+    cfg: RunConfig, scenario: str, tag: str, simulated: Callable[[], tuple]
+) -> tuple[int, sim.Metrics | None]:
+    """Write the artifacts of one (scenario, controller) pair.
+
+    `simulated()` builds and simulates the cell, or hands over the outcome
+    of a worker that did: it returns a writer of the trace (given a path)
+    and the metrics.  Returns (exit code, metrics): (0, metrics) on
+    success; a failure is logged as one line and gives (1, None) for a
+    configuration or snapshot error or an artifact that cannot be written,
+    (2, None) for a divergence, a non-finite network update or a lost
+    worker.
     """
     try:
-        spec, controller = _build_cell(cfg, scenario, tag)
-        try:
-            trace, metrics = sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
-        except ValueError as exc:  # a switching period longer than the scenario
-            raise ConfigError(f"[plant] {exc}") from None
+        write_trace, metrics = simulated()
         out = _make_out_dir(cfg)
-        trace_path = out / f"{scenario}_{tag}.csv"
         _upsert_metrics(out / "metrics.csv", scenario, tag, metrics, {
-            trace_path: lambda tmp: sim.write_trace_csv(tmp, trace),
+            out / f"{scenario}_{tag}.csv": write_trace,
         })
     except ConfigError as exc:
         log.error("%s", exc)
         return 1, None
     except (sim.SimulationDiverged, NonFiniteUpdateError) as exc:
         log.error("%s %s diverged: %s", scenario, tag, exc)
+        return 2, None
+    except WorkerLost as exc:
+        log.error("%s %s: %s", scenario, tag, exc)
         return 2, None
     return 0, metrics
 
@@ -441,7 +489,12 @@ def cmd_run(cfg: RunConfig, scenario: str, tag: str) -> int:
             "unknown controller %r; valid: %s", tag, " ".join(sim.CONTROLLER_TAGS)
         )
         return 1
-    rc, m = _run_cell(cfg, scenario, tag)
+
+    def simulated():
+        trace, metrics = _simulate(cfg, *_build_cell(cfg, scenario, tag))
+        return (lambda tmp: sim.write_trace_csv(tmp, trace)), metrics
+
+    rc, m = _run_cell(cfg, scenario, tag, simulated)
     if m is None:
         return rc
     log.info("%s", _run_line(scenario, tag, m))
@@ -468,25 +521,43 @@ def _table_row(scenario: str, tag: str, m: sim.Metrics | None) -> str:
     )
 
 
+def _raise(exc: Exception):
+    raise exc
+
+
 def cmd_compare(cfg: RunConfig) -> int:
     """Run every configured scenario under PI and HDP and print the table.
 
-    A failed cell is reported and skipped; the remaining cells still run and
-    the exit code reflects the worst failure (divergence wins over missing
-    snapshots).  An output directory that cannot be created ends the
-    command before any cell runs.
+    Every cell is built here, so the snapshots are loaded and the network
+    kernels generated once, and then simulated in a worker process, the
+    HDP cells first as they take longest.  The failures, log lines,
+    artifacts and table then follow in table order, so the output does
+    not depend on which worker finishes first.  A failed cell is reported
+    and skipped; the remaining cells still run and the exit code reflects
+    the worst failure (divergence wins over missing snapshots).  An output
+    directory that cannot be created ends the command before any cell
+    runs.
     """
     _make_out_dir(cfg)
+    cells = [(scenario, tag) for scenario in cfg.scenarios for tag in ("PI", "HDP")]
+    simulated, jobs = {}, {}
+    for cell in cells:
+        try:
+            jobs[cell] = partial(_simulate_in_worker, cfg, *_build_cell(cfg, *cell))
+        except ConfigError as exc:
+            simulated[cell] = partial(_raise, exc)
+    order = sorted(jobs, key=lambda cell: cell[1] != "HDP")
+    with Workers([jobs[cell] for cell in order]) as workers:
+        simulated.update(zip(order, workers.outcomes()))
     worst = 0
     lines = [
         f"{'scenario':<14} {'controller':<10} {'settling_ms':>12} "
         f"{'overshoot_%':>12} {'iae':>10}"
     ]
-    for scenario in cfg.scenarios:
-        for tag in ("PI", "HDP"):
-            rc, m = _run_cell(cfg, scenario, tag)
-            worst = max(worst, rc)
-            lines.append(_table_row(scenario, tag, m))
+    for scenario, tag in cells:
+        rc, m = _run_cell(cfg, scenario, tag, simulated[scenario, tag])
+        worst = max(worst, rc)
+        lines.append(_table_row(scenario, tag, m))
     print("\n".join(lines))
     return worst
 

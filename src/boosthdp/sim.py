@@ -56,6 +56,7 @@ __all__ = [
     "make_reference_law",
     "pretrain_critic",
     "run_scenario",
+    "trace_csv_text",
     "train_critic_on_log",
     "warm_start_pi",
     "write_trace_csv",
@@ -421,30 +422,36 @@ def _csv_text(value) -> str:
     return text
 
 
-def write_trace_csv(path, trace: list[TraceRecord]) -> None:
-    """Write the trace as CSV, row by row, in the bytes `csv.writer` writes.
+def trace_csv_text(trace: list[TraceRecord]) -> str:
+    """The trace as CSV text, in the bytes `csv.writer` writes.
 
     A float is written as its repr, so every value round-trips exactly.
-    Formatting dominates the write, and the schedule columns, `mode` and a
-    PI run's NaN `j_est` hold the same object row after row, so a value is
+    Formatting dominates, and the schedule columns, `mode` and a PI run's
+    NaN `j_est` hold the same object row after row, so a value is
     formatted only when it is not the object above it.  Identity, not
     equality, decides: 0.0 == -0.0 print differently, and NaN equals
     nothing.
     """
+    lines = [",".join(TRACE_FIELDS)]
+    columns = range(len(TRACE_FIELDS))
+    above = (object(),) * len(TRACE_FIELDS)
+    cells = [""] * len(TRACE_FIELDS)
+    for row in map(attrgetter(*TRACE_FIELDS), trace):
+        for j in columns:
+            value = row[j]
+            if value is not above[j]:
+                # a float's repr holds no character that needs quoting
+                cells[j] = repr(value) if type(value) is float else _csv_text(value)
+        above = row
+        lines.append(",".join(cells))
+    lines.append("")
+    return "\r\n".join(lines)
+
+
+def write_trace_csv(path, trace: list[TraceRecord]) -> None:
+    """Write the trace as CSV (`trace_csv_text`)."""
     with atomic_write(path) as fh:
-        write = fh.write
-        write(",".join(TRACE_FIELDS) + "\r\n")
-        columns = range(len(TRACE_FIELDS))
-        above = (object(),) * len(TRACE_FIELDS)
-        cells = [""] * len(TRACE_FIELDS)
-        for row in map(attrgetter(*TRACE_FIELDS), trace):
-            for j in columns:
-                value = row[j]
-                if value is not above[j]:
-                    # a float's repr holds no character that needs quoting
-                    cells[j] = repr(value) if type(value) is float else _csv_text(value)
-            above = row
-            write(",".join(cells) + "\r\n")
+        fh.write(trace_csv_text(trace))
 
 
 # --- pretraining pipeline ------------------------------------------------

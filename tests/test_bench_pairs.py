@@ -3,6 +3,7 @@ the alternation of its runs."""
 
 import importlib.util
 import json
+import subprocess
 import sys
 from pathlib import Path
 
@@ -24,11 +25,12 @@ def bench_pairs():
     return module
 
 
-def result(wall_s, rate, failed=0, attempted=5):
+def result(wall_s, rate, failed=0, attempted=5, nproc=2):
     return {
         "attempted": attempted, "failed": failed,
         "metrics": {"wall_s": {"value": wall_s, "unit": "s"},
                     "rate": {"value": rate, "unit": "1/s"}},
+        "nproc": nproc,
     }
 
 
@@ -128,3 +130,38 @@ def test_main_alternates_the_pairs_of_every_workload(
     assert [s["workload"] for s in summaries] == ["pretrain", "compare"]
     assert all(s["wall_s"]["change_better_pairs"] == "2/2" for s in summaries)
     assert "pretrain, seed 0:" in lines and "compare, seed 0:" in lines
+
+
+def test_run_once_reads_the_environment_and_result_lines(bench_pairs, monkeypatch, tmp_path):
+    details = {"environment": {"workload": "compare", "nproc": 3}, "fidelity": {}}
+    line = {"correct": True, "attempted": 1, "failed": 0, "metrics": {}}
+    stdout = "\n".join(["a stray line", json.dumps(details), json.dumps(line)]) + "\n"
+    seen = {}
+
+    def fake_run(argv, cwd, **kwargs):
+        seen.update(argv=argv, cwd=cwd)
+        return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
+
+    monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
+    assert bench_pairs.run_once(tmp_path, "compare", 1, 30.0) == {**line, "nproc": 3}
+    assert seen["cwd"] == tmp_path and seen["argv"][1:] == [
+        "perfbench/run.py", "--workload", "compare", "--seed", "1",
+        "--seconds", "30.0", "--trace", "0",
+    ]
+
+
+def test_core_counts_per_side_and_the_pairs_that_differ(bench_pairs):
+    parent = [result(1.0, 1.0, nproc=2) for _ in range(4)]
+    change = [result(0.9, 1.0, nproc=1 if i in (1, 3) else 2) for i in range(4)]
+    s = bench_pairs.summarize(parent, change, METRICS)
+    assert s["nproc"] == {
+        "parent": [2, 2, 2, 2], "change": [2, 1, 2, 1], "mismatched_pairs": [2, 4],
+    }
+    lines = bench_pairs.report(s, METRICS).splitlines()
+    assert lines[-2:] == [
+        "nproc: parent 2, change 1/2",
+        "the sides saw different CPU counts in pairs 2, 4",
+    ]
+    same = bench_pairs.summarize(parent, parent, METRICS)
+    assert same["nproc"]["mismatched_pairs"] == []
+    assert bench_pairs.report(same, METRICS).splitlines()[-1] == "nproc: parent 2, change 2"

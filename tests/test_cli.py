@@ -3,7 +3,9 @@ artifacts, and exit codes."""
 
 import csv
 import logging
+import multiprocessing
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -361,6 +363,18 @@ class TestUsageErrors:
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert errors == [self.NO_HOLD]
         assert sorted(p.name for p in tmp_path.iterdir()) == ["long.ini"]
+
+    def test_source_above_the_setpoint_pretrain_exits_1(self, tmp_path, caplog):
+        # a boost converter cannot hold 200 V below a 250 V source
+        config = tmp_path / "buck.ini"
+        config.write_text("[plant]\nv_s = 250.0\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["pretrain", "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["[plant] no boost solution for v_set=200.0, v_s=250.0"]
+        assert list(out.iterdir()) == []
 
     def test_long_switching_period_run_exits_1(self, tmp_path, caplog):
         config = tmp_path / "long.ini"
@@ -997,6 +1011,183 @@ class TestFailureMap:
         cells = {tuple(row.split()[:2]): row.split()[2:] for row in rows}
         assert cells.pop(("startup", tag)) == ["-"] * 3
         assert all("-" not in values for values in cells.values())
+
+
+def _rows_of(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+def _error_lines(caplog):
+    return [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+
+
+class TestWorkerProcesses:
+    """compare's cells and pretrain's clone run in forked workers; every
+    effect stays in the parent, in table order."""
+
+    def test_compare_matches_serial_runs(self, fast_snapshots, tmp_path, capsys):
+        config = tmp_path / "fast.ini"
+        config.write_text(FAST_PRETRAIN)
+        serial, forked = tmp_path / "serial", tmp_path / "forked"
+        for out in (serial, forked):
+            out.mkdir()
+            _copy_snapshots(out, fast_snapshots)
+        cells = [(s, tag) for s in SCENARIO_NAMES for tag in ("PI", "HDP")]
+        for scenario, tag in cells:
+            assert cli.main(["run", scenario, tag, "--config", str(config),
+                             "--out", str(serial)]) == 0
+        capsys.readouterr()
+        assert cli.main(["compare", "--config", str(config), "--out", str(forked)]) == 0
+        table = capsys.readouterr().out
+        assert _files(forked) == _files(serial)
+        assert len(_files(forked)) == 2 + 1 + 6  # snapshots, metrics.csv, traces
+        # the table the serial runs' metrics give
+        header, *rows = _rows_of(serial / "metrics.csv")
+        expected = [table.splitlines()[0]]
+        for row in rows:
+            values = dict(zip(header, row))
+            metrics = cli.sim.Metrics(*(
+                value == "True" if value in ("True", "False") else float(value)
+                for value in row[2:]
+            ))
+            expected.append(cli._table_row(values["scenario"], values["controller"], metrics))
+        assert table == "\n".join(expected) + "\n"
+
+    def test_failures_logged_in_cell_order(self, fast_snapshots, tmp_path, caplog):
+        # every cell fails, PI by divergence and HDP by a refused update, in
+        # workers that finish in no particular order
+        _copy_snapshots(tmp_path, fast_snapshots)
+        config = tmp_path / "cells.ini"
+        config.write_text(_runaway_pi(tmp_path, fast_snapshots)
+                          + _huge_critic_rate(tmp_path, fast_snapshots))
+        errors = {}
+        for command in [["run", s, tag] for s in SCENARIO_NAMES for tag in ("PI", "HDP")]:
+            caplog.clear()
+            with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+                assert cli.main(command + ["--config", str(config), "--out", str(tmp_path)]) == 2
+            errors[tuple(command[1:])] = _error_lines(caplog)
+        caplog.clear()
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            assert cli.main(["compare", "--config", str(config), "--out", str(tmp_path)]) == 2
+        assert _error_lines(caplog) == [line for lines in errors.values() for line in lines]
+        assert len(_error_lines(caplog)) == 6
+
+    def test_lost_worker_in_compare(self, fast_snapshots, tmp_path, monkeypatch, caplog, capfd):
+        run_scenario = cli.sim.run_scenario
+
+        # the last job (PI cells go after HDP cells), so on any CPU count
+        # every other cell has a result
+        def dies_on_input_change_pi(spec, controller, *args):
+            if spec.name == "input_change" and isinstance(controller, cli.PiController):
+                os._exit(1)
+            return run_scenario(spec, controller, *args)
+
+        monkeypatch.setattr(cli.sim, "run_scenario", dies_on_input_change_pi)
+        _copy_snapshots(tmp_path, fast_snapshots)
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["compare", "--out", str(tmp_path)])
+        assert rc == 2
+        errors = _error_lines(caplog)
+        assert len(errors) == 1
+        assert re.fullmatch(
+            r"input_change PI: worker process ended without a result "
+            r"\(exit codes (0, )*1(, 0)*\)", errors[0]
+        )
+        captured = capfd.readouterr()
+        rows = {tuple(row.split()[:2]): row.split()[2:]
+                for row in captured.out.strip().splitlines()[1:]}
+        assert rows.pop(("input_change", "PI")) == ["-"] * 3
+        assert len(rows) == 5 and all("-" not in values for values in rows.values())
+        assert not (tmp_path / "input_change_PI.csv").exists()
+        assert "Traceback" not in captured.err
+        assert multiprocessing.active_children() == []
+
+    def test_lost_worker_in_pretrain(self, tmp_path, monkeypatch, caplog, capfd):
+        monkeypatch.setattr(cli.sim, "clone_action", lambda *args, **kwargs: os._exit(1))
+        config = tmp_path / "fast.ini"
+        config.write_text(FAST_PRETRAIN)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["pretrain", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        assert _error_lines(caplog) == [
+            "pretraining failed: worker process ended without a result (exit codes 1)"
+        ]
+        assert list(out.iterdir()) == []
+        assert "Traceback" not in capfd.readouterr().err
+        assert multiprocessing.active_children() == []
+
+    @staticmethod
+    def _failing_critic(*args, **kwargs):
+        raise cli.sim.PretrainingError("critic residual did not decrease")
+
+    @pytest.mark.parametrize("critic_fails, clone_fails, reason", [
+        (True, False, "critic residual did not decrease"),
+        (False, True, "behavior cloning failed"),
+        (True, True, "critic residual did not decrease"),
+    ], ids=["critic", "clone", "both"])
+    def test_pretrain_failure_reported(
+        self, tmp_path, monkeypatch, caplog, critic_fails, clone_fails, reason
+    ):
+        if critic_fails:
+            monkeypatch.setattr(cli.sim, "pretrain_critic", self._failing_critic)
+        config = tmp_path / "fail.ini"
+        config.write_text(
+            "[pretrain]\nn_episodes = 1\nn_holds = 2\nmax_epochs = 2\n"
+            + ("clone_learning_rate = 1e200\n" if clone_fails else "")
+        )
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["pretrain", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        errors = _error_lines(caplog)
+        assert len(errors) == 1 and errors[0].startswith(f"pretraining failed: {reason}")
+        assert list(out.iterdir()) == []
+
+    # a cell whose simulation overflows in numpy (a RuntimeWarning unless
+    # ignored) and then refuses the update, as a non-finite one would be
+    OVERFLOWING_CELL = """\
+import sys
+import numpy as np
+from boosthdp import cli, mlp
+
+def overflowing(*args):
+    np.float64(1e300) * 1e300
+    raise mlp.NonFiniteUpdateError("update would produce non-finite parameters")
+
+cli.sim.run_scenario = overflowing
+sys.exit(cli.main(sys.argv[1:]))
+"""
+
+    def test_a_worker_inherits_mains_numpy_errstate(self, fast_snapshots, tmp_path):
+        _copy_snapshots(tmp_path, fast_snapshots)
+        config = tmp_path / "one.ini"
+        config.write_text("[run]\nscenarios = startup\n")
+        proc = subprocess.run(
+            [sys.executable, "-c", self.OVERFLOWING_CELL, "compare",
+             "--config", str(config), "--out", str(tmp_path)],
+            capture_output=True, text=True, timeout=120, env=MODULE_ENV,
+        )
+        assert proc.returncode == 2
+        errors = [ln for ln in proc.stderr.splitlines() if not ln.startswith("default ")]
+        assert errors == [
+            f"startup {tag} diverged: update would produce non-finite parameters"
+            for tag in ("PI", "HDP")
+        ]
+
+    def test_run_loads_no_pool_machinery(self, tmp_path):
+        code = (
+            "import sys\nfrom boosthdp import cli\n"
+            f"assert cli.main(['run', 'startup', 'PI', '--out', {str(tmp_path)!r}]) == 0\n"
+            "print(sorted(m for m in sys.modules if m.startswith('multiprocessing')))\n"
+        )
+        proc = subprocess.run(
+            [sys.executable, "-c", code],
+            capture_output=True, text=True, timeout=120, env=MODULE_ENV,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "[]"
 
 
 class TestConsoleEntry:

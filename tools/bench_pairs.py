@@ -19,10 +19,13 @@ verdicts: `claim_met`, a gain claimed for the change holds (it won at least
 9 in 10 pairs and its median beats the parent's by more than the parent's
 IQR), and `within_bound`, the change's median is not worse than the
 parent's by more than the metric's bound.  It also prints the failed and
-attempted invocations of each side, as the fidelity gate counted them.  The
-last lines of stdout are the summaries as JSON, one line per workload in
-the order given, with every run's values.  Exits 1 if any invocation
-failed.
+attempted invocations of each side, as the fidelity gate counted them, and
+the CPUs each side's runs could use (`nproc` in the run's environment
+line), flagging the pairs whose sides saw different counts: `compare` and
+`pretrain` use a worker process per CPU, so a pair that mixes counts does
+not compare like with like.  The last lines of stdout are the summaries as
+JSON, one line per workload in the order given, with every run's values.
+Exits 1 if any invocation failed.
 """
 
 from __future__ import annotations
@@ -36,13 +39,15 @@ from pathlib import Path
 
 
 def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
-    """The result line of one benchmark run in checkout."""
+    """The result line of one benchmark run in checkout, with the `nproc`
+    of its environment line (the second to last)."""
     proc = subprocess.run(
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
     )
-    return json.loads(proc.stdout.strip().splitlines()[-1])
+    details, result = proc.stdout.strip().splitlines()[-2:]
+    return {**json.loads(result), "nproc": json.loads(details)["environment"]["nproc"]}
 
 
 def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> dict:
@@ -55,6 +60,14 @@ def summarize(parent: list[dict], change: list[dict], metrics: list[dict]) -> di
             "attempted": sum(r["attempted"] for r in runs),
         }
         for side, runs in (("parent", parent), ("change", change))
+    }
+    summary["nproc"] = {
+        "parent": [r["nproc"] for r in parent],
+        "change": [r["nproc"] for r in change],
+        # 1-based, as the progress lines count pairs
+        "mismatched_pairs": [
+            i + 1 for i, (p, c) in enumerate(zip(parent, change)) if p["nproc"] != c["nproc"]
+        ],
     }
     for metric in metrics:
         name, sign = metric["name"], 1.0 if metric["better"] == "lower" else -1.0
@@ -96,6 +109,15 @@ def report(summary: dict, metrics: list[dict]) -> str:
     for side in ("parent", "change"):
         lines.append(
             f"{side}: {summary[side]['failed']} of {summary[side]['attempted']} invocations failed"
+        )
+    nproc = summary["nproc"]
+    lines.append("nproc: " + ", ".join(
+        f"{side} {'/'.join(map(str, sorted(set(nproc[side]))))}" for side in ("parent", "change")
+    ))
+    if nproc["mismatched_pairs"]:
+        lines.append(
+            "the sides saw different CPU counts in pairs "
+            + ", ".join(map(str, nproc["mismatched_pairs"]))
         )
     return "\n".join(lines)
 
