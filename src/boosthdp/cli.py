@@ -305,6 +305,9 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         )
     except ValueError as exc:  # no boost operating point, or a period longer than a hold
         raise ConfigError(f"[plant] {exc}") from None
+    except sim.SimulationDiverged as exc:
+        log.error("pretraining failed: %s", exc)
+        return 2
     action = make_action(seed=cfg.seed)
 
     def clone() -> tuple[list[float], float]:
@@ -606,8 +609,10 @@ def main(argv: list[str] | None = None) -> int:
         log.error("%s", exc)
         return 1
     _echo_defaults(defaulted)
-    # An update that overflows is refused by Mlp's finiteness check and ends
-    # in exit 2 with one line; numpy's own warnings would only precede it.
+    # A numpy overflow (say the batched residual pass at huge finite weights)
+    # ends, like any failure, in one line and its exit code; numpy's own
+    # warning would only precede it.  Forked workers inherit this state.
+    # The generated kernels work in plain floats and warn of nothing.
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             if args.command == "pretrain":

@@ -17,10 +17,12 @@ d(cost-to-go)/d(duty) comes from the critic's input gradient and
 backpropagates through the action net.
 
 The online step runs every pass and step on the nets' generated kernels
-(`Mlp.kernels`, `Mlp.step`), on parameter lists taken from `Mlp.params` at
-the top of the step.  `td_update` is the online critic step.  The offline
-sweep in `sim` runs the same step inside a generated epoch function
-(`Mlp.td_epoch`), which tests hold to `td_update` bit for bit.
+(`Mlp.kernels`, and `Mlp.step` over `Kernels.step`), on parameter lists
+taken from `Mlp.params` at the top of the step.  `td_update` is the online
+critic step.  The offline sweep in `sim` runs the same step inside a
+generated epoch function (`Mlp.td_epoch`): `mlp`'s one emitter writes the
+step and its finiteness rule for both, and tests hold the sweep to
+`td_update` bit for bit.
 
 All network inputs are normalized by fixed scales so every feature is O(1);
 the utility is computed on the normalized errors for the same reason, which

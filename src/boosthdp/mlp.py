@@ -19,21 +19,23 @@ Python floats, in code generated once per topology with `exec`, as
 only for nets of at most `MAX_KERNEL_PARAMS` parameters: a unit's sum is
 one chained expression, which CPython's compiler nests a level per term,
 and the source grows with the parameter count; a larger net still loads,
-saves and runs batched passes.  Every sum runs left to right with the
-bias last, and one set of emitters (`_Text`) writes the passes and the
-step for both kinds of kernel:
+saves and runs batched passes.  One emitter (`_Text`) writes every
+generated function, and `_generate` compiles each one by name: each
+function unpacks the parameter list into locals, every sum runs left to
+right with the bias last, and one descent step, `_Text.step`, serves both
+kinds of function:
 - per sample, `Mlp.kernels`, which take the parameters as a list in the
   flat layout and a pass's activations as one flat list.  A loop takes
   `params.tolist()` once, carries the list that `Mlp.step` returns (which
   has also written it into `params`), and runs `kernels.forward` on it.
   The 1-D `forward`, `grad_weights` and `grad_input` run the same kernels
   behind numpy arrays and a `ForwardCache`, and `apply_update` subtracts
-  lr * g as `descend` does, so forward, `grad_weights` and `apply_update`
-  give the bits of one `step`;
+  lr * g as `kernels.step` does, so forward, `grad_weights` and
+  `apply_update` give the bits of one `Mlp.step`;
 - per epoch, `Mlp.fit_epoch` and `Mlp.td_epoch`, one function each that
   sweeps a whole sample order with the parameters in local variables and
   writes them into `params` once, at the end.  They give the bits of the
-  same loop over `kernels.forward` and `step`.
+  same loop over `kernels.forward` and `Mlp.step`.
 A step is refused, leaving the net at the last accepted step, when a new
 parameter is not finite: a finite sum of the new parameters proves them
 all finite, and only a sum that is not gets the per-element check.  A
@@ -98,27 +100,21 @@ class Kernels(NamedTuple):
 
     forward: Callable        # (p, x) -> acts
     gradient: Callable       # (p, acts, d) -> the parameter gradient, flat layout
-    descend: Callable        # (p, acts, d, lr) -> [p[k] - g_k*lr for every k]
+    step: Callable           # (p, acts, d, lr) -> [p[k] - g_k*lr for every k], or None
     input_gradient: Callable  # (p, acts, d) -> d_loss/d_input
 
 
-def _all_finite(values) -> bool:
-    """Whether every value is finite.  A finite sum implies it, so only a
-    sum that is not (a non-finite term, or finite terms that overflow) needs
-    the per-element check."""
-    return math.isfinite(sum(values)) or all(map(math.isfinite, values))
-
-
 class _Text:
-    """The source text of one topology's passes, shared by the per-sample
-    and the epoch kernels.  `param` spells flat parameter k: "p[{}]" for a
-    list argument, "p{}" for a local.  Names: a{l}_{j} is unit j of
-    activation l (a0 the input); e{l}_{i} the delta (d_loss/d_pre-activation)
-    of unit i of layer l; d{i} d_loss/d_output i.  Raises ValueError for a
-    net of more than MAX_KERNEL_PARAMS parameters."""
+    """The source text of one topology's passes and step.  Every generated
+    function opens with `p0, p1, ..., = p` and reads the parameters as
+    locals.  Names: p{k} is flat parameter k and n{k} its value after a
+    step; a{l}_{j} is unit j of activation l (a0 the input); e{l}_{i} the
+    delta (d_loss/d_pre-activation) of unit i of layer l; d{i} d_loss/d_output
+    i.  Raises ValueError for a net of more than MAX_KERNEL_PARAMS
+    parameters."""
 
-    def __init__(self, layer_sizes: tuple[int, ...], sigmoid: bool, param: str):
-        self.sigmoid, self.param = sigmoid, param
+    def __init__(self, layer_sizes: tuple[int, ...], sigmoid: bool):
+        self.sigmoid = sigmoid
         self.acts = [[f"a{l}_{j}" for j in range(n)] for l, n in enumerate(layer_sizes)]
         self.deltas = [[f"e{l}_{i}" for i in range(n)] for l, n in enumerate(layer_sizes[1:])]
         # flat indices of layer l's weights, w[l][i][j], and biases, b[l][i]
@@ -133,7 +129,8 @@ class _Text:
                 f"{'-'.join(map(str, layer_sizes))} net has {at} parameters; "
                 f"per-sample kernels take at most {MAX_KERNEL_PARAMS}"
             )
-        self.n_params = at
+        self.params = [f"p{k}" for k in range(at)]
+        self.new = [f"n{k}" for k in range(at)]
         self.outputs = [f"d{i}" for i in range(layer_sizes[-1])]
         # (flat index, gradient) in the flat layout
         self.grads: list[tuple[int, str]] = []
@@ -143,18 +140,13 @@ class _Text:
             ]
             self.grads += list(zip(self.b[l], deltas))
 
-    def p(self, k: int) -> str:
-        return self.param.format(k)
-
     def forward(self) -> list[str]:
         """A pass from the input names to the output names; every sum runs
         left to right with the bias last."""
         lines, last = [], len(self.w) - 1
         for l, (rows, biases) in enumerate(zip(self.w, self.b)):
             for row, bias, out in zip(rows, biases, self.acts[l + 1]):
-                z = " + ".join(
-                    [f"{self.p(k)}*{a}" for k, a in zip(row, self.acts[l])] + [self.p(bias)]
-                )
+                z = " + ".join([f"p{k}*{a}" for k, a in zip(row, self.acts[l])] + [f"p{bias}"])
                 if l < last:
                     lines.append(f"{out} = tanh({z})")
                 elif self.sigmoid:
@@ -178,28 +170,30 @@ class _Text:
         for l in range(len(self.w) - 1, 0, -1):
             # W^T delta, times the derivative of tanh from the stored activation
             for j, (e, h) in enumerate(zip(self.deltas[l - 1], self.acts[l])):
-                back = " + ".join(
-                    f"{self.p(self.w[l][i][j])}*{d}" for i, d in enumerate(self.deltas[l])
-                )
+                back = " + ".join(f"p{self.w[l][i][j]}*{d}" for i, d in enumerate(self.deltas[l]))
                 lines.append(f"{e} = ({back}) * (1.0 - {h}*{h})")
         return lines
 
-    def descended(self) -> list[str]:
-        """Every parameter after one descent step at rate lr, in the flat
-        layout."""
-        return [f"{self.p(k)} - {g}*lr" for k, g in self.grads]
+    def step(self, refused: str) -> list[str]:
+        """One descent step at rate lr: the deltas, then every new parameter
+        n{k} in the flat layout, then the line `refused` if a new parameter
+        is not finite.  A finite sum of the new parameters proves them all
+        finite, so only a sum that is not (a non-finite term, or finite
+        terms that overflow) gets the per-element check; the chain compiles
+        at MAX_KERNEL_PARAMS terms."""
+        return [
+            *self.backward(),
+            *(f"n{k} = p{k} - {g}*lr" for k, g in self.grads),
+            f"if not isfinite({' + '.join(self.new)}) "
+            f"and not all(map(isfinite, ({', '.join(self.new)},))):",
+            f"    {refused}",
+        ]
 
     def input_gradient(self) -> list[str]:
         return [
-            " + ".join(f"{self.p(self.w[0][i][j])}*{e}" for i, e in enumerate(self.deltas[0]))
+            " + ".join(f"p{self.w[0][i][j]}*{e}" for i, e in enumerate(self.deltas[0]))
             for j in range(len(self.acts[0]))
         ]
-
-
-def _compile(source: str, name: str) -> Callable:
-    namespace = {"tanh": math.tanh, "exp": math.exp, "isfinite": math.isfinite}
-    exec(source, namespace)
-    return namespace[name]
 
 
 def _indent(lines: list[str], depth: int) -> list[str]:
@@ -207,41 +201,18 @@ def _indent(lines: list[str], depth: int) -> list[str]:
 
 
 @lru_cache(maxsize=None)
-def _kernels(layer_sizes: tuple[int, ...], sigmoid: bool) -> Kernels:
-    """Generate and compile the per-sample kernels of one topology.  Every
-    backward kernel starts from the same text, so their deltas are the same
-    bits.  Raises ValueError for a net of more than MAX_KERNEL_PARAMS
-    parameters."""
-    text = _Text(layer_sizes, sigmoid, "p[{}]")
-    every_act = ", ".join(sum(text.acts, []))
-    backward = _indent([
-        f"{every_act}, = acts", f"{', '.join(text.outputs)}, = d", *text.backward()
-    ], 1)
-    bodies = {
-        "forward": ("x", [f"{', '.join(text.acts[0])}, = x", *text.forward(),
-                          f"return [{every_act}]"]),
-        "gradient": ("acts, d", [f"return [{', '.join(g for _, g in text.grads)}]"]),
-        "descend": ("acts, d, lr", [f"return [{', '.join(text.descended())}]"]),
-        "input_gradient": ("acts, d", [f"return [{', '.join(text.input_gradient())}]"]),
-    }
-    kernels = []
-    for name, (args, body) in bodies.items():
-        head = [] if name == "forward" else backward
-        source = "\n".join([f"def {name}(p, {args}):", *head, *_indent(body, 1)])
-        kernels.append(_compile(source, name))
-    return Kernels(*kernels)
+def _generate(layer_sizes: tuple[int, ...], sigmoid: bool, name: str) -> Callable:
+    """Generate and compile one function of one topology, on first use:
+    a `Kernels` field, or an epoch sweep.  Every function that steps or
+    runs backward starts from the same text, so their deltas and steps are
+    the same bits.  Raises ValueError for a net of more than
+    MAX_KERNEL_PARAMS parameters.
 
-
-@lru_cache(maxsize=None)
-def _epoch_kernel(layer_sizes: tuple[int, ...], sigmoid: bool, name: str) -> Callable:
-    """Generate and compile one sweep over a sample order for a
-    single-output net, with the parameters in locals from the first sample
-    to the last.  Each sample's passes and step are the per-sample kernels'
-    text, so a sweep gives the bits of the same loop over `Kernels.forward`
-    and `Mlp.step`.  The sweep returns (parameter list, sq_sum, ok); a step
-    whose new parameters are not all finite is refused and ends the sweep
+    The sweeps run a whole sample order for a single-output net with the
+    parameters in locals from the first sample to the last, so a sweep
+    gives the bits of the same loop over `Kernels.forward` and `Mlp.step`.
+    A sweep returns (parameter list, sq_sum, ok); a refused step ends it
     with ok False and the parameters of the last accepted step.
-
     "fit_epoch"(p, order, xs, goals, lr): per sample k the pass at xs[k],
     err = y - goals[k], one step on d_loss/d_output = err; sq_sum adds
     err*err.
@@ -250,43 +221,45 @@ def _epoch_kernel(layer_sizes: tuple[int, ...], sigmoid: bool, name: str) -> Cal
     resid = J - gamma*target - us[k] as `hdp.td_error` forms it, one step on
     it as `hdp.td_update` takes it, then the value pass again; sq_sum adds
     the square of the residual after the step."""
-    if layer_sizes[-1] != 1:
-        raise ValueError(f"epoch kernels need a single-output net, got {layer_sizes}")
-    text = _Text(layer_sizes, sigmoid, "p{}")
-    params = ", ".join(text.p(k) for k in range(text.n_params))
-    new = [f"n{k}" for k in range(text.n_params)]
+    text = _Text(layer_sizes, sigmoid)
+    params, new = ", ".join(text.params), ", ".join(text.new)
+    every_act = ", ".join(sum(text.acts, []))
     x, y = ", ".join(text.acts[0]), text.acts[-1][0]
-    # the step is accepted as `_all_finite` accepts it; a chained sum and
-    # one copy per parameter are faster here than a call, a tuple and
-    # `sum`, and the chain compiles at MAX_KERNEL_PARAMS terms
-    step = [
-        *text.backward(),
-        *(f"{n} = {value}" for n, value in zip(new, text.descended())),
-        f"if not isfinite({' + '.join(new)}) and not all(map(isfinite, ({', '.join(new)},))):",
-        f"    return [{params}], sq_sum, False",
-        *(f"{text.p(k)} = {n}" for k, n in enumerate(new)),
-    ]
-    if name == "fit_epoch":
-        args = "xs, goals, lr"
-        sample = [f"{x}, = xs[k]", *text.forward(), f"d0 = {y} - goals[k]", *step,
-                  "sq_sum += d0*d0"]
+    backward = [f"{every_act}, = acts", f"{', '.join(text.outputs)}, = d"]
+    if name == "forward":
+        args, body = "x", [f"{x}, = x", *text.forward(), f"return [{every_act}]"]
+    elif name == "gradient":
+        args = "acts, d"
+        body = [*backward, *text.backward(), f"return [{', '.join(g for _, g in text.grads)}]"]
+    elif name == "step":
+        args, body = "acts, d, lr", [*backward, *text.step("return None"), f"return [{new}]"]
+    elif name == "input_gradient":
+        args = "acts, d"
+        body = [*backward, *text.backward(), f"return [{', '.join(text.input_gradient())}]"]
     else:
-        args = "xs, xs_next, us, gamma, lr"
-        sample = [
-            f"{x}, = xs_next[k]", *text.forward(), f"target = {y}",
-            f"{x}, = xs[k]", *text.forward(), "u = us[k]",
-            f"d0 = {y} - gamma*target - u", *step,
-            *text.forward(), f"resid = {y} - gamma*target - u", "sq_sum += resid*resid",
-        ]
-    source = "\n".join([
-        f"def {name}(p, order, {args}):",
-        f"    {params}, = p",
-        "    sq_sum = 0.0",
-        "    for k in order:",
-        *_indent(sample, 2),
-        f"    return [{params}], sq_sum, True",
-    ])
-    return _compile(source, name)
+        if layer_sizes[-1] != 1:
+            raise ValueError(f"epoch kernels need a single-output net, got {layer_sizes}")
+        # one copy per parameter: a tuple assignment is slower here
+        step = [*text.step(f"return [{params}], sq_sum, False"),
+                *(f"{p} = {n}" for p, n in zip(text.params, text.new))]
+        if name == "fit_epoch":
+            args = "order, xs, goals, lr"
+            sample = [f"{x}, = xs[k]", *text.forward(), f"d0 = {y} - goals[k]", *step,
+                      "sq_sum += d0*d0"]
+        else:
+            args = "order, xs, xs_next, us, gamma, lr"
+            sample = [
+                f"{x}, = xs_next[k]", *text.forward(), f"target = {y}",
+                f"{x}, = xs[k]", *text.forward(), "u = us[k]",
+                f"d0 = {y} - gamma*target - u", *step,
+                *text.forward(), f"resid = {y} - gamma*target - u", "sq_sum += resid*resid",
+            ]
+        body = ["sq_sum = 0.0", "for k in order:", *_indent(sample, 1),
+                f"return [{params}], sq_sum, True"]
+    source = "\n".join([f"def {name}(p, {args}):", f"    {params}, = p", *_indent(body, 1)])
+    namespace = {"tanh": math.tanh, "exp": math.exp, "isfinite": math.isfinite}
+    exec(source, namespace)
+    return namespace[name]
 
 
 @dataclass
@@ -366,7 +339,9 @@ class Mlp:
     def kernels(self) -> Kernels:
         """The per-sample kernels of this net's topology, generated on first
         use; ValueError if the net is too large for them."""
-        return _kernels(tuple(self.layer_sizes), self._sigmoid)
+        return Kernels._make(
+            _generate(tuple(self.layer_sizes), self._sigmoid, name) for name in Kernels._fields
+        )
 
     @property
     def params(self) -> np.ndarray:
@@ -488,8 +463,8 @@ class Mlp:
         d_loss/d_output as a sequence.  Writes the new parameters into
         `params` and returns them as a list; a step that would write a
         non-finite parameter is refused and the net left unchanged."""
-        new = self.kernels.descend(p, acts, d_output, learning_rate)
-        if not _all_finite(new):
+        new = self.kernels.step(p, acts, d_output, learning_rate)
+        if new is None:
             raise NonFiniteUpdateError("update would produce non-finite parameters")
         self._params[:] = new
         return new
@@ -500,7 +475,7 @@ class Mlp:
         on d_loss/d_output = err.  Returns the sum of err*err, each taken
         before its step.  `xs` is a list of input lists, `goals` of floats;
         the net must have one output."""
-        kernel = _epoch_kernel(tuple(self.layer_sizes), self._sigmoid, "fit_epoch")
+        kernel = _generate(tuple(self.layer_sizes), self._sigmoid, "fit_epoch")
         return self._commit(*kernel(self._params.tolist(), order, xs, goals, learning_rate))
 
     def td_epoch(
@@ -513,7 +488,7 @@ class Mlp:
         the sum of the squared residuals after the steps.  `xs` and
         `xs_next` are lists of input lists, `us` of floats; the net must
         have one output."""
-        kernel = _epoch_kernel(tuple(self.layer_sizes), self._sigmoid, "td_epoch")
+        kernel = _generate(tuple(self.layer_sizes), self._sigmoid, "td_epoch")
         return self._commit(
             *kernel(self._params.tolist(), order, xs, xs_next, us, gamma, learning_rate)
         )

@@ -218,15 +218,19 @@ class ReferenceLaw:
     v_gain*v_sharpness, stiff enough to hold the 2% band across source
     and load shifts with duty_ff left at its nominal value (the law, like
     the action net, cannot observe v_s or r_load directly).
+
+    The operating point and the controller's scales and limits have no
+    defaults here: `make_reference_law` takes them from the plant and the
+    HDP config.
     """
 
+    duty_ff: float
+    v_scale: float
+    i_scale: float
+    duty_limits: tuple[float, float]
     v_gain: float = 0.25
     v_sharpness: float = 10.0
     i_gain: float = 0.10
-    duty_ff: float = 0.7042
-    v_scale: float = 200.0
-    i_scale: float = 10.0
-    duty_limits: tuple[float, float] = (0.05, 0.95)
 
     def duty_for(self, e_v: float, e_i: float) -> float:
         raw = (
@@ -495,7 +499,9 @@ def generate_excitation_log(
     A hold switch is exogenous: the inputs cannot predict it, so a
     transition straddling the boundary would only inject target noise;
     each hold's transition chain starts fresh.  Raises ValueError if a hold
-    rounds to fewer than two switching periods, which log no transition.
+    rounds to fewer than two switching periods, which log no transition,
+    and SimulationDiverged, as `run_scenario` does, if v_o exceeds twice
+    the setpoint or is NaN.
     """
     rng = np.random.default_rng(seed)
     cfg = hdp_config
@@ -508,9 +514,9 @@ def generate_excitation_log(
             f"{_HOLD_DURATION:g} s excitation hold"
         )
     log: list[tuple[np.ndarray, np.ndarray, float]] = []
-    for _ in range(n_episodes):
+    for episode in range(n_episodes):
         state = PlantState()
-        for _ in range(n_holds):
+        for hold in range(n_holds):
             v_set = float(rng.uniform(150.0, 220.0))
             r_load = float(rng.uniform(*R_LOAD_RANGE))
             v_s = float(rng.uniform(*V_S_RANGE))
@@ -531,6 +537,11 @@ def generate_excitation_log(
                 x_prev = x_now
                 u_prev = utility(e_v / s[2], e_i / s[3], cfg.k_v, cfg.k_i)
                 state = step(state, duty, p)
+                if not state.v_o <= 2.0 * V_SET:  # NaN fails this comparison too
+                    raise SimulationDiverged(
+                        f"excitation episode {episode}, hold {hold}: v_o={state.v_o:.1f} V "
+                        f"exceeded 2x setpoint {V_SET:.1f} V"
+                    )
     return log
 
 

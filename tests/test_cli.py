@@ -611,6 +611,22 @@ class TestPretrainCommand:
         assert errors[0].startswith("pretraining failed: behavior cloning failed")
         assert list(out.iterdir()) == []
 
+    def test_runaway_excitation_exits_2_with_one_line(self, tmp_path, caplog):
+        # a picofarad output capacitor: the excitation's first period sends
+        # v_o to NaN, which the teacher's duty would carry into the plant
+        config = tmp_path / "runaway.ini"
+        config.write_text("[plant]\nc_out = 1e-12\n" + FAST_PRETRAIN)
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["pretrain", "--config", str(config), "--out", str(out)])
+        assert rc == 2
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [
+            "pretraining failed: excitation episode 0, hold 0: "
+            "v_o=nan V exceeded 2x setpoint 200.0 V"
+        ]
+        assert list(out.iterdir()) == []
+
     @pytest.mark.parametrize("where", ["flag", "config"])
     def test_negative_seed_exits_1_with_one_line(self, tmp_path, caplog, where):
         argv = ["pretrain", "--out", str(tmp_path / "out")]
@@ -1161,20 +1177,23 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
     def test_a_worker_inherits_mains_numpy_errstate(self, fast_snapshots, tmp_path):
+        # compare runs the cell in a worker, run in main's own process; both
+        # overflow in numpy and then refuse the update
         _copy_snapshots(tmp_path, fast_snapshots)
         config = tmp_path / "one.ini"
         config.write_text("[run]\nscenarios = startup\n")
-        proc = subprocess.run(
-            [sys.executable, "-c", self.OVERFLOWING_CELL, "compare",
-             "--config", str(config), "--out", str(tmp_path)],
-            capture_output=True, text=True, timeout=120, env=MODULE_ENV,
-        )
-        assert proc.returncode == 2
-        errors = [ln for ln in proc.stderr.splitlines() if not ln.startswith("default ")]
-        assert errors == [
-            f"startup {tag} diverged: update would produce non-finite parameters"
-            for tag in ("PI", "HDP")
-        ]
+        for command, tags in ((["compare"], ("PI", "HDP")), (["run", "startup", "HDP"], ("HDP",))):
+            proc = subprocess.run(
+                [sys.executable, "-c", self.OVERFLOWING_CELL, *command,
+                 "--config", str(config), "--out", str(tmp_path)],
+                capture_output=True, text=True, timeout=120, env=MODULE_ENV,
+            )
+            assert proc.returncode == 2, command
+            errors = [ln for ln in proc.stderr.splitlines() if not ln.startswith("default ")]
+            assert errors == [
+                f"startup {tag} diverged: update would produce non-finite parameters"
+                for tag in tags
+            ], command
 
     def test_run_loads_no_pool_machinery(self, tmp_path):
         code = (

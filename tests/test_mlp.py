@@ -400,10 +400,14 @@ class TestStep:
 
     def test_one_kernel_set_per_topology(self):
         net = Mlp.init([4, 5, 5, 1], "sigmoid", seed=1)
-        assert Mlp.init([4, 5, 5, 1], "sigmoid", seed=2).kernels is net.kernels
-        assert net.copy().kernels is net.kernels
-        assert Mlp.init([4, 5, 5, 1], "linear").kernels is not net.kernels
-        assert Mlp.init([4, 5, 1], "sigmoid").kernels is not net.kernels
+        # the same compiled functions; a different topology shares none
+        def same(a, b):
+            return [fa is fb for fa, fb in zip(a.kernels, b.kernels)]
+
+        assert same(Mlp.init([4, 5, 5, 1], "sigmoid", seed=2), net) == [True] * 4
+        assert same(net.copy(), net) == [True] * 4
+        assert same(Mlp.init([4, 5, 5, 1], "linear"), net) == [False] * 4
+        assert same(Mlp.init([4, 5, 1], "sigmoid"), net) == [False] * 4
 
     def test_net_too_large_for_kernels_still_loads_and_runs_batched(self):
         # a layer a few thousand units wide: its sums would nest too deep
@@ -507,7 +511,10 @@ class TestFiniteness:
         net, x = opposite_infinities_net()
         before = net.params.tobytes()
         p = net.params.tolist()
-        assert math.isnan(sum(net.kernels.descend(p, net.kernels.forward(p, x), [1.0], 1e10)))
+        acts = net.kernels.forward(p, x)
+        grads = net.kernels.gradient(p, acts, [1.0])
+        assert math.isnan(sum(pk - gk * 1e10 for pk, gk in zip(p, grads)))
+        assert net.kernels.step(p, acts, [1.0], 1e10) is None
         with pytest.raises(NonFiniteUpdateError):
             net.step(p, net.kernels.forward(p, x), [1.0], 1e10)
         assert net.params.tobytes() == before

@@ -27,7 +27,6 @@ from boosthdp.sim import (
     Metrics,
     PretrainSettings,
     PretrainingError,
-    ReferenceLaw,
     ScenarioSpec,
     SimulationDiverged,
     TRACE_FIELDS,
@@ -110,18 +109,18 @@ class TestEquilibriumDuty:
 
 class TestReferenceLaw:
     def test_zero_error_emits_feedforward(self):
-        law = ReferenceLaw()
+        law = make_reference_law()
         assert law.duty_for(0.0, 0.0) == pytest.approx(law.duty_ff)
 
     def test_small_signal_stiffness(self):
         # d(duty)/d(e_v) at zero = v_gain * v_sharpness / v_scale
-        law = ReferenceLaw()
+        law = make_reference_law()
         h = 1e-6
         slope = (law.duty_for(h, 0.0) - law.duty_for(-h, 0.0)) / (2.0 * h)
         assert slope == pytest.approx(law.v_gain * law.v_sharpness / law.v_scale, rel=1e-6)
 
     def test_large_error_contribution_saturates(self):
-        law = ReferenceLaw()
+        law = make_reference_law()
         d_50 = law.duty_for(50.0, 0.0)
         d_200 = law.duty_for(200.0, 0.0)
         assert d_200 - d_50 < 0.02
@@ -131,14 +130,14 @@ class TestReferenceLaw:
         # with the voltage term saturated high the command still backs off
         # monotonically as the inductor current climbs, hitting the bottom
         # rail near e_i ~ -(duty_ff + v_gain - d_min) * i_scale / i_gain
-        law = ReferenceLaw()
+        law = make_reference_law()
         assert law.duty_for(190.0, 5.0) == pytest.approx(0.95)  # charge rail
         d20, d60 = law.duty_for(200.0, -20.0), law.duty_for(200.0, -60.0)
         assert d20 > d60 > 0.05
         assert law.duty_for(200.0, -100.0) == pytest.approx(0.05)  # full brake
 
     def test_output_clipped_to_limits(self):
-        law = ReferenceLaw()
+        law = make_reference_law()
         assert law.duty_for(1e6, 1e6) == 0.95
         assert law.duty_for(-1e6, -1e6) == 0.05
 
