@@ -17,12 +17,15 @@ d(cost-to-go)/d(duty) comes from the critic's input gradient and
 backpropagates through the action net.
 
 The online step runs every pass and step on the nets' generated kernels
-(`Mlp.kernels`, and `Mlp.step` over `Kernels.step`), on parameter lists
-taken from `Mlp.params` at the top of the step.  `td_update` is the online
-critic step.  The offline sweep in `sim` runs the same step inside a
-generated epoch function (`Mlp.td_epoch`): `mlp`'s one emitter writes the
-step and its finiteness rule for both, and tests hold the sweep to
-`td_update` bit for bit.
+(`Mlp.kernels`, and `Mlp.step` over `Kernels.step`), on the nets'
+parameters as lists.  `HdpController.hold` takes those lists from
+`Mlp.params` once for a run of steps, passes them from each step to the
+next, and writes them back into `Mlp.params` once, when it ends, however
+it ends; a step outside a hold runs in a hold of its own.  `td_update` is
+the online critic step.  The offline sweep in `sim` runs the same step
+inside a generated epoch function (`Mlp.td_epoch`): `mlp`'s one emitter
+writes the step and its finiteness rule for both, and tests hold the sweep
+to `td_update` bit for bit.
 
 All network inputs are normalized by fixed scales so every feature is O(1);
 the utility is computed on the normalized errors for the same reason, which
@@ -33,6 +36,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,6 +48,7 @@ __all__ = [
     "ControllerInput",
     "HdpConfig",
     "HdpController",
+    "Measurement",
     "make_critic",
     "make_action",
     "utility",
@@ -85,24 +90,27 @@ def td_update(
     u_now: float,
     gamma: float,
     learning_rate: float,
+    write: bool = True,
 ) -> list[float]:
     """One semi-gradient step of the critic toward u_now + gamma * target.
 
     `p` is the critic's parameter list, `acts` its kernel pass at x_now and
     `target` J(x_next), both at `p`; the caller runs those passes, so the
     step itself runs none.  The target is held fixed.  Returns the new
-    parameter list, which `critic.params` now holds.  The online control
-    step takes it; `Mlp.td_epoch` runs the same arithmetic per transition
-    of an offline sweep.
+    parameter list, which, with `write`, `critic.params` now holds as
+    well.  The online control step takes it, unwritten, inside a hold;
+    `Mlp.td_epoch` runs the same arithmetic per transition of an offline
+    sweep.
     """
     resid = td_error(acts[-1], target, u_now, gamma)
     # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself
-    return critic.step(p, acts, (resid,), learning_rate)
+    return critic.step(p, acts, (resid,), learning_rate, write)
 
 
-@dataclass(frozen=True)
-class ControllerInput:
-    """One cycle's measurements, assembled by the harness.
+class Measurement(NamedTuple):
+    """One cycle's measurements, assembled by the harness, unchecked: the
+    form `sim.run_scenario` passes each period, once its divergence guard
+    has rejected a non-finite or runaway plant state.
 
     e_v and e_i are the setpoint errors exactly as the harness computed
     them.  duty_prev is the duty actually applied over the period that
@@ -116,11 +124,19 @@ class ControllerInput:
     e_i: float
     duty_prev: float = 0.0
 
-    def __post_init__(self) -> None:
-        if not all(
-            map(math.isfinite, (self.v_o, self.i_l, self.e_v, self.e_i, self.duty_prev))
-        ):
+
+class ControllerInput(Measurement):
+    """A `Measurement` whose constructor checks that every field is finite,
+    for measurements from outside the simulation loop."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls, v_o: float, i_l: float, e_v: float, e_i: float, duty_prev: float = 0.0
+    ):
+        if not all(map(math.isfinite, (v_o, i_l, e_v, e_i, duty_prev))):
             raise ValueError("controller inputs must be finite")
+        return Measurement.__new__(cls, v_o, i_l, e_v, e_i, duty_prev)
 
 
 @dataclass(frozen=True)
@@ -161,10 +177,11 @@ class HdpController:
     """Online actor-critic duty-cycle controller.
 
     Call control_step once per switching period with the cycle's
-    measurements.  With learning enabled the critic is updated from the
-    previous period's transition and the action net from the critic, before
-    the period's duty command is formed.  Updates are plain arithmetic on
-    fixed-seed nets, so a run is bit reproducible.
+    measurements, for a run of periods inside `hold`.  With learning
+    enabled the critic is updated from the previous period's transition and
+    the action net from the critic, before the period's duty command is
+    formed.  Updates are plain arithmetic on fixed-seed nets, so a run is
+    bit reproducible.
     """
 
     def __init__(self, critic: Mlp, action: Mlp, config: HdpConfig | None = None):
@@ -191,6 +208,24 @@ class HdpController:
         # is the duty actually applied (the harness may have modified the
         # command, e.g. probing noise during practice)
         self._prev: tuple[list[float], float] | None = None
+        # [critic list, action list] while a hold is open, else None
+        self._lists: list[list[float]] | None = None
+
+    def hold(self) -> _Hold:
+        """Hold both nets' parameters as lists for a run of control steps:
+        `with controller.hold(): ...`.
+
+        The hold takes the lists from the nets' `params` as it opens; each
+        control_step inside it starts from the lists the one before left,
+        and neither reads nor writes `params`.  When the hold ends, however
+        it ends, each list that changed is written into its net's `params`
+        once; a step refused mid-run (NonFiniteUpdateError) thus leaves each
+        net at its last accepted step.  Inside a hold, neither swap a net nor
+        write its `params`: the steps go on from the held lists, and the
+        hold writes them into the nets it opened with.  Holds do not nest.
+        The critic must be an `Mlp`.
+        """
+        return _Hold(self)
 
     def reset_transition_buffer(self) -> None:
         """Forget the stored transition, e.g. across a simulation restart."""
@@ -214,41 +249,48 @@ class HdpController:
         _, cache = self.critic.forward(x)
         self._descend_action(p, acts, self.critic.grad_input(cache, np.ones(1))[-1])
 
-    def _descend_action(self, p: list[float], acts: list[float], dj_dduty: float) -> list[float]:
+    def _descend_action(
+        self, p: list[float], acts: list[float], dj_dduty: float, write: bool = True
+    ) -> list[float]:
         """One descent step of the action net on its kernel pass `acts` at
         the parameters `p`, given dJ/d(the critic's normalized duty input) at
-        the present weights; returns the new parameter list."""
+        the present weights; returns the new parameter list, which, with
+        `write`, the net's `params` holds as well."""
         cfg = self.config
         d_min, d_max = cfg.duty_limits
         # chain rule through the affine duty map and the normalization
         d_output = (dj_dduty * (d_max - d_min) / cfg.norm_scales[4],)
-        return self.action.step(p, acts, d_output, cfg.lr_action)
+        return self.action.step(p, acts, d_output, cfg.lr_action, write)
 
-    def control_step(
-        self, measurement: ControllerInput, learn: bool = True
-    ) -> tuple[float, float]:
+    def control_step(self, measurement: Measurement, learn: bool = True) -> tuple[float, float]:
         """One switching period: returns (duty command, cost-to-go estimate).
 
-        With learn set, first fits the critic on the buffered transition
-        that lands in this measurement, then improves the action net through
-        the critic, and only then forms the period's command.  Every pass
-        and step runs on the nets' kernels (the same bits as the 1-D
-        `Mlp.forward`, `grad_input`, `grad_weights` and `apply_update`), on
-        parameter lists read from the nets once per call.  The critic must
-        be an `Mlp`.
+        `measurement` is a `Measurement`: a checked `ControllerInput`, or
+        an unchecked one from the simulation loop.  With learn set,
+        first fits the critic on the buffered transition that lands in this
+        measurement, then improves the action net through the critic, and
+        only then forms the period's command.  Every pass and step runs on
+        the nets' kernels (the same bits as the 1-D `Mlp.forward`,
+        `grad_input`, `grad_weights` and `apply_update`), on the parameter
+        lists of the open `hold`.  Outside a hold the period runs in a hold
+        of its own, so the nets' `params` hold its steps when it returns.
+        The critic must be an `Mlp`.
         """
-        critic, action = self.critic, self.action
-        if not isinstance(critic, Mlp):
-            raise TypeError(
-                f"control_step needs an Mlp critic, got {type(critic).__name__}"
-            )
+        if self._lists is not None:
+            return self._period(measurement, learn)
+        with self.hold():
+            return self._period(measurement, learn)
+
+    def _period(self, m: Measurement, learn: bool) -> tuple[float, float]:
+        """control_step inside a hold: carries the held lists on, storing
+        each net's new list as soon as its step is accepted."""
+        critic, action, lists = self.critic, self.action, self._lists
         critic_pass, action_pass = critic.kernels.forward, action.kernels.forward
         cfg = self.config
         s = cfg.norm_scales
-        m = measurement
+        pc, pa = lists
         # the normalized state as floats; critic inputs append the duty slot
         state = [m.v_o / s[0], m.i_l / s[1], m.e_v / s[2], m.e_i / s[3]]
-        pc, pa = critic.params.tolist(), action.params.tolist()
         acts = action_pass(pa, state)
         if learn:
             # the critic step leaves the action net as it is, so this one
@@ -260,11 +302,45 @@ class HdpController:
                 state_prev, u_prev = self._prev
                 j_hat = critic_pass(pc, x_hat)[-1]
                 x_prev = critic_pass(pc, state_prev + [m.duty_prev / s[4]])
-                pc = td_update(critic, pc, x_prev, j_hat, u_prev, cfg.gamma, cfg.lr_critic)
+                # unwritten (write=False): the hold writes params
+                lists[0] = pc = td_update(
+                    critic, pc, x_prev, j_hat, u_prev, cfg.gamma, cfg.lr_critic, False
+                )
             dj_dx = critic.kernels.input_gradient(pc, critic_pass(pc, x_hat), (1.0,))
-            pa = self._descend_action(pa, acts, dj_dx[-1])
+            lists[1] = pa = self._descend_action(pa, acts, dj_dx[-1], False)
             acts = action_pass(pa, state)
         duty = self._duty(acts[-1])
         j_est = critic_pass(pc, state + [duty / s[4]])[-1]
         self._prev = (state, utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i))
         return duty, j_est
+
+
+class _Hold:
+    """The context manager `HdpController.hold` returns.  A class, not a
+    `contextlib.contextmanager` generator, because every control_step
+    outside a hold opens one and the generator's set-up costs more."""
+
+    __slots__ = ("controller", "nets", "taken")
+
+    def __init__(self, controller: HdpController) -> None:
+        self.controller = controller
+
+    def __enter__(self) -> None:
+        ctl = self.controller
+        critic, action = ctl.critic, ctl.action
+        if not isinstance(critic, Mlp):
+            raise TypeError(
+                f"control_step needs an Mlp critic, got {type(critic).__name__}"
+            )
+        if ctl._lists is not None:
+            raise RuntimeError("the controller is already held")
+        self.nets = critic, action
+        self.taken = critic.params.tolist(), action.params.tolist()
+        ctl._lists = list(self.taken)
+
+    def __exit__(self, *exc_info) -> None:
+        ctl = self.controller
+        lists, ctl._lists = ctl._lists, None
+        for net, new, old in zip(self.nets, lists, self.taken):
+            if new is not old:
+                net.params[:] = new

@@ -27,7 +27,8 @@ kinds of function:
 - per sample, `Mlp.kernels`, which take the parameters as a list in the
   flat layout and a pass's activations as one flat list.  A loop takes
   `params.tolist()` once, carries the list that `Mlp.step` returns (which
-  has also written it into `params`), and runs `kernels.forward` on it.
+  has also written it into `params`, unless told not to), and runs
+  `kernels.forward` on it.
   The 1-D `forward`, `grad_weights` and `grad_input` run the same kernels
   behind numpy arrays and a `ForwardCache`, and `apply_update` subtracts
   lr * g as `kernels.step` does, so forward, `grad_weights` and
@@ -456,17 +457,20 @@ class Mlp:
         self._params[...] = new
 
     def step(
-        self, p: list[float], acts: list[float], d_output, learning_rate: float
+        self, p: list[float], acts: list[float], d_output, learning_rate: float,
+        write: bool = True,
     ) -> list[float]:
         """One gradient-descent step on the pass `acts` that `kernels.forward`
         made at the parameters `p` (this net's, as a list), given
-        d_loss/d_output as a sequence.  Writes the new parameters into
-        `params` and returns them as a list; a step that would write a
-        non-finite parameter is refused and the net left unchanged."""
+        d_loss/d_output as a sequence.  Returns the new parameters as a list
+        and, with `write`, writes them into `params`; a caller that carries
+        the list itself writes it later.  A step that would make a parameter
+        non-finite is refused, and nothing is written."""
         new = self.kernels.step(p, acts, d_output, learning_rate)
         if new is None:
             raise NonFiniteUpdateError("update would produce non-finite parameters")
-        self._params[:] = new
+        if write:
+            self._params[:] = new
         return new
 
     def fit_epoch(self, order: list[int], xs, goals, learning_rate: float) -> float:

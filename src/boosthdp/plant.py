@@ -37,6 +37,7 @@ import enum
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -113,19 +114,30 @@ class PlantParams:
         return _propagators(self)
 
 
-@dataclass(frozen=True)
-class PlantState:
-    """Converter state at a sub-step boundary: inductor current and output voltage."""
-
+class _State(NamedTuple):
     i_l: float = 0.0
     v_o: float = 0.0
-    mode: ConductionMode = ConductionMode.SWITCH_OFF_BLOCKED
+    mode: ConductionMode = _BLOCKED
 
-    def __post_init__(self) -> None:
-        if self.i_l < 0.0:
+
+class PlantState(_State):
+    """Converter state at a sub-step boundary: inductor current, output
+    voltage and the branch of the last sub-step, as a named tuple.
+
+    The constructor checks both signs.  `step` builds its results without
+    that check: its clamps keep the current non-negative, and the voltage
+    rows of its maps, whose coefficients are non-negative, keep the voltage
+    so.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, i_l: float = 0.0, v_o: float = 0.0, mode: ConductionMode = _BLOCKED):
+        if i_l < 0.0:
             raise ValueError("i_l must be non-negative (diode blocks reverse current)")
-        if self.v_o < 0.0:
+        if v_o < 0.0:
             raise ValueError("v_o must be non-negative")
+        return _State.__new__(cls, i_l, v_o, mode)
 
 
 _Rows = tuple[tuple[float, float, float], tuple[float, float, float]]
@@ -322,7 +334,8 @@ def _advance(
             segments.append((blocked, n_off, (i_l, v_o)))
         i_l, v_o = blocked.advance(n_off, i_l, v_o)
         mode = _BLOCKED
-    return PlantState(i_l, v_o, mode)
+    # unchecked, as the PlantState docstring allows
+    return tuple.__new__(PlantState, (i_l, v_o, mode))
 
 
 def step(state: PlantState, duty: float, params: PlantParams) -> PlantState:

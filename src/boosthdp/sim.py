@@ -19,6 +19,7 @@ with the 1-D `Mlp.forward`, `Mlp.grad_weights` and `Mlp.apply_update`.
 from __future__ import annotations
 
 import math
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from operator import attrgetter
 from typing import NamedTuple
@@ -29,7 +30,7 @@ from .atomic import atomic_write
 from .baseline import PiController
 # sim no longer calls td_update (Mlp.td_epoch runs its step), but
 # perfbench/tracing.py patches this module's binding of it by name
-from .hdp import ControllerInput, HdpConfig, make_critic, td_error, td_update, utility
+from .hdp import HdpConfig, Measurement, make_critic, td_error, td_update, utility
 from .mlp import Mlp
 from .plant import PlantParams, PlantState, step, steady_state_hint
 
@@ -51,6 +52,7 @@ __all__ = [
     "builtin_scenario",
     "clone_action",
     "compute_metrics",
+    "current_limit",
     "equilibrium_duty",
     "generate_excitation_log",
     "make_reference_law",
@@ -80,7 +82,8 @@ _PLATEAU_RTOL = 1e-4
 
 
 class SimulationDiverged(RuntimeError):
-    """Raised when the output voltage runs past twice the setpoint."""
+    """Raised when the output voltage runs past twice the setpoint, or the
+    inductor current past `current_limit`, or either is NaN."""
 
 
 class PretrainingError(RuntimeError):
@@ -95,8 +98,8 @@ class ScenarioSpec:
     step = (time, v_s, r_load) switches both to new values from that time
     to the end of the run.
 
-    Raises ValueError if either pair leaves the nameplate ranges, or if the
-    step changes neither value.
+    Raises ValueError if either pair leaves the nameplate ranges, if the
+    step changes neither value, or if the initial state is not finite.
     """
 
     name: str
@@ -129,6 +132,8 @@ class ScenarioSpec:
                 f"{self.name} step at {self.step[0]:g} s changes neither "
                 f"v_s ({self.v_s:g} V) nor r_load ({self.r_load:g} ohm)"
             )
+        if not all(map(math.isfinite, self.initial_state[:2])):
+            raise ValueError(f"{self.name} initial state must be finite")
 
 
 class TraceRecord(NamedTuple):
@@ -257,6 +262,22 @@ def make_reference_law(
     )
 
 
+def current_limit(params: PlantParams) -> float:
+    """Twice the highest steady inductor current on the nameplate source,
+    max v_s / r_l (infinite when r_l is 0).  From any lower current, every
+    branch's di/dt <= (v_s - r_l*i_l) / L keeps the current below
+    v_s / r_l, so a current past this bound has run away."""
+    return 2.0 * V_S_RANGE[1] / params.r_l if params.r_l > 0.0 else math.inf
+
+
+def _runaway(state: PlantState, i_max: float) -> str:
+    """What ran away in a state the divergence guard stopped: a v_o past
+    2 V_SET, or an i_l past i_max (NaN passes neither)."""
+    if not state.v_o <= 2.0 * V_SET:
+        return f"v_o={state.v_o:.1f} V exceeded 2x setpoint {V_SET:.1f} V"
+    return f"i_l={state.i_l:.1f} A exceeded the {i_max:.1f} A current limit"
+
+
 def _equilibrium_state(v_set: float, v_s: float, r_load: float, r_l: float) -> PlantState:
     d_eq = equilibrium_duty(v_set, v_s, r_load, r_l)
     i_eq = v_set / ((1.0 - d_eq) * r_load)
@@ -310,8 +331,13 @@ def run_scenario(
     HDP traces are directly comparable.  Returns the trace plus its metrics
     over the final reference segment.
 
-    Raises SimulationDiverged if v_o exceeds twice the setpoint or is NaN,
-    and ValueError if the scenario rounds to no whole switching period.
+    An HDP controller runs the whole scenario inside its `hold`, and gets
+    each period's measurement as an unchecked `hdp.Measurement`: the
+    divergence guard below has checked the state it comes from.
+
+    Raises SimulationDiverged if v_o exceeds twice the setpoint, or i_l the
+    `current_limit`, or either is NaN, and ValueError if the scenario
+    rounds to no whole switching period.
     """
     cfg = hdp_config or HdpConfig()
     is_pi = spec.controller_tag == "PI"
@@ -340,36 +366,39 @@ def run_scenario(
         k_step = next((k for k in range(n_periods) if t_step <= k * t_sw), n_periods)
         segments = [(range(k_step), spec.v_s, spec.r_load),
                     (range(k_step, n_periods), v_s, r_load)]
+    v_max, i_max = 2.0 * V_SET, current_limit(params)
     state = spec.initial_state
     records: list[TraceRecord] = []
     duty = 0.0
-    for periods, v_s, r_load in segments:
-        segment_params = params
-        if v_s != params.v_s or r_load != params.r_load:
-            segment_params = replace(params, v_s=v_s, r_load=r_load)
-        _, i_set = steady_state_hint(V_SET, v_s, r_load)
-        for k in periods:
-            t = k * t_sw
-            e_v = V_SET - state.v_o
-            e_i = i_set - state.i_l
-            if is_pi:
-                duty = controller.pi_step(e_v)
-                j_est = math.nan
-            else:
-                duty, j_est = controller.control_step(
-                    ControllerInput(state.v_o, state.i_l, e_v, e_i, duty), learn
+    with nullcontext() if is_pi else controller.hold():
+        for periods, v_s, r_load in segments:
+            segment_params = params
+            if v_s != params.v_s or r_load != params.r_load:
+                segment_params = replace(params, v_s=v_s, r_load=r_load)
+            _, i_set = steady_state_hint(V_SET, v_s, r_load)
+            for k in periods:
+                t = k * t_sw
+                i_l, v_o, mode = state
+                e_v = V_SET - v_o
+                e_i = i_set - i_l
+                if is_pi:
+                    duty = controller.pi_step(e_v)
+                    j_est = math.nan
+                else:
+                    duty, j_est = controller.control_step(
+                        Measurement(v_o, i_l, e_v, e_i, duty), learn
+                    )
+                u_k = utility(e_v / s_v, e_i / s_i, cfg.k_v, cfg.k_i)
+                records.append(
+                    TraceRecord(t, v_o, i_l, duty, u_k, j_est, mode.name, V_SET, v_s, r_load)
                 )
-            u_k = utility(e_v / s_v, e_i / s_i, cfg.k_v, cfg.k_i)
-            records.append(
-                TraceRecord(t, state.v_o, state.i_l, duty, u_k, j_est,
-                            state.mode.name, V_SET, v_s, r_load)
-            )
-            state = step(state, duty, segment_params)
-            if not state.v_o <= 2.0 * V_SET:  # NaN fails this comparison too
-                raise SimulationDiverged(
-                    f"{spec.name}/{spec.controller_tag}: v_o={state.v_o:.1f} V "
-                    f"exceeded 2x setpoint {V_SET:.1f} V at t={t + t_sw:.6f} s"
-                )
+                state = step(state, duty, segment_params)
+                # NaN fails both comparisons too
+                if not (state.v_o <= v_max and state.i_l <= i_max):
+                    raise SimulationDiverged(
+                        f"{spec.name}/{spec.controller_tag}: {_runaway(state, i_max)} "
+                        f"at t={t + t_sw:.6f} s"
+                    )
     return records, compute_metrics(records)
 
 
@@ -426,6 +455,13 @@ def _csv_text(value) -> str:
     return text
 
 
+# the texts of the `t` column's floats: every run of a process writes the
+# same k * t_sw, so each is formatted once per process; bounded, so that
+# traces of arbitrary times cannot grow it without end
+_T_TEXT: dict[float, str] = {}
+_T_TEXT_MAX = 1 << 16
+
+
 def trace_csv_text(trace: list[TraceRecord]) -> str:
     """The trace as CSV text, in the bytes `csv.writer` writes.
 
@@ -434,13 +470,27 @@ def trace_csv_text(trace: list[TraceRecord]) -> str:
     NaN `j_est` hold the same object row after row, so a value is
     formatted only when it is not the object above it.  Identity, not
     equality, decides: 0.0 == -0.0 print differently, and NaN equals
-    nothing.
+    nothing.  The times in column `t` change every row but recur from run
+    to run, so their texts are kept, by value, in `_T_TEXT`.
     """
     lines = [",".join(TRACE_FIELDS)]
-    columns = range(len(TRACE_FIELDS))
+    columns = range(1, len(TRACE_FIELDS))
     above = (object(),) * len(TRACE_FIELDS)
     cells = [""] * len(TRACE_FIELDS)
+    t_text = _T_TEXT
     for row in map(attrgetter(*TRACE_FIELDS), trace):
+        t = row[0]
+        # by value, nonzero non-NaN floats only: 0.0 == -0.0 and 1 == 1.0
+        # print differently, and a NaN key is never found again
+        if type(t) is float and t != 0.0 and t == t:
+            text = t_text.get(t)
+            if text is None:
+                text = repr(t)
+                if len(t_text) < _T_TEXT_MAX:
+                    t_text[t] = text
+            cells[0] = text
+        else:
+            cells[0] = _csv_text(t)
         for j in columns:
             value = row[j]
             if value is not above[j]:
@@ -501,7 +551,7 @@ def generate_excitation_log(
     each hold's transition chain starts fresh.  Raises ValueError if a hold
     rounds to fewer than two switching periods, which log no transition,
     and SimulationDiverged, as `run_scenario` does, if v_o exceeds twice
-    the setpoint or is NaN.
+    the setpoint, or i_l the `current_limit`, or either is NaN.
     """
     rng = np.random.default_rng(seed)
     cfg = hdp_config
@@ -513,6 +563,7 @@ def generate_excitation_log(
             f"switching period {t_sw:g} s leaves fewer than 2 periods in the "
             f"{_HOLD_DURATION:g} s excitation hold"
         )
+    v_max, i_max = 2.0 * V_SET, current_limit(params)
     log: list[tuple[np.ndarray, np.ndarray, float]] = []
     for episode in range(n_episodes):
         state = PlantState()
@@ -537,10 +588,11 @@ def generate_excitation_log(
                 x_prev = x_now
                 u_prev = utility(e_v / s[2], e_i / s[3], cfg.k_v, cfg.k_i)
                 state = step(state, duty, p)
-                if not state.v_o <= 2.0 * V_SET:  # NaN fails this comparison too
+                # NaN fails both comparisons too
+                if not (state.v_o <= v_max and state.i_l <= i_max):
                     raise SimulationDiverged(
-                        f"excitation episode {episode}, hold {hold}: v_o={state.v_o:.1f} V "
-                        f"exceeded 2x setpoint {V_SET:.1f} V"
+                        f"excitation episode {episode}, hold {hold}: "
+                        f"{_runaway(state, i_max)}"
                     )
     return log
 

@@ -3,6 +3,7 @@ artifacts, and exit codes."""
 
 import csv
 import logging
+import math
 import multiprocessing
 import os
 import re
@@ -23,7 +24,7 @@ from boosthdp.cli import (
 )
 from boosthdp.hdp import HdpConfig, make_action, make_critic
 from boosthdp.mlp import Mlp
-from boosthdp.plant import PlantParams
+from boosthdp.plant import PlantParams, PlantState
 from boosthdp.sim import SCENARIO_NAMES
 from trace_io import read_trace_csv
 
@@ -835,6 +836,25 @@ class TestRunCommand:
             )
         assert rc == 2
         assert "diverged" in caplog.text
+
+    @pytest.mark.parametrize("tag", ["PI", "HDP"])
+    def test_nan_inductor_current_exits_2(
+        self, fast_snapshots, tmp_path, monkeypatch, caplog, tag
+    ):
+        # a NaN current, with the voltage in range, ends the run as a
+        # divergence: neither a trace of NaN rows nor an unmapped error
+        _copy_snapshots(tmp_path, fast_snapshots)
+        monkeypatch.setattr(
+            cli.sim, "step", lambda state, duty, params: PlantState(i_l=math.nan, v_o=200.0)
+        )
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["run", "startup", tag, "--out", str(tmp_path)])
+        assert rc == 2
+        assert _error_lines(caplog) == [
+            f"startup {tag} diverged: startup/{tag}: i_l=nan A exceeded the "
+            f"1320.0 A current limit at t=0.000050 s"
+        ]
+        assert not (tmp_path / "metrics.csv").exists()
 
 
 class TestCompareCommand:

@@ -343,6 +343,33 @@ class TestControlStep:
         assert make_action().layer_sizes == ACTION_SIZES
 
 
+class TestHold:
+    """Inside a hold the steps carry the parameter lists and leave `params`
+    alone; the hold writes the lists back when it ends."""
+
+    def test_params_written_once_when_the_hold_ends(self):
+        held = HdpController(make_critic(seed=2), make_action(seed=52))
+        per_call = HdpController(make_critic(seed=2), make_action(seed=52))
+        start = net_bytes(held.critic), net_bytes(held.action)
+        inputs = [meas(50.0 + k, 2.0 + 0.1 * k) for k in range(6)]
+        with held.hold():
+            out = [held.control_step(m) for m in inputs]
+            assert (net_bytes(held.critic), net_bytes(held.action)) == start
+        assert out == [per_call.control_step(m) for m in inputs]
+        assert net_bytes(held.critic) == net_bytes(per_call.critic) != start[0]
+        assert net_bytes(held.action) == net_bytes(per_call.action) != start[1]
+
+    def test_holds_do_not_nest(self):
+        ctl = HdpController(make_critic(), make_action())
+        with ctl.hold():
+            with pytest.raises(RuntimeError, match="already held"):
+                with ctl.hold():
+                    pass
+        # the refused inner hold leaves the outer one's end intact
+        with ctl.hold():
+            ctl.control_step(meas(50.0, 2.0))
+
+
 class RecomputingController:
     """The learning control step written from the public forward,
     grad_input, grad_weights and apply_update: the reference for

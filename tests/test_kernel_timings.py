@@ -17,6 +17,8 @@ def test_prints_one_positive_timing_per_operation(capsys):
     lines = [line.split() for line in capsys.readouterr().out.splitlines()]
     ops = ["forward", "gradient", "input_gradient", "step"]
     names = [f"{net}.{op}" for net in ("critic", "action") for op in ops]
-    names += ["control_step.learn", "control_step.frozen", "td_epoch.sample", "fit_epoch.sample"]
+    names += ["control_step.learn", "control_step.frozen",
+              "control_step.learn_held", "control_step.frozen_held",
+              "td_epoch.sample", "fit_epoch.sample"]
     assert [name for name, _ in lines] == names
     assert all(float(us) > 0.0 for _, us in lines)

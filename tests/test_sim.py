@@ -3,6 +3,7 @@
 import csv
 import math
 import struct
+from contextlib import nullcontext
 from dataclasses import replace
 from operator import attrgetter
 
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from boosthdp import sim
 from boosthdp.baseline import PiController
 from boosthdp.hdp import (
+    ControllerInput,
     HdpConfig,
     HdpController,
     make_action,
@@ -35,6 +37,7 @@ from boosthdp.sim import (
     builtin_scenario,
     clone_action,
     compute_metrics,
+    current_limit,
     equilibrium_duty,
     generate_excitation_log,
     make_reference_law,
@@ -309,6 +312,23 @@ class TestTraceCsv:
         write_trace_csv(out / "trace.csv", trace)
         assert (out / "trace.csv").read_bytes() == csv_module_bytes(out / "reference.csv", trace)
 
+    def test_two_runs_in_one_process_write_the_same_bytes(self, tmp_path, monkeypatch):
+        # the first run formats every time but t = 0.0 and keeps the texts;
+        # the second run reads them
+        monkeypatch.setattr(sim, "_T_TEXT", {})
+        params = PlantParams()
+        spec = builtin_scenario("startup", "PI")
+        texts = []
+        for _ in range(2):
+            trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
+            texts.append(sim.trace_csv_text(trace))
+            assert len(sim._T_TEXT) == len(trace) - 1
+        assert texts[0] == texts[1]
+        write_trace_csv(tmp_path / "trace.csv", trace)
+        assert (tmp_path / "trace.csv").read_bytes() == csv_module_bytes(
+            tmp_path / "reference.csv", trace
+        )
+
     def test_round_trip_preserves_bytes(self, tmp_path):
         spec = builtin_scenario("startup", "PI")
         pi = baseline_for_scenario(spec, PlantParams())
@@ -398,11 +418,129 @@ class TestRunScenario:
         with pytest.raises(SimulationDiverged, match="v_o=nan"):
             run_scenario(spec, baseline_for_scenario(spec, params), params)
 
+    @pytest.mark.parametrize("tag", ["PI", "HDP"])
+    def test_divergence_guard_catches_nan_current(self, monkeypatch, tag):
+        # NaN in i_l, where v_o stays in range: a PI run would otherwise
+        # carry it into every later row, and an HDP run into its nets
+        params = PlantParams()
+        spec = builtin_scenario("startup", tag)
+        controller = (baseline_for_scenario(spec, params) if tag == "PI"
+                      else HdpController(make_critic(seed=0), make_action(seed=50)))
+        monkeypatch.setattr(
+            sim, "step", lambda state, duty, params: PlantState(i_l=math.nan, v_o=200.0)
+        )
+        with pytest.raises(SimulationDiverged, match=rf"startup/{tag}: i_l=nan A"):
+            run_scenario(spec, controller, params)
+
+    def test_divergence_guard_bounds_the_current(self, monkeypatch):
+        params = PlantParams()
+        limit = current_limit(params)
+        assert limit == 2.0 * 66.0 / params.r_l
+        assert current_limit(replace(params, r_l=0.0)) == math.inf
+        spec = builtin_scenario("startup", "PI")
+        for i_l, fails in ((limit, False), (math.nextafter(limit, math.inf), True)):
+            monkeypatch.setattr(
+                sim, "step", lambda state, duty, params, i_l=i_l: PlantState(i_l, 200.0)
+            )
+            run = lambda: run_scenario(spec, baseline_for_scenario(spec, params), params)
+            if fails:
+                with pytest.raises(SimulationDiverged, match="current limit at t=0.000050 s"):
+                    run()
+            else:
+                run()
+
+    def test_non_finite_initial_state_rejected(self):
+        for state in (PlantState(i_l=math.nan), PlantState(v_o=math.inf)):
+            with pytest.raises(ValueError, match="initial state must be finite"):
+                ScenarioSpec("s", 0.01, 60.0, 80.0, initial_state=state)
+
     def test_pi_trace_has_nan_cost_estimate(self):
         params = PlantParams()
         spec = builtin_scenario("startup", "PI")
         trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
         assert all(math.isnan(r.j_est) for r in trace)
+
+
+class PerCall:
+    """An HdpController seen by run_scenario without its hold: the run's
+    hold is empty, so each control_step runs in a one-period hold of its
+    own, on a checked ControllerInput."""
+
+    def __init__(self, controller):
+        self.controller = controller
+
+    def hold(self):
+        return nullcontext()
+
+    def reset_transition_buffer(self):
+        self.controller.reset_transition_buffer()
+
+    def control_step(self, m, learn):
+        return self.controller.control_step(ControllerInput(*m), learn)
+
+
+def short_run(tag, config, params=PlantParams()):
+    """A 5 ms run from the nominal equilibrium, with a load step at its
+    middle, and two controllers on the same fresh nets: (spec, controller,
+    twin)."""
+    spec = replace(builtin_scenario("load_change", tag, params), duration=0.005,
+                   step=(0.0025, 60.0, 200.0))
+    nets = lambda: (make_critic(seed=3), make_action(seed=53), config)
+    return spec, HdpController(*nets()), HdpController(*nets())
+
+
+def net_bytes(controller):
+    return controller.critic.params.tobytes(), controller.action.params.tobytes()
+
+
+class TestHeldRun:
+    """run_scenario holds the nets' parameter lists for the whole run: the
+    same bits as the per-call control_step, traces and final nets, and the
+    nets at their last accepted step however the run ends."""
+
+    CONFIG = HdpConfig(lr_critic=1e-2, lr_action=1e-3)
+
+    @pytest.mark.parametrize("tag", ["HDP", "HDP-frozen"])
+    def test_same_bits_as_per_call_steps(self, tag):
+        params = PlantParams()
+        spec, held, per_call = short_run(tag, self.CONFIG, params)
+        start = net_bytes(held)
+        trace, metrics = run_scenario(spec, held, params)
+        ref_trace, ref_metrics = run_scenario(spec, PerCall(per_call), params)
+        assert sim.trace_csv_text(trace) == sim.trace_csv_text(ref_trace)
+        assert metrics == ref_metrics
+        assert net_bytes(held) == net_bytes(per_call)
+        assert (net_bytes(held) == start) == (tag == "HDP-frozen")
+
+    def test_refused_step_leaves_last_accepted_nets(self):
+        params = PlantParams()
+        spec, held, per_call = short_run("HDP", HdpConfig(lr_critic=1e300), params)
+        start = net_bytes(held)
+        for controller in (held, PerCall(per_call)):
+            with pytest.raises(NonFiniteUpdateError):
+                run_scenario(spec, controller, params)
+        assert net_bytes(held) == net_bytes(per_call)
+        assert all(a != b for a, b in zip(net_bytes(held), start))
+
+    def test_diverged_run_writes_the_lists_back(self, monkeypatch):
+        params = PlantParams()
+        spec, held, per_call = short_run("HDP", self.CONFIG, params)
+        start = net_bytes(held)
+        plant_step = sim.step
+        periods = []
+
+        def nan_at_period_30(state, duty, params):
+            periods.append(None)
+            if len(periods) % 30 == 0:
+                return PlantState(i_l=math.nan, v_o=state.v_o)
+            return plant_step(state, duty, params)
+
+        monkeypatch.setattr(sim, "step", nan_at_period_30)
+        for controller in (held, PerCall(per_call)):
+            with pytest.raises(SimulationDiverged, match="i_l=nan A .* at t=0.001500 s"):
+                run_scenario(spec, controller, params)
+        assert net_bytes(held) == net_bytes(per_call)
+        assert all(a != b for a, b in zip(net_bytes(held), start))
 
 
 class TestBaselinePrep:

@@ -11,16 +11,21 @@ where us is the best of 7 repeats of the mean time per call:
   (`Mlp.kernels`) and `Mlp.step` on the two shipped topologies
   (`hdp.CRITIC_SIZES`, `hdp.ACTION_SIZES`), N calls per repeat;
 - `control_step.learn` and `control_step.frozen`: `HdpController.control_step`
-  with and without learning, over N measurements near the nominal point;
+  with and without learning, over N measurements near the nominal point,
+  one call at a time;
+- `control_step.learn_held` and `control_step.frozen_held`: the same calls
+  inside one `HdpController.hold`, as a simulation runs them, on
+  checkouts that have it;
 - `td_epoch.sample` and `fit_epoch.sample`: `Mlp.td_epoch` on the critic
   and `Mlp.fit_epoch` on the action net, one sweep of N samples per repeat,
   per sample.
 
 Each repeat starts from the same fresh nets (`make_critic(0)`,
 `make_action(0)`), so runs see the same values.  It uses only names that
-several versions of the package share, so pointing PYTHONPATH at two
-checkouts in turn times both with the same command.  The timings depend on
-the host; compare two checkouts only on the same host, alternating runs.
+several versions of the package share, and leaves out the rows whose
+names a version lacks, so pointing PYTHONPATH at two checkouts in turn
+times both with the same command.  The timings depend on the host;
+compare two checkouts only on the same host, alternating runs.
 """
 
 from __future__ import annotations
@@ -86,14 +91,21 @@ def timings(calls: int) -> dict[str, float]:
         ControllerInput(200.0 + 2.0 * a, 5.0 + 0.5 * b, -2.0 * a, -0.5 * b, 0.7 + 0.01 * c)
         for a, b, c, _ in states
     ]
+    fresh = lambda: (HdpController(make_critic(0), make_action(0), HdpConfig()),)
     for tag, learn in (("learn", True), ("frozen", False)):
         def control(controller, learn=learn):
             for m in measurements:
                 controller.control_step(m, learn=learn)
 
-        results[f"control_step.{tag}"] = _best_us(
-            control, calls, lambda: (HdpController(make_critic(0), make_action(0), HdpConfig()),)
-        )
+        results[f"control_step.{tag}"] = _best_us(control, calls, fresh)
+    if hasattr(HdpController, "hold"):
+        for tag, learn in (("learn", True), ("frozen", False)):
+            def held(controller, learn=learn):
+                with controller.hold():
+                    for m in measurements:
+                        controller.control_step(m, learn=learn)
+
+            results[f"control_step.{tag}_held"] = _best_us(held, calls, fresh)
 
     order = rng.permutation(calls).tolist()
     xs = rng.uniform(-1.0, 1.0, (calls, 5)).tolist()
