@@ -48,7 +48,6 @@ __all__ = [
     "ControllerInput",
     "HdpConfig",
     "HdpController",
-    "Measurement",
     "make_critic",
     "make_action",
     "utility",
@@ -90,34 +89,23 @@ def td_update(
     u_now: float,
     gamma: float,
     learning_rate: float,
-    write: bool = True,
 ) -> list[float]:
     """One semi-gradient step of the critic toward u_now + gamma * target.
 
     `p` is the critic's parameter list, `acts` its kernel pass at x_now and
     `target` J(x_next), both at `p`; the caller runs those passes, so the
     step itself runs none.  The target is held fixed.  Returns the new
-    parameter list, which, with `write`, `critic.params` now holds as
-    well.  The online control step takes it, unwritten, inside a hold;
-    `Mlp.td_epoch` runs the same arithmetic per transition of an offline
-    sweep.
+    parameter list and writes nothing: `critic.params` is as it was, and
+    the caller writes the list when it wants it there (the online control
+    step leaves that to its hold).  `Mlp.td_epoch` runs the same arithmetic
+    per transition of an offline sweep.
     """
     resid = td_error(acts[-1], target, u_now, gamma)
     # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself
-    return critic.step(p, acts, (resid,), learning_rate, write)
+    return critic.step(p, acts, (resid,), learning_rate)
 
 
-class Measurement(NamedTuple):
-    """One cycle's measurements, assembled by the harness, unchecked: the
-    form `sim.run_scenario` passes each period, once its divergence guard
-    has rejected a non-finite or runaway plant state.
-
-    e_v and e_i are the setpoint errors exactly as the harness computed
-    them.  duty_prev is the duty actually applied over the period that
-    produced this measurement; the delayed critic update evaluates the
-    previous cycle at this duty, so a harness that perturbs the command
-    (probing noise during practice) must report the perturbed value."""
-
+class _Input(NamedTuple):
     v_o: float
     i_l: float
     e_v: float
@@ -125,9 +113,21 @@ class Measurement(NamedTuple):
     duty_prev: float = 0.0
 
 
-class ControllerInput(Measurement):
-    """A `Measurement` whose constructor checks that every field is finite,
-    for measurements from outside the simulation loop."""
+class ControllerInput(_Input):
+    """One cycle's measurements, assembled by the harness, as a named tuple
+    (so it unpacks, and compares equal to a plain tuple of its fields).
+
+    e_v and e_i are the setpoint errors exactly as the harness computed
+    them.  duty_prev is the duty actually applied over the period that
+    produced this measurement; the delayed critic update evaluates the
+    previous cycle at this duty, so a harness that perturbs the command
+    (probing noise during practice) must report the perturbed value.
+
+    Every way to build one from fields, the constructor, `_make` and
+    `_replace`, checks that each is finite (ValueError).  `sim.run_scenario`
+    builds its inputs with `tuple.__new__`, unchecked: its divergence guard
+    has already stopped a non-finite or runaway plant state.
+    """
 
     __slots__ = ()
 
@@ -136,7 +136,12 @@ class ControllerInput(Measurement):
     ):
         if not all(map(math.isfinite, (v_o, i_l, e_v, e_i, duty_prev))):
             raise ValueError("controller inputs must be finite")
-        return Measurement.__new__(cls, v_o, i_l, e_v, e_i, duty_prev)
+        return _Input.__new__(cls, v_o, i_l, e_v, e_i, duty_prev)
+
+    @classmethod
+    def _make(cls, iterable) -> ControllerInput:
+        # the inherited _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 @dataclass(frozen=True)
@@ -247,29 +252,27 @@ class HdpController:
         acts = self.action.kernels.forward(p, np.asarray(a, dtype=float).tolist())
         x = np.concatenate((a, (self._duty(acts[-1]) / self.config.norm_scales[4],)))
         _, cache = self.critic.forward(x)
-        self._descend_action(p, acts, self.critic.grad_input(cache, np.ones(1))[-1])
+        dj_dduty = self.critic.grad_input(cache, np.ones(1))[-1]
+        self.action.params[:] = self._descend_action(p, acts, dj_dduty)
 
-    def _descend_action(
-        self, p: list[float], acts: list[float], dj_dduty: float, write: bool = True
-    ) -> list[float]:
+    def _descend_action(self, p: list[float], acts: list[float], dj_dduty: float) -> list[float]:
         """One descent step of the action net on its kernel pass `acts` at
         the parameters `p`, given dJ/d(the critic's normalized duty input) at
-        the present weights; returns the new parameter list, which, with
-        `write`, the net's `params` holds as well."""
+        the present weights; returns the new parameter list, unwritten."""
         cfg = self.config
         d_min, d_max = cfg.duty_limits
         # chain rule through the affine duty map and the normalization
         d_output = (dj_dduty * (d_max - d_min) / cfg.norm_scales[4],)
-        return self.action.step(p, acts, d_output, cfg.lr_action, write)
+        return self.action.step(p, acts, d_output, cfg.lr_action)
 
-    def control_step(self, measurement: Measurement, learn: bool = True) -> tuple[float, float]:
+    def control_step(
+        self, measurement: ControllerInput, learn: bool = True
+    ) -> tuple[float, float]:
         """One switching period: returns (duty command, cost-to-go estimate).
 
-        `measurement` is a `Measurement`: a checked `ControllerInput`, or
-        an unchecked one from the simulation loop.  With learn set,
-        first fits the critic on the buffered transition that lands in this
-        measurement, then improves the action net through the critic, and
-        only then forms the period's command.  Every pass and step runs on
+        With learn set, first fits the critic on the buffered transition
+        that lands in this measurement, then improves the action net through
+        the critic, and only then forms the period's command.  Every pass and step runs on
         the nets' kernels (the same bits as the 1-D `Mlp.forward`,
         `grad_input`, `grad_weights` and `apply_update`), on the parameter
         lists of the open `hold`.  Outside a hold the period runs in a hold
@@ -281,7 +284,7 @@ class HdpController:
         with self.hold():
             return self._period(measurement, learn)
 
-    def _period(self, m: Measurement, learn: bool) -> tuple[float, float]:
+    def _period(self, m: ControllerInput, learn: bool) -> tuple[float, float]:
         """control_step inside a hold: carries the held lists on, storing
         each net's new list as soon as its step is accepted."""
         critic, action, lists = self.critic, self.action, self._lists
@@ -302,12 +305,12 @@ class HdpController:
                 state_prev, u_prev = self._prev
                 j_hat = critic_pass(pc, x_hat)[-1]
                 x_prev = critic_pass(pc, state_prev + [m.duty_prev / s[4]])
-                # unwritten (write=False): the hold writes params
+                # td_update writes nothing; the hold writes params
                 lists[0] = pc = td_update(
-                    critic, pc, x_prev, j_hat, u_prev, cfg.gamma, cfg.lr_critic, False
+                    critic, pc, x_prev, j_hat, u_prev, cfg.gamma, cfg.lr_critic
                 )
             dj_dx = critic.kernels.input_gradient(pc, critic_pass(pc, x_hat), (1.0,))
-            lists[1] = pa = self._descend_action(pa, acts, dj_dx[-1], False)
+            lists[1] = pa = self._descend_action(pa, acts, dj_dx[-1])
             acts = action_pass(pa, state)
         duty = self._duty(acts[-1])
         j_est = critic_pass(pc, state + [duty / s[4]])[-1]

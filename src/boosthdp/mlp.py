@@ -26,9 +26,8 @@ right with the bias last, and one descent step, `_Text.step`, serves both
 kinds of function:
 - per sample, `Mlp.kernels`, which take the parameters as a list in the
   flat layout and a pass's activations as one flat list.  A loop takes
-  `params.tolist()` once, carries the list that `Mlp.step` returns (which
-  has also written it into `params`, unless told not to), and runs
-  `kernels.forward` on it.
+  `params.tolist()` once, carries the list that `Mlp.step` returns, runs
+  `kernels.forward` on it, and writes it into `params` when it is done.
   The 1-D `forward`, `grad_weights` and `grad_input` run the same kernels
   behind numpy arrays and a `ForwardCache`, and `apply_update` subtracts
   lr * g as `kernels.step` does, so forward, `grad_weights` and
@@ -457,20 +456,17 @@ class Mlp:
         self._params[...] = new
 
     def step(
-        self, p: list[float], acts: list[float], d_output, learning_rate: float,
-        write: bool = True,
+        self, p: list[float], acts: list[float], d_output, learning_rate: float
     ) -> list[float]:
         """One gradient-descent step on the pass `acts` that `kernels.forward`
         made at the parameters `p` (this net's, as a list), given
         d_loss/d_output as a sequence.  Returns the new parameters as a list
-        and, with `write`, writes them into `params`; a caller that carries
-        the list itself writes it later.  A step that would make a parameter
-        non-finite is refused, and nothing is written."""
+        and writes nothing: the caller carries the list and writes it into
+        `params` when it wants it there.  A step that would make a parameter
+        non-finite is refused (NonFiniteUpdateError)."""
         new = self.kernels.step(p, acts, d_output, learning_rate)
         if new is None:
             raise NonFiniteUpdateError("update would produce non-finite parameters")
-        if write:
-            self._params[:] = new
         return new
 
     def fit_epoch(self, order: list[int], xs, goals, learning_rate: float) -> float:

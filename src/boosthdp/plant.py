@@ -122,12 +122,14 @@ class _State(NamedTuple):
 
 class PlantState(_State):
     """Converter state at a sub-step boundary: inductor current, output
-    voltage and the branch of the last sub-step, as a named tuple.
+    voltage and the branch of the last sub-step, as a named tuple (so it
+    unpacks, and compares equal to a plain tuple of its fields).
 
-    The constructor checks both signs.  `step` builds its results without
-    that check: its clamps keep the current non-negative, and the voltage
-    rows of its maps, whose coefficients are non-negative, keep the voltage
-    so.
+    Every way to build one from fields, the constructor, `_make` and
+    `_replace`, checks both signs (ValueError).  `step` builds its results
+    with `tuple.__new__`, unchecked: its clamps keep the current
+    non-negative, and the voltage rows of its maps, whose coefficients are
+    non-negative, keep the voltage so.
     """
 
     __slots__ = ()
@@ -138,6 +140,11 @@ class PlantState(_State):
         if v_o < 0.0:
             raise ValueError("v_o must be non-negative")
         return _State.__new__(cls, i_l, v_o, mode)
+
+    @classmethod
+    def _make(cls, iterable) -> PlantState:
+        # the inherited _make, which _replace calls, skips __new__
+        return cls(*iterable)
 
 
 _Rows = tuple[tuple[float, float, float], tuple[float, float, float]]

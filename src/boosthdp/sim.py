@@ -30,7 +30,7 @@ from .atomic import atomic_write
 from .baseline import PiController
 # sim no longer calls td_update (Mlp.td_epoch runs its step), but
 # perfbench/tracing.py patches this module's binding of it by name
-from .hdp import HdpConfig, Measurement, make_critic, td_error, td_update, utility
+from .hdp import ControllerInput, HdpConfig, make_critic, td_error, td_update, utility
 from .mlp import Mlp
 from .plant import PlantParams, PlantState, step, steady_state_hint
 
@@ -332,8 +332,8 @@ def run_scenario(
     over the final reference segment.
 
     An HDP controller runs the whole scenario inside its `hold`, and gets
-    each period's measurement as an unchecked `hdp.Measurement`: the
-    divergence guard below has checked the state it comes from.
+    each period's `ControllerInput` built unchecked: the divergence guard
+    below has checked the state it comes from.
 
     Raises SimulationDiverged if v_o exceeds twice the setpoint, or i_l the
     `current_limit`, or either is NaN, and ValueError if the scenario
@@ -385,9 +385,9 @@ def run_scenario(
                     duty = controller.pi_step(e_v)
                     j_est = math.nan
                 else:
-                    duty, j_est = controller.control_step(
-                        Measurement(v_o, i_l, e_v, e_i, duty), learn
-                    )
+                    # unchecked, as the ControllerInput docstring allows
+                    m = tuple.__new__(ControllerInput, (v_o, i_l, e_v, e_i, duty))
+                    duty, j_est = controller.control_step(m, learn)
                 u_k = utility(e_v / s_v, e_i / s_i, cfg.k_v, cfg.k_i)
                 records.append(
                     TraceRecord(t, v_o, i_l, duty, u_k, j_est, mode.name, V_SET, v_s, r_load)
@@ -455,13 +455,6 @@ def _csv_text(value) -> str:
     return text
 
 
-# the texts of the `t` column's floats: every run of a process writes the
-# same k * t_sw, so each is formatted once per process; bounded, so that
-# traces of arbitrary times cannot grow it without end
-_T_TEXT: dict[float, str] = {}
-_T_TEXT_MAX = 1 << 16
-
-
 def trace_csv_text(trace: list[TraceRecord]) -> str:
     """The trace as CSV text, in the bytes `csv.writer` writes.
 
@@ -470,27 +463,13 @@ def trace_csv_text(trace: list[TraceRecord]) -> str:
     NaN `j_est` hold the same object row after row, so a value is
     formatted only when it is not the object above it.  Identity, not
     equality, decides: 0.0 == -0.0 print differently, and NaN equals
-    nothing.  The times in column `t` change every row but recur from run
-    to run, so their texts are kept, by value, in `_T_TEXT`.
+    nothing.
     """
     lines = [",".join(TRACE_FIELDS)]
-    columns = range(1, len(TRACE_FIELDS))
+    columns = range(len(TRACE_FIELDS))
     above = (object(),) * len(TRACE_FIELDS)
     cells = [""] * len(TRACE_FIELDS)
-    t_text = _T_TEXT
     for row in map(attrgetter(*TRACE_FIELDS), trace):
-        t = row[0]
-        # by value, nonzero non-NaN floats only: 0.0 == -0.0 and 1 == 1.0
-        # print differently, and a NaN key is never found again
-        if type(t) is float and t != 0.0 and t == t:
-            text = t_text.get(t)
-            if text is None:
-                text = repr(t)
-                if len(t_text) < _T_TEXT_MAX:
-                    t_text[t] = text
-            cells[0] = text
-        else:
-            cells[0] = _csv_text(t)
         for j in columns:
             value = row[j]
             if value is not above[j]:

@@ -82,10 +82,13 @@ class TestTdError:
 
 def td_step(critic, x_now, x_next, u, gamma, lr):
     """td_update on kernel passes at the critic's parameters: the target
-    pass, then the x_now pass it steps on."""
+    pass, then the x_now pass it steps on; writes the new list into
+    critic.params and returns it."""
     p = critic.params.tolist()
     target = critic.kernels.forward(p, list(x_next))[-1]
-    return td_update(critic, p, critic.kernels.forward(p, list(x_now)), target, u, gamma, lr)
+    new = td_update(critic, p, critic.kernels.forward(p, list(x_now)), target, u, gamma, lr)
+    critic.params[:] = new
+    return new
 
 
 class TestTdUpdate:
@@ -139,7 +142,7 @@ class TestTdUpdate:
 
         monkeypatch.setattr(Mlp, "forward", no_forward)
         critic.kernels = critic.kernels._replace(forward=no_forward)
-        td_update(critic, p, acts, target, 0.5, 0.95, 0.01)
+        critic.params[:] = td_update(critic, p, acts, target, 0.5, 0.95, 0.01)
         monkeypatch.undo()
         _, cache = ref.forward(x)
         td_step_1d(ref, cache, target, 0.5, 0.95, 0.01)
@@ -157,7 +160,7 @@ class TestTdUpdate:
             # kernel pass in the last bits)
             _, cache = critic.forward(xs)
             acts = np.concatenate([a[0] for a in cache.activations]).tolist()
-            p = td_update(critic, p, acts, target, u, 0.85, 0.05)
+            critic.params[:] = p = td_update(critic, p, acts, target, u, 0.85, 0.05)
             _, cache = ref.forward(xs)
             row0 = ForwardCache([a[0] for a in cache.activations])
             td_step_1d(ref, row0, target, u, 0.85, 0.05)
@@ -329,6 +332,17 @@ class TestControlStep:
             ControllerInput(float("nan"), 2.0, 150.0, 6.0)
         with pytest.raises(ValueError, match="finite"):
             ControllerInput(50.0, 2.0, float("inf"), 6.0)
+
+    def test_make_and_replace_check_finiteness_too(self):
+        m = ControllerInput(50.0, 2.0, 150.0, 6.0, 0.5)
+        with pytest.raises(ValueError, match="finite"):
+            ControllerInput._make([float("nan"), 2.0, 150.0, 6.0, 0.5])
+        with pytest.raises(ValueError, match="finite"):
+            m._replace(v_o=float("nan"))
+        with pytest.raises(ValueError, match="finite"):
+            m._replace(duty_prev=float("inf"))
+        assert type(m._replace(v_o=60.0)) is ControllerInput
+        assert m._replace(v_o=60.0) == (60.0, 2.0, 150.0, 6.0, 0.5)
 
     @pytest.mark.parametrize("learn", [True, False])
     def test_needs_an_mlp_critic(self, learn):

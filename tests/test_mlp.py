@@ -327,6 +327,7 @@ class TestDescend:
             x = rng.uniform(-2.0, 2.0, size=sizes[0])
             p = net.params.tolist()
             new = net.step(p, net.kernels.forward(p, x.tolist()), d_out.tolist(), lr)
+            net.params[:] = new
             _, ref_cache = ref.forward(x)
             two_step_update(ref, ref_cache, d_out, lr)
             assert net.params.tobytes() == ref.params.tobytes()
@@ -334,7 +335,7 @@ class TestDescend:
             # row 0 of a batched pass against that row's 1-D cache
             xs = rng.uniform(-2.0, 2.0, size=(batch, sizes[0]))
             _, cache = net.forward(xs)
-            net.step(new, flat(row_cache(cache, 0)), d_out.tolist(), lr)
+            net.params[:] = net.step(new, flat(row_cache(cache, 0)), d_out.tolist(), lr)
             _, ref_cache = ref.forward(xs)
             two_step_update(ref, row_cache(ref_cache, 0), d_out, lr)
             assert net.params.tobytes() == ref.params.tobytes()
@@ -361,7 +362,7 @@ class TestDescend:
         # the next valid step on the same pass is the reference step, not
         # one mixed with the refused step's leftovers
         d_out = rng.normal(0.0, 1.0, size=sizes[-1])
-        net.step(p, acts, d_out.tolist(), 0.1)
+        net.params[:] = net.step(p, acts, d_out.tolist(), 0.1)
         _, ref_cache = ref.forward(x)
         two_step_update(ref, ref_cache, d_out, 0.1)
         assert net.params.tobytes() == ref.params.tobytes()
@@ -383,7 +384,8 @@ class TestDescend:
 
 class TestStep:
     """`Mlp.params` is the one source of truth: the kernels read it as a
-    list, and Mlp.step writes every step back into it."""
+    list, and Mlp.step returns a step as a list, which its caller writes
+    back into it."""
 
     def test_sees_every_parameter_write(self):
         net = Mlp.init([5, 5, 5, 1], "linear", seed=7)
@@ -391,7 +393,8 @@ class TestStep:
         p = net.params.tolist()
         acts = net.kernels.forward(p, x.tolist())
         new = net.step(p, acts, [0.5], 0.1)
-        assert net.params.tolist() == new
+        assert net.params.tolist() == p != new
+        net.params[:] = new
         assert net.forward(x)[0].tolist() == net.kernels.forward(new, x.tolist())[-1:]
         net.params[...] += 0.125
         y, _ = net.forward(x)
@@ -421,18 +424,21 @@ class TestStep:
 
 
 def per_sample_fit(net, order, xs, goals, lr):
-    """Mlp.fit_epoch as a loop over the per-sample kernels and Mlp.step."""
+    """Mlp.fit_epoch as a loop over the per-sample kernels and Mlp.step,
+    written into params at the end."""
     p, sq_sum = net.params.tolist(), 0.0
     for k in order:
         acts = net.kernels.forward(p, xs[k])
         err = acts[-1] - goals[k]
         p = net.step(p, acts, (err,), lr)
         sq_sum += err * err
+    net.params[:] = p
     return sq_sum
 
 
 def per_sample_td(net, order, xs, xs_next, us, gamma, lr):
-    """Mlp.td_epoch as a loop over the per-sample kernels and Mlp.step."""
+    """Mlp.td_epoch as a loop over the per-sample kernels and Mlp.step,
+    written into params at the end."""
     p, sq_sum = net.params.tolist(), 0.0
     for k in order:
         target = net.kernels.forward(p, xs_next[k])[-1]
@@ -440,6 +446,7 @@ def per_sample_td(net, order, xs, xs_next, us, gamma, lr):
         p = net.step(p, acts, (acts[-1] - gamma * target - us[k],), lr)
         resid = net.kernels.forward(p, xs[k])[-1] - gamma * target - us[k]
         sq_sum += resid * resid
+    net.params[:] = p
     return sq_sum
 
 

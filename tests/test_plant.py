@@ -82,6 +82,17 @@ class TestParamsAndState:
         with pytest.raises(ValueError):
             PlantState(v_o=-1.0)
 
+    def test_make_and_replace_check_signs_too(self):
+        state = PlantState(i_l=1.0, v_o=2.0)
+        with pytest.raises(ValueError):
+            PlantState._make((-1.0, 2.0, state.mode))
+        with pytest.raises(ValueError):
+            state._replace(i_l=-1.0)
+        with pytest.raises(ValueError):
+            state._replace(v_o=-1.0)
+        assert type(state._replace(i_l=3.0)) is PlantState
+        assert state._replace(i_l=3.0) == (3.0, 2.0, state.mode)
+
 
 class TestStep:
     def test_rejects_duty_outside_unit_interval(self):

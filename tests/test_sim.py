@@ -312,17 +312,13 @@ class TestTraceCsv:
         write_trace_csv(out / "trace.csv", trace)
         assert (out / "trace.csv").read_bytes() == csv_module_bytes(out / "reference.csv", trace)
 
-    def test_two_runs_in_one_process_write_the_same_bytes(self, tmp_path, monkeypatch):
-        # the first run formats every time but t = 0.0 and keeps the texts;
-        # the second run reads them
-        monkeypatch.setattr(sim, "_T_TEXT", {})
+    def test_two_runs_in_one_process_write_the_same_bytes(self, tmp_path):
         params = PlantParams()
         spec = builtin_scenario("startup", "PI")
         texts = []
         for _ in range(2):
             trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
             texts.append(sim.trace_csv_text(trace))
-            assert len(sim._T_TEXT) == len(trace) - 1
         assert texts[0] == texts[1]
         write_trace_csv(tmp_path / "trace.csv", trace)
         assert (tmp_path / "trace.csv").read_bytes() == csv_module_bytes(
@@ -658,8 +654,9 @@ def three_forward_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0)
 def td_update_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0):
     """train_critic_on_log's sweep as one `hdp.td_update` per transition on
     the critic's kernel passes: the target and the value at the present
-    parameters, the step, and the value again after it.  Entry 0 and the
-    stopping rules are left out, as in three_forward_sweep."""
+    parameters, the step, and the value again after it; the step is
+    written into critic.params.  Entry 0 and the stopping rules are left
+    out, as in three_forward_sweep."""
     gamma = cfg.gamma
     x_now, x_next, u = map(np.array, zip(*log))
     j, _ = critic.forward(np.concatenate((x_now, x_next)))
@@ -678,7 +675,7 @@ def td_update_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0):
             x, x_next, u = log[idx]
             x, p = x.tolist(), critic.params.tolist()
             target = forward(p, x_next.tolist())[-1]
-            p = td_update(critic, p, forward(p, x), target, u, gamma, lr)
+            critic.params[:] = p = td_update(critic, p, forward(p, x), target, u, gamma, lr)
             after = td_error(forward(p, x)[-1], target, u, gamma)
             sq_sum += after * after
         history.append(sq_sum / len(log))

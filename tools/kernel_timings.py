@@ -9,7 +9,9 @@ where us is the best of 7 repeats of the mean time per call:
 - `critic.forward`, `critic.gradient`, `critic.input_gradient` and
   `critic.step`, and the same four on the action net: the nets' kernels
   (`Mlp.kernels`) and `Mlp.step` on the two shipped topologies
-  (`hdp.CRITIC_SIZES`, `hdp.ACTION_SIZES`), N calls per repeat;
+  (`hdp.CRITIC_SIZES`, `hdp.ACTION_SIZES`), N calls per repeat (on a
+  checkout whose `Mlp.step` still writes `params`, the row includes that
+  write; on later ones the step only returns its list);
 - `control_step.learn` and `control_step.frozen`: `HdpController.control_step`
   with and without learning, over N measurements near the nominal point,
   one call at a time;
