@@ -213,6 +213,10 @@ class HdpController:
         # is the duty actually applied (the harness may have modified the
         # command, e.g. probing noise during practice)
         self._prev: tuple[list[float], float] | None = None
+        # (critic list, state list, duty, critic pass) of the previous
+        # learning period's cost-to-go: the pass of the stored transition
+        # when the next period brings the same objects back
+        self._pass: tuple[list[float], list[float], float, list[float]] | None = None
         # [critic list, action list] while a hold is open, else None
         self._lists: list[list[float]] | None = None
 
@@ -235,6 +239,7 @@ class HdpController:
     def reset_transition_buffer(self) -> None:
         """Forget the stored transition, e.g. across a simulation restart."""
         self._prev = None
+        self._pass = None
 
     def duty_from_action(self, a: np.ndarray) -> float:
         """Map the policy output in (0,1) onto the duty limits."""
@@ -304,7 +309,14 @@ class HdpController:
                 # it with the duty the current policy would command here
                 state_prev, u_prev = self._prev
                 j_hat = critic_pass(pc, x_hat)[-1]
-                x_prev = critic_pass(pc, state_prev + [m.duty_prev / s[4]])
+                held = self._pass
+                if (held is not None and held[0] is pc and held[1] is state_prev
+                        and held[2] is m.duty_prev):
+                    # the last period's pass at the duty it returned, which
+                    # the harness applied (a held list is never written)
+                    x_prev = held[3]
+                else:
+                    x_prev = critic_pass(pc, state_prev + [m.duty_prev / s[4]])
                 # td_update writes nothing; the hold writes params
                 lists[0] = pc = td_update(
                     critic, pc, x_prev, j_hat, u_prev, cfg.gamma, cfg.lr_critic
@@ -313,9 +325,11 @@ class HdpController:
             lists[1] = pa = self._descend_action(pa, acts, dj_dx[-1])
             acts = action_pass(pa, state)
         duty = self._duty(acts[-1])
-        j_est = critic_pass(pc, state + [duty / s[4]])[-1]
+        x_est = critic_pass(pc, state + [duty / s[4]])
+        if learn:
+            self._pass = (pc, state, duty, x_est)
         self._prev = (state, utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i))
-        return duty, j_est
+        return duty, x_est[-1]
 
 
 class _Hold:

@@ -33,14 +33,20 @@ kinds of function:
   lr * g as `kernels.step` does, so forward, `grad_weights` and
   `apply_update` give the bits of one `Mlp.step`;
 - per epoch, `Mlp.fit_epoch` and `Mlp.td_epoch`, one function each that
-  sweeps a whole sample order with the parameters in local variables and
-  writes them into `params` once, at the end.  They give the bits of the
-  same loop over `kernels.forward` and `Mlp.step`.
+  sweeps a whole sample order with the parameters in local variables,
+  each step assigning the new values in place, unchecked, and writes them
+  into `params` once, at the end.  They give the bits of the same loop
+  over `kernels.forward` and `Mlp.step`.
 A step is refused, leaving the net at the last accepted step, when a new
-parameter is not finite: a finite sum of the new parameters proves them
-all finite, and only a sum that is not gets the per-element check.  A
-batched `forward` ((k, n_inputs) rows) stays numpy, one matrix product
-per layer, and may differ from the single-input passes in the last bits.
+parameter is not finite.  One rule decides: a finite C `sum` of the list
+proves every element finite, and only a sum that is not gets the
+per-element check.  `kernels.step` applies it to the list it returns, a
+sweep once, to its list at the end: a parameter that is not finite stays
+so under p - g*lr, so that list fails exactly when some step would have.
+A sweep that fails is replayed from its start through `kernels.forward`
+and `Mlp.step`, which stops at the refused step.  A batched `forward`
+((k, n_inputs) rows) stays numpy, one matrix product per layer, and may
+differ from the single-input passes in the last bits.
 """
 
 from __future__ import annotations
@@ -107,11 +113,11 @@ class Kernels(NamedTuple):
 class _Text:
     """The source text of one topology's passes and step.  Every generated
     function opens with `p0, p1, ..., = p` and reads the parameters as
-    locals.  Names: p{k} is flat parameter k and n{k} its value after a
-    step; a{l}_{j} is unit j of activation l (a0 the input); e{l}_{i} the
-    delta (d_loss/d_pre-activation) of unit i of layer l; d{i} d_loss/d_output
-    i.  Raises ValueError for a net of more than MAX_KERNEL_PARAMS
-    parameters."""
+    locals.  Names: p{k} is flat parameter k; a{l}_{j} is unit j of
+    activation l (a0 the input); e{l}_{i} the delta (d_loss/d_pre-activation)
+    of unit i of layer l; d{i} d_loss/d_output i; `new` the list of a
+    step's new parameters.  Raises ValueError for a net of more than
+    MAX_KERNEL_PARAMS parameters."""
 
     def __init__(self, layer_sizes: tuple[int, ...], sigmoid: bool):
         self.sigmoid = sigmoid
@@ -130,7 +136,6 @@ class _Text:
                 f"per-sample kernels take at most {MAX_KERNEL_PARAMS}"
             )
         self.params = [f"p{k}" for k in range(at)]
-        self.new = [f"n{k}" for k in range(at)]
         self.outputs = [f"d{i}" for i in range(layer_sizes[-1])]
         # (flat index, gradient) in the flat layout
         self.grads: list[tuple[int, str]] = []
@@ -174,18 +179,28 @@ class _Text:
                 lines.append(f"{e} = ({back}) * (1.0 - {h}*{h})")
         return lines
 
-    def step(self, refused: str) -> list[str]:
-        """One descent step at rate lr: the deltas, then every new parameter
-        n{k} in the flat layout, then the line `refused` if a new parameter
-        is not finite.  A finite sum of the new parameters proves them all
-        finite, so only a sum that is not (a non-finite term, or finite
-        terms that overflow) gets the per-element check; the chain compiles
-        at MAX_KERNEL_PARAMS terms."""
+    def step(self, in_place: bool) -> list[str]:
+        """One descent step at rate lr: the deltas, formed from the present
+        parameters, then the new value p{k} - g_k*lr of every parameter in
+        the flat layout.  No g_k reads a parameter (a weight's is
+        delta*activation, a bias's its delta), so in place each new value
+        replaces its parameter as soon as it is formed, unchecked, and a
+        sweep carries them on in its locals; otherwise they form the list
+        `new`, and the step runs `return None` if `refuse` finds an element
+        of it that is not finite."""
+        new = [f"p{k} - {g}*lr" for k, g in self.grads]
+        if in_place:
+            return [*self.backward(), *(f"p{k} = {v}" for (k, _), v in zip(self.grads, new))]
+        return [*self.backward(), f"new = [{', '.join(new)}]", *self.refuse("return None")]
+
+    @staticmethod
+    def refuse(refused: str) -> list[str]:
+        """The one finiteness rule, on the list `new`: the line `refused`
+        runs when an element is not finite.  A finite C `sum` proves them
+        all finite, so only a sum that is not (a non-finite element, or
+        finite ones that overflow) gets the per-element check."""
         return [
-            *self.backward(),
-            *(f"n{k} = p{k} - {g}*lr" for k, g in self.grads),
-            f"if not isfinite({' + '.join(self.new)}) "
-            f"and not all(map(isfinite, ({', '.join(self.new)},))):",
+            "if not isfinite(sum(new)) and not all(map(isfinite, new)):",
             f"    {refused}",
         ]
 
@@ -209,10 +224,14 @@ def _generate(layer_sizes: tuple[int, ...], sigmoid: bool, name: str) -> Callabl
     MAX_KERNEL_PARAMS parameters.
 
     The sweeps run a whole sample order for a single-output net with the
-    parameters in locals from the first sample to the last, so a sweep
-    gives the bits of the same loop over `Kernels.forward` and `Mlp.step`.
-    A sweep returns (parameter list, sq_sum, ok); a refused step ends it
-    with ok False and the parameters of the last accepted step.
+    parameters in locals from the first sample to the last, each step in
+    place and unchecked, so a sweep gives the bits of the same loop over
+    `Kernels.forward` and `Mlp.step` while that loop accepts every step.
+    A sweep returns (parameter list, sq_sum, ok), ok the finiteness rule on
+    the list at the end: a parameter that is not finite stays so under
+    p - g*lr, and nothing in a sweep raises on inf or NaN (the sigmoid
+    catches exp's OverflowError), so ok is False exactly when the loop
+    would have refused a step.
     "fit_epoch"(p, order, xs, goals, lr): per sample k the pass at xs[k],
     err = y - goals[k], one step on d_loss/d_output = err; sq_sum adds
     err*err.
@@ -222,7 +241,7 @@ def _generate(layer_sizes: tuple[int, ...], sigmoid: bool, name: str) -> Callabl
     it as `hdp.td_update` takes it, then the value pass again; sq_sum adds
     the square of the residual after the step."""
     text = _Text(layer_sizes, sigmoid)
-    params, new = ", ".join(text.params), ", ".join(text.new)
+    params = ", ".join(text.params)
     every_act = ", ".join(sum(text.acts, []))
     x, y = ", ".join(text.acts[0]), text.acts[-1][0]
     backward = [f"{every_act}, = acts", f"{', '.join(text.outputs)}, = d"]
@@ -232,16 +251,14 @@ def _generate(layer_sizes: tuple[int, ...], sigmoid: bool, name: str) -> Callabl
         args = "acts, d"
         body = [*backward, *text.backward(), f"return [{', '.join(g for _, g in text.grads)}]"]
     elif name == "step":
-        args, body = "acts, d, lr", [*backward, *text.step("return None"), f"return [{new}]"]
+        args, body = "acts, d, lr", [*backward, *text.step(in_place=False), "return new"]
     elif name == "input_gradient":
         args = "acts, d"
         body = [*backward, *text.backward(), f"return [{', '.join(text.input_gradient())}]"]
     else:
         if layer_sizes[-1] != 1:
             raise ValueError(f"epoch kernels need a single-output net, got {layer_sizes}")
-        # one copy per parameter: a tuple assignment is slower here
-        step = [*text.step(f"return [{params}], sq_sum, False"),
-                *(f"{p} = {n}" for p, n in zip(text.params, text.new))]
+        step = text.step(in_place=True)
         if name == "fit_epoch":
             args = "order, xs, goals, lr"
             sample = [f"{x}, = xs[k]", *text.forward(), f"d0 = {y} - goals[k]", *step,
@@ -254,8 +271,8 @@ def _generate(layer_sizes: tuple[int, ...], sigmoid: bool, name: str) -> Callabl
                 f"d0 = {y} - gamma*target - u", *step,
                 *text.forward(), f"resid = {y} - gamma*target - u", "sq_sum += resid*resid",
             ]
-        body = ["sq_sum = 0.0", "for k in order:", *_indent(sample, 1),
-                f"return [{params}], sq_sum, True"]
+        body = ["sq_sum = 0.0", "for k in order:", *_indent(sample, 1), f"new = [{params}]",
+                *text.refuse("return new, sq_sum, False"), "return new, sq_sum, True"]
     source = "\n".join([f"def {name}(p, {args}):", f"    {params}, = p", *_indent(body, 1)])
     namespace = {"tanh": math.tanh, "exp": math.exp, "isfinite": math.isfinite}
     exec(source, namespace)
@@ -475,8 +492,12 @@ class Mlp:
         on d_loss/d_output = err.  Returns the sum of err*err, each taken
         before its step.  `xs` is a list of input lists, `goals` of floats;
         the net must have one output."""
-        kernel = _generate(tuple(self.layer_sizes), self._sigmoid, "fit_epoch")
-        return self._commit(*kernel(self._params.tolist(), order, xs, goals, learning_rate))
+
+        def sample(p, k):
+            acts = self.kernels.forward(p, xs[k])
+            return acts, (acts[-1] - goals[k],)
+
+        return self._sweep("fit_epoch", order, (xs, goals), sample, learning_rate)
 
     def td_epoch(
         self, order: list[int], xs, xs_next, us, gamma: float, learning_rate: float
@@ -488,18 +509,35 @@ class Mlp:
         the sum of the squared residuals after the steps.  `xs` and
         `xs_next` are lists of input lists, `us` of floats; the net must
         have one output."""
-        kernel = _generate(tuple(self.layer_sizes), self._sigmoid, "td_epoch")
-        return self._commit(
-            *kernel(self._params.tolist(), order, xs, xs_next, us, gamma, learning_rate)
-        )
 
-    def _commit(self, new: list[float], sq_sum: float, ok: bool) -> float:
-        """Write an epoch kernel's parameters into `params` and return its
-        sum; if a step was refused, raise once the parameters of the last
-        accepted step are written."""
-        self._params[:] = new
+        def sample(p, k):
+            target = self.kernels.forward(p, xs_next[k])[-1]
+            acts = self.kernels.forward(p, xs[k])
+            return acts, (acts[-1] - gamma * target - us[k],)
+
+        return self._sweep("td_epoch", order, (xs, xs_next, us, gamma), sample, learning_rate)
+
+    def _sweep(
+        self, name: str, order: list[int], data: tuple, sample, learning_rate: float
+    ) -> float:
+        """Run the generated sweep `name` over `order` on `data` from
+        `params`, write its end list into `params` and return its sum.  If
+        the finiteness rule refuses the end list, replay the sweep from its
+        start list as a loop of `step` on the pass and d_loss/d_output that
+        sample(p, k) gives, up to the refused step: write the parameters of
+        the last accepted step and raise NonFiniteUpdateError."""
+        start = self._params.tolist()
+        kernel = _generate(tuple(self.layer_sizes), self._sigmoid, name)
+        new, sq_sum, ok = kernel(start, order, *data, learning_rate)
         if not ok:
-            raise NonFiniteUpdateError("update would produce non-finite parameters")
+            p = start
+            try:
+                for k in order:
+                    p = self.step(p, *sample(p, k), learning_rate)
+            finally:
+                self._params[:] = p
+            raise AssertionError("the sweep refused a step that its replay accepted")
+        self._params[:] = new
         return sq_sum
 
     # --- snapshot format -------------------------------------------------

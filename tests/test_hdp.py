@@ -1,5 +1,6 @@
 """Unit tests for the actor-critic controller machinery."""
 
+import contextlib
 import math
 
 import numpy as np
@@ -490,3 +491,85 @@ class TestHeldCriticPass:
         assert held_calls == 0 and ref_calls > 0
         assert held.critic.params.tobytes() == recomputed.critic.params.tobytes()
         assert held.action.params.tobytes() == recomputed.action.params.tobytes()
+
+
+class TestStoredCriticPass:
+    """Inside a hold, a learning period reuses the previous learning
+    period's cost-to-go pass as the stored transition's pass when the
+    critic list, the state and the applied duty are the objects that pass
+    was built from, and runs a fresh pass otherwise; either way the bits
+    are those of recomputing every pass."""
+
+    STEPS = 12
+    HOOK_AT = 6
+
+    def drive(self, ctl, hook, reopen):
+        """A held closed-loop run feeding back each returned duty, as
+        sim.run_scenario does, with hook(ctl, duty) run before period
+        HOOK_AT, between two holds if reopen; returns the outputs as bytes
+        and the critic forward calls of each period (counted on
+        HdpControllers only)."""
+        counts, outputs, hold = [], [], contextlib.nullcontext
+        if isinstance(ctl, HdpController):
+            hold, forward = ctl.hold, ctl.critic.kernels.forward
+
+            def counted(p, x):
+                counts[-1] += 1
+                return forward(p, x)
+
+            ctl.critic.kernels = ctl.critic.kernels._replace(forward=counted)
+
+        def periods(rows, duty):
+            for v, i in rows:
+                counts.append(0)
+                duty, j_est = ctl.control_step(meas(v, i, duty_prev=duty))
+                outputs.append((duty, j_est))
+            return duty
+
+        rows = np.random.default_rng(5).uniform([150.0, 4.0], [250.0, 12.0], (self.STEPS, 2))
+        with hold():
+            duty = periods(rows[:self.HOOK_AT], 0.0)
+            if not reopen:
+                duty = periods(rows[self.HOOK_AT:], hook(ctl, duty))
+        if reopen:
+            # a hook that writes params runs outside a hold
+            duty = hook(ctl, duty)
+            with hold():
+                periods(rows[self.HOOK_AT:], duty)
+        return np.array(outputs).tobytes(), counts
+
+    def run_both(self, hook, reopen):
+        nets = lambda: (make_critic(seed=3), make_action(seed=53),
+                        HdpConfig(lr_critic=1e-2, lr_action=1e-3))
+        held, ref = HdpController(*nets()), RecomputingController(*nets())
+        out, counts = self.drive(held, hook, reopen)
+        ref_out, _ = self.drive(ref, hook, reopen)
+        assert out == ref_out
+        assert held.critic.params.tobytes() == ref.critic.params.tobytes()
+        assert held.action.params.tobytes() == ref.action.params.tobytes()
+        return counts
+
+    def test_three_critic_passes_per_period_after_the_first(self):
+        # first period: the input-gradient pass and the cost-to-go; then
+        # also the target J(x_hat), while the transition's pass is reused
+        counts = self.run_both(lambda ctl, duty: duty, reopen=False)
+        assert counts == [2] + [3] * (self.STEPS - 1)
+
+    @pytest.mark.parametrize("hook, reopen", [
+        (perturb_duty, False), (write_params, True), (lambda ctl, duty: duty, True),
+    ])
+    def test_a_new_duty_or_hold_gets_a_fresh_pass(self, hook, reopen):
+        # a perturbed duty is another float; a written critic, or a hold
+        # opened anew, brings another parameter list
+        expected = [2] + [3] * (self.STEPS - 1)
+        expected[self.HOOK_AT] = 4
+        assert self.run_both(hook, reopen) == expected
+
+    def test_reset_and_frozen_periods_store_no_pass_to_reuse(self):
+        ctl = HdpController(make_critic(seed=3), make_action(seed=53))
+        with ctl.hold():
+            duty, _ = ctl.control_step(meas(190.0, 7.0))
+            ctl.reset_transition_buffer()
+            assert ctl._pass is None
+            duty, _ = ctl.control_step(meas(195.0, 7.5, duty_prev=duty), learn=False)
+            assert ctl._pass is None

@@ -8,8 +8,9 @@ from functools import reduce
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
+from boosthdp import mlp
 from boosthdp.mlp import (
     MAX_KERNEL_PARAMS,
     ForwardCache,
@@ -425,28 +426,32 @@ class TestStep:
 
 def per_sample_fit(net, order, xs, goals, lr):
     """Mlp.fit_epoch as a loop over the per-sample kernels and Mlp.step,
-    written into params at the end."""
+    written into params at the end, or at a refused step."""
     p, sq_sum = net.params.tolist(), 0.0
-    for k in order:
-        acts = net.kernels.forward(p, xs[k])
-        err = acts[-1] - goals[k]
-        p = net.step(p, acts, (err,), lr)
-        sq_sum += err * err
-    net.params[:] = p
+    try:
+        for k in order:
+            acts = net.kernels.forward(p, xs[k])
+            err = acts[-1] - goals[k]
+            p = net.step(p, acts, (err,), lr)
+            sq_sum += err * err
+    finally:
+        net.params[:] = p
     return sq_sum
 
 
 def per_sample_td(net, order, xs, xs_next, us, gamma, lr):
     """Mlp.td_epoch as a loop over the per-sample kernels and Mlp.step,
-    written into params at the end."""
+    written into params at the end, or at a refused step."""
     p, sq_sum = net.params.tolist(), 0.0
-    for k in order:
-        target = net.kernels.forward(p, xs_next[k])[-1]
-        acts = net.kernels.forward(p, xs[k])
-        p = net.step(p, acts, (acts[-1] - gamma * target - us[k],), lr)
-        resid = net.kernels.forward(p, xs[k])[-1] - gamma * target - us[k]
-        sq_sum += resid * resid
-    net.params[:] = p
+    try:
+        for k in order:
+            target = net.kernels.forward(p, xs_next[k])[-1]
+            acts = net.kernels.forward(p, xs[k])
+            p = net.step(p, acts, (acts[-1] - gamma * target - us[k],), lr)
+            resid = net.kernels.forward(p, xs[k])[-1] - gamma * target - us[k]
+            sq_sum += resid * resid
+    finally:
+        net.params[:] = p
     return sq_sum
 
 
@@ -543,6 +548,98 @@ class TestFiniteness:
             net.fit_epoch([0, 1, 0], [[0.5, 0.5], x], [0.2, 0.0], 0.1)
         per_sample_fit(ref, [0], [[0.5, 0.5]], [0.2], 0.1)
         assert net.params.tobytes() == ref.params.tobytes()
+
+
+def outcome(sweep, net, *args):
+    """(the sweep's value, or the error it raised, and params' bytes)."""
+    try:
+        value = sweep(net, *args)
+    except NonFiniteUpdateError:
+        value = NonFiniteUpdateError
+    return value, net.params.tobytes()
+
+
+SWEEP_DRAWS = dict(
+    sizes=st.tuples(st.integers(1, 4), st.lists(st.integers(1, 4), max_size=2)).map(
+        lambda d: [d[0], *d[1], 1]),
+    activation=st.sampled_from(["linear", "sigmoid"]),
+    seed=st.integers(0, 2**16),
+    order=st.lists(st.integers(0, 5), min_size=1, max_size=40),
+    log_lr=st.integers(-3, 12),
+    # parameters far from 1 reach overflow in fewer steps
+    log_scale=st.integers(0, 250),
+)
+
+
+class TestEndOfEpochRule:
+    """A sweep steps without a check and applies the finiteness rule to its
+    end list; on a refusal it replays the epoch through kernels.forward and
+    Mlp.step.  It must agree with the per-sample loop in every case: the
+    same value and bytes, or a refusal at the same step."""
+
+    @staticmethod
+    def samples(sizes, seed):
+        """Six inputs and next inputs in +-2, and six goals in [0, 1)."""
+        rng = np.random.default_rng(seed)
+        xs = rng.uniform(-2.0, 2.0, (6, sizes[0])).tolist()
+        xs_next = rng.uniform(-2.0, 2.0, (6, sizes[0])).tolist()
+        return xs, xs_next, rng.uniform(0.0, 1.0, 6).tolist()
+
+    @settings(max_examples=200, deadline=None)
+    @given(**SWEEP_DRAWS)
+    # refused partway through (see the test below)
+    @example(sizes=[2, 3, 1], activation="linear", seed=0, order=[0, 1, 2, 3, 4, 5] * 4,
+             log_lr=12, log_scale=0)
+    def test_sweeps_match_the_per_sample_loop(
+        self, sizes, activation, seed, order, log_lr, log_scale
+    ):
+        xs, xs_next, goals = self.samples(sizes, seed)
+        lr = 10.0 ** log_lr
+        fit = (order, xs, goals, lr)
+        td = (order, xs, xs_next, goals, 0.85, lr)
+        for sweep, reference, args in ((Mlp.fit_epoch, per_sample_fit, fit),
+                                       (Mlp.td_epoch, per_sample_td, td)):
+            net = Mlp.init(sizes, activation, seed=seed)
+            net.params[:] *= 10.0 ** log_scale
+            ref = net.copy()
+            assert outcome(sweep, net, *args) == outcome(reference, ref, *args)
+
+    def test_draws_reach_refusals_partway_through(self):
+        # the property's explicit example: each step at rate 1e12 grows the
+        # parameters some 1e12-fold, so a step past the first is refused
+        sizes, order = [2, 3, 1], [0, 1, 2, 3, 4, 5] * 4
+        xs, xs_next, goals = self.samples(sizes, 0)
+        start = Mlp.init(sizes, "linear", seed=0).params.tobytes()
+        for sweep, args in ((Mlp.fit_epoch, (order, xs, goals, 1e12)),
+                            (Mlp.td_epoch, (order, xs, xs_next, goals, 0.85, 1e12))):
+            value, after = outcome(sweep, Mlp.init(sizes, "linear", seed=0), *args)
+            assert value is NonFiniteUpdateError and after != start
+
+    def test_replay_runs_only_on_failure(self, monkeypatch):
+        sizes = [5, 5, 5, 1]
+        xs, xs_next, goals = self.samples(sizes, 3)
+        order = [0, 3, 1, 5, 2, 4, 0]
+        ref_td, ref_fit = Mlp.init(sizes, "linear", seed=2), Mlp.init(sizes, "sigmoid", seed=2)
+        net_td, net_fit = ref_td.copy(), ref_fit.copy()
+        expected = (per_sample_td(ref_td, order, xs, xs_next, goals, 0.85, 0.05),
+                    per_sample_fit(ref_fit, order, xs, goals, 0.3))
+
+        def no_step(*args):
+            raise AssertionError("Mlp.step ran in a finite sweep")
+
+        monkeypatch.setattr(Mlp, "step", no_step)
+        assert (net_td.td_epoch(order, xs, xs_next, goals, 0.85, 0.05),
+                net_fit.fit_epoch(order, xs, goals, 0.3)) == expected
+        assert net_td.params.tobytes() == ref_td.params.tobytes()
+        assert net_fit.params.tobytes() == ref_fit.params.tobytes()
+
+    def test_replay_that_accepts_every_step_is_an_internal_error(self, monkeypatch):
+        net = Mlp.init([2, 1], "linear")
+        net.kernels  # the replay's kernels, generated before the patch
+        refused = lambda p, *args: (p, 0.0, False)
+        monkeypatch.setattr(mlp, "_generate", lambda *args: refused)
+        with pytest.raises(AssertionError, match="replay accepted"):
+            net.fit_epoch([0], [[0.5, 0.5]], [0.2], 0.1)
 
 
 # --- per-layer reference ---------------------------------------------------

@@ -18,6 +18,10 @@ where us is the best of 7 repeats of the mean time per call:
 - `control_step.learn_held` and `control_step.frozen_held`: the same calls
   inside one `HdpController.hold`, as a simulation runs them, on
   checkouts that have it;
+- `control_step.learn_closed`: the learning calls inside one hold, each
+  measurement's `duty_prev` the duty the call before returned, as
+  `sim.run_scenario` feeds them (the rows above pass a fixed duty_prev
+  that no call returned), on the same checkouts;
 - `td_epoch.sample` and `fit_epoch.sample`: `Mlp.td_epoch` on the critic
   and `Mlp.fit_epoch` on the action net, one sweep of N samples per repeat,
   per sample.
@@ -109,6 +113,16 @@ def timings(calls: int) -> dict[str, float]:
 
             results[f"control_step.{tag}_held"] = _best_us(held, calls, fresh)
 
+        def closed_loop(controller):
+            duty = 0.0
+            with controller.hold():
+                for v_o, i_l, e_v, e_i, _ in measurements:
+                    # unchecked, as sim.run_scenario builds its inputs
+                    m = tuple.__new__(ControllerInput, (v_o, i_l, e_v, e_i, duty))
+                    duty, _ = controller.control_step(m)
+
+        results["control_step.learn_closed"] = _best_us(closed_loop, calls, fresh)
+
     order = rng.permutation(calls).tolist()
     xs = rng.uniform(-1.0, 1.0, (calls, 5)).tolist()
     xs_next = rng.uniform(-1.0, 1.0, (calls, 5)).tolist()
@@ -133,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
     if args.calls < 1:
         parser.error("--calls must be at least 1")
     for name, us in timings(args.calls).items():
-        print(f"{name:24s} {us:8.3f}")
+        print(f"{name:26s} {us:8.3f}")
     return 0
 
 
