@@ -11,6 +11,11 @@ def _temporary(path: Path) -> Path:
     return path.with_name(f".{path.name}.{os.getpid()}.tmp")
 
 
+# the temporary files atomic_write_set is writing: atomic_write writes
+# these in place, since the set renames each over its target
+_staging: set[Path] = set()
+
+
 @contextmanager
 def atomic_write(path):
     """Open path for writing text (newline="", as csv expects) such that
@@ -23,8 +28,15 @@ def atomic_write(path):
     either the old file or the new one, but after power loss or an
     operating-system crash the new file may be empty or partly written.
     The artifacts are reproducible from the seed, so a rerun restores
-    them."""
+    them.
+
+    A path that atomic_write_set hands its writer is already a temporary
+    file, which the set renames: atomic_write writes it in place."""
     path = Path(path)
+    if path in _staging:
+        with open(path, "w", newline="") as fh:
+            yield fh
+        return
     tmp = _temporary(path)
     try:
         with open(tmp, "w", newline="") as fh:
@@ -38,7 +50,8 @@ def atomic_write(path):
 def atomic_write_set(writers: dict[Path, Callable[[Path], None]]) -> None:
     """Write several artifacts as one set.  `writers` maps each target path
     to a function that writes its artifact to the path it is given, a
-    temporary file beside the target.  Every artifact is written, and every
+    temporary file beside the target (a writer that goes through
+    atomic_write writes it in place).  Every artifact is written, and every
     target checked, before any is renamed over its target: if a writer
     raises, or a target is a directory (whose place a rename cannot take),
     the temporary files are removed and every target is left as it was.
@@ -49,10 +62,13 @@ def atomic_write_set(writers: dict[Path, Callable[[Path], None]]) -> None:
         for path, write in writers.items():
             tmp = _temporary(path)
             staged.append((tmp, path))
+            _staging.add(tmp)
             try:
                 write(tmp)
             except OSError as exc:
                 raise OSError(exc.errno, exc.strerror or str(exc), str(path)) from exc
+            finally:
+                _staging.discard(tmp)
         for _, path in staged:
             if path.is_dir():
                 raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))

@@ -7,8 +7,9 @@ PlantParams, HdpConfig, PiGains and sim.PretrainSettings and their default
 instances; a tuple field spreads over the key names in its field metadata.
 Every key has a default; keys absent from the file are echoed to the log
 once so a run's effective configuration is always visible.  Unknown
-sections or keys, and non-finite floats, are rejected rather than ignored --
-a typo should fail loudly, not silently run the nominal setup.  [plant] v_s
+sections or keys, non-finite floats and a scenario listed twice are
+rejected rather than ignored -- a typo should fail loudly, not silently run
+the nominal setup.  [plant] v_s
 and r_load are the nominal point the scenarios start from.
 
 `compare` and `pretrain` use up to one worker process per available CPU
@@ -44,7 +45,7 @@ from typing import Callable
 
 import numpy as np
 
-from .atomic import atomic_write, atomic_write_set
+from .atomic import atomic_write_set
 from .baseline import DEFAULT_PI_GAINS, PiGains, PiController
 from .hdp import HdpConfig, HdpController, make_action
 from .mlp import Mlp, MlpFormatError, NonFiniteUpdateError
@@ -194,12 +195,14 @@ def parse_config(text: str) -> tuple[RunConfig, list[tuple[str, str, object]]]:
 
     r = values["run"]
     scenarios = tuple(r["scenarios"].replace(",", " ").split())
-    for name in scenarios:
+    for i, name in enumerate(scenarios):
         if name not in sim.SCENARIO_NAMES:
             raise ConfigError(
                 f"unknown scenario {name!r} in [run] scenarios; valid: "
                 + " ".join(sim.SCENARIO_NAMES)
             )
+        if name in scenarios[:i]:
+            raise ConfigError(f"scenario {name!r} listed twice in [run] scenarios")
     if not scenarios:
         raise ConfigError("[run] scenarios must list at least one scenario")
     try:
@@ -269,7 +272,8 @@ def _snapshot_paths(cfg: RunConfig) -> tuple[Path, Path]:
 def _write_artifacts(writers: dict[Path, Callable[[Path], None]]) -> None:
     """Write a command's artifacts as one set (atomic_write_set), turning an
     OSError (a directory in an artifact's place, no permission) into
-    ConfigError naming the artifact."""
+    ConfigError naming the artifact.  Each writer writes the temporary file
+    it is given in place, so each artifact is renamed once."""
     try:
         atomic_write_set(writers)
     except OSError as exc:
@@ -335,7 +339,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     residuals_path = out / "pretrain_residuals.csv"
 
     def write_residuals(path: Path) -> None:
-        with atomic_write(path) as fh:
+        with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["epoch", "mean_squared_residual"])
             for epoch, value in enumerate(history):
@@ -420,7 +424,7 @@ def _upsert_metrics(
         rows.append([scenario, tag, *(_fmt(value) for value in asdict(m).values())])
 
         def write_metrics(tmp: Path) -> None:
-            with atomic_write(tmp) as fh:
+            with open(tmp, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(METRICS_FIELDS)
                 writer.writerows(rows)
@@ -438,13 +442,13 @@ def _simulate(cfg: RunConfig, spec: sim.ScenarioSpec, controller):
 
 
 def _write_text(path: Path, text: str) -> None:
-    with atomic_write(path) as fh:
+    with open(path, "w", newline="") as fh:
         fh.write(text)
 
 
 def _simulate_in_worker(cfg: RunConfig, spec: sim.ScenarioSpec, controller):
     """_simulate as a `compare` worker runs it: the trace comes back as CSV
-    text, ready to write, which pickles smaller than its records."""
+    text, ready to write, which pickles smaller than its columns."""
     trace, metrics = _simulate(cfg, spec, controller)
     return partial(_write_text, text=sim.trace_csv_text(trace)), metrics
 

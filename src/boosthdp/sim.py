@@ -2,7 +2,10 @@
 
 Wires a controller to the switched plant at one control action per PWM
 period, runs the three evaluation scenarios (startup, load step, input
-step), records per-period traces, and computes step-response metrics.
+step), records per-period traces, and computes step-response metrics.  A
+trace is kept as columns (`Trace`, one list per `TRACE_FIELDS` column):
+the loop appends each period's values to their lists, the metrics read
+the columns as arrays, and the CSV text formats each column in one pass.
 Each scenario regulates V_SET around a nominal source and load, with at
 most one step of either.
 Also hosts the offline pipeline that prepares the neuro-controller:
@@ -19,9 +22,10 @@ with the 1-D `Mlp.forward`, `Mlp.grad_weights` and `Mlp.apply_update`.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
-from operator import attrgetter
+from operator import is_
 from typing import NamedTuple
 
 import numpy as np
@@ -32,7 +36,7 @@ from .baseline import PiController
 # perfbench/tracing.py patches this module's binding of it by name
 from .hdp import ControllerInput, HdpConfig, make_critic, td_error, td_update, utility
 from .mlp import Mlp
-from .plant import PlantParams, PlantState, step, steady_state_hint
+from .plant import ConductionMode, PlantParams, PlantState, step, steady_state_hint
 
 __all__ = [
     "CONTROLLER_TAGS",
@@ -44,6 +48,7 @@ __all__ = [
     "ScenarioSpec",
     "SimulationDiverged",
     "R_LOAD_RANGE",
+    "Trace",
     "TraceRecord",
     "TRACE_FIELDS",
     "V_SET",
@@ -151,6 +156,28 @@ class TraceRecord(NamedTuple):
 
 # column order of the trace CSV
 TRACE_FIELDS = TraceRecord._fields
+
+
+class Trace(namedtuple("Trace", TRACE_FIELDS)):
+    """A scenario's trace as columns: one list per `TRACE_FIELDS` column,
+    in that order, each holding one value per period.  `rows` and
+    `from_rows` convert to and from a list of `TraceRecord`s."""
+
+    __slots__ = ()
+
+    def rows(self) -> list[TraceRecord]:
+        return list(map(TraceRecord, *self))
+
+    @classmethod
+    def from_rows(cls, rows) -> "Trace":
+        rows = list(rows)
+        if not rows:
+            return cls._make([] for _ in TRACE_FIELDS)
+        return cls._make(map(list, zip(*rows)))
+
+
+# a period's conduction mode as the trace's mode column names it
+_MODE_NAMES = {mode: mode.name for mode in ConductionMode}
 
 
 @dataclass(frozen=True)
@@ -322,14 +349,19 @@ def run_scenario(
     controller,
     params: PlantParams,
     hdp_config: HdpConfig | None = None,
-) -> tuple[list[TraceRecord], Metrics]:
+) -> tuple[Trace, Metrics]:
     """Simulate one scenario, one controller decision per PWM period.
 
-    The record at time t carries the measurements at the start of period k
-    and the duty applied over that period, so the trace is causal by
-    construction.  The recorded utility uses the normalized errors so PI and
-    HDP traces are directly comparable.  Returns the trace plus its metrics
-    over the final reference segment.
+    Row k of the trace, at time t = k * t_sw, carries the measurements at
+    the start of period k and the duty applied over that period, so the
+    trace is causal by construction.  The recorded utility uses the
+    normalized errors so PI and HDP traces are directly comparable.
+    Returns the trace plus its metrics over the final reference segment.
+
+    The loop appends each period's v_o, i_l, duty, u, j_est and mode to
+    their own lists; the `t` column, the schedule columns (one object
+    repeated over each segment) and the mode names are built once the loop
+    ends.
 
     An HDP controller runs the whole scenario inside its `hold`, and gets
     each period's `ControllerInput` built unchecked: the divergence guard
@@ -368,7 +400,9 @@ def run_scenario(
                     (range(k_step, n_periods), v_s, r_load)]
     v_max, i_max = 2.0 * V_SET, current_limit(params)
     state = spec.initial_state
-    records: list[TraceRecord] = []
+    v_os, i_ls, duties, us, j_ests, modes = [], [], [], [], [], []
+    v_o_append, i_l_append, duty_append = v_os.append, i_ls.append, duties.append
+    u_append, j_est_append, mode_append = us.append, j_ests.append, modes.append
     duty = 0.0
     with nullcontext() if is_pi else controller.hold():
         for periods, v_s, r_load in segments:
@@ -377,7 +411,6 @@ def run_scenario(
                 segment_params = replace(params, v_s=v_s, r_load=r_load)
             _, i_set = steady_state_hint(V_SET, v_s, r_load)
             for k in periods:
-                t = k * t_sw
                 i_l, v_o, mode = state
                 e_v = V_SET - v_o
                 e_i = i_set - i_l
@@ -388,21 +421,32 @@ def run_scenario(
                     # unchecked, as the ControllerInput docstring allows
                     m = tuple.__new__(ControllerInput, (v_o, i_l, e_v, e_i, duty))
                     duty, j_est = controller.control_step(m, learn)
-                u_k = utility(e_v / s_v, e_i / s_i, cfg.k_v, cfg.k_i)
-                records.append(
-                    TraceRecord(t, v_o, i_l, duty, u_k, j_est, mode.name, V_SET, v_s, r_load)
-                )
+                v_o_append(v_o)
+                i_l_append(i_l)
+                duty_append(duty)
+                u_append(utility(e_v / s_v, e_i / s_i, cfg.k_v, cfg.k_i))
+                j_est_append(j_est)
+                mode_append(mode)
                 state = step(state, duty, segment_params)
                 # NaN fails both comparisons too
                 if not (state.v_o <= v_max and state.i_l <= i_max):
                     raise SimulationDiverged(
                         f"{spec.name}/{spec.controller_tag}: {_runaway(state, i_max)} "
-                        f"at t={t + t_sw:.6f} s"
+                        f"at t={k * t_sw + t_sw:.6f} s"
                     )
-    return records, compute_metrics(records)
+    schedule_v_s, schedule_r_load = [], []
+    for periods, v_s, r_load in segments:
+        schedule_v_s += [v_s] * len(periods)
+        schedule_r_load += [r_load] * len(periods)
+    trace = Trace(
+        [k * t_sw for k in range(n_periods)], v_os, i_ls, duties, us, j_ests,
+        list(map(_MODE_NAMES.__getitem__, modes)), [V_SET] * n_periods,
+        schedule_v_s, schedule_r_load,
+    )
+    return trace, compute_metrics(trace)
 
 
-def compute_metrics(trace: list[TraceRecord]) -> Metrics:
+def compute_metrics(trace: Trace) -> Metrics:
     """Step-response metrics over the final reference segment.
 
     The window starts at the last change of any schedule quantity found in
@@ -410,13 +454,13 @@ def compute_metrics(trace: list[TraceRecord]) -> Metrics:
     which v_o stays within +-2% of the final setpoint; an unsettled trace
     gets the window length as its settling time and the unsettled flag.
     """
-    if not trace:
+    if not trace.t:
         raise ValueError("empty trace")
-    v_set_final = trace[-1].v_set
-    t = np.array([r.t for r in trace])
-    v = np.array([r.v_o for r in trace])
-    sched = np.array([[r.v_set, r.v_s, r.r_load] for r in trace])
-    changed = np.any(sched[1:] != sched[:-1], axis=1)
+    v_set_final = trace.v_set[-1]
+    t = np.array(trace.t)
+    v = np.array(trace.v_o)
+    sched = np.array((trace.v_set, trace.v_s, trace.r_load))
+    changed = np.any(sched[:, 1:] != sched[:, :-1], axis=0)
     t_from = t[1:][changed][-1] if changed.any() else t[0]
     sel = t >= t_from
     t_w, v_w = t[sel] - t_from, v[sel]
@@ -455,34 +499,65 @@ def _csv_text(value) -> str:
     return text
 
 
-def trace_csv_text(trace: list[TraceRecord]) -> str:
+def _float_texts(column: list) -> list[str]:
+    """The repr of every value of a nonempty float column, formatted once
+    per run of rows that hold one object.
+
+    Identity, not equality, decides that a row holds the object above:
+    0.0 == -0.0 print differently, and NaN equals nothing.  A column whose
+    second row holds a new object (`v_o`, say) costs one repr per row.
+    """
+    n = len(column)
+    if n > 1 and column[1] is not column[0]:
+        return list(map(repr, column))
+    # held[k]: row k + 1 holds the object of row k
+    held = list(map(is_, column[1:], column))
+    texts, start = [], 0
+    while start < n:
+        try:
+            end = held.index(False, start) + 1
+        except ValueError:
+            end = n
+        texts += [repr(column[start])] * (end - start)
+        start = end
+    return texts
+
+
+# rows formatted at a time, so the texts held at once are a block's, not
+# the whole trace's
+_TEXT_BLOCK = 256
+
+
+def trace_csv_text(trace: Trace) -> str:
     """The trace as CSV text, in the bytes `csv.writer` writes.
 
-    A float is written as its repr, so every value round-trips exactly.
-    Formatting dominates, and the schedule columns, `mode` and a PI run's
-    NaN `j_est` hold the same object row after row, so a value is
-    formatted only when it is not the object above it.  Identity, not
-    equality, decides: 0.0 == -0.0 print differently, and NaN equals
-    nothing.
+    Each block of `_TEXT_BLOCK` rows is formatted a column at a time, and
+    its rows are the columns' texts joined.  A float is written as its
+    repr, so every value round-trips exactly, and a float column's runs of
+    one object are formatted once each (`_float_texts`): once a block for
+    a schedule column or a PI run's NaN `j_est`.  The `mode` column holds
+    text, and goes through a memo of its few distinct values.
     """
     lines = [",".join(TRACE_FIELDS)]
-    columns = range(len(TRACE_FIELDS))
-    above = (object(),) * len(TRACE_FIELDS)
-    cells = [""] * len(TRACE_FIELDS)
-    for row in map(attrgetter(*TRACE_FIELDS), trace):
-        for j in columns:
-            value = row[j]
-            if value is not above[j]:
+    for start in range(0, len(trace.t), _TEXT_BLOCK):
+        columns = []
+        for name, column in zip(TRACE_FIELDS, trace):
+            column = column[start:start + _TEXT_BLOCK]
+            if name == "mode":
+                texts = {value: _csv_text(value) for value in set(column)}
+                columns.append(list(map(texts.__getitem__, column)))
+            else:
                 # a float's repr holds no character that needs quoting
-                cells[j] = repr(value) if type(value) is float else _csv_text(value)
-        above = row
-        lines.append(",".join(cells))
+                columns.append(_float_texts(column))
+        lines += map(",".join, zip(*columns))
     lines.append("")
     return "\r\n".join(lines)
 
 
-def write_trace_csv(path, trace: list[TraceRecord]) -> None:
-    """Write the trace as CSV (`trace_csv_text`)."""
+def write_trace_csv(path, trace: Trace) -> None:
+    """Write the trace as CSV (`trace_csv_text`), atomically: through
+    `atomic_write`, which writes in place a temporary file that
+    `atomic_write_set` is staging."""
     with atomic_write(path) as fh:
         fh.write(trace_csv_text(trace))
 

@@ -201,7 +201,8 @@ class TestConfigParsing:
             },
             "run": {
                 "scenarios": " ".join(
-                    data.draw(st.lists(st.sampled_from(SCENARIO_NAMES), min_size=1))
+                    data.draw(st.lists(st.sampled_from(SCENARIO_NAMES), min_size=1,
+                                       unique=True))
                 ),
                 "out": data.draw(st.from_regex(r"[A-Za-z0-9_./-]+", fullmatch=True)),
                 "seed": data.draw(st.integers(min_value=0, max_value=2**63)),
@@ -229,6 +230,11 @@ class TestConfigParsing:
     def test_scenario_list_accepts_commas(self):
         cfg, _ = parse_config("[run]\nscenarios = startup, load_change\n")
         assert cfg.scenarios == ("startup", "load_change")
+
+    @pytest.mark.parametrize("listed", ["startup startup", "startup, load_change, startup"])
+    def test_scenario_listed_twice_rejected(self, listed):
+        with pytest.raises(ConfigError, match="scenario 'startup' listed twice"):
+            parse_config(f"[run]\nscenarios = {listed}\n")
 
     def test_missing_file_names_path(self, tmp_path):
         missing = tmp_path / "nope.ini"
@@ -491,6 +497,18 @@ class TestUsageErrors:
         assert len(errors) == 1
         assert errors[0].startswith("unknown key 'epochs_critic' in [hdp]; valid: ")
 
+    def test_scenario_listed_twice_exits_1_with_one_line(self, tmp_path, caplog, capsys):
+        config = tmp_path / "twice.ini"
+        config.write_text("[run]\nscenarios = startup load_change startup\n")
+        out = tmp_path / "out"
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["compare", "--config", str(config), "--out", str(out)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == ["scenario 'startup' listed twice in [run] scenarios"]
+        assert capsys.readouterr().out == ""
+        assert not out.exists()
+
     def test_bad_config_key_exits_1(self, tmp_path):
         config = tmp_path / "bad.ini"
         config.write_text("[plant]\nvolts = 60\n")
@@ -719,6 +737,27 @@ class TestRunCommand:
         with open(path, newline="") as fh:
             names = sorted(r["scenario"] for r in csv.DictReader(fh))
         assert names == sorted(f"{p}{k}" for p in "ab" for k in range(40))
+
+    @pytest.mark.parametrize("command, artifacts", [
+        (["pretrain"], ["critic.mlp", "action.mlp", "pretrain_residuals.csv"]),
+        (["run", "startup", "PI"], ["startup_PI.csv", "metrics.csv"]),
+    ], ids=["pretrain", "run"])
+    def test_each_artifact_renamed_once(self, tmp_path, monkeypatch, command, artifacts):
+        # a set's writers write the temporary files they are given in place
+        replace = os.replace
+        targets = []
+
+        def recording_replace(src, dst):
+            targets.append(Path(dst).name)
+            replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", recording_replace)
+        config = tmp_path / "fast.ini"
+        config.write_text(FAST_PRETRAIN)
+        out = tmp_path / "out"
+        assert cli.main(command + ["--config", str(config), "--out", str(out)]) == 0
+        assert targets == artifacts
+        assert sorted(p.name for p in out.iterdir() if p.suffix != ".lock") == sorted(artifacts)
 
     def test_trace_bytes_reproducible(self, tmp_path):
         names = []

@@ -20,6 +20,7 @@ def test_prints_one_positive_timing_per_operation(capsys):
     names += ["control_step.learn", "control_step.frozen",
               "control_step.learn_held", "control_step.frozen_held",
               "control_step.learn_closed",
-              "td_epoch.sample", "fit_epoch.sample"]
+              "td_epoch.sample", "fit_epoch.sample",
+              "trace.text_ms", "trace.metrics_ms"]
     assert [name for name, _ in lines] == names
     assert all(float(us) > 0.0 for _, us in lines)

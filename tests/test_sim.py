@@ -5,7 +5,6 @@ import math
 import struct
 from contextlib import nullcontext
 from dataclasses import replace
-from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -24,7 +23,7 @@ from boosthdp.hdp import (
     td_update,
 )
 from boosthdp.mlp import NonFiniteUpdateError
-from boosthdp.plant import PlantParams, PlantState
+from boosthdp.plant import ConductionMode, PlantParams, PlantState
 from boosthdp.sim import (
     Metrics,
     PretrainSettings,
@@ -32,6 +31,7 @@ from boosthdp.sim import (
     ScenarioSpec,
     SimulationDiverged,
     TRACE_FIELDS,
+    Trace,
     TraceRecord,
     baseline_for_scenario,
     builtin_scenario,
@@ -152,11 +152,65 @@ class TestReferenceLaw:
         )
 
 
-def synthetic_trace(ts, vs, v_set=200.0, v_s=60.0, r_load=80.0):
+def synthetic_rows(ts, vs, v_set=200.0, v_s=60.0, r_load=80.0):
     return [
         TraceRecord(float(t), float(v), 0.0, 0.5, 0.0, math.nan, "SWITCH_ON",
                     v_set, v_s, r_load)
         for t, v in zip(ts, vs)
+    ]
+
+
+def synthetic_trace(ts, vs, **schedule):
+    return Trace.from_rows(synthetic_rows(ts, vs, **schedule))
+
+
+def metrics_from_rows(rows):
+    """compute_metrics as it read a list of TraceRecords, row by row: the
+    reference for the columnar one."""
+    if not rows:
+        raise ValueError("empty trace")
+    v_set_final = rows[-1].v_set
+    t = np.array([r.t for r in rows])
+    v = np.array([r.v_o for r in rows])
+    sched = np.array([[r.v_set, r.v_s, r.r_load] for r in rows])
+    changed = np.any(sched[1:] != sched[:-1], axis=1)
+    t_from = t[1:][changed][-1] if changed.any() else t[0]
+    sel = t >= t_from
+    t_w, v_w = t[sel] - t_from, v[sel]
+    dt = t[1] - t[0] if len(t) > 1 else 0.0
+    band = 0.02 * v_set_final
+    err = v_w - v_set_final
+    out = np.abs(err) > band
+    if out.any():
+        unsettled = bool(out[-1])
+        settling = float(t_w[-1] + dt) if unsettled else float(t_w[np.where(out)[0][-1]] + dt)
+    else:
+        unsettled = False
+        settling = 0.0
+    overshoot = max(0.0, (float(v_w.max()) - v_set_final) / v_set_final * 100.0)
+    n_tail = max(1, len(v_w) // 10)
+    sse = float(np.mean(v_w[-n_tail:]) - v_set_final)
+    iae = float(np.sum(np.abs(err)) * dt)
+    peak = float(np.max(np.abs(err)))
+    in_band = ~out
+    oscillation = bool(in_band.any() and out[np.argmax(in_band):].any())
+    return Metrics(settling, overshoot, sse, iae, peak, oscillation, unsettled)
+
+
+@st.composite
+def metric_rows(draw):
+    """Rows of 1 to 60 periods 50 us apart: v_o around the setpoint, and
+    each schedule quantity held or stepping once."""
+    n = draw(st.integers(1, 60))
+    v_os = draw(st.lists(st.floats(150.0, 250.0), min_size=n, max_size=n))
+    schedule = []
+    for values in ((150.0, 200.0, 220.0), (54.0, 60.0, 66.0), (50.0, 80.0, 200.0)):
+        k = draw(st.integers(0, n))
+        before, after = draw(st.sampled_from(values)), draw(st.sampled_from(values))
+        schedule.append([before] * k + [after] * (n - k))
+    return [
+        TraceRecord(k * 5e-05, v_o, 0.0, 0.5, 0.0, math.nan, "SWITCH_ON", *sched)
+        for k, (v_o, *sched) in enumerate(zip(v_os, *schedule))
     ]
 
 
@@ -193,11 +247,11 @@ class TestComputeMetrics:
         # perfect tracking after the step; the pre-step mess must not count
         ts = np.arange(400) * self.dt
         vs = np.concatenate([np.full(200, 150.0), np.full(200, 200.0)])
-        trace = synthetic_trace(ts[:200], vs[:200]) + [
+        trace = Trace.from_rows(synthetic_rows(ts[:200], vs[:200]) + [
             TraceRecord(float(t), 200.0, 0.0, 0.5, 0.0, math.nan, "SWITCH_ON",
                         200.0, 60.0, 120.0)
             for t in ts[200:]
-        ]
+        ])
         m = compute_metrics(trace)
         assert m.settling_time == 0.0
         assert m.iae == pytest.approx(0.0)
@@ -218,15 +272,28 @@ class TestComputeMetrics:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            compute_metrics([])
+            compute_metrics(Trace.from_rows([]))
+
+    def test_runs_equal_the_metrics_of_their_rows(self):
+        params = PlantParams()
+        for name in sim.SCENARIO_NAMES:
+            spec = builtin_scenario(name, "PI")
+            trace, m = run_scenario(spec, baseline_for_scenario(spec, params), params)
+            assert m == compute_metrics(trace) == metrics_from_rows(trace.rows())
+
+    @settings(max_examples=200, deadline=None)
+    @given(rows=metric_rows())
+    def test_columns_equal_the_metrics_of_their_rows(self, rows):
+        assert compute_metrics(Trace.from_rows(rows)) == metrics_from_rows(rows)
 
 
 def csv_module_bytes(path, trace):
-    """The trace as `csv.writer` writes it, every value formatted afresh."""
+    """The trace as `csv.writer` writes it, row by row, every value
+    formatted afresh."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
-        writer.writerows(map(attrgetter(*TRACE_FIELDS), trace))
+        writer.writerows(trace.rows())
     return path.read_bytes()
 
 
@@ -235,34 +302,56 @@ def copied(x):
     return struct.unpack("d", struct.pack("d", x))[0]
 
 
-# cells for the generated traces: special floats, and ASCII text that
-# needs quoting (comma, quote, CR, LF) as well as text that does not, and
-# None, which csv writes as an empty field
+# cells for the generated traces: special floats, the three modes, and
+# ASCII text that needs quoting (comma, quote, CR, LF) as well as text that
+# does not, and None, which csv writes as an empty field
 FLOATS = st.floats() | st.sampled_from([0.0, -0.0, math.nan, math.inf, 5e-05, 1e16])
-TEXTS = st.sampled_from(["SWITCH_ON", "a,b", 'q"x', "l\r\nm", "", None]) | st.text(
+MODES = [mode.name for mode in ConductionMode]
+TEXTS = st.sampled_from([*MODES, "a,b", 'q"x', "l\r\nm", "", None]) | st.text(
     st.characters(max_codepoint=127), max_size=6
 )
 
 
 @st.composite
 def traces(draw):
-    """Rows whose cells come from a small pool per column, so a column holds
-    the same object on consecutive rows, equal values as distinct objects,
+    """Traces of 1 to 8 rows whose columns each hold one object throughout,
+    step once from one object to another (maybe an equal float as a
+    distinct object), or draw each row from a small pool, where a float is
+    maybe a distinct copy: so columns hold the same object on consecutive
+    rows, equal values as distinct objects, 0.0 beside -0.0, NaN objects,
     and changes."""
-    pools = [
-        draw(st.lists(TEXTS if name == "mode" else FLOATS, min_size=1, max_size=3))
-        for name in TRACE_FIELDS
-    ]
-    rows = []
-    for _ in range(draw(st.integers(1, 8))):
-        row = []
-        for pool in pools:
-            value = draw(st.sampled_from(pool))
-            if isinstance(value, float) and draw(st.booleans()):
-                value = copied(value)
-            row.append(value)
-        rows.append(TraceRecord(*row))
-    return rows
+    n = draw(st.integers(1, 8))
+    columns = []
+    for name in TRACE_FIELDS:
+        values = TEXTS if name == "mode" else FLOATS
+        kind = draw(st.sampled_from(["held", "steps", "pool"]))
+        if kind == "held":
+            column = [draw(values)] * n
+        elif kind == "steps":
+            first = draw(values)
+            if isinstance(first, float) and draw(st.booleans()):
+                second = copied(first)
+            else:
+                second = draw(values)
+            k = draw(st.integers(0, n))
+            column = [first] * k + [second] * (n - k)
+        else:
+            pool = draw(st.lists(values, min_size=1, max_size=3))
+            column = []
+            for _ in range(n):
+                value = draw(st.sampled_from(pool))
+                if isinstance(value, float) and draw(st.booleans()):
+                    value = copied(value)
+                column.append(value)
+        columns.append(column)
+    return Trace._make(columns)
+
+
+class Unprintable(float):
+    """A float whose repr fails, for a trace write that fails."""
+
+    def __repr__(self):
+        raise ValueError("unprintable")
 
 
 class TestTraceCsv:
@@ -289,7 +378,7 @@ class TestTraceCsv:
             (2e-04, copied(nan), 0.0, 5e-05, zero, copied(nan), "SWITCH_OFF_BLOCKED",
              200.0, 54.0, 200.0),
         ]
-        trace = [TraceRecord(*row) for row in rows]
+        trace = Trace.from_rows(TraceRecord(*row) for row in rows)
         write_trace_csv(tmp_path / "trace.csv", trace)
         expected = csv_module_bytes(tmp_path / "reference.csv", trace)
         assert (tmp_path / "trace.csv").read_bytes() == expected
@@ -312,6 +401,16 @@ class TestTraceCsv:
         write_trace_csv(out / "trace.csv", trace)
         assert (out / "trace.csv").read_bytes() == csv_module_bytes(out / "reference.csv", trace)
 
+    def test_block_size_leaves_the_bytes(self, monkeypatch):
+        params = PlantParams()
+        spec = builtin_scenario("load_change", "PI")
+        trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
+        texts = []
+        for rows in (1, 7, 256, 10**6):
+            monkeypatch.setattr(sim, "_TEXT_BLOCK", rows)
+            texts.append(sim.trace_csv_text(trace))
+        assert texts[1:] == texts[:1] * 3
+
     def test_two_runs_in_one_process_write_the_same_bytes(self, tmp_path):
         params = PlantParams()
         spec = builtin_scenario("startup", "PI")
@@ -330,15 +429,15 @@ class TestTraceCsv:
         pi = baseline_for_scenario(spec, PlantParams())
         trace, _ = run_scenario(spec, pi, PlantParams())
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trace_csv(p1, trace[:200])
-        write_trace_csv(p2, read_trace_csv(p1))
+        write_trace_csv(p1, Trace.from_rows(trace.rows()[:200]))
+        write_trace_csv(p2, Trace.from_rows(read_trace_csv(p1)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_nan_j_est_survives(self, tmp_path):
         rec = TraceRecord(0.0, 1.0, 2.0, 0.5, 0.1, math.nan, "SWITCH_ON",
                           200.0, 60.0, 80.0)
         p = tmp_path / "t.csv"
-        write_trace_csv(p, [rec])
+        write_trace_csv(p, Trace.from_rows([rec]))
         back = read_trace_csv(p)[0]
         assert math.isnan(back.j_est)
         assert back.v_o == rec.v_o
@@ -347,11 +446,12 @@ class TestTraceCsv:
         rec = TraceRecord(0.0, 1.0, 2.0, 0.5, 0.1, math.nan, "SWITCH_ON",
                           200.0, 60.0, 80.0)
         p = tmp_path / "t.csv"
-        write_trace_csv(p, [rec])
+        write_trace_csv(p, Trace.from_rows([rec]))
         before = p.read_bytes()
-        # enough rows to flush part of the file before the bad record
-        with pytest.raises(AttributeError):
-            write_trace_csv(p, [rec] * 5000 + [None])
+        # a value whose text fails, in the last of many rows
+        bad = Trace.from_rows([rec] * 4999 + [rec._replace(v_o=Unprintable(1.0))])
+        with pytest.raises(ValueError, match="unprintable"):
+            write_trace_csv(p, bad)
         assert p.read_bytes() == before
         assert [q.name for q in tmp_path.iterdir()] == ["t.csv"]
 
@@ -375,8 +475,8 @@ class TestRunScenario:
         params = PlantParams()
         spec = builtin_scenario("startup", "PI")
         trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
-        assert len(trace) == round(spec.duration / params.t_sw)
-        dts = np.diff([r.t for r in trace])
+        assert all(len(column) == round(spec.duration / params.t_sw) for column in trace)
+        dts = np.diff(trace.t)
         assert np.allclose(dts, params.t_sw)
 
     def test_causality_future_schedule_irrelevant(self):
@@ -388,8 +488,8 @@ class TestRunScenario:
         t1, _ = run_scenario(base, baseline_for_scenario(base, params), params)
         t2, _ = run_scenario(alt, baseline_for_scenario(alt, params), params)
         n_pre = round(0.025 / params.t_sw)
-        assert t1[:n_pre] == t2[:n_pre]
-        assert t1[n_pre + 1].r_load != t2[n_pre + 1].r_load
+        assert t1.rows()[:n_pre] == t2.rows()[:n_pre]
+        assert t1.r_load[n_pre + 1] != t2.r_load[n_pre + 1]
 
     def test_tag_controller_mismatch_rejected(self):
         params = PlantParams()
@@ -450,11 +550,21 @@ class TestRunScenario:
             with pytest.raises(ValueError, match="initial state must be finite"):
                 ScenarioSpec("s", 0.01, 60.0, 80.0, initial_state=state)
 
+    def test_trace_columns_round_trip_through_rows(self):
+        params = PlantParams()
+        spec = builtin_scenario("load_change", "PI")
+        trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
+        rows = trace.rows()
+        assert len(rows) == len(trace.t) and all(type(r) is TraceRecord for r in rows)
+        assert rows[1] == tuple(column[1] for column in trace)
+        back = Trace.from_rows(rows)
+        assert type(back) is Trace and back == trace
+
     def test_pi_trace_has_nan_cost_estimate(self):
         params = PlantParams()
         spec = builtin_scenario("startup", "PI")
         trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
-        assert all(math.isnan(r.j_est) for r in trace)
+        assert all(map(math.isnan, trace.j_est))
 
 
 class PerCall:

@@ -1,10 +1,11 @@
-"""Time boosthdp's neural kernel layer per call, best of 7.
+"""Time boosthdp's neural kernel layer and trace output per call, best of 7.
 
     PYTHONPATH=src python tools/kernel_timings.py [--calls N]
 
 The benchmark's tracer wraps none of the generated kernels, so this tool
 times them directly.  It prints one line per timed operation, `name  us`,
-where us is the best of 7 repeats of the mean time per call:
+where us is the best of 7 repeats of the mean time per call (in ms for the
+`trace` rows, as their names say):
 
 - `critic.forward`, `critic.gradient`, `critic.input_gradient` and
   `critic.step`, and the same four on the action net: the nets' kernels
@@ -24,7 +25,10 @@ where us is the best of 7 repeats of the mean time per call:
   that no call returned), on the same checkouts;
 - `td_epoch.sample` and `fit_epoch.sample`: `Mlp.td_epoch` on the critic
   and `Mlp.fit_epoch` on the action net, one sweep of N samples per repeat,
-  per sample.
+  per sample;
+- `trace.text_ms` and `trace.metrics_ms`: `sim.trace_csv_text` and
+  `sim.compute_metrics` on the trace of one 1000-period PI startup run
+  (`sim.run_scenario`), one call per repeat whatever N.
 
 Each repeat starts from the same fresh nets (`make_critic(0)`,
 `make_action(0)`), so runs see the same values.  It uses only names that
@@ -42,7 +46,9 @@ from time import perf_counter
 
 import numpy as np
 
+from boosthdp import sim
 from boosthdp.hdp import ControllerInput, HdpConfig, HdpController, make_action, make_critic
+from boosthdp.plant import PlantParams
 
 REPEATS = 7
 
@@ -136,6 +142,12 @@ def timings(calls: int) -> dict[str, float]:
     results["fit_epoch.sample"] = _best_us(
         lambda net: net.fit_epoch(order, inputs, goals, 0.3), calls, lambda: (make_action(0),)
     )
+
+    params = PlantParams()
+    spec = sim.builtin_scenario("startup", "PI", params)
+    trace, _ = sim.run_scenario(spec, sim.baseline_for_scenario(spec, params), params)
+    for name, fn in (("text", sim.trace_csv_text), ("metrics", sim.compute_metrics)):
+        results[f"trace.{name}_ms"] = _best_us(fn, 1, lambda: (trace,)) / 1e3
     return results
 
 
