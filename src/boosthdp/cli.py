@@ -416,8 +416,14 @@ def _upsert_metrics(
     A lock on a sidecar file keeps concurrent runs from losing rows.  The
     file is written in one set with `artifacts` (target -> writer, as
     atomic_write_set takes them): ConfigError, with none of them written,
-    if the file holds something else or one cannot be written."""
-    with open(path.with_name(f".{path.name}.lock"), "a") as lock:
+    if the file holds something else, or it, its lock file or one of them
+    cannot be written."""
+    lock_path = path.with_name(f".{path.name}.lock")
+    try:
+        lock = open(lock_path, "a")
+    except OSError as exc:  # a directory in its place, or no permission
+        raise ConfigError(f"cannot open lock file {lock_path}: {exc.strerror}") from None
+    with lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         rows = _read_metrics(path) if path.is_file() else []
         rows = [row for row in rows if row[:2] != [scenario, tag]]

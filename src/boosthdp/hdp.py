@@ -17,15 +17,16 @@ d(cost-to-go)/d(duty) comes from the critic's input gradient and
 backpropagates through the action net.
 
 The online step runs every pass and step on the nets' generated kernels
-(`Mlp.kernels`, and `Mlp.step` over `Kernels.step`), on the nets'
-parameters as lists.  `HdpController.hold` takes those lists from
-`Mlp.params` once for a run of steps, passes them from each step to the
-next, and writes them back into `Mlp.params` once, when it ends, however
-it ends; a step outside a hold runs in a hold of its own.  `td_update` is
+(`Mlp.kernels`), on the nets' parameters as lists.  `HdpController.hold`
+takes those lists from `Mlp.params` once for a run of steps, passes them
+from each step to the next, and writes them back into `Mlp.params` once,
+when it ends, however it ends; a step outside a hold runs in a hold of
+its own.  `td_update` is
 the online critic step.  The offline sweep in `sim` runs the same step
 inside a generated epoch function (`Mlp.td_epoch`): `mlp`'s one emitter
-writes the step and its finiteness rule for both, and tests hold the sweep
-to `td_update` bit for bit.
+writes the step and its finiteness rule for both, which raises
+NonFiniteUpdateError where a step would make a parameter non-finite, and
+tests hold the sweep to `td_update` bit for bit.
 
 All network inputs are normalized by fixed scales so every feature is O(1);
 the utility is computed on the normalized errors for the same reason, which
@@ -97,12 +98,13 @@ def td_update(
     step itself runs none.  The target is held fixed.  Returns the new
     parameter list and writes nothing: `critic.params` is as it was, and
     the caller writes the list when it wants it there (the online control
-    step leaves that to its hold).  `Mlp.td_epoch` runs the same arithmetic
-    per transition of an offline sweep.
+    step leaves that to its hold).  A step that would make a parameter
+    non-finite raises NonFiniteUpdateError.  `Mlp.td_epoch` runs the same
+    arithmetic per transition of an offline sweep.
     """
     resid = td_error(acts[-1], target, u_now, gamma)
     # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself
-    return critic.step(p, acts, (resid,), learning_rate)
+    return critic.kernels.step(p, acts, (resid,), learning_rate)
 
 
 class _Input(NamedTuple):
@@ -207,16 +209,15 @@ class HdpController:
         self.critic = critic
         self.action = action
         self.config = config
-        # (normalized state inputs, utility) of the previous period, None
-        # until one period has been observed; the duty slot of the previous
-        # critic input is taken from the next measurement's duty_prev, which
-        # is the duty actually applied (the harness may have modified the
-        # command, e.g. probing noise during practice)
-        self._prev: tuple[list[float], float] | None = None
-        # (critic list, state list, duty, critic pass) of the previous
-        # learning period's cost-to-go: the pass of the stored transition
-        # when the next period brings the same objects back
-        self._pass: tuple[list[float], list[float], float, list[float]] | None = None
+        # the stored transition: (normalized state inputs, utility, critic
+        # list, duty, critic pass) of the previous period, None until one
+        # period has been observed.  The duty slot of the previous critic
+        # input is taken from the next measurement's duty_prev, which is the
+        # duty actually applied (the harness may have modified the command,
+        # e.g. probing noise during practice); the period's cost-to-go pass,
+        # at its critic list and duty, serves as the transition's pass when
+        # the next period brings those same objects back
+        self._prev: tuple[list[float], float, list[float], float, list[float]] | None = None
         # [critic list, action list] while a hold is open, else None
         self._lists: list[list[float]] | None = None
 
@@ -239,7 +240,6 @@ class HdpController:
     def reset_transition_buffer(self) -> None:
         """Forget the stored transition, e.g. across a simulation restart."""
         self._prev = None
-        self._pass = None
 
     def duty_from_action(self, a: np.ndarray) -> float:
         """Map the policy output in (0,1) onto the duty limits."""
@@ -268,7 +268,7 @@ class HdpController:
         d_min, d_max = cfg.duty_limits
         # chain rule through the affine duty map and the normalization
         d_output = (dj_dduty * (d_max - d_min) / cfg.norm_scales[4],)
-        return self.action.step(p, acts, d_output, cfg.lr_action)
+        return self.action.kernels.step(p, acts, d_output, cfg.lr_action)
 
     def control_step(
         self, measurement: ControllerInput, learn: bool = True
@@ -307,15 +307,12 @@ class HdpController:
             if self._prev is not None:
                 # the stored transition lands in the present state; evaluate
                 # it with the duty the current policy would command here
-                state_prev, u_prev = self._prev
+                state_prev, u_prev, pc_prev, duty_prev, x_prev = self._prev
                 j_hat = critic_pass(pc, x_hat)[-1]
-                held = self._pass
-                if (held is not None and held[0] is pc and held[1] is state_prev
-                        and held[2] is m.duty_prev):
-                    # the last period's pass at the duty it returned, which
-                    # the harness applied (a held list is never written)
-                    x_prev = held[3]
-                else:
+                # the last period's pass serves if it ran at this critic list
+                # and at the duty the harness applied (a held list is never
+                # written)
+                if pc_prev is not pc or duty_prev is not m.duty_prev:
                     x_prev = critic_pass(pc, state_prev + [m.duty_prev / s[4]])
                 # td_update writes nothing; the hold writes params
                 lists[0] = pc = td_update(
@@ -326,9 +323,8 @@ class HdpController:
             acts = action_pass(pa, state)
         duty = self._duty(acts[-1])
         x_est = critic_pass(pc, state + [duty / s[4]])
-        if learn:
-            self._pass = (pc, state, duty, x_est)
-        self._prev = (state, utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i))
+        u = utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i)
+        self._prev = (state, u, pc, duty, x_est)
         return duty, x_est[-1]
 
 

@@ -26,27 +26,28 @@ right with the bias last, and one descent step, `_Text.step`, serves both
 kinds of function:
 - per sample, `Mlp.kernels`, which take the parameters as a list in the
   flat layout and a pass's activations as one flat list.  A loop takes
-  `params.tolist()` once, carries the list that `Mlp.step` returns, runs
-  `kernels.forward` on it, and writes it into `params` when it is done.
-  The 1-D `forward`, `grad_weights` and `grad_input` run the same kernels
-  behind numpy arrays and a `ForwardCache`, and `apply_update` subtracts
-  lr * g as `kernels.step` does, so forward, `grad_weights` and
-  `apply_update` give the bits of one `Mlp.step`;
+  `params.tolist()` once, carries the list that `kernels.step` returns,
+  runs `kernels.forward` on it, and writes it into `params` when it is
+  done.  The 1-D `forward`, `grad_weights` and `grad_input` run the same
+  kernels behind numpy arrays and a `ForwardCache`, and `apply_update`
+  subtracts lr * g as `kernels.step` does, so forward, `grad_weights` and
+  `apply_update` give the bits of one `kernels.step`;
 - per epoch, `Mlp.fit_epoch` and `Mlp.td_epoch`, one function each that
   sweeps a whole sample order with the parameters in local variables,
   each step assigning the new values in place, unchecked, and writes them
   into `params` once, at the end.  They give the bits of the same loop
-  over `kernels.forward` and `Mlp.step`.
-A step is refused, leaving the net at the last accepted step, when a new
-parameter is not finite.  One rule decides: a finite C `sum` of the list
-proves every element finite, and only a sum that is not gets the
-per-element check.  `kernels.step` applies it to the list it returns, a
-sweep once, to its list at the end: a parameter that is not finite stays
-so under p - g*lr, so that list fails exactly when some step would have.
-A sweep that fails is replayed from its start through `kernels.forward`
-and `Mlp.step`, which stops at the refused step.  A batched `forward`
-((k, n_inputs) rows) stays numpy, one matrix product per layer, and may
-differ from the single-input passes in the last bits.
+  over `kernels.forward` and `kernels.step` whenever that loop accepts
+  every step.
+A step is refused when a new parameter is not finite: the generated code
+raises NonFiniteUpdateError, so a refused `kernels.step` returns nothing
+and a refused epoch writes nothing, leaving `params` as the epoch found
+them.  One rule decides: a finite C `sum` of the list proves every
+element finite, and only a sum that is not gets the per-element check.
+`kernels.step` applies it to the list it would return, a sweep once, to
+its list at the end: a parameter that is not finite stays so under
+p - g*lr, so that list fails exactly when some step would have.  A
+batched `forward` ((k, n_inputs) rows) stays numpy, one matrix product
+per layer, and may differ from the single-input passes in the last bits.
 """
 
 from __future__ import annotations
@@ -102,11 +103,12 @@ class Kernels(NamedTuple):
     """Straight-line float code for one topology.  `p` is the parameter
     list in the flat layout, `acts` every activation of one pass as one flat
     list (the input first, the output last), `d` d_loss/d_output as a
-    sequence of floats."""
+    sequence of floats.  `step` writes nothing: it returns the new list, or
+    raises NonFiniteUpdateError if an element of it is not finite."""
 
     forward: Callable        # (p, x) -> acts
     gradient: Callable       # (p, acts, d) -> the parameter gradient, flat layout
-    step: Callable           # (p, acts, d, lr) -> [p[k] - g_k*lr for every k], or None
+    step: Callable           # (p, acts, d, lr) -> [p[k] - g_k*lr for every k]
     input_gradient: Callable  # (p, acts, d) -> d_loss/d_input
 
 
@@ -186,22 +188,21 @@ class _Text:
         delta*activation, a bias's its delta), so in place each new value
         replaces its parameter as soon as it is formed, unchecked, and a
         sweep carries them on in its locals; otherwise they form the list
-        `new`, and the step runs `return None` if `refuse` finds an element
-        of it that is not finite."""
+        `new`, which `refuse` checks."""
         new = [f"p{k} - {g}*lr" for k, g in self.grads]
         if in_place:
             return [*self.backward(), *(f"p{k} = {v}" for (k, _), v in zip(self.grads, new))]
-        return [*self.backward(), f"new = [{', '.join(new)}]", *self.refuse("return None")]
+        return [*self.backward(), f"new = [{', '.join(new)}]", *self.refuse()]
 
     @staticmethod
-    def refuse(refused: str) -> list[str]:
-        """The one finiteness rule, on the list `new`: the line `refused`
-        runs when an element is not finite.  A finite C `sum` proves them
-        all finite, so only a sum that is not (a non-finite element, or
-        finite ones that overflow) gets the per-element check."""
+    def refuse() -> list[str]:
+        """The one finiteness rule, on the list `new`: NonFiniteUpdateError
+        when an element is not finite.  A finite C `sum` proves them all
+        finite, so only a sum that is not (a non-finite element, or finite
+        ones that overflow) gets the per-element check."""
         return [
             "if not isfinite(sum(new)) and not all(map(isfinite, new)):",
-            f"    {refused}",
+            '    raise NonFiniteUpdateError("update would produce non-finite parameters")',
         ]
 
     def input_gradient(self) -> list[str]:
@@ -226,12 +227,12 @@ def _generate(layer_sizes: tuple[int, ...], sigmoid: bool, name: str) -> Callabl
     The sweeps run a whole sample order for a single-output net with the
     parameters in locals from the first sample to the last, each step in
     place and unchecked, so a sweep gives the bits of the same loop over
-    `Kernels.forward` and `Mlp.step` while that loop accepts every step.
-    A sweep returns (parameter list, sq_sum, ok), ok the finiteness rule on
-    the list at the end: a parameter that is not finite stays so under
-    p - g*lr, and nothing in a sweep raises on inf or NaN (the sigmoid
-    catches exp's OverflowError), so ok is False exactly when the loop
-    would have refused a step.
+    `Kernels.forward` and `Kernels.step` while that loop accepts every
+    step.  A sweep returns (parameter list, sq_sum), after the finiteness
+    rule on the list at the end: a parameter that is not finite stays so
+    under p - g*lr, and nothing in a sweep raises on inf or NaN (the
+    sigmoid catches exp's OverflowError), so the sweep raises
+    NonFiniteUpdateError exactly when the loop would have refused a step.
     "fit_epoch"(p, order, xs, goals, lr): per sample k the pass at xs[k],
     err = y - goals[k], one step on d_loss/d_output = err; sq_sum adds
     err*err.
@@ -272,9 +273,10 @@ def _generate(layer_sizes: tuple[int, ...], sigmoid: bool, name: str) -> Callabl
                 *text.forward(), f"resid = {y} - gamma*target - u", "sq_sum += resid*resid",
             ]
         body = ["sq_sum = 0.0", "for k in order:", *_indent(sample, 1), f"new = [{params}]",
-                *text.refuse("return new, sq_sum, False"), "return new, sq_sum, True"]
+                *text.refuse(), "return new, sq_sum"]
     source = "\n".join([f"def {name}(p, {args}):", f"    {params}, = p", *_indent(body, 1)])
-    namespace = {"tanh": math.tanh, "exp": math.exp, "isfinite": math.isfinite}
+    namespace = {"tanh": math.tanh, "exp": math.exp, "isfinite": math.isfinite,
+                 "NonFiniteUpdateError": NonFiniteUpdateError}
     exec(source, namespace)
     return namespace[name]
 
@@ -472,32 +474,13 @@ class Mlp:
             raise NonFiniteUpdateError("update would produce non-finite parameters")
         self._params[...] = new
 
-    def step(
-        self, p: list[float], acts: list[float], d_output, learning_rate: float
-    ) -> list[float]:
-        """One gradient-descent step on the pass `acts` that `kernels.forward`
-        made at the parameters `p` (this net's, as a list), given
-        d_loss/d_output as a sequence.  Returns the new parameters as a list
-        and writes nothing: the caller carries the list and writes it into
-        `params` when it wants it there.  A step that would make a parameter
-        non-finite is refused (NonFiniteUpdateError)."""
-        new = self.kernels.step(p, acts, d_output, learning_rate)
-        if new is None:
-            raise NonFiniteUpdateError("update would produce non-finite parameters")
-        return new
-
     def fit_epoch(self, order: list[int], xs, goals, learning_rate: float) -> float:
         """One sweep of squared-error descent over the samples in `order`:
-        per sample k the pass at xs[k], err = y - goals[k], and one `step`
-        on d_loss/d_output = err.  Returns the sum of err*err, each taken
-        before its step.  `xs` is a list of input lists, `goals` of floats;
-        the net must have one output."""
-
-        def sample(p, k):
-            acts = self.kernels.forward(p, xs[k])
-            return acts, (acts[-1] - goals[k],)
-
-        return self._sweep("fit_epoch", order, (xs, goals), sample, learning_rate)
+        per sample k the pass at xs[k], err = y - goals[k], and one
+        `kernels.step` on d_loss/d_output = err.  Returns the sum of
+        err*err, each taken before its step.  `xs` is a list of input
+        lists, `goals` of floats; the net must have one output."""
+        return self._sweep("fit_epoch", order, (xs, goals), learning_rate)
 
     def td_epoch(
         self, order: list[int], xs, xs_next, us, gamma: float, learning_rate: float
@@ -509,34 +492,15 @@ class Mlp:
         the sum of the squared residuals after the steps.  `xs` and
         `xs_next` are lists of input lists, `us` of floats; the net must
         have one output."""
+        return self._sweep("td_epoch", order, (xs, xs_next, us, gamma), learning_rate)
 
-        def sample(p, k):
-            target = self.kernels.forward(p, xs_next[k])[-1]
-            acts = self.kernels.forward(p, xs[k])
-            return acts, (acts[-1] - gamma * target - us[k],)
-
-        return self._sweep("td_epoch", order, (xs, xs_next, us, gamma), sample, learning_rate)
-
-    def _sweep(
-        self, name: str, order: list[int], data: tuple, sample, learning_rate: float
-    ) -> float:
+    def _sweep(self, name: str, order: list[int], data: tuple, learning_rate: float) -> float:
         """Run the generated sweep `name` over `order` on `data` from
-        `params`, write its end list into `params` and return its sum.  If
-        the finiteness rule refuses the end list, replay the sweep from its
-        start list as a loop of `step` on the pass and d_loss/d_output that
-        sample(p, k) gives, up to the refused step: write the parameters of
-        the last accepted step and raise NonFiniteUpdateError."""
-        start = self._params.tolist()
+        `params`, write its end list into `params` and return its sum.  A
+        refused step raises NonFiniteUpdateError before anything is
+        written."""
         kernel = _generate(tuple(self.layer_sizes), self._sigmoid, name)
-        new, sq_sum, ok = kernel(start, order, *data, learning_rate)
-        if not ok:
-            p = start
-            try:
-                for k in order:
-                    p = self.step(p, *sample(p, k), learning_rate)
-            finally:
-                self._params[:] = p
-            raise AssertionError("the sweep refused a step that its replay accepted")
+        new, sq_sum = kernel(self._params.tolist(), order, *data, learning_rate)
         self._params[:] = new
         return sq_sum
 

@@ -43,6 +43,7 @@ import numpy as np
 
 __all__ = [
     "ConductionMode",
+    "MAX_SUBSTEPS",
     "PlantParams",
     "PlantState",
     "derivatives",
@@ -65,12 +66,19 @@ _CONDUCTING = ConductionMode.SWITCH_OFF_CONDUCTING
 _BLOCKED = ConductionMode.SWITCH_OFF_BLOCKED
 
 
+# the k-step maps take n_sub + 1 float rows per branch (about 0.9 MB at
+# 1000 sub-steps), so a dt a million times finer than the period would
+# build some 0.9 GB for each parameter set
+MAX_SUBSTEPS = 1000
+
+
 @dataclass(frozen=True)
 class PlantParams:
     """Converter constants.  Defaults follow the nominal desk setup.
 
-    dt must divide the switching period exactly; the PWM duty is quantized to
-    this sub-step grid (1% duty resolution at the default dt = T_s/100).
+    dt must divide the switching period exactly, into at most MAX_SUBSTEPS
+    sub-steps; the PWM duty is quantized to this sub-step grid (1% duty
+    resolution at the default dt = T_s/100).
     """
 
     r_load: float = 80.0       # load resistance (ohm)
@@ -94,6 +102,11 @@ class PlantParams:
         if abs(n - round(n)) > 1e-9 * n or round(n) < 1:
             raise ValueError(
                 f"dt={self.dt} does not divide the switching period {self.t_sw}"
+            )
+        if round(n) > MAX_SUBSTEPS:
+            raise ValueError(
+                f"dt={self.dt} makes {round(n)} sub-steps per switching period; "
+                f"at most {MAX_SUBSTEPS}"
             )
 
     @property

@@ -684,8 +684,8 @@ def train_critic_on_log(
     `Mlp.td_epoch`: per transition the target J(x_next) and the value
     J(x_now) it steps on, both at the present weights, the `td_update`
     step, and J(x_now) again right after the step for the epoch mean.  A
-    refused step raises NonFiniteUpdateError and leaves the critic at the
-    last accepted step.
+    refused step raises NonFiniteUpdateError and leaves the critic as the
+    refused epoch found it.
     """
     log = list(log)
     if not log:

@@ -14,7 +14,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from boosthdp import cli
+from boosthdp import cli, plant
 from boosthdp.cli import (
     ConfigError,
     RunConfig,
@@ -321,6 +321,49 @@ class TestUsageErrors:
                 rows[0].split()[2:], ["-"] * 3
             ]
             assert "-" not in rows[0].split()
+
+    @pytest.mark.parametrize("command", [["run", "startup", "PI"], ["compare"]],
+                             ids=["run", "compare"])
+    def test_unopenable_lock_file_exits_1_with_one_line(
+        self, fast_snapshots, tmp_path, caplog, capsys, command
+    ):
+        # a directory where the metrics file's lock file goes
+        _copy_snapshots(tmp_path, fast_snapshots)
+        lock = tmp_path / ".metrics.csv.lock"
+        lock.mkdir()
+        config = tmp_path / "cell.ini"
+        config.write_text("[run]\nscenarios = startup\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(command + ["--config", str(config), "--out", str(tmp_path)])
+        assert rc == 1
+        cells = 2 if command == ["compare"] else 1
+        assert _error_lines(caplog) == [f"cannot open lock file {lock}: Is a directory"] * cells
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            ".metrics.csv.lock", "action.mlp", "cell.ini", "critic.mlp"
+        ]
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        if command == ["compare"]:
+            assert [row.split() for row in out.out.strip().splitlines()[1:]] == [
+                ["startup", tag, "-", "-", "-"] for tag in ("PI", "HDP")
+            ]
+
+    def test_too_many_substeps_exits_1_with_one_line(self, tmp_path, caplog, monkeypatch):
+        # 10^6 sub-steps per period: refused before any propagator is built
+        def no_propagator(*args):
+            raise AssertionError("a propagator was built")
+
+        monkeypatch.setattr(plant, "_Propagator", no_propagator)
+        config = tmp_path / "fine.ini"
+        config.write_text("[plant]\ndt = 5e-11\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["run", "startup", "PI", "--config", str(config),
+                           "--out", str(tmp_path)])
+        assert rc == 1
+        assert _error_lines(caplog) == [
+            "dt=5e-11 makes 1000000 sub-steps per switching period; at most 1000"
+        ]
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["fine.ini"]
 
     @pytest.mark.parametrize("command, artifact", [
         (["pretrain"], "critic.mlp"),

@@ -386,8 +386,8 @@ class TestHold:
 
 
 class RecomputingController:
-    """The learning control step written from the public forward,
-    grad_input, grad_weights and apply_update: the reference for
+    """The control step, learning or frozen, written from the public
+    forward, grad_input, grad_weights and apply_update: the reference for
     HdpController.control_step, which runs its passes and steps on the
     nets' kernels."""
 
@@ -402,24 +402,26 @@ class RecomputingController:
         d_min, d_max = self.config.duty_limits
         return d_min + float(y[0]) * (d_max - d_min)
 
-    def control_step(self, m):
+    def control_step(self, m, learn=True):
         cfg = self.config
         s = cfg.norm_scales
         state = [m.v_o / s[0], m.i_l / s[1], m.e_v / s[2], m.e_i / s[3]]
         a = np.array(state)
         y, action_cache = self.action.forward(a)
-        x_hat = np.array(state + [self.duty(y) / s[4]])
-        if self.prev is not None:
-            state_prev, u_prev = self.prev
-            j_hat, _ = self.critic.forward(x_hat)
-            _, cache = self.critic.forward(np.array(state_prev + [m.duty_prev / s[4]]))
-            td_step_1d(self.critic, cache, float(j_hat[0]), u_prev, cfg.gamma, cfg.lr_critic)
-        _, cache = self.critic.forward(x_hat)
-        dj_dx = self.critic.grad_input(cache, np.ones(1))
-        d_min, d_max = cfg.duty_limits
-        grads = self.action.grad_weights(action_cache, [dj_dx[-1] * (d_max - d_min) / s[4]])
-        self.action.apply_update(grads, cfg.lr_action)
-        duty = self.duty(self.action.forward(a)[0])
+        if learn:
+            x_hat = np.array(state + [self.duty(y) / s[4]])
+            if self.prev is not None:
+                state_prev, u_prev = self.prev
+                j_hat, _ = self.critic.forward(x_hat)
+                _, cache = self.critic.forward(np.array(state_prev + [m.duty_prev / s[4]]))
+                td_step_1d(self.critic, cache, float(j_hat[0]), u_prev, cfg.gamma, cfg.lr_critic)
+            _, cache = self.critic.forward(x_hat)
+            dj_dx = self.critic.grad_input(cache, np.ones(1))
+            d_min, d_max = cfg.duty_limits
+            grads = self.action.grad_weights(action_cache, [dj_dx[-1] * (d_max - d_min) / s[4]])
+            self.action.apply_update(grads, cfg.lr_action)
+            y, _ = self.action.forward(a)
+        duty = self.duty(y)
         j_now, _ = self.critic.forward(np.array(state + [duty / s[4]]))
         self.prev = (state, utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i))
         return duty, float(j_now[0])
@@ -494,21 +496,21 @@ class TestHeldCriticPass:
 
 
 class TestStoredCriticPass:
-    """Inside a hold, a learning period reuses the previous learning
-    period's cost-to-go pass as the stored transition's pass when the
-    critic list, the state and the applied duty are the objects that pass
-    was built from, and runs a fresh pass otherwise; either way the bits
-    are those of recomputing every pass."""
+    """Inside a hold, a learning period reuses the previous period's
+    cost-to-go pass, learning or frozen, as the stored transition's pass
+    when the critic list and the applied duty are the objects that pass was
+    built from, and runs a fresh pass otherwise; either way the bits are
+    those of recomputing every pass."""
 
     STEPS = 12
     HOOK_AT = 6
 
-    def drive(self, ctl, hook, reopen):
+    def drive(self, ctl, hook, reopen, frozen):
         """A held closed-loop run feeding back each returned duty, as
         sim.run_scenario does, with hook(ctl, duty) run before period
-        HOOK_AT, between two holds if reopen; returns the outputs as bytes
-        and the critic forward calls of each period (counted on
-        HdpControllers only)."""
+        HOOK_AT, between two holds if reopen, and the periods in `frozen`
+        run without learning; returns the outputs as bytes and the critic
+        forward calls of each period (counted on HdpControllers only)."""
         counts, outputs, hold = [], [], contextlib.nullcontext
         if isinstance(ctl, HdpController):
             hold, forward = ctl.hold, ctl.critic.kernels.forward
@@ -521,8 +523,9 @@ class TestStoredCriticPass:
 
         def periods(rows, duty):
             for v, i in rows:
+                learn = len(outputs) not in frozen
                 counts.append(0)
-                duty, j_est = ctl.control_step(meas(v, i, duty_prev=duty))
+                duty, j_est = ctl.control_step(meas(v, i, duty_prev=duty), learn=learn)
                 outputs.append((duty, j_est))
             return duty
 
@@ -538,12 +541,12 @@ class TestStoredCriticPass:
                 periods(rows[self.HOOK_AT:], duty)
         return np.array(outputs).tobytes(), counts
 
-    def run_both(self, hook, reopen):
+    def run_both(self, hook, reopen, frozen=()):
         nets = lambda: (make_critic(seed=3), make_action(seed=53),
                         HdpConfig(lr_critic=1e-2, lr_action=1e-3))
         held, ref = HdpController(*nets()), RecomputingController(*nets())
-        out, counts = self.drive(held, hook, reopen)
-        ref_out, _ = self.drive(ref, hook, reopen)
+        out, counts = self.drive(held, hook, reopen, frozen)
+        ref_out, _ = self.drive(ref, hook, reopen, frozen)
         assert out == ref_out
         assert held.critic.params.tobytes() == ref.critic.params.tobytes()
         assert held.action.params.tobytes() == ref.action.params.tobytes()
@@ -565,11 +568,13 @@ class TestStoredCriticPass:
         expected[self.HOOK_AT] = 4
         assert self.run_both(hook, reopen) == expected
 
-    def test_reset_and_frozen_periods_store_no_pass_to_reuse(self):
-        ctl = HdpController(make_critic(seed=3), make_action(seed=53))
-        with ctl.hold():
-            duty, _ = ctl.control_step(meas(190.0, 7.0))
-            ctl.reset_transition_buffer()
-            assert ctl._pass is None
-            duty, _ = ctl.control_step(meas(195.0, 7.5, duty_prev=duty), learn=False)
-            assert ctl._pass is None
+    def test_a_reset_stores_no_pass_and_a_frozen_period_stores_its_own(self):
+        # after the reset at HOOK_AT a period has no transition, so it runs
+        # only its two passes; a frozen period runs just its cost-to-go
+        # pass, which the learning period after it reuses
+        frozen = (self.HOOK_AT + 2, self.HOOK_AT + 3)
+        expected = [2] + [3] * (self.STEPS - 1)
+        expected[self.HOOK_AT] = 2
+        for k in frozen:
+            expected[k] = 1
+        assert self.run_both(reset, reopen=False, frozen=frozen) == expected

@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from boosthdp import mlp
 from boosthdp.mlp import (
     MAX_KERNEL_PARAMS,
     ForwardCache,
@@ -295,8 +294,8 @@ def flat(cache):
 
 
 def same_nets(sizes, activation, seed):
-    """Two identical nets: one to step with Mlp.step, one to update in two
-    steps."""
+    """Two identical nets: one to step with kernels.step, one to update in
+    two steps."""
     net = Mlp.init(sizes, activation, seed=seed)
     net.biases = [
         np.random.default_rng(seed).normal(0.0, 0.3, size=b.shape) for b in net.biases
@@ -312,7 +311,7 @@ NET_SHAPES = st.tuples(
 
 
 class TestDescend:
-    """Mlp.step on a kernel pass is the gradient object of the pass's 1-D
+    """kernels.step on a kernel pass is the gradient object of the pass's 1-D
     cache, then the update, bit for bit, for any net shape."""
 
     @settings(max_examples=80, deadline=None)
@@ -327,7 +326,7 @@ class TestDescend:
             # a kernel pass against a 1-D pass
             x = rng.uniform(-2.0, 2.0, size=sizes[0])
             p = net.params.tolist()
-            new = net.step(p, net.kernels.forward(p, x.tolist()), d_out.tolist(), lr)
+            new = net.kernels.step(p, net.kernels.forward(p, x.tolist()), d_out.tolist(), lr)
             net.params[:] = new
             _, ref_cache = ref.forward(x)
             two_step_update(ref, ref_cache, d_out, lr)
@@ -336,7 +335,7 @@ class TestDescend:
             # row 0 of a batched pass against that row's 1-D cache
             xs = rng.uniform(-2.0, 2.0, size=(batch, sizes[0]))
             _, cache = net.forward(xs)
-            net.params[:] = net.step(new, flat(row_cache(cache, 0)), d_out.tolist(), lr)
+            net.params[:] = net.kernels.step(new, flat(row_cache(cache, 0)), d_out.tolist(), lr)
             _, ref_cache = ref.forward(xs)
             two_step_update(ref, row_cache(ref_cache, 0), d_out, lr)
             assert net.params.tobytes() == ref.params.tobytes()
@@ -358,12 +357,12 @@ class TestDescend:
         p = net.params.tolist()
         acts = net.kernels.forward(p, x.tolist())
         with pytest.raises(NonFiniteUpdateError):
-            net.step(p, acts, d_bad, lr)
+            net.kernels.step(p, acts, d_bad, lr)
         assert net.params.tobytes() == before
         # the next valid step on the same pass is the reference step, not
         # one mixed with the refused step's leftovers
         d_out = rng.normal(0.0, 1.0, size=sizes[-1])
-        net.params[:] = net.step(p, acts, d_out.tolist(), 0.1)
+        net.params[:] = net.kernels.step(p, acts, d_out.tolist(), 0.1)
         _, ref_cache = ref.forward(x)
         two_step_update(ref, ref_cache, d_out, 0.1)
         assert net.params.tobytes() == ref.params.tobytes()
@@ -385,15 +384,15 @@ class TestDescend:
 
 class TestStep:
     """`Mlp.params` is the one source of truth: the kernels read it as a
-    list, and Mlp.step returns a step as a list, which its caller writes
-    back into it."""
+    list, and kernels.step returns a step as a list, which its caller
+    writes back into it."""
 
     def test_sees_every_parameter_write(self):
         net = Mlp.init([5, 5, 5, 1], "linear", seed=7)
         x = np.random.default_rng(7).uniform(-1.0, 1.0, 5)
         p = net.params.tolist()
         acts = net.kernels.forward(p, x.tolist())
-        new = net.step(p, acts, [0.5], 0.1)
+        new = net.kernels.step(p, acts, [0.5], 0.1)
         assert net.params.tolist() == p != new
         net.params[:] = new
         assert net.forward(x)[0].tolist() == net.kernels.forward(new, x.tolist())[-1:]
@@ -425,33 +424,29 @@ class TestStep:
 
 
 def per_sample_fit(net, order, xs, goals, lr):
-    """Mlp.fit_epoch as a loop over the per-sample kernels and Mlp.step,
-    written into params at the end, or at a refused step."""
+    """Mlp.fit_epoch as a loop over the per-sample kernels, written into
+    params at the end; a refused step raises before anything is written."""
     p, sq_sum = net.params.tolist(), 0.0
-    try:
-        for k in order:
-            acts = net.kernels.forward(p, xs[k])
-            err = acts[-1] - goals[k]
-            p = net.step(p, acts, (err,), lr)
-            sq_sum += err * err
-    finally:
-        net.params[:] = p
+    for k in order:
+        acts = net.kernels.forward(p, xs[k])
+        err = acts[-1] - goals[k]
+        p = net.kernels.step(p, acts, (err,), lr)
+        sq_sum += err * err
+    net.params[:] = p
     return sq_sum
 
 
 def per_sample_td(net, order, xs, xs_next, us, gamma, lr):
-    """Mlp.td_epoch as a loop over the per-sample kernels and Mlp.step,
-    written into params at the end, or at a refused step."""
+    """Mlp.td_epoch as a loop over the per-sample kernels, written into
+    params at the end; a refused step raises before anything is written."""
     p, sq_sum = net.params.tolist(), 0.0
-    try:
-        for k in order:
-            target = net.kernels.forward(p, xs_next[k])[-1]
-            acts = net.kernels.forward(p, xs[k])
-            p = net.step(p, acts, (acts[-1] - gamma * target - us[k],), lr)
-            resid = net.kernels.forward(p, xs[k])[-1] - gamma * target - us[k]
-            sq_sum += resid * resid
-    finally:
-        net.params[:] = p
+    for k in order:
+        target = net.kernels.forward(p, xs_next[k])[-1]
+        acts = net.kernels.forward(p, xs[k])
+        p = net.kernels.step(p, acts, (acts[-1] - gamma * target - us[k],), lr)
+        resid = net.kernels.forward(p, xs[k])[-1] - gamma * target - us[k]
+        sq_sum += resid * resid
+    net.params[:] = p
     return sq_sum
 
 
@@ -510,7 +505,7 @@ class TestFiniteness:
     def test_step_accepts_parameters_whose_sum_overflows(self):
         net = overflowing_net()
         p = net.params.tolist()
-        assert net.step(p, net.kernels.forward(p, [0.0]), [0.0], 0.1) == [1e308, 1e308]
+        assert net.kernels.step(p, net.kernels.forward(p, [0.0]), [0.0], 0.1) == [1e308, 1e308]
 
     def test_epoch_kernels_accept_parameters_whose_sum_overflows(self):
         net = overflowing_net()
@@ -526,9 +521,8 @@ class TestFiniteness:
         acts = net.kernels.forward(p, x)
         grads = net.kernels.gradient(p, acts, [1.0])
         assert math.isnan(sum(pk - gk * 1e10 for pk, gk in zip(p, grads)))
-        assert net.kernels.step(p, acts, [1.0], 1e10) is None
         with pytest.raises(NonFiniteUpdateError):
-            net.step(p, net.kernels.forward(p, x), [1.0], 1e10)
+            net.kernels.step(p, acts, [1.0], 1e10)
         assert net.params.tobytes() == before
 
     def test_epoch_kernels_refuse_opposite_infinities(self):
@@ -541,13 +535,26 @@ class TestFiniteness:
             net.td_epoch([0], [x], [[0.0, 0.0]], [0.0], 0.5, 1e10)
         assert net.params.tobytes() == before
 
-    def test_refused_step_mid_sweep_keeps_the_last_accepted_step(self):
+    def test_a_refused_call_leaves_params_as_it_found_them(self):
+        # kernels.step at opposite infinities, and each sweep refused at its
+        # second step, after a first step that the per-sample loop accepts
         net, x = opposite_infinities_net()
+        before = net.params.tobytes()
+        xs, goals = [[0.5, 0.5], x], [0.2, 0.0]
         ref = net.copy()
-        with pytest.raises(NonFiniteUpdateError):
-            net.fit_epoch([0, 1, 0], [[0.5, 0.5], x], [0.2, 0.0], 0.1)
-        per_sample_fit(ref, [0], [[0.5, 0.5]], [0.2], 0.1)
-        assert net.params.tobytes() == ref.params.tobytes()
+        per_sample_fit(ref, [0], xs, goals, 0.1)
+        assert ref.params.tobytes() != before
+        p = net.params.tolist()
+        calls = [
+            lambda: net.kernels.step(p, net.kernels.forward(p, x), [1.0], 1e10),
+            lambda: net.fit_epoch([0, 1, 0], xs, goals, 0.1),
+            lambda: net.td_epoch([0, 1, 0], xs, [[0.0, 0.0]] * 2, goals, 0.5, 0.1),
+        ]
+        for call in calls:
+            with pytest.raises(NonFiniteUpdateError):
+                call()
+            assert net.params.tobytes() == before
+        assert p == net.params.tolist()
 
 
 def outcome(sweep, net, *args):
@@ -573,9 +580,9 @@ SWEEP_DRAWS = dict(
 
 class TestEndOfEpochRule:
     """A sweep steps without a check and applies the finiteness rule to its
-    end list; on a refusal it replays the epoch through kernels.forward and
-    Mlp.step.  It must agree with the per-sample loop in every case: the
-    same value and bytes, or a refusal at the same step."""
+    end list.  It must agree with the per-sample loop in every case: the
+    same value and bytes whenever the loop accepts every step, and where
+    the loop refuses one, a refusal that leaves the start bytes."""
 
     @staticmethod
     def samples(sizes, seed):
@@ -601,45 +608,25 @@ class TestEndOfEpochRule:
                                        (Mlp.td_epoch, per_sample_td, td)):
             net = Mlp.init(sizes, activation, seed=seed)
             net.params[:] *= 10.0 ** log_scale
-            ref = net.copy()
-            assert outcome(sweep, net, *args) == outcome(reference, ref, *args)
+            ref, start = net.copy(), net.params.tobytes()
+            value, after = outcome(sweep, net, *args)
+            assert (value, after) == outcome(reference, ref, *args)
+            if value is NonFiniteUpdateError:
+                assert after == start
 
     def test_draws_reach_refusals_partway_through(self):
         # the property's explicit example: each step at rate 1e12 grows the
-        # parameters some 1e12-fold, so a step past the first is refused
+        # parameters some 1e12-fold, so the loop accepts the first step and
+        # refuses a later one; the sweep leaves the start bytes
         sizes, order = [2, 3, 1], [0, 1, 2, 3, 4, 5] * 4
         xs, xs_next, goals = self.samples(sizes, 0)
         start = Mlp.init(sizes, "linear", seed=0).params.tobytes()
-        for sweep, args in ((Mlp.fit_epoch, (order, xs, goals, 1e12)),
-                            (Mlp.td_epoch, (order, xs, xs_next, goals, 0.85, 1e12))):
-            value, after = outcome(sweep, Mlp.init(sizes, "linear", seed=0), *args)
-            assert value is NonFiniteUpdateError and after != start
-
-    def test_replay_runs_only_on_failure(self, monkeypatch):
-        sizes = [5, 5, 5, 1]
-        xs, xs_next, goals = self.samples(sizes, 3)
-        order = [0, 3, 1, 5, 2, 4, 0]
-        ref_td, ref_fit = Mlp.init(sizes, "linear", seed=2), Mlp.init(sizes, "sigmoid", seed=2)
-        net_td, net_fit = ref_td.copy(), ref_fit.copy()
-        expected = (per_sample_td(ref_td, order, xs, xs_next, goals, 0.85, 0.05),
-                    per_sample_fit(ref_fit, order, xs, goals, 0.3))
-
-        def no_step(*args):
-            raise AssertionError("Mlp.step ran in a finite sweep")
-
-        monkeypatch.setattr(Mlp, "step", no_step)
-        assert (net_td.td_epoch(order, xs, xs_next, goals, 0.85, 0.05),
-                net_fit.fit_epoch(order, xs, goals, 0.3)) == expected
-        assert net_td.params.tobytes() == ref_td.params.tobytes()
-        assert net_fit.params.tobytes() == ref_fit.params.tobytes()
-
-    def test_replay_that_accepts_every_step_is_an_internal_error(self, monkeypatch):
-        net = Mlp.init([2, 1], "linear")
-        net.kernels  # the replay's kernels, generated before the patch
-        refused = lambda p, *args: (p, 0.0, False)
-        monkeypatch.setattr(mlp, "_generate", lambda *args: refused)
-        with pytest.raises(AssertionError, match="replay accepted"):
-            net.fit_epoch([0], [[0.5, 0.5]], [0.2], 0.1)
+        for sweep, args in ((Mlp.fit_epoch, (xs, goals, 1e12)),
+                            (Mlp.td_epoch, (xs, xs_next, goals, 0.85, 1e12))):
+            first, after = outcome(sweep, Mlp.init(sizes, "linear", seed=0), order[:1], *args)
+            assert first is not NonFiniteUpdateError and after != start
+            value, after = outcome(sweep, Mlp.init(sizes, "linear", seed=0), order, *args)
+            assert value is NonFiniteUpdateError and after == start
 
 
 # --- per-layer reference ---------------------------------------------------

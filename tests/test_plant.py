@@ -11,6 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
+from boosthdp import plant
 from boosthdp.plant import (
     ConductionMode,
     PlantParams,
@@ -75,6 +76,18 @@ class TestParamsAndState:
     def test_substep_count(self):
         assert NOMINAL.substeps == 100
         assert PlantParams(dt=5e-6).substeps == 10
+
+    def test_too_many_substeps_refused_before_any_propagator(self, monkeypatch):
+        # 10^6 sub-steps per period, whose maps would take some 0.9 GB
+        built = []
+        monkeypatch.setattr(plant, "_Propagator", lambda *args: built.append(args))
+        with pytest.raises(ValueError, match=(
+            f"makes 1000000 sub-steps per switching period; at most {plant.MAX_SUBSTEPS}"
+        )):
+            _propagators(PlantParams(dt=5e-11))
+        assert built == []
+        limit = PlantParams(dt=NOMINAL.t_sw / plant.MAX_SUBSTEPS)
+        assert limit.substeps == plant.MAX_SUBSTEPS
 
     def test_rejects_negative_state(self):
         with pytest.raises(ValueError):

@@ -9,10 +9,8 @@ where us is the best of 7 repeats of the mean time per call (in ms for the
 
 - `critic.forward`, `critic.gradient`, `critic.input_gradient` and
   `critic.step`, and the same four on the action net: the nets' kernels
-  (`Mlp.kernels`) and `Mlp.step` on the two shipped topologies
-  (`hdp.CRITIC_SIZES`, `hdp.ACTION_SIZES`), N calls per repeat (on a
-  checkout whose `Mlp.step` still writes `params`, the row includes that
-  write; on later ones the step only returns its list);
+  (`Mlp.kernels`, the step `kernels.step`) on the two shipped topologies
+  (`hdp.CRITIC_SIZES`, `hdp.ACTION_SIZES`), N calls per repeat;
 - `control_step.learn` and `control_step.frozen`: `HdpController.control_step`
   with and without learning, over N measurements near the nominal point,
   one call at a time;
@@ -89,14 +87,13 @@ def timings(calls: int) -> dict[str, float]:
             for acts in passes:
                 k.input_gradient(p, acts, d)
 
-        def step(net, p=p, passes=passes, d=d):
+        def step(k=k, p=p, passes=passes, d=d):
             for acts in passes:
-                net.step(p, acts, d, 1e-6)
+                k.step(p, acts, d, 1e-6)
 
         for op, run in (("forward", forward), ("gradient", gradient),
-                        ("input_gradient", input_gradient)):
+                        ("input_gradient", input_gradient), ("step", step)):
             results[f"{name}.{op}"] = _best_us(run, calls, tuple)
-        results[f"{name}.step"] = _best_us(step, calls, lambda make=make: (make(0),))
 
     states = rng.uniform(-1.0, 1.0, (calls, 4))
     measurements = [
