@@ -36,6 +36,8 @@ keeps the cost-to-go itself O(1) at the default discount.
 from __future__ import annotations
 
 import math
+from collections.abc import Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -221,7 +223,8 @@ class HdpController:
         # [critic list, action list] while a hold is open, else None
         self._lists: list[list[float]] | None = None
 
-    def hold(self) -> _Hold:
+    @contextmanager
+    def hold(self) -> Iterator[None]:
         """Hold both nets' parameters as lists for a run of control steps:
         `with controller.hold(): ...`.
 
@@ -232,10 +235,26 @@ class HdpController:
         once; a step refused mid-run (NonFiniteUpdateError) thus leaves each
         net at its last accepted step.  Inside a hold, neither swap a net nor
         write its `params`: the steps go on from the held lists, and the
-        hold writes them into the nets it opened with.  Holds do not nest.
-        The critic must be an `Mlp`.
+        hold writes them into the nets it opened with.  Holds do not nest
+        (RuntimeError), and the critic must be an `Mlp` (TypeError); either
+        is refused before anything is taken.
         """
-        return _Hold(self)
+        critic, action = self.critic, self.action
+        if not isinstance(critic, Mlp):
+            raise TypeError(
+                f"control_step needs an Mlp critic, got {type(critic).__name__}"
+            )
+        if self._lists is not None:
+            raise RuntimeError("the controller is already held")
+        taken = critic.params.tolist(), action.params.tolist()
+        self._lists = lists = list(taken)
+        try:
+            yield
+        finally:
+            self._lists = None
+            for net, new, old in zip((critic, action), lists, taken):
+                if new is not old:
+                    net.params[:] = new
 
     def reset_transition_buffer(self) -> None:
         """Forget the stored transition, e.g. across a simulation restart."""
@@ -326,34 +345,3 @@ class HdpController:
         u = utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i)
         self._prev = (state, u, pc, duty, x_est)
         return duty, x_est[-1]
-
-
-class _Hold:
-    """The context manager `HdpController.hold` returns.  A class, not a
-    `contextlib.contextmanager` generator, because every control_step
-    outside a hold opens one and the generator's set-up costs more."""
-
-    __slots__ = ("controller", "nets", "taken")
-
-    def __init__(self, controller: HdpController) -> None:
-        self.controller = controller
-
-    def __enter__(self) -> None:
-        ctl = self.controller
-        critic, action = ctl.critic, ctl.action
-        if not isinstance(critic, Mlp):
-            raise TypeError(
-                f"control_step needs an Mlp critic, got {type(critic).__name__}"
-            )
-        if ctl._lists is not None:
-            raise RuntimeError("the controller is already held")
-        self.nets = critic, action
-        self.taken = critic.params.tolist(), action.params.tolist()
-        ctl._lists = list(self.taken)
-
-    def __exit__(self, *exc_info) -> None:
-        ctl = self.controller
-        lists, ctl._lists = ctl._lists, None
-        for net, new, old in zip(self.nets, lists, self.taken):
-            if new is not old:
-                net.params[:] = new

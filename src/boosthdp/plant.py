@@ -99,14 +99,15 @@ class PlantParams:
         if self.r_l < 0.0:
             raise ValueError("r_l must be non-negative")
         n = self.t_sw / self.dt
+        # first, as an n that overflowed to inf has no round(n)
+        if n > MAX_SUBSTEPS + 0.5:
+            raise ValueError(
+                f"dt={self.dt} makes {n:.0f} sub-steps per switching period; "
+                f"at most {MAX_SUBSTEPS}"
+            )
         if abs(n - round(n)) > 1e-9 * n or round(n) < 1:
             raise ValueError(
                 f"dt={self.dt} does not divide the switching period {self.t_sw}"
-            )
-        if round(n) > MAX_SUBSTEPS:
-            raise ValueError(
-                f"dt={self.dt} makes {round(n)} sub-steps per switching period; "
-                f"at most {MAX_SUBSTEPS}"
             )
 
     @property

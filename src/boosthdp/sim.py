@@ -3,11 +3,11 @@
 Wires a controller to the switched plant at one control action per PWM
 period, runs the three evaluation scenarios (startup, load step, input
 step), records per-period traces, and computes step-response metrics.  A
-trace is kept as columns (`Trace`, one list per `TRACE_FIELDS` column):
+trace is its columns only (`Trace`, one list per `TRACE_FIELDS` column):
 the loop appends each period's values to their lists, the metrics read
 the columns as arrays, and the CSV text formats each column in one pass.
 Each scenario regulates V_SET around a nominal source and load, with at
-most one step of either.
+most one step of either, over at most MAX_PERIODS switching periods.
 Also hosts the offline pipeline that prepares the neuro-controller:
 excitation-log generation under a teacher law, temporal-difference
 pretraining of the critic, and behavior cloning of the action net.  Each
@@ -22,7 +22,6 @@ with the 1-D `Mlp.forward`, `Mlp.grad_weights` and `Mlp.apply_update`.
 from __future__ import annotations
 
 import math
-from collections import namedtuple
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from operator import is_
@@ -40,6 +39,7 @@ from .plant import ConductionMode, PlantParams, PlantState, step, steady_state_h
 
 __all__ = [
     "CONTROLLER_TAGS",
+    "MAX_PERIODS",
     "SCENARIO_NAMES",
     "Metrics",
     "PretrainSettings",
@@ -49,7 +49,6 @@ __all__ = [
     "SimulationDiverged",
     "R_LOAD_RANGE",
     "Trace",
-    "TraceRecord",
     "TRACE_FIELDS",
     "V_SET",
     "V_S_RANGE",
@@ -77,6 +76,12 @@ V_SET = 200.0
 V_S_RANGE = (54.0, 66.0)
 R_LOAD_RANGE = (50.0, 200.0)
 
+# the most periods one scenario run or one excitation hold may take, 100x
+# the shipped 1000-period scenario.  A scenario period holds about 0.3 KB
+# of trace and peaks near 0.6 KB while the CSV text is formatted, an
+# excitation transition about 1.2 KB with the sweeps' copies of it
+# (tracemalloc): some 60 MB for a run at the bound, 120 MB for a hold
+MAX_PERIODS = 100_000
 # each excitation hold lasts this long; both offline stages decay their
 # per-sample rate as lr / (1 + epoch / _LR_DECAY_EPOCHS)
 _HOLD_DURATION = 0.01
@@ -141,39 +146,25 @@ class ScenarioSpec:
             raise ValueError(f"{self.name} initial state must be finite")
 
 
-class TraceRecord(NamedTuple):
-    t: float
-    v_o: float
-    i_l: float
-    duty: float
-    u: float
-    j_est: float
-    mode: str
-    v_set: float
-    v_s: float
-    r_load: float
+class Trace(NamedTuple):
+    """A scenario's trace as columns: one list per CSV column, in the
+    CSV's column order (`TRACE_FIELDS`), each holding one value per
+    period."""
+
+    t: list[float]
+    v_o: list[float]
+    i_l: list[float]
+    duty: list[float]
+    u: list[float]
+    j_est: list[float]
+    mode: list[str]
+    v_set: list[float]
+    v_s: list[float]
+    r_load: list[float]
 
 
 # column order of the trace CSV
-TRACE_FIELDS = TraceRecord._fields
-
-
-class Trace(namedtuple("Trace", TRACE_FIELDS)):
-    """A scenario's trace as columns: one list per `TRACE_FIELDS` column,
-    in that order, each holding one value per period.  `rows` and
-    `from_rows` convert to and from a list of `TraceRecord`s."""
-
-    __slots__ = ()
-
-    def rows(self) -> list[TraceRecord]:
-        return list(map(TraceRecord, *self))
-
-    @classmethod
-    def from_rows(cls, rows) -> "Trace":
-        rows = list(rows)
-        if not rows:
-            return cls._make([] for _ in TRACE_FIELDS)
-        return cls._make(map(list, zip(*rows)))
+TRACE_FIELDS = Trace._fields
 
 
 # a period's conduction mode as the trace's mode column names it
@@ -222,8 +213,10 @@ def baseline_for_scenario(
     rest, integrator preloaded at the operating duty when the scenario
     starts from a running equilibrium (otherwise the loop would spend the
     pre-step half of the run recovering from its own handover transient).
+    Without `pi`, a copy of the shipped gains, updated once per switching
+    period of `params`.
     """
-    pi = (pi or PiController()).copy()
+    pi = pi.copy() if pi is not None else PiController(dt_ctrl=params.t_sw)
     pi.reset()
     if spec.initial_state.v_o > 0.0 and pi.ki > 0.0:
         warm_start_pi(pi, V_SET, spec.v_s, spec.r_load, params.r_l)
@@ -369,7 +362,7 @@ def run_scenario(
 
     Raises SimulationDiverged if v_o exceeds twice the setpoint, or i_l the
     `current_limit`, or either is NaN, and ValueError if the scenario
-    rounds to no whole switching period.
+    rounds to no whole switching period or to more than MAX_PERIODS.
     """
     cfg = hdp_config or HdpConfig()
     is_pi = spec.controller_tag == "PI"
@@ -384,6 +377,11 @@ def run_scenario(
         raise ValueError(
             f"switching period {t_sw:g} s leaves no whole period in the "
             f"{spec.duration:g} s {spec.name} scenario"
+        )
+    if n_periods > MAX_PERIODS:
+        raise ValueError(
+            f"switching period {t_sw:g} s makes {n_periods} periods in the "
+            f"{spec.duration:g} s {spec.name} scenario; at most {MAX_PERIODS}"
         )
     # the tag, not the caller, decides whether the run adapts
     learn = spec.controller_tag == "HDP"
@@ -604,8 +602,9 @@ def generate_excitation_log(
     transition straddling the boundary would only inject target noise;
     each hold's transition chain starts fresh.  Raises ValueError if a hold
     rounds to fewer than two switching periods, which log no transition,
-    and SimulationDiverged, as `run_scenario` does, if v_o exceeds twice
-    the setpoint, or i_l the `current_limit`, or either is NaN.
+    or to more than MAX_PERIODS, and SimulationDiverged, as `run_scenario`
+    does, if v_o exceeds twice the setpoint, or i_l the `current_limit`,
+    or either is NaN.
     """
     rng = np.random.default_rng(seed)
     cfg = hdp_config
@@ -616,6 +615,11 @@ def generate_excitation_log(
         raise ValueError(
             f"switching period {t_sw:g} s leaves fewer than 2 periods in the "
             f"{_HOLD_DURATION:g} s excitation hold"
+        )
+    if periods_per_hold > MAX_PERIODS:
+        raise ValueError(
+            f"switching period {t_sw:g} s makes {periods_per_hold} periods in "
+            f"the {_HOLD_DURATION:g} s excitation hold; at most {MAX_PERIODS}"
         )
     v_max, i_max = 2.0 * V_SET, current_limit(params)
     log: list[tuple[np.ndarray, np.ndarray, float]] = []

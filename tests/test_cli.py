@@ -9,10 +9,11 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from boosthdp import cli, plant
 from boosthdp.cli import (
@@ -456,6 +457,43 @@ class TestUsageErrors:
             "action.mlp", "critic.mlp", "long.ini"
         ]
 
+    # a 0.5 ns switching period at one sub-step: 10^8 periods in a 50 ms
+    # scenario and 2 * 10^7 in a 10 ms excitation hold
+    SHORT_PERIOD = "[plant]\nf_sw = 2e9\ndt = 5e-10\n\n[run]\nscenarios = startup\n"
+    HOLD_TOO_LONG = ("[plant] switching period 5e-10 s makes 20000000 periods in the "
+                     "0.01 s excitation hold; at most 100000")
+    SCENARIO_TOO_LONG = ("[plant] switching period 5e-10 s makes 100000000 periods in "
+                         "the 0.05 s startup scenario; at most 100000")
+
+    @pytest.mark.parametrize("command", [["pretrain"], ["run", "startup", "PI"],
+                                         ["run", "startup", "HDP"], ["compare"]],
+                             ids=["pretrain", "run-PI", "run-HDP", "compare"])
+    def test_too_many_periods_exits_1_before_any_period(
+        self, fast_snapshots, tmp_path, caplog, capsys, monkeypatch, command
+    ):
+        def no_period(*args):
+            raise AssertionError("a period was simulated")
+
+        monkeypatch.setattr(cli.sim, "step", no_period)
+        if command != ["pretrain"]:
+            _copy_snapshots(tmp_path, fast_snapshots)
+        config = tmp_path / "short.ini"
+        config.write_text(self.SHORT_PERIOD)
+        before = _files(tmp_path)
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(command + ["--config", str(config), "--out", str(tmp_path)])
+        assert rc == 1
+        cells = 2 if command == ["compare"] else 1
+        message = self.HOLD_TOO_LONG if command == ["pretrain"] else self.SCENARIO_TOO_LONG
+        assert _error_lines(caplog) == [message] * cells
+        assert _files(tmp_path) == before
+        out = capsys.readouterr()
+        assert "Traceback" not in out.err
+        if command == ["compare"]:
+            assert [row.split() for row in out.out.strip().splitlines()[1:]] == [
+                ["startup", tag, "-", "-", "-"] for tag in ("PI", "HDP")
+            ]
+
     @pytest.mark.parametrize("line", ["l_ind = nan", "c_out = inf", "v_s = -inf"])
     def test_non_finite_plant_value_exits_1(self, tmp_path, caplog, line):
         config = tmp_path / "bad.ini"
@@ -573,6 +611,83 @@ class TestUsageErrors:
             cli.main(["run", "warp", "PI", "--seed", "5", "--out", str(tmp_path)])
         assert "default [run] seed" not in caplog.text
         assert "default [run] out" not in caplog.text
+
+
+# the budget of the exit-code property: 1 episode of 2 holds, 6 TD epochs
+# and 2 clone epochs
+TINY_PRETRAIN = {
+    ("pretrain", "n_episodes"): 1, ("pretrain", "n_holds"): 2,
+    ("pretrain", "max_epochs"): 6, ("pretrain", "clone_epochs"): 2,
+}
+PROPERTY_COMMANDS = (["pretrain"], ["run", "startup", "HDP"],
+                     ["run", "load_change", "PI"], ["compare"])
+
+
+@st.composite
+def edge_configs(draw):
+    """1 to 3 float keys, each at an edge value: 0, the negated default,
+    the smallest and largest magnitudes, or the default scaled."""
+    keys = draw(st.lists(st.sampled_from(FLOAT_KEYS), min_size=1, max_size=3, unique=True))
+    values = {}
+    for section, key in keys:
+        default = cli._SCHEMA[section][key][1]
+        values[section, key] = draw(st.sampled_from(
+            [0.0, -default, 1e-300, 1e300, 5e-324]
+            + [default * factor for factor in (1e-3, 0.5, 2.0, 1e3)]
+        ))
+    return values
+
+
+def _config_text(values):
+    sections = {}
+    for (section, key), value in {**TINY_PRETRAIN, **values}.items():
+        text = repr(value) if isinstance(value, float) else str(value)
+        sections.setdefault(section, []).append(f"{key} = {text}")
+    return "".join(
+        f"[{section}]\n" + "".join(line + "\n" for line in lines) + "\n"
+        for section, lines in sections.items()
+    )
+
+
+def _print_warning(message, category, filename, lineno, file=None, line=None):
+    """Write a warning to stderr, where a command run alone prints it."""
+    sys.stderr.write(warnings.formatwarning(message, category, filename, lineno, line))
+
+
+class TestExitCodeProperty:
+    """Whatever the config, every command ends in a documented exit code,
+    and prints no traceback and no warning."""
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # each example a config that once ended in a traceback, a wrong exit
+    # code or unbounded work
+    @example({("plant", "v_s"): 250.0})
+    @example({("plant", "c_out"): 1e-12})
+    @example({("plant", "dt"): 5e-11})
+    @example({("run", "scenarios"): "startup startup"})
+    @example({("plant", "f_sw"): 2e9, ("plant", "dt"): 5e-10})
+    @example({("plant", "f_sw"): 5e-324})
+    @example({("plant", "dt"): 5e-324})
+    @given(values=edge_configs())
+    def test_every_command_exits_0_1_or_2(self, tmp_path_factory, capfd, caplog, values):
+        out = tmp_path_factory.mktemp("edge")
+        config = out / "edge.ini"
+        config.write_text(_config_text(values))
+        capfd.readouterr()
+        caplog.clear()
+        with warnings.catch_warnings():
+            # forked workers inherit this, so theirs reach stderr too
+            warnings.simplefilter("always")
+            warnings.showwarning = _print_warning
+            codes = [
+                cli.main(command + ["--config", str(config), "--out", str(out)])
+                for command in PROPERTY_COMMANDS
+            ]
+        assert set(codes) <= {0, 1, 2}
+        captured = capfd.readouterr()
+        for text in (captured.out, captured.err, caplog.text):
+            assert "Traceback" not in text and "Warning" not in text
 
 
 class TestPretrainCommand:

@@ -89,6 +89,12 @@ class TestParamsAndState:
         limit = PlantParams(dt=NOMINAL.t_sw / plant.MAX_SUBSTEPS)
         assert limit.substeps == plant.MAX_SUBSTEPS
 
+    @pytest.mark.parametrize("kw", [{"dt": 5e-324}, {"f_sw": 5e-324}])
+    def test_an_overflowing_substep_count_is_too_many(self, kw):
+        # period / dt overflows to inf, which round() cannot take
+        with pytest.raises(ValueError, match="makes inf sub-steps per switching period"):
+            PlantParams(**kw)
+
     def test_rejects_negative_state(self):
         with pytest.raises(ValueError):
             PlantState(i_l=-1.0)

@@ -32,7 +32,6 @@ from boosthdp.sim import (
     SimulationDiverged,
     TRACE_FIELDS,
     Trace,
-    TraceRecord,
     baseline_for_scenario,
     builtin_scenario,
     clone_action,
@@ -48,7 +47,7 @@ from boosthdp.sim import (
     write_trace_csv,
 )
 from td_reference import td_step_1d
-from trace_io import read_trace_csv
+from trace_io import TraceRecord, from_rows, read_trace_csv, trace_rows
 
 
 class TestScenarioSpec:
@@ -161,7 +160,7 @@ def synthetic_rows(ts, vs, v_set=200.0, v_s=60.0, r_load=80.0):
 
 
 def synthetic_trace(ts, vs, **schedule):
-    return Trace.from_rows(synthetic_rows(ts, vs, **schedule))
+    return from_rows(synthetic_rows(ts, vs, **schedule))
 
 
 def metrics_from_rows(rows):
@@ -247,7 +246,7 @@ class TestComputeMetrics:
         # perfect tracking after the step; the pre-step mess must not count
         ts = np.arange(400) * self.dt
         vs = np.concatenate([np.full(200, 150.0), np.full(200, 200.0)])
-        trace = Trace.from_rows(synthetic_rows(ts[:200], vs[:200]) + [
+        trace = from_rows(synthetic_rows(ts[:200], vs[:200]) + [
             TraceRecord(float(t), 200.0, 0.0, 0.5, 0.0, math.nan, "SWITCH_ON",
                         200.0, 60.0, 120.0)
             for t in ts[200:]
@@ -272,19 +271,19 @@ class TestComputeMetrics:
 
     def test_empty_trace_rejected(self):
         with pytest.raises(ValueError):
-            compute_metrics(Trace.from_rows([]))
+            compute_metrics(from_rows([]))
 
     def test_runs_equal_the_metrics_of_their_rows(self):
         params = PlantParams()
         for name in sim.SCENARIO_NAMES:
             spec = builtin_scenario(name, "PI")
             trace, m = run_scenario(spec, baseline_for_scenario(spec, params), params)
-            assert m == compute_metrics(trace) == metrics_from_rows(trace.rows())
+            assert m == compute_metrics(trace) == metrics_from_rows(trace_rows(trace))
 
     @settings(max_examples=200, deadline=None)
     @given(rows=metric_rows())
     def test_columns_equal_the_metrics_of_their_rows(self, rows):
-        assert compute_metrics(Trace.from_rows(rows)) == metrics_from_rows(rows)
+        assert compute_metrics(from_rows(rows)) == metrics_from_rows(rows)
 
 
 def csv_module_bytes(path, trace):
@@ -293,7 +292,7 @@ def csv_module_bytes(path, trace):
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRACE_FIELDS)
-        writer.writerows(trace.rows())
+        writer.writerows(trace_rows(trace))
     return path.read_bytes()
 
 
@@ -355,12 +354,6 @@ class Unprintable(float):
 
 
 class TestTraceCsv:
-    def test_record_is_immutable(self):
-        rec = TraceRecord(0.0, 1.0, 2.0, 0.5, 0.1, math.nan, "SWITCH_ON",
-                          200.0, 60.0, 80.0)
-        with pytest.raises(AttributeError):
-            rec.v_o = 3.0
-
     def test_bytes_equal_the_csv_module(self, tmp_path):
         zero, minus_zero = 0.0, -0.0
         a, b = copied(1.25), copied(1.25)
@@ -378,7 +371,7 @@ class TestTraceCsv:
             (2e-04, copied(nan), 0.0, 5e-05, zero, copied(nan), "SWITCH_OFF_BLOCKED",
              200.0, 54.0, 200.0),
         ]
-        trace = Trace.from_rows(TraceRecord(*row) for row in rows)
+        trace = from_rows(TraceRecord(*row) for row in rows)
         write_trace_csv(tmp_path / "trace.csv", trace)
         expected = csv_module_bytes(tmp_path / "reference.csv", trace)
         assert (tmp_path / "trace.csv").read_bytes() == expected
@@ -429,15 +422,15 @@ class TestTraceCsv:
         pi = baseline_for_scenario(spec, PlantParams())
         trace, _ = run_scenario(spec, pi, PlantParams())
         p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        write_trace_csv(p1, Trace.from_rows(trace.rows()[:200]))
-        write_trace_csv(p2, Trace.from_rows(read_trace_csv(p1)))
+        write_trace_csv(p1, from_rows(trace_rows(trace)[:200]))
+        write_trace_csv(p2, from_rows(read_trace_csv(p1)))
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_nan_j_est_survives(self, tmp_path):
         rec = TraceRecord(0.0, 1.0, 2.0, 0.5, 0.1, math.nan, "SWITCH_ON",
                           200.0, 60.0, 80.0)
         p = tmp_path / "t.csv"
-        write_trace_csv(p, Trace.from_rows([rec]))
+        write_trace_csv(p, from_rows([rec]))
         back = read_trace_csv(p)[0]
         assert math.isnan(back.j_est)
         assert back.v_o == rec.v_o
@@ -446,10 +439,10 @@ class TestTraceCsv:
         rec = TraceRecord(0.0, 1.0, 2.0, 0.5, 0.1, math.nan, "SWITCH_ON",
                           200.0, 60.0, 80.0)
         p = tmp_path / "t.csv"
-        write_trace_csv(p, Trace.from_rows([rec]))
+        write_trace_csv(p, from_rows([rec]))
         before = p.read_bytes()
         # a value whose text fails, in the last of many rows
-        bad = Trace.from_rows([rec] * 4999 + [rec._replace(v_o=Unprintable(1.0))])
+        bad = from_rows([rec] * 4999 + [rec._replace(v_o=Unprintable(1.0))])
         with pytest.raises(ValueError, match="unprintable"):
             write_trace_csv(p, bad)
         assert p.read_bytes() == before
@@ -488,7 +481,7 @@ class TestRunScenario:
         t1, _ = run_scenario(base, baseline_for_scenario(base, params), params)
         t2, _ = run_scenario(alt, baseline_for_scenario(alt, params), params)
         n_pre = round(0.025 / params.t_sw)
-        assert t1.rows()[:n_pre] == t2.rows()[:n_pre]
+        assert trace_rows(t1)[:n_pre] == trace_rows(t2)[:n_pre]
         assert t1.r_load[n_pre + 1] != t2.r_load[n_pre + 1]
 
     def test_tag_controller_mismatch_rejected(self):
@@ -554,11 +547,22 @@ class TestRunScenario:
         params = PlantParams()
         spec = builtin_scenario("load_change", "PI")
         trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
-        rows = trace.rows()
+        rows = trace_rows(trace)
         assert len(rows) == len(trace.t) and all(type(r) is TraceRecord for r in rows)
         assert rows[1] == tuple(column[1] for column in trace)
-        back = Trace.from_rows(rows)
+        back = from_rows(rows)
         assert type(back) is Trace and back == trace
+
+    def test_max_periods_bounds_a_scenario(self, monkeypatch):
+        # the shipped scenario is 1000 periods; a bound of 1000 admits it
+        params = PlantParams()
+        spec = builtin_scenario("startup", "PI", params)
+        monkeypatch.setattr(sim, "MAX_PERIODS", 1000)
+        trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
+        assert len(trace.t) == 1000
+        monkeypatch.setattr(sim, "MAX_PERIODS", 999)
+        with pytest.raises(ValueError, match="makes 1000 periods"):
+            run_scenario(spec, baseline_for_scenario(spec, params), params)
 
     def test_pi_trace_has_nan_cost_estimate(self):
         params = PlantParams()
@@ -678,6 +682,14 @@ class TestBaselinePrep:
         assert donor.integ == 123.0
         assert prepped is not donor
 
+    def test_default_pi_updates_once_per_switching_period(self):
+        # at 40 kHz the period is 25 us; a 50 us integrator step would
+        # integrate the error twice as fast as the loop runs
+        for params in (PlantParams(), PlantParams(f_sw=40e3, dt=0.25e-6)):
+            spec = builtin_scenario("load_change", "PI", params)
+            pi = baseline_for_scenario(spec, params)
+            assert pi.dt_ctrl == params.t_sw
+
 
 class TestExcitationLog:
     cfg = HdpConfig()
@@ -709,6 +721,14 @@ class TestExcitationLog:
         # inside a hold, each tuple's successor input is the next tuple's input
         for (x1, nxt, _), (x2, _, _) in zip(log[:50], log[1:51]):
             assert (nxt == x2).all()
+
+    def test_max_periods_bounds_a_hold(self, monkeypatch):
+        # the default hold is 200 periods; a bound of 200 admits it, 199 not
+        monkeypatch.setattr(sim, "MAX_PERIODS", 200)
+        assert len(self.small_log(n_holds=1)) == 199
+        monkeypatch.setattr(sim, "MAX_PERIODS", 199)
+        with pytest.raises(ValueError, match="makes 200 periods"):
+            self.small_log(n_holds=1)
 
     def test_rows_are_normalized_and_bounded(self):
         d_min, d_max = self.cfg.duty_limits

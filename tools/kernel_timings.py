@@ -13,7 +13,8 @@ where us is the best of 7 repeats of the mean time per call (in ms for the
   (`hdp.CRITIC_SIZES`, `hdp.ACTION_SIZES`), N calls per repeat;
 - `control_step.learn` and `control_step.frozen`: `HdpController.control_step`
   with and without learning, over N measurements near the nominal point,
-  one call at a time;
+  one call at a time, so each includes the open and close of the
+  one-period hold (a `contextlib.contextmanager` generator) it runs in;
 - `control_step.learn_held` and `control_step.frozen_held`: the same calls
   inside one `HdpController.hold`, as a simulation runs them, on
   checkouts that have it;
