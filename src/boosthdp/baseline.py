@@ -5,8 +5,10 @@ Serves as the comparison baseline.  The law is
     duty = clamp(duty_ff + kp*e_v + ki*integ, [d_min, d_max])
 
 with conditional anti-windup: the integrator only accumulates while the output
-is unsaturated.  duty_ff is a constant feed-forward that lets the loop start
-near the operating duty instead of ramping the integrator from zero.
+is unsaturated.  [d_min, d_max] is `plant.DUTY_LIMITS`, the window the HDP
+controller commands within too.  duty_ff is a constant feed-forward that
+lets the loop start near the operating duty instead of ramping the
+integrator from zero.
 
 Default gains come from loop-shaping the averaged CCM model at the nominal
 point (60 V in, 200 V out, 80 ohm).  The lightly damped LC resonance
@@ -22,6 +24,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+
+from .plant import DUTY_LIMITS
 
 __all__ = ["PiGains", "PiController", "DEFAULT_PI_GAINS"]
 
@@ -51,21 +55,17 @@ class PiController:
     ki: float = DEFAULT_PI_GAINS.ki
     duty_ff: float = DEFAULT_PI_GAINS.duty_ff
     dt_ctrl: float = 50e-6
-    duty_limits: tuple[float, float] = (0.05, 0.95)
     integ: float = field(default=0.0)
 
     def __post_init__(self) -> None:
         if self.dt_ctrl <= 0.0:
             raise ValueError("dt_ctrl must be positive")
-        d_min, d_max = self.duty_limits
-        if not 0.0 <= d_min < d_max <= 1.0:
-            raise ValueError(f"bad duty limits {self.duty_limits}")
 
     def pi_step(self, e_v: float) -> float:
         """One control update from the voltage error; returns the duty command."""
         if not math.isfinite(e_v):
             raise ValueError("voltage error must be finite")
-        d_min, d_max = self.duty_limits
+        d_min, d_max = DUTY_LIMITS
         raw = self.duty_ff + self.kp * e_v + self.ki * self.integ
         duty = min(max(raw, d_min), d_max)
         if duty == raw:
@@ -73,7 +73,7 @@ class PiController:
         return duty
 
     def reset(self) -> None:
-        """Zero the integrator; gains and limits are preserved."""
+        """Zero the integrator; the gains are preserved."""
         self.integ = 0.0
 
     def copy(self) -> "PiController":

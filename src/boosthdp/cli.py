@@ -4,13 +4,12 @@ Configuration is a flat key-value file with INI-style sections mirroring the
 module boundaries ([plant], [hdp], [pi], [pretrain], [run]).  The keys and
 defaults of [plant], [hdp], [pi] and [pretrain] are the fields of
 PlantParams, HdpConfig, PiGains and sim.PretrainSettings and their default
-instances; a tuple field spreads over the key names in its field metadata.
-Every key has a default; keys absent from the file are echoed to the log
-once so a run's effective configuration is always visible.  Unknown
-sections or keys, non-finite floats and a scenario listed twice are
-rejected rather than ignored -- a typo should fail loudly, not silently run
-the nominal setup.  [plant] v_s
-and r_load are the nominal point the scenarios start from.
+instances, one key per field.  Every key has a default; keys absent from
+the file are echoed to the log once so a run's effective configuration is
+always visible.  Unknown sections or keys, non-finite floats and a
+scenario listed twice are rejected rather than ignored -- a typo should
+fail loudly, not silently run the nominal setup.  [plant] v_s and r_load
+are the nominal point the scenarios start from.
 
 `compare` and `pretrain` use up to one worker process per available CPU
 (boosthdp.workers): `compare` simulates each cell in one, and `pretrain`
@@ -104,31 +103,9 @@ _SECTION_DEFAULTS = {
 }
 
 
-def _flatten(obj) -> dict[str, object]:
-    """A section dataclass as key -> value; a tuple field spreads over the
-    key names in its metadata, so the file stays flat."""
-    flat: dict[str, object] = {}
-    for f in fields(obj):
-        value = getattr(obj, f.name)
-        if "keys" in f.metadata:
-            flat.update(zip(f.metadata["keys"], value))
-        else:
-            flat[f.name] = value
-    return flat
-
-
-def _unflatten(cls, flat: dict[str, object]):
-    """Inverse of _flatten: build the section dataclass from its keys."""
-    return cls(**{
-        f.name: tuple(flat[k] for k in f.metadata["keys"])
-        if "keys" in f.metadata else flat[f.name]
-        for f in fields(cls)
-    })
-
-
 # section -> key -> (python type, default)
 _SCHEMA: dict[str, dict[str, tuple[type, object]]] = {
-    section: {key: (type(value), value) for key, value in _flatten(default).items()}
+    section: {key: (type(value), value) for key, value in asdict(default).items()}
     for section, default in _SECTION_DEFAULTS.items()
 }
 _SCHEMA["run"] = {
@@ -208,7 +185,7 @@ def parse_config(text: str) -> tuple[RunConfig, list[tuple[str, str, object]]]:
     try:
         cfg = RunConfig(
             **{
-                section: _unflatten(type(default), values[section])
+                section: type(default)(**values[section])
                 for section, default in _SECTION_DEFAULTS.items()
             },
             scenarios=scenarios,
@@ -242,12 +219,12 @@ def _fmt(value: object) -> str:
 
 def dump_config(cfg: RunConfig) -> str:
     """Render the effective configuration; parsing it back reproduces cfg."""
-    flat = {section: _flatten(getattr(cfg, section)) for section in _SECTION_DEFAULTS}
-    flat["run"] = {
+    sections = {section: asdict(getattr(cfg, section)) for section in _SECTION_DEFAULTS}
+    sections["run"] = {
         "scenarios": " ".join(cfg.scenarios), "out": cfg.out_dir, "seed": cfg.seed
     }
     out = io.StringIO()
-    for section, keys in flat.items():
+    for section, keys in sections.items():
         out.write(f"[{section}]\n")
         for key, value in keys.items():
             out.write(f"{key} = {_fmt(value)}\n")
@@ -298,7 +275,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     out = _make_out_dir(cfg)
     pt = cfg.pretrain
     try:
-        teacher = sim.make_reference_law(cfg.plant, hdp_config=cfg.hdp)
+        teacher = sim.make_reference_law(cfg.plant)
         log.info(
             "excitation log: %d episodes x %d holds under duty_ff=%.4f teacher",
             pt.n_episodes, pt.n_holds, teacher.duty_ff,
@@ -307,7 +284,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
             teacher, cfg.plant, cfg.hdp, seed=cfg.seed,
             n_episodes=pt.n_episodes, n_holds=pt.n_holds,
         )
-    except ValueError as exc:  # no boost operating point, or a period longer than a hold
+    except ValueError as exc:  # no boost operating point, a hold too short, a log too long
         raise ConfigError(f"[plant] {exc}") from None
     except sim.SimulationDiverged as exc:
         log.error("pretraining failed: %s", exc)
@@ -316,7 +293,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
 
     def clone() -> tuple[list[float], float]:
         mse = sim.clone_action(
-            action, transitions, cfg.hdp, seed=cfg.seed + 2,
+            action, transitions, seed=cfg.seed + 2,
             epochs=pt.clone_epochs, learning_rate=pt.clone_learning_rate,
         )
         # the parameters as plain data: an Mlp's views do not survive a pickle

@@ -28,9 +28,11 @@ writes the step and its finiteness rule for both, which raises
 NonFiniteUpdateError where a step would make a parameter non-finite, and
 tests hold the sweep to `td_update` bit for bit.
 
-All network inputs are normalized by fixed scales so every feature is O(1);
-the utility is computed on the normalized errors for the same reason, which
-keeps the cost-to-go itself O(1) at the default discount.
+The nets work in fixed coordinates that keep every feature O(1): volts
+over V_SCALE, amperes over I_SCALE, and the duty as it is.  The utility is
+computed on the errors in the same coordinates, which keeps the cost-to-go
+itself O(1) at the default discount.  The action net's sigmoid output maps
+affinely onto `plant.DUTY_LIMITS`, the window the PI loop clamps to too.
 """
 
 from __future__ import annotations
@@ -38,16 +40,19 @@ from __future__ import annotations
 import math
 from collections.abc import Iterator
 from contextlib import contextmanager
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
 from .mlp import Mlp
+from .plant import DUTY_LIMITS
 
 __all__ = [
     "CRITIC_SIZES",
     "ACTION_SIZES",
+    "V_SCALE",
+    "I_SCALE",
     "ControllerInput",
     "HdpConfig",
     "HdpController",
@@ -58,9 +63,14 @@ __all__ = [
     "td_update",
 ]
 
-# critic sees [v_o, i_l, e_v, e_i, duty] (normalized); action sees the first four
+# critic sees [v_o, i_l, e_v, e_i, duty]; action sees the first four
 CRITIC_SIZES = [5, 5, 5, 1]
 ACTION_SIZES = [4, 5, 5, 1]
+
+# the nets' coordinates: volts over V_SCALE, amperes over I_SCALE, the duty
+# as it is
+V_SCALE = 200.0
+I_SCALE = 10.0
 
 
 def make_critic(seed: int = 0) -> Mlp:
@@ -69,8 +79,8 @@ def make_critic(seed: int = 0) -> Mlp:
 
 
 def make_action(seed: int = 0) -> Mlp:
-    """Fresh policy net; the sigmoid output is mapped affinely onto the duty
-    limits, so the command can never leave them."""
+    """Fresh policy net; the sigmoid output is mapped affinely onto
+    DUTY_LIMITS, so the command can never leave them."""
     return Mlp.init(ACTION_SIZES, output_activation="sigmoid", seed=seed)
 
 
@@ -158,15 +168,6 @@ class HdpConfig:
     lr_action: float = 1e-6
     k_v: float = 1.0
     k_i: float = 0.1
-    # scales for [v_o, i_l, e_v, e_i, duty]; "keys" names each element in
-    # the flat config file
-    norm_scales: tuple[float, float, float, float, float] = field(
-        default=(200.0, 10.0, 200.0, 10.0, 1.0),
-        metadata={"keys": ("norm_v_o", "norm_i_l", "norm_e_v", "norm_e_i", "norm_duty")},
-    )
-    duty_limits: tuple[float, float] = field(
-        default=(0.05, 0.95), metadata={"keys": ("duty_min", "duty_max")}
-    )
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
@@ -175,11 +176,6 @@ class HdpConfig:
             raise ValueError("learning rates must be >= 0")
         if self.k_v < 0.0 or self.k_i < 0.0 or self.k_v + self.k_i == 0.0:
             raise ValueError("utility weights must be >= 0 and not both zero")
-        if len(self.norm_scales) != 5 or any(s <= 0.0 for s in self.norm_scales):
-            raise ValueError(f"need 5 positive norm_scales, got {self.norm_scales}")
-        d_min, d_max = self.duty_limits
-        if not 0.0 <= d_min < d_max <= 1.0:
-            raise ValueError(f"bad duty limits {self.duty_limits}")
 
 
 class HdpController:
@@ -261,12 +257,12 @@ class HdpController:
         self._prev = None
 
     def duty_from_action(self, a: np.ndarray) -> float:
-        """Map the policy output in (0,1) onto the duty limits."""
+        """Map the policy output in (0,1) onto DUTY_LIMITS."""
         y, _ = self.action.forward(a)
         return self._duty(float(y[0]))
 
     def _duty(self, y: float) -> float:
-        d_min, d_max = self.config.duty_limits
+        d_min, d_max = DUTY_LIMITS
         return d_min + y * (d_max - d_min)
 
     def action_update(self, a: np.ndarray) -> None:
@@ -274,20 +270,19 @@ class HdpController:
         policy weights."""
         p = self.action.params.tolist()
         acts = self.action.kernels.forward(p, np.asarray(a, dtype=float).tolist())
-        x = np.concatenate((a, (self._duty(acts[-1]) / self.config.norm_scales[4],)))
+        x = np.concatenate((a, (self._duty(acts[-1]),)))
         _, cache = self.critic.forward(x)
         dj_dduty = self.critic.grad_input(cache, np.ones(1))[-1]
         self.action.params[:] = self._descend_action(p, acts, dj_dduty)
 
     def _descend_action(self, p: list[float], acts: list[float], dj_dduty: float) -> list[float]:
         """One descent step of the action net on its kernel pass `acts` at
-        the parameters `p`, given dJ/d(the critic's normalized duty input) at
+        the parameters `p`, given dJ/d(the critic's duty input) at
         the present weights; returns the new parameter list, unwritten."""
-        cfg = self.config
-        d_min, d_max = cfg.duty_limits
-        # chain rule through the affine duty map and the normalization
-        d_output = (dj_dduty * (d_max - d_min) / cfg.norm_scales[4],)
-        return self.action.kernels.step(p, acts, d_output, cfg.lr_action)
+        d_min, d_max = DUTY_LIMITS
+        # chain rule through the affine duty map
+        d_output = (dj_dduty * (d_max - d_min),)
+        return self.action.kernels.step(p, acts, d_output, self.config.lr_action)
 
     def control_step(
         self, measurement: ControllerInput, learn: bool = True
@@ -314,15 +309,14 @@ class HdpController:
         critic, action, lists = self.critic, self.action, self._lists
         critic_pass, action_pass = critic.kernels.forward, action.kernels.forward
         cfg = self.config
-        s = cfg.norm_scales
         pc, pa = lists
         # the normalized state as floats; critic inputs append the duty slot
-        state = [m.v_o / s[0], m.i_l / s[1], m.e_v / s[2], m.e_i / s[3]]
+        state = [m.v_o / V_SCALE, m.i_l / I_SCALE, m.e_v / V_SCALE, m.e_i / I_SCALE]
         acts = action_pass(pa, state)
         if learn:
             # the critic step leaves the action net as it is, so this one
             # action pass serves both the critic's target and the action step
-            x_hat = state + [self._duty(acts[-1]) / s[4]]
+            x_hat = state + [self._duty(acts[-1])]
             if self._prev is not None:
                 # the stored transition lands in the present state; evaluate
                 # it with the duty the current policy would command here
@@ -332,7 +326,7 @@ class HdpController:
                 # and at the duty the harness applied (a held list is never
                 # written)
                 if pc_prev is not pc or duty_prev is not m.duty_prev:
-                    x_prev = critic_pass(pc, state_prev + [m.duty_prev / s[4]])
+                    x_prev = critic_pass(pc, state_prev + [m.duty_prev])
                 # td_update writes nothing; the hold writes params
                 lists[0] = pc = td_update(
                     critic, pc, x_prev, j_hat, u_prev, cfg.gamma, cfg.lr_critic
@@ -341,7 +335,7 @@ class HdpController:
             lists[1] = pa = self._descend_action(pa, acts, dj_dx[-1])
             acts = action_pass(pa, state)
         duty = self._duty(acts[-1])
-        x_est = critic_pass(pc, state + [duty / s[4]])
-        u = utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i)
+        x_est = critic_pass(pc, state + [duty])
+        u = utility(m.e_v / V_SCALE, m.e_i / I_SCALE, cfg.k_v, cfg.k_i)
         self._prev = (state, u, pc, duty, x_est)
         return duty, x_est[-1]

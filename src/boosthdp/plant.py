@@ -43,6 +43,7 @@ import numpy as np
 
 __all__ = [
     "ConductionMode",
+    "DUTY_LIMITS",
     "MAX_SUBSTEPS",
     "PlantParams",
     "PlantState",
@@ -65,6 +66,11 @@ _ON = ConductionMode.SWITCH_ON
 _CONDUCTING = ConductionMode.SWITCH_OFF_CONDUCTING
 _BLOCKED = ConductionMode.SWITCH_OFF_BLOCKED
 
+
+# the duty window the controllers command within: `step` takes any duty in
+# [0, 1], and the PI loop, the HDP duty map and the pretraining teacher all
+# keep their commands inside this window
+DUTY_LIMITS = (0.05, 0.95)
 
 # the k-step maps take n_sub + 1 float rows per branch (about 0.9 MB at
 # 1000 sub-steps), so a dt a million times finer than the period would

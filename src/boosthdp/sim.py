@@ -33,9 +33,13 @@ from .atomic import atomic_write
 from .baseline import PiController
 # sim no longer calls td_update (Mlp.td_epoch runs its step), but
 # perfbench/tracing.py patches this module's binding of it by name
-from .hdp import ControllerInput, HdpConfig, make_critic, td_error, td_update, utility
+from .hdp import (
+    I_SCALE, V_SCALE, ControllerInput, HdpConfig, make_critic, td_error, td_update, utility,
+)
 from .mlp import Mlp
-from .plant import ConductionMode, PlantParams, PlantState, step, steady_state_hint
+from .plant import (
+    DUTY_LIMITS, ConductionMode, PlantParams, PlantState, step, steady_state_hint,
+)
 
 __all__ = [
     "CONTROLLER_TAGS",
@@ -76,11 +80,12 @@ V_SET = 200.0
 V_S_RANGE = (54.0, 66.0)
 R_LOAD_RANGE = (50.0, 200.0)
 
-# the most periods one scenario run or one excitation hold may take, 100x
-# the shipped 1000-period scenario.  A scenario period holds about 0.3 KB
-# of trace and peaks near 0.6 KB while the CSV text is formatted, an
-# excitation transition about 1.2 KB with the sweeps' copies of it
-# (tracemalloc): some 60 MB for a run at the bound, 120 MB for a hold
+# the most periods one scenario run or one excitation log may take, 100x
+# the shipped 1000-period scenario (the shipped log is 8000).  A scenario
+# period holds about 0.3 KB of trace and peaks near 0.6 KB while the CSV
+# text is formatted, an excitation transition about 1.2 KB with the
+# sweeps' copies of it (tracemalloc): some 60 MB for a run at the bound,
+# 120 MB for a log
 MAX_PERIODS = 100_000
 # each excitation hold lasts this long; both offline stages decay their
 # per-sample rate as lr / (1 + epoch / _LR_DECAY_EPOCHS)
@@ -228,8 +233,11 @@ class ReferenceLaw:
     """Current-aware feedback used as the pretraining teacher and as the
     action net's cloning target.
 
-    duty = clip(duty_ff + v_gain*tanh(v_sharpness*e_v/v_scale)
-                        + i_gain*e_i/i_scale)
+    duty = clip(duty_ff + v_gain*tanh(v_sharpness*e_v/V_SCALE)
+                        + i_gain*e_i/I_SCALE)
+
+    in the HDP nets' coordinates (`hdp.V_SCALE`, `hdp.I_SCALE`), clipped to
+    `plant.DUTY_LIMITS`.
 
     A voltage-only loop cannot start this converter cleanly: while the
     duty is railed high the output barely couples to the duty, the
@@ -238,21 +246,17 @@ class ReferenceLaw:
     with a feed-forward near the operating duty was measured to overrun
     2x the setpoint).  The saturating voltage term caps the charge drive,
     and together with the linear current term it releases the rail once
-    i_l reaches roughly v_gain/i_gain * i_scale amperes - an emergent
+    i_l reaches roughly v_gain/i_gain * I_SCALE amperes - an emergent
     current limit.  Near zero error the same term has slope
     v_gain*v_sharpness, stiff enough to hold the 2% band across source
     and load shifts with duty_ff left at its nominal value (the law, like
     the action net, cannot observe v_s or r_load directly).
 
-    The operating point and the controller's scales and limits have no
-    defaults here: `make_reference_law` takes them from the plant and the
-    HDP config.
+    The operating point has no default here: `make_reference_law` takes it
+    from the plant.
     """
 
     duty_ff: float
-    v_scale: float
-    i_scale: float
-    duty_limits: tuple[float, float]
     v_gain: float = 0.25
     v_sharpness: float = 10.0
     i_gain: float = 0.10
@@ -260,26 +264,17 @@ class ReferenceLaw:
     def duty_for(self, e_v: float, e_i: float) -> float:
         raw = (
             self.duty_ff
-            + self.v_gain * math.tanh(self.v_sharpness * e_v / self.v_scale)
-            + self.i_gain * e_i / self.i_scale
+            + self.v_gain * math.tanh(self.v_sharpness * e_v / V_SCALE)
+            + self.i_gain * e_i / I_SCALE
         )
-        lo, hi = self.duty_limits
+        lo, hi = DUTY_LIMITS
         return min(max(raw, lo), hi)
 
 
-def make_reference_law(
-    params: PlantParams | None = None, hdp_config: HdpConfig | None = None
-) -> ReferenceLaw:
-    """Reference law with the feed-forward pinned to the nominal operating
-    duty and scales/limits matching the controller config."""
+def make_reference_law(params: PlantParams | None = None) -> ReferenceLaw:
+    """Reference law with the feed-forward pinned to the nominal operating duty."""
     params = params or PlantParams()
-    cfg = hdp_config or HdpConfig()
-    return ReferenceLaw(
-        duty_ff=equilibrium_duty(V_SET, params.v_s, params.r_load, params.r_l),
-        v_scale=cfg.norm_scales[2],
-        i_scale=cfg.norm_scales[3],
-        duty_limits=cfg.duty_limits,
-    )
+    return ReferenceLaw(equilibrium_duty(V_SET, params.v_s, params.r_load, params.r_l))
 
 
 def current_limit(params: PlantParams) -> float:
@@ -387,7 +382,6 @@ def run_scenario(
     learn = spec.controller_tag == "HDP"
     if not is_pi:
         controller.reset_transition_buffer()
-    s_v, s_i = cfg.norm_scales[2], cfg.norm_scales[3]
     # the schedule's segments: the periods each spans, and its v_s and
     # r_load; a step holds from the first period starting at or after it
     segments = [(range(n_periods), spec.v_s, spec.r_load)]
@@ -422,7 +416,7 @@ def run_scenario(
                 v_o_append(v_o)
                 i_l_append(i_l)
                 duty_append(duty)
-                u_append(utility(e_v / s_v, e_i / s_i, cfg.k_v, cfg.k_i))
+                u_append(utility(e_v / V_SCALE, e_i / I_SCALE, cfg.k_v, cfg.k_i))
                 j_est_append(j_est)
                 mode_append(mode)
                 state = step(state, duty, segment_params)
@@ -591,7 +585,7 @@ def generate_excitation_log(
     n_holds: int = PretrainSettings.n_holds,
 ) -> list[tuple[np.ndarray, np.ndarray, float]]:
     """Drive the plant under randomized holds and log one-period
-    transitions (x_k, x_{k+1}, U_k) in critic coordinates.
+    transitions (x_k, x_{k+1}, U_k) in the critic's coordinates.
 
     Each episode starts from rest; within an episode the reference, load,
     and source are redrawn every hold: v_set uniform in [150, 220] V,
@@ -600,15 +594,15 @@ def generate_excitation_log(
 
     A hold switch is exogenous: the inputs cannot predict it, so a
     transition straddling the boundary would only inject target noise;
-    each hold's transition chain starts fresh.  Raises ValueError if a hold
-    rounds to fewer than two switching periods, which log no transition,
-    or to more than MAX_PERIODS, and SimulationDiverged, as `run_scenario`
+    each hold's transition chain starts fresh.  Raises ValueError, before
+    any period runs, if a hold rounds to fewer than two switching periods,
+    which log no transition, or if the episodes' holds take more than
+    MAX_PERIODS periods in all; and SimulationDiverged, as `run_scenario`
     does, if v_o exceeds twice the setpoint, or i_l the `current_limit`,
     or either is NaN.
     """
     rng = np.random.default_rng(seed)
     cfg = hdp_config
-    s = cfg.norm_scales
     t_sw = params.t_sw
     periods_per_hold = round(_HOLD_DURATION / t_sw)
     if periods_per_hold < 2:
@@ -616,10 +610,12 @@ def generate_excitation_log(
             f"switching period {t_sw:g} s leaves fewer than 2 periods in the "
             f"{_HOLD_DURATION:g} s excitation hold"
         )
-    if periods_per_hold > MAX_PERIODS:
+    n_periods = n_episodes * n_holds * periods_per_hold
+    if n_periods > MAX_PERIODS:
         raise ValueError(
-            f"switching period {t_sw:g} s makes {periods_per_hold} periods in "
-            f"the {_HOLD_DURATION:g} s excitation hold; at most {MAX_PERIODS}"
+            f"switching period {t_sw:g} s makes {periods_per_hold} periods per "
+            f"{_HOLD_DURATION:g} s excitation hold and {n_periods} in [pretrain] "
+            f"n_episodes x n_holds = {n_episodes} x {n_holds} holds; at most {MAX_PERIODS}"
         )
     v_max, i_max = 2.0 * V_SET, current_limit(params)
     log: list[tuple[np.ndarray, np.ndarray, float]] = []
@@ -638,13 +634,13 @@ def generate_excitation_log(
                 e_i = i_set - state.i_l
                 duty = teacher.duty_for(e_v, e_i)
                 x_now = np.array(
-                    [state.v_o / s[0], state.i_l / s[1], e_v / s[2], e_i / s[3],
-                     duty / s[4]]
+                    [state.v_o / V_SCALE, state.i_l / I_SCALE, e_v / V_SCALE,
+                     e_i / I_SCALE, duty]
                 )
                 if x_prev is not None:
                     log.append((x_prev, x_now, u_prev))
                 x_prev = x_now
-                u_prev = utility(e_v / s[2], e_i / s[3], cfg.k_v, cfg.k_i)
+                u_prev = utility(e_v / V_SCALE, e_i / I_SCALE, cfg.k_v, cfg.k_i)
                 state = step(state, duty, p)
                 # NaN fails both comparisons too
                 if not (state.v_o <= v_max and state.i_l <= i_max):
@@ -750,7 +746,6 @@ def pretrain_critic(
 def clone_action(
     action: Mlp,
     log,
-    hdp_config: HdpConfig,
     seed: int = 0,
     epochs: int = PretrainSettings.clone_epochs,
     learning_rate: float = PretrainSettings.clone_learning_rate,
@@ -766,7 +761,7 @@ def clone_action(
 
     The epoch budget is fidelity-driven: the cloned net's duty error maps
     through the closed loop into a standing voltage offset of roughly
-    err * v_scale / (v_gain * v_sharpness) volts, so holding the 2% band
+    err * V_SCALE / (v_gain * v_sharpness) volts, so holding the 2% band
     (+-4 V) across source and load shifts needs the fit comfortably below
     0.01 duty rms.  A 5-epoch fit at a flat rate plateaus near 0.026 and
     measurably rides the band edge after an input step.
@@ -774,13 +769,12 @@ def clone_action(
     log = list(log)
     if not log:
         raise ValueError("empty transition log")
-    d_min, d_max = hdp_config.duty_limits
+    d_min, d_max = DUTY_LIMITS
     span = d_max - d_min
-    d_scale = hdp_config.norm_scales[4]
     # the action inputs and the clipped duty targets, built once
     x_now = np.array([x for x, _, _ in log])
     inputs = x_now[:, :4].tolist()
-    targets = np.clip((x_now[:, 4] * d_scale - d_min) / span, 0.02, 0.98)
+    targets = np.clip((x_now[:, 4] - d_min) / span, 0.02, 0.98)
     goals = targets.tolist()
     rng = np.random.default_rng(seed)
     order = np.arange(len(log))

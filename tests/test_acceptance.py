@@ -47,12 +47,12 @@ def shipped():
     """Offline pipeline at shipped defaults plus all six scenario runs."""
     params = PlantParams()
     cfg = HdpConfig()
-    teacher = make_reference_law(params, hdp_config=cfg)
+    teacher = make_reference_law(params)
     t0 = time.perf_counter()
     log = generate_excitation_log(teacher, params, cfg, seed=0)
     critic, history = pretrain_critic(log, cfg, seed=0)
     action = make_action(seed=0)
-    clone_mse = clone_action(action, log, cfg, seed=2)
+    clone_mse = clone_action(action, log, seed=2)
     train_wall = time.perf_counter() - t0
     print(
         f"pipeline: {len(log)} transitions, {len(history) - 1} critic epochs, "

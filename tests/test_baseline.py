@@ -35,12 +35,6 @@ class TestConstruction:
         with pytest.raises(ValueError, match="dt_ctrl"):
             PiController(dt_ctrl=0.0)
 
-    def test_bad_limits_rejected(self):
-        with pytest.raises(ValueError, match="duty limits"):
-            PiController(duty_limits=(0.9, 0.1))
-        with pytest.raises(ValueError, match="duty limits"):
-            PiController(duty_limits=(-0.1, 0.95))
-
     def test_nonfinite_error_rejected(self):
         ctl = PiController()
         with pytest.raises(ValueError, match="finite"):
@@ -77,7 +71,7 @@ class TestLaw:
 
     def test_output_always_inside_limits(self):
         rng = np.random.default_rng(7)
-        ctl = PiController(kp=1e-2, ki=5.0, duty_limits=(0.05, 0.95))
+        ctl = PiController(kp=1e-2, ki=5.0)
         for e in rng.uniform(-500.0, 500.0, size=1000):
             duty = ctl.pi_step(float(e))
             assert 0.05 <= duty <= 0.95
@@ -85,14 +79,14 @@ class TestLaw:
 
 class TestAntiWindup:
     def test_integrator_frozen_while_saturated_high(self):
-        ctl = PiController(kp=1e-2, ki=1.0, duty_ff=0.0, duty_limits=(0.05, 0.95))
+        ctl = PiController(kp=1e-2, ki=1.0, duty_ff=0.0)
         for _ in range(100):
             duty = ctl.pi_step(1000.0)
             assert duty == 0.95
         assert ctl.integ == 0.0
 
     def test_integrator_frozen_while_saturated_low(self):
-        ctl = PiController(kp=1e-2, ki=1.0, duty_ff=0.5, duty_limits=(0.05, 0.95))
+        ctl = PiController(kp=1e-2, ki=1.0, duty_ff=0.5)
         for _ in range(100):
             duty = ctl.pi_step(-1000.0)
             assert duty == 0.05

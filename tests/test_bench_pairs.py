@@ -138,8 +138,8 @@ def test_run_once_reads_the_environment_and_result_lines(bench_pairs, monkeypatc
     stdout = "\n".join(["a stray line", json.dumps(details), json.dumps(line)]) + "\n"
     seen = {}
 
-    def fake_run(argv, cwd, **kwargs):
-        seen.update(argv=argv, cwd=cwd)
+    def fake_run(argv, cwd, env, **kwargs):
+        seen.update(argv=argv, cwd=cwd, env=env)
         return subprocess.CompletedProcess(argv, 0, stdout=stdout, stderr="")
 
     monkeypatch.setattr(bench_pairs.subprocess, "run", fake_run)
@@ -148,6 +148,26 @@ def test_run_once_reads_the_environment_and_result_lines(bench_pairs, monkeypatc
         "perfbench/run.py", "--workload", "compare", "--seed", "1",
         "--seconds", "30.0", "--trace", "0",
     ]
+    # the bytecode cache is off, as on the benchmark host
+    assert seen["env"]["PYTHONDONTWRITEBYTECODE"] == "1"
+
+
+@pytest.mark.parametrize("side", ["parent", "change"])
+def test_main_refuses_a_checkout_with_a_bytecode_cache(
+    bench_pairs, tmp_path, monkeypatch, capsys, side
+):
+    checkouts = {name: tmp_path / name for name in ("parent", "change")}
+    for checkout in checkouts.values():
+        (checkout / "src" / "boosthdp").mkdir(parents=True)
+    (checkouts["change"] / "BENCHMARK.json").write_text(json.dumps({"end_to_end": METRICS}))
+    (checkouts[side] / "src" / "boosthdp" / "__pycache__").mkdir()
+    calls = []
+    monkeypatch.setattr(bench_pairs.subprocess, "run", lambda *a, **kw: calls.append(a))
+    with pytest.raises(SystemExit) as exit_:
+        bench_pairs.main([str(checkouts["parent"]), str(checkouts["change"]),
+                          "--workload", "pretrain", "--pairs", "1"])
+    assert exit_.value.code == 2 and calls == []
+    assert f"{checkouts[side]} holds src/boosthdp/__pycache__" in capsys.readouterr().err
 
 
 def test_core_counts_per_side_and_the_pairs_that_differ(bench_pairs):

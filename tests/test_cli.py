@@ -163,7 +163,6 @@ class TestConfigParsing:
         finite = st.floats(allow_nan=False, allow_infinity=False)
         count = st.integers(min_value=1, max_value=10**6)
         f_sw = data.draw(positive)
-        duty_min = data.draw(st.floats(min_value=0.0, max_value=0.5))
         values = {
             "plant": {
                 "r_load": data.draw(positive),
@@ -180,12 +179,6 @@ class TestConfigParsing:
                 "lr_action": data.draw(non_negative),
                 "k_v": data.draw(positive),
                 "k_i": data.draw(non_negative),
-                **{
-                    key: data.draw(positive)
-                    for key in ("norm_v_o", "norm_i_l", "norm_e_v", "norm_e_i", "norm_duty")
-                },
-                "duty_min": duty_min,
-                "duty_max": data.draw(st.floats(duty_min, 1.0, exclude_min=True)),
             },
             "pi": {
                 "kp": data.draw(non_negative),
@@ -460,8 +453,9 @@ class TestUsageErrors:
     # a 0.5 ns switching period at one sub-step: 10^8 periods in a 50 ms
     # scenario and 2 * 10^7 in a 10 ms excitation hold
     SHORT_PERIOD = "[plant]\nf_sw = 2e9\ndt = 5e-10\n\n[run]\nscenarios = startup\n"
-    HOLD_TOO_LONG = ("[plant] switching period 5e-10 s makes 20000000 periods in the "
-                     "0.01 s excitation hold; at most 100000")
+    HOLD_TOO_LONG = ("[plant] switching period 5e-10 s makes 20000000 periods per "
+                     "0.01 s excitation hold and 800000000 in [pretrain] n_episodes x "
+                     "n_holds = 4 x 10 holds; at most 100000")
     SCENARIO_TOO_LONG = ("[plant] switching period 5e-10 s makes 100000000 periods in "
                          "the 0.05 s startup scenario; at most 100000")
 
@@ -493,6 +487,27 @@ class TestUsageErrors:
             assert [row.split() for row in out.out.strip().splitlines()[1:]] == [
                 ["startup", tag, "-", "-", "-"] for tag in ("PI", "HDP")
             ]
+
+    def test_excitation_log_too_long_pretrain_exits_1_before_any_period(
+        self, tmp_path, caplog, monkeypatch
+    ):
+        # 10^6 episodes of 10 holds of 200 periods at the shipped f_sw
+        def no_period(*args):
+            raise AssertionError("a period was simulated")
+
+        monkeypatch.setattr(cli.sim, "step", no_period)
+        config = tmp_path / "long_log.ini"
+        config.write_text("[pretrain]\nn_episodes = 1000000\n")
+        before = _files(tmp_path)
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["pretrain", "--config", str(config), "--out", str(tmp_path)])
+        assert rc == 1
+        assert _error_lines(caplog) == [
+            "[plant] switching period 5e-05 s makes 200 periods per 0.01 s excitation "
+            "hold and 2000000000 in [pretrain] n_episodes x n_holds = 1000000 x 10 "
+            "holds; at most 100000"
+        ]
+        assert _files(tmp_path) == before
 
     @pytest.mark.parametrize("line", ["l_ind = nan", "c_out = inf", "v_s = -inf"])
     def test_non_finite_plant_value_exits_1(self, tmp_path, caplog, line):
@@ -577,6 +592,20 @@ class TestUsageErrors:
         errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
         assert len(errors) == 1
         assert errors[0].startswith("unknown key 'epochs_critic' in [hdp]; valid: ")
+
+    # the nets' scales and the duty window are constants, not config keys
+    @pytest.mark.parametrize("key", ["norm_v_o", "norm_i_l", "norm_e_v", "norm_e_i",
+                                     "norm_duty", "duty_min", "duty_max"])
+    def test_removed_scale_and_window_keys_exit_1(self, tmp_path, caplog, key):
+        config = tmp_path / "old.ini"
+        config.write_text(f"[hdp]\n{key} = 0.5\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["run", "startup", "PI", "--config", str(config),
+                           "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert _error_lines(caplog) == [
+            f"unknown key {key!r} in [hdp]; valid: gamma lr_critic lr_action k_v k_i"
+        ]
 
     def test_scenario_listed_twice_exits_1_with_one_line(self, tmp_path, caplog, capsys):
         config = tmp_path / "twice.ini"

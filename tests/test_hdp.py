@@ -10,6 +10,8 @@ from boosthdp import hdp
 from boosthdp.hdp import (
     ACTION_SIZES,
     CRITIC_SIZES,
+    I_SCALE,
+    V_SCALE,
     ControllerInput,
     HdpConfig,
     HdpController,
@@ -20,6 +22,7 @@ from boosthdp.hdp import (
     utility,
 )
 from boosthdp.mlp import ForwardCache, Mlp
+from boosthdp.plant import DUTY_LIMITS
 from td_reference import td_step_1d
 
 
@@ -172,7 +175,7 @@ class TestConfig:
     def test_defaults_valid(self):
         cfg = HdpConfig()
         assert 0.0 < cfg.gamma < 1.0
-        assert cfg.duty_limits == (0.05, 0.95)
+        assert DUTY_LIMITS == (0.05, 0.95)
 
     @pytest.mark.parametrize(
         "kwargs",
@@ -184,9 +187,6 @@ class TestConfig:
             dict(k_v=0.0, k_i=0.0),
             dict(k_v=-1.0),
             dict(k_i=-1.0),
-            dict(norm_scales=(200.0, 10.0, 200.0, 10.0)),
-            dict(norm_scales=(200.0, 0.0, 200.0, 10.0, 1.0)),
-            dict(duty_limits=(0.9, 0.1)),
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -238,15 +238,14 @@ class TestActionUpdate:
         a = np.array([0.5, 0.3, 0.5, 0.2])
         ctl = HdpController(make_critic_(), make_action(seed=2), cfg)
         ref = make_action(seed=2)
-        d_min, d_max = cfg.duty_limits
-        d_scale = cfg.norm_scales[4]
+        d_min, d_max = DUTY_LIMITS
         for _ in range(5):
             ctl.action_update(a)
             y, cache = ref.forward(a)
-            x = np.append(a, (d_min + float(y[0]) * (d_max - d_min)) / d_scale)
+            x = np.append(a, d_min + float(y[0]) * (d_max - d_min))
             _, critic_cache = ctl.critic.forward(x)
             dj_dx = ctl.critic.grad_input(critic_cache, np.ones(1))
-            grads = ref.grad_weights(cache, [dj_dx[-1] * (d_max - d_min) / d_scale])
+            grads = ref.grad_weights(cache, [dj_dx[-1] * (d_max - d_min)])
             ref.apply_update(grads, cfg.lr_action)
             assert ctl.action.params.tobytes() == ref.params.tobytes()
 
@@ -399,31 +398,30 @@ class RecomputingController:
         self.prev = None
 
     def duty(self, y):
-        d_min, d_max = self.config.duty_limits
+        d_min, d_max = DUTY_LIMITS
         return d_min + float(y[0]) * (d_max - d_min)
 
     def control_step(self, m, learn=True):
         cfg = self.config
-        s = cfg.norm_scales
-        state = [m.v_o / s[0], m.i_l / s[1], m.e_v / s[2], m.e_i / s[3]]
+        state = [m.v_o / V_SCALE, m.i_l / I_SCALE, m.e_v / V_SCALE, m.e_i / I_SCALE]
         a = np.array(state)
         y, action_cache = self.action.forward(a)
         if learn:
-            x_hat = np.array(state + [self.duty(y) / s[4]])
+            x_hat = np.array(state + [self.duty(y)])
             if self.prev is not None:
                 state_prev, u_prev = self.prev
                 j_hat, _ = self.critic.forward(x_hat)
-                _, cache = self.critic.forward(np.array(state_prev + [m.duty_prev / s[4]]))
+                _, cache = self.critic.forward(np.array(state_prev + [m.duty_prev]))
                 td_step_1d(self.critic, cache, float(j_hat[0]), u_prev, cfg.gamma, cfg.lr_critic)
             _, cache = self.critic.forward(x_hat)
             dj_dx = self.critic.grad_input(cache, np.ones(1))
-            d_min, d_max = cfg.duty_limits
-            grads = self.action.grad_weights(action_cache, [dj_dx[-1] * (d_max - d_min) / s[4]])
+            d_min, d_max = DUTY_LIMITS
+            grads = self.action.grad_weights(action_cache, [dj_dx[-1] * (d_max - d_min)])
             self.action.apply_update(grads, cfg.lr_action)
             y, _ = self.action.forward(a)
         duty = self.duty(y)
-        j_now, _ = self.critic.forward(np.array(state + [duty / s[4]]))
-        self.prev = (state, utility(m.e_v / s[2], m.e_i / s[3], cfg.k_v, cfg.k_i))
+        j_now, _ = self.critic.forward(np.array(state + [duty]))
+        self.prev = (state, utility(m.e_v / V_SCALE, m.e_i / I_SCALE, cfg.k_v, cfg.k_i))
         return duty, float(j_now[0])
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from boosthdp import sim
 from boosthdp.baseline import PiController
 from boosthdp.hdp import (
+    V_SCALE,
     ControllerInput,
     HdpConfig,
     HdpController,
@@ -23,7 +24,7 @@ from boosthdp.hdp import (
     td_update,
 )
 from boosthdp.mlp import NonFiniteUpdateError
-from boosthdp.plant import ConductionMode, PlantParams, PlantState
+from boosthdp.plant import DUTY_LIMITS, ConductionMode, PlantParams, PlantState
 from boosthdp.sim import (
     Metrics,
     PretrainSettings,
@@ -115,11 +116,11 @@ class TestReferenceLaw:
         assert law.duty_for(0.0, 0.0) == pytest.approx(law.duty_ff)
 
     def test_small_signal_stiffness(self):
-        # d(duty)/d(e_v) at zero = v_gain * v_sharpness / v_scale
+        # d(duty)/d(e_v) at zero = v_gain * v_sharpness / V_SCALE
         law = make_reference_law()
         h = 1e-6
         slope = (law.duty_for(h, 0.0) - law.duty_for(-h, 0.0)) / (2.0 * h)
-        assert slope == pytest.approx(law.v_gain * law.v_sharpness / law.v_scale, rel=1e-6)
+        assert slope == pytest.approx(law.v_gain * law.v_sharpness / V_SCALE, rel=1e-6)
 
     def test_large_error_contribution_saturates(self):
         law = make_reference_law()
@@ -131,7 +132,7 @@ class TestReferenceLaw:
     def test_emergent_current_limit(self):
         # with the voltage term saturated high the command still backs off
         # monotonically as the inductor current climbs, hitting the bottom
-        # rail near e_i ~ -(duty_ff + v_gain - d_min) * i_scale / i_gain
+        # rail near e_i ~ -(duty_ff + v_gain - d_min) * I_SCALE / i_gain
         law = make_reference_law()
         assert law.duty_for(190.0, 5.0) == pytest.approx(0.95)  # charge rail
         d20, d60 = law.duty_for(200.0, -20.0), law.duty_for(200.0, -60.0)
@@ -696,7 +697,7 @@ class TestExcitationLog:
     params = PlantParams()
 
     def small_log(self, **kw):
-        law = make_reference_law(self.params, hdp_config=self.cfg)
+        law = make_reference_law(self.params)
         kw.setdefault("n_episodes", 1)
         kw.setdefault("n_holds", 3)
         return generate_excitation_log(law, self.params, self.cfg, **kw)
@@ -730,8 +731,23 @@ class TestExcitationLog:
         with pytest.raises(ValueError, match="makes 200 periods"):
             self.small_log(n_holds=1)
 
+    def test_max_periods_bounds_the_whole_log(self, monkeypatch):
+        # two one-hold episodes take 400 periods, each hold 200: a bound of
+        # 200 admits each hold but refuses the log, before any period runs
+        def no_period(*args):
+            raise AssertionError("a period was simulated")
+
+        monkeypatch.setattr(sim, "MAX_PERIODS", 200)
+        monkeypatch.setattr(sim, "step", no_period)
+        with pytest.raises(ValueError) as err:
+            self.small_log(n_episodes=2, n_holds=1)
+        assert str(err.value) == (
+            "switching period 5e-05 s makes 200 periods per 0.01 s excitation hold "
+            "and 400 in [pretrain] n_episodes x n_holds = 2 x 1 holds; at most 200"
+        )
+
     def test_rows_are_normalized_and_bounded(self):
-        d_min, d_max = self.cfg.duty_limits
+        d_min, d_max = DUTY_LIMITS
         for x_now, x_next, u in self.small_log():
             assert x_now.shape == (5,) and x_next.shape == (5,)
             assert d_min <= x_now[4] <= d_max
@@ -814,7 +830,7 @@ def td_update_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0):
 
 def excitation_log_200():
     cfg, params = HdpConfig(), PlantParams()
-    law = make_reference_law(params, hdp_config=cfg)
+    law = make_reference_law(params)
     return generate_excitation_log(law, params, cfg, seed=0, n_episodes=1, n_holds=2)[:200]
 
 
@@ -924,7 +940,7 @@ class TestPretrainAndClone:
     params = PlantParams()
 
     def test_pretrain_smoke_decreases_residual(self):
-        law = make_reference_law(self.params, hdp_config=self.cfg)
+        law = make_reference_law(self.params)
         log = generate_excitation_log(law, self.params, self.cfg, seed=0,
                                       n_episodes=1, n_holds=3)
         critic, hist = pretrain_critic(log, self.cfg, seed=0, max_epochs=8)
@@ -933,48 +949,46 @@ class TestPretrainAndClone:
         assert list(critic.layer_sizes) == [5, 5, 5, 1]
 
     def test_clone_learns_the_teacher(self):
-        law = make_reference_law(self.params, hdp_config=self.cfg)
+        law = make_reference_law(self.params)
         log = generate_excitation_log(law, self.params, self.cfg,
                                       n_episodes=1, n_holds=3)
         action = make_action(seed=0)
-        mse_short = clone_action(action, log, self.cfg, epochs=1)
+        mse_short = clone_action(action, log, epochs=1)
         action = make_action(seed=0)
-        mse_long = clone_action(action, log, self.cfg, epochs=25)
+        mse_long = clone_action(action, log, epochs=25)
         print(f"clone mse: 1 epoch {mse_short:.5f} -> 25 epochs {mse_long:.5f}")
         assert mse_long < mse_short
         assert mse_long < 2e-3
         # the cloned net reproduces the law's duty on a log state
         x, _, _ = log[len(log) // 2]
-        d_min, d_max = self.cfg.duty_limits
+        d_min, d_max = DUTY_LIMITS
         y = float(action.forward(x[:4])[0][0])
         duty_net = d_min + (d_max - d_min) * y
-        duty_law = x[4] * self.cfg.norm_scales[4]
-        assert duty_net == pytest.approx(duty_law, abs=0.05)
+        assert duty_net == pytest.approx(x[4], abs=0.05)
 
     def test_clone_empty_log_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            clone_action(make_action(seed=0), [], self.cfg)
+            clone_action(make_action(seed=0), [])
 
     def test_clone_no_better_than_a_constant_raises(self):
         # a huge rate saturates the sigmoid; the fit is then worse than
         # predicting the mean target
-        law = make_reference_law(self.params, hdp_config=self.cfg)
+        law = make_reference_law(self.params)
         log = generate_excitation_log(law, self.params, self.cfg,
                                       n_episodes=1, n_holds=2)
         with np.errstate(over="ignore"), pytest.raises(
             PretrainingError, match="not below the variance of its targets"
         ):
-            clone_action(make_action(seed=0), log, self.cfg, epochs=2,
+            clone_action(make_action(seed=0), log, epochs=2,
                          learning_rate=1e200)
 
 
-def public_clone(action, log, cfg, seed, epochs, learning_rate):
+def public_clone(action, log, seed, epochs, learning_rate):
     """clone_action's loop written with the public 1-D forward, grad_weights
     and apply_update."""
-    d_min, d_max = cfg.duty_limits
+    d_min, d_max = DUTY_LIMITS
     x_now = np.array([x for x, _, _ in log])
-    targets = np.clip((x_now[:, 4] * cfg.norm_scales[4] - d_min) / (d_max - d_min),
-                      0.02, 0.98)
+    targets = np.clip((x_now[:, 4] - d_min) / (d_max - d_min), 0.02, 0.98)
     rng = np.random.default_rng(seed)
     order = np.arange(len(log))
     mse = 0.0
@@ -1000,7 +1014,7 @@ class TestOfflineStagesGolden:
     @pytest.fixture(scope="class")
     def log(self):
         params = PlantParams()
-        law = make_reference_law(params, hdp_config=self.cfg)
+        law = make_reference_law(params)
         return generate_excitation_log(law, params, self.cfg, seed=0,
                                        n_episodes=1, n_holds=2)
 
@@ -1023,19 +1037,19 @@ class TestOfflineStagesGolden:
         action, reference = make_action(seed=0), make_action(seed=0)
         rate = PretrainSettings.clone_learning_rate
         with pytest.raises(NonFiniteUpdateError):
-            clone_action(action, log, self.cfg, seed=2, epochs=3, learning_rate=rate)
+            clone_action(action, log, seed=2, epochs=3, learning_rate=rate)
         # the reference loop accepts the steps before the bad one; the
         # refused epoch writes none of them
         with pytest.raises(NonFiniteUpdateError):
-            public_clone(reference, log, self.cfg, seed=2, epochs=3, learning_rate=rate)
+            public_clone(reference, log, seed=2, epochs=3, learning_rate=rate)
         assert not np.array_equal(reference.params, make_action(seed=0).params)
         assert action.params.tobytes() == make_action(seed=0).params.tobytes()
 
     def test_clone_action_matches_public_reference_loop(self, log):
         action, reference = make_action(seed=0), make_action(seed=0)
         rate = PretrainSettings.clone_learning_rate
-        mse = clone_action(action, log, self.cfg, seed=2, epochs=3, learning_rate=rate)
-        ref_mse = public_clone(reference, log, self.cfg, seed=2, epochs=3,
+        mse = clone_action(action, log, seed=2, epochs=3, learning_rate=rate)
+        ref_mse = public_clone(reference, log, seed=2, epochs=3,
                                learning_rate=rate)
         assert mse == ref_mse
         assert action.params.tobytes() == reference.params.tobytes()

@@ -6,7 +6,8 @@
 PARENT and CHANGE are two checkouts of this repository.  Pair i of
 workload W runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
+    PYTHONDONTWRITEBYTECODE=1 python3 perfbench/run.py --workload W --seed S \\
+        --seconds T --trace 0
 
 once in each checkout, the parent first in even pairs and the change first
 in odd ones, so a drift in the host's speed falls on both sides alike; with
@@ -26,12 +27,18 @@ line), flagging the pairs whose sides saw different counts: `compare` and
 not compare like with like.  The last lines of stdout are the summaries as
 JSON, one line per workload in the order given, with every run's values.
 Exits 1 if any invocation failed.
+
+Both sides run with the bytecode cache off, as the benchmark host runs
+them, so each invocation compiles the package from source and
+`peak_rss_mb` follows the source's size.  A checkout whose `src/boosthdp`
+holds a `__pycache__` would not, so it is refused (exit 2) before any run.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
@@ -45,6 +52,7 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
         [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
          "--seconds", str(seconds), "--trace", "0"],
         cwd=checkout, capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONDONTWRITEBYTECODE": "1"},
     )
     details, result = proc.stdout.strip().splitlines()[-2:]
     return {**json.loads(result), "nproc": json.loads(details)["environment"]["nproc"]}
@@ -132,6 +140,9 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--pairs", type=int, default=10)
     parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
+    for checkout in (args.parent, args.change):
+        if (checkout / "src" / "boosthdp" / "__pycache__").exists():
+            parser.error(f"{checkout} holds src/boosthdp/__pycache__; remove it first")
     metrics = json.loads((args.change / "BENCHMARK.json").read_text())["end_to_end"]
     workloads = list(dict.fromkeys(args.workload))
     runs = {w: {"parent": [], "change": []} for w in workloads}
