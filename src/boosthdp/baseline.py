@@ -23,7 +23,7 @@ operating duty at zero state rings the output past 2x the setpoint, while
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 from .plant import DUTY_LIMITS
 
@@ -58,8 +58,10 @@ class PiController:
     integ: float = field(default=0.0)
 
     def __post_init__(self) -> None:
-        if self.dt_ctrl <= 0.0:
-            raise ValueError("dt_ctrl must be positive")
+        # the gains' rule is PiGains'
+        PiGains(self.kp, self.ki, self.duty_ff)
+        if not 0.0 < self.dt_ctrl < math.inf:
+            raise ValueError("dt_ctrl must be finite and positive")
 
     def pi_step(self, e_v: float) -> float:
         """One control update from the voltage error; returns the duty command."""
@@ -71,10 +73,3 @@ class PiController:
         if duty == raw:
             self.integ += e_v * self.dt_ctrl
         return duty
-
-    def reset(self) -> None:
-        """Zero the integrator; the gains are preserved."""
-        self.integ = 0.0
-
-    def copy(self) -> "PiController":
-        return replace(self)

@@ -45,7 +45,7 @@ from typing import Callable
 import numpy as np
 
 from .atomic import atomic_write_set
-from .baseline import DEFAULT_PI_GAINS, PiGains, PiController
+from .baseline import DEFAULT_PI_GAINS, PiGains
 from .hdp import HdpConfig, HdpController, make_action
 from .mlp import Mlp, MlpFormatError, NonFiniteUpdateError
 from .plant import PlantParams
@@ -281,7 +281,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
             pt.n_episodes, pt.n_holds, teacher.duty_ff,
         )
         transitions = sim.generate_excitation_log(
-            teacher, cfg.plant, cfg.hdp, seed=cfg.seed,
+            teacher, cfg.plant, seed=cfg.seed,
             n_episodes=pt.n_episodes, n_holds=pt.n_holds,
         )
     except ValueError as exc:  # no boost operating point, a hold too short, a log too long
@@ -303,7 +303,7 @@ def cmd_pretrain(cfg: RunConfig) -> int:
         # a critic failure leaves the block, so it is the one reported
         with Workers([clone]) as workers:
             critic, history = sim.pretrain_critic(
-                transitions, cfg.hdp, seed=cfg.seed,
+                transitions, cfg.hdp.gamma, seed=cfg.seed,
                 max_epochs=pt.max_epochs, learning_rate=pt.learning_rate,
             )
             (cloned,) = workers.outcomes()
@@ -359,11 +359,7 @@ def _build_cell(cfg: RunConfig, scenario: str, tag: str):
     except ValueError as exc:  # nominal point off the nameplate or on the step edge
         raise ConfigError(f"[plant] {exc}") from None
     if tag == "PI":
-        pi = PiController(
-            kp=cfg.pi.kp, ki=cfg.pi.ki, duty_ff=cfg.pi.duty_ff,
-            dt_ctrl=cfg.plant.t_sw,
-        )
-        return spec, sim.baseline_for_scenario(spec, cfg.plant, pi)
+        return spec, sim.baseline_for_scenario(spec, cfg.plant, cfg.pi)
     critic, action = _load_networks(cfg)
     try:
         return spec, HdpController(critic=critic, action=action, config=cfg.hdp)
@@ -419,7 +415,7 @@ def _simulate(cfg: RunConfig, spec: sim.ScenarioSpec, controller):
     """A built cell's trace and metrics; ConfigError for a switching period
     longer than the scenario."""
     try:
-        return sim.run_scenario(spec, controller, cfg.plant, cfg.hdp)
+        return sim.run_scenario(spec, controller, cfg.plant)
     except ValueError as exc:
         raise ConfigError(f"[plant] {exc}") from None
 

@@ -53,6 +53,8 @@ __all__ = [
     "ACTION_SIZES",
     "V_SCALE",
     "I_SCALE",
+    "K_V",
+    "K_I",
     "ControllerInput",
     "HdpConfig",
     "HdpController",
@@ -71,6 +73,9 @@ ACTION_SIZES = [4, 5, 5, 1]
 # as it is
 V_SCALE = 200.0
 I_SCALE = 10.0
+# the utility's weights on the squared voltage and current errors
+K_V = 1.0
+K_I = 0.1
 
 
 def make_critic(seed: int = 0) -> Mlp:
@@ -84,9 +89,13 @@ def make_action(seed: int = 0) -> Mlp:
     return Mlp.init(ACTION_SIZES, output_activation="sigmoid", seed=seed)
 
 
-def utility(e_v: float, e_i: float, k_v: float, k_i: float) -> float:
-    """Per-step cost: weighted Euclidean norm of the two tracking errors."""
-    return math.sqrt(k_v * e_v * e_v + k_i * e_i * e_i)
+def utility(e_v: float, e_i: float) -> float:
+    """Per-step cost of a voltage error e_v (V) and a current error e_i (A):
+    the norm of the errors in the nets' coordinates, weighted by K_V and
+    K_I."""
+    e_v /= V_SCALE
+    e_i /= I_SCALE
+    return math.sqrt(K_V * e_v * e_v + K_I * e_i * e_i)
 
 
 def td_error(j_now: float, j_next: float, u_now: float, gamma: float) -> float:
@@ -160,22 +169,19 @@ class ControllerInput(_Input):
 
 @dataclass(frozen=True)
 class HdpConfig:
+    # the critic's discount, online and in the offline fit
     gamma: float = 0.85
     # per-cycle adaptation rates while a run learns; the offline pipeline
     # passes its own sweep rates.  At 20 kHz even modest rates compound
     # over a 50 ms run into duty drift past the band tolerance.
     lr_critic: float = 1e-4
     lr_action: float = 1e-6
-    k_v: float = 1.0
-    k_i: float = 0.1
 
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
         if self.lr_critic < 0.0 or self.lr_action < 0.0:
             raise ValueError("learning rates must be >= 0")
-        if self.k_v < 0.0 or self.k_i < 0.0 or self.k_v + self.k_i == 0.0:
-            raise ValueError("utility weights must be >= 0 and not both zero")
 
 
 class HdpController:
@@ -336,6 +342,6 @@ class HdpController:
             acts = action_pass(pa, state)
         duty = self._duty(acts[-1])
         x_est = critic_pass(pc, state + [duty])
-        u = utility(m.e_v / V_SCALE, m.e_i / I_SCALE, cfg.k_v, cfg.k_i)
+        u = utility(m.e_v, m.e_i)
         self._prev = (state, u, pc, duty, x_est)
         return duty, x_est[-1]

@@ -10,7 +10,10 @@ Each scenario regulates V_SET around a nominal source and load, with at
 most one step of either, over at most MAX_PERIODS switching periods.
 Also hosts the offline pipeline that prepares the neuro-controller:
 excitation-log generation under a teacher law, temporal-difference
-pretraining of the critic, and behavior cloning of the action net.  Each
+pretraining of the critic, and behavior cloning of the action net.  The
+harness takes no controller settings: the utility it records is the
+critic's fixed cost (`hdp.utility`), the offline critic fit is given its
+discount and rate, and the PI baseline is built from its gains.  Each
 epoch of either offline sweep is one call of a function generated for the
 net's topology (`Mlp.td_epoch`, `Mlp.fit_epoch`) that runs every sample's
 passes and descent step with the parameters held in local variables.  The
@@ -25,16 +28,16 @@ import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from operator import is_
-from typing import NamedTuple
+from typing import ClassVar, NamedTuple
 
 import numpy as np
 
 from .atomic import atomic_write
-from .baseline import PiController
+from .baseline import DEFAULT_PI_GAINS, PiController, PiGains
 # sim no longer calls td_update (Mlp.td_epoch runs its step), but
 # perfbench/tracing.py patches this module's binding of it by name
 from .hdp import (
-    I_SCALE, V_SCALE, ControllerInput, HdpConfig, make_critic, td_error, td_update, utility,
+    I_SCALE, V_SCALE, ControllerInput, make_critic, td_error, td_update, utility,
 )
 from .mlp import Mlp
 from .plant import (
@@ -68,7 +71,6 @@ __all__ = [
     "run_scenario",
     "trace_csv_text",
     "train_critic_on_log",
-    "warm_start_pi",
     "write_trace_csv",
 ]
 
@@ -113,8 +115,10 @@ class ScenarioSpec:
     step = (time, v_s, r_load) switches both to new values from that time
     to the end of the run.
 
-    Raises ValueError if either pair leaves the nameplate ranges, if the
-    step changes neither value, or if the initial state is not finite.
+    Raises ValueError if the duration is not finite and positive, if the
+    step time is not finite and strictly inside (0, duration), if either
+    pair leaves the nameplate ranges, if the step changes neither value,
+    or if the initial state is not finite.
     """
 
     name: str
@@ -126,8 +130,13 @@ class ScenarioSpec:
     controller_tag: str = "PI"
 
     def __post_init__(self) -> None:
-        if self.duration <= 0.0:
-            raise ValueError("duration must be positive")
+        if not 0.0 < self.duration < math.inf:
+            raise ValueError(f"{self.name} duration must be finite and positive")
+        if self.step is not None and not 0.0 < self.step[0] < self.duration:
+            raise ValueError(
+                f"{self.name} step time must lie strictly inside "
+                f"(0, {self.duration:g}) s, got {self.step[0]:g}"
+            )
         if self.controller_tag not in CONTROLLER_TAGS:
             raise ValueError(
                 f"controller_tag {self.controller_tag!r} not in {CONTROLLER_TAGS}"
@@ -205,26 +214,20 @@ def equilibrium_duty(v_set: float, v_s: float, r_load: float, r_l: float) -> flo
     return 1.0 - w
 
 
-def warm_start_pi(pi: PiController, v_set: float, v_s: float, r_load: float, r_l: float) -> None:
-    """Preload the integrator so the loop starts at its operating duty."""
-    d_eq = equilibrium_duty(v_set, v_s, r_load, r_l)
-    pi.integ = (d_eq - pi.duty_ff) / pi.ki
-
-
 def baseline_for_scenario(
-    spec: ScenarioSpec, params: PlantParams, pi: PiController | None = None
+    spec: ScenarioSpec, params: PlantParams, gains: PiGains = DEFAULT_PI_GAINS
 ) -> PiController:
-    """Baseline PI instance prepared for a scenario: fresh integrator from
-    rest, integrator preloaded at the operating duty when the scenario
-    starts from a running equilibrium (otherwise the loop would spend the
-    pre-step half of the run recovering from its own handover transient).
-    Without `pi`, a copy of the shipped gains, updated once per switching
-    period of `params`.
+    """A fresh PI loop with `gains` for a scenario, updated once per
+    switching period of `params`.  Its integrator starts at zero from rest,
+    and, when the scenario starts from a running equilibrium and ki > 0, is
+    preloaded so that the loop starts at the operating duty (otherwise it
+    would spend the pre-step half of the run recovering from its own
+    handover transient).
     """
-    pi = pi.copy() if pi is not None else PiController(dt_ctrl=params.t_sw)
-    pi.reset()
+    pi = PiController(gains.kp, gains.ki, gains.duty_ff, params.t_sw)
     if spec.initial_state.v_o > 0.0 and pi.ki > 0.0:
-        warm_start_pi(pi, V_SET, spec.v_s, spec.r_load, params.r_l)
+        d_eq = equilibrium_duty(V_SET, spec.v_s, spec.r_load, params.r_l)
+        pi.integ = (d_eq - pi.duty_ff) / pi.ki
     return pi
 
 
@@ -237,7 +240,8 @@ class ReferenceLaw:
                         + i_gain*e_i/I_SCALE)
 
     in the HDP nets' coordinates (`hdp.V_SCALE`, `hdp.I_SCALE`), clipped to
-    `plant.DUTY_LIMITS`.
+    `plant.DUTY_LIMITS`.  The gains are design constants of the law; only
+    the feed-forward duty_ff is a field.
 
     A voltage-only loop cannot start this converter cleanly: while the
     duty is railed high the output barely couples to the duty, the
@@ -257,9 +261,9 @@ class ReferenceLaw:
     """
 
     duty_ff: float
-    v_gain: float = 0.25
-    v_sharpness: float = 10.0
-    i_gain: float = 0.10
+    v_gain: ClassVar[float] = 0.25
+    v_sharpness: ClassVar[float] = 10.0
+    i_gain: ClassVar[float] = 0.10
 
     def duty_for(self, e_v: float, e_i: float) -> float:
         raw = (
@@ -333,17 +337,15 @@ def builtin_scenario(
 
 
 def run_scenario(
-    spec: ScenarioSpec,
-    controller,
-    params: PlantParams,
-    hdp_config: HdpConfig | None = None,
+    spec: ScenarioSpec, controller, params: PlantParams
 ) -> tuple[Trace, Metrics]:
     """Simulate one scenario, one controller decision per PWM period.
 
     Row k of the trace, at time t = k * t_sw, carries the measurements at
     the start of period k and the duty applied over that period, so the
-    trace is causal by construction.  The recorded utility uses the
-    normalized errors so PI and HDP traces are directly comparable.
+    trace is causal by construction.  The recorded utility is `hdp.utility`
+    of the period's errors, the HDP critic's cost, so PI and HDP traces are
+    directly comparable.
     Returns the trace plus its metrics over the final reference segment.
 
     The loop appends each period's v_o, i_l, duty, u, j_est and mode to
@@ -359,7 +361,6 @@ def run_scenario(
     `current_limit`, or either is NaN, and ValueError if the scenario
     rounds to no whole switching period or to more than MAX_PERIODS.
     """
-    cfg = hdp_config or HdpConfig()
     is_pi = spec.controller_tag == "PI"
     if is_pi != isinstance(controller, PiController):
         raise ValueError(
@@ -416,7 +417,7 @@ def run_scenario(
                 v_o_append(v_o)
                 i_l_append(i_l)
                 duty_append(duty)
-                u_append(utility(e_v / V_SCALE, e_i / I_SCALE, cfg.k_v, cfg.k_i))
+                u_append(utility(e_v, e_i))
                 j_est_append(j_est)
                 mode_append(mode)
                 state = step(state, duty, segment_params)
@@ -579,7 +580,6 @@ class PretrainSettings:
 def generate_excitation_log(
     teacher: ReferenceLaw,
     params: PlantParams,
-    hdp_config: HdpConfig,
     seed: int = 0,
     n_episodes: int = PretrainSettings.n_episodes,
     n_holds: int = PretrainSettings.n_holds,
@@ -602,7 +602,6 @@ def generate_excitation_log(
     or either is NaN.
     """
     rng = np.random.default_rng(seed)
-    cfg = hdp_config
     t_sw = params.t_sw
     periods_per_hold = round(_HOLD_DURATION / t_sw)
     if periods_per_hold < 2:
@@ -640,7 +639,7 @@ def generate_excitation_log(
                 if x_prev is not None:
                     log.append((x_prev, x_now, u_prev))
                 x_prev = x_now
-                u_prev = utility(e_v / V_SCALE, e_i / I_SCALE, cfg.k_v, cfg.k_i)
+                u_prev = utility(e_v, e_i)
                 state = step(state, duty, p)
                 # NaN fails both comparisons too
                 if not (state.v_o <= v_max and state.i_l <= i_max):
@@ -662,16 +661,18 @@ def _mean_squared_residual(
 def train_critic_on_log(
     critic: Mlp,
     log,
-    hdp_config: HdpConfig,
+    gamma: float,
+    learning_rate: float,
     seed: int = 0,
     max_epochs: int = PretrainSettings.max_epochs,
     lr_decay_epochs: float = _LR_DECAY_EPOCHS,
 ) -> list[float]:
-    """Sweep the transition log with one TD update per sample until the
-    epoch mean squared residual plateaus (an epoch improves it by less than
-    _PLATEAU_RTOL) or the epoch cap is hit.
+    """Sweep the transition log with one TD update per sample, at the
+    discount `gamma`, until the epoch mean squared residual plateaus (an
+    epoch improves it by less than _PLATEAU_RTOL) or the epoch cap is hit.
 
-    The per-sample rate decays as lr / (1 + epoch / lr_decay_epochs), or
+    The per-sample rate decays from `learning_rate` as
+    learning_rate / (1 + epoch / lr_decay_epochs), or
     stays flat when lr_decay_epochs is 0; the late sweeps would otherwise
     bounce around the noise floor instead of sinking into it.  Returns the
     mean-squared-residual history: entry 0 is the residual of the untrained
@@ -690,8 +691,6 @@ def train_critic_on_log(
     log = list(log)
     if not log:
         raise ValueError("empty transition log")
-    cfg = hdp_config
-    gamma = cfg.gamma
     rng = np.random.default_rng(seed)
     # the log as arrays: x_now (N, 5), x_next (N, 5), u (N,)
     x_now, x_next, u = map(np.array, zip(*log))
@@ -700,7 +699,7 @@ def train_critic_on_log(
     order = np.arange(n)
     x_now, x_next, u = x_now.tolist(), x_next.tolist(), u.tolist()
     for epoch in range(max_epochs):
-        lr = cfg.lr_critic
+        lr = learning_rate
         if lr_decay_epochs > 0.0:
             lr /= 1.0 + epoch / lr_decay_epochs
         rng.shuffle(order)
@@ -723,22 +722,23 @@ def train_critic_on_log(
 
 def pretrain_critic(
     log,
-    hdp_config: HdpConfig,
+    gamma: float,
     seed: int = 0,
     max_epochs: int = PretrainSettings.max_epochs,
     learning_rate: float = PretrainSettings.learning_rate,
 ) -> tuple[Mlp, list[float]]:
-    """Fresh critic trained by TD sweeps over an excitation log until
-    plateau.  Returns the trained critic and the residual history.
+    """Fresh critic trained by TD sweeps at the discount `gamma` over an
+    excitation log until plateau, from the per-sample rate `learning_rate`
+    (`train_critic_on_log`).  Returns the trained critic and the residual
+    history.
 
     The offline rate is two orders below a usable single-transition rate:
     repeated full-log sweeps at higher rates saturate the hidden layers
     and the critic collapses to predicting the log's mean cost.
     """
     critic = make_critic(seed=seed)
-    offline_cfg = replace(hdp_config, lr_critic=learning_rate)
     history = train_critic_on_log(
-        critic, log, offline_cfg, seed=seed + 1, max_epochs=max_epochs
+        critic, log, gamma, learning_rate, seed=seed + 1, max_epochs=max_epochs
     )
     return critic, history
 

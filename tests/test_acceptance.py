@@ -49,8 +49,8 @@ def shipped():
     cfg = HdpConfig()
     teacher = make_reference_law(params)
     t0 = time.perf_counter()
-    log = generate_excitation_log(teacher, params, cfg, seed=0)
-    critic, history = pretrain_critic(log, cfg, seed=0)
+    log = generate_excitation_log(teacher, params, seed=0)
+    critic, history = pretrain_critic(log, cfg.gamma, seed=0)
     action = make_action(seed=0)
     clone_mse = clone_action(action, log, seed=2)
     train_wall = time.perf_counter() - t0
@@ -66,7 +66,7 @@ def shipped():
                 controller = baseline_for_scenario(spec, params)
             else:
                 controller = HdpController(critic.copy(), action.copy(), cfg)
-            _, m = run_scenario(spec, controller, params, cfg)
+            _, m = run_scenario(spec, controller, params)
             metrics[scenario, tag] = m
     return {"history": history, "metrics": metrics}
 
@@ -176,14 +176,16 @@ def test_criterion_03_gradients_match_finite_differences():
 def test_criterion_04_critic_reaches_tabular_fixed_point():
     # two mutually-linked states with constant cost: the discounted sum is
     # the geometric series u / (1 - gamma) at both states
-    cfg = HdpConfig(gamma=0.85, lr_critic=0.05)
+    gamma, learning_rate = 0.85, 0.05
     u = 0.3
     x_a = np.array([0.2, 0.1, 0.1, 0.0, 0.5])
     x_b = np.array([0.8, 0.4, -0.1, 0.1, 0.7])
     log = [(x_a, x_b, u), (x_b, x_a, u)]
     critic = make_critic(seed=0)
-    hist = train_critic_on_log(critic, log, cfg, max_epochs=400, lr_decay_epochs=0.0)
-    target = u / (1.0 - cfg.gamma)
+    hist = train_critic_on_log(
+        critic, log, gamma, learning_rate, max_epochs=400, lr_decay_epochs=0.0
+    )
+    target = u / (1.0 - gamma)
     j_a = float(critic.forward(x_a)[0][0])
     j_b = float(critic.forward(x_b)[0][0])
     value_err = max(abs(j_a - target), abs(j_b - target))

@@ -16,6 +16,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from boosthdp import cli, plant
+from boosthdp.baseline import PiController
 from boosthdp.cli import (
     ConfigError,
     RunConfig,
@@ -177,8 +178,6 @@ class TestConfigParsing:
                 "gamma": data.draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True)),
                 "lr_critic": data.draw(non_negative),
                 "lr_action": data.draw(non_negative),
-                "k_v": data.draw(positive),
-                "k_i": data.draw(non_negative),
             },
             "pi": {
                 "kp": data.draw(non_negative),
@@ -593,9 +592,10 @@ class TestUsageErrors:
         assert len(errors) == 1
         assert errors[0].startswith("unknown key 'epochs_critic' in [hdp]; valid: ")
 
-    # the nets' scales and the duty window are constants, not config keys
+    # the nets' scales, the duty window and the utility's weights are
+    # constants, not config keys
     @pytest.mark.parametrize("key", ["norm_v_o", "norm_i_l", "norm_e_v", "norm_e_i",
-                                     "norm_duty", "duty_min", "duty_max"])
+                                     "norm_duty", "duty_min", "duty_max", "k_v", "k_i"])
     def test_removed_scale_and_window_keys_exit_1(self, tmp_path, caplog, key):
         config = tmp_path / "old.ini"
         config.write_text(f"[hdp]\n{key} = 0.5\n")
@@ -604,7 +604,7 @@ class TestUsageErrors:
                            "--out", str(tmp_path / "out")])
         assert rc == 1
         assert _error_lines(caplog) == [
-            f"unknown key {key!r} in [hdp]; valid: gamma lr_critic lr_action k_v k_i"
+            f"unknown key {key!r} in [hdp]; valid: gamma lr_critic lr_action"
         ]
 
     def test_scenario_listed_twice_exits_1_with_one_line(self, tmp_path, caplog, capsys):
@@ -1341,7 +1341,7 @@ class TestWorkerProcesses:
         # the last job (PI cells go after HDP cells), so on any CPU count
         # every other cell has a result
         def dies_on_input_change_pi(spec, controller, *args):
-            if spec.name == "input_change" and isinstance(controller, cli.PiController):
+            if spec.name == "input_change" and isinstance(controller, PiController):
                 os._exit(1)
             return run_scenario(spec, controller, *args)
 

@@ -11,6 +11,8 @@ from boosthdp.hdp import (
     ACTION_SIZES,
     CRITIC_SIZES,
     I_SCALE,
+    K_I,
+    K_V,
     V_SCALE,
     ControllerInput,
     HdpConfig,
@@ -50,27 +52,35 @@ class QuadCritic:
         return float(d_out[0]) * g
 
 
-# the utility weights a run uses unless the config says otherwise
-K_V, K_I = HdpConfig().k_v, HdpConfig().k_i
-
-
 class TestUtility:
     def test_pythagorean_example(self):
-        assert utility(3.0, 4.0, k_v=1.0, k_i=1.0) == pytest.approx(5.0)
+        # errors of 3 and 4 in the nets' coordinates
+        assert utility(3.0 * V_SCALE, 4.0 * I_SCALE) == pytest.approx(
+            math.sqrt(9.0 * K_V + 16.0 * K_I)
+        )
 
     def test_weighted_example(self):
-        # sqrt(1*9 + 0.25*16) = sqrt(13)
-        assert utility(3.0, 4.0, k_v=1.0, k_i=0.25) == pytest.approx(math.sqrt(13.0))
+        # each weight applies to its own error's square
+        assert utility(3.0 * V_SCALE, 0.0) == pytest.approx(3.0 * math.sqrt(K_V))
+        assert utility(0.0, 4.0 * I_SCALE) == pytest.approx(4.0 * math.sqrt(K_I))
+        assert (K_V, K_I) == (1.0, 0.1)
+
+    def test_divides_first_then_weights(self):
+        rng = np.random.default_rng(4)
+        for e_v, e_i in rng.normal(scale=(50.0, 5.0), size=(50, 2)):
+            e_v, e_i = float(e_v), float(e_i)
+            v, i = e_v / V_SCALE, e_i / I_SCALE
+            assert utility(e_v, e_i) == math.sqrt(K_V * v * v + K_I * i * i)
 
     def test_zero_at_zero_error(self):
-        assert utility(0.0, 0.0, K_V, K_I) == 0.0
+        assert utility(0.0, 0.0) == 0.0
 
     def test_sign_symmetric_and_nonnegative(self):
         rng = np.random.default_rng(3)
         for e_v, e_i in rng.normal(size=(50, 2)):
-            u = utility(e_v, e_i, K_V, K_I)
+            u = utility(e_v, e_i)
             assert u >= 0.0
-            assert u == pytest.approx(utility(-e_v, -e_i, K_V, K_I))
+            assert u == pytest.approx(utility(-e_v, -e_i))
 
 
 class TestTdError:
@@ -184,9 +194,6 @@ class TestConfig:
             dict(gamma=1.0),
             dict(lr_critic=-1e-3),
             dict(lr_action=-1e-3),
-            dict(k_v=0.0, k_i=0.0),
-            dict(k_v=-1.0),
-            dict(k_i=-1.0),
         ],
     )
     def test_bad_config_rejected(self, kwargs):
@@ -421,7 +428,7 @@ class RecomputingController:
             y, _ = self.action.forward(a)
         duty = self.duty(y)
         j_now, _ = self.critic.forward(np.array(state + [duty]))
-        self.prev = (state, utility(m.e_v / V_SCALE, m.e_i / I_SCALE, cfg.k_v, cfg.k_i))
+        self.prev = (state, utility(m.e_v, m.e_i))
         return duty, float(j_now[0])
 
 

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from boosthdp import sim
-from boosthdp.baseline import PiController
+from boosthdp.baseline import PiController, PiGains
 from boosthdp.hdp import (
     V_SCALE,
     ControllerInput,
@@ -44,11 +44,13 @@ from boosthdp.sim import (
     pretrain_critic,
     run_scenario,
     train_critic_on_log,
-    warm_start_pi,
     write_trace_csv,
 )
 from td_reference import td_step_1d
 from trace_io import TraceRecord, from_rows, read_trace_csv, trace_rows
+
+# the offline critic fit's discount and per-sample rate at shipped defaults
+GAMMA, RATE = HdpConfig().gamma, PretrainSettings.learning_rate
 
 
 class TestScenarioSpec:
@@ -83,6 +85,26 @@ class TestScenarioSpec:
     def test_step_that_changes_nothing_rejected(self):
         with pytest.raises(ValueError, match="changes neither"):
             ScenarioSpec("x", 0.05, 60.0, 80.0, step=(0.025, 60.0, 80.0))
+
+    @pytest.mark.parametrize("duration, step, message", [
+        (math.inf, None, "duration must be finite and positive"),
+        (math.nan, None, "duration must be finite and positive"),
+        (0.0, None, "duration must be finite and positive"),
+        (-0.05, None, "duration must be finite and positive"),
+        (0.05, math.nan, "step time must lie strictly inside"),
+        (0.05, math.inf, "step time must lie strictly inside"),
+        (0.05, -1.0, "step time must lie strictly inside"),
+        (0.05, 0.0, "step time must lie strictly inside"),
+        (0.05, 0.05, "step time must lie strictly inside"),
+        (0.05, 1.0, "step time must lie strictly inside"),
+    ], ids=["duration-inf", "duration-nan", "duration-zero", "duration-negative",
+            "step-nan", "step-inf", "step-negative", "step-zero", "step-at-end",
+            "step-after-end"])
+    def test_run_it_cannot_describe_rejected(self, duration, step, message):
+        # a run that never ends, or a step that never happens or always has
+        step = None if step is None else (step, 60.0, 100.0)
+        with pytest.raises(ValueError, match=message):
+            ScenarioSpec("x", duration, 60.0, 80.0, step=step)
 
 
 class TestEquilibriumDuty:
@@ -669,19 +691,37 @@ class TestBaselinePrep:
         assert pi.pi_step(0.0) == pytest.approx(d_eq)
 
     def test_warm_start_formula(self):
-        pi = PiController()
-        warm_start_pi(pi, 200.0, 60.0, 80.0, 0.1)
-        d_eq = equilibrium_duty(200.0, 60.0, 80.0, 0.1)
-        assert pi.integ == pytest.approx((d_eq - pi.duty_ff) / pi.ki)
+        params = PlantParams(r_l=0.1)
+        gains = PiGains(kp=1e-3, ki=0.4, duty_ff=0.3)
+        spec = builtin_scenario("input_change", "PI", params)
+        pi = baseline_for_scenario(spec, params, gains)
+        d_eq = equilibrium_duty(200.0, spec.v_s, spec.r_load, 0.1)
+        assert pi.integ == (d_eq - gains.duty_ff) / gains.ki
+
+    def test_no_preload_without_integral_gain(self):
+        params = PlantParams()
+        spec = builtin_scenario("load_change", "PI", params)
+        pi = baseline_for_scenario(spec, params, PiGains(kp=1e-3, ki=0.0, duty_ff=0.3))
+        assert pi.integ == 0.0
 
     def test_original_instance_untouched(self):
+        # each call builds a fresh loop: running one leaves the next as built
         params = PlantParams()
-        donor = PiController()
-        donor.integ = 123.0
         spec = builtin_scenario("load_change", "PI", params)
-        prepped = baseline_for_scenario(spec, params, donor)
-        assert donor.integ == 123.0
-        assert prepped is not donor
+        first = baseline_for_scenario(spec, params)
+        start = first.integ
+        first.pi_step(50.0)
+        second = baseline_for_scenario(spec, params)
+        assert second is not first
+        assert first.integ != start
+        assert second.integ == start
+
+    def test_given_gains_at_the_switching_period(self):
+        params = PlantParams(f_sw=40e3, dt=0.25e-6)
+        gains = PiGains(kp=1e-3, ki=0.4, duty_ff=0.3)
+        for name in sim.SCENARIO_NAMES:
+            pi = baseline_for_scenario(builtin_scenario(name, "PI", params), params, gains)
+            assert (pi.kp, pi.ki, pi.duty_ff, pi.dt_ctrl) == (1e-3, 0.4, 0.3, params.t_sw)
 
     def test_default_pi_updates_once_per_switching_period(self):
         # at 40 kHz the period is 25 us; a 50 us integrator step would
@@ -693,14 +733,13 @@ class TestBaselinePrep:
 
 
 class TestExcitationLog:
-    cfg = HdpConfig()
     params = PlantParams()
 
     def small_log(self, **kw):
         law = make_reference_law(self.params)
         kw.setdefault("n_episodes", 1)
         kw.setdefault("n_holds", 3)
-        return generate_excitation_log(law, self.params, self.cfg, **kw)
+        return generate_excitation_log(law, self.params, **kw)
 
     def test_size_accounts_for_hold_boundaries(self):
         log = self.small_log()
@@ -762,14 +801,13 @@ def two_state_chain(u: float, gamma: float):
     return [(x_a, x_b, u), (x_b, x_a, u)]
 
 
-def three_forward_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0):
+def three_forward_sweep(critic, log, gamma, learning_rate, seed, max_epochs, lr_decay_epochs=8.0):
     """train_critic_on_log's sweep written with the public 1-D forward and
     the 1-D TD step: per transition the target, the value and its cache,
     and the value again right after the update for the epoch mean.  Entry 0
     is the whole-log residual of one batched pass, as in
     train_critic_on_log.  It leaves out the stopping rules, which depend
     only on the history."""
-    gamma = cfg.gamma
     x_now, x_next, u = map(np.array, zip(*log))
     j, _ = critic.forward(np.concatenate((x_now, x_next)))
     resid = td_error(j[:len(u), 0], j[len(u):, 0], u, gamma)
@@ -781,7 +819,7 @@ def three_forward_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0)
     rng = np.random.default_rng(seed)
     order = np.arange(len(log))
     for epoch in range(max_epochs):
-        lr = cfg.lr_critic
+        lr = learning_rate
         if lr_decay_epochs > 0.0:
             lr /= 1.0 + epoch / lr_decay_epochs
         rng.shuffle(order)
@@ -797,13 +835,12 @@ def three_forward_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0)
     return history
 
 
-def td_update_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0):
+def td_update_sweep(critic, log, gamma, learning_rate, seed, max_epochs, lr_decay_epochs=8.0):
     """train_critic_on_log's sweep as one `hdp.td_update` per transition on
     the critic's kernel passes: the target and the value at the present
     parameters, the step, and the value again after it; the step is
     written into critic.params.  Entry 0 and the stopping rules are left
     out, as in three_forward_sweep."""
-    gamma = cfg.gamma
     x_now, x_next, u = map(np.array, zip(*log))
     j, _ = critic.forward(np.concatenate((x_now, x_next)))
     resid = td_error(j[:len(u), 0], j[len(u):, 0], u, gamma)
@@ -812,7 +849,7 @@ def td_update_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0):
     rng = np.random.default_rng(seed)
     order = np.arange(len(log))
     for epoch in range(max_epochs):
-        lr = cfg.lr_critic
+        lr = learning_rate
         if lr_decay_epochs > 0.0:
             lr /= 1.0 + epoch / lr_decay_epochs
         rng.shuffle(order)
@@ -829,18 +866,17 @@ def td_update_sweep(critic, log, cfg, seed, max_epochs, lr_decay_epochs=8.0):
 
 
 def excitation_log_200():
-    cfg, params = HdpConfig(), PlantParams()
+    params = PlantParams()
     law = make_reference_law(params)
-    return generate_excitation_log(law, params, cfg, seed=0, n_episodes=1, n_holds=2)[:200]
+    return generate_excitation_log(law, params, seed=0, n_episodes=1, n_holds=2)[:200]
 
 
 class TestTrainCriticOnLog:
     def test_matches_the_three_forward_sweep(self):
         log = excitation_log_200()
-        cfg = HdpConfig(lr_critic=PretrainSettings.learning_rate)
         critic, reference = make_critic(seed=0), make_critic(seed=0)
-        hist = train_critic_on_log(critic, log, cfg, seed=1, max_epochs=3)
-        ref_hist = three_forward_sweep(reference, log, cfg, seed=1, max_epochs=3)
+        hist = train_critic_on_log(critic, log, GAMMA, RATE, seed=1, max_epochs=3)
+        ref_hist = three_forward_sweep(reference, log, GAMMA, RATE, seed=1, max_epochs=3)
         assert len(hist) == 4
         assert hist == ref_hist
         assert hist[-1] < hist[0]
@@ -848,10 +884,9 @@ class TestTrainCriticOnLog:
 
     def test_same_bits_as_td_update_per_transition(self):
         log = excitation_log_200()
-        cfg = HdpConfig(lr_critic=PretrainSettings.learning_rate)
         critic, reference = make_critic(seed=0), make_critic(seed=0)
-        hist = train_critic_on_log(critic, log, cfg, seed=1, max_epochs=3)
-        ref_hist = td_update_sweep(reference, log, cfg, seed=1, max_epochs=3)
+        hist = train_critic_on_log(critic, log, GAMMA, RATE, seed=1, max_epochs=3)
+        ref_hist = td_update_sweep(reference, log, GAMMA, RATE, seed=1, max_epochs=3)
         assert hist == ref_hist
         assert critic.params.tobytes() == reference.params.tobytes()
 
@@ -863,59 +898,53 @@ class TestTrainCriticOnLog:
         order = np.arange(len(log))
         np.random.default_rng(1).shuffle(order)
         assert 0 < list(order).index(bad) < len(log) - 1  # inside the first epoch
-        cfg = HdpConfig(lr_critic=PretrainSettings.learning_rate)
         critic, reference = make_critic(seed=0), make_critic(seed=0)
         with pytest.raises(NonFiniteUpdateError):
-            train_critic_on_log(critic, log, cfg, seed=1, max_epochs=3)
+            train_critic_on_log(critic, log, GAMMA, RATE, seed=1, max_epochs=3)
         # the reference loop accepts the steps before the bad one; the
         # refused epoch writes none of them
         with pytest.raises(NonFiniteUpdateError):
-            three_forward_sweep(reference, log, cfg, seed=1, max_epochs=3)
+            three_forward_sweep(reference, log, GAMMA, RATE, seed=1, max_epochs=3)
         assert not np.array_equal(reference.params, make_critic(seed=0).params)
         assert critic.params.tobytes() == make_critic(seed=0).params.tobytes()
 
     def test_zero_utility_log_converges_to_zero(self):
-        cfg = HdpConfig()
-        log = two_state_chain(0.0, cfg.gamma)
+        log = two_state_chain(0.0, GAMMA)
         critic = make_critic(seed=0)
         hist = train_critic_on_log(
-            critic, log, HdpConfig(lr_critic=0.05), max_epochs=120,
-            lr_decay_epochs=0.0,
+            critic, log, GAMMA, 0.05, max_epochs=120, lr_decay_epochs=0.0,
         )
         assert hist[-1] < 1e-6
 
     def test_constant_utility_matches_geometric_value(self):
-        cfg = HdpConfig(lr_critic=0.05)
         u = 0.3
-        log = two_state_chain(u, cfg.gamma)
+        log = two_state_chain(u, GAMMA)
         critic = make_critic(seed=0)
-        train_critic_on_log(critic, log, cfg, max_epochs=400, lr_decay_epochs=0.0)
-        target = u / (1.0 - cfg.gamma)
+        train_critic_on_log(critic, log, GAMMA, 0.05, max_epochs=400, lr_decay_epochs=0.0)
+        target = u / (1.0 - GAMMA)
         for x, _, _ in log:
             j = float(critic.forward(x)[0][0])
             print(f"J={j:.4f} target={target:.4f}")
             assert j == pytest.approx(target, abs=1e-2)
 
     def test_history_starts_with_untrained_residual(self):
-        cfg = HdpConfig(lr_critic=0.05)
-        log = two_state_chain(0.3, cfg.gamma)
+        log = two_state_chain(0.3, GAMMA)
         critic = make_critic(seed=0)
-        hist = train_critic_on_log(critic, log, cfg, max_epochs=3)
+        hist = train_critic_on_log(critic, log, GAMMA, 0.05, max_epochs=3)
         # entry 0 is a pure evaluation: recomputing it on a fresh critic of
         # the same seed gives the same number
         fresh = make_critic(seed=0)
         sq = 0.0
         for x_now, x_next, u in log:
             r = (float(fresh.forward(x_now)[0][0])
-                 - cfg.gamma * float(fresh.forward(x_next)[0][0]) - u)
+                 - GAMMA * float(fresh.forward(x_next)[0][0]) - u)
             sq += r * r
         assert hist[0] == pytest.approx(sq / len(log))
         assert len(hist) == 4
 
     def test_stops_at_plateau_before_the_cap(self):
-        cfg = HdpConfig(lr_critic=0.01)
-        log = two_state_chain(0.3, cfg.gamma)
-        hist = train_critic_on_log(make_critic(seed=0), log, cfg, max_epochs=400,
+        log = two_state_chain(0.3, GAMMA)
+        hist = train_critic_on_log(make_critic(seed=0), log, GAMMA, 0.01, max_epochs=400,
                                    lr_decay_epochs=0.0)
         assert len(hist) == 258  # the untrained residual, then 257 epochs
         # the last epoch is the first, from epoch 5 on, to improve the mean
@@ -925,32 +954,31 @@ class TestTrainCriticOnLog:
         assert not any(0.0 <= g < 1e-4 for g in gains[:-1])
 
     def test_no_progress_raises(self):
-        cfg = HdpConfig(lr_critic=0.0)  # frozen critic cannot improve
-        log = two_state_chain(0.3, cfg.gamma)
+        log = two_state_chain(0.3, GAMMA)
         with pytest.raises(PretrainingError, match="first 5 epochs"):
-            train_critic_on_log(make_critic(seed=0), log, cfg, max_epochs=10)
+            # a frozen critic cannot improve
+            train_critic_on_log(make_critic(seed=0), log, GAMMA, 0.0, max_epochs=10)
 
     def test_empty_log_rejected(self):
         with pytest.raises(ValueError, match="empty"):
-            train_critic_on_log(make_critic(seed=0), [], HdpConfig())
+            train_critic_on_log(make_critic(seed=0), [], GAMMA, RATE)
 
 
 class TestPretrainAndClone:
-    cfg = HdpConfig()
     params = PlantParams()
 
     def test_pretrain_smoke_decreases_residual(self):
         law = make_reference_law(self.params)
-        log = generate_excitation_log(law, self.params, self.cfg, seed=0,
+        log = generate_excitation_log(law, self.params, seed=0,
                                       n_episodes=1, n_holds=3)
-        critic, hist = pretrain_critic(log, self.cfg, seed=0, max_epochs=8)
+        critic, hist = pretrain_critic(log, GAMMA, seed=0, max_epochs=8)
         print("residual history:", [f"{h:.4f}" for h in hist])
         assert hist[-1] < hist[0]
         assert list(critic.layer_sizes) == [5, 5, 5, 1]
 
     def test_clone_learns_the_teacher(self):
         law = make_reference_law(self.params)
-        log = generate_excitation_log(law, self.params, self.cfg,
+        log = generate_excitation_log(law, self.params,
                                       n_episodes=1, n_holds=3)
         action = make_action(seed=0)
         mse_short = clone_action(action, log, epochs=1)
@@ -974,7 +1002,7 @@ class TestPretrainAndClone:
         # a huge rate saturates the sigmoid; the fit is then worse than
         # predicting the mean target
         law = make_reference_law(self.params)
-        log = generate_excitation_log(law, self.params, self.cfg,
+        log = generate_excitation_log(law, self.params,
                                       n_episodes=1, n_holds=2)
         with np.errstate(over="ignore"), pytest.raises(
             PretrainingError, match="not below the variance of its targets"
@@ -1009,19 +1037,16 @@ class TestOfflineStagesGolden:
     """The offline stages run on the nets' kernels; their results must be
     the bits of the same loops written with the public 1-D API."""
 
-    cfg = HdpConfig(lr_critic=PretrainSettings.learning_rate)
-
     @pytest.fixture(scope="class")
     def log(self):
         params = PlantParams()
         law = make_reference_law(params)
-        return generate_excitation_log(law, params, self.cfg, seed=0,
-                                       n_episodes=1, n_holds=2)
+        return generate_excitation_log(law, params, seed=0, n_episodes=1, n_holds=2)
 
     def test_train_critic_on_log_matches_public_reference_loop(self, log):
         critic, reference = make_critic(seed=0), make_critic(seed=0)
-        hist = train_critic_on_log(critic, log, self.cfg, seed=1, max_epochs=3)
-        ref_hist = three_forward_sweep(reference, log, self.cfg, seed=1, max_epochs=3)
+        hist = train_critic_on_log(critic, log, GAMMA, RATE, seed=1, max_epochs=3)
+        ref_hist = three_forward_sweep(reference, log, GAMMA, RATE, seed=1, max_epochs=3)
         assert len(hist) == 4
         assert hist == ref_hist
         assert critic.params.tobytes() == reference.params.tobytes()
