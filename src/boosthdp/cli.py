@@ -12,19 +12,21 @@ fail loudly, not silently run the nominal setup.  [plant] v_s and r_load
 are the nominal point the scenarios start from.
 
 `compare` and `pretrain` use up to one worker process per available CPU
-(boosthdp.workers): `compare` simulates each cell in one, and `pretrain`
-clones the action net in one while it trains the critic.  The workers
-only compute; every log line, artifact and printed row comes from the
-command's own process, in the order a serial run gives, so the output is
-the same bytes whatever the CPU count.  `run` starts no worker.
+(boosthdp.workers): `compare` simulates each group of cells that share a
+controller tag and a start in one, running the periods the group's cells
+share once (the load and input steps share their first half), and
+`pretrain` clones the action net in one while it trains the critic.  The
+workers only compute; every log line, artifact and printed row comes from
+the command's own process, in the order a serial run gives, so the output
+is the same bytes whatever the CPU count.  `run` starts no worker.
 
 Exit codes: 0 on success, 1 for usage, configuration, or missing or corrupt
 snapshot errors and for an output directory or an artifact that cannot be
 written, 2 when a simulation diverges, an online network update would turn
 a parameter non-finite, pretraining fails to converge or clones an action
 net no better than a constant, or a worker process ends (killed, say)
-before it returns its result: a `compare` cell then shows `-`, and
-`pretrain` writes no snapshot.
+before it returns its result: each `compare` cell of its group then shows
+`-`, and `pretrain` writes no snapshot.
 """
 
 from __future__ import annotations
@@ -352,17 +354,21 @@ def _load_networks(cfg: RunConfig) -> tuple[Mlp, Mlp]:
         raise ConfigError(f"corrupt network snapshot {exc}") from None
 
 
-def _build_cell(cfg: RunConfig, scenario: str, tag: str):
-    """The scenario spec and its controller, or ConfigError."""
+def _build_spec(cfg: RunConfig, scenario: str, tag: str) -> sim.ScenarioSpec:
+    """The scenario spec of a cell, or ConfigError."""
     try:
-        spec = sim.builtin_scenario(scenario, tag, cfg.plant)
+        return sim.builtin_scenario(scenario, tag, cfg.plant)
     except ValueError as exc:  # nominal point off the nameplate or on the step edge
         raise ConfigError(f"[plant] {exc}") from None
-    if tag == "PI":
-        return spec, sim.baseline_for_scenario(spec, cfg.plant, cfg.pi)
+
+
+def _build_controller(cfg: RunConfig, spec: sim.ScenarioSpec):
+    """A fresh controller for the spec, or ConfigError."""
+    if spec.controller_tag == "PI":
+        return sim.baseline_for_scenario(spec, cfg.plant, cfg.pi)
     critic, action = _load_networks(cfg)
     try:
-        return spec, HdpController(critic=critic, action=action, config=cfg.hdp)
+        return HdpController(critic=critic, action=action, config=cfg.hdp)
     except ValueError as exc:  # well-formed snapshots of the wrong topology
         raise ConfigError(f"network snapshots in {cfg.out_dir}/: {exc}") from None
 
@@ -413,7 +419,7 @@ def _upsert_metrics(
 
 def _simulate(cfg: RunConfig, spec: sim.ScenarioSpec, controller):
     """A built cell's trace and metrics; ConfigError for a switching period
-    longer than the scenario."""
+    that fits the scenario badly."""
     try:
         return sim.run_scenario(spec, controller, cfg.plant)
     except ValueError as exc:
@@ -425,11 +431,34 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
-def _simulate_in_worker(cfg: RunConfig, spec: sim.ScenarioSpec, controller):
-    """_simulate as a `compare` worker runs it: the trace comes back as CSV
-    text, ready to write, which pickles smaller than its columns."""
-    trace, metrics = _simulate(cfg, spec, controller)
-    return partial(_write_text, text=sim.trace_csv_text(trace)), metrics
+def _simulate_group(cfg: RunConfig, specs: list[sim.ScenarioSpec], controller) -> list:
+    """The cells of a group as a `compare` worker runs them, in one
+    `sim.run_scenarios` call: per cell a writer of its trace (given a path)
+    and its metrics, or the exception that ended it, ConfigError for a
+    switching period that fits the scenario badly.  The trace comes back as
+    CSV text, ready to write, which pickles smaller than its columns; the
+    rows the cells share are formatted once."""
+    shared, outcomes = sim.run_scenarios(specs, controller, cfg.plant)
+    texts = iter(sim.trace_csv_texts(
+        [outcome[0] for outcome in outcomes if not isinstance(outcome, Exception)], shared
+    ))
+    results = []
+    for outcome in outcomes:
+        if isinstance(outcome, ValueError):
+            outcome = ConfigError(f"[plant] {outcome}")
+        elif not isinstance(outcome, Exception):
+            outcome = partial(_write_text, text=next(texts)), outcome[1]
+        results.append(outcome)
+    return results
+
+
+def _cell(job_outcome: Callable[[], list], i: int):
+    """Cell i of a group job: its result, or the exception that ended it
+    raised, or the job's own exception raised (a lost worker, say)."""
+    result = job_outcome()[i]
+    if isinstance(result, Exception):
+        raise result
+    return result
 
 
 def _run_cell(
@@ -477,7 +506,8 @@ def cmd_run(cfg: RunConfig, scenario: str, tag: str) -> int:
         return 1
 
     def simulated():
-        trace, metrics = _simulate(cfg, *_build_cell(cfg, scenario, tag))
+        spec = _build_spec(cfg, scenario, tag)
+        trace, metrics = _simulate(cfg, spec, _build_controller(cfg, spec))
         return (lambda tmp: sim.write_trace_csv(tmp, trace)), metrics
 
     rc, m = _run_cell(cfg, scenario, tag, simulated)
@@ -514,27 +544,43 @@ def _raise(exc: Exception):
 def cmd_compare(cfg: RunConfig) -> int:
     """Run every configured scenario under PI and HDP and print the table.
 
-    Every cell is built here, so the snapshots are loaded and the network
-    kernels generated once, and then simulated in a worker process, the
-    HDP cells first as they take longest.  The failures, log lines,
-    artifacts and table then follow in table order, so the output does
-    not depend on which worker finishes first.  A failed cell is reported
-    and skipped; the remaining cells still run and the exit code reflects
-    the worst failure (divergence wins over missing snapshots).  An output
-    directory that cannot be created ends the command before any cell
-    runs.
+    The cells are built here and grouped by controller tag and start
+    (`sim.ScenarioSpec.shared_start`): the load and input steps start from
+    one equilibrium, so at the shipped scenarios the six cells make four
+    groups.  Each group's controller is built once, from snapshots loaded
+    once, and the group is simulated in one worker process
+    (`sim.run_scenarios`, which runs the periods its cells share once), the
+    groups likeliest to take longest first: HDP before PI, then more cells
+    before fewer.  The failures, log lines, artifacts and table then follow
+    in table order, so the output does not depend on which worker finishes
+    first.  A failed cell is reported and skipped; the remaining cells
+    still run and the exit code reflects the worst failure (divergence wins
+    over missing snapshots).  A worker lost before it returns blanks every
+    cell of its group.  An output directory that cannot be created ends the
+    command before any cell runs.
     """
     _make_out_dir(cfg)
     cells = [(scenario, tag) for scenario in cfg.scenarios for tag in ("PI", "HDP")]
-    simulated, jobs = {}, {}
+    simulated, groups = {}, {}
     for cell in cells:
         try:
-            jobs[cell] = partial(_simulate_in_worker, cfg, *_build_cell(cfg, *cell))
+            spec = _build_spec(cfg, *cell)
         except ConfigError as exc:
             simulated[cell] = partial(_raise, exc)
-    order = sorted(jobs, key=lambda cell: cell[1] != "HDP")
-    with Workers([jobs[cell] for cell in order]) as workers:
-        simulated.update(zip(order, workers.outcomes()))
+        else:
+            groups.setdefault(spec.shared_start, []).append(spec)
+    jobs = []
+    for specs in sorted(groups.values(),
+                        key=lambda specs: (specs[0].controller_tag != "HDP", -len(specs))):
+        group = [(spec.name, spec.controller_tag) for spec in specs]
+        try:
+            jobs.append((group, partial(_simulate_group, cfg, specs,
+                                        _build_controller(cfg, specs[0]))))
+        except ConfigError as exc:
+            simulated.update(dict.fromkeys(group, partial(_raise, exc)))
+    with Workers([job for _, job in jobs]) as workers:
+        for (group, _), outcome in zip(jobs, workers.outcomes()):
+            simulated.update((cell, partial(_cell, outcome, i)) for i, cell in enumerate(group))
     worst = 0
     lines = [
         f"{'scenario':<14} {'controller':<10} {'settling_ms':>12} "

@@ -147,9 +147,9 @@ class ControllerInput(_Input):
     (probing noise during practice) must report the perturbed value.
 
     Every way to build one from fields, the constructor, `_make` and
-    `_replace`, checks that each is finite (ValueError).  `sim.run_scenario`
-    builds its inputs with `tuple.__new__`, unchecked: its divergence guard
-    has already stopped a non-finite or runaway plant state.
+    `_replace`, checks that each is finite (ValueError).  `sim`'s period
+    loop builds its inputs with `tuple.__new__`, unchecked: its divergence
+    guard has already stopped a non-finite or runaway plant state.
     """
 
     __slots__ = ()
@@ -180,8 +180,9 @@ class HdpConfig:
     def __post_init__(self) -> None:
         if not 0.0 < self.gamma < 1.0:
             raise ValueError(f"gamma must be in (0, 1), got {self.gamma}")
-        if self.lr_critic < 0.0 or self.lr_action < 0.0:
-            raise ValueError("learning rates must be >= 0")
+        # NaN passes no comparison, so each rate must pass this one
+        if not (0.0 <= self.lr_critic < math.inf and 0.0 <= self.lr_action < math.inf):
+            raise ValueError("learning rates must be finite and >= 0")
 
 
 class HdpController:
@@ -257,6 +258,18 @@ class HdpController:
             for net, new, old in zip((critic, action), lists, taken):
                 if new is not old:
                     net.params[:] = new
+
+    def __copy__(self) -> HdpController:
+        """A controller on the same nets, config and stored transition.
+        Inside an open hold it gets its own pair of the held lists (the
+        lists are never written in place, so they are shared): its steps
+        then go on from the original's without touching the original's
+        lists, and the hold writes only the original's into the nets."""
+        twin = object.__new__(type(self))
+        twin.__dict__.update(self.__dict__)
+        if self._lists is not None:
+            twin._lists = list(self._lists)
+        return twin
 
     def reset_transition_buffer(self) -> None:
         """Forget the stored transition, e.g. across a simulation restart."""

@@ -8,6 +8,10 @@ the loop appends each period's values to their lists, the metrics read
 the columns as arrays, and the CSV text formats each column in one pass.
 Each scenario regulates V_SET around a nominal source and load, with at
 most one step of either, over at most MAX_PERIODS switching periods.
+Scenarios that start alike and step at different times or to different
+points run together (`run_scenarios`): their shared periods run once, and
+each goes on from a copy of the controller and plant state where their
+schedules part.
 Also hosts the offline pipeline that prepares the neuro-controller:
 excitation-log generation under a teacher law, temporal-difference
 pretraining of the critic, and behavior cloning of the action net.  The
@@ -24,6 +28,7 @@ with the 1-D `Mlp.forward`, `Mlp.grad_weights` and `Mlp.apply_update`.
 
 from __future__ import annotations
 
+import copy
 import math
 from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
@@ -39,7 +44,7 @@ from .baseline import DEFAULT_PI_GAINS, PiController, PiGains
 from .hdp import (
     I_SCALE, V_SCALE, ControllerInput, make_critic, td_error, td_update, utility,
 )
-from .mlp import Mlp
+from .mlp import Mlp, NonFiniteUpdateError
 from .plant import (
     DUTY_LIMITS, ConductionMode, PlantParams, PlantState, step, steady_state_hint,
 )
@@ -69,7 +74,9 @@ __all__ = [
     "make_reference_law",
     "pretrain_critic",
     "run_scenario",
+    "run_scenarios",
     "trace_csv_text",
+    "trace_csv_texts",
     "train_critic_on_log",
     "write_trace_csv",
 ]
@@ -158,6 +165,13 @@ class ScenarioSpec:
             )
         if not all(map(math.isfinite, self.initial_state[:2])):
             raise ValueError(f"{self.name} initial state must be finite")
+
+    @property
+    def shared_start(self) -> tuple:
+        """What specs must hold alike to run together (`run_scenarios`):
+        the duration, the nominal v_s and r_load, the initial state and the
+        controller tag."""
+        return self.duration, self.v_s, self.r_load, self.initial_state, self.controller_tag
 
 
 class Trace(NamedTuple):
@@ -339,7 +353,8 @@ def builtin_scenario(
 def run_scenario(
     spec: ScenarioSpec, controller, params: PlantParams
 ) -> tuple[Trace, Metrics]:
-    """Simulate one scenario, one controller decision per PWM period.
+    """Simulate one scenario, one controller decision per PWM period: the
+    one-spec case of `run_scenarios`, with its failure raised.
 
     Row k of the trace, at time t = k * t_sw, carries the measurements at
     the start of period k and the duty applied over that period, so the
@@ -348,26 +363,23 @@ def run_scenario(
     directly comparable.
     Returns the trace plus its metrics over the final reference segment.
 
-    The loop appends each period's v_o, i_l, duty, u, j_est and mode to
-    their own lists; the `t` column, the schedule columns (one object
-    repeated over each segment) and the mode names are built once the loop
-    ends.
-
-    An HDP controller runs the whole scenario inside its `hold`, and gets
-    each period's `ControllerInput` built unchecked: the divergence guard
-    below has checked the state it comes from.
-
     Raises SimulationDiverged if v_o exceeds twice the setpoint, or i_l the
-    `current_limit`, or either is NaN, and ValueError if the scenario
-    rounds to no whole switching period or to more than MAX_PERIODS.
+    `current_limit`, or either is NaN; NonFiniteUpdateError if an online
+    update is refused; and ValueError if the scenario rounds to no whole
+    switching period or to more than MAX_PERIODS, or its step starts no
+    period.
     """
-    is_pi = spec.controller_tag == "PI"
-    if is_pi != isinstance(controller, PiController):
-        raise ValueError(
-            f"controller {type(controller).__name__} does not match tag "
-            f"{spec.controller_tag!r}"
-        )
-    t_sw = params.t_sw
+    _, (outcome,) = run_scenarios([spec], controller, params)
+    if isinstance(outcome, Exception):
+        raise outcome
+    return outcome
+
+
+def _segments(spec: ScenarioSpec, t_sw: float) -> list[tuple[range, float, float]]:
+    """The schedule's segments: the periods each spans, and its v_s and
+    r_load; a step holds from the first period starting at or after it.
+    ValueError if the scenario rounds to no whole switching period or to
+    more than MAX_PERIODS, or if its step starts no period."""
     n_periods = round(spec.duration / t_sw)
     if n_periods < 1:
         raise ValueError(
@@ -379,64 +391,183 @@ def run_scenario(
             f"switching period {t_sw:g} s makes {n_periods} periods in the "
             f"{spec.duration:g} s {spec.name} scenario; at most {MAX_PERIODS}"
         )
+    if spec.step is None:
+        return [(range(n_periods), spec.v_s, spec.r_load)]
+    t_step, v_s, r_load = spec.step
+    k_step = next((k for k in range(n_periods) if t_step <= k * t_sw), n_periods)
+    if k_step == n_periods:
+        raise ValueError(
+            f"switching period {t_sw:g} s starts no period at or after the "
+            f"{t_step:g} s step of the {spec.duration:g} s {spec.name} scenario"
+        )
+    return [(range(k_step), spec.v_s, spec.r_load),
+            (range(k_step, n_periods), v_s, r_load)]
+
+
+def _run_periods(controller, learn: bool, state: PlantState, duty: float,
+                 segments, params: PlantParams, columns) -> tuple[PlantState, float]:
+    """Simulate the periods of `segments` (as `_segments` gives them) from
+    `state`, the last period's duty being `duty`, appending each period's
+    v_o, i_l, duty, u, j_est and mode to the six `columns`; returns the
+    state and the duty after the last period.
+
+    An HDP controller gets each period's `ControllerInput` built unchecked:
+    the divergence guard below has checked the state it comes from.  Raises
+    SimulationDiverged, naming no scenario, as the guard stops a state.
+    """
+    is_pi = isinstance(controller, PiController)
+    t_sw = params.t_sw
+    v_max, i_max = 2.0 * V_SET, current_limit(params)
+    v_o_append, i_l_append, duty_append, u_append, j_est_append, mode_append = (
+        column.append for column in columns
+    )
+    for periods, v_s, r_load in segments:
+        segment_params = params
+        if v_s != params.v_s or r_load != params.r_load:
+            segment_params = replace(params, v_s=v_s, r_load=r_load)
+        _, i_set = steady_state_hint(V_SET, v_s, r_load)
+        for k in periods:
+            i_l, v_o, mode = state
+            e_v = V_SET - v_o
+            e_i = i_set - i_l
+            if is_pi:
+                duty = controller.pi_step(e_v)
+                j_est = math.nan
+            else:
+                # unchecked, as the ControllerInput docstring allows
+                m = tuple.__new__(ControllerInput, (v_o, i_l, e_v, e_i, duty))
+                duty, j_est = controller.control_step(m, learn)
+            v_o_append(v_o)
+            i_l_append(i_l)
+            duty_append(duty)
+            u_append(utility(e_v, e_i))
+            j_est_append(j_est)
+            mode_append(mode)
+            state = step(state, duty, segment_params)
+            # NaN fails both comparisons too
+            if not (state.v_o <= v_max and state.i_l <= i_max):
+                raise SimulationDiverged(
+                    f"{_runaway(state, i_max)} at t={k * t_sw + t_sw:.6f} s"
+                )
+    return state, duty
+
+
+def _within(segments, start: int, stop: int) -> list[tuple[range, float, float]]:
+    """The parts of `segments` that fall in periods [start, stop)."""
+    parts = [(range(max(periods.start, start), min(periods.stop, stop)), v_s, r_load)
+             for periods, v_s, r_load in segments]
+    return [part for part in parts if part[0]]
+
+
+def _run_failure(spec: ScenarioSpec, exc: Exception) -> Exception:
+    """The exception that ends spec's run: a divergence names the scenario."""
+    if isinstance(exc, SimulationDiverged):
+        return SimulationDiverged(f"{spec.name}/{spec.controller_tag}: {exc}")
+    return exc
+
+
+def run_scenarios(
+    specs, controller, params: PlantParams
+) -> tuple[int, list[tuple[Trace, Metrics] | Exception]]:
+    """Simulate scenarios that start alike, running the periods they share
+    once: each result is the bits `run_scenario` gives the spec with its
+    own copy of `controller`.
+
+    The specs, one or more, must hold alike everything but their names and
+    steps (`ScenarioSpec.shared_start`), and the controller must match
+    their tag, else ValueError.  One period loop runs up to the first
+    period where their schedules differ, the branch point; each spec then
+    goes on from there with its own copy of the prefix's columns and of
+    the controller (`copy.copy`; the first spec goes on with `controller`
+    itself), so the branches share no run state.  An HDP controller runs
+    every period inside one `hold`, which writes into the nets what the
+    first spec's run left.
+
+    Returns the branch point, the periods every spec's trace holds alike
+    (all of them for one spec), and per spec, in order, its (trace,
+    metrics) or the exception that ended its run: ValueError, raised
+    before any period, for a run `_segments` refuses; SimulationDiverged
+    (naming its own scenario) or NonFiniteUpdateError.  A failure in the
+    shared periods ends every spec's run, one after the branch point only
+    its own.
+    """
+    specs = list(specs)
+    if len({spec.shared_start for spec in specs}) != 1:
+        raise ValueError(
+            "scenarios run together must be one or more, and share duration, "
+            "v_s, r_load, initial_state and controller_tag"
+        )
+    first = specs[0]
+    is_pi = first.controller_tag == "PI"
+    if is_pi != isinstance(controller, PiController):
+        raise ValueError(
+            f"controller {type(controller).__name__} does not match tag "
+            f"{first.controller_tag!r}"
+        )
+    t_sw = params.t_sw
+    outcomes: list = [None] * len(specs)
+    plans = {}
+    for i, spec in enumerate(specs):
+        try:
+            plans[i] = _segments(spec, t_sw)
+        except ValueError as exc:
+            outcomes[i] = exc
+    if not plans:
+        return 0, outcomes
+    lead = next(iter(plans))
+    n_periods = plans[lead][-1][0].stop
+    # schedules that differ part where the first of them steps
+    branch = n_periods
+    if len({tuple(plan) for plan in plans.values()}) > 1:
+        branch = min(len(plan[0][0]) for plan in plans.values())
     # the tag, not the caller, decides whether the run adapts
-    learn = spec.controller_tag == "HDP"
+    learn = first.controller_tag == "HDP"
     if not is_pi:
         controller.reset_transition_buffer()
-    # the schedule's segments: the periods each spans, and its v_s and
-    # r_load; a step holds from the first period starting at or after it
-    segments = [(range(n_periods), spec.v_s, spec.r_load)]
-    if spec.step is not None:
-        t_step, v_s, r_load = spec.step
-        k_step = next((k for k in range(n_periods) if t_step <= k * t_sw), n_periods)
-        segments = [(range(k_step), spec.v_s, spec.r_load),
-                    (range(k_step, n_periods), v_s, r_load)]
-    v_max, i_max = 2.0 * V_SET, current_limit(params)
-    state = spec.initial_state
-    v_os, i_ls, duties, us, j_ests, modes = [], [], [], [], [], []
-    v_o_append, i_l_append, duty_append = v_os.append, i_ls.append, duties.append
-    u_append, j_est_append, mode_append = us.append, j_ests.append, modes.append
-    duty = 0.0
+    columns = ([], [], [], [], [], [])
     with nullcontext() if is_pi else controller.hold():
-        for periods, v_s, r_load in segments:
-            segment_params = params
-            if v_s != params.v_s or r_load != params.r_load:
-                segment_params = replace(params, v_s=v_s, r_load=r_load)
-            _, i_set = steady_state_hint(V_SET, v_s, r_load)
-            for k in periods:
-                i_l, v_o, mode = state
-                e_v = V_SET - v_o
-                e_i = i_set - i_l
-                if is_pi:
-                    duty = controller.pi_step(e_v)
-                    j_est = math.nan
-                else:
-                    # unchecked, as the ControllerInput docstring allows
-                    m = tuple.__new__(ControllerInput, (v_o, i_l, e_v, e_i, duty))
-                    duty, j_est = controller.control_step(m, learn)
-                v_o_append(v_o)
-                i_l_append(i_l)
-                duty_append(duty)
-                u_append(utility(e_v, e_i))
-                j_est_append(j_est)
-                mode_append(mode)
-                state = step(state, duty, segment_params)
-                # NaN fails both comparisons too
-                if not (state.v_o <= v_max and state.i_l <= i_max):
-                    raise SimulationDiverged(
-                        f"{spec.name}/{spec.controller_tag}: {_runaway(state, i_max)} "
-                        f"at t={k * t_sw + t_sw:.6f} s"
-                    )
+        try:
+            state, duty = _run_periods(
+                controller, learn, first.initial_state, 0.0,
+                _within(plans[lead], 0, branch), params, columns,
+            )
+        except (SimulationDiverged, NonFiniteUpdateError) as exc:
+            for i in plans:
+                outcomes[i] = _run_failure(specs[i], exc)
+            return branch, outcomes
+        # every copy is taken before the lead spec's run goes on
+        controllers = {i: controller if i == lead else copy.copy(controller)
+                       for i in plans}
+        last = max(plans)
+        for i, plan in plans.items():
+            # the last spec's run, which goes last, takes the prefix's lists
+            own = columns if i == last else tuple(map(list, columns))
+            try:
+                _run_periods(controllers[i], learn, state, duty,
+                             _within(plan, branch, n_periods), params, own)
+            except (SimulationDiverged, NonFiniteUpdateError) as exc:
+                outcomes[i] = _run_failure(specs[i], exc)
+            else:
+                trace = _trace(plan, own, t_sw)
+                outcomes[i] = trace, compute_metrics(trace)
+    return branch, outcomes
+
+
+def _trace(segments, columns, t_sw: float) -> Trace:
+    """The trace of a run of `segments` whose loop filled `columns`: the
+    `t` column, the schedule columns (one object repeated over each
+    segment) and the mode names are built here."""
+    v_os, i_ls, duties, us, j_ests, modes = columns
+    n_periods = len(v_os)
     schedule_v_s, schedule_r_load = [], []
     for periods, v_s, r_load in segments:
         schedule_v_s += [v_s] * len(periods)
         schedule_r_load += [r_load] * len(periods)
-    trace = Trace(
+    return Trace(
         [k * t_sw for k in range(n_periods)], v_os, i_ls, duties, us, j_ests,
         list(map(_MODE_NAMES.__getitem__, modes)), [V_SET] * n_periods,
         schedule_v_s, schedule_r_load,
     )
-    return trace, compute_metrics(trace)
 
 
 def compute_metrics(trace: Trace) -> Metrics:
@@ -521,21 +652,23 @@ def _float_texts(column: list) -> list[str]:
 _TEXT_BLOCK = 256
 
 
-def trace_csv_text(trace: Trace) -> str:
-    """The trace as CSV text, in the bytes `csv.writer` writes.
+def _row_texts(trace: Trace, start: int, stop: int) -> list[str]:
+    """The CSV text of each of the trace's rows [start, stop), in the bytes
+    `csv.writer` writes, without its line break.
 
     Each block of `_TEXT_BLOCK` rows is formatted a column at a time, and
     its rows are the columns' texts joined.  A float is written as its
     repr, so every value round-trips exactly, and a float column's runs of
     one object are formatted once each (`_float_texts`): once a block for
     a schedule column or a PI run's NaN `j_est`.  The `mode` column holds
-    text, and goes through a memo of its few distinct values.
+    text, and goes through a memo of its few distinct values.  A row's text
+    depends on that row alone.
     """
-    lines = [",".join(TRACE_FIELDS)]
-    for start in range(0, len(trace.t), _TEXT_BLOCK):
+    lines = []
+    for first in range(start, stop, _TEXT_BLOCK):
         columns = []
         for name, column in zip(TRACE_FIELDS, trace):
-            column = column[start:start + _TEXT_BLOCK]
+            column = column[first:min(first + _TEXT_BLOCK, stop)]
             if name == "mode":
                 texts = {value: _csv_text(value) for value in set(column)}
                 columns.append(list(map(texts.__getitem__, column)))
@@ -543,8 +676,29 @@ def trace_csv_text(trace: Trace) -> str:
                 # a float's repr holds no character that needs quoting
                 columns.append(_float_texts(column))
         lines += map(",".join, zip(*columns))
+    return lines
+
+
+def trace_csv_text(trace: Trace) -> str:
+    """The trace as CSV text, in the bytes `csv.writer` writes: the header
+    and every row (`_row_texts`), each ended by a line break."""
+    lines = [",".join(TRACE_FIELDS)]
+    lines += _row_texts(trace, 0, len(trace.t))
     lines.append("")
     return "\r\n".join(lines)
+
+
+def trace_csv_texts(traces: list[Trace], shared: int) -> list[str]:
+    """Each trace's `trace_csv_text`, given that the traces hold their
+    first `shared` rows alike (the branch point of `run_scenarios`): those
+    rows are formatted once, from the first trace."""
+    if not traces:
+        return []
+    head = "\r\n".join([",".join(TRACE_FIELDS), *_row_texts(traces[0], 0, shared), ""])
+    return [
+        head + "\r\n".join([*_row_texts(trace, shared, len(trace.t)), ""])
+        for trace in traces
+    ]
 
 
 def write_trace_csv(path, trace: Trace) -> None:
@@ -573,8 +727,10 @@ class PretrainSettings:
         for name in ("n_episodes", "n_holds", "max_epochs", "clone_epochs"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        if self.learning_rate <= 0.0 or self.clone_learning_rate <= 0.0:
-            raise ValueError("pretraining rates must be positive")
+        # NaN passes no comparison, so each rate must pass this one
+        if not (0.0 < self.learning_rate < math.inf
+                and 0.0 < self.clone_learning_rate < math.inf):
+            raise ValueError("pretraining rates must be finite and positive")
 
 
 def generate_excitation_log(

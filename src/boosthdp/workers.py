@@ -1,7 +1,7 @@
 """Independent jobs in forked worker processes, one per available CPU.
 
-`compare` runs its cells here, and `pretrain` its behaviour clone beside
-the critic's TD sweep.  A job is a zero-argument callable.  It reaches its
+`compare` runs its groups of cells here, one job per group, and `pretrain`
+its behaviour clone beside the critic's TD sweep.  A job is a zero-argument callable.  It reaches its
 worker through the fork, not through pickling, because the generated
 network kernels cannot be pickled; only a job's result, or the exception
 it raised, is pickled, on the way back.  Each worker claims the next

@@ -1335,35 +1335,58 @@ class TestWorkerProcesses:
         assert _error_lines(caplog) == [line for lines in errors.values() for line in lines]
         assert len(_error_lines(caplog)) == 6
 
-    def test_lost_worker_in_compare(self, fast_snapshots, tmp_path, monkeypatch, caplog, capfd):
-        run_scenario = cli.sim.run_scenario
+    @staticmethod
+    def _lose_the_last_job(fast_snapshots, tmp_path, monkeypatch, caplog, capfd,
+                           scenarios, lost):
+        """compare with the worker of its last job (PI groups go after HDP
+        groups, and a group of two cells before one of one) dying: on any
+        CPU count every other group has a result, and every cell of the
+        lost group shows - and logs the worker-lost line."""
+        run_scenarios = cli.sim.run_scenarios
 
-        # the last job (PI cells go after HDP cells), so on any CPU count
-        # every other cell has a result
-        def dies_on_input_change_pi(spec, controller, *args):
-            if spec.name == "input_change" and isinstance(controller, PiController):
+        def dies_on_the_lost_group(specs, controller, *args):
+            if isinstance(controller, PiController) and specs[-1].name == lost[-1][0]:
                 os._exit(1)
-            return run_scenario(spec, controller, *args)
+            return run_scenarios(specs, controller, *args)
 
-        monkeypatch.setattr(cli.sim, "run_scenario", dies_on_input_change_pi)
+        monkeypatch.setattr(cli.sim, "run_scenarios", dies_on_the_lost_group)
         _copy_snapshots(tmp_path, fast_snapshots)
+        config = tmp_path / "cells.ini"
+        config.write_text(f"[run]\nscenarios = {scenarios}\n")
         with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
-            rc = cli.main(["compare", "--out", str(tmp_path)])
+            rc = cli.main(["compare", "--config", str(config), "--out", str(tmp_path)])
         assert rc == 2
         errors = _error_lines(caplog)
-        assert len(errors) == 1
-        assert re.fullmatch(
-            r"input_change PI: worker process ended without a result "
-            r"\(exit codes (0, )*1(, 0)*\)", errors[0]
-        )
+        assert len(errors) == len(lost)
+        for (scenario, tag), error in zip(lost, errors):
+            assert re.fullmatch(
+                rf"{scenario} {tag}: worker process ended without a result "
+                r"\(exit codes (0, )*1(, 0)*\)", error
+            )
         captured = capfd.readouterr()
         rows = {tuple(row.split()[:2]): row.split()[2:]
                 for row in captured.out.strip().splitlines()[1:]}
-        assert rows.pop(("input_change", "PI")) == ["-"] * 3
-        assert len(rows) == 5 and all("-" not in values for values in rows.values())
-        assert not (tmp_path / "input_change_PI.csv").exists()
+        for cell in lost:
+            assert rows.pop(cell) == ["-"] * 3
+            assert not (tmp_path / f"{cell[0]}_{cell[1]}.csv").exists()
+        assert len(rows) == 2 * len(scenarios.split()) - len(lost)
+        assert all("-" not in values for values in rows.values())
         assert "Traceback" not in captured.err
         assert multiprocessing.active_children() == []
+
+    def test_lost_worker_in_compare(self, fast_snapshots, tmp_path, monkeypatch, caplog, capfd):
+        self._lose_the_last_job(
+            fast_snapshots, tmp_path, monkeypatch, caplog, capfd,
+            "load_change input_change", [("load_change", "PI"), ("input_change", "PI")],
+        )
+
+    def test_lost_worker_of_a_one_cell_job_in_compare(
+        self, fast_snapshots, tmp_path, monkeypatch, caplog, capfd
+    ):
+        self._lose_the_last_job(
+            fast_snapshots, tmp_path, monkeypatch, caplog, capfd,
+            "startup load_change input_change", [("startup", "PI")],
+        )
 
     def test_lost_worker_in_pretrain(self, tmp_path, monkeypatch, caplog, capfd):
         monkeypatch.setattr(cli.sim, "clone_action", lambda *args, **kwargs: os._exit(1))
@@ -1418,7 +1441,7 @@ def overflowing(*args):
     np.float64(1e300) * 1e300
     raise mlp.NonFiniteUpdateError("update would produce non-finite parameters")
 
-cli.sim.run_scenario = overflowing
+cli.sim.run_scenario = cli.sim.run_scenarios = overflowing
 sys.exit(cli.main(sys.argv[1:]))
 """
 

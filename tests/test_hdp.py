@@ -1,6 +1,7 @@
 """Unit tests for the actor-critic controller machinery."""
 
 import contextlib
+import copy
 import math
 
 import numpy as np
@@ -200,6 +201,12 @@ class TestConfig:
         with pytest.raises(ValueError):
             HdpConfig(**kwargs)
 
+    @pytest.mark.parametrize("key", ["lr_critic", "lr_action"])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_rate_rejected(self, key, rate):
+        with pytest.raises(ValueError, match="learning rates must be finite"):
+            HdpConfig(**{key: rate})
+
     def test_shape_checks_on_networks(self):
         with pytest.raises(ValueError, match="critic"):
             HdpController(Mlp.init([4, 3, 1]), make_action())
@@ -389,6 +396,26 @@ class TestHold:
         # the refused inner hold leaves the outer one's end intact
         with ctl.hold():
             ctl.control_step(meas(50.0, 2.0))
+
+    def test_a_copy_in_a_hold_steps_on_alone(self):
+        # a copy taken mid-hold goes on from the original's lists and
+        # stored transition, as a second controller that had run the same
+        # steps would; the hold writes only the original's lists
+        held = HdpController(make_critic(seed=2), make_action(seed=52))
+        twin = HdpController(make_critic(seed=2), make_action(seed=52))
+        alone = HdpController(make_critic(seed=2), make_action(seed=52))
+        first = [meas(50.0 + k, 2.0 + 0.1 * k) for k in range(3)]
+        then = [meas(60.0 - k, 3.0 - 0.1 * k) for k in range(3)]
+        step_all = lambda ctl, inputs: [ctl.control_step(m) for m in inputs]
+        with held.hold():
+            assert step_all(held, first) == step_all(twin, first)
+            copied = copy.copy(held)
+            assert step_all(copied, then) == step_all(twin, then)
+            assert held._lists is not copied._lists
+            out = step_all(held, first)
+        assert out == step_all(alone, first + first)[3:]
+        assert net_bytes(held.critic) == net_bytes(alone.critic)
+        assert net_bytes(held.action) == net_bytes(alone.action)
 
 
 class RecomputingController:

@@ -5,6 +5,7 @@ import math
 import struct
 from contextlib import nullcontext
 from dataclasses import replace
+from itertools import zip_longest
 
 import numpy as np
 import pytest
@@ -587,6 +588,20 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="makes 1000 periods"):
             run_scenario(spec, baseline_for_scenario(spec, params), params)
 
+    def test_step_that_starts_no_period_rejected_before_any_period(self, monkeypatch):
+        # 100 periods of 50 us: the last starts at 4.95 ms, before the step
+        def no_period(*args):
+            raise AssertionError("a period was simulated")
+
+        monkeypatch.setattr(sim, "step", no_period)
+        params = PlantParams()
+        spec = ScenarioSpec("x", 0.005, 60.0, 80.0, step=(0.00499, 60.0, 100.0))
+        with pytest.raises(ValueError, match=(
+            "switching period 5e-05 s starts no period at or after the 0.00499 s "
+            "step of the 0.005 s x scenario"
+        )):
+            run_scenario(spec, baseline_for_scenario(spec, params), params)
+
     def test_pi_trace_has_nan_cost_estimate(self):
         params = PlantParams()
         spec = builtin_scenario("startup", "PI")
@@ -674,6 +689,136 @@ class TestHeldRun:
                 run_scenario(spec, controller, params)
         assert net_bytes(held) == net_bytes(per_call)
         assert all(a != b for a, b in zip(net_bytes(held), start))
+
+
+def step_pair(tag, params=PlantParams()):
+    """The shipped load and input steps under one tag, which share their
+    first half."""
+    return [builtin_scenario(name, tag, params) for name in ("load_change", "input_change")]
+
+
+def fresh_controller(spec, params=PlantParams()):
+    """A fresh controller for the spec: PI from its gains, HDP on fresh
+    nets that learn fast enough to move within a run."""
+    if spec.controller_tag == "PI":
+        return baseline_for_scenario(spec, params)
+    return HdpController(make_critic(seed=3), make_action(seed=53),
+                         HdpConfig(lr_critic=1e-2, lr_action=1e-3))
+
+
+def first_difference(trace, ref):
+    """The first line at which two traces' CSV texts differ, or None: a
+    failure names a line instead of diffing two long texts."""
+    lines = zip_longest(sim.trace_csv_text(trace).splitlines(),
+                        sim.trace_csv_text(ref).splitlines())
+    return next((k for k, (a, b) in enumerate(lines) if a != b), None)
+
+
+class TestRunScenarios:
+    """Specs that start alike run their shared periods once, and each gets
+    the bits `run_scenario` gives it with a fresh controller."""
+
+    @pytest.mark.parametrize("tag", sim.CONTROLLER_TAGS)
+    def test_same_bits_as_independent_runs(self, tag):
+        params = PlantParams()
+        specs = step_pair(tag, params)
+        controller = fresh_controller(specs[0], params)
+        branch, outcomes = sim.run_scenarios(specs, controller, params)
+        assert branch == 500
+        alone = [fresh_controller(spec, params) for spec in specs]
+        for spec, (trace, metrics), own in zip(specs, outcomes, alone):
+            ref_trace, ref_metrics = run_scenario(spec, own, params)
+            assert first_difference(trace, ref_trace) is None
+            assert list(map(len, trace)) == list(map(len, ref_trace))
+            assert metrics == ref_metrics
+        texts = sim.trace_csv_texts([trace for trace, _ in outcomes], branch)
+        assert [text == sim.trace_csv_text(trace)
+                for text, (trace, _) in zip(texts, outcomes)] == [True, True]
+        if tag != "PI":
+            # the nets hold what the lead spec's run left
+            assert net_bytes(controller) == net_bytes(alone[0])
+            unmoved = net_bytes(alone[0]) == net_bytes(fresh_controller(specs[0]))
+            assert unmoved == (tag == "HDP-frozen")
+
+    def test_one_spec_shares_every_period(self):
+        params = PlantParams()
+        spec = builtin_scenario("startup", "PI", params)
+        branch, [(trace, _)] = sim.run_scenarios(
+            [spec], baseline_for_scenario(spec, params), params
+        )
+        assert branch == len(trace.t) == 1000
+
+    @pytest.mark.parametrize("tag", ["PI", "HDP"])
+    def test_failure_after_the_branch_leaves_the_sibling(self, monkeypatch, tag):
+        # the plant returns NaN once the load has stepped to 200 ohm, which
+        # only load_change's branch reaches
+        params = PlantParams()
+        specs = step_pair(tag, params)
+        plant_step = sim.step
+
+        def nan_at_the_top_load(state, duty, params):
+            if params.r_load == 200.0:
+                return PlantState(i_l=math.nan, v_o=state.v_o)
+            return plant_step(state, duty, params)
+
+        monkeypatch.setattr(sim, "step", nan_at_the_top_load)
+        controller = fresh_controller(specs[0], params)
+        _, (failed, (trace, metrics)) = sim.run_scenarios(specs, controller, params)
+        assert type(failed) is SimulationDiverged
+        assert str(failed) == (f"load_change/{tag}: i_l=nan A exceeded the 1320.0 A "
+                               "current limit at t=0.025050 s")
+        ref_trace, ref_metrics = run_scenario(specs[1], fresh_controller(specs[1]), params)
+        assert first_difference(trace, ref_trace) is None
+        assert metrics == ref_metrics
+
+    def test_failure_in_the_shared_periods_ends_every_run(self, monkeypatch):
+        params = PlantParams()
+        specs = step_pair("PI", params)
+        monkeypatch.setattr(
+            sim, "step", lambda state, duty, params: PlantState(v_o=math.nan)
+        )
+        _, outcomes = sim.run_scenarios(specs, baseline_for_scenario(specs[0], params), params)
+        assert [str(exc) for exc in outcomes] == [
+            f"{name}/PI: v_o=nan V exceeded 2x setpoint 200.0 V at t=0.000050 s"
+            for name in ("load_change", "input_change")
+        ]
+        assert all(type(exc) is SimulationDiverged for exc in outcomes)
+
+    def test_refused_update_in_the_shared_periods_ends_every_run(self):
+        params = PlantParams()
+        specs = step_pair("HDP", params)
+        controller = HdpController(make_critic(seed=3), make_action(seed=53),
+                                   HdpConfig(lr_critic=1e300))
+        _, outcomes = sim.run_scenarios(specs, controller, params)
+        assert all(type(exc) is NonFiniteUpdateError for exc in outcomes)
+
+    def test_a_spec_it_cannot_run_fails_alone(self):
+        # the step of "late" starts no 50 us period of the 5 ms run
+        params = PlantParams()
+        early = ScenarioSpec("early", 0.005, 60.0, 80.0, step=(0.0025, 60.0, 100.0))
+        late = replace(early, name="late", step=(0.00499, 60.0, 100.0))
+        pi = baseline_for_scenario(early, params)
+        branch, (refused, (trace, metrics)) = sim.run_scenarios([late, early], pi, params)
+        assert type(refused) is ValueError and "late scenario" in str(refused)
+        assert branch == 100
+        ref_trace, ref_metrics = run_scenario(early, baseline_for_scenario(early, params), params)
+        assert first_difference(trace, ref_trace) is None
+        assert metrics == ref_metrics
+
+    @pytest.mark.parametrize("change", [
+        dict(duration=0.04), dict(v_s=61.0), dict(r_load=81.0),
+        dict(initial_state=PlantState()), dict(controller_tag="HDP"),
+    ], ids=["duration", "v_s", "r_load", "initial_state", "tag"])
+    def test_specs_that_start_apart_rejected(self, change):
+        params = PlantParams()
+        specs = step_pair("PI", params)
+        specs[1] = replace(specs[1], **change)
+        with pytest.raises(ValueError, match="must be one or more, and share"):
+            sim.run_scenarios(specs, baseline_for_scenario(specs[0], params), params)
+
+    def test_no_spec_rejected(self):
+        with pytest.raises(ValueError, match="must be one or more"):
+            sim.run_scenarios([], PiController(), PlantParams())
 
 
 class TestBaselinePrep:
@@ -997,6 +1142,12 @@ class TestPretrainAndClone:
     def test_clone_empty_log_rejected(self):
         with pytest.raises(ValueError, match="empty"):
             clone_action(make_action(seed=0), [])
+
+    @pytest.mark.parametrize("key", ["learning_rate", "clone_learning_rate"])
+    @pytest.mark.parametrize("rate", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_non_finite_rate_rejected(self, key, rate):
+        with pytest.raises(ValueError, match="pretraining rates must be finite"):
+            PretrainSettings(**{key: rate})
 
     def test_clone_no_better_than_a_constant_raises(self):
         # a huge rate saturates the sigmoid; the fit is then worse than

@@ -3,16 +3,21 @@
 Runs `pretrain`, `compare`, and `run <scenario> <controller>` for every
 scenario and controller tag (PI, HDP, HDP-frozen) through
 `boosthdp.cli.main`, at one config and seed, into a fresh output
-directory, then prints one line per command (its exit code and, for
-`compare`, the sha256 of the printed table, which also goes to stderr) and
-one line per file written (`sha256  name`).  Two checkouts produce the
-same bits when the outputs of
+directory.  After each command it prints one line for the command (its
+exit code and, for `compare`, the sha256 of the printed table, which also
+goes to stderr), then one line per file the command wrote
+(`sha256  name`, by name), read before the next command can overwrite it:
+so `compare`'s traces and `metrics.csv` are hashed as `compare` left them,
+and each `run`'s as it left them.  A file counts as written when its inode
+or modification time changed, as an atomic rename changes both.  Two
+checkouts produce the same bits when the outputs of
 
     PYTHONPATH=src python tools/hash_outputs.py --seed 0 > a.txt
 
 run in each are identical under `diff`.  Nothing in the output depends on
 timing or on the output directory's path.  With `--out DIR` the artifacts
-are kept in DIR (which must not exist yet), for `tools/diff_outputs.py`.
+are kept in DIR (which must not exist yet), for `tools/diff_outputs.py`;
+DIR then holds each file as the last command that wrote it left it.
 """
 
 from __future__ import annotations
@@ -31,6 +36,17 @@ from boosthdp.sim import CONTROLLER_TAGS, SCENARIO_NAMES
 
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def _stamps(out: Path) -> dict[str, tuple[int, int]]:
+    """Name -> (inode, modification time) of every artifact in out; the
+    dot files (the metrics lock) are no artifacts."""
+    stamps = {}
+    for path in out.iterdir():
+        if path.is_file() and not path.name.startswith("."):
+            stat = path.stat()
+            stamps[path.name] = stat.st_ino, stat.st_mtime_ns
+    return stamps
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -54,6 +70,7 @@ def main(argv: list[str] | None = None) -> int:
             for tag in CONTROLLER_TAGS
         ]
         worst = 0
+        before = _stamps(out)
         for command in commands:
             stdout = io.StringIO()
             with contextlib.redirect_stdout(stdout):
@@ -64,9 +81,11 @@ def main(argv: list[str] | None = None) -> int:
                 line += f", table {_sha256(stdout.getvalue().encode())}"
                 sys.stderr.write(stdout.getvalue())
             print(line)
-        for path in sorted(out.iterdir()):
-            if path.is_file() and not path.name.startswith("."):
-                print(f"{_sha256(path.read_bytes())}  {path.name}")
+            after = _stamps(out)
+            for name in sorted(after):
+                if after[name] != before.get(name):
+                    print(f"{_sha256((out / name).read_bytes())}  {name}")
+            before = after
     return worst
 
 
