@@ -11,11 +11,12 @@ scenario listed twice are rejected rather than ignored -- a typo should
 fail loudly, not silently run the nominal setup.  [plant] v_s and r_load
 are the nominal point the scenarios start from.
 
-`compare` and `pretrain` use up to one worker process per available CPU
-(boosthdp.workers): `compare` simulates each group of cells that share a
-controller tag and a start in one, running the periods the group's cells
-share once (the load and input steps share their first half), and
-`pretrain` clones the action net in one while it trains the critic.  The
+`compare` and `pretrain` run their jobs in their own process and in one
+forked worker process per further available CPU (boosthdp.workers), none
+on one CPU: `compare` simulates each group of cells that share a
+controller tag and a start as one job, running the periods the group's
+cells share once (the load and input steps share their first half), and
+`pretrain` trains the critic and clones the action net as two.  The
 workers only compute; every log line, artifact and printed row comes from
 the command's own process, in the order a serial run gives, so the output
 is the same bytes whatever the CPU count.  `run` starts no worker.
@@ -24,9 +25,9 @@ Exit codes: 0 on success, 1 for usage, configuration, or missing or corrupt
 snapshot errors and for an output directory or an artifact that cannot be
 written, 2 when a simulation diverges, an online network update would turn
 a parameter non-finite, pretraining fails to converge or clones an action
-net no better than a constant, or a worker process ends (killed, say)
-before it returns its result: each `compare` cell of its group then shows
-`-`, and `pretrain` writes no snapshot.
+net no better than a constant, or a forked worker process ends (killed,
+say) before it returns a job's result: each `compare` cell of that job's
+group then shows `-`, and `pretrain` writes no snapshot.
 """
 
 from __future__ import annotations
@@ -48,10 +49,10 @@ import numpy as np
 
 from .atomic import atomic_write_set
 from .baseline import DEFAULT_PI_GAINS, PiGains
-from .hdp import HdpConfig, HdpController, make_action
+from .hdp import HdpConfig, HdpController, make_action, make_critic
 from .mlp import Mlp, MlpFormatError, NonFiniteUpdateError
 from .plant import PlantParams
-from .workers import WorkerLost, Workers
+from .workers import WorkerLost, run_jobs
 from . import sim
 
 __all__ = [
@@ -272,8 +273,9 @@ def _make_out_dir(cfg: RunConfig) -> Path:
 def cmd_pretrain(cfg: RunConfig) -> int:
     """Run the offline pipeline and write network snapshots plus residuals.
 
-    The behaviour clone runs in a worker process beside the critic's TD
-    sweep; both only read the excitation log."""
+    The critic's TD sweep and the behaviour clone are two jobs, which only
+    read the excitation log: the critic runs in this process, the clone in
+    a worker beside it, or after it on one CPU."""
     out = _make_out_dir(cfg)
     pt = cfg.pretrain
     try:
@@ -291,29 +293,32 @@ def cmd_pretrain(cfg: RunConfig) -> int:
     except sim.SimulationDiverged as exc:
         log.error("pretraining failed: %s", exc)
         return 2
-    action = make_action(seed=cfg.seed)
+    critic, action = make_critic(seed=cfg.seed), make_action(seed=cfg.seed)
+
+    # each job returns its net's parameters as plain data: an Mlp's views do
+    # not survive a pickle
+    def train_critic() -> tuple[list[float], list[float]]:
+        trained, history = sim.pretrain_critic(
+            transitions, cfg.hdp.gamma, seed=cfg.seed,
+            max_epochs=pt.max_epochs, learning_rate=pt.learning_rate,
+        )
+        return trained.params.tolist(), history
 
     def clone() -> tuple[list[float], float]:
         mse = sim.clone_action(
             action, transitions, seed=cfg.seed + 2,
             epochs=pt.clone_epochs, learning_rate=pt.clone_learning_rate,
         )
-        # the parameters as plain data: an Mlp's views do not survive a pickle
         return action.params.tolist(), mse
 
     try:
-        # a critic failure leaves the block, so it is the one reported
-        with Workers([clone]) as workers:
-            critic, history = sim.pretrain_critic(
-                transitions, cfg.hdp.gamma, seed=cfg.seed,
-                max_epochs=pt.max_epochs, learning_rate=pt.learning_rate,
-            )
-            (cloned,) = workers.outcomes()
-            params, clone_mse = cloned()
+        trained, cloned = run_jobs([train_critic, clone])
+        # raised in submission order, so a critic failure is the one reported
+        critic.params[:], history = trained()
+        action.params[:], clone_mse = cloned()
     except (sim.PretrainingError, NonFiniteUpdateError, WorkerLost) as exc:
         log.error("pretraining failed: %s", exc)
         return 2
-    action.params[:] = params
     critic_path, action_path = _snapshot_paths(cfg)
     residuals_path = out / "pretrain_residuals.csv"
 
@@ -432,7 +437,7 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _simulate_group(cfg: RunConfig, specs: list[sim.ScenarioSpec], controller) -> list:
-    """The cells of a group as a `compare` worker runs them, in one
+    """The cells of a group as a `compare` job runs them, in one
     `sim.run_scenarios` call: per cell a writer of its trace (given a path)
     and its metrics, or the exception that ended it, ConfigError for a
     switching period that fits the scenario badly.  The trace comes back as
@@ -548,16 +553,17 @@ def cmd_compare(cfg: RunConfig) -> int:
     (`sim.ScenarioSpec.shared_start`): the load and input steps start from
     one equilibrium, so at the shipped scenarios the six cells make four
     groups.  Each group's controller is built once, from snapshots loaded
-    once, and the group is simulated in one worker process
-    (`sim.run_scenarios`, which runs the periods its cells share once), the
-    groups likeliest to take longest first: HDP before PI, then more cells
-    before fewer.  The failures, log lines, artifacts and table then follow
-    in table order, so the output does not depend on which worker finishes
-    first.  A failed cell is reported and skipped; the remaining cells
-    still run and the exit code reflects the worst failure (divergence wins
-    over missing snapshots).  A worker lost before it returns blanks every
-    cell of its group.  An output directory that cannot be created ends the
-    command before any cell runs.
+    once, and the group is simulated as one job (`sim.run_scenarios`, which
+    runs the periods its cells share once), the groups likeliest to take
+    longest first: HDP before PI, then more cells before fewer.  This
+    process runs the first job, and forked workers run others beside it
+    (boosthdp.workers).  The failures, log lines, artifacts and table then
+    follow in table order, so the output does not depend on which process
+    finishes first.  A failed cell is reported and skipped; the remaining
+    cells still run and the exit code reflects the worst failure
+    (divergence wins over missing snapshots).  A worker lost before it
+    returns a job's result blanks every cell of that job's group.  An output
+    directory that cannot be created ends the command before any cell runs.
     """
     _make_out_dir(cfg)
     cells = [(scenario, tag) for scenario in cfg.scenarios for tag in ("PI", "HDP")]
@@ -578,9 +584,8 @@ def cmd_compare(cfg: RunConfig) -> int:
                                         _build_controller(cfg, specs[0]))))
         except ConfigError as exc:
             simulated.update(dict.fromkeys(group, partial(_raise, exc)))
-    with Workers([job for _, job in jobs]) as workers:
-        for (group, _), outcome in zip(jobs, workers.outcomes()):
-            simulated.update((cell, partial(_cell, outcome, i)) for i, cell in enumerate(group))
+    for (group, _), outcome in zip(jobs, run_jobs([job for _, job in jobs])):
+        simulated.update((cell, partial(_cell, outcome, i)) for i, cell in enumerate(group))
     worst = 0
     lines = [
         f"{'scenario':<14} {'controller':<10} {'settling_ms':>12} "

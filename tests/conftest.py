@@ -16,11 +16,21 @@ def _exited_child() -> int:
     return info.si_pid if info else 0
 
 
+def _running_child() -> bool:
+    """Whether a child process is running: one forked with `os.fork`, say,
+    which multiprocessing does not list."""
+    try:
+        return os.waitid(os.P_ALL, 0, os.WEXITED | os.WNOHANG | os.WNOWAIT) is None
+    except ChildProcessError:  # no child processes at all
+        return False
+
+
 @pytest.fixture(autouse=True)
 def no_stray_processes():
     """Fail a test that leaves a child process running or exited but
-    unreaped, as a worker pool that is not joined would; then reap them,
-    so the next test starts clean."""
+    unreaped, as workers that are not reaped would; then kill and reap the
+    multiprocessing children and reap an exited one, so the next test
+    starts clean."""
     yield
     unreaped = _exited_child()
     alive = multiprocessing.active_children()  # also reaps its exited children
@@ -31,3 +41,4 @@ def no_stray_processes():
         os.waitpid(unreaped, 0)
     assert not alive, f"test left child processes running: {alive}"
     assert not unreaped, f"test left child process {unreaped} unreaped"
+    assert not _running_child(), "test left a child process running"

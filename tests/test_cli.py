@@ -4,7 +4,6 @@ artifacts, and exit codes."""
 import csv
 import logging
 import math
-import multiprocessing
 import os
 import re
 import subprocess
@@ -28,6 +27,7 @@ from boosthdp.hdp import HdpConfig, make_action, make_critic
 from boosthdp.mlp import Mlp
 from boosthdp.plant import PlantParams, PlantState
 from boosthdp.sim import SCENARIO_NAMES
+from forking import CALLER, exit_in_a_worker, needs_a_worker, no_children, wait_for
 from trace_io import read_trace_csv
 
 # `python -m boosthdp.cli` in a child process imports this checkout's package
@@ -1285,8 +1285,9 @@ def _error_lines(caplog):
 
 
 class TestWorkerProcesses:
-    """compare's cells and pretrain's clone run in forked workers; every
-    effect stays in the parent, in table order."""
+    """compare's groups of cells and pretrain's critic and clone run as jobs
+    in the command's process and in forked workers; every effect stays in
+    the command's process, in table order."""
 
     def test_compare_matches_serial_runs(self, fast_snapshots, tmp_path, capsys):
         config = tmp_path / "fast.ini"
@@ -1316,6 +1317,29 @@ class TestWorkerProcesses:
             expected.append(cli._table_row(values["scenario"], values["controller"], metrics))
         assert table == "\n".join(expected) + "\n"
 
+    @pytest.mark.parametrize("command", ["compare", "pretrain"])
+    def test_same_bytes_on_one_cpu_as_on_all(self, fast_snapshots, tmp_path, capsys, command):
+        # which process runs a job depends on the CPU count; the output does not
+        config = tmp_path / "fast.ini"
+        config.write_text(FAST_PRETRAIN)
+        cpus = os.sched_getaffinity(0)
+        files, stdout = [], []
+        for name, pinned in (("all", cpus), ("one", {min(cpus)})):
+            out = tmp_path / name
+            out.mkdir()
+            if command == "compare":
+                _copy_snapshots(out, fast_snapshots)
+            os.sched_setaffinity(0, pinned)
+            try:
+                assert cli.main([command, "--config", str(config), "--out", str(out)]) == 0
+            finally:
+                os.sched_setaffinity(0, cpus)
+            files.append(_files(out))
+            stdout.append(capsys.readouterr().out)
+        assert sorted(files[0]) == sorted(files[1])
+        assert [name for name in files[0] if files[0][name] != files[1][name]] == []
+        assert stdout[0] == stdout[1]
+
     def test_failures_logged_in_cell_order(self, fast_snapshots, tmp_path, caplog):
         # every cell fails, PI by divergence and HDP by a refused update, in
         # workers that finish in no particular order
@@ -1339,14 +1363,19 @@ class TestWorkerProcesses:
     def _lose_the_last_job(fast_snapshots, tmp_path, monkeypatch, caplog, capfd,
                            scenarios, lost):
         """compare with the worker of its last job (PI groups go after HDP
-        groups, and a group of two cells before one of one) dying: on any
-        CPU count every other group has a result, and every cell of the
-        lost group shows - and logs the worker-lost line."""
+        groups, and a group of two cells before one of one) dying: the
+        caller's first job waits until a worker has claimed the last, so
+        every other group has a result, and every cell of the lost group
+        shows - and logs the worker-lost line."""
         run_scenarios = cli.sim.run_scenarios
+        started = tmp_path / "started"
 
         def dies_on_the_lost_group(specs, controller, *args):
-            if isinstance(controller, PiController) and specs[-1].name == lost[-1][0]:
-                os._exit(1)
+            if os.getpid() == CALLER:
+                wait_for(started)
+            elif isinstance(controller, PiController) and specs[-1].name == lost[-1][0]:
+                started.touch()
+                exit_in_a_worker(1)
             return run_scenarios(specs, controller, *args)
 
         monkeypatch.setattr(cli.sim, "run_scenarios", dies_on_the_lost_group)
@@ -1372,14 +1401,16 @@ class TestWorkerProcesses:
         assert len(rows) == 2 * len(scenarios.split()) - len(lost)
         assert all("-" not in values for values in rows.values())
         assert "Traceback" not in captured.err
-        assert multiprocessing.active_children() == []
+        assert no_children()
 
+    @needs_a_worker
     def test_lost_worker_in_compare(self, fast_snapshots, tmp_path, monkeypatch, caplog, capfd):
         self._lose_the_last_job(
             fast_snapshots, tmp_path, monkeypatch, caplog, capfd,
             "load_change input_change", [("load_change", "PI"), ("input_change", "PI")],
         )
 
+    @needs_a_worker
     def test_lost_worker_of_a_one_cell_job_in_compare(
         self, fast_snapshots, tmp_path, monkeypatch, caplog, capfd
     ):
@@ -1388,8 +1419,21 @@ class TestWorkerProcesses:
             "startup load_change input_change", [("startup", "PI")],
         )
 
+    @needs_a_worker
     def test_lost_worker_in_pretrain(self, tmp_path, monkeypatch, caplog, capfd):
-        monkeypatch.setattr(cli.sim, "clone_action", lambda *args, **kwargs: os._exit(1))
+        # the critic, the caller's job, waits until a worker has claimed the clone
+        pretrain_critic, started = cli.sim.pretrain_critic, tmp_path / "started"
+
+        def waits(*args, **kwargs):
+            wait_for(started)
+            return pretrain_critic(*args, **kwargs)
+
+        def dies(*args, **kwargs):
+            started.touch()
+            exit_in_a_worker(1)
+
+        monkeypatch.setattr(cli.sim, "pretrain_critic", waits)
+        monkeypatch.setattr(cli.sim, "clone_action", dies)
         config = tmp_path / "fast.ini"
         config.write_text(FAST_PRETRAIN)
         out = tmp_path / "out"
@@ -1401,7 +1445,7 @@ class TestWorkerProcesses:
         ]
         assert list(out.iterdir()) == []
         assert "Traceback" not in capfd.readouterr().err
-        assert multiprocessing.active_children() == []
+        assert no_children()
 
     @staticmethod
     def _failing_critic(*args, **kwargs):
@@ -1431,13 +1475,24 @@ class TestWorkerProcesses:
         assert list(out.iterdir()) == []
 
     # a cell whose simulation overflows in numpy (a RuntimeWarning unless
-    # ignored) and then refuses the update, as a non-finite one would be
+    # ignored) and then refuses the update, as a non-finite one would be; in
+    # compare on more than one CPU the caller's job waits until a forked
+    # worker has started the other, which then creates the file $STARTED
     OVERFLOWING_CELL = """\
+import os
 import sys
+from pathlib import Path
 import numpy as np
 from boosthdp import cli, mlp
+from forking import wait_for
+
+caller, started = os.getpid(), Path(os.environ["STARTED"])
 
 def overflowing(*args):
+    if os.getpid() != caller:
+        started.touch()
+    elif sys.argv[1] == "compare" and len(os.sched_getaffinity(0)) > 1:
+        wait_for(started)
     np.float64(1e300) * 1e300
     raise mlp.NonFiniteUpdateError("update would produce non-finite parameters")
 
@@ -1446,16 +1501,20 @@ sys.exit(cli.main(sys.argv[1:]))
 """
 
     def test_a_worker_inherits_mains_numpy_errstate(self, fast_snapshots, tmp_path):
-        # compare runs the cell in a worker, run in main's own process; both
-        # overflow in numpy and then refuse the update
+        # compare runs the PI cell in a worker (on more than one CPU), run in
+        # main's own process; both overflow in numpy and then refuse the update
         _copy_snapshots(tmp_path, fast_snapshots)
         config = tmp_path / "one.ini"
         config.write_text("[run]\nscenarios = startup\n")
+        started = tmp_path / "started"
+        # the child imports `forking` from this directory
+        path = os.pathsep.join((MODULE_ENV["PYTHONPATH"], str(Path(__file__).parent)))
+        env = {**MODULE_ENV, "PYTHONPATH": path, "STARTED": str(started)}
         for command, tags in ((["compare"], ("PI", "HDP")), (["run", "startup", "HDP"], ("HDP",))):
             proc = subprocess.run(
                 [sys.executable, "-c", self.OVERFLOWING_CELL, *command,
                  "--config", str(config), "--out", str(tmp_path)],
-                capture_output=True, text=True, timeout=120, env=MODULE_ENV,
+                capture_output=True, text=True, timeout=120, env=env,
             )
             assert proc.returncode == 2, command
             errors = [ln for ln in proc.stderr.splitlines() if not ln.startswith("default ")]
@@ -1463,6 +1522,7 @@ sys.exit(cli.main(sys.argv[1:]))
                 f"startup {tag} diverged: update would produce non-finite parameters"
                 for tag in tags
             ], command
+        assert started.exists() == (len(os.sched_getaffinity(0)) > 1)
 
     def test_run_loads_no_pool_machinery(self, tmp_path):
         code = (

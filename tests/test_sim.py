@@ -310,6 +310,14 @@ class TestComputeMetrics:
         assert compute_metrics(from_rows(rows)) == metrics_from_rows(rows)
 
 
+def first_difference(text, ref):
+    """The first line at which two texts, or two byte strings, differ, line
+    ends included, or None when they are equal: a failure names a line
+    instead of making pytest diff two long texts."""
+    lines = zip_longest(text.splitlines(keepends=True), ref.splitlines(keepends=True))
+    return next((k for k, (a, b) in enumerate(lines) if a != b), None)
+
+
 def csv_module_bytes(path, trace):
     """The trace as `csv.writer` writes it, row by row, every value
     formatted afresh."""
@@ -409,7 +417,7 @@ class TestTraceCsv:
             trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
             write_trace_csv(tmp_path / "trace.csv", trace)
             expected = csv_module_bytes(tmp_path / "reference.csv", trace)
-            assert (tmp_path / "trace.csv").read_bytes() == expected
+            assert first_difference((tmp_path / "trace.csv").read_bytes(), expected) is None
 
     @settings(max_examples=200, deadline=None)
     @given(trace=traces())
@@ -426,7 +434,7 @@ class TestTraceCsv:
         for rows in (1, 7, 256, 10**6):
             monkeypatch.setattr(sim, "_TEXT_BLOCK", rows)
             texts.append(sim.trace_csv_text(trace))
-        assert texts[1:] == texts[:1] * 3
+        assert [first_difference(text, texts[0]) for text in texts[1:]] == [None] * 3
 
     def test_two_runs_in_one_process_write_the_same_bytes(self, tmp_path):
         params = PlantParams()
@@ -435,11 +443,12 @@ class TestTraceCsv:
         for _ in range(2):
             trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
             texts.append(sim.trace_csv_text(trace))
-        assert texts[0] == texts[1]
+        assert first_difference(texts[0], texts[1]) is None
         write_trace_csv(tmp_path / "trace.csv", trace)
-        assert (tmp_path / "trace.csv").read_bytes() == csv_module_bytes(
-            tmp_path / "reference.csv", trace
-        )
+        assert first_difference(
+            (tmp_path / "trace.csv").read_bytes(),
+            csv_module_bytes(tmp_path / "reference.csv", trace),
+        ) is None
 
     def test_round_trip_preserves_bytes(self, tmp_path):
         spec = builtin_scenario("startup", "PI")
@@ -706,14 +715,6 @@ def fresh_controller(spec, params=PlantParams()):
                          HdpConfig(lr_critic=1e-2, lr_action=1e-3))
 
 
-def first_difference(trace, ref):
-    """The first line at which two traces' CSV texts differ, or None: a
-    failure names a line instead of diffing two long texts."""
-    lines = zip_longest(sim.trace_csv_text(trace).splitlines(),
-                        sim.trace_csv_text(ref).splitlines())
-    return next((k for k, (a, b) in enumerate(lines) if a != b), None)
-
-
 class TestRunScenarios:
     """Specs that start alike run their shared periods once, and each gets
     the bits `run_scenario` gives it with a fresh controller."""
@@ -728,12 +729,14 @@ class TestRunScenarios:
         alone = [fresh_controller(spec, params) for spec in specs]
         for spec, (trace, metrics), own in zip(specs, outcomes, alone):
             ref_trace, ref_metrics = run_scenario(spec, own, params)
-            assert first_difference(trace, ref_trace) is None
+            assert first_difference(
+                sim.trace_csv_text(trace), sim.trace_csv_text(ref_trace)
+            ) is None
             assert list(map(len, trace)) == list(map(len, ref_trace))
             assert metrics == ref_metrics
         texts = sim.trace_csv_texts([trace for trace, _ in outcomes], branch)
-        assert [text == sim.trace_csv_text(trace)
-                for text, (trace, _) in zip(texts, outcomes)] == [True, True]
+        assert [first_difference(text, sim.trace_csv_text(trace))
+                for text, (trace, _) in zip(texts, outcomes)] == [None, None]
         if tag != "PI":
             # the nets hold what the lead spec's run left
             assert net_bytes(controller) == net_bytes(alone[0])
@@ -768,7 +771,7 @@ class TestRunScenarios:
         assert str(failed) == (f"load_change/{tag}: i_l=nan A exceeded the 1320.0 A "
                                "current limit at t=0.025050 s")
         ref_trace, ref_metrics = run_scenario(specs[1], fresh_controller(specs[1]), params)
-        assert first_difference(trace, ref_trace) is None
+        assert first_difference(sim.trace_csv_text(trace), sim.trace_csv_text(ref_trace)) is None
         assert metrics == ref_metrics
 
     def test_failure_in_the_shared_periods_ends_every_run(self, monkeypatch):
@@ -802,7 +805,7 @@ class TestRunScenarios:
         assert type(refused) is ValueError and "late scenario" in str(refused)
         assert branch == 100
         ref_trace, ref_metrics = run_scenario(early, baseline_for_scenario(early, params), params)
-        assert first_difference(trace, ref_trace) is None
+        assert first_difference(sim.trace_csv_text(trace), sim.trace_csv_text(ref_trace)) is None
         assert metrics == ref_metrics
 
     @pytest.mark.parametrize("change", [
