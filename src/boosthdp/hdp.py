@@ -16,17 +16,19 @@ critic's estimate: the duty cycle enters the critic as an input, so
 d(cost-to-go)/d(duty) comes from the critic's input gradient and
 backpropagates through the action net.
 
-The online step runs every pass and step on the nets' generated kernels
-(`Mlp.kernels`), on the nets' parameters as lists.  `HdpController.hold`
-takes those lists from `Mlp.params` once for a run of steps, passes them
-from each step to the next, and writes them back into `Mlp.params` once,
-when it ends, however it ends; a step outside a hold runs in a hold of
-its own.  `td_update` is
-the online critic step.  The offline sweep in `sim` runs the same step
-inside a generated epoch function (`Mlp.td_epoch`): `mlp`'s one emitter
-writes the step and its finiteness rule for both, which raises
-NonFiniteUpdateError where a step would make a parameter non-finite, and
-tests hold the sweep to `td_update` bit for bit.
+The online step works on the nets' parameters as lists.
+`HdpController.hold` takes those lists from `Mlp.params` once for a run of
+periods and writes them back into `Mlp.params` once, when it ends, however
+it ends.  One period is `HdpController.control_step`, which runs every pass
+and step on the nets' generated kernels (`Mlp.kernels`), `td_update` the
+critic's.  A closed loop of many periods is `HdpController.run_periods`,
+one function generated per pair of topologies that keeps both nets'
+parameters in locals from the first period to the last and gives the bits
+of control_step per period.  The offline sweep in `sim` runs the same
+critic step inside a generated epoch function (`Mlp.td_epoch`): `mlp`'s one
+emitter writes every pass and step and the one finiteness rule, which
+raises NonFiniteUpdateError where a step would make a parameter
+non-finite, and tests hold each of them to the per-call step bit for bit.
 
 The nets work in fixed coordinates that keep every feature O(1): volts
 over V_SCALE, amperes over I_SCALE, and the duty as it is.  The utility is
@@ -38,15 +40,16 @@ affinely onto `plant.DUTY_LIMITS`, the window the PI loop clamps to too.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator
-from contextlib import contextmanager
+from collections.abc import Callable, Iterator
+from contextlib import contextmanager, nullcontext
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
 
-from .mlp import Mlp
-from .plant import DUTY_LIMITS
+from .mlp import Mlp, _compile, _indent, _Text
+from .plant import DUTY_LIMITS, PlantState
 
 __all__ = [
     "CRITIC_SIZES",
@@ -128,6 +131,119 @@ def td_update(
     return critic.kernels.step(p, acts, (resid,), learning_rate)
 
 
+@lru_cache(maxsize=None)
+def _generate_run(
+    critic_sizes: tuple[int, ...], critic_sigmoid: bool, action_sizes: tuple[int, ...]
+) -> Callable:
+    """Generate and compile, once per pair of topologies, the function behind
+    `HdpController.run_periods`:
+
+        run(ctl, learn, state, duty, segments, step, columns, v_max, i_max, diverged)
+
+    It runs every period of `segments` with both nets' parameters, and the
+    stored transition, in locals from the first period to the last.  Each
+    period is `HdpController._period` written out: the same passes and
+    steps in the same order, emitted by `mlp._Text` under the prefixes "c"
+    (critic) and "a" (action), so they are the same bits.  Each step builds
+    its list `new` and passes `_Text.refuse` before it is carried on, and a
+    `finally` writes the last accepted lists into `ctl._lists`, and the
+    stored transition into `ctl._prev` in its format.  ValueError for a net
+    of more than MAX_KERNEL_PARAMS parameters."""
+    critic = _Text(critic_sizes, critic_sigmoid, prefix="c")
+    action = _Text(action_sizes, True, prefix="a")
+    # the normalized state is the action net's input; the critic's appends a duty
+    state = action.acts[0]
+    c_acts = ", ".join(sum(critic.acts, []))
+    y_a, y_c = action.acts[-1][0], critic.acts[-1][0]
+
+    def critic_at(duty: str) -> list[str]:
+        return [*(f"{c} = {a}" for c, a in zip(critic.acts[0], state)),
+                f"{critic.acts[0][-1]} = {duty}", *critic.forward()]
+
+    def carry(net: _Text, held: str) -> list[str]:
+        # a step's list, checked, becomes the net's locals and its held list
+        return [*net.step(in_place=False), f"{', '.join(net.params)}, = {held} = new"]
+
+    stored_pass = [
+        "if pc_prev is critic_list and d_prev is duty:",
+        f"    {c_acts}, = x_prev",
+        "else:",
+        # the stored state at the duty applied, as `_period` recomputes it
+        f"    {', '.join(critic.acts[0][:-1])}, = s_prev",
+        f"    {critic.acts[0][-1]} = duty",
+        *_indent(critic.forward(), 1),
+    ]
+    learn = [
+        f"duty_hat = d_min + {y_a} * span",
+        "if s_prev is not None:",
+        *_indent([*critic_at("duty_hat"), f"target = {y_c}", *stored_pass,
+                  f"{critic.outputs[0]} = {y_c} - gamma*target - u_prev",
+                  *carry(critic, "critic_list")], 1),
+        *critic_at("duty_hat"),
+        f"{critic.outputs[0]} = 1.0",
+        *critic.backward(),
+        f"{action.outputs[0]} = ({critic.input_gradient()[-1]}) * span",
+        *carry(action, "action_list"),
+        *action.forward(),
+    ]
+    period = [
+        "i_l, v_o, mode = state",
+        "e_v = v_set - v_o",
+        "e_i = i_set - i_l",
+        *(f"{a} = {v}" for a, v in zip(
+            state, ("v_o / V_SCALE", "i_l / I_SCALE", "e_v / V_SCALE", "e_i / I_SCALE"))),
+        *action.forward(),
+        "if learn:",
+        *_indent(learn, 1),
+        f"duty = d_min + {y_a} * span",
+        *critic_at("duty"),
+        "u = utility(e_v, e_i)",
+        f"s_prev = [{', '.join(state)}]",
+        "u_prev = u",
+        "pc_prev = critic_list",
+        "d_prev = duty",
+        f"x_prev = [{c_acts}]",
+        "v_o_append(v_o)",
+        "i_l_append(i_l)",
+        "duty_append(duty)",
+        "u_append(u)",
+        f"j_est_append({y_c})",
+        "mode_append(mode)",
+        "state = step(state, duty, params)",
+        # NaN fails both comparisons too
+        "if not (state.v_o <= v_max and state.i_l <= i_max):",
+        "    raise diverged(state, k)",
+    ]
+    source = "\n".join([
+        "def run(ctl, learn, state, duty, segments, step, columns, v_max, i_max, diverged):",
+        *_indent([
+            "lists = ctl._lists",
+            "critic_list, action_list = lists",
+            f"{', '.join(critic.params)}, = critic_list",
+            f"{', '.join(action.params)}, = action_list",
+            "cfg = ctl.config",
+            "gamma, clr, alr = cfg.gamma, cfg.lr_critic, cfg.lr_action",
+            "s_prev, u_prev, pc_prev, d_prev, x_prev = ctl._prev or (None,) * 5",
+            "d_min, d_max = DUTY_LIMITS",
+            "span = d_max - d_min",
+            "v_o_append, i_l_append, duty_append, u_append, j_est_append, mode_append = [",
+            "    column.append for column in columns]",
+            "try:",
+            "    for periods, params, v_set, i_set in segments:",
+            "        for k in periods:",
+            *_indent(period, 3),
+            "finally:",
+            "    lists[0] = critic_list",
+            "    lists[1] = action_list",
+            "    if s_prev is not None:",
+            "        ctl._prev = s_prev, u_prev, pc_prev, d_prev, x_prev",
+            "return state, duty",
+        ], 1),
+    ])
+    return _compile(source, "run", DUTY_LIMITS=DUTY_LIMITS, V_SCALE=V_SCALE, I_SCALE=I_SCALE,
+                    utility=utility)
+
+
 class _Input(NamedTuple):
     v_o: float
     i_l: float
@@ -137,19 +253,20 @@ class _Input(NamedTuple):
 
 
 class ControllerInput(_Input):
-    """One cycle's measurements, assembled by the harness, as a named tuple
-    (so it unpacks, and compares equal to a plain tuple of its fields).
+    """One cycle's measurements for `HdpController.control_step`, as a
+    named tuple (so it unpacks, and compares equal to a plain tuple of its
+    fields).
 
-    e_v and e_i are the setpoint errors exactly as the harness computed
+    e_v and e_i are the setpoint errors exactly as the caller computed
     them.  duty_prev is the duty actually applied over the period that
     produced this measurement; the delayed critic update evaluates the
-    previous cycle at this duty, so a harness that perturbs the command
+    previous cycle at this duty, so a caller that perturbs the command
     (probing noise during practice) must report the perturbed value.
 
     Every way to build one from fields, the constructor, `_make` and
-    `_replace`, checks that each is finite (ValueError).  `sim`'s period
-    loop builds its inputs with `tuple.__new__`, unchecked: its divergence
-    guard has already stopped a non-finite or runaway plant state.
+    `_replace`, checks that each is finite (ValueError).  A simulated run
+    builds none: `HdpController.run_periods` reads the plant state itself,
+    behind the simulation's divergence guard.
     """
 
     __slots__ = ()
@@ -189,11 +306,11 @@ class HdpController:
     """Online actor-critic duty-cycle controller.
 
     Call control_step once per switching period with the cycle's
-    measurements, for a run of periods inside `hold`.  With learning
-    enabled the critic is updated from the previous period's transition and
-    the action net from the critic, before the period's duty command is
-    formed.  Updates are plain arithmetic on fixed-seed nets, so a run is
-    bit reproducible.
+    measurements, or run_periods for a closed loop of periods, inside
+    `hold`.  With learning enabled the critic is updated from the previous
+    period's transition and the action net from the critic, before the
+    period's duty command is formed.  Updates are plain arithmetic on
+    fixed-seed nets, so a run is bit reproducible.
     """
 
     def __init__(self, critic: Mlp, action: Mlp, config: HdpConfig | None = None):
@@ -206,11 +323,15 @@ class HdpController:
             raise ValueError(f"action net must map 4 -> 1, got {action.layer_sizes}")
         if action.output_activation != "sigmoid":
             raise ValueError("action net needs a sigmoid output")
-        # generate the kernels the step runs on now, so that a net too large
-        # for them is refused here (ValueError) rather than mid-run
-        for net in (critic, action):
-            if isinstance(net, Mlp):
-                net.kernels
+        # generate the code that runs the periods now, so that a net too
+        # large for it is refused here (ValueError) rather than mid-run; a
+        # duck-typed critic serves only action_update, on the action kernels
+        if isinstance(critic, Mlp):
+            self._run = _generate_run(tuple(critic.layer_sizes),
+                                      critic.output_activation == "sigmoid",
+                                      tuple(action.layer_sizes))
+        else:
+            action.kernels
         self.critic = critic
         self.action = action
         self.config = config
@@ -232,15 +353,15 @@ class HdpController:
         `with controller.hold(): ...`.
 
         The hold takes the lists from the nets' `params` as it opens; each
-        control_step inside it starts from the lists the one before left,
-        and neither reads nor writes `params`.  When the hold ends, however
-        it ends, each list that changed is written into its net's `params`
-        once; a step refused mid-run (NonFiniteUpdateError) thus leaves each
-        net at its last accepted step.  Inside a hold, neither swap a net nor
-        write its `params`: the steps go on from the held lists, and the
-        hold writes them into the nets it opened with.  Holds do not nest
-        (RuntimeError), and the critic must be an `Mlp` (TypeError); either
-        is refused before anything is taken.
+        control_step or run_periods inside it starts from the lists the one
+        before left, and neither reads nor writes `params`.  When the hold
+        ends, however it ends, each list that changed is written into its
+        net's `params` once; a step refused mid-run (NonFiniteUpdateError)
+        thus leaves each net at its last accepted step.  Inside a hold,
+        neither swap a net nor write its `params`: the steps go on from the
+        held lists, and the hold writes them into the nets it opened with.
+        Holds do not nest (RuntimeError), and the critic must be an `Mlp`
+        (TypeError); either is refused before anything is taken.
         """
         critic, action = self.critic, self.action
         if not isinstance(critic, Mlp):
@@ -321,6 +442,36 @@ class HdpController:
             return self._period(measurement, learn)
         with self.hold():
             return self._period(measurement, learn)
+
+    def run_periods(
+        self, learn: bool, state: PlantState, duty: float, segments, step, columns,
+        v_max: float, i_max: float, diverged,
+    ) -> tuple[PlantState, float]:
+        """Run a closed loop from the plant state `state`, the duty applied
+        over the last period being `duty`, and return the state and the duty
+        after its last period.
+
+        `segments` lists (periods, plant params, v_set, i_set): each period k
+        of `periods` measures e_v = v_set - v_o and e_i = i_set - i_l, takes
+        the control step of control_step(ControllerInput(v_o, i_l, e_v, e_i,
+        duty), learn) - the same bits - appends v_o, i_l, the duty, the
+        utility, the cost-to-go estimate and the plant's mode to the six
+        lists `columns`, and steps the plant with step(state, duty, params).
+        A state with v_o past v_max or i_l past i_max (NaN passes neither)
+        raises diverged(state, k).
+
+        The run is one generated function (`_generate_run`) that holds both
+        nets' parameters and the stored transition in locals from the first
+        period to the last, on the lists of the open `hold` (outside a hold
+        it runs in a hold of its own).  It leaves the hold's lists and the
+        stored transition as the same control_step calls would, however it
+        ends: a refused step (NonFiniteUpdateError) or a divergence leaves
+        each net at its last accepted step, and control_step calls may
+        precede and follow it.  The critic must be an `Mlp`.
+        """
+        with self.hold() if self._lists is None else nullcontext():
+            return self._run(self, learn, state, duty, segments, step, columns,
+                             v_max, i_max, diverged)
 
     def _period(self, m: ControllerInput, learn: bool) -> tuple[float, float]:
         """control_step inside a hold: carries the held lists on, storing

@@ -117,14 +117,16 @@ class _Text:
     function opens with `p0, p1, ..., = p` and reads the parameters as
     locals.  Names: p{k} is flat parameter k; a{l}_{j} is unit j of
     activation l (a0 the input); e{l}_{i} the delta (d_loss/d_pre-activation)
-    of unit i of layer l; d{i} d_loss/d_output i; `new` the list of a
-    step's new parameters.  Raises ValueError for a net of more than
-    MAX_KERNEL_PARAMS parameters."""
+    of unit i of layer l; d{i} d_loss/d_output i; lr a step's rate; `new`
+    the list of a step's new parameters.  Every name but `new` starts with
+    `prefix`, so the texts of two nets fit in one function.  Raises
+    ValueError for a net of more than MAX_KERNEL_PARAMS parameters."""
 
-    def __init__(self, layer_sizes: tuple[int, ...], sigmoid: bool):
+    def __init__(self, layer_sizes: tuple[int, ...], sigmoid: bool, prefix: str = ""):
         self.sigmoid = sigmoid
-        self.acts = [[f"a{l}_{j}" for j in range(n)] for l, n in enumerate(layer_sizes)]
-        self.deltas = [[f"e{l}_{i}" for i in range(n)] for l, n in enumerate(layer_sizes[1:])]
+        self.acts = [[f"{prefix}a{l}_{j}" for j in range(n)] for l, n in enumerate(layer_sizes)]
+        self.deltas = [[f"{prefix}e{l}_{i}" for i in range(n)]
+                       for l, n in enumerate(layer_sizes[1:])]
         # flat indices of layer l's weights, w[l][i][j], and biases, b[l][i]
         self.w, self.b, at = [], [], 0
         for fan_in, fan_out in zip(layer_sizes, layer_sizes[1:]):
@@ -137,8 +139,9 @@ class _Text:
                 f"{'-'.join(map(str, layer_sizes))} net has {at} parameters; "
                 f"per-sample kernels take at most {MAX_KERNEL_PARAMS}"
             )
-        self.params = [f"p{k}" for k in range(at)]
-        self.outputs = [f"d{i}" for i in range(layer_sizes[-1])]
+        self.params = [f"{prefix}p{k}" for k in range(at)]
+        self.outputs = [f"{prefix}d{i}" for i in range(layer_sizes[-1])]
+        self.lr = f"{prefix}lr"
         # (flat index, gradient) in the flat layout
         self.grads: list[tuple[int, str]] = []
         for l, (deltas, rows) in enumerate(zip(self.deltas, self.w)):
@@ -153,7 +156,8 @@ class _Text:
         lines, last = [], len(self.w) - 1
         for l, (rows, biases) in enumerate(zip(self.w, self.b)):
             for row, bias, out in zip(rows, biases, self.acts[l + 1]):
-                z = " + ".join([f"p{k}*{a}" for k, a in zip(row, self.acts[l])] + [f"p{bias}"])
+                z = " + ".join([f"{self.params[k]}*{a}" for k, a in zip(row, self.acts[l])]
+                             + [self.params[bias]])
                 if l < last:
                     lines.append(f"{out} = tanh({z})")
                 elif self.sigmoid:
@@ -177,7 +181,8 @@ class _Text:
         for l in range(len(self.w) - 1, 0, -1):
             # W^T delta, times the derivative of tanh from the stored activation
             for j, (e, h) in enumerate(zip(self.deltas[l - 1], self.acts[l])):
-                back = " + ".join(f"p{self.w[l][i][j]}*{d}" for i, d in enumerate(self.deltas[l]))
+                back = " + ".join(f"{self.params[self.w[l][i][j]]}*{d}"
+                                  for i, d in enumerate(self.deltas[l]))
                 lines.append(f"{e} = ({back}) * (1.0 - {h}*{h})")
         return lines
 
@@ -189,9 +194,10 @@ class _Text:
         replaces its parameter as soon as it is formed, unchecked, and a
         sweep carries them on in its locals; otherwise they form the list
         `new`, which `refuse` checks."""
-        new = [f"p{k} - {g}*lr" for k, g in self.grads]
+        new = [f"{self.params[k]} - {g}*{self.lr}" for k, g in self.grads]
         if in_place:
-            return [*self.backward(), *(f"p{k} = {v}" for (k, _), v in zip(self.grads, new))]
+            return [*self.backward(),
+                    *(f"{self.params[k]} = {v}" for (k, _), v in zip(self.grads, new))]
         return [*self.backward(), f"new = [{', '.join(new)}]", *self.refuse()]
 
     @staticmethod
@@ -207,7 +213,8 @@ class _Text:
 
     def input_gradient(self) -> list[str]:
         return [
-            " + ".join(f"p{self.w[0][i][j]}*{e}" for i, e in enumerate(self.deltas[0]))
+            " + ".join(f"{self.params[self.w[0][i][j]]}*{e}"
+                       for i, e in enumerate(self.deltas[0]))
             for j in range(len(self.acts[0]))
         ]
 
@@ -275,8 +282,14 @@ def _generate(layer_sizes: tuple[int, ...], sigmoid: bool, name: str) -> Callabl
         body = ["sq_sum = 0.0", "for k in order:", *_indent(sample, 1), f"new = [{params}]",
                 *text.refuse(), "return new, sq_sum"]
     source = "\n".join([f"def {name}(p, {args}):", f"    {params}, = p", *_indent(body, 1)])
+    return _compile(source, name)
+
+
+def _compile(source: str, name: str, **names) -> Callable:
+    """Compile generated source and return its function `name`.  The code
+    sees math's tanh, exp and isfinite, NonFiniteUpdateError, and `names`."""
     namespace = {"tanh": math.tanh, "exp": math.exp, "isfinite": math.isfinite,
-                 "NonFiniteUpdateError": NonFiniteUpdateError}
+                 "NonFiniteUpdateError": NonFiniteUpdateError, **names}
     exec(source, namespace)
     return namespace[name]
 

@@ -7,7 +7,9 @@ trace is its columns only (`Trace`, one list per `TRACE_FIELDS` column):
 the loop appends each period's values to their lists, the metrics read
 the columns as arrays, and the CSV text formats each column in one pass.
 Each scenario regulates V_SET around a nominal source and load, with at
-most one step of either, over at most MAX_PERIODS switching periods.
+most one step of either, over at most MAX_PERIODS switching periods.  An
+HDP controller runs a scenario's periods in one loop generated for its
+nets (`HdpController.run_periods`), a PI controller in a plain loop here.
 Scenarios that start alike and step at different times or to different
 points run together (`run_scenarios`): their shared periods run once, and
 each goes on from a copy of the controller and plant state where their
@@ -42,7 +44,7 @@ from .baseline import DEFAULT_PI_GAINS, PiController, PiGains
 # sim no longer calls td_update (Mlp.td_epoch runs its step), but
 # perfbench/tracing.py patches this module's binding of it by name
 from .hdp import (
-    I_SCALE, V_SCALE, ControllerInput, make_critic, td_error, td_update, utility,
+    I_SCALE, V_SCALE, HdpController, make_critic, td_error, td_update, utility,
 )
 from .mlp import Mlp, NonFiniteUpdateError
 from .plant import (
@@ -411,44 +413,47 @@ def _run_periods(controller, learn: bool, state: PlantState, duty: float,
     v_o, i_l, duty, u, j_est and mode to the six `columns`; returns the
     state and the duty after the last period.
 
-    An HDP controller gets each period's `ControllerInput` built unchecked:
-    the divergence guard below has checked the state it comes from.  Raises
-    SimulationDiverged, naming no scenario, as the guard stops a state.
+    Each segment regulates V_SET against the current reference of its own
+    source and load (`plant.steady_state_hint`).  An HDP controller runs
+    the periods itself (`HdpController.run_periods`), with this module's
+    `step` as it is bound when the call is made; a PI loop runs here.
+    Raises SimulationDiverged, naming no scenario, as the guard stops a
+    state.
     """
-    is_pi = isinstance(controller, PiController)
     t_sw = params.t_sw
     v_max, i_max = 2.0 * V_SET, current_limit(params)
-    v_o_append, i_l_append, duty_append, u_append, j_est_append, mode_append = (
-        column.append for column in columns
-    )
+
+    def diverged(state: PlantState, k: int) -> SimulationDiverged:
+        return SimulationDiverged(f"{_runaway(state, i_max)} at t={k * t_sw + t_sw:.6f} s")
+
+    plan = []
     for periods, v_s, r_load in segments:
         segment_params = params
         if v_s != params.v_s or r_load != params.r_load:
             segment_params = replace(params, v_s=v_s, r_load=r_load)
         _, i_set = steady_state_hint(V_SET, v_s, r_load)
+        plan.append((periods, segment_params, V_SET, i_set))
+    if isinstance(controller, HdpController):
+        return controller.run_periods(learn, state, duty, plan, step, columns,
+                                      v_max, i_max, diverged)
+    v_o_append, i_l_append, duty_append, u_append, j_est_append, mode_append = (
+        column.append for column in columns
+    )
+    for periods, segment_params, v_set, i_set in plan:
         for k in periods:
             i_l, v_o, mode = state
-            e_v = V_SET - v_o
-            e_i = i_set - i_l
-            if is_pi:
-                duty = controller.pi_step(e_v)
-                j_est = math.nan
-            else:
-                # unchecked, as the ControllerInput docstring allows
-                m = tuple.__new__(ControllerInput, (v_o, i_l, e_v, e_i, duty))
-                duty, j_est = controller.control_step(m, learn)
+            e_v = v_set - v_o
+            duty = controller.pi_step(e_v)
             v_o_append(v_o)
             i_l_append(i_l)
             duty_append(duty)
-            u_append(utility(e_v, e_i))
-            j_est_append(j_est)
+            u_append(utility(e_v, i_set - i_l))
+            j_est_append(math.nan)
             mode_append(mode)
             state = step(state, duty, segment_params)
             # NaN fails both comparisons too
             if not (state.v_o <= v_max and state.i_l <= i_max):
-                raise SimulationDiverged(
-                    f"{_runaway(state, i_max)} at t={k * t_sw + t_sw:.6f} s"
-                )
+                raise diverged(state, k)
     return state, duty
 
 
@@ -474,8 +479,9 @@ def run_scenarios(
     own copy of `controller`.
 
     The specs, one or more, must hold alike everything but their names and
-    steps (`ScenarioSpec.shared_start`), and the controller must match
-    their tag, else ValueError.  One period loop runs up to the first
+    steps (`ScenarioSpec.shared_start`), and the controller must be a
+    PiController or an HdpController that matches their tag, else
+    ValueError, before any period.  One period loop runs up to the first
     period where their schedules differ, the branch point; each spec then
     goes on from there with its own copy of the prefix's columns and of
     the controller (`copy.copy`; the first spec goes on with `controller`
@@ -496,6 +502,11 @@ def run_scenarios(
         raise ValueError(
             "scenarios run together must be one or more, and share duration, "
             "v_s, r_load, initial_state and controller_tag"
+        )
+    if not isinstance(controller, (PiController, HdpController)):
+        raise ValueError(
+            f"controller {type(controller).__name__} is neither a PiController "
+            "nor an HdpController"
         )
     first = specs[0]
     is_pi = first.controller_tag == "PI"

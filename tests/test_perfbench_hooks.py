@@ -46,14 +46,26 @@ def test_install_wraps_and_uninstall_restores():
 
 
 def test_traced_run_matches_untraced():
-    # a wrapped name whose signature drifted would fail or change the result
+    # a wrapped name whose signature drifted would fail or change the
+    # result; an HDP run, whose periods run in one generated loop, must
+    # still step the plant through sim's binding, read when the run starts
     params = PlantParams()
-    spec = sim.builtin_scenario("load_change", "PI", params)
-    plain = sim.run_scenario(spec, sim.baseline_for_scenario(spec, params), params)
-    tracer = _load_tracing().Tracer(boosthdp)
-    tracer.install()
-    try:
-        traced = sim.run_scenario(spec, sim.baseline_for_scenario(spec, params), params)
-    finally:
-        tracer.uninstall()
-    assert traced == plain
+    for tag in sim.CONTROLLER_TAGS:
+        spec = sim.builtin_scenario("load_change", tag, params)
+
+        def controller():
+            if tag == "PI":
+                return sim.baseline_for_scenario(spec, params)
+            return hdp.HdpController(hdp.make_critic(seed=3), hdp.make_action(seed=53),
+                                     hdp.HdpConfig(lr_critic=1e-2, lr_action=1e-3))
+
+        plain = sim.run_scenario(spec, controller(), params)
+        tracer = _load_tracing().Tracer(boosthdp)
+        tracer.install()
+        try:
+            traced = sim.run_scenario(spec, controller(), params)
+        finally:
+            tracer.uninstall()
+        assert traced == plain, tag
+        steps = list(tracer.name).count(tracer.names.index("plant.step"))
+        assert steps == len(plain[0].t), tag

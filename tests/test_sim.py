@@ -16,7 +16,6 @@ from boosthdp import sim
 from boosthdp.baseline import PiController, PiGains
 from boosthdp.hdp import (
     V_SCALE,
-    ControllerInput,
     HdpConfig,
     HdpController,
     make_action,
@@ -47,6 +46,7 @@ from boosthdp.sim import (
     train_critic_on_log,
     write_trace_csv,
 )
+from run_reference import per_call_periods, run_per_call
 from td_reference import td_step_1d
 from trace_io import TraceRecord, from_rows, read_trace_csv, trace_rows
 
@@ -523,6 +523,27 @@ class TestRunScenario:
         with pytest.raises(ValueError, match="does not match tag"):
             run_scenario(spec, PiController(), params)
 
+    def test_controller_of_another_type_rejected_before_any_period(self, monkeypatch):
+        # a wrapper with control_step, hold and reset_transition_buffer
+        # passes the tag check, which asks only that it is no PiController
+        class Wrapper:
+            def __init__(self, controller):
+                self.controller = controller
+
+            def __getattr__(self, name):
+                return getattr(self.controller, name)
+
+        def no_period(*args):
+            raise AssertionError("a period was simulated")
+
+        monkeypatch.setattr(sim, "step", no_period)
+        spec = builtin_scenario("startup", "HDP")
+        wrapped = Wrapper(HdpController(make_critic(), make_action()))
+        with pytest.raises(ValueError, match=(
+            "controller Wrapper is neither a PiController nor an HdpController"
+        )):
+            run_scenario(spec, wrapped, PlantParams())
+
     def test_divergence_guard_raises(self):
         # constant 0.93 duty drives the averaged equilibrium far past 2x200 V
         params = PlantParams()
@@ -618,24 +639,6 @@ class TestRunScenario:
         assert all(map(math.isnan, trace.j_est))
 
 
-class PerCall:
-    """An HdpController seen by run_scenario without its hold: the run's
-    hold is empty, so each control_step runs in a one-period hold of its
-    own, on a checked ControllerInput."""
-
-    def __init__(self, controller):
-        self.controller = controller
-
-    def hold(self):
-        return nullcontext()
-
-    def reset_transition_buffer(self):
-        self.controller.reset_transition_buffer()
-
-    def control_step(self, m, learn):
-        return self.controller.control_step(ControllerInput(*m), learn)
-
-
 def short_run(tag, config, params=PlantParams()):
     """A 5 ms run from the nominal equilibrium, with a load step at its
     middle, and two controllers on the same fresh nets: (spec, controller,
@@ -650,10 +653,16 @@ def net_bytes(controller):
     return controller.critic.params.tobytes(), controller.action.params.tobytes()
 
 
+def column_bytes(columns):
+    """The float columns' bits and the modes of six run columns."""
+    return [np.array(column).tobytes() for column in columns[:5]], columns[5]
+
+
 class TestHeldRun:
-    """run_scenario holds the nets' parameter lists for the whole run: the
-    same bits as the per-call control_step, traces and final nets, and the
-    nets at their last accepted step however the run ends."""
+    """run_scenario runs an HDP controller's periods in one generated loop
+    on the nets' held parameter lists: the same bits as control_step per
+    period (`run_reference`), traces and final nets, and the nets at their
+    last accepted step however the run ends."""
 
     CONFIG = HdpConfig(lr_critic=1e-2, lr_action=1e-3)
 
@@ -663,7 +672,7 @@ class TestHeldRun:
         spec, held, per_call = short_run(tag, self.CONFIG, params)
         start = net_bytes(held)
         trace, metrics = run_scenario(spec, held, params)
-        ref_trace, ref_metrics = run_scenario(spec, PerCall(per_call), params)
+        ref_trace, ref_metrics = run_per_call(spec, per_call, params)
         assert sim.trace_csv_text(trace) == sim.trace_csv_text(ref_trace)
         assert metrics == ref_metrics
         assert net_bytes(held) == net_bytes(per_call)
@@ -673,9 +682,9 @@ class TestHeldRun:
         params = PlantParams()
         spec, held, per_call = short_run("HDP", HdpConfig(lr_critic=1e300), params)
         start = net_bytes(held)
-        for controller in (held, PerCall(per_call)):
+        for run, controller in ((run_scenario, held), (run_per_call, per_call)):
             with pytest.raises(NonFiniteUpdateError):
-                run_scenario(spec, controller, params)
+                run(spec, controller, params)
         assert net_bytes(held) == net_bytes(per_call)
         assert all(a != b for a, b in zip(net_bytes(held), start))
 
@@ -693,11 +702,41 @@ class TestHeldRun:
             return plant_step(state, duty, params)
 
         monkeypatch.setattr(sim, "step", nan_at_period_30)
-        for controller in (held, PerCall(per_call)):
+        for run, controller in ((run_scenario, held), (run_per_call, per_call)):
             with pytest.raises(SimulationDiverged, match="i_l=nan A .* at t=0.001500 s"):
-                run_scenario(spec, controller, params)
+                run(spec, controller, params)
         assert net_bytes(held) == net_bytes(per_call)
         assert all(a != b for a, b in zip(net_bytes(held), start))
+
+    @pytest.mark.parametrize("nudged", [False, True], ids=["same_duty", "nudged_duty"])
+    @pytest.mark.parametrize("one_hold", [False, True], ids=["own_holds", "one_hold"])
+    @pytest.mark.parametrize("calls_first", [True, False], ids=["calls_run", "run_calls"])
+    def test_calls_and_a_run_follow_one_another(self, calls_first, one_hold, nudged):
+        # 30 control_step calls then a run of the rest, or a run of 30
+        # periods then calls: the stored transition crosses between them,
+        # its pass reused inside one hold at the same duty, and recomputed
+        # across two holds or at a nudged duty; the bits are those of calls
+        # alone, nudged alike
+        params = PlantParams()
+        spec, mixed, per_call = short_run("HDP", self.CONFIG, params)
+        segments = sim._segments(spec, params.t_sw)
+        parts = [sim._within(segments, 0, 30), sim._within(segments, 30, 100)]
+        runs = [per_call_periods, sim._run_periods]
+        if not calls_first:
+            runs.reverse()
+
+        def drive(controller, runs):
+            columns = ([], [], [], [], [], [])
+            state, duty = spec.initial_state, 0.0
+            with controller.hold() if one_hold else nullcontext():
+                for i, (run, part) in enumerate(zip(runs, parts)):
+                    if i and nudged:
+                        duty += 1e-3
+                    state, duty = run(controller, True, state, duty, part, params, columns)
+            return column_bytes(columns)
+
+        assert drive(mixed, runs) == drive(per_call, [per_call_periods] * 2)
+        assert net_bytes(mixed) == net_bytes(per_call)
 
 
 def step_pair(tag, params=PlantParams()):

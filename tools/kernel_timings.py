@@ -19,9 +19,18 @@ where us is the best of 7 repeats of the mean time per call (in ms for the
   inside one `HdpController.hold`, as a simulation runs them, on
   checkouts that have it;
 - `control_step.learn_closed`: the learning calls inside one hold, each
-  measurement's `duty_prev` the duty the call before returned, as
-  `sim.run_scenario` feeds them (the rows above pass a fixed duty_prev
-  that no call returned), on the same checkouts;
+  measurement's `duty_prev` the duty the call before returned, as a closed
+  loop feeds them (the rows above pass a fixed duty_prev that no call
+  returned), on the same checkouts;
+- `run.learn_period` and `run.frozen_period`: `sim.run_scenario` of the
+  shipped startup cell (`sim.builtin_scenario("startup", tag)` at the
+  default plant), HDP and HDP-frozen, per period, one run per repeat
+  whatever N.  The simulation runs an HDP cell's periods in one generated
+  loop (`HdpController.run_periods`), which calls no `control_step`, so
+  these rows carry the period's cost, plant step included;
+- `run.generate_ms`: the code generation a process pays for its first
+  controller, `HdpController` on fresh nets with the generated-code caches
+  emptied: the run loop, or on checkouts without it the nets' kernels;
 - `td_epoch.sample` and `fit_epoch.sample`: `Mlp.td_epoch` on the critic
   and `Mlp.fit_epoch` on the action net, one sweep of N samples per repeat,
   per sample;
@@ -45,7 +54,7 @@ from time import perf_counter
 
 import numpy as np
 
-from boosthdp import sim
+from boosthdp import hdp, mlp, sim
 from boosthdp.hdp import ControllerInput, HdpConfig, HdpController, make_action, make_critic
 from boosthdp.plant import PlantParams
 
@@ -121,7 +130,7 @@ def timings(calls: int) -> dict[str, float]:
             duty = 0.0
             with controller.hold():
                 for v_o, i_l, e_v, e_i, _ in measurements:
-                    # unchecked, as sim.run_scenario builds its inputs
+                    # unchecked, so the row times the step alone
                     m = tuple.__new__(ControllerInput, (v_o, i_l, e_v, e_i, duty))
                     duty, _ = controller.control_step(m)
 
@@ -142,6 +151,25 @@ def timings(calls: int) -> dict[str, float]:
     )
 
     params = PlantParams()
+    for tag, name in (("HDP", "learn"), ("HDP-frozen", "frozen")):
+        spec = sim.builtin_scenario("startup", tag, params)
+        n_periods = round(spec.duration / params.t_sw)
+        results[f"run.{name}_period"] = _best_us(
+            lambda controller, spec=spec: sim.run_scenario(spec, controller, params), n_periods,
+            fresh,
+        )
+    caches = [getattr(module, name) for module, name in
+              ((mlp, "_generate"), (hdp, "_generate_run")) if hasattr(module, name)]
+
+    def generate(critic, action):
+        for cache in caches:
+            cache.cache_clear()
+        HdpController(critic, action)
+
+    results["run.generate_ms"] = _best_us(
+        generate, 1, lambda: (make_critic(0), make_action(0))
+    ) / 1e3
+
     spec = sim.builtin_scenario("startup", "PI", params)
     trace, _ = sim.run_scenario(spec, sim.baseline_for_scenario(spec, params), params)
     for name, fn in (("text", sim.trace_csv_text), ("metrics", sim.compute_metrics)):
