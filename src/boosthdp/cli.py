@@ -357,6 +357,8 @@ def _load_networks(cfg: RunConfig) -> tuple[Mlp, Mlp]:
         return Mlp.load(critic_path), Mlp.load(action_path)
     except MlpFormatError as exc:
         raise ConfigError(f"corrupt network snapshot {exc}") from None
+    except OSError as exc:  # no permission, say
+        raise ConfigError(f"cannot read network snapshot {exc.filename}: {exc.strerror}") from None
 
 
 def _build_spec(cfg: RunConfig, scenario: str, tag: str) -> sim.ScenarioSpec:

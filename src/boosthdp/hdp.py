@@ -19,16 +19,15 @@ backpropagates through the action net.
 The online step works on the nets' parameters as lists.
 `HdpController.hold` takes those lists from `Mlp.params` once for a run of
 periods and writes them back into `Mlp.params` once, when it ends, however
-it ends.  One period is `HdpController.control_step`, which runs every pass
-and step on the nets' generated kernels (`Mlp.kernels`), `td_update` the
-critic's.  A closed loop of many periods is `HdpController.run_periods`,
-one function generated per pair of topologies that keeps both nets'
-parameters in locals from the first period to the last and gives the bits
-of control_step per period.  The offline sweep in `sim` runs the same
-critic step inside a generated epoch function (`Mlp.td_epoch`): `mlp`'s one
-emitter writes every pass and step and the one finiteness rule, which
-raises NonFiniteUpdateError where a step would make a parameter
-non-finite, and tests hold each of them to the per-call step bit for bit.
+it ends.  The online period is written once, in `_generate_run`, and
+compiled per pair of topologies into two functions that keep both nets'
+parameters in locals: one period, `HdpController.control_step`, and a
+closed loop of many, `HdpController.run_periods`.  The offline sweep in
+`sim` runs the same critic step inside a generated epoch function
+(`Mlp.td_epoch`): `mlp`'s one emitter writes every pass and step and the
+one finiteness rule, which raises NonFiniteUpdateError where a step would
+make a parameter non-finite, and tests hold each of them to a per-call
+reference bit for bit.
 
 The nets work in fixed coordinates that keep every feature O(1): volts
 over V_SCALE, amperes over I_SCALE, and the duty as it is.  The utility is
@@ -120,11 +119,13 @@ def td_update(
     `p` is the critic's parameter list, `acts` its kernel pass at x_now and
     `target` J(x_next), both at `p`; the caller runs those passes, so the
     step itself runs none.  The target is held fixed.  Returns the new
-    parameter list and writes nothing: `critic.params` is as it was, and
-    the caller writes the list when it wants it there (the online control
-    step leaves that to its hold).  A step that would make a parameter
-    non-finite raises NonFiniteUpdateError.  `Mlp.td_epoch` runs the same
-    arithmetic per transition of an offline sweep.
+    parameter list and writes nothing: `critic.params` is as it was.  A
+    step that would make a parameter non-finite raises
+    NonFiniteUpdateError.  The generated online period (`_generate_run`)
+    and `Mlp.td_epoch` run the same arithmetic, and the package calls it
+    nowhere: it is the one-transition step that tests hold them to, and
+    the benchmark's tracer (`perfbench/tracing.py`) wraps it in `hdp` and
+    `sim`.
     """
     resid = td_error(acts[-1], target, u_now, gamma)
     # loss 0.5*resid^2, so d(loss)/d(output) is the residual itself
@@ -133,22 +134,26 @@ def td_update(
 
 @lru_cache(maxsize=None)
 def _generate_run(
-    critic_sizes: tuple[int, ...], critic_sigmoid: bool, action_sizes: tuple[int, ...]
+    critic_sizes: tuple[int, ...], critic_sigmoid: bool, action_sizes: tuple[int, ...],
+    name: str,
 ) -> Callable:
-    """Generate and compile, once per pair of topologies, the function behind
-    `HdpController.run_periods`:
+    """Generate and compile, once per pair of topologies and on first use,
+    the HDP function `name`:
 
         run(ctl, learn, state, duty, segments, step, columns, v_max, i_max, diverged)
+        period(ctl, learn, v_o, i_l, e_v, e_i, duty)
 
-    It runs every period of `segments` with both nets' parameters, and the
-    stored transition, in locals from the first period to the last.  Each
-    period is `HdpController._period` written out: the same passes and
-    steps in the same order, emitted by `mlp._Text` under the prefixes "c"
-    (critic) and "a" (action), so they are the same bits.  Each step builds
-    its list `new` and passes `_Text.refuse` before it is carried on, and a
-    `finally` writes the last accepted lists into `ctl._lists`, and the
-    stored transition into `ctl._prev` in its format.  ValueError for a net
-    of more than MAX_KERNEL_PARAMS parameters."""
+    `run` is `HdpController.run_periods`, every period of `segments`;
+    `period` is `HdpController.control_step`, one period at a measurement
+    and the duty applied before it, returning (duty, cost-to-go).  Both
+    emit one period text, its passes and steps written by `mlp._Text` under
+    the prefixes "c" (critic) and "a" (action), so they are the bits of the
+    nets' kernels, after one prologue, which takes the hold's lists
+    (`ctl._lists`) and the stored transition (`ctl._prev`) into locals.
+    Each step builds its list `new` and passes `_Text.refuse` before it is
+    carried on, and a `finally` writes the last accepted lists into
+    `ctl._lists`, and the stored transition into `ctl._prev` in its format.
+    ValueError for a net of more than MAX_KERNEL_PARAMS parameters."""
     critic = _Text(critic_sizes, critic_sigmoid, prefix="c")
     action = _Text(action_sizes, True, prefix="a")
     # the normalized state is the action net's input; the critic's appends a duty
@@ -164,15 +169,19 @@ def _generate_run(
         # a step's list, checked, becomes the net's locals and its held list
         return [*net.step(in_place=False), f"{', '.join(net.params)}, = {held} = new"]
 
+    # the stored transition's pass serves if it ran at this critic list and
+    # at the duty applied (a held list is never written); else it is rerun
     stored_pass = [
         "if pc_prev is critic_list and d_prev is duty:",
         f"    {c_acts}, = x_prev",
         "else:",
-        # the stored state at the duty applied, as `_period` recomputes it
         f"    {', '.join(critic.acts[0][:-1])}, = s_prev",
         f"    {critic.acts[0][-1]} = duty",
         *_indent(critic.forward(), 1),
     ]
+    # the critic step leaves the action net as it is, so the one action
+    # pass serves both the critic's target, at the duty the present policy
+    # commands, and the action step
     learn = [
         f"duty_hat = d_min + {y_a} * span",
         "if s_prev is not None:",
@@ -182,14 +191,12 @@ def _generate_run(
         *critic_at("duty_hat"),
         f"{critic.outputs[0]} = 1.0",
         *critic.backward(),
+        # chain rule through the affine duty map
         f"{action.outputs[0]} = ({critic.input_gradient()[-1]}) * span",
         *carry(action, "action_list"),
         *action.forward(),
     ]
     period = [
-        "i_l, v_o, mode = state",
-        "e_v = v_set - v_o",
-        "e_i = i_set - i_l",
         *(f"{a} = {v}" for a, v in zip(
             state, ("v_o / V_SCALE", "i_l / I_SCALE", "e_v / V_SCALE", "e_i / I_SCALE"))),
         *action.forward(),
@@ -203,44 +210,62 @@ def _generate_run(
         "pc_prev = critic_list",
         "d_prev = duty",
         f"x_prev = [{c_acts}]",
-        "v_o_append(v_o)",
-        "i_l_append(i_l)",
-        "duty_append(duty)",
-        "u_append(u)",
-        f"j_est_append({y_c})",
-        "mode_append(mode)",
-        "state = step(state, duty, params)",
-        # NaN fails both comparisons too
-        "if not (state.v_o <= v_max and state.i_l <= i_max):",
-        "    raise diverged(state, k)",
     ]
-    source = "\n".join([
-        "def run(ctl, learn, state, duty, segments, step, columns, v_max, i_max, diverged):",
-        *_indent([
-            "lists = ctl._lists",
-            "critic_list, action_list = lists",
-            f"{', '.join(critic.params)}, = critic_list",
-            f"{', '.join(action.params)}, = action_list",
-            "cfg = ctl.config",
-            "gamma, clr, alr = cfg.gamma, cfg.lr_critic, cfg.lr_action",
-            "s_prev, u_prev, pc_prev, d_prev, x_prev = ctl._prev or (None,) * 5",
-            "d_min, d_max = DUTY_LIMITS",
-            "span = d_max - d_min",
+    prologue = [
+        "lists = ctl._lists",
+        "critic_list, action_list = lists",
+        f"{', '.join(critic.params)}, = critic_list",
+        f"{', '.join(action.params)}, = action_list",
+        "cfg = ctl.config",
+        "gamma, clr, alr = cfg.gamma, cfg.lr_critic, cfg.lr_action",
+        "s_prev, u_prev, pc_prev, d_prev, x_prev = ctl._prev or (None,) * 5",
+        "d_min, d_max = DUTY_LIMITS",
+        "span = d_max - d_min",
+    ]
+    if name == "run":
+        args = "state, duty, segments, step, columns, v_max, i_max, diverged"
+        prologue += [
             "v_o_append, i_l_append, duty_append, u_append, j_est_append, mode_append = [",
             "    column.append for column in columns]",
+        ]
+        body = [
+            "for periods, params, v_set, i_set in segments:",
+            "    for k in periods:",
+            *_indent([
+                "i_l, v_o, mode = state",
+                "e_v = v_set - v_o",
+                "e_i = i_set - i_l",
+                *period,
+                "v_o_append(v_o)",
+                "i_l_append(i_l)",
+                "duty_append(duty)",
+                "u_append(u)",
+                f"j_est_append({y_c})",
+                "mode_append(mode)",
+                "state = step(state, duty, params)",
+                # NaN fails both comparisons too
+                "if not (state.v_o <= v_max and state.i_l <= i_max):",
+                "    raise diverged(state, k)",
+            ], 2),
+        ]
+        result = "state, duty"
+    else:
+        args, body, result = "v_o, i_l, e_v, e_i, duty", period, f"duty, {y_c}"
+    source = "\n".join([
+        f"def {name}(ctl, learn, {args}):",
+        *_indent([
+            *prologue,
             "try:",
-            "    for periods, params, v_set, i_set in segments:",
-            "        for k in periods:",
-            *_indent(period, 3),
+            *_indent(body, 1),
             "finally:",
             "    lists[0] = critic_list",
             "    lists[1] = action_list",
             "    if s_prev is not None:",
             "        ctl._prev = s_prev, u_prev, pc_prev, d_prev, x_prev",
-            "return state, duty",
+            f"return {result}",
         ], 1),
     ])
-    return _compile(source, "run", DUTY_LIMITS=DUTY_LIMITS, V_SCALE=V_SCALE, I_SCALE=I_SCALE,
+    return _compile(source, name, DUTY_LIMITS=DUTY_LIMITS, V_SCALE=V_SCALE, I_SCALE=I_SCALE,
                     utility=utility)
 
 
@@ -323,18 +348,16 @@ class HdpController:
             raise ValueError(f"action net must map 4 -> 1, got {action.layer_sizes}")
         if action.output_activation != "sigmoid":
             raise ValueError("action net needs a sigmoid output")
+        self.critic = critic
+        self.action = action
+        self.config = config
         # generate the code that runs the periods now, so that a net too
         # large for it is refused here (ValueError) rather than mid-run; a
         # duck-typed critic serves only action_update, on the action kernels
         if isinstance(critic, Mlp):
-            self._run = _generate_run(tuple(critic.layer_sizes),
-                                      critic.output_activation == "sigmoid",
-                                      tuple(action.layer_sizes))
+            self._generated("run")
         else:
             action.kernels
-        self.critic = critic
-        self.action = action
-        self.config = config
         # the stored transition: (normalized state inputs, utility, critic
         # list, duty, critic pass) of the previous period, None until one
         # period has been observed.  The duty slot of the previous critic
@@ -401,6 +424,12 @@ class HdpController:
         y, _ = self.action.forward(a)
         return self._duty(float(y[0]))
 
+    def _generated(self, name: str) -> Callable:
+        """The nets' generated function `name` (`_generate_run`)."""
+        critic = self.critic
+        return _generate_run(tuple(critic.layer_sizes), critic.output_activation == "sigmoid",
+                             tuple(self.action.layer_sizes), name)
+
     def _duty(self, y: float) -> float:
         d_min, d_max = DUTY_LIMITS
         return d_min + y * (d_max - d_min)
@@ -413,16 +442,10 @@ class HdpController:
         x = np.concatenate((a, (self._duty(acts[-1]),)))
         _, cache = self.critic.forward(x)
         dj_dduty = self.critic.grad_input(cache, np.ones(1))[-1]
-        self.action.params[:] = self._descend_action(p, acts, dj_dduty)
-
-    def _descend_action(self, p: list[float], acts: list[float], dj_dduty: float) -> list[float]:
-        """One descent step of the action net on its kernel pass `acts` at
-        the parameters `p`, given dJ/d(the critic's duty input) at
-        the present weights; returns the new parameter list, unwritten."""
         d_min, d_max = DUTY_LIMITS
         # chain rule through the affine duty map
         d_output = (dj_dduty * (d_max - d_min),)
-        return self.action.kernels.step(p, acts, d_output, self.config.lr_action)
+        self.action.params[:] = self.action.kernels.step(p, acts, d_output, self.config.lr_action)
 
     def control_step(
         self, measurement: ControllerInput, learn: bool = True
@@ -431,17 +454,19 @@ class HdpController:
 
         With learn set, first fits the critic on the buffered transition
         that lands in this measurement, then improves the action net through
-        the critic, and only then forms the period's command.  Every pass and step runs on
-        the nets' kernels (the same bits as the 1-D `Mlp.forward`,
+        the critic, and only then forms the period's command.  The period
+        is the one that `run_periods` runs, generated per pair of topologies
+        on the first call (`_generate_run`): every pass and step gives the
+        bits of the nets' kernels (and of the 1-D `Mlp.forward`,
         `grad_input`, `grad_weights` and `apply_update`), on the parameter
         lists of the open `hold`.  Outside a hold the period runs in a hold
         of its own, so the nets' `params` hold its steps when it returns.
         The critic must be an `Mlp`.
         """
-        if self._lists is not None:
-            return self._period(measurement, learn)
-        with self.hold():
-            return self._period(measurement, learn)
+        m = measurement
+        with self.hold() if self._lists is None else nullcontext():
+            return self._generated("period")(self, learn, m.v_o, m.i_l, m.e_v, m.e_i,
+                                             m.duty_prev)
 
     def run_periods(
         self, learn: bool, state: PlantState, duty: float, segments, step, columns,
@@ -452,60 +477,24 @@ class HdpController:
         after its last period.
 
         `segments` lists (periods, plant params, v_set, i_set): each period k
-        of `periods` measures e_v = v_set - v_o and e_i = i_set - i_l, takes
-        the control step of control_step(ControllerInput(v_o, i_l, e_v, e_i,
-        duty), learn) - the same bits - appends v_o, i_l, the duty, the
-        utility, the cost-to-go estimate and the plant's mode to the six
-        lists `columns`, and steps the plant with step(state, duty, params).
-        A state with v_o past v_max or i_l past i_max (NaN passes neither)
-        raises diverged(state, k).
+        of `periods` measures e_v = v_set - v_o and e_i = i_set - i_l, runs
+        the period of control_step(ControllerInput(v_o, i_l, e_v, e_i, duty),
+        learn), appends v_o, i_l, the duty, the utility, the cost-to-go
+        estimate and the plant's mode to the six lists `columns`, and steps
+        the plant with step(state, duty, params).  A state with v_o past
+        v_max or i_l past i_max (NaN passes neither) raises
+        diverged(state, k).
 
-        The run is one generated function (`_generate_run`) that holds both
-        nets' parameters and the stored transition in locals from the first
-        period to the last, on the lists of the open `hold` (outside a hold
-        it runs in a hold of its own).  It leaves the hold's lists and the
-        stored transition as the same control_step calls would, however it
-        ends: a refused step (NonFiniteUpdateError) or a divergence leaves
-        each net at its last accepted step, and control_step calls may
-        precede and follow it.  The critic must be an `Mlp`.
+        The run is one generated function (`_generate_run`), emitted from
+        control_step's period text, that holds both nets' parameters and
+        the stored transition in locals from the first period to the last,
+        on the lists of the open `hold` (outside a hold it runs in a hold of
+        its own).  It leaves the hold's lists and the stored transition as
+        the same control_step calls would, however it ends: a refused step
+        (NonFiniteUpdateError) or a divergence leaves each net at its last
+        accepted step, and control_step calls may precede and follow it.
+        The critic must be an `Mlp`.
         """
         with self.hold() if self._lists is None else nullcontext():
-            return self._run(self, learn, state, duty, segments, step, columns,
-                             v_max, i_max, diverged)
-
-    def _period(self, m: ControllerInput, learn: bool) -> tuple[float, float]:
-        """control_step inside a hold: carries the held lists on, storing
-        each net's new list as soon as its step is accepted."""
-        critic, action, lists = self.critic, self.action, self._lists
-        critic_pass, action_pass = critic.kernels.forward, action.kernels.forward
-        cfg = self.config
-        pc, pa = lists
-        # the normalized state as floats; critic inputs append the duty slot
-        state = [m.v_o / V_SCALE, m.i_l / I_SCALE, m.e_v / V_SCALE, m.e_i / I_SCALE]
-        acts = action_pass(pa, state)
-        if learn:
-            # the critic step leaves the action net as it is, so this one
-            # action pass serves both the critic's target and the action step
-            x_hat = state + [self._duty(acts[-1])]
-            if self._prev is not None:
-                # the stored transition lands in the present state; evaluate
-                # it with the duty the current policy would command here
-                state_prev, u_prev, pc_prev, duty_prev, x_prev = self._prev
-                j_hat = critic_pass(pc, x_hat)[-1]
-                # the last period's pass serves if it ran at this critic list
-                # and at the duty the harness applied (a held list is never
-                # written)
-                if pc_prev is not pc or duty_prev is not m.duty_prev:
-                    x_prev = critic_pass(pc, state_prev + [m.duty_prev])
-                # td_update writes nothing; the hold writes params
-                lists[0] = pc = td_update(
-                    critic, pc, x_prev, j_hat, u_prev, cfg.gamma, cfg.lr_critic
-                )
-            dj_dx = critic.kernels.input_gradient(pc, critic_pass(pc, x_hat), (1.0,))
-            lists[1] = pa = self._descend_action(pa, acts, dj_dx[-1])
-            acts = action_pass(pa, state)
-        duty = self._duty(acts[-1])
-        x_est = critic_pass(pc, state + [duty])
-        u = utility(m.e_v, m.e_i)
-        self._prev = (state, u, pc, duty, x_est)
-        return duty, x_est[-1]
+            return self._generated("run")(self, learn, state, duty, segments, step, columns,
+                                          v_max, i_max, diverged)

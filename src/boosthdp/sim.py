@@ -77,7 +77,6 @@ __all__ = [
     "pretrain_critic",
     "run_scenario",
     "run_scenarios",
-    "trace_csv_text",
     "trace_csv_texts",
     "train_critic_on_log",
     "write_trace_csv",
@@ -690,19 +689,12 @@ def _row_texts(trace: Trace, start: int, stop: int) -> list[str]:
     return lines
 
 
-def trace_csv_text(trace: Trace) -> str:
-    """The trace as CSV text, in the bytes `csv.writer` writes: the header
-    and every row (`_row_texts`), each ended by a line break."""
-    lines = [",".join(TRACE_FIELDS)]
-    lines += _row_texts(trace, 0, len(trace.t))
-    lines.append("")
-    return "\r\n".join(lines)
-
-
 def trace_csv_texts(traces: list[Trace], shared: int) -> list[str]:
-    """Each trace's `trace_csv_text`, given that the traces hold their
-    first `shared` rows alike (the branch point of `run_scenarios`): those
-    rows are formatted once, from the first trace."""
+    """Each trace as CSV text, in the bytes `csv.writer` writes: the header
+    and every row (`_row_texts`), each ended by a line break.  The traces
+    hold their first `shared` rows alike (the branch point of
+    `run_scenarios`; 0 for one trace), so those rows are formatted once,
+    from the first trace."""
     if not traces:
         return []
     head = "\r\n".join([",".join(TRACE_FIELDS), *_row_texts(traces[0], 0, shared), ""])
@@ -713,11 +705,11 @@ def trace_csv_texts(traces: list[Trace], shared: int) -> list[str]:
 
 
 def write_trace_csv(path, trace: Trace) -> None:
-    """Write the trace as CSV (`trace_csv_text`), atomically: through
+    """Write the trace as CSV (`trace_csv_texts`), atomically: through
     `atomic_write`, which writes in place a temporary file that
     `atomic_write_set` is staging."""
     with atomic_write(path) as fh:
-        fh.write(trace_csv_text(trace))
+        fh.write(trace_csv_texts([trace], 0)[0])
 
 
 # --- pretraining pipeline ------------------------------------------------

@@ -2,6 +2,7 @@
 artifacts, and exit codes."""
 
 import csv
+import errno
 import logging
 import math
 import os
@@ -14,7 +15,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from boosthdp import cli, plant
+from boosthdp import cli, mlp, plant
 from boosthdp.baseline import PiController
 from boosthdp.cli import (
     ConfigError,
@@ -1016,6 +1017,15 @@ class TestRunCommand:
         assert "corrupt network snapshot" in errors[0] and "critic.mlp" in errors[0]
         assert not (tmp_path / "metrics.csv").exists()
 
+    def test_unreadable_snapshot_exits_1(self, tmp_path, caplog, monkeypatch):
+        critic = _unreadable_critic(tmp_path, monkeypatch)
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["run", "startup", "HDP-frozen", "--out", str(tmp_path)])
+        assert rc == 1
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"cannot read network snapshot {critic}: Permission denied"]
+        assert not (tmp_path / "metrics.csv").exists()
+
     def test_wrong_topology_snapshot_exits_1(self, tmp_path, caplog):
         Mlp.init([4, 5, 1], "linear", seed=0).save(tmp_path / "critic.mlp")
         make_action().save(tmp_path / "action.mlp")
@@ -1144,6 +1154,20 @@ class TestCompareCommand:
         assert "-" not in lines[1].split()  # PI cell ran
         assert "-" in lines[2].split()      # HDP cell could not load its critic
 
+    def test_unreadable_snapshot_cell_reported(self, tmp_path, capsys, caplog, monkeypatch):
+        critic = _unreadable_critic(tmp_path, monkeypatch)
+        config = tmp_path / "one.ini"
+        config.write_text("[run]\nscenarios = startup\n")
+        with caplog.at_level(logging.ERROR, logger="boosthdp.cli"):
+            rc = cli.main(["compare", "--config", str(config), "--out", str(tmp_path)])
+        lines = capsys.readouterr().out.strip().splitlines()
+        assert rc == 1
+        assert len(lines) == 3
+        assert "-" not in lines[1].split()  # PI cell ran
+        assert lines[2].split()[2:] == ["-"] * 3
+        errors = [r.getMessage() for r in caplog.records if r.levelno >= logging.ERROR]
+        assert errors == [f"cannot read network snapshot {critic}: Permission denied"]
+
     def test_step_that_does_not_step_cells_reported(self, tmp_path, capsys):
         config = tmp_path / "edge.ini"
         config.write_text(
@@ -1217,6 +1241,23 @@ def _files(out):
 def _copy_snapshots(out, fast_snapshots):
     for name in ("critic.mlp", "action.mlp"):
         (out / name).write_bytes((fast_snapshots / name).read_bytes())
+
+
+def _unreadable_critic(out, monkeypatch):
+    """Snapshots in `out` whose critic.mlp `Mlp.load` cannot open, as a
+    file of mode 000 fails for a process without CAP_DAC_OVERRIDE (the
+    tests run as root); returns its path."""
+    critic = out / "critic.mlp"
+    make_critic().save(critic)
+    make_action().save(out / "action.mlp")
+
+    def denied(path, *args, **kwargs):
+        if Path(path) == critic:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), str(path))
+        return open(path, *args, **kwargs)
+
+    monkeypatch.setattr(mlp, "open", denied, raising=False)
+    return critic
 
 
 def _corrupt_critic(out, fast_snapshots):

@@ -7,7 +7,6 @@ import math
 import numpy as np
 import pytest
 
-from boosthdp import hdp
 from boosthdp.hdp import (
     ACTION_SIZES,
     CRITIC_SIZES,
@@ -26,6 +25,7 @@ from boosthdp.hdp import (
 )
 from boosthdp.mlp import ForwardCache, Mlp
 from boosthdp.plant import DUTY_LIMITS
+from run_reference import RecomputingController
 from td_reference import td_step_1d
 
 
@@ -303,25 +303,25 @@ class TestControlStep:
         ctl.control_step(meas(60.0, 2.5))
         assert net_bytes(ctl.critic) != c1
 
-    def test_critic_steps_through_td_update(self, monkeypatch):
-        # one td_update per stored transition; none on the first step, after
-        # a reset or while frozen
-        calls = []
-        td_step_ = hdp.td_update
-
-        def counted(*args):
-            calls.append(None)
-            return td_step_(*args)
-
-        monkeypatch.setattr(hdp, "td_update", counted)
+    def test_critic_steps_through_td_update(self):
+        # one TD step per stored transition, each replacing the held critic
+        # list; none on the first step, after a reset or while frozen
         ctl = self.make()
-        for k in range(5):
-            ctl.control_step(meas(50.0 + k, 2.0))
-        assert len(calls) == 4
-        ctl.reset_transition_buffer()
-        ctl.control_step(meas(60.0, 2.5))
-        ctl.control_step(meas(61.0, 2.5), learn=False)
-        assert len(calls) == 4
+        steps = []
+
+        def step(m, learn=True):
+            held = ctl._lists[0]
+            ctl.control_step(m, learn)
+            steps.append(ctl._lists[0] is not held)
+
+        with ctl.hold():
+            for k in range(5):
+                step(meas(50.0 + k, 2.0))
+            assert steps == [False] + [True] * 4
+            ctl.reset_transition_buffer()
+            step(meas(60.0, 2.5))
+            step(meas(61.0, 2.5), learn=False)
+        assert steps[5:] == [False, False]
 
     def test_reset_transition_buffer_skips_one_critic_update(self):
         ctl = self.make()
@@ -418,47 +418,6 @@ class TestHold:
         assert net_bytes(held.action) == net_bytes(alone.action)
 
 
-class RecomputingController:
-    """The control step, learning or frozen, written from the public
-    forward, grad_input, grad_weights and apply_update: the reference for
-    HdpController.control_step, which runs its passes and steps on the
-    nets' kernels."""
-
-    def __init__(self, critic, action, config):
-        self.critic, self.action, self.config = critic, action, config
-        self.prev = None
-
-    def reset_transition_buffer(self):
-        self.prev = None
-
-    def duty(self, y):
-        d_min, d_max = DUTY_LIMITS
-        return d_min + float(y[0]) * (d_max - d_min)
-
-    def control_step(self, m, learn=True):
-        cfg = self.config
-        state = [m.v_o / V_SCALE, m.i_l / I_SCALE, m.e_v / V_SCALE, m.e_i / I_SCALE]
-        a = np.array(state)
-        y, action_cache = self.action.forward(a)
-        if learn:
-            x_hat = np.array(state + [self.duty(y)])
-            if self.prev is not None:
-                state_prev, u_prev = self.prev
-                j_hat, _ = self.critic.forward(x_hat)
-                _, cache = self.critic.forward(np.array(state_prev + [m.duty_prev]))
-                td_step_1d(self.critic, cache, float(j_hat[0]), u_prev, cfg.gamma, cfg.lr_critic)
-            _, cache = self.critic.forward(x_hat)
-            dj_dx = self.critic.grad_input(cache, np.ones(1))
-            d_min, d_max = DUTY_LIMITS
-            grads = self.action.grad_weights(action_cache, [dj_dx[-1] * (d_max - d_min)])
-            self.action.apply_update(grads, cfg.lr_action)
-            y, _ = self.action.forward(a)
-        duty = self.duty(y)
-        j_now, _ = self.critic.forward(np.array(state + [duty]))
-        self.prev = (state, utility(m.e_v, m.e_i))
-        return duty, float(j_now[0])
-
-
 def write_params(ctl, duty):
     ctl.critic.params[0] += 1e-3
     return duty
@@ -536,22 +495,25 @@ class TestStoredCriticPass:
 
     STEPS = 12
     HOOK_AT = 6
+    # tanh calls of one pass of either shipped net: two hidden layers of 5
+    TANH_PER_PASS = 10
 
-    def drive(self, ctl, hook, reopen, frozen):
+    def drive(self, ctl, hook, reopen, frozen, monkeypatch):
         """A held closed-loop run feeding back each returned duty, as
         sim.run_scenario does, with hook(ctl, duty) run before period
         HOOK_AT, between two holds if reopen, and the periods in `frozen`
-        run without learning; returns the outputs as bytes and the critic
-        forward calls of each period (counted on HdpControllers only)."""
+        run without learning; returns the outputs as bytes and the tanh
+        calls of each period's generated code, critic and action passes
+        (counted on HdpControllers only)."""
         counts, outputs, hold = [], [], contextlib.nullcontext
         if isinstance(ctl, HdpController):
-            hold, forward = ctl.hold, ctl.critic.kernels.forward
+            hold, names = ctl.hold, ctl._generated("period").__globals__
 
-            def counted(p, x):
+            def counted(z, tanh=names["tanh"]):
                 counts[-1] += 1
-                return forward(p, x)
+                return tanh(z)
 
-            ctl.critic.kernels = ctl.critic.kernels._replace(forward=counted)
+            monkeypatch.setitem(names, "tanh", counted)
 
         def periods(rows, duty):
             for v, i in rows:
@@ -573,40 +535,45 @@ class TestStoredCriticPass:
                 periods(rows[self.HOOK_AT:], duty)
         return np.array(outputs).tobytes(), counts
 
-    def run_both(self, hook, reopen, frozen=()):
+    def run_both(self, monkeypatch, hook, reopen, frozen=()):
+        """The passes of each period of the held controller, after checking
+        its bits against the reference's."""
         nets = lambda: (make_critic(seed=3), make_action(seed=53),
                         HdpConfig(lr_critic=1e-2, lr_action=1e-3))
         held, ref = HdpController(*nets()), RecomputingController(*nets())
-        out, counts = self.drive(held, hook, reopen, frozen)
-        ref_out, _ = self.drive(ref, hook, reopen, frozen)
+        out, counts = self.drive(held, hook, reopen, frozen, monkeypatch)
+        ref_out, _ = self.drive(ref, hook, reopen, frozen, monkeypatch)
         assert out == ref_out
         assert held.critic.params.tobytes() == ref.critic.params.tobytes()
         assert held.action.params.tobytes() == ref.action.params.tobytes()
-        return counts
+        return [n / self.TANH_PER_PASS for n in counts]
 
-    def test_three_critic_passes_per_period_after_the_first(self):
-        # first period: the input-gradient pass and the cost-to-go; then
-        # also the target J(x_hat), while the transition's pass is reused
-        counts = self.run_both(lambda ctl, duty: duty, reopen=False)
-        assert counts == [2] + [3] * (self.STEPS - 1)
+    def test_three_critic_passes_per_period_after_the_first(self, monkeypatch):
+        # every learning period: the action pass before and after its step;
+        # the first period also the critic's input-gradient pass and the
+        # cost-to-go; then also the critic's target J(x_hat), while the
+        # transition's pass is reused
+        counts = self.run_both(monkeypatch, lambda ctl, duty: duty, reopen=False)
+        assert counts == [2 + 2] + [3 + 2] * (self.STEPS - 1)
 
     @pytest.mark.parametrize("hook, reopen", [
         (perturb_duty, False), (write_params, True), (lambda ctl, duty: duty, True),
     ])
-    def test_a_new_duty_or_hold_gets_a_fresh_pass(self, hook, reopen):
+    def test_a_new_duty_or_hold_gets_a_fresh_pass(self, monkeypatch, hook, reopen):
         # a perturbed duty is another float; a written critic, or a hold
         # opened anew, brings another parameter list
-        expected = [2] + [3] * (self.STEPS - 1)
-        expected[self.HOOK_AT] = 4
-        assert self.run_both(hook, reopen) == expected
+        expected = [2 + 2] + [3 + 2] * (self.STEPS - 1)
+        expected[self.HOOK_AT] = 4 + 2
+        assert self.run_both(monkeypatch, hook, reopen) == expected
 
-    def test_a_reset_stores_no_pass_and_a_frozen_period_stores_its_own(self):
+    def test_a_reset_stores_no_pass_and_a_frozen_period_stores_its_own(self, monkeypatch):
         # after the reset at HOOK_AT a period has no transition, so it runs
-        # only its two passes; a frozen period runs just its cost-to-go
-        # pass, which the learning period after it reuses
+        # only its two critic passes; a frozen period runs just its action
+        # pass and its cost-to-go pass, which the learning period after it
+        # reuses
         frozen = (self.HOOK_AT + 2, self.HOOK_AT + 3)
-        expected = [2] + [3] * (self.STEPS - 1)
-        expected[self.HOOK_AT] = 2
+        expected = [2 + 2] + [3 + 2] * (self.STEPS - 1)
+        expected[self.HOOK_AT] = 2 + 2
         for k in frozen:
-            expected[k] = 1
-        assert self.run_both(reset, reopen=False, frozen=frozen) == expected
+            expected[k] = 1 + 1
+        assert self.run_both(monkeypatch, reset, reopen=False, frozen=frozen) == expected

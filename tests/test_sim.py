@@ -46,7 +46,7 @@ from boosthdp.sim import (
     train_critic_on_log,
     write_trace_csv,
 )
-from run_reference import per_call_periods, run_per_call
+from run_reference import RecomputingController, per_call_periods, run_per_call
 from td_reference import td_step_1d
 from trace_io import TraceRecord, from_rows, read_trace_csv, trace_rows
 
@@ -318,6 +318,11 @@ def first_difference(text, ref):
     return next((k for k, (a, b) in enumerate(lines) if a != b), None)
 
 
+def csv_text(trace):
+    """The trace's CSV text, as `write_trace_csv` writes it."""
+    return sim.trace_csv_texts([trace], 0)[0]
+
+
 def csv_module_bytes(path, trace):
     """The trace as `csv.writer` writes it, row by row, every value
     formatted afresh."""
@@ -433,7 +438,7 @@ class TestTraceCsv:
         texts = []
         for rows in (1, 7, 256, 10**6):
             monkeypatch.setattr(sim, "_TEXT_BLOCK", rows)
-            texts.append(sim.trace_csv_text(trace))
+            texts.append(csv_text(trace))
         assert [first_difference(text, texts[0]) for text in texts[1:]] == [None] * 3
 
     def test_two_runs_in_one_process_write_the_same_bytes(self, tmp_path):
@@ -442,7 +447,7 @@ class TestTraceCsv:
         texts = []
         for _ in range(2):
             trace, _ = run_scenario(spec, baseline_for_scenario(spec, params), params)
-            texts.append(sim.trace_csv_text(trace))
+            texts.append(csv_text(trace))
         assert first_difference(texts[0], texts[1]) is None
         write_trace_csv(tmp_path / "trace.csv", trace)
         assert first_difference(
@@ -639,14 +644,15 @@ class TestRunScenario:
         assert all(map(math.isnan, trace.j_est))
 
 
-def short_run(tag, config, params=PlantParams()):
+def short_run(tag, config, params=PlantParams(), twin=RecomputingController):
     """A 5 ms run from the nominal equilibrium, with a load step at its
-    middle, and two controllers on the same fresh nets: (spec, controller,
-    twin)."""
+    middle, and two controllers on the same fresh nets: (spec,
+    HdpController, twin), the twin by default the reference that recomputes
+    every pass with the public 1-D API."""
     spec = replace(builtin_scenario("load_change", tag, params), duration=0.005,
                    step=(0.0025, 60.0, 200.0))
     nets = lambda: (make_critic(seed=3), make_action(seed=53), config)
-    return spec, HdpController(*nets()), HdpController(*nets())
+    return spec, HdpController(*nets()), twin(*nets())
 
 
 def net_bytes(controller):
@@ -660,37 +666,40 @@ def column_bytes(columns):
 
 class TestHeldRun:
     """run_scenario runs an HDP controller's periods in one generated loop
-    on the nets' held parameter lists: the same bits as control_step per
-    period (`run_reference`), traces and final nets, and the nets at their
-    last accepted step however the run ends."""
+    on the nets' held parameter lists: the same bits, traces and final
+    nets, as the control step written with the public 1-D API, one call
+    per period (`run_reference`), and the nets at their last accepted step
+    however the run ends."""
 
     CONFIG = HdpConfig(lr_critic=1e-2, lr_action=1e-3)
 
     @pytest.mark.parametrize("tag", ["HDP", "HDP-frozen"])
     def test_same_bits_as_per_call_steps(self, tag):
         params = PlantParams()
-        spec, held, per_call = short_run(tag, self.CONFIG, params)
+        spec, held, ref = short_run(tag, self.CONFIG, params)
         start = net_bytes(held)
         trace, metrics = run_scenario(spec, held, params)
-        ref_trace, ref_metrics = run_per_call(spec, per_call, params)
-        assert sim.trace_csv_text(trace) == sim.trace_csv_text(ref_trace)
+        ref_trace, ref_metrics = run_per_call(spec, ref, params)
+        assert first_difference(csv_text(trace), csv_text(ref_trace)) is None
         assert metrics == ref_metrics
-        assert net_bytes(held) == net_bytes(per_call)
+        assert net_bytes(held) == net_bytes(ref)
         assert (net_bytes(held) == start) == (tag == "HDP-frozen")
 
     def test_refused_step_leaves_last_accepted_nets(self):
         params = PlantParams()
-        spec, held, per_call = short_run("HDP", HdpConfig(lr_critic=1e300), params)
+        spec, held, ref = short_run("HDP", HdpConfig(lr_critic=1e300), params)
         start = net_bytes(held)
-        for run, controller in ((run_scenario, held), (run_per_call, per_call)):
-            with pytest.raises(NonFiniteUpdateError):
-                run(spec, controller, params)
-        assert net_bytes(held) == net_bytes(per_call)
+        with pytest.raises(NonFiniteUpdateError):
+            run_scenario(spec, held, params)
+        # the reference steps in numpy, which warns as the refused step overflows
+        with pytest.raises(NonFiniteUpdateError), np.errstate(over="ignore"):
+            run_per_call(spec, ref, params)
+        assert net_bytes(held) == net_bytes(ref)
         assert all(a != b for a, b in zip(net_bytes(held), start))
 
     def test_diverged_run_writes_the_lists_back(self, monkeypatch):
         params = PlantParams()
-        spec, held, per_call = short_run("HDP", self.CONFIG, params)
+        spec, held, ref = short_run("HDP", self.CONFIG, params)
         start = net_bytes(held)
         plant_step = sim.step
         periods = []
@@ -702,10 +711,10 @@ class TestHeldRun:
             return plant_step(state, duty, params)
 
         monkeypatch.setattr(sim, "step", nan_at_period_30)
-        for run, controller in ((run_scenario, held), (run_per_call, per_call)):
+        for run, controller in ((run_scenario, held), (run_per_call, ref)):
             with pytest.raises(SimulationDiverged, match="i_l=nan A .* at t=0.001500 s"):
                 run(spec, controller, params)
-        assert net_bytes(held) == net_bytes(per_call)
+        assert net_bytes(held) == net_bytes(ref)
         assert all(a != b for a, b in zip(net_bytes(held), start))
 
     @pytest.mark.parametrize("nudged", [False, True], ids=["same_duty", "nudged_duty"])
@@ -718,7 +727,7 @@ class TestHeldRun:
         # across two holds or at a nudged duty; the bits are those of calls
         # alone, nudged alike
         params = PlantParams()
-        spec, mixed, per_call = short_run("HDP", self.CONFIG, params)
+        spec, mixed, per_call = short_run("HDP", self.CONFIG, params, twin=HdpController)
         segments = sim._segments(spec, params.t_sw)
         parts = [sim._within(segments, 0, 30), sim._within(segments, 30, 100)]
         runs = [per_call_periods, sim._run_periods]
@@ -769,12 +778,12 @@ class TestRunScenarios:
         for spec, (trace, metrics), own in zip(specs, outcomes, alone):
             ref_trace, ref_metrics = run_scenario(spec, own, params)
             assert first_difference(
-                sim.trace_csv_text(trace), sim.trace_csv_text(ref_trace)
+                csv_text(trace), csv_text(ref_trace)
             ) is None
             assert list(map(len, trace)) == list(map(len, ref_trace))
             assert metrics == ref_metrics
         texts = sim.trace_csv_texts([trace for trace, _ in outcomes], branch)
-        assert [first_difference(text, sim.trace_csv_text(trace))
+        assert [first_difference(text, csv_text(trace))
                 for text, (trace, _) in zip(texts, outcomes)] == [None, None]
         if tag != "PI":
             # the nets hold what the lead spec's run left
@@ -810,7 +819,7 @@ class TestRunScenarios:
         assert str(failed) == (f"load_change/{tag}: i_l=nan A exceeded the 1320.0 A "
                                "current limit at t=0.025050 s")
         ref_trace, ref_metrics = run_scenario(specs[1], fresh_controller(specs[1]), params)
-        assert first_difference(sim.trace_csv_text(trace), sim.trace_csv_text(ref_trace)) is None
+        assert first_difference(csv_text(trace), csv_text(ref_trace)) is None
         assert metrics == ref_metrics
 
     def test_failure_in_the_shared_periods_ends_every_run(self, monkeypatch):
@@ -844,7 +853,7 @@ class TestRunScenarios:
         assert type(refused) is ValueError and "late scenario" in str(refused)
         assert branch == 100
         ref_trace, ref_metrics = run_scenario(early, baseline_for_scenario(early, params), params)
-        assert first_difference(sim.trace_csv_text(trace), sim.trace_csv_text(ref_trace)) is None
+        assert first_difference(csv_text(trace), csv_text(ref_trace)) is None
         assert metrics == ref_metrics
 
     @pytest.mark.parametrize("change", [

@@ -14,14 +14,18 @@ where us is the best of 7 repeats of the mean time per call (in ms for the
 - `control_step.learn` and `control_step.frozen`: `HdpController.control_step`
   with and without learning, over N measurements near the nominal point,
   one call at a time, so each includes the open and close of the
-  one-period hold (a `contextlib.contextmanager` generator) it runs in;
+  one-period hold (a `contextlib.contextmanager` generator) it runs in.
+  Each call runs the generated period function (`hdp._generate_run`),
+  which takes both nets' parameter lists into locals and writes them back;
+  the first call of a process generates it, a cost that the best of 7
+  leaves out;
 - `control_step.learn_held` and `control_step.frozen_held`: the same calls
-  inside one `HdpController.hold`, as a simulation runs them, on
-  checkouts that have it;
+  inside one `HdpController.hold`, on checkouts that have it;
 - `control_step.learn_closed`: the learning calls inside one hold, each
   measurement's `duty_prev` the duty the call before returned, as a closed
   loop feeds them (the rows above pass a fixed duty_prev that no call
-  returned), on the same checkouts;
+  returned, so each call reruns the stored transition's pass), on the
+  same checkouts;
 - `run.learn_period` and `run.frozen_period`: `sim.run_scenario` of the
   shipped startup cell (`sim.builtin_scenario("startup", tag)` at the
   default plant), HDP and HDP-frozen, per period, one run per repeat
@@ -34,9 +38,10 @@ where us is the best of 7 repeats of the mean time per call (in ms for the
 - `td_epoch.sample` and `fit_epoch.sample`: `Mlp.td_epoch` on the critic
   and `Mlp.fit_epoch` on the action net, one sweep of N samples per repeat,
   per sample;
-- `trace.text_ms` and `trace.metrics_ms`: `sim.trace_csv_text` and
-  `sim.compute_metrics` on the trace of one 1000-period PI startup run
-  (`sim.run_scenario`), one call per repeat whatever N.
+- `trace.text_ms` and `trace.metrics_ms`: the trace's CSV text
+  (`sim.trace_csv_texts` of the one trace) and `sim.compute_metrics` on
+  the trace of one 1000-period PI startup run (`sim.run_scenario`), one
+  call per repeat whatever N.
 
 Each repeat starts from the same fresh nets (`make_critic(0)`,
 `make_action(0)`), so runs see the same values.  It uses only names that
@@ -172,7 +177,8 @@ def timings(calls: int) -> dict[str, float]:
 
     spec = sim.builtin_scenario("startup", "PI", params)
     trace, _ = sim.run_scenario(spec, sim.baseline_for_scenario(spec, params), params)
-    for name, fn in (("text", sim.trace_csv_text), ("metrics", sim.compute_metrics)):
+    text = lambda trace: sim.trace_csv_texts([trace], 0)[0]
+    for name, fn in (("text", text), ("metrics", sim.compute_metrics)):
         results[f"trace.{name}_ms"] = _best_us(fn, 1, lambda: (trace,)) / 1e3
     return results
 
