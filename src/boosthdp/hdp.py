@@ -16,18 +16,16 @@ critic's estimate: the duty cycle enters the critic as an input, so
 d(cost-to-go)/d(duty) comes from the critic's input gradient and
 backpropagates through the action net.
 
-The online step works on the nets' parameters as lists.
-`HdpController.hold` takes those lists from `Mlp.params` once for a run of
-periods and writes them back into `Mlp.params` once, when it ends, however
-it ends.  The online period is written once, in `_generate_run`, and
-compiled per pair of topologies into two functions that keep both nets'
-parameters in locals: one period, `HdpController.control_step`, and a
-closed loop of many, `HdpController.run_periods`.  The offline sweep in
-`sim` runs the same critic step inside a generated epoch function
-(`Mlp.td_epoch`): `mlp`'s one emitter writes every pass and step and the
-one finiteness rule, which raises NonFiniteUpdateError where a step would
-make a parameter non-finite, and tests hold each of them to a per-call
-reference bit for bit.
+The online period is written once, in `_generate_run`, and compiled per
+pair of topologies into two functions that take both nets' parameters
+from `Mlp.params` into locals as they start and write each changed net
+back once, however they end: one period, `HdpController.control_step`,
+and a closed loop of many, `HdpController.run_periods`.  The offline
+sweep in `sim` runs the same critic step inside a generated epoch
+function (`Mlp.td_epoch`): `mlp`'s one emitter writes every pass and step
+and the one finiteness rule, which raises NonFiniteUpdateError where a
+step would make a parameter non-finite, and tests hold each of them to a
+per-call reference bit for bit.
 
 The nets work in fixed coordinates that keep every feature O(1): volts
 over V_SCALE, amperes over I_SCALE, and the duty as it is.  The utility is
@@ -39,8 +37,7 @@ affinely onto `plant.DUTY_LIMITS`, the window the PI loop clamps to too.
 from __future__ import annotations
 
 import math
-from collections.abc import Callable, Iterator
-from contextlib import contextmanager, nullcontext
+from collections.abc import Callable
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import NamedTuple
@@ -148,12 +145,15 @@ def _generate_run(
     and the duty applied before it, returning (duty, cost-to-go).  Both
     emit one period text, its passes and steps written by `mlp._Text` under
     the prefixes "c" (critic) and "a" (action), so they are the bits of the
-    nets' kernels, after one prologue, which takes the hold's lists
-    (`ctl._lists`) and the stored transition (`ctl._prev`) into locals.
-    Each step builds its list `new` and passes `_Text.refuse` before it is
-    carried on, and a `finally` writes the last accepted lists into
-    `ctl._lists`, and the stored transition into `ctl._prev` in its format.
-    ValueError for a net of more than MAX_KERNEL_PARAMS parameters."""
+    nets' kernels, after one prologue, which takes both nets' `params` as
+    lists and the stored transition (`ctl._prev`) into locals and, when
+    `learn` is set and a transition is stored, runs its critic pass at the
+    duty applied.  Each period's cost-to-go pass serves as the next
+    period's stored pass, since no step comes between them.  Each step
+    builds its list `new` and passes `_Text.refuse` before it is carried
+    on, and a `finally` writes each list that changed into its net's
+    `params`, and the stored transition into `ctl._prev`.  ValueError for a
+    net of more than MAX_KERNEL_PARAMS parameters."""
     critic = _Text(critic_sizes, critic_sigmoid, prefix="c")
     action = _Text(action_sizes, True, prefix="a")
     # the normalized state is the action net's input; the critic's appends a duty
@@ -165,27 +165,17 @@ def _generate_run(
         return [*(f"{c} = {a}" for c, a in zip(critic.acts[0], state)),
                 f"{critic.acts[0][-1]} = {duty}", *critic.forward()]
 
-    def carry(net: _Text, held: str) -> list[str]:
-        # a step's list, checked, becomes the net's locals and its held list
-        return [*net.step(in_place=False), f"{', '.join(net.params)}, = {held} = new"]
+    def carry(net: _Text, listed: str) -> list[str]:
+        # a step's list, checked, becomes the net's locals and its list
+        return [*net.step(in_place=False), f"{', '.join(net.params)}, = {listed} = new"]
 
-    # the stored transition's pass serves if it ran at this critic list and
-    # at the duty applied (a held list is never written); else it is rerun
-    stored_pass = [
-        "if pc_prev is critic_list and d_prev is duty:",
-        f"    {c_acts}, = x_prev",
-        "else:",
-        f"    {', '.join(critic.acts[0][:-1])}, = s_prev",
-        f"    {critic.acts[0][-1]} = duty",
-        *_indent(critic.forward(), 1),
-    ]
     # the critic step leaves the action net as it is, so the one action
     # pass serves both the critic's target, at the duty the present policy
     # commands, and the action step
     learn = [
         f"duty_hat = d_min + {y_a} * span",
         "if s_prev is not None:",
-        *_indent([*critic_at("duty_hat"), f"target = {y_c}", *stored_pass,
+        *_indent([*critic_at("duty_hat"), f"target = {y_c}", f"{c_acts}, = stored_pass",
                   f"{critic.outputs[0]} = {y_c} - gamma*target - u_prev",
                   *carry(critic, "critic_list")], 1),
         *critic_at("duty_hat"),
@@ -207,20 +197,23 @@ def _generate_run(
         "u = utility(e_v, e_i)",
         f"s_prev = [{', '.join(state)}]",
         "u_prev = u",
-        "pc_prev = critic_list",
-        "d_prev = duty",
-        f"x_prev = [{c_acts}]",
+        f"stored_pass = [{c_acts}]",
     ]
     prologue = [
-        "lists = ctl._lists",
-        "critic_list, action_list = lists",
+        "critic, action = ctl.critic, ctl.action",
+        "critic_list = critic_taken = critic.params.tolist()",
+        "action_list = action_taken = action.params.tolist()",
         f"{', '.join(critic.params)}, = critic_list",
         f"{', '.join(action.params)}, = action_list",
         "cfg = ctl.config",
         "gamma, clr, alr = cfg.gamma, cfg.lr_critic, cfg.lr_action",
-        "s_prev, u_prev, pc_prev, d_prev, x_prev = ctl._prev or (None,) * 5",
+        "s_prev, u_prev = ctl._prev or (None, None)",
         "d_min, d_max = DUTY_LIMITS",
         "span = d_max - d_min",
+        "if learn and s_prev is not None:",
+        f"    {', '.join(critic.acts[0][:-1])}, = s_prev",
+        f"    {critic.acts[0][-1]} = duty",
+        *_indent([*critic.forward(), f"stored_pass = [{c_acts}]"], 1),
     ]
     if name == "run":
         args = "state, duty, segments, step, columns, v_max, i_max, diverged"
@@ -258,10 +251,12 @@ def _generate_run(
             "try:",
             *_indent(body, 1),
             "finally:",
-            "    lists[0] = critic_list",
-            "    lists[1] = action_list",
+            "    if critic_list is not critic_taken:",
+            "        critic.params[:] = critic_list",
+            "    if action_list is not action_taken:",
+            "        action.params[:] = action_list",
             "    if s_prev is not None:",
-            "        ctl._prev = s_prev, u_prev, pc_prev, d_prev, x_prev",
+            "        ctl._prev = s_prev, u_prev",
             f"return {result}",
         ], 1),
     ])
@@ -331,11 +326,13 @@ class HdpController:
     """Online actor-critic duty-cycle controller.
 
     Call control_step once per switching period with the cycle's
-    measurements, or run_periods for a closed loop of periods, inside
-    `hold`.  With learning enabled the critic is updated from the previous
-    period's transition and the action net from the critic, before the
-    period's duty command is formed.  Updates are plain arithmetic on
-    fixed-seed nets, so a run is bit reproducible.
+    measurements, or run_periods for a closed loop of periods.  Each call
+    takes the nets' parameters from their `params` and writes its steps
+    back, so a write to `params` or a swapped net between two calls takes
+    effect at the next.  With learning enabled the critic is updated from
+    the previous period's transition and the action net from the critic,
+    before the period's duty command is formed.  Updates are plain
+    arithmetic on fixed-seed nets, so a run is bit reproducible.
     """
 
     def __init__(self, critic: Mlp, action: Mlp, config: HdpConfig | None = None):
@@ -358,61 +355,21 @@ class HdpController:
             self._generated("run")
         else:
             action.kernels
-        # the stored transition: (normalized state inputs, utility, critic
-        # list, duty, critic pass) of the previous period, None until one
-        # period has been observed.  The duty slot of the previous critic
-        # input is taken from the next measurement's duty_prev, which is the
-        # duty actually applied (the harness may have modified the command,
-        # e.g. probing noise during practice); the period's cost-to-go pass,
-        # at its critic list and duty, serves as the transition's pass when
-        # the next period brings those same objects back
-        self._prev: tuple[list[float], float, list[float], float, list[float]] | None = None
-        # [critic list, action list] while a hold is open, else None
-        self._lists: list[list[float]] | None = None
-
-    @contextmanager
-    def hold(self) -> Iterator[None]:
-        """Hold both nets' parameters as lists for a run of control steps:
-        `with controller.hold(): ...`.
-
-        The hold takes the lists from the nets' `params` as it opens; each
-        control_step or run_periods inside it starts from the lists the one
-        before left, and neither reads nor writes `params`.  When the hold
-        ends, however it ends, each list that changed is written into its
-        net's `params` once; a step refused mid-run (NonFiniteUpdateError)
-        thus leaves each net at its last accepted step.  Inside a hold,
-        neither swap a net nor write its `params`: the steps go on from the
-        held lists, and the hold writes them into the nets it opened with.
-        Holds do not nest (RuntimeError), and the critic must be an `Mlp`
-        (TypeError); either is refused before anything is taken.
-        """
-        critic, action = self.critic, self.action
-        if not isinstance(critic, Mlp):
-            raise TypeError(
-                f"control_step needs an Mlp critic, got {type(critic).__name__}"
-            )
-        if self._lists is not None:
-            raise RuntimeError("the controller is already held")
-        taken = critic.params.tolist(), action.params.tolist()
-        self._lists = lists = list(taken)
-        try:
-            yield
-        finally:
-            self._lists = None
-            for net, new, old in zip((critic, action), lists, taken):
-                if new is not old:
-                    net.params[:] = new
+        # the stored transition: (normalized state inputs, utility) of the
+        # previous period, None until one period has been observed.  The
+        # duty slot of the previous critic input is taken from the next
+        # measurement's duty_prev, which is the duty actually applied (the
+        # harness may have modified the command, e.g. probing noise during
+        # practice)
+        self._prev: tuple[list[float], float] | None = None
 
     def __copy__(self) -> HdpController:
-        """A controller on the same nets, config and stored transition.
-        Inside an open hold it gets its own pair of the held lists (the
-        lists are never written in place, so they are shared): its steps
-        then go on from the original's without touching the original's
-        lists, and the hold writes only the original's into the nets."""
+        """A controller on copies of the nets, with the same config and
+        stored transition: its steps go on from the original's without
+        touching the original's nets."""
         twin = object.__new__(type(self))
-        twin.__dict__.update(self.__dict__)
-        if self._lists is not None:
-            twin._lists = list(self._lists)
+        twin.__dict__.update(self.__dict__, critic=self.critic.copy(),
+                             action=self.action.copy())
         return twin
 
     def reset_transition_buffer(self) -> None:
@@ -425,8 +382,13 @@ class HdpController:
         return self._duty(float(y[0]))
 
     def _generated(self, name: str) -> Callable:
-        """The nets' generated function `name` (`_generate_run`)."""
+        """The nets' generated function `name` (`_generate_run`); the critic
+        must be an `Mlp` (TypeError)."""
         critic = self.critic
+        if not isinstance(critic, Mlp):
+            raise TypeError(
+                f"control_step needs an Mlp critic, got {type(critic).__name__}"
+            )
         return _generate_run(tuple(critic.layer_sizes), critic.output_activation == "sigmoid",
                              tuple(self.action.layer_sizes), name)
 
@@ -458,15 +420,12 @@ class HdpController:
         is the one that `run_periods` runs, generated per pair of topologies
         on the first call (`_generate_run`): every pass and step gives the
         bits of the nets' kernels (and of the 1-D `Mlp.forward`,
-        `grad_input`, `grad_weights` and `apply_update`), on the parameter
-        lists of the open `hold`.  Outside a hold the period runs in a hold
-        of its own, so the nets' `params` hold its steps when it returns.
-        The critic must be an `Mlp`.
+        `grad_input`, `grad_weights` and `apply_update`).  It reads the
+        nets' `params` as it starts and writes its steps into them when it
+        returns, however it ends.  The critic must be an `Mlp` (TypeError).
         """
         m = measurement
-        with self.hold() if self._lists is None else nullcontext():
-            return self._generated("period")(self, learn, m.v_o, m.i_l, m.e_v, m.e_i,
-                                             m.duty_prev)
+        return self._generated("period")(self, learn, m.v_o, m.i_l, m.e_v, m.e_i, m.duty_prev)
 
     def run_periods(
         self, learn: bool, state: PlantState, duty: float, segments, step, columns,
@@ -487,14 +446,12 @@ class HdpController:
 
         The run is one generated function (`_generate_run`), emitted from
         control_step's period text, that holds both nets' parameters and
-        the stored transition in locals from the first period to the last,
-        on the lists of the open `hold` (outside a hold it runs in a hold of
-        its own).  It leaves the hold's lists and the stored transition as
-        the same control_step calls would, however it ends: a refused step
+        the stored transition in locals from the first period to the last.
+        It leaves the nets' `params` and the stored transition as the same
+        control_step calls would, however it ends: a refused step
         (NonFiniteUpdateError) or a divergence leaves each net at its last
         accepted step, and control_step calls may precede and follow it.
-        The critic must be an `Mlp`.
+        The critic must be an `Mlp` (TypeError).
         """
-        with self.hold() if self._lists is None else nullcontext():
-            return self._generated("run")(self, learn, state, duty, segments, step, columns,
-                                          v_max, i_max, diverged)
+        return self._generated("run")(self, learn, state, duty, segments, step, columns,
+                                      v_max, i_max, diverged)

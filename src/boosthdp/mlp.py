@@ -482,7 +482,9 @@ class Mlp:
         left unchanged."""
         if grads.flat.shape != self._params.shape:
             raise ValueError("gradients do not match this network")
-        new = self._params - learning_rate * grads.flat
+        # a step that overflows is refused below, not warned about
+        with np.errstate(over="ignore", invalid="ignore"):
+            new = self._params - learning_rate * grads.flat
         if not np.isfinite(new).all():
             raise NonFiniteUpdateError("update would produce non-finite parameters")
         self._params[...] = new

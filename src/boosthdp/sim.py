@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import copy
 import math
-from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
 from operator import is_
 from typing import ClassVar, NamedTuple
@@ -483,10 +482,10 @@ def run_scenarios(
     ValueError, before any period.  One period loop runs up to the first
     period where their schedules differ, the branch point; each spec then
     goes on from there with its own copy of the prefix's columns and of
-    the controller (`copy.copy`; the first spec goes on with `controller`
-    itself), so the branches share no run state.  An HDP controller runs
-    every period inside one `hold`, which writes into the nets what the
-    first spec's run left.
+    the controller (`copy.copy`, which gives an HDP controller its own
+    copies of the nets; the first spec goes on with `controller` itself),
+    so the branches share no run state, and an HDP controller's nets hold
+    what the first spec's run left.
 
     Returns the branch point, the periods every spec's trace holds alike
     (all of them for one spec), and per spec, in order, its (trace,
@@ -535,31 +534,30 @@ def run_scenarios(
     if not is_pi:
         controller.reset_transition_buffer()
     columns = ([], [], [], [], [], [])
-    with nullcontext() if is_pi else controller.hold():
+    try:
+        state, duty = _run_periods(
+            controller, learn, first.initial_state, 0.0,
+            _within(plans[lead], 0, branch), params, columns,
+        )
+    except (SimulationDiverged, NonFiniteUpdateError) as exc:
+        for i in plans:
+            outcomes[i] = _run_failure(specs[i], exc)
+        return branch, outcomes
+    # every copy is taken before the lead spec's run goes on
+    controllers = {i: controller if i == lead else copy.copy(controller)
+                   for i in plans}
+    last = max(plans)
+    for i, plan in plans.items():
+        # the last spec's run, which goes last, takes the prefix's lists
+        own = columns if i == last else tuple(map(list, columns))
         try:
-            state, duty = _run_periods(
-                controller, learn, first.initial_state, 0.0,
-                _within(plans[lead], 0, branch), params, columns,
-            )
+            _run_periods(controllers[i], learn, state, duty,
+                         _within(plan, branch, n_periods), params, own)
         except (SimulationDiverged, NonFiniteUpdateError) as exc:
-            for i in plans:
-                outcomes[i] = _run_failure(specs[i], exc)
-            return branch, outcomes
-        # every copy is taken before the lead spec's run goes on
-        controllers = {i: controller if i == lead else copy.copy(controller)
-                       for i in plans}
-        last = max(plans)
-        for i, plan in plans.items():
-            # the last spec's run, which goes last, takes the prefix's lists
-            own = columns if i == last else tuple(map(list, columns))
-            try:
-                _run_periods(controllers[i], learn, state, duty,
-                             _within(plan, branch, n_periods), params, own)
-            except (SimulationDiverged, NonFiniteUpdateError) as exc:
-                outcomes[i] = _run_failure(specs[i], exc)
-            else:
-                trace = _trace(plan, own, t_sw)
-                outcomes[i] = trace, compute_metrics(trace)
+            outcomes[i] = _run_failure(specs[i], exc)
+        else:
+            trace = _trace(plan, own, t_sw)
+            outcomes[i] = trace, compute_metrics(trace)
     return branch, outcomes
 
 

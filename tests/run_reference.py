@@ -7,8 +7,8 @@ generated code.  `per_call_periods` runs a scenario's periods one
 `control_step` call each, on any controller with that method: it builds a
 checked `ControllerInput` per period, and takes the segments, the plant
 step (`sim`'s binding, read per call) and the divergence guard from the
-harness.  Outside a hold, `HdpController.control_step` runs in a
-one-period hold of its own."""
+harness.  Each `HdpController.control_step` takes the nets' parameters
+from their `params` and writes its steps back into them."""
 
 from dataclasses import replace
 

@@ -1,12 +1,12 @@
 """Unit tests for the actor-critic controller machinery."""
 
-import contextlib
 import copy
 import math
 
 import numpy as np
 import pytest
 
+from boosthdp import sim
 from boosthdp.hdp import (
     ACTION_SIZES,
     CRITIC_SIZES,
@@ -24,8 +24,8 @@ from boosthdp.hdp import (
     utility,
 )
 from boosthdp.mlp import ForwardCache, Mlp
-from boosthdp.plant import DUTY_LIMITS
-from run_reference import RecomputingController
+from boosthdp.plant import DUTY_LIMITS, PlantParams, PlantState
+from run_reference import RecomputingController, per_call_periods
 from td_reference import td_step_1d
 
 
@@ -304,23 +304,22 @@ class TestControlStep:
         assert net_bytes(ctl.critic) != c1
 
     def test_critic_steps_through_td_update(self):
-        # one TD step per stored transition, each replacing the held critic
-        # list; none on the first step, after a reset or while frozen
+        # one TD step per stored transition, each writing the critic's
+        # params; none on the first step, after a reset or while frozen
         ctl = self.make()
         steps = []
 
         def step(m, learn=True):
-            held = ctl._lists[0]
+            before = ctl.critic.params.tobytes()
             ctl.control_step(m, learn)
-            steps.append(ctl._lists[0] is not held)
+            steps.append(ctl.critic.params.tobytes() != before)
 
-        with ctl.hold():
-            for k in range(5):
-                step(meas(50.0 + k, 2.0))
-            assert steps == [False] + [True] * 4
-            ctl.reset_transition_buffer()
-            step(meas(60.0, 2.5))
-            step(meas(61.0, 2.5), learn=False)
+        for k in range(5):
+            step(meas(50.0 + k, 2.0))
+        assert steps == [False] + [True] * 4
+        ctl.reset_transition_buffer()
+        step(meas(60.0, 2.5))
+        step(meas(61.0, 2.5), learn=False)
         assert steps[5:] == [False, False]
 
     def test_reset_transition_buffer_skips_one_critic_update(self):
@@ -363,6 +362,8 @@ class TestControlStep:
         ctl = HdpController(QuadCritic(), make_action())
         with pytest.raises(TypeError, match="control_step needs an Mlp critic"):
             ctl.control_step(meas(50.0, 2.0), learn=learn)
+        with pytest.raises(TypeError, match="control_step needs an Mlp critic"):
+            ctl.run_periods(learn, PlantState(), 0.0, [], None, ([],) * 6, 1.0, 1.0, None)
 
     def test_topology_constants(self):
         assert CRITIC_SIZES == [5, 5, 5, 1]
@@ -371,51 +372,26 @@ class TestControlStep:
         assert make_action().layer_sizes == ACTION_SIZES
 
 
-class TestHold:
-    """Inside a hold the steps carry the parameter lists and leave `params`
-    alone; the hold writes the lists back when it ends."""
-
-    def test_params_written_once_when_the_hold_ends(self):
-        held = HdpController(make_critic(seed=2), make_action(seed=52))
-        per_call = HdpController(make_critic(seed=2), make_action(seed=52))
-        start = net_bytes(held.critic), net_bytes(held.action)
-        inputs = [meas(50.0 + k, 2.0 + 0.1 * k) for k in range(6)]
-        with held.hold():
-            out = [held.control_step(m) for m in inputs]
-            assert (net_bytes(held.critic), net_bytes(held.action)) == start
-        assert out == [per_call.control_step(m) for m in inputs]
-        assert net_bytes(held.critic) == net_bytes(per_call.critic) != start[0]
-        assert net_bytes(held.action) == net_bytes(per_call.action) != start[1]
-
-    def test_holds_do_not_nest(self):
-        ctl = HdpController(make_critic(), make_action())
-        with ctl.hold():
-            with pytest.raises(RuntimeError, match="already held"):
-                with ctl.hold():
-                    pass
-        # the refused inner hold leaves the outer one's end intact
-        with ctl.hold():
-            ctl.control_step(meas(50.0, 2.0))
-
-    def test_a_copy_in_a_hold_steps_on_alone(self):
-        # a copy taken mid-hold goes on from the original's lists and
-        # stored transition, as a second controller that had run the same
-        # steps would; the hold writes only the original's lists
-        held = HdpController(make_critic(seed=2), make_action(seed=52))
+class TestCopy:
+    def test_a_copy_steps_on_alone(self):
+        # a copy goes on from the original's nets and stored transition, as
+        # a second controller that had run the same steps would, on nets of
+        # its own: the original then goes on as if never copied
+        ctl = HdpController(make_critic(seed=2), make_action(seed=52))
         twin = HdpController(make_critic(seed=2), make_action(seed=52))
         alone = HdpController(make_critic(seed=2), make_action(seed=52))
         first = [meas(50.0 + k, 2.0 + 0.1 * k) for k in range(3)]
         then = [meas(60.0 - k, 3.0 - 0.1 * k) for k in range(3)]
         step_all = lambda ctl, inputs: [ctl.control_step(m) for m in inputs]
-        with held.hold():
-            assert step_all(held, first) == step_all(twin, first)
-            copied = copy.copy(held)
-            assert step_all(copied, then) == step_all(twin, then)
-            assert held._lists is not copied._lists
-            out = step_all(held, first)
+        assert step_all(ctl, first) == step_all(twin, first)
+        copied = copy.copy(ctl)
+        start = net_bytes(ctl.critic), net_bytes(ctl.action)
+        assert step_all(copied, then) == step_all(twin, then)
+        assert (net_bytes(ctl.critic), net_bytes(ctl.action)) == start
+        out = step_all(ctl, first)
         assert out == step_all(alone, first + first)[3:]
-        assert net_bytes(held.critic) == net_bytes(alone.critic)
-        assert net_bytes(held.action) == net_bytes(alone.action)
+        assert net_bytes(ctl.critic) == net_bytes(alone.critic)
+        assert net_bytes(ctl.action) == net_bytes(alone.action)
 
 
 def write_params(ctl, duty):
@@ -486,94 +462,104 @@ class TestHeldCriticPass:
         assert held.action.params.tobytes() == recomputed.action.params.tobytes()
 
 
-class TestStoredCriticPass:
-    """Inside a hold, a learning period reuses the previous period's
-    cost-to-go pass, learning or frozen, as the stored transition's pass
-    when the critic list and the applied duty are the objects that pass was
-    built from, and runs a fresh pass otherwise; either way the bits are
-    those of recomputing every pass."""
+def keep(ctl, duty):
+    return duty
 
-    STEPS = 12
-    HOOK_AT = 6
+
+class TestStoredCriticPass:
+    """A learning run reruns the stored transition's critic pass once,
+    before its first period, at the duty applied, and each later period
+    reuses the cost-to-go pass of the period before; a control_step call
+    is a run of one period.  The bits are those of recomputing every pass,
+    across a nudged duty, a written critic and a reset between runs."""
+
     # tanh calls of one pass of either shipped net: two hidden layers of 5
     TANH_PER_PASS = 10
 
-    def drive(self, ctl, hook, reopen, frozen, monkeypatch):
-        """A held closed-loop run feeding back each returned duty, as
-        sim.run_scenario does, with hook(ctl, duty) run before period
-        HOOK_AT, between two holds if reopen, and the periods in `frozen`
-        run without learning; returns the outputs as bytes and the tanh
-        calls of each period's generated code, critic and action passes
-        (counted on HdpControllers only)."""
-        counts, outputs, hold = [], [], contextlib.nullcontext
+    def drive(self, ctl, parts, monkeypatch):
+        """From the nominal equilibrium, for each (hook, learn, n) of
+        `parts` in turn, run hook(ctl, duty) and then n periods: one
+        run_periods call (`sim._run_periods`), or, for a reference, one
+        control_step per period (`per_call_periods`).  Returns the run's
+        columns as bytes and the passes of each period, critic and action,
+        counted in tanh calls of the generated run (HdpControllers only;
+        the passes that open a run count to its first period)."""
+        run, tanhs, counts = per_call_periods, [0], []
         if isinstance(ctl, HdpController):
-            hold, names = ctl.hold, ctl._generated("period").__globals__
+            run, names = sim._run_periods, ctl._generated("run").__globals__
 
             def counted(z, tanh=names["tanh"]):
-                counts[-1] += 1
+                tanhs[0] += 1
                 return tanh(z)
 
             monkeypatch.setitem(names, "tanh", counted)
+        plant_step = sim.step
 
-        def periods(rows, duty):
-            for v, i in rows:
-                learn = len(outputs) not in frozen
-                counts.append(0)
-                duty, j_est = ctl.control_step(meas(v, i, duty_prev=duty), learn=learn)
-                outputs.append((duty, j_est))
-            return duty
+        def step(state, duty, params):
+            counts.append(tanhs[0] / self.TANH_PER_PASS)
+            tanhs[0] = 0
+            return plant_step(state, duty, params)
 
-        rows = np.random.default_rng(5).uniform([150.0, 4.0], [250.0, 12.0], (self.STEPS, 2))
-        with hold():
-            duty = periods(rows[:self.HOOK_AT], 0.0)
-            if not reopen:
-                duty = periods(rows[self.HOOK_AT:], hook(ctl, duty))
-        if reopen:
-            # a hook that writes params runs outside a hold
+        monkeypatch.setattr(sim, "step", step)
+        params = PlantParams()
+        state = sim.builtin_scenario("load_change", "HDP", params).initial_state
+        duty, start, columns = 0.0, 0, ([], [], [], [], [], [])
+        for hook, learn, n in parts:
             duty = hook(ctl, duty)
-            with hold():
-                periods(rows[self.HOOK_AT:], duty)
-        return np.array(outputs).tobytes(), counts
+            segments = [(range(start, start + n), params.v_s, params.r_load)]
+            state, duty = run(ctl, learn, state, duty, segments, params, columns)
+            start += n
+        monkeypatch.undo()
+        return [np.array(column).tobytes() for column in columns[:5]], counts
 
-    def run_both(self, monkeypatch, hook, reopen, frozen=()):
-        """The passes of each period of the held controller, after checking
+    def run_both(self, monkeypatch, parts):
+        """The passes of each period of the HdpController, after checking
         its bits against the reference's."""
         nets = lambda: (make_critic(seed=3), make_action(seed=53),
                         HdpConfig(lr_critic=1e-2, lr_action=1e-3))
-        held, ref = HdpController(*nets()), RecomputingController(*nets())
-        out, counts = self.drive(held, hook, reopen, frozen, monkeypatch)
-        ref_out, _ = self.drive(ref, hook, reopen, frozen, monkeypatch)
+        ctl, ref = HdpController(*nets()), RecomputingController(*nets())
+        out, counts = self.drive(ctl, parts, monkeypatch)
+        ref_out, _ = self.drive(ref, parts, monkeypatch)
         assert out == ref_out
-        assert held.critic.params.tobytes() == ref.critic.params.tobytes()
-        assert held.action.params.tobytes() == ref.action.params.tobytes()
-        return [n / self.TANH_PER_PASS for n in counts]
+        assert ctl.critic.params.tobytes() == ref.critic.params.tobytes()
+        assert ctl.action.params.tobytes() == ref.action.params.tobytes()
+        return counts
 
     def test_three_critic_passes_per_period_after_the_first(self, monkeypatch):
         # every learning period: the action pass before and after its step;
         # the first period also the critic's input-gradient pass and the
         # cost-to-go; then also the critic's target J(x_hat), while the
-        # transition's pass is reused
-        counts = self.run_both(monkeypatch, lambda ctl, duty: duty, reopen=False)
-        assert counts == [2 + 2] + [3 + 2] * (self.STEPS - 1)
+        # transition's pass is the period before's cost-to-go
+        counts = self.run_both(monkeypatch, [(keep, True, 12)])
+        assert counts == [2 + 2] + [3 + 2] * 11
 
-    @pytest.mark.parametrize("hook, reopen", [
-        (perturb_duty, False), (write_params, True), (lambda ctl, duty: duty, True),
-    ])
-    def test_a_new_duty_or_hold_gets_a_fresh_pass(self, monkeypatch, hook, reopen):
-        # a perturbed duty is another float; a written critic, or a hold
-        # opened anew, brings another parameter list
-        expected = [2 + 2] + [3 + 2] * (self.STEPS - 1)
-        expected[self.HOOK_AT] = 4 + 2
-        assert self.run_both(monkeypatch, hook, reopen) == expected
+    @pytest.mark.parametrize("hook", [keep, perturb_duty, write_params, swap_critic])
+    def test_a_run_that_starts_with_a_transition_reruns_its_pass(self, monkeypatch, hook):
+        counts = self.run_both(monkeypatch, [(keep, True, 6), (hook, True, 6)])
+        assert counts == [2 + 2] + [3 + 2] * 5 + [4 + 2] + [3 + 2] * 5
 
     def test_a_reset_stores_no_pass_and_a_frozen_period_stores_its_own(self, monkeypatch):
-        # after the reset at HOOK_AT a period has no transition, so it runs
+        # after a reset the first period has no transition, so it runs
         # only its two critic passes; a frozen period runs just its action
-        # pass and its cost-to-go pass, which the learning period after it
-        # reuses
-        frozen = (self.HOOK_AT + 2, self.HOOK_AT + 3)
-        expected = [2 + 2] + [3 + 2] * (self.STEPS - 1)
-        expected[self.HOOK_AT] = 2 + 2
-        for k in frozen:
-            expected[k] = 1 + 1
-        assert self.run_both(monkeypatch, reset, reopen=False, frozen=frozen) == expected
+        # pass and its cost-to-go pass, and stores its transition, whose
+        # pass the learning run after it reruns
+        counts = self.run_both(monkeypatch, [
+            (keep, True, 6), (reset, True, 2), (keep, False, 2), (keep, True, 2),
+        ])
+        assert counts == [2 + 2] + [3 + 2] * 5 + [2 + 2, 3 + 2] + [1 + 1] * 2 + [4 + 2, 3 + 2]
+
+    def test_a_control_step_reruns_the_stored_pass(self, monkeypatch):
+        ctl = HdpController(make_critic(seed=3), make_action(seed=53))
+        names, counts = ctl._generated("period").__globals__, []
+
+        def counted(z, tanh=names["tanh"]):
+            counts[-1] += 1
+            return tanh(z)
+
+        monkeypatch.setitem(names, "tanh", counted)
+        for k in range(4):
+            if k == 2:
+                ctl.reset_transition_buffer()
+            counts.append(0)
+            ctl.control_step(meas(190.0 + k, 8.0, duty_prev=0.7))
+        assert [n / self.TANH_PER_PASS for n in counts] == [2 + 2, 4 + 2, 2 + 2, 4 + 2]

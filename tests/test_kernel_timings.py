@@ -18,8 +18,6 @@ def test_prints_one_positive_timing_per_operation(capsys):
     ops = ["forward", "gradient", "input_gradient", "step"]
     names = [f"{net}.{op}" for net in ("critic", "action") for op in ops]
     names += ["control_step.learn", "control_step.frozen",
-              "control_step.learn_held", "control_step.frozen_held",
-              "control_step.learn_closed",
               "td_epoch.sample", "fit_epoch.sample",
               "run.learn_period", "run.frozen_period", "run.generate_ms",
               "trace.text_ms", "trace.metrics_ms"]

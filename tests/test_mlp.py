@@ -277,6 +277,17 @@ class TestApplyUpdate:
             net.apply_update(grads, 0.01)
         assert net.dumps() == before
 
+    def test_refuses_an_overflowing_step_without_a_warning(self):
+        # finite gradients and rate whose product overflows: the refusal,
+        # not numpy's overflow warning (an error in this suite), ends the call
+        net = Mlp.init([2, 3, 1])
+        _, cache = net.forward([0.5, -0.5])
+        grads = net.grad_weights(cache, [1e10])
+        before = net.params.tobytes()
+        with pytest.raises(NonFiniteUpdateError):
+            net.apply_update(grads, 1e300)
+        assert net.params.tobytes() == before
+
 
 def two_step_update(net, cache, d_output, learning_rate):
     """The reference descent step: the gradient object, then the update."""
@@ -351,7 +362,7 @@ class TestDescend:
         lr = np.inf if bad == "inf rate" else 0.1
         before = net.params.tobytes()
         _, cache = net.forward(x)
-        with np.errstate(all="ignore"), pytest.raises(NonFiniteUpdateError):
+        with pytest.raises(NonFiniteUpdateError):
             two_step_update(net, cache, d_bad, lr)
         assert net.params.tobytes() == before
         p = net.params.tolist()

@@ -3,7 +3,6 @@
 import csv
 import math
 import struct
-from contextlib import nullcontext
 from dataclasses import replace
 from itertools import zip_longest
 
@@ -529,7 +528,7 @@ class TestRunScenario:
             run_scenario(spec, PiController(), params)
 
     def test_controller_of_another_type_rejected_before_any_period(self, monkeypatch):
-        # a wrapper with control_step, hold and reset_transition_buffer
+        # a wrapper with control_step, run_periods and reset_transition_buffer
         # passes the tag check, which asks only that it is no PiController
         class Wrapper:
             def __init__(self, controller):
@@ -691,8 +690,7 @@ class TestHeldRun:
         start = net_bytes(held)
         with pytest.raises(NonFiniteUpdateError):
             run_scenario(spec, held, params)
-        # the reference steps in numpy, which warns as the refused step overflows
-        with pytest.raises(NonFiniteUpdateError), np.errstate(over="ignore"):
+        with pytest.raises(NonFiniteUpdateError):
             run_per_call(spec, ref, params)
         assert net_bytes(held) == net_bytes(ref)
         assert all(a != b for a, b in zip(net_bytes(held), start))
@@ -718,13 +716,11 @@ class TestHeldRun:
         assert all(a != b for a, b in zip(net_bytes(held), start))
 
     @pytest.mark.parametrize("nudged", [False, True], ids=["same_duty", "nudged_duty"])
-    @pytest.mark.parametrize("one_hold", [False, True], ids=["own_holds", "one_hold"])
     @pytest.mark.parametrize("calls_first", [True, False], ids=["calls_run", "run_calls"])
-    def test_calls_and_a_run_follow_one_another(self, calls_first, one_hold, nudged):
+    def test_calls_and_a_run_follow_one_another(self, calls_first, nudged):
         # 30 control_step calls then a run of the rest, or a run of 30
         # periods then calls: the stored transition crosses between them,
-        # its pass reused inside one hold at the same duty, and recomputed
-        # across two holds or at a nudged duty; the bits are those of calls
+        # its pass rerun at the duty applied; the bits are those of calls
         # alone, nudged alike
         params = PlantParams()
         spec, mixed, per_call = short_run("HDP", self.CONFIG, params, twin=HdpController)
@@ -737,11 +733,10 @@ class TestHeldRun:
         def drive(controller, runs):
             columns = ([], [], [], [], [], [])
             state, duty = spec.initial_state, 0.0
-            with controller.hold() if one_hold else nullcontext():
-                for i, (run, part) in enumerate(zip(runs, parts)):
-                    if i and nudged:
-                        duty += 1e-3
-                    state, duty = run(controller, True, state, duty, part, params, columns)
+            for i, (run, part) in enumerate(zip(runs, parts)):
+                if i and nudged:
+                    duty += 1e-3
+                state, duty = run(controller, True, state, duty, part, params, columns)
             return column_bytes(columns)
 
         assert drive(mixed, runs) == drive(per_call, [per_call_periods] * 2)

@@ -13,19 +13,10 @@ where us is the best of 7 repeats of the mean time per call (in ms for the
   (`hdp.CRITIC_SIZES`, `hdp.ACTION_SIZES`), N calls per repeat;
 - `control_step.learn` and `control_step.frozen`: `HdpController.control_step`
   with and without learning, over N measurements near the nominal point,
-  one call at a time, so each includes the open and close of the
-  one-period hold (a `contextlib.contextmanager` generator) it runs in.
-  Each call runs the generated period function (`hdp._generate_run`),
-  which takes both nets' parameter lists into locals and writes them back;
-  the first call of a process generates it, a cost that the best of 7
-  leaves out;
-- `control_step.learn_held` and `control_step.frozen_held`: the same calls
-  inside one `HdpController.hold`, on checkouts that have it;
-- `control_step.learn_closed`: the learning calls inside one hold, each
-  measurement's `duty_prev` the duty the call before returned, as a closed
-  loop feeds them (the rows above pass a fixed duty_prev that no call
-  returned, so each call reruns the stored transition's pass), on the
-  same checkouts;
+  one call at a time.  Each call runs the generated period function
+  (`hdp._generate_run`), which takes both nets' parameters from their
+  `params` into locals and writes each changed net back; the first call
+  of a process generates it, a cost that the best of 7 leaves out;
 - `run.learn_period` and `run.frozen_period`: `sim.run_scenario` of the
   shipped startup cell (`sim.builtin_scenario("startup", tag)` at the
   default plant), HDP and HDP-frozen, per period, one run per repeat
@@ -122,24 +113,6 @@ def timings(calls: int) -> dict[str, float]:
                 controller.control_step(m, learn=learn)
 
         results[f"control_step.{tag}"] = _best_us(control, calls, fresh)
-    if hasattr(HdpController, "hold"):
-        for tag, learn in (("learn", True), ("frozen", False)):
-            def held(controller, learn=learn):
-                with controller.hold():
-                    for m in measurements:
-                        controller.control_step(m, learn=learn)
-
-            results[f"control_step.{tag}_held"] = _best_us(held, calls, fresh)
-
-        def closed_loop(controller):
-            duty = 0.0
-            with controller.hold():
-                for v_o, i_l, e_v, e_i, _ in measurements:
-                    # unchecked, so the row times the step alone
-                    m = tuple.__new__(ControllerInput, (v_o, i_l, e_v, e_i, duty))
-                    duty, _ = controller.control_step(m)
-
-        results["control_step.learn_closed"] = _best_us(closed_loop, calls, fresh)
 
     order = rng.permutation(calls).tolist()
     xs = rng.uniform(-1.0, 1.0, (calls, 5)).tolist()
