@@ -16,7 +16,9 @@ forked worker process per further available CPU (boosthdp.workers), none
 on one CPU: `compare` simulates each group of cells that share a
 controller tag and a start as one job, running the periods the group's
 cells share once (the load and input steps share their first half), and
-`pretrain` trains the critic and clones the action net as two.  The
+`pretrain` trains the critic and clones the action net as two.  While the
+jobs run, each process keeps to a part of the command's CPUs of its own,
+so the worker does not share the command's CPU while another idles.  The
 workers only compute; every log line, artifact and printed row comes from
 the command's own process, in the order a serial run gives, so the output
 is the same bytes whatever the CPU count.  `run` starts no worker.

@@ -9,6 +9,13 @@ longest jobs should come first.  On one CPU, or with one job, nothing is
 forked.  Which process runs a job depends on the CPU count and on timing,
 so jobs must not depend on each other's side effects.
 
+While the jobs run, each process keeps to a part of the caller's CPUs of
+its own (`sched_setaffinity`; the sorted CPUs dealt out in turn, the
+caller's part first), and the caller puts back its own CPU set before it
+returns or raises.  Left to the kernel, a forked worker often stays on
+its parent's CPU, so the two run at half speed each while another CPU
+idles.  Where the system refuses a part, that process runs unpinned.
+
 A job reaches its worker through the fork, not through pickling, because
 the generated network kernels cannot be pickled; only a job's result, or
 the exception it raised, is pickled, on the way back.  Each worker writes
@@ -68,9 +75,21 @@ def _serve(jobs: Sequence[Callable[[], object]], claimed: Iterable[int], record)
         record(i, *outcome)
 
 
-def _work(jobs: Sequence[Callable[[], object]], claimed: Iterable[int], file) -> NoReturn:
-    """A forked worker: serve the jobs, write each outcome to file whole,
-    then exit, 0 if every outcome was written, 1 if not."""
+def _pin(cpus: Iterable[int]) -> bool:
+    """Keep this process to cpus; where the system refuses, leave it as it
+    was and return False."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        return False
+    return True
+
+
+def _work(
+    jobs: Sequence[Callable[[], object]], claimed: Iterable[int], file, cpus: list[int]
+) -> NoReturn:
+    """A forked worker: keep to cpus, serve the jobs, write each outcome to
+    file whole, then exit, 0 if every outcome was written, 1 if not."""
     def record(i: int, ok: bool, value) -> None:
         remote_traceback = "" if ok else "".join(traceback.format_exception(value))
         pickle.dump((i, ok, value, remote_traceback), file)
@@ -78,6 +97,7 @@ def _work(jobs: Sequence[Callable[[], object]], claimed: Iterable[int], file) ->
 
     code = 1
     try:
+        _pin(cpus)
         _serve(jobs, claimed, record)
         code = 0
     finally:
@@ -111,17 +131,24 @@ def run_jobs(jobs: Sequence[Callable[[], object]]) -> list[Callable[[], object]]
     callable per job that returns the job's result or raises its exception
     again.  A job whose worker ended before writing its outcome raises
     WorkerLost.  If a worker's file, the claim counter or a fork cannot be
-    made, this process serves the jobs the missing workers would have.  The
-    workers are killed and reaped before this returns or raises.
+    made, this process serves the jobs the missing workers would have.  Each
+    worker keeps to its own part of this process's CPUs and this process to
+    the rest; the workers are killed and reaped, and this process's CPU set
+    put back, before this returns or raises.
     """
     jobs = list(jobs)
     results: dict = {}
     workers: list = []  # (pid, outcome file) of each worker not yet reaped
     codes: list[int] = []
     claimed: Iterable[int] = range(len(jobs))
+    entry = os.sched_getaffinity(0)
+    pinned = False
     try:
-        n_workers = min(len(jobs), len(os.sched_getaffinity(0))) - 1
+        cpus = sorted(entry)
+        n_workers = min(len(jobs), len(cpus)) - 1
         if n_workers > 0:
+            # one part per process, in turn, so every CPU is used; part 0 the caller's
+            parts = [cpus[i::n_workers + 1] for i in range(n_workers + 1)]
             try:
                 import multiprocessing
 
@@ -129,7 +156,7 @@ def run_jobs(jobs: Sequence[Callable[[], object]]) -> list[Callable[[], object]]
                 # semaphore tracker process
                 counter = multiprocessing.get_context("fork").Value("i", 1)
                 claimed = chain([0], _claims(counter, len(jobs)))
-                for _ in range(n_workers):
+                for part in parts[1:]:
                     file = tempfile.TemporaryFile()
                     try:
                         pid = os.fork()
@@ -137,10 +164,12 @@ def run_jobs(jobs: Sequence[Callable[[], object]]) -> list[Callable[[], object]]
                         file.close()
                         raise
                     if pid == 0:
-                        _work(jobs, _claims(counter, len(jobs)), file)
+                        _work(jobs, _claims(counter, len(jobs)), file, part)
                     workers.append((pid, file))
             except OSError:  # no file, counter or fork: this process serves the jobs left
                 pass
+            if workers:  # the caller takes the parts of the workers that did not start too
+                pinned = _pin(entry.difference(*parts[1:len(workers) + 1]))
         _serve(jobs, claimed, lambda i, *outcome: results.update({i: partial(_result, *outcome)}))
         while workers:
             pid, file = workers[0]
@@ -153,6 +182,8 @@ def run_jobs(jobs: Sequence[Callable[[], object]]) -> list[Callable[[], object]]
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
             file.close()
+        if pinned:
+            _pin(entry)
     lost = WorkerLost(
         "worker process ended without a result (exit codes "
         + ", ".join(map(str, codes)) + ")"

@@ -20,6 +20,6 @@ def test_prints_one_positive_timing_per_operation(capsys):
     names += ["control_step.learn", "control_step.frozen",
               "td_epoch.sample", "fit_epoch.sample",
               "run.learn_period", "run.frozen_period", "run.generate_ms",
-              "trace.text_ms", "trace.metrics_ms"]
+              "trace.text_ms", "trace.metrics_ms", "jobs.side_by_side_ratio"]
     assert [name for name, _ in lines] == names
     assert all(float(us) > 0.0 for _, us in lines)

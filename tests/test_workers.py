@@ -21,6 +21,19 @@ from forking import (
 )
 
 
+# the test process's own CPU set, read past any fake a test installs
+_cpus_of_this_process = os.sched_getaffinity
+
+
+@pytest.fixture(autouse=True)
+def keeps_the_test_process_cpus():
+    # run_jobs puts back the CPU set it entered with: from a faked set that
+    # would narrow the test process for the rest of the session
+    cpus = _cpus_of_this_process(0)
+    yield
+    assert _cpus_of_this_process(0) == cpus
+
+
 class Failure(Exception):
     pass
 
@@ -93,9 +106,9 @@ def test_one_cpu_forks_nothing_and_loads_no_multiprocessing():
     code = (
         "import os, sys\n"
         "os.sched_setaffinity(0, {min(os.sched_getaffinity(0))})\n"
-        "def no_fork():\n"
-        "    raise AssertionError('forked')\n"
-        "os.fork = no_fork\n"
+        "def refused(*args):\n"
+        "    raise AssertionError('forked or pinned')\n"
+        "os.fork = os.sched_setaffinity = refused\n"
         "from boosthdp.workers import run_jobs\n"
         "pids = [get() for get in run_jobs([os.getpid] * 3)]\n"
         "assert pids == [os.getpid()] * 3, pids\n"
@@ -176,10 +189,13 @@ def _unavailable(*args, **kwargs):
 def test_a_set_up_failure_leaves_every_job_to_the_caller(monkeypatch, missing):
     monkeypatch.setattr(*missing, _unavailable)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    pinned = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(set(cpus)))
     got = run_jobs([os.getpid, os.getpid, lambda: fail("job 2")])
     assert [got[0](), got[1]()] == [os.getpid()] * 2
     with pytest.raises(Failure, match="job 2"):
         got[2]()
+    assert pinned == []  # with no worker the caller keeps its CPUs
 
 
 def test_a_fork_that_fails_leaves_the_jobs_to_the_caller_and_the_workers_started(monkeypatch):
@@ -193,10 +209,16 @@ def test_a_fork_that_fails_leaves_the_jobs_to_the_caller_and_the_workers_started
 
     monkeypatch.setattr(os, "fork", second_fork_fails)
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+    # the caller's calls; the started worker's go to its own copy of the list
+    pinned = []
+    monkeypatch.setattr(os, "sched_setaffinity", lambda pid, cpus: pinned.append(set(cpus)))
     got = [get() for get in run_jobs([lambda i=i: (i, os.getpid()) for i in range(50)])]
     assert [i for i, _ in got] == list(range(50))
     assert got[0][1] == os.getpid()
     assert len({pid for _, pid in got}) <= 2
+    # the caller takes its own part and the part of the worker that did not
+    # start, then puts back the set it entered with
+    assert pinned == [{0, 2}, {0, 1, 2}]
 
 
 @needs_a_worker
@@ -209,11 +231,58 @@ def test_the_caller_works_beside_the_workers():
 
 @needs_a_worker
 def test_a_base_exception_in_the_caller_kills_and_reaps_the_workers(tmp_path):
+    entry, seen = os.sched_getaffinity(0), []
+
     def abort():
+        seen.append(os.sched_getaffinity(0))
         raise Abort
 
     t0 = time.perf_counter()
     with pytest.raises(Abort):
         run_jobs(claimed_by_a_worker([abort, lambda: time.sleep(60)], 1, tmp_path / "started"))
     assert time.perf_counter() - t0 < 10.0
+    assert no_children()
+    assert seen[0] < entry
+    assert os.sched_getaffinity(0) == entry
+
+
+@needs_a_worker
+def test_each_process_keeps_to_cpus_of_its_own(tmp_path):
+    entry = os.sched_getaffinity(0)
+    cpus = lambda: (os.getpid(), os.sched_getaffinity(0))
+    got = run_jobs(claimed_by_a_worker([cpus, cpus], 1, tmp_path / "started"))
+    (caller, caller_cpus), (worker, worker_cpus) = [get() for get in got]
+    assert caller == CALLER and worker != CALLER
+    assert caller_cpus and worker_cpus and not caller_cpus & worker_cpus
+    assert caller_cpus | worker_cpus <= entry
+
+
+@needs_a_worker
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+def test_the_caller_puts_back_the_cpus_it_entered_with(raises):
+    entry, seen = os.sched_getaffinity(0), []
+
+    def job():
+        seen.append(os.sched_getaffinity(0))  # in the caller, the caller's sets only
+        if raises:
+            fail("job")
+        return "done"
+
+    run_jobs([job] * 2)
+    assert seen and all(cpus < entry for cpus in seen)
+    assert os.sched_getaffinity(0) == entry
+
+
+@needs_a_worker
+def test_cpus_the_system_refuses_leave_the_processes_unpinned(tmp_path, monkeypatch):
+    monkeypatch.setattr(os, "sched_setaffinity", _unavailable)
+    entry = os.sched_getaffinity(0)
+    got = run_jobs(claimed_by_a_worker(
+        [lambda i=i: (i, os.getpid(), os.sched_getaffinity(0)) for i in range(4)],
+        1, tmp_path / "started",
+    ))
+    results = [get() for get in got]
+    assert [i for i, _, _ in results] == list(range(4))
+    assert results[0][1] == CALLER and results[1][1] != CALLER
+    assert all(cpus == entry for _, _, cpus in results)
     assert no_children()

@@ -32,7 +32,13 @@ where us is the best of 7 repeats of the mean time per call (in ms for the
 - `trace.text_ms` and `trace.metrics_ms`: the trace's CSV text
   (`sim.trace_csv_texts` of the one trace) and `sim.compute_metrics` on
   the trace of one 1000-period PI startup run (`sim.run_scenario`), one
-  call per repeat whatever N.
+  call per repeat whatever N;
+- `jobs.side_by_side_ratio`: the best-of-7 wall time of two identical
+  CPU-bound jobs, a plain float loop of about 20 ms each, run through
+  `workers.run_jobs`, over the best-of-7 wall time of one such job alone,
+  whatever N.  It reads about 1.0 when the caller and its forked worker
+  run side by side, and about 2.0 when they share a CPU or when nothing
+  is forked (one CPU).
 
 Each repeat starts from the same fresh nets (`make_critic(0)`,
 `make_action(0)`), so runs see the same values.  It uses only names that
@@ -50,11 +56,12 @@ from time import perf_counter
 
 import numpy as np
 
-from boosthdp import hdp, mlp, sim
+from boosthdp import hdp, mlp, sim, workers
 from boosthdp.hdp import ControllerInput, HdpConfig, HdpController, make_action, make_critic
 from boosthdp.plant import PlantParams
 
 REPEATS = 7
+SPIN = 350_000  # iterations of the jobs row's float loop: about 20 ms
 
 
 def _best_us(run, calls: int, fresh) -> float:
@@ -67,6 +74,14 @@ def _best_us(run, calls: int, fresh) -> float:
         run(*args)
         best = min(best, perf_counter() - t0)
     return best / calls * 1e6
+
+
+def _spin() -> float:
+    """A CPU-bound job: a plain float loop of SPIN iterations."""
+    x = 0.0
+    for _ in range(SPIN):
+        x = x * 0.5 + 1.0
+    return x
 
 
 def timings(calls: int) -> dict[str, float]:
@@ -153,6 +168,10 @@ def timings(calls: int) -> dict[str, float]:
     text = lambda trace: sim.trace_csv_texts([trace], 0)[0]
     for name, fn in (("text", text), ("metrics", sim.compute_metrics)):
         results[f"trace.{name}_ms"] = _best_us(fn, 1, lambda: (trace,)) / 1e3
+
+    if hasattr(workers, "run_jobs"):
+        two = _best_us(lambda: [get() for get in workers.run_jobs([_spin, _spin])], 1, tuple)
+        results["jobs.side_by_side_ratio"] = two / _best_us(_spin, 1, tuple)
     return results
 
 
